@@ -104,17 +104,23 @@ func (c *Client) maxBody() int64 {
 	return DefaultMaxBodyBytes
 }
 
-// readAll drains r under the configured body cap.
-func (c *Client) readAll(r io.Reader) ([]byte, error) {
+// readAll drains a response body under the configured body cap. A declared
+// Content-Length sizes the buffer once, so a result chunk is not grown and
+// copied a dozen times on its way in; the cap bounds that buffer like any
+// other.
+func (c *Client) readAll(resp *http.Response) ([]byte, error) {
 	limit := c.maxBody()
-	b, err := io.ReadAll(io.LimitReader(r, limit+1))
-	if err != nil {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare bytes to see EOF
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, limit+1)); err != nil {
 		return nil, err
 	}
-	if int64(len(b)) > limit {
+	if int64(buf.Len()) > limit {
 		return nil, fmt.Errorf("response exceeds %d-byte cap", limit)
 	}
-	return b, nil
+	return buf.Bytes(), nil
 }
 
 // truncateBody shortens an error payload for inclusion in error text.
@@ -174,7 +180,7 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, wa
 			return err
 		}
 		defer resp.Body.Close()
-		b, err := c.readAll(resp.Body)
+		b, err := c.readAll(resp)
 		if err != nil {
 			c.Breaker.Report(err)
 			return err
@@ -267,7 +273,7 @@ func (c *Client) execute(ctx context.Context, script, varName string, user *gdm.
 		if err := formats.EncodeDataset(&buf, user); err != nil {
 			return QueryResponse{}, fmt.Errorf("federation: encoding user dataset: %w", err)
 		}
-		req.UserDataset = buf.String()
+		req.UserDataset = buf.Bytes()
 	}
 	var out QueryResponse
 	if err := c.postJSON(ctx, "/query", req, &out); err != nil {

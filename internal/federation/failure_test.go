@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"genogo/internal/engine"
+	"genogo/internal/formats"
 	"genogo/internal/synth"
 )
 
@@ -27,7 +28,7 @@ func (f *flaky) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case "status":
 			http.Error(w, "injected failure", http.StatusInternalServerError)
 		case "garbage":
-			w.Header().Set("Content-Type", "application/x-gdm")
+			w.Header().Set("Content-Type", formats.FrameContentType)
 			_, _ = w.Write([]byte("NOT A DATASET AT ALL\n"))
 		case "truncate":
 			rec := httptest.NewRecorder()

@@ -2,6 +2,9 @@ package federation
 
 import (
 	"context"
+	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -365,12 +368,68 @@ func TestUserDatasetCorrupt(t *testing.T) {
 	var out QueryResponse
 	err := c.postJSON(context.Background(), "/query", QueryRequest{
 		Script: `X = SELECT() ENCODE; MATERIALIZE X;`, Var: "X",
-		UserDataset: "GARBAGE",
+		UserDataset: []byte("GARBAGE"),
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.OK || !strings.Contains(out.Error, "user dataset") {
 		t.Errorf("corrupt user dataset accepted: %+v", out)
+	}
+}
+
+// TestResultsWindowOverflow: start+count past the int range used to wrap
+// negative, slip under the clamp and panic in the slice expression, dropping
+// the connection. Every window is clamped to the staged samples instead.
+func TestResultsWindowOverflow(t *testing.T) {
+	_, ts := newNode(t, "node1", 14, 5)
+	c := NewClient(ts.URL)
+	qr, err := c.Execute(context.Background(), `X = SELECT() ENCODE; MATERIALIZE X;`, "X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct{ start, count, want int }{
+		{1, math.MaxInt, qr.Samples - 1},
+		{math.MaxInt, math.MaxInt, 0},
+		{qr.Samples, 1, 0},
+		{0, math.MaxInt, qr.Samples},
+	} {
+		chunk, total, err := c.FetchChunk(context.Background(), qr.ResultID, w.start, w.count)
+		if err != nil {
+			t.Fatalf("window start=%d count=%d: %v", w.start, w.count, err)
+		}
+		if len(chunk.Samples) != w.want || total != qr.Samples {
+			t.Errorf("window start=%d count=%d: %d samples of %d, want %d of %d",
+				w.start, w.count, len(chunk.Samples), total, w.want, qr.Samples)
+		}
+	}
+}
+
+// TestResultEncodeFailureIs500: a staged result the frame encoder refuses
+// (a region narrower than the schema) answers 500 with the reason before any
+// body byte, where it used to send a cut 200.
+func TestResultEncodeFailureIs500(t *testing.T) {
+	srv, ts := newNode(t, "node1", 15, 3)
+	bad := gdm.NewDataset("BAD", gdm.MustSchema(gdm.Field{Name: "n", Type: gdm.KindInt}))
+	s := gdm.NewSample("s")
+	s.AddRegion(gdm.NewRegion("chr1", 1, 2, gdm.StrandNone)) // no value for n
+	bad.Samples = append(bad.Samples, s)
+	srv.mu.Lock()
+	srv.staged["rbad"] = bad
+	srv.mu.Unlock()
+	srv.AddDataset(bad)
+	for _, path := range []string{"/results/rbad", "/datasets/BAD/stream"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "attributes") {
+			t.Errorf("GET %s: status %d body %q, want 500 naming the arity mismatch", path, resp.StatusCode, body)
+		}
+	}
+	if _, _, err := NewClient(ts.URL).FetchChunk(context.Background(), "rbad", 0, 1); err == nil {
+		t.Error("FetchChunk of an unencodable result succeeded")
 	}
 }

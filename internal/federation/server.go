@@ -5,13 +5,14 @@
 // retrieval so the requester controls staging resources and communication
 // load.
 //
-// The protocol is HTTP+JSON for control messages and the native GDM stream
-// encoding for dataset payloads, exactly the three interactions the paper
-// lists: dataset information, query compilation with result-size estimates,
-// and execution with controlled result transmission.
+// The protocol is HTTP+JSON for control messages and binary frames of .gdmc
+// images (formats.EncodeDataset) for dataset payloads, exactly the three
+// interactions the paper lists: dataset information, query compilation with
+// result-size estimates, and execution with controlled result transmission.
 package federation
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -65,13 +66,13 @@ type CompileResponse struct {
 //
 // UserDataset optionally carries a private input dataset of the requester
 // (Section 4.3: "it will be possible to provide user input samples to the
-// services, whose privacy will be protected"): the GDM stream encoding of a
+// services, whose privacy will be protected"): the frame encoding of a
 // dataset that joins the node's catalog for this request only — it is never
 // listed, stored, or visible to other requests.
 type QueryRequest struct {
 	Script      string `json:"script"`
 	Var         string `json:"var"`
-	UserDataset string `json:"user_dataset,omitempty"` // formats.EncodeDataset output
+	UserDataset []byte `json:"user_dataset,omitempty"` // formats.EncodeDataset output
 	// Profile asks the node to record an execution span tree and return it
 	// in QueryResponse.Profile — EXPLAIN ANALYZE over the federation wire.
 	Profile bool `json:"profile,omitempty"`
@@ -304,11 +305,7 @@ func (s *Server) handleDatasetStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown dataset", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-gdm")
-	if err := formats.EncodeDataset(w, ds); err != nil {
-		// Headers already sent; nothing more to do than drop the conn.
-		return
-	}
+	formats.ServeDataset(w, ds)
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -386,9 +383,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	catalog := s.catalog()
-	if req.UserDataset != "" {
+	if len(req.UserDataset) > 0 {
 		// The private dataset lives only in this request's catalog copy.
-		user, err := formats.DecodeDataset(strings.NewReader(req.UserDataset))
+		user, err := formats.DecodeDataset(bytes.NewReader(req.UserDataset))
 		if err != nil {
 			fail(http.StatusOK, "user dataset: "+err.Error())
 			return
@@ -480,34 +477,26 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		start, count := 0, len(ds.Samples)
-		if v := r.URL.Query().Get("start"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				http.Error(w, "bad start", http.StatusBadRequest)
-				return
+		for _, p := range []struct {
+			key string
+			dst *int
+		}{{"start", &start}, {"count", &count}} {
+			if v := r.URL.Query().Get(p.key); v != "" {
+				n, err := strconv.Atoi(v)
+				if err != nil || n < 0 {
+					http.Error(w, "bad "+p.key, http.StatusBadRequest)
+					return
+				}
+				*p.dst = n
 			}
-			start = n
 		}
-		if v := r.URL.Query().Get("count"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				http.Error(w, "bad count", http.StatusBadRequest)
-				return
-			}
-			count = n
-		}
-		if start > len(ds.Samples) {
-			start = len(ds.Samples)
-		}
-		end := start + count
-		if end > len(ds.Samples) {
-			end = len(ds.Samples)
-		}
+		// Clamped without adding: start+count may not fit an int.
+		start = min(start, len(ds.Samples))
+		count = min(count, len(ds.Samples)-start)
 		chunk := gdm.NewDataset(ds.Name, ds.Schema)
-		chunk.Samples = ds.Samples[start:end]
-		w.Header().Set("Content-Type", "application/x-gdm")
+		chunk.Samples = ds.Samples[start : start+count]
 		w.Header().Set("X-Total-Samples", strconv.Itoa(len(ds.Samples)))
-		_ = formats.EncodeDataset(w, chunk)
+		formats.ServeDataset(w, chunk)
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}

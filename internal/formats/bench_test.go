@@ -3,6 +3,7 @@ package formats
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -34,6 +35,9 @@ func BenchmarkReadBED(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeDecodeDataset is the wire codec on an ENCODE-like dataset:
+// besides time and allocations per call it reports the frame's bytes per
+// region and the allocations per region of each direction.
 func BenchmarkEncodeDecodeDataset(b *testing.B) {
 	g := synth.New(1)
 	ds := g.Encode(synth.EncodeOptions{Samples: 20, MeanPeaks: 500})
@@ -42,23 +46,31 @@ func BenchmarkEncodeDecodeDataset(b *testing.B) {
 		b.Fatal(err)
 	}
 	payload := buf.Bytes()
-	b.Run("encode", func(b *testing.B) {
-		b.SetBytes(int64(len(payload)))
-		for i := 0; i < b.N; i++ {
-			var out bytes.Buffer
-			out.Grow(len(payload))
-			if err := EncodeDataset(&out, ds); err != nil {
-				b.Fatal(err)
+	regions := float64(ds.NumRegions())
+	run := func(name string, fn func() error) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				if err := fn(); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(len(payload))/regions, "B/region")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/regions, "allocs/region")
+		})
+	}
+	run("encode", func() error {
+		var out bytes.Buffer
+		out.Grow(len(payload))
+		return EncodeDataset(&out, ds)
 	})
-	b.Run("decode", func(b *testing.B) {
-		b.SetBytes(int64(len(payload)))
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeDataset(bytes.NewReader(payload)); err != nil {
-				b.Fatal(err)
-			}
-		}
+	run("decode", func() error {
+		_, err := DecodeDataset(bytes.NewReader(payload))
+		return err
 	})
 }
 

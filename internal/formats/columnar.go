@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"genogo/internal/catalog"
 	"genogo/internal/gdm"
@@ -20,25 +21,32 @@ import (
 // same directory shape (schema.txt, <sample>.gdm.meta, manifest.json with
 // Layout: "columnar"), but each sample's regions live in a <sample>.gdmc file
 // partitioned by chromosome — the on-disk realization of the catalog's
-// per-(sample, chromosome) zone cells. A partition stores its fixed columns
-// (start, stop, strand) as packed little-endian arrays followed by a
-// length-prefixed attribute block, and the file's index records every
+// per-(sample, chromosome) zone cells. The file's index records every
 // partition's zone window [MinStart, MaxStop) next to its byte extent, so a
 // reader can skip a partition a query's coordinate window provably cannot
-// touch without reading (or checksumming) a single payload byte.
+// touch without reading (or checksumming) a single payload byte. The same
+// image is the body of a wire frame (stream.go): disk and wire share one
+// encoder and one decoder.
 //
-// File layout (all integers little-endian):
+// File layout (fixed-width integers little-endian; "uv" is an unsigned
+// varint, "zz" a zigzag varint, as in encoding/binary):
 //
-//	header   magic "GDMC01" (6) · attr arity (u16) · partition count (u32)
+//	header   magic "GDMC02" (6) · attr arity (u16) · partition count (u32)
 //	index    per partition: chrom len (u16) · chrom · regions (u32) ·
 //	         minStart (i64) · maxStop (i64) · payload offset (i64) ·
 //	         payload length (i64) · payload crc32c (u32)
 //	crc      crc32c over header+index (u32)
-//	payload  per partition, contiguous, in index order:
-//	         starts (regions × i64) · stops (regions × i64) ·
-//	         strands (regions × i8) · attribute columns, column-major:
-//	         per value a kind tag byte, then int i64 / float bits i64 /
-//	         bool u8 / string u32 length + bytes / nothing for null
+//	payload  per partition, contiguous, in index order, column-major:
+//	         starts   regions × zz delta from the previous start (first from 0)
+//	         lengths  regions × uv (stop − start)
+//	         strands  mode byte: 0 = one strand byte for every region,
+//	                  1 = one strand byte per region
+//	         per attribute column a mode byte: 1 = uniform (every value has
+//	         the schema kind, none is null), 0 = tagged (regions × kind tag,
+//	         each null or the schema kind, then only the non-null values);
+//	         the values by schema kind: int zz · float IEEE-754 bits (u64) ·
+//	         bool u8 · string a run of uv lengths, then one block of all the
+//	         bytes
 //
 // Every section (the index, each partition payload) carries its own CRC32C,
 // so damage is detected exactly as precisely as it can be skipped: a pruned
@@ -58,22 +66,36 @@ const (
 // columnarExt is the region-file extension of the columnar layout.
 const columnarExt = ".gdmc"
 
-// columnarMagic opens every .gdmc file.
-var columnarMagic = []byte("GDMC01")
+// columnarMagic opens every .gdmc image; its last two bytes are the payload
+// coding's version.
+var columnarMagic = []byte("GDMC02")
 
-// Hostile-input bounds for the columnar decoder, in the spirit of the text
-// decoder's: a crafted file must fail with a typed error, not drive a huge
-// allocation.
+// Hostile-input bounds for the columnar decoder: a crafted file must fail
+// with a typed error, not drive a huge allocation.
 const (
 	// maxColumnarParts caps the partitions one sample file may declare.
 	maxColumnarParts = 1 << 20
 	// maxColumnarChrom caps a chromosome name's length.
 	maxColumnarChrom = 1 << 12
+	// maxColumnarRegions caps the regions one partition may declare.
+	maxColumnarRegions = 1 << 30
 	// columnarHeaderLen is the fixed header size.
 	columnarHeaderLen = 6 + 2 + 4
 	// columnarEntryFixed is the fixed part of one index entry (everything but
 	// the chromosome name).
 	columnarEntryFixed = 2 + 4 + 8 + 8 + 8 + 8 + 4
+)
+
+// Mode bytes of the payload coding.
+const (
+	// strandConstant: one strand byte stands for every region.
+	strandConstant = 0
+	// strandPerRegion: one strand byte per region follows.
+	strandPerRegion = 1
+	// columnTagged prefixes the column's values with one kind tag per region.
+	columnTagged = 0
+	// columnUniform drops the tags: every value has the schema kind.
+	columnUniform = 1
 )
 
 // columnarPart is one decoded index entry: a (sample, chromosome) partition's
@@ -88,9 +110,17 @@ type columnarPart struct {
 	CRC      uint32
 }
 
-// minRegionBytes is the smallest possible payload footprint of one region:
-// start + stop + strand plus one kind tag per attribute.
-func minRegionBytes(arity int) int64 { return 17 + int64(arity) }
+// minRegionBytes is the smallest possible payload footprint of one region: a
+// start delta, a length, and at least one byte in every attribute column (a
+// tag, a varint, or a fixed-width value). It bounds what a declared region
+// count may make the decoder allocate by the bytes actually present.
+func minRegionBytes(arity int) int64 { return 2 + int64(arity) }
+
+// columnarSizeHint guesses the image size of a sample of that many regions, to
+// reserve before encoding: an index of a few dozen partitions, a few bytes of
+// coordinates per region and about a fixed-width value per attribute. A low
+// guess only costs a regrowth.
+func columnarSizeHint(regions, arity int) int { return 2048 + regions*(6+9*arity) }
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -100,128 +130,168 @@ func appendUint16(b []byte, v uint16) []byte { return binary.LittleEndian.Append
 func appendUint32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendUint64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
-// encodeColumnarSample serializes one sample's regions into a .gdmc image.
-// Regions are grouped by chromosome in order of first appearance (canonical
-// genomic order for canonically sorted samples); a region's attribute arity
-// must match the schema's.
-func encodeColumnarSample(s *gdm.Sample, arity int) ([]byte, error) {
+// appendColumnarSample appends one sample's .gdmc image to dst. Regions are
+// grouped by chromosome in order of first appearance (canonical genomic order
+// for canonically sorted samples); a region's attribute arity must match the
+// schema's and every value must be null or of its column's kind.
+func appendColumnarSample(dst []byte, s *gdm.Sample, schema *gdm.Schema) ([]byte, error) {
 	type partBuild struct {
 		chrom    string
-		idx      []int32
+		n        int
 		minStart int64
 		maxStop  int64
 	}
-	var parts []*partBuild
-	byChrom := make(map[string]*partBuild)
-	for i := range s.Regions {
-		r := &s.Regions[i]
+	arity, regs := schema.Len(), s.Regions
+	var parts []partBuild
+	byChrom := make(map[string]int)
+	last, contiguous := -1, true
+	for i := range regs {
+		r := &regs[i]
 		if len(r.Values) != arity {
 			return nil, fmt.Errorf("columnar: sample %s region %d has %d attributes, schema has %d",
 				s.ID, i, len(r.Values), arity)
 		}
-		p := byChrom[r.Chrom]
-		if p == nil {
-			p = &partBuild{chrom: r.Chrom, minStart: r.Start, maxStop: r.Stop}
-			byChrom[r.Chrom] = p
-			parts = append(parts, p)
+		// Sorted samples change chromosome a few dozen times, so the map is
+		// consulted only then.
+		if last < 0 || parts[last].chrom != r.Chrom {
+			pi, seen := byChrom[r.Chrom]
+			if !seen {
+				pi = len(parts)
+				byChrom[r.Chrom] = pi
+				parts = append(parts, partBuild{chrom: r.Chrom, minStart: r.Start, maxStop: r.Stop})
+			}
+			last, contiguous = pi, contiguous && !seen
 		}
-		p.idx = append(p.idx, int32(i))
-		if r.Start < p.minStart {
-			p.minStart = r.Start
-		}
-		if r.Stop > p.maxStop {
-			p.maxStop = r.Stop
-		}
+		p := &parts[last]
+		p.n++
+		p.minStart, p.maxStop = min(p.minStart, r.Start), max(p.maxStop, r.Stop)
+	}
+	if !contiguous {
+		// A chromosome came back after another one: gather each one's regions
+		// into a run, in place of the order an unsorted sample holds them in.
+		regs = slices.Clone(regs)
+		slices.SortStableFunc(regs, func(a, b gdm.Region) int { return byChrom[a.Chrom] - byChrom[b.Chrom] })
 	}
 	if len(parts) > maxColumnarParts {
 		return nil, fmt.Errorf("columnar: sample %s has %d partitions, limit %d", s.ID, len(parts), maxColumnarParts)
 	}
-
-	// The index size is needed before payload offsets can be assigned.
-	indexLen := int64(columnarHeaderLen)
+	indexLen := columnarHeaderLen + 4 // header + index crc
 	for _, p := range parts {
-		if len(p.chrom) > maxColumnarChrom {
-			return nil, fmt.Errorf("columnar: sample %s chromosome name exceeds %d bytes", s.ID, maxColumnarChrom)
+		if len(p.chrom) > maxColumnarChrom || p.n > maxColumnarRegions {
+			return nil, fmt.Errorf("columnar: sample %s: partition %.32q exceeds the format's name or region limit", s.ID, p.chrom)
 		}
-		indexLen += columnarEntryFixed + int64(len(p.chrom))
+		indexLen += columnarEntryFixed + len(p.chrom)
 	}
-	indexLen += 4 // index crc
 
-	// Payload sections, one per partition.
-	payloads := make([][]byte, len(parts))
-	for pi, p := range parts {
-		n := len(p.idx)
-		buf := make([]byte, 0, int64(n)*minRegionBytes(arity))
-		for _, ri := range p.idx {
-			buf = appendUint64(buf, uint64(s.Regions[ri].Start))
+	// The index's size is known before the payloads are, so it is reserved
+	// and filled in once their extents and checksums exist.
+	base := len(dst)
+	dst = slices.Grow(dst, columnarSizeHint(len(regs), arity))
+	dst = append(dst, make([]byte, indexLen)...)
+	index := make([]byte, 0, indexLen)
+	index = append(index, columnarMagic...)
+	index = appendUint16(index, uint16(arity))
+	index = appendUint32(index, uint32(len(parts)))
+	for _, p := range parts {
+		off := len(dst)
+		var err error
+		if dst, err = appendColumnarPayload(dst, regs[:p.n], schema); err != nil {
+			return nil, fmt.Errorf("columnar: sample %s: %w", s.ID, err)
 		}
-		for _, ri := range p.idx {
-			buf = appendUint64(buf, uint64(s.Regions[ri].Stop))
+		regs = regs[p.n:]
+		index = appendUint16(index, uint16(len(p.chrom)))
+		index = append(index, p.chrom...)
+		index = appendUint32(index, uint32(p.n))
+		index = appendUint64(index, uint64(p.minStart))
+		index = appendUint64(index, uint64(p.maxStop))
+		index = appendUint64(index, uint64(off-base))
+		index = appendUint64(index, uint64(len(dst)-off))
+		index = appendUint32(index, crc32.Checksum(dst[off:], castagnoli))
+	}
+	index = appendUint32(index, crc32.Checksum(index, castagnoli))
+	copy(dst[base:], index)
+	return dst, nil
+}
+
+// zigzag maps a signed integer to the unsigned one whose varint is short when
+// the magnitude is small.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// unzigzag inverts zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// appendColumnarPayload appends one partition's payload: regs column by
+// column.
+func appendColumnarPayload(dst []byte, regs []gdm.Region, schema *gdm.Schema) ([]byte, error) {
+	var prev int64
+	for i := range regs {
+		dst = binary.AppendUvarint(dst, zigzag(regs[i].Start-prev))
+		prev = regs[i].Start
+	}
+	constStrand := true
+	for i := range regs {
+		dst = binary.AppendUvarint(dst, uint64(regs[i].Stop-regs[i].Start))
+		constStrand = constStrand && regs[i].Strand == regs[0].Strand
+	}
+	if constStrand {
+		dst = append(dst, strandConstant, byte(regs[0].Strand))
+	} else {
+		dst = append(dst, strandPerRegion)
+		for i := range regs {
+			dst = append(dst, byte(regs[i].Strand))
 		}
-		for _, ri := range p.idx {
-			buf = append(buf, byte(int8(s.Regions[ri].Strand)))
+	}
+	for ai := 0; ai < schema.Len(); ai++ {
+		want := schema.Field(ai).Type
+		if want > gdm.KindBool {
+			return nil, fmt.Errorf("attribute %q has unencodable kind %d", schema.Field(ai).Name, want)
 		}
-		for ai := 0; ai < arity; ai++ {
-			for _, ri := range p.idx {
-				v := s.Regions[ri].Values[ai]
-				buf = append(buf, byte(v.Kind()))
-				switch v.Kind() {
-				case gdm.KindNull:
-				case gdm.KindInt:
-					buf = appendUint64(buf, uint64(v.Int()))
-				case gdm.KindFloat:
-					buf = appendUint64(buf, math.Float64bits(v.Float()))
-				case gdm.KindString:
-					str := v.Str()
-					if int64(len(str)) > math.MaxUint32 {
-						return nil, fmt.Errorf("columnar: sample %s: string value exceeds encodable length", s.ID)
-					}
-					buf = appendUint32(buf, uint32(len(str)))
-					buf = append(buf, str...)
-				case gdm.KindBool:
-					if v.Bool() {
-						buf = append(buf, 1)
-					} else {
-						buf = append(buf, 0)
-					}
-				default:
-					return nil, fmt.Errorf("columnar: sample %s: unencodable value kind %d", s.ID, v.Kind())
+		// A null-typed column has no uniform form: it would cost no bytes per
+		// region, and minRegionBytes counts on one.
+		uniform := want != gdm.KindNull
+		for i := 0; i < len(regs) && uniform; i++ {
+			uniform = regs[i].Values[ai].Kind() == want
+		}
+		if uniform {
+			dst = append(dst, columnUniform)
+		} else {
+			dst = append(dst, columnTagged)
+			for i := range regs {
+				k := regs[i].Values[ai].Kind()
+				if k != gdm.KindNull && k != want {
+					return nil, fmt.Errorf("attribute %q holds %s, schema says %s", schema.Field(ai).Name, k, want)
 				}
+				dst = append(dst, byte(k))
 			}
 		}
-		payloads[pi] = buf
+		for i := range regs {
+			v := &regs[i].Values[ai]
+			switch v.Kind() { // null, or want
+			case gdm.KindInt:
+				dst = binary.AppendUvarint(dst, zigzag(v.Int()))
+			case gdm.KindFloat:
+				dst = appendUint64(dst, math.Float64bits(v.Float()))
+			case gdm.KindBool:
+				dst = append(dst, byte(v.Int()))
+			case gdm.KindString:
+				dst = binary.AppendUvarint(dst, uint64(len(v.Str())))
+			}
+		}
+		if want == gdm.KindString {
+			for i := range regs {
+				dst = append(dst, regs[i].Values[ai].Str()...)
+			}
+		}
 	}
-
-	// Header + index.
-	out := make([]byte, 0, indexLen)
-	out = append(out, columnarMagic...)
-	out = appendUint16(out, uint16(arity))
-	out = appendUint32(out, uint32(len(parts)))
-	offset := indexLen
-	for pi, p := range parts {
-		out = appendUint16(out, uint16(len(p.chrom)))
-		out = append(out, p.chrom...)
-		out = appendUint32(out, uint32(len(p.idx)))
-		out = appendUint64(out, uint64(p.minStart))
-		out = appendUint64(out, uint64(p.maxStop))
-		out = appendUint64(out, uint64(offset))
-		out = appendUint64(out, uint64(len(payloads[pi])))
-		out = appendUint32(out, crc32.Checksum(payloads[pi], castagnoli))
-		offset += int64(len(payloads[pi]))
-	}
-	out = appendUint32(out, crc32.Checksum(out, castagnoli))
-	for _, pl := range payloads {
-		out = append(out, pl...)
-	}
-	return out, nil
+	return dst, nil
 }
 
 // writeColumnarFile materializes one sample's .gdmc, fsynced, and returns its
 // manifest entry. Binary files carry no text footer; the manifest records the
 // whole file's size and CRC32C instead (the internal section checksums make
 // the file self-verifying on their own).
-func writeColumnarFile(path string, s *gdm.Sample, arity int) (FileInfo, error) {
-	data, err := encodeColumnarSample(s, arity)
+func writeColumnarFile(path string, s *gdm.Sample, schema *gdm.Schema) (FileInfo, error) {
+	data, err := appendColumnarSample(nil, s, schema)
 	if err != nil {
 		return FileInfo{}, err
 	}
@@ -273,7 +343,10 @@ func parseColumnarIndex(dataset, path string, r io.Reader, size int64) (*columna
 	if _, err := io.ReadFull(tr, header); err != nil {
 		return nil, fail(ReasonTruncated, "file shorter than columnar header")
 	}
-	if !bytes.Equal(header[:len(columnarMagic)], columnarMagic) {
+	if magic := header[:len(columnarMagic)]; !bytes.Equal(magic, columnarMagic) {
+		if bytes.HasPrefix(magic, columnarMagic[:4]) {
+			return nil, fail(ReasonParse, fmt.Sprintf("unsupported columnar format version %s (this build reads %s)", magic, columnarMagic))
+		}
 		return nil, fail(ReasonParse, "bad columnar magic")
 	}
 	arity := int(binary.LittleEndian.Uint16(header[6:8]))
@@ -281,9 +354,10 @@ func parseColumnarIndex(dataset, path string, r io.Reader, size int64) (*columna
 	if nParts > maxColumnarParts {
 		return nil, fail(ReasonParse, fmt.Sprintf("declared %d partitions exceeds limit %d", nParts, maxColumnarParts))
 	}
-	ci := &columnarIndex{Arity: arity, Parts: make([]columnarPart, 0, nParts)}
+	// The capacity is a hint: a count the bytes do not back must not size
+	// an allocation.
+	ci := &columnarIndex{Arity: arity, Parts: make([]columnarPart, 0, min(nParts, 256))}
 	indexLen := int64(columnarHeaderLen)
-	entry := make([]byte, columnarEntryFixed-2) // after the chrom length+name
 	var prevEnd int64 = -1
 	for i := 0; i < nParts; i++ {
 		var lenBuf [2]byte
@@ -294,15 +368,13 @@ func parseColumnarIndex(dataset, path string, r io.Reader, size int64) (*columna
 		if chromLen > maxColumnarChrom {
 			return nil, fail(ReasonParse, fmt.Sprintf("chromosome name length %d exceeds limit %d", chromLen, maxColumnarChrom))
 		}
-		chrom := make([]byte, chromLen)
-		if _, err := io.ReadFull(tr, chrom); err != nil {
+		rest := make([]byte, chromLen+columnarEntryFixed-2) // the name, then the fixed fields
+		if _, err := io.ReadFull(tr, rest); err != nil {
 			return nil, fail(ReasonTruncated, "index truncated")
 		}
-		if _, err := io.ReadFull(tr, entry); err != nil {
-			return nil, fail(ReasonTruncated, "index truncated")
-		}
+		entry := rest[chromLen:]
 		p := columnarPart{
-			Chrom:    string(chrom),
+			Chrom:    string(rest[:chromLen]),
 			Regions:  int(binary.LittleEndian.Uint32(entry[0:4])),
 			MinStart: int64(binary.LittleEndian.Uint64(entry[4:12])),
 			MaxStop:  int64(binary.LittleEndian.Uint64(entry[12:20])),
@@ -310,8 +382,8 @@ func parseColumnarIndex(dataset, path string, r io.Reader, size int64) (*columna
 			Length:   int64(binary.LittleEndian.Uint64(entry[28:36])),
 			CRC:      binary.LittleEndian.Uint32(entry[36:40]),
 		}
-		indexLen += int64(2 + chromLen + len(entry))
-		if p.Regions < 0 || p.Regions > maxDecodeRecords {
+		indexLen += int64(2 + len(rest))
+		if p.Regions > maxColumnarRegions {
 			return nil, fail(ReasonParse, fmt.Sprintf("partition %s declares %d regions", p.Chrom, p.Regions))
 		}
 		if p.Offset < 0 || p.Length < 0 || p.Length > math.MaxInt64-p.Offset {
@@ -367,113 +439,191 @@ func decodeColumnarPart(dataset, path string, p columnarPart, payload []byte, sc
 		return fail(ReasonChecksum, fmt.Sprintf("payload crc32c %s != declared %s", crcHex(sum), crcHex(p.CRC)))
 	}
 	n, arity := p.Regions, schema.Len()
-	fixed := int64(n) * 17
-	if fixed > int64(len(payload)) {
-		return fail(ReasonParse, "payload shorter than fixed columns")
+	if int64(n)*minRegionBytes(arity) > int64(len(payload)) {
+		return fail(ReasonParse, fmt.Sprintf("%d regions cannot fit %d payload bytes", n, len(payload)))
 	}
-	starts := payload[:n*8]
-	stops := payload[n*8 : n*16]
-	strands := payload[n*16 : n*17]
 	base := len(s.Regions)
 	s.Regions = append(s.Regions, make([]gdm.Region, n)...)
-	regs := s.Regions[base:]
-	values := make([]gdm.Value, n*arity)
-	for i := 0; i < n; i++ {
-		var strand gdm.Strand
-		switch int8(strands[i]) {
-		case 0:
-			strand = gdm.StrandNone
-		case 1:
-			strand = gdm.StrandPlus
-		case -1:
-			strand = gdm.StrandMinus
-		default:
-			s.Regions = s.Regions[:base]
-			return fail(ReasonParse, fmt.Sprintf("region %d has strand byte %d", i, int8(strands[i])))
-		}
-		regs[i] = gdm.Region{
-			Chrom:  p.Chrom,
-			Start:  int64(binary.LittleEndian.Uint64(starts[i*8:])),
-			Stop:   int64(binary.LittleEndian.Uint64(stops[i*8:])),
-			Strand: strand,
-			Values: values[i*arity : (i+1)*arity : (i+1)*arity],
-		}
-	}
-	// Attribute columns, column-major.
-	cur := payload[n*17:]
-	for ai := 0; ai < arity; ai++ {
-		want := schema.Field(ai).Type
-		for i := 0; i < n; i++ {
-			if len(cur) < 1 {
-				s.Regions = s.Regions[:base]
-				return fail(ReasonParse, "attribute block truncated")
-			}
-			kind := gdm.Kind(cur[0])
-			cur = cur[1:]
-			var v gdm.Value
-			switch kind {
-			case gdm.KindNull:
-				v = gdm.Null()
-			case gdm.KindInt:
-				if len(cur) < 8 {
-					s.Regions = s.Regions[:base]
-					return fail(ReasonParse, "attribute block truncated")
-				}
-				v = gdm.Int(int64(binary.LittleEndian.Uint64(cur)))
-				cur = cur[8:]
-			case gdm.KindFloat:
-				if len(cur) < 8 {
-					s.Regions = s.Regions[:base]
-					return fail(ReasonParse, "attribute block truncated")
-				}
-				v = gdm.Float(math.Float64frombits(binary.LittleEndian.Uint64(cur)))
-				cur = cur[8:]
-			case gdm.KindString:
-				if len(cur) < 4 {
-					s.Regions = s.Regions[:base]
-					return fail(ReasonParse, "attribute block truncated")
-				}
-				slen := int(binary.LittleEndian.Uint32(cur))
-				cur = cur[4:]
-				if slen > len(cur) {
-					s.Regions = s.Regions[:base]
-					return fail(ReasonParse, fmt.Sprintf("string value declares %d bytes, %d remain", slen, len(cur)))
-				}
-				v = gdm.Str(string(cur[:slen]))
-				cur = cur[slen:]
-			case gdm.KindBool:
-				if len(cur) < 1 {
-					s.Regions = s.Regions[:base]
-					return fail(ReasonParse, "attribute block truncated")
-				}
-				v = gdm.Bool(cur[0] != 0)
-				cur = cur[1:]
-			default:
-				s.Regions = s.Regions[:base]
-				return fail(ReasonParse, fmt.Sprintf("attribute %d region %d has kind tag %d", ai, i, kind))
-			}
-			if kind != gdm.KindNull && kind != want {
-				s.Regions = s.Regions[:base]
-				return fail(ReasonParse, fmt.Sprintf("attribute %q is %s, schema wants %s",
-					schema.Field(ai).Name, kind, want))
-			}
-			values[i*arity+ai] = v
-		}
-	}
-	if len(cur) != 0 {
+	if detail := decodeColumnarPayload(payload, p, schema, s.Regions[base:]); detail != "" {
 		s.Regions = s.Regions[:base]
-		return fail(ReasonParse, fmt.Sprintf("%d trailing bytes after attribute block", len(cur)))
+		return fail(ReasonParse, detail)
+	}
+	return nil
+}
+
+// byteCursor walks checksummed bytes whose counts and lengths are still not
+// to be trusted. Running out of bytes empties it and sets bad, so a caller
+// checks once per section, not per field.
+type byteCursor struct {
+	b   []byte
+	bad bool
+}
+
+func (c *byteCursor) fail() { c.b, c.bad = nil, true }
+
+// uvarint reads an unsigned varint, 0 on failure.
+func (c *byteCursor) uvarint() uint64 {
+	if len(c.b) > 0 && c.b[0] < 0x80 { // one byte: most deltas, lengths, counts
+		u := uint64(c.b[0])
+		c.b = c.b[1:]
+		return u
+	}
+	u, k := binary.Uvarint(c.b)
+	if k <= 0 {
+		c.fail()
+		return 0
+	}
+	c.b = c.b[k:]
+	return u
+}
+
+// take reads the next n bytes, nil on failure.
+func (c *byteCursor) take(n int) []byte {
+	if n < 0 || n > len(c.b) {
+		c.fail()
+		return nil
+	}
+	out := c.b[:n]
+	c.b = c.b[n:]
+	return out
+}
+
+// u8 reads one byte, 0 on failure.
+func (c *byteCursor) u8() byte {
+	if b := c.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+// decodeColumnarPayload decodes a checksummed partition payload into regs
+// (len(regs) regions, zeroed), allocating one slab for all their values and
+// one string per string column. It returns what is wrong with the payload,
+// or "" when it decoded in full.
+func decodeColumnarPayload(payload []byte, p columnarPart, schema *gdm.Schema, regs []gdm.Region) string {
+	n, arity := len(regs), schema.Len()
+	if n == 0 {
+		return "partition without regions" // the writer makes one per chromosome seen
+	}
+	c := byteCursor{b: payload}
+	var prev int64
+	minStart, maxStop := int64(math.MaxInt64), int64(math.MinInt64)
+	for i := range regs {
+		prev += unzigzag(c.uvarint())
+		regs[i].Chrom, regs[i].Start = p.Chrom, prev
+		minStart = min(minStart, prev)
+	}
+	for i := range regs {
+		regs[i].Stop = regs[i].Start + int64(c.uvarint())
+		maxStop = max(maxStop, regs[i].Stop)
+	}
+	var strands []byte
+	stride := 0 // a constant column is read at index 0 for every region
+	switch mode := c.u8(); mode {
+	case strandConstant:
+		strands = c.take(1)
+	case strandPerRegion:
+		strands, stride = c.take(n), 1
+	default:
+		return fmt.Sprintf("bad strand column mode %d", mode)
+	}
+	if c.bad {
+		return "payload truncated"
 	}
 	// The decoded regions must actually lie inside the zone window the index
 	// declares — a lying window would make pruning silently wrong, so it is
 	// corruption.
+	if minStart < p.MinStart || maxStop > p.MaxStop {
+		return "region outside declared zone window"
+	}
 	for i := range regs {
-		if regs[i].Start < p.MinStart || regs[i].Stop > p.MaxStop {
-			s.Regions = s.Regions[:base]
-			return fail(ReasonParse, fmt.Sprintf("region %d outside declared zone window", i))
+		switch s := gdm.Strand(strands[i*stride]); s {
+		case gdm.StrandNone, gdm.StrandPlus, gdm.StrandMinus:
+			regs[i].Strand = s
+		default:
+			return fmt.Sprintf("region %d has strand byte %d", i, s)
 		}
 	}
-	return nil
+	values := make([]gdm.Value, n*arity)
+	for i := range regs {
+		regs[i].Values = values[i*arity : (i+1)*arity : (i+1)*arity]
+	}
+	for ai := 0; ai < arity; ai++ {
+		f := schema.Field(ai)
+		// tags stays nil for a uniform column; a tagged column's null entries
+		// keep the zero Value, which is gdm.Null().
+		var tags []byte
+		present := n
+		switch mode := c.u8(); {
+		case mode == columnUniform && f.Type != gdm.KindNull:
+		case mode == columnTagged:
+			tags = c.take(n)
+			for i, t := range tags {
+				if gdm.Kind(t) == gdm.KindNull {
+					present--
+				} else if gdm.Kind(t) != f.Type {
+					return fmt.Sprintf("attribute %q region %d has kind tag %d, schema wants %s", f.Name, i, t, f.Type)
+				}
+			}
+		default:
+			return fmt.Sprintf("attribute %q: bad column mode %d", f.Name, mode)
+		}
+		// Fixed-width values are taken as one run; a string column is a run
+		// of lengths (walked here to find and bound the block, again below to
+		// slice it) and then the one string every value is cut from.
+		var raw []byte
+		var block string
+		lens := c
+		switch f.Type {
+		case gdm.KindFloat:
+			raw = c.take(8 * present)
+		case gdm.KindBool:
+			raw = c.take(present)
+		case gdm.KindString:
+			total := uint64(0)
+			for i := 0; i < present && !c.bad; i++ {
+				// Each length is bounded before it is added: one varint can
+				// carry ~2^64, and a sum that wrapped back under the bound
+				// would slice past the block below.
+				u, rest := c.uvarint(), uint64(len(c.b))
+				if total > rest || u > rest-total {
+					c.fail()
+					break
+				}
+				total += u
+			}
+			block = string(c.take(int(total)))
+		}
+		if c.bad {
+			return fmt.Sprintf("attribute %q: column truncated", f.Name)
+		}
+		col, j := values[ai:], 0
+		for i := 0; i < n; i++ {
+			if tags != nil && tags[i] == 0 {
+				continue
+			}
+			switch f.Type {
+			case gdm.KindInt:
+				col[i*arity] = gdm.Int(unzigzag(c.uvarint()))
+			case gdm.KindFloat:
+				col[i*arity] = gdm.Float(math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:])))
+			case gdm.KindBool:
+				if raw[j] > 1 {
+					return fmt.Sprintf("attribute %q region %d has bool byte %d", f.Name, i, raw[j])
+				}
+				col[i*arity] = gdm.Bool(raw[j] == 1)
+			case gdm.KindString:
+				u := lens.uvarint()
+				col[i*arity] = gdm.Str(block[:u])
+				block = block[u:]
+			}
+			j++
+		}
+	}
+	if c.bad || len(c.b) != 0 {
+		return fmt.Sprintf("payload truncated or %d bytes trail it", len(c.b))
+	}
+	return ""
 }
 
 // decodeColumnarSample decodes a whole in-memory .gdmc image into a sample —
@@ -489,6 +639,11 @@ func decodeColumnarSample(dataset, path, id string, data []byte, schema *gdm.Sch
 			Detail: fmt.Sprintf("file declares %d attributes, schema has %d", ci.Arity, schema.Len())}
 	}
 	s := gdm.NewSample(id)
+	total := 0
+	for _, p := range ci.Parts {
+		total += p.Regions // bounded by the bytes present, partition by partition
+	}
+	s.Regions = make([]gdm.Region, 0, total)
 	var end int64 = ci.IndexLen
 	for _, p := range ci.Parts {
 		if ie := decodeColumnarPart(dataset, path, p, data[p.Offset:p.Offset+p.Length], schema, s); ie != nil {
@@ -715,16 +870,11 @@ func CheckColumnarStructure(dataset, path string, data []byte) error {
 // section-granular damage is detected by exactly the read that would have
 // consumed it.
 func ColumnarSectionOffsets(path string) ([]int64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	size := int64(-1)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
-	}
-	ci, ie := parseColumnarIndex(filepath.Base(filepath.Dir(path)), path, bufio.NewReader(f), size)
+	ci, ie := parseColumnarIndex(filepath.Base(filepath.Dir(path)), path, bytes.NewReader(data), int64(len(data)))
 	if ie != nil {
 		return nil, ie
 	}
@@ -761,7 +911,7 @@ func writeColumnarDatasetFiles(dir string, ds *gdm.Dataset) error {
 	}
 	files["schema.txt"] = info
 	for _, s := range ds.Samples {
-		info, err := writeColumnarFile(filepath.Join(dir, s.ID+columnarExt), s, ds.Schema.Len())
+		info, err := writeColumnarFile(filepath.Join(dir, s.ID+columnarExt), s, ds.Schema)
 		if err != nil {
 			return fmt.Errorf("dataset %s sample %s: %w", ds.Name, s.ID, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"genogo/internal/catalog"
@@ -13,7 +14,7 @@ import (
 
 // kindsDataset exercises every encodable value kind, every strand, an empty
 // string, an empty sample, and a region-free chromosome ordering edge.
-func kindsDataset(t *testing.T) *gdm.Dataset {
+func kindsDataset(t testing.TB) *gdm.Dataset {
 	t.Helper()
 	schema := gdm.MustSchema(
 		gdm.Field{Name: "hits", Type: gdm.KindInt},
@@ -36,7 +37,7 @@ func kindsDataset(t *testing.T) *gdm.Dataset {
 func TestColumnarSampleRoundTrip(t *testing.T) {
 	ds := kindsDataset(t)
 	for _, s := range ds.Samples {
-		data, err := encodeColumnarSample(s, ds.Schema.Len())
+		data, err := appendColumnarSample(nil, s, ds.Schema)
 		if err != nil {
 			t.Fatalf("encode %s: %v", s.ID, err)
 		}
@@ -52,6 +53,33 @@ func TestColumnarSampleRoundTrip(t *testing.T) {
 				t.Errorf("sample %s region %d: %q vs %q", s.ID, i, got.Regions[i], s.Regions[i])
 			}
 		}
+	}
+}
+
+// TestColumnarUnsortedSample: a sample whose chromosomes interleave is
+// written as one partition per chromosome, in order of first appearance, with
+// each chromosome's regions in the order the sample held them.
+func TestColumnarUnsortedSample(t *testing.T) {
+	schema := gdm.MustSchema(gdm.Field{Name: "n", Type: gdm.KindInt})
+	s := gdm.NewSample("s")
+	for i, chrom := range []string{"chr2", "chr1", "chr2", "chr1", "chr3", "chr2"} {
+		s.AddRegion(gdm.NewRegion(chrom, int64(100-10*i), int64(200-10*i), gdm.StrandNone, gdm.Int(int64(i))))
+	}
+	before := fmt.Sprint(s.Regions)
+	data, err := appendColumnarSample(nil, s, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := fmt.Sprint(s.Regions); after != before {
+		t.Fatalf("encoding reordered the caller's regions: %s", after)
+	}
+	got, ie := decodeColumnarSample("DS", "s.gdmc", "s", data, schema)
+	if ie != nil {
+		t.Fatal(ie)
+	}
+	want := "[chr2:100-200(*) 0 chr2:80-180(*) 2 chr2:50-150(*) 5 chr1:90-190(*) 1 chr1:70-170(*) 3 chr3:60-160(*) 4]"
+	if fmt.Sprint(got.Regions) != want {
+		t.Errorf("decoded %v\nwant    %s", got.Regions, want)
 	}
 }
 
@@ -114,7 +142,7 @@ func TestColumnarRoundTripProperty(t *testing.T) {
 // full decode, never a panic and never silently different data.
 func TestColumnarEveryBitFlipDetected(t *testing.T) {
 	ds := testDataset(t)
-	data, err := encodeColumnarSample(ds.Samples[0], ds.Schema.Len())
+	data, err := appendColumnarSample(nil, ds.Samples[0], ds.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +163,7 @@ func TestColumnarEveryBitFlipDetected(t *testing.T) {
 // the full decode with a typed error.
 func TestColumnarEveryTruncationDetected(t *testing.T) {
 	ds := testDataset(t)
-	data, err := encodeColumnarSample(ds.Samples[0], ds.Schema.Len())
+	data, err := appendColumnarSample(nil, ds.Samples[0], ds.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +179,7 @@ func TestColumnarEveryTruncationDetected(t *testing.T) {
 
 func TestColumnarArityMismatchRejected(t *testing.T) {
 	ds := testDataset(t)
-	data, err := encodeColumnarSample(ds.Samples[0], ds.Schema.Len())
+	data, err := appendColumnarSample(nil, ds.Samples[0], ds.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +187,69 @@ func TestColumnarArityMismatchRejected(t *testing.T) {
 	if _, ie := decodeColumnarSample("DS", "s.gdmc", "s1", data, narrow); ie == nil {
 		t.Fatal("arity mismatch decoded cleanly")
 	}
-	if _, err := encodeColumnarSample(ds.Samples[0], 5); err == nil {
+	if _, err := appendColumnarSample(nil, ds.Samples[0], narrow); err == nil {
 		t.Fatal("encode with wrong arity succeeded")
+	}
+	// A value of a kind its column does not have fails the write, not a
+	// later read.
+	wrong := gdm.MustSchema(gdm.Field{Name: "p_value", Type: gdm.KindFloat}, gdm.Field{Name: "signal", Type: gdm.KindInt})
+	if _, err := appendColumnarSample(nil, ds.Samples[0], wrong); err == nil {
+		t.Fatal("encode of a float in an int column succeeded")
+	}
+}
+
+// TestColumnarOldVersionRejected: a GDMC01 image is a typed parse error that
+// names the version, from the full decode and the structural check alike.
+func TestColumnarOldVersionRejected(t *testing.T) {
+	ds := testDataset(t)
+	data, err := appendColumnarSample(nil, ds.Samples[0], ds.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "GDMC01")
+	_, ie := decodeColumnarSample("DS", "s.gdmc", "s1", data, ds.Schema)
+	if ie == nil || ie.Reason != ReasonParse || !strings.Contains(ie.Detail, "GDMC01") {
+		t.Fatalf("GDMC01 image: %v, want a parse_error naming the version", ie)
+	}
+	if err := CheckColumnarStructure("DS", "s.gdmc", data); err == nil {
+		t.Fatal("structural check accepted a GDMC01 image")
+	}
+}
+
+// TestColumnarCompactCoding pins what the GDMC02 payload coding buys: sorted
+// starts, short lengths, one strand and tag-free columns cost a few bytes per
+// region, and a column with a null falls back to tags without losing it.
+func TestColumnarCompactCoding(t *testing.T) {
+	schema := gdm.MustSchema(gdm.Field{Name: "n", Type: gdm.KindInt}, gdm.Field{Name: "name", Type: gdm.KindString})
+	s := gdm.NewSample("s")
+	const n = 1000
+	for i := int64(0); i < n; i++ {
+		s.AddRegion(gdm.NewRegion("chr1", 1_000_000+i*900, 1_000_000+i*900+250, gdm.StrandNone, gdm.Int(i%7), gdm.Str("g")))
+	}
+	uniform, err := appendColumnarSample(nil, s, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2 (delta) + 2 (length) + 0 (strand) + 1 (int) + 1+1 (string) per region.
+	if per := float64(len(uniform)) / n; per > 7.2 {
+		t.Errorf("uniform columns cost %.2f bytes per region, want about 7", per)
+	}
+	s.Regions[n/2].Values[0] = gdm.Null()
+	tagged, err := appendColumnarSample(nil, s, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if extra := len(tagged) - len(uniform); extra != n-1 {
+		t.Errorf("one null cost %d bytes, want %d tags minus the dropped value", extra, n-1)
+	}
+	got, ie := decodeColumnarSample("DS", "s.gdmc", "s", tagged, schema)
+	if ie != nil {
+		t.Fatal(ie)
+	}
+	for i := range s.Regions {
+		if got.Regions[i].String() != s.Regions[i].String() {
+			t.Fatalf("region %d: %q vs %q", i, got.Regions[i], s.Regions[i])
+		}
 	}
 }
 
@@ -306,7 +395,7 @@ func TestColumnarStaleManifestDetected(t *testing.T) {
 	// the manifest can tell it is not the promised file.
 	mod := ds.Samples[0].Clone()
 	mod.Regions = mod.Regions[:1]
-	data, err := encodeColumnarSample(mod, ds.Schema.Len())
+	data, err := appendColumnarSample(nil, mod, ds.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}

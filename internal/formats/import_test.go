@@ -182,7 +182,10 @@ func TestImportedDatasetIsQueryable(t *testing.T) {
 
 // TestRandomDatasetRoundTripsProperty: WriteDataset/ReadDataset and
 // EncodeDataset/DecodeDataset are loss-free for arbitrary synthetic
-// datasets (DESIGN.md round-trip invariant, randomized).
+// datasets (DESIGN.md round-trip invariant, randomized). The binary paths
+// (the wire frame and the columnar layout) additionally carry what a
+// tab-separated line cannot: strings holding a tab, a newline or a null
+// marker, kept apart from explicit nulls.
 func TestRandomDatasetRoundTripsProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g := synth.New(seed)
@@ -199,16 +202,54 @@ func TestRandomDatasetRoundTripsProperty(t *testing.T) {
 		fromDisk.Name = ds.Name
 		assertSameDataset(t, fmt.Sprintf("disk seed %d", seed), ds, fromDisk)
 
+		awkward := withAwkwardValues(t, ds)
+		colDir := filepath.Join(t.TempDir(), awkward.Name)
+		if err := WriteDatasetColumnar(colDir, awkward); err != nil {
+			t.Fatal(err)
+		}
+		fromColumnar, err := ReadDataset(colDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameDataset(t, fmt.Sprintf("columnar seed %d", seed), awkward, fromColumnar)
+
+		// The frame also carries its metadata in binary (.gdm.meta stays text).
+		awkward.Samples[0].Meta.Add("note", "tab\there\nand a newline")
 		var buf bytes.Buffer
-		if err := EncodeDataset(&buf, ds); err != nil {
+		if err := EncodeDataset(&buf, awkward); err != nil {
 			t.Fatal(err)
 		}
 		fromWire, err := DecodeDataset(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameDataset(t, fmt.Sprintf("wire seed %d", seed), ds, fromWire)
+		assertSameDataset(t, fmt.Sprintf("wire seed %d", seed), awkward, fromWire)
 	}
+}
+
+// withAwkwardValues copies ds with a string attribute appended whose values
+// cycle through everything the text layout would mangle, explicit nulls in
+// it and in the first original column.
+func withAwkwardValues(t *testing.T, ds *gdm.Dataset) *gdm.Dataset {
+	t.Helper()
+	schema, _, _, err := ds.Schema.Extend(gdm.Field{Name: "note", Type: gdm.KindString})
+	if err != nil {
+		t.Fatal(err)
+	}
+	notes := []gdm.Value{gdm.Str("a\tb"), gdm.Str("line\nbreak"), gdm.Str("NULL"), gdm.Str("."),
+		gdm.Str(""), gdm.Null(), gdm.Str("plain")}
+	out := gdm.NewDataset(ds.Name, schema)
+	for _, s := range ds.Samples {
+		c := s.Clone()
+		for i := range c.Regions {
+			c.Regions[i].Values = append(c.Regions[i].Values, notes[i%len(notes)])
+			if i%5 == 3 {
+				c.Regions[i].Values[0] = gdm.Null()
+			}
+		}
+		out.MustAdd(c)
+	}
+	return out
 }
 
 func assertSameDataset(t *testing.T, label string, want, got *gdm.Dataset) {
@@ -237,6 +278,13 @@ func assertSameDataset(t *testing.T, label string, want, got *gdm.Dataset) {
 			if a.Regions[j].String() != b.Regions[j].String() {
 				t.Fatalf("%s: sample %s region %d: %q vs %q",
 					label, a.ID, j, a.Regions[j], b.Regions[j])
+			}
+			// A null and the string "NULL" render alike; the kinds tell.
+			for k, v := range a.Regions[j].Values {
+				if v.Kind() != b.Regions[j].Values[k].Kind() {
+					t.Fatalf("%s: sample %s region %d value %d: kind %s vs %s",
+						label, a.ID, j, k, v.Kind(), b.Regions[j].Values[k].Kind())
+				}
 			}
 		}
 	}

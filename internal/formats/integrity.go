@@ -75,7 +75,9 @@ func splitFooter(data []byte) (payload []byte, sum uint32, hasFooter, ok bool) {
 		return data[:start], 0, true, false
 	}
 	n, err := strconv.ParseInt(strings.TrimPrefix(parts[2], "bytes:"), 10, 64)
-	if err != nil || n != int64(start) {
+	// Only the writer's own rendering counts: "crc32c:C20B..." or "bytes:+16"
+	// parse to the same numbers, so a flipped bit there would go unseen.
+	if err != nil || n != int64(start) || string(line) != footerLine(uint32(declared), n) {
 		return data[:start], uint32(declared), true, false
 	}
 	payload = data[:start]

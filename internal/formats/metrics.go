@@ -18,7 +18,7 @@ var (
 	metricRepairs = obs.Default().CounterVec("genogo_storage_repairs_total",
 		"Repairs applied by the fsck engine, by action.", "action")
 	metricStreamChecksumFailures = obs.Default().Counter("genogo_storage_stream_checksum_failures_total",
-		"Dataset wire streams whose GDMSUM trailer did not match the received bytes.")
+		"Dataset wire frames whose header or a sample image failed its CRC32C.")
 	metricBytesParsed = obs.Default().Counter("genogo_storage_bytes_parsed_total",
 		"Bytes consumed by the text parsers (native, BED, GTF, VCF, schema, metadata) across all loads.")
 	metricColumnarLoads = obs.Default().Counter("genogo_storage_columnar_loads_total",

@@ -7,27 +7,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"genogo/internal/catalog"
 	"genogo/internal/gdm"
 )
 
-// Hostile-input bounds: a corrupt or crafted stream must fail with a parse
-// error, not drive a multi-gigabyte allocation or an unbounded loop.
-const (
-	// maxSchemaFields caps the variable attributes a schema may declare.
-	maxSchemaFields = 1 << 12
-	// maxDecodeSamples caps the sample count a wire stream may declare.
-	maxDecodeSamples = 1 << 20
-	// maxDecodeRecords caps the per-sample meta and region counts a wire
-	// stream may declare.
-	maxDecodeRecords = 1 << 30
-	// maxDecodeLineBytes caps one line of a wire stream, matching the
-	// lineScanner bound for on-disk files.
-	maxDecodeLineBytes = 16 << 20
-)
+// maxSchemaFields caps the variable attributes a schema may declare: a
+// corrupt or crafted schema must fail with a parse error, not drive a huge
+// allocation.
+const maxSchemaFields = 1 << 12
 
 // The native GDM on-disk layout mirrors the repository layout of the GMQL
 // system: a dataset is a directory holding
@@ -36,9 +25,8 @@ const (
 //	<sample>.gdm        regions: chrom<TAB>start<TAB>stop<TAB>strand<TAB>values...
 //	<sample>.gdm.meta   metadata: attribute<TAB>value lines
 //
-// plus a single-stream encoding (EncodeDataset/DecodeDataset) used by the
-// federation protocol and the Internet-of-Genomes crawler to move datasets
-// over the wire.
+// Datasets move over the wire (federation protocol, Internet-of-Genomes
+// crawler) as binary frames of .gdmc images instead: see stream.go.
 
 // WriteSchema writes a schema as schema.txt lines.
 func WriteSchema(w io.Writer, s *gdm.Schema) error {
@@ -344,192 +332,4 @@ func syncDir(dir string) error {
 func ReadDataset(dir string) (*gdm.Dataset, error) {
 	ds, _, err := OpenDataset(dir, IntegrityPolicy{})
 	return ds, err
-}
-
-// EncodeDataset writes the whole dataset as one self-describing stream: the
-// wire format of the federation protocol and the genome-net crawler. The
-// stream ends with a GDMSUM trailer checksumming every byte before it, so a
-// truncated or bit-flipped transfer is detected by DecodeDataset instead of
-// parsing into silently wrong results. Pre-trailer decoders skip unknown
-// trailing data, so the trailer is backward compatible.
-func EncodeDataset(w io.Writer, ds *gdm.Dataset) error {
-	bw := bufio.NewWriter(w)
-	h := crc32.New(castagnoli)
-	hw := io.MultiWriter(bw, h)
-	fmt.Fprintf(hw, "GDMv1\t%s\t%d\n", ds.Name, len(ds.Samples))
-	fmt.Fprintf(hw, "SCHEMA\t%d\n", ds.Schema.Len())
-	if err := WriteSchema(hw, ds.Schema); err != nil {
-		return err
-	}
-	for _, s := range ds.Samples {
-		fmt.Fprintf(hw, "SAMPLE\t%s\t%d\t%d\n", s.ID, s.Meta.Len(), len(s.Regions))
-		if err := WriteMeta(hw, s.Meta); err != nil {
-			return err
-		}
-		if err := WriteRegions(hw, s); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(bw, "GDMSUM\tcrc32c:%s\n", crcHex(h.Sum32()))
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("encode dataset %s: %w", ds.Name, err)
-	}
-	return nil
-}
-
-// parseCount parses a declared record count from a stream header and bounds
-// it: negative or absurd counts are corruption, not allocation requests.
-func parseCount(s, what string, max int) (int, error) {
-	n, err := strconv.Atoi(strings.TrimSpace(s))
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("decode dataset: bad %s %q", what, s)
-	}
-	if n > max {
-		return 0, fmt.Errorf("decode dataset: declared %s %d exceeds limit %d", what, n, max)
-	}
-	return n, nil
-}
-
-// DecodeDataset reads a stream produced by EncodeDataset. When the stream
-// carries a GDMSUM trailer, every byte before it is checksummed and a
-// mismatch fails the decode with a typed *IntegrityError; trailerless
-// streams (older writers) decode as before. Declared counts are bounded, so
-// a corrupt header is a parse error rather than a huge allocation.
-func DecodeDataset(r io.Reader) (*gdm.Dataset, error) {
-	br := bufio.NewReader(r)
-	h := crc32.New(castagnoli)
-	// Lines are read in bounded chunks: a crafted stream with one enormous
-	// line fails with a parse error instead of an unbounded allocation.
-	readBounded := func() (string, error) {
-		var sb strings.Builder
-		for {
-			chunk, err := br.ReadSlice('\n')
-			sb.Write(chunk)
-			if sb.Len() > maxDecodeLineBytes {
-				return "", fmt.Errorf("decode dataset: line exceeds %d bytes", maxDecodeLineBytes)
-			}
-			if err == bufio.ErrBufferFull {
-				continue
-			}
-			if err != nil && (err != io.EOF || sb.Len() == 0) {
-				return "", err
-			}
-			return sb.String(), nil
-		}
-	}
-	readLine := func() (string, error) {
-		line, err := readBounded()
-		if err != nil {
-			return "", err
-		}
-		h.Write([]byte(line))
-		return strings.TrimRight(line, "\n"), nil
-	}
-	header, err := readLine()
-	if err != nil {
-		return nil, fmt.Errorf("decode dataset: %w", err)
-	}
-	hp := strings.Split(header, "\t")
-	if len(hp) != 3 || hp[0] != "GDMv1" {
-		return nil, fmt.Errorf("decode dataset: bad header %q", header)
-	}
-	nSamples, err := parseCount(hp[2], "sample count", maxDecodeSamples)
-	if err != nil {
-		return nil, err
-	}
-	schemaHdr, err := readLine()
-	if err != nil {
-		return nil, fmt.Errorf("decode dataset: %w", err)
-	}
-	shp := strings.Split(schemaHdr, "\t")
-	if len(shp) != 2 || shp[0] != "SCHEMA" {
-		return nil, fmt.Errorf("decode dataset: bad schema header %q", schemaHdr)
-	}
-	nFields, err := parseCount(shp[1], "schema field count", maxSchemaFields)
-	if err != nil {
-		return nil, err
-	}
-	var schemaLines strings.Builder
-	for i := 0; i < nFields; i++ {
-		line, err := readLine()
-		if err != nil {
-			return nil, fmt.Errorf("decode dataset: schema: %w", err)
-		}
-		schemaLines.WriteString(line)
-		schemaLines.WriteByte('\n')
-	}
-	schema, err := ReadSchema(strings.NewReader(schemaLines.String()))
-	if err != nil {
-		return nil, fmt.Errorf("decode dataset: %w", err)
-	}
-	ds := gdm.NewDataset(hp[1], schema)
-	for si := 0; si < nSamples; si++ {
-		sh, err := readLine()
-		if err != nil {
-			return nil, fmt.Errorf("decode dataset: sample header: %w", err)
-		}
-		parts := strings.Split(sh, "\t")
-		if len(parts) != 4 || parts[0] != "SAMPLE" {
-			return nil, fmt.Errorf("decode dataset: bad sample header %q", sh)
-		}
-		nMeta, err := parseCount(parts[2], "meta count", maxDecodeRecords)
-		if err != nil {
-			return nil, err
-		}
-		nRegions, err := parseCount(parts[3], "region count", maxDecodeRecords)
-		if err != nil {
-			return nil, err
-		}
-		s := gdm.NewSample(parts[1])
-		var metaLines strings.Builder
-		for i := 0; i < nMeta; i++ {
-			line, err := readLine()
-			if err != nil {
-				return nil, fmt.Errorf("decode dataset: meta: %w", err)
-			}
-			metaLines.WriteString(line)
-			metaLines.WriteByte('\n')
-		}
-		md, err := ReadMeta(strings.NewReader(metaLines.String()))
-		if err != nil {
-			return nil, fmt.Errorf("decode dataset sample %s: %w", s.ID, err)
-		}
-		s.Meta = md
-		var regionLines strings.Builder
-		for i := 0; i < nRegions; i++ {
-			line, err := readLine()
-			if err != nil {
-				return nil, fmt.Errorf("decode dataset: regions: %w", err)
-			}
-			regionLines.WriteString(line)
-			regionLines.WriteByte('\n')
-		}
-		if err := ReadRegions(strings.NewReader(regionLines.String()), schema, s); err != nil {
-			return nil, fmt.Errorf("decode dataset sample %s: %w", s.ID, err)
-		}
-		if err := ds.Add(s); err != nil {
-			return nil, err
-		}
-	}
-	// Optional integrity trailer: a GDMSUM line checksumming every byte
-	// before it. Read outside readLine so the trailer itself is not hashed.
-	sum := h.Sum32()
-	trailer, terr := readBounded()
-	if terr != nil || trailer == "" {
-		return ds, nil // no trailer: legacy stream
-	}
-	trailer = strings.TrimRight(trailer, "\n")
-	if rest, ok := strings.CutPrefix(trailer, "GDMSUM\tcrc32c:"); ok {
-		declared, err := strconv.ParseUint(strings.TrimSpace(rest), 16, 32)
-		if err == nil && uint32(declared) != sum {
-			metricStreamChecksumFailures.Inc()
-			metricIntegrityFailures.With(string(ReasonChecksum)).Inc()
-			return nil, &IntegrityError{
-				Dataset: ds.Name, Path: "stream", Reason: ReasonChecksum,
-				Detail: fmt.Sprintf("stream crc32c %s != declared %s", crcHex(sum), crcHex(uint32(declared))),
-			}
-		}
-	}
-	// Unknown trailing data is ignored, as it was before the trailer existed.
-	return ds, nil
 }

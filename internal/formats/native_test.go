@@ -193,54 +193,3 @@ func TestReadDatasetMissing(t *testing.T) {
 		t.Error("missing dataset read succeeded")
 	}
 }
-
-func TestEncodeDecodeDataset(t *testing.T) {
-	ds := testDataset(t)
-	var buf bytes.Buffer
-	if err := EncodeDataset(&buf, ds); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != ds.Name {
-		t.Errorf("name = %q", got.Name)
-	}
-	datasetsEqual(t, ds, got)
-}
-
-func TestEncodeDecodeEmptyDataset(t *testing.T) {
-	ds := gdm.NewDataset("EMPTY", nil)
-	var buf bytes.Buffer
-	if err := EncodeDataset(&buf, ds); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "EMPTY" || len(got.Samples) != 0 || got.Schema.Len() != 0 {
-		t.Errorf("got %s", got)
-	}
-}
-
-func TestDecodeDatasetErrors(t *testing.T) {
-	bad := []string{
-		"",                                       // empty
-		"NOPE\tx\t0\n",                           // bad magic
-		"GDMv1\tx\tzz\n",                         // bad count
-		"GDMv1\tx\t0\n",                          // missing schema header
-		"GDMv1\tx\t0\nSCHEMA\tzz\n",              // bad schema count
-		"GDMv1\tx\t1\nSCHEMA\t0\n",               // missing sample
-		"GDMv1\tx\t1\nSCHEMA\t0\nBAD\ts\t0\t0\n", // bad sample tag
-		"GDMv1\tx\t1\nSCHEMA\t0\nSAMPLE\ts\tzz\t0\n", // bad meta count
-		"GDMv1\tx\t1\nSCHEMA\t0\nSAMPLE\ts\t0\tzz\n", // bad region count
-		"GDMv1\tx\t1\nSCHEMA\t0\nSAMPLE\ts\t0\t1\n",  // missing region line
-	}
-	for _, text := range bad {
-		if _, err := DecodeDataset(strings.NewReader(text)); err == nil {
-			t.Errorf("DecodeDataset(%q) succeeded", text)
-		}
-	}
-}

@@ -3,6 +3,7 @@ package gdm
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -26,17 +27,22 @@ func NewSample(id string) *Sample {
 // order before the sample is used by operators.
 func (s *Sample) AddRegion(r Region) { s.Regions = append(s.Regions, r) }
 
-// SortRegions sorts the sample's regions into canonical GDM order.
+// SortRegions sorts the sample's regions into canonical GDM order, stably.
+// Operators emit canonical order already, so the usual call only checks.
 func (s *Sample) SortRegions() {
-	sort.SliceStable(s.Regions, func(i, j int) bool {
-		return CompareRegions(s.Regions[i], s.Regions[j]) < 0
-	})
+	if s.RegionsSorted() {
+		return
+	}
+	// In place, so an unsorted sample costs no second copy of its regions.
+	// The sort still hands each comparison two Regions by value; sorting a
+	// slice of pointers instead would avoid that at the price of that copy.
+	slices.SortStableFunc(s.Regions, func(a, b Region) int { return compareRegions(&a, &b) })
 }
 
 // RegionsSorted reports whether the regions are in canonical order.
 func (s *Sample) RegionsSorted() bool {
 	for i := 1; i < len(s.Regions); i++ {
-		if CompareRegions(s.Regions[i-1], s.Regions[i]) > 0 {
+		if compareRegions(&s.Regions[i-1], &s.Regions[i]) > 0 {
 			return false
 		}
 	}

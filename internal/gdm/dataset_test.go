@@ -1,6 +1,8 @@
 package gdm
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -296,5 +298,32 @@ func TestSortRegionsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSortRegionsMatchesStableReference: the pointer sort and its
+// already-sorted shortcut order regions exactly as the reflect-based stable
+// sort they replaced, ties (equal coordinates, different values) included.
+func TestSortRegionsMatchesStableReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	chroms := []string{"chr2", "chr10", "chrX", "chr1", "scaffold_9"}
+	for round := 0; round < 50; round++ {
+		s := NewSample("s")
+		for i := 0; i < 200; i++ {
+			start := rng.Int63n(20)
+			s.AddRegion(NewRegion(chroms[rng.Intn(len(chroms))], start, start+rng.Int63n(3),
+				Strand(rng.Intn(3)-1), Int(int64(i))))
+		}
+		if round%2 == 1 {
+			s.SortRegions() // the second sort below takes the shortcut
+		}
+		want := append([]Region(nil), s.Regions...)
+		sort.SliceStable(want, func(i, j int) bool { return CompareRegions(want[i], want[j]) < 0 })
+		s.SortRegions()
+		for i := range want {
+			if s.Regions[i].String() != want[i].String() {
+				t.Fatalf("round %d region %d: %s, reference %s", round, i, s.Regions[i], want[i])
+			}
+		}
 	}
 }

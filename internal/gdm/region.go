@@ -158,9 +158,16 @@ func (r Region) Downstream(o Region) bool {
 // CompareRegions orders regions by (chromosome, start, stop, strand) — the
 // canonical GDM sort order every dataset maintains. Chromosomes are compared
 // in natural genomic order (chr1 < chr2 < chr10 < chrX < chrY < chrM).
-func CompareRegions(a, b Region) int {
-	if c := CompareChrom(a.Chrom, b.Chrom); c != 0 {
-		return c
+func CompareRegions(a, b Region) int { return compareRegions(&a, &b) }
+
+// compareRegions is CompareRegions without copying the two 64-byte structs,
+// for the sort and the sortedness check that call it per region.
+func compareRegions(a, b *Region) int {
+	// Neighbours in a sorted sample almost always share the chromosome.
+	if a.Chrom != b.Chrom {
+		if c := CompareChrom(a.Chrom, b.Chrom); c != 0 {
+			return c
+		}
 	}
 	switch {
 	case a.Start < b.Start:

@@ -157,8 +157,7 @@ func (h *Host) Handler() http.Handler {
 			http.Error(w, "unknown dataset", http.StatusNotFound)
 			return
 		}
-		w.Header().Set("Content-Type", "application/x-gdm")
-		_ = formats.EncodeDataset(w, ds)
+		formats.ServeDataset(w, ds)
 	})
 	return mux
 }

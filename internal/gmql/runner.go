@@ -96,10 +96,17 @@ func (r *Runner) EvalContext(ctx context.Context, p *Program, name string) (*gdm
 	if err != nil {
 		return nil, r.queryErr(name, err, time.Since(start))
 	}
+	return publish(ds, name), nil
+}
+
+// publish hands a result out of the session: a deep copy (the session's
+// cache may still share ds with other targets) under the caller-facing name,
+// in canonical order.
+func publish(ds *gdm.Dataset, name string) *gdm.Dataset {
 	out := ds.Clone()
 	out.Name = name
 	out.SortRegions()
-	return out, nil
+	return out
 }
 
 // EvalProfiled is Eval plus the recorded span tree of the execution — the
@@ -121,10 +128,7 @@ func (r *Runner) EvalProfiledContext(ctx context.Context, p *Program, name strin
 	}
 	r.SlowLog.ObserveQuery(r.QueryID, name, sp)
 	obs.ObserveQueryProfile(sp)
-	out := ds.Clone()
-	out.Name = name
-	out.SortRegions()
-	return out, sp, nil
+	return publish(ds, name), sp, nil
 }
 
 // Materialize evaluates every MATERIALIZE statement of the program, sharing
@@ -187,10 +191,7 @@ func (r *Runner) materialize(ctx context.Context, p *Program, profile bool) ([]R
 		}
 		r.SlowLog.ObserveQuery(r.QueryID, m.Var, sp)
 		obs.ObserveQueryProfile(sp)
-		out := ds.Clone()
-		out.Name = m.Target
-		out.SortRegions()
-		results = append(results, Result{Var: m.Var, Target: m.Target, Dataset: out})
+		results = append(results, Result{Var: m.Var, Target: m.Target, Dataset: publish(ds, m.Target)})
 		if profile {
 			spans = append(spans, sp)
 		}
