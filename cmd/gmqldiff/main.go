@@ -8,10 +8,12 @@
 //	gmqldiff [-seeds N] [-start S] [-dataset-seed D] [-report FILE]
 //	         [-federation] [-storage] [-jobs N] [-tolerance T]
 //
-// The exit status is nonzero when any case diverges, so CI can gate on it;
-// the -report JSON artifact carries the full evidence either way. Exit codes:
-// 1 divergence or setup failure, 3 campaign interrupted (SIGINT/SIGTERM) —
-// the report still covers every case that completed before the interrupt.
+// The exit status is nonzero when any case diverges, or when the catalog the
+// cases share read-only does not end with the content it started with, so CI
+// can gate on it; the -report JSON artifact carries the full evidence either
+// way. Exit codes: 1 divergence, changed catalog or setup failure, 3 campaign
+// interrupted (SIGINT/SIGTERM) — the report still covers every case that
+// completed before the interrupt.
 package main
 
 import (
@@ -97,8 +99,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "campaign: %d cases (seeds %d..%d), dataset seed %d\n",
 		rep.Seeds, rep.Start, rep.Start+int64(rep.Seeds)-1, rep.DatasetSeed)
 	fmt.Fprintf(out, "configs:  %v\n", rep.Configs)
-	fmt.Fprintf(out, "agreed:   %d   oracle errors: %d   diverged: %d\n",
-		rep.Agreed, rep.OracleErrors, len(rep.Diverged))
+	fmt.Fprintf(out, "agreed:   %d   oracle errors: %d   diverged: %d   catalog_unchanged: %t\n",
+		rep.Agreed, rep.OracleErrors, len(rep.Diverged), rep.CatalogUnchanged)
 	ops := make([]string, 0, len(rep.OpCoverage))
 	for op := range rep.OpCoverage {
 		ops = append(ops, op)
@@ -125,6 +127,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if len(rep.Diverged) > 0 {
 		return fmt.Errorf("%d of %d cases diverged", len(rep.Diverged), rep.Seeds)
+	}
+	if !rep.CatalogUnchanged {
+		return errors.New("the shared input catalog changed during the campaign: a dataset was written through shared storage")
 	}
 	if rep.Canceled {
 		return errInterrupted

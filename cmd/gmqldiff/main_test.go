@@ -44,6 +44,9 @@ func TestRunSmallCampaign(t *testing.T) {
 	if len(rep.OpCoverage) == 0 {
 		t.Fatal("report has no operator coverage")
 	}
+	if !rep.CatalogUnchanged || !strings.Contains(out.String(), "catalog_unchanged: true") {
+		t.Fatalf("catalog_unchanged not reported true: %+v\n%s", rep.CatalogUnchanged, out.String())
+	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {

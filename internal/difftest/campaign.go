@@ -4,9 +4,25 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"os"
 	"sync"
+
+	"genogo/internal/engine"
 )
+
+// catalogDigests records every catalog dataset's content digest. A campaign
+// shares one catalog read-only across all of its cases, and results share
+// region storage with their inputs, so a consumer writing through a shared
+// slice would damage the oracle's and the candidate's input alike — a
+// comparison of results cannot see that; a digest taken before and after can.
+func catalogDigests(cat engine.MapCatalog) map[string]string {
+	out := make(map[string]string, len(cat))
+	for name, ds := range cat {
+		out[name] = ds.ContentDigest()
+	}
+	return out
+}
 
 // CampaignOptions parametrizes a fuzzing campaign: Seeds consecutive
 // generator seeds starting at Start, each run through the full matrix.
@@ -36,9 +52,9 @@ type CampaignOptions struct {
 	// FederationEvery samples the federation round-trip; zero means 10.
 	FederationEvery int
 	// Jobs bounds campaign parallelism; zero means 4. Case-level
-	// parallelism is safe: the catalog is shared read-only (operator
-	// kernels never mutate their inputs) and each case gets its own
-	// engine sessions.
+	// parallelism is safe: the catalog is shared read-only (datasets are
+	// immutable, which Report.CatalogUnchanged verifies) and each case gets
+	// its own engine sessions.
 	Jobs int
 }
 
@@ -69,6 +85,11 @@ type Report struct {
 	Canceled bool `json:"canceled,omitempty"`
 	// Completed counts the cases that ran (equals Seeds unless Canceled).
 	Completed int `json:"completed"`
+	// CatalogUnchanged reports that every shared catalog dataset has the
+	// content digest it had before the first case ran. False means something
+	// wrote through storage a result shares with its input, and fails the
+	// campaign however well the results agreed.
+	CatalogUnchanged bool `json:"catalog_unchanged"`
 }
 
 // RunCampaign runs a full campaign and aggregates the report.
@@ -91,6 +112,7 @@ func RunCampaign(opts CampaignOptions) *Report {
 		ctx = context.Background()
 	}
 	cat := BuildCatalog(opts.DatasetSeed)
+	before := catalogDigests(cat)
 	var storage *StorageCatalogs
 	var storageErr error
 	if opts.Storage {
@@ -138,12 +160,13 @@ dispatch:
 	wg.Wait()
 
 	rep := &Report{
-		Start:       opts.Start,
-		Seeds:       opts.Seeds,
-		DatasetSeed: opts.DatasetSeed,
-		OpCoverage:  make(map[string]int),
-		Federation:  opts.Federation,
-		Tolerance:   opts.Tolerance,
+		Start:            opts.Start,
+		Seeds:            opts.Seeds,
+		DatasetSeed:      opts.DatasetSeed,
+		OpCoverage:       make(map[string]int),
+		Federation:       opts.Federation,
+		Tolerance:        opts.Tolerance,
+		CatalogUnchanged: maps.Equal(before, catalogDigests(cat)),
 	}
 	if rep.Tolerance == 0 {
 		rep.Tolerance = DefaultTolerance

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -312,6 +313,10 @@ type ClusterReport struct {
 	// Diverged holds every iteration that violated the model.
 	Diverged  []*ClusterResult `json:"diverged,omitempty"`
 	Tolerance float64          `json:"tolerance"`
+	// CatalogUnchanged reports that the datasets every member of every
+	// iteration served still have their initial content digests (see
+	// Report.CatalogUnchanged).
+	CatalogUnchanged bool `json:"catalog_unchanged"`
 }
 
 // RunClusterCampaign soaks the replicated federation across seeded chaos
@@ -328,6 +333,7 @@ func RunClusterCampaign(opts ClusterCampaignOptions) *ClusterReport {
 		jobs = 4
 	}
 	cat := BuildCatalog(opts.DatasetSeed)
+	before := catalogDigests(cat)
 	results := make([]*ClusterResult, opts.Iterations)
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -353,11 +359,12 @@ func RunClusterCampaign(opts ClusterCampaignOptions) *ClusterReport {
 	wg.Wait()
 
 	rep := &ClusterReport{
-		Start:       opts.Start,
-		Iterations:  opts.Iterations,
-		DatasetSeed: opts.DatasetSeed,
-		Scenarios:   make(map[string]int),
-		Tolerance:   opts.Tolerance,
+		Start:            opts.Start,
+		Iterations:       opts.Iterations,
+		DatasetSeed:      opts.DatasetSeed,
+		Scenarios:        make(map[string]int),
+		Tolerance:        opts.Tolerance,
+		CatalogUnchanged: maps.Equal(before, catalogDigests(cat)),
 	}
 	if rep.Tolerance == 0 {
 		rep.Tolerance = DefaultTolerance

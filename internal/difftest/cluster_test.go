@@ -102,6 +102,9 @@ func TestReplicaClusterSoak(t *testing.T) {
 	if rep.Agreed != iters {
 		t.Fatalf("agreed = %d, want %d", rep.Agreed, iters)
 	}
+	if !rep.CatalogUnchanged {
+		t.Error("the members' shared catalog changed during the soak: something wrote through shared region storage")
+	}
 	if rep.Exact == 0 {
 		t.Error("soak produced no exact results")
 	}

@@ -1,9 +1,11 @@
 package difftest
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
+	"genogo/internal/engine"
 	"genogo/internal/gdm"
 	"genogo/internal/gmql"
 )
@@ -76,6 +78,9 @@ func TestSmokeCampaign(t *testing.T) {
 		}
 		t.Fatalf("%d/%d cases diverged", len(rep.Diverged), rep.Seeds)
 	}
+	if !rep.CatalogUnchanged {
+		t.Error("the shared catalog changed during the campaign: something wrote through shared region storage")
+	}
 	if rep.Agreed+rep.OracleErrors != seeds {
 		t.Fatalf("case accounting broken: agreed %d + oracle errors %d != %d",
 			rep.Agreed, rep.OracleErrors, seeds)
@@ -88,6 +93,33 @@ func TestSmokeCampaign(t *testing.T) {
 			rep.OracleErrors, seeds)
 	}
 	t.Logf("campaign: %d agreed, %d oracle errors, coverage %v", rep.Agreed, rep.OracleErrors, rep.OpCoverage)
+}
+
+// TestCatalogDigestsCatchSharedWrite proves the immutability check is live: a
+// consumer writing through the region storage a published result shares with
+// its catalog input changes the digest the campaign compares.
+func TestCatalogDigestsCatchSharedWrite(t *testing.T) {
+	cat := BuildCatalog(1)
+	before := catalogDigests(cat)
+	prog, err := gmql.Parse("X = SELECT() ENCODE; MATERIALIZE X;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (&gmql.Runner{Config: engine.Config{MetaFirst: true}, Catalog: cat}).Eval(prog, "X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(before, catalogDigests(cat)) {
+		t.Fatal("evaluating a query changed the catalog")
+	}
+	res.Samples[0].Regions[0].Start++
+	after := catalogDigests(cat)
+	if after["ENCODE"] == before["ENCODE"] {
+		t.Error("a write through a result's shared regions left the ENCODE digest unchanged")
+	}
+	if after["PEAKS"] != before["PEAKS"] || after["ANNOT"] != before["ANNOT"] {
+		t.Error("untouched datasets changed digest")
+	}
 }
 
 // TestNormalizerDetectsDrift: the comparator must actually catch the

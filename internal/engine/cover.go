@@ -116,21 +116,9 @@ var CoverSchema = gdm.MustSchema(gdm.Field{Name: "acc_index", Type: gdm.KindInt}
 // with the union of the group's metadata. Optional aggregates are computed
 // over the input regions intersecting each output region.
 func Cover(cfg Config, ds *gdm.Dataset, args CoverArgs) (*gdm.Dataset, error) {
-	aggIdx := make([]int, len(args.Aggs))
-	fields := CoverSchema.Fields()
-	for i, a := range args.Aggs {
-		in := gdm.KindNull
-		if a.Func.NeedsAttr() {
-			j, ok := ds.Schema.Index(a.Attr)
-			if !ok {
-				return nil, fmt.Errorf("cover: unknown attribute %q in schema %s", a.Attr, ds.Schema)
-			}
-			aggIdx[i] = j
-			in = ds.Schema.Field(j).Type
-		} else {
-			aggIdx[i] = -1
-		}
-		fields = append(fields, gdm.Field{Name: a.Output, Type: a.Func.ResultKind(in)})
+	aggIdx, fields, err := bindAggs("cover", ds.Schema, args.Aggs, CoverSchema.Fields())
+	if err != nil {
+		return nil, err
 	}
 	outSchema, err := gdm.NewSchema(fields...)
 	if err != nil {
@@ -250,29 +238,16 @@ func appendCoverAggs(regs []gdm.Region, entries []intervals.Entry, sources []*gd
 		outEntries[i] = intervals.Entry{Start: r.Start, Stop: r.Stop, Payload: int32(i)}
 	}
 	intervals.SortEntries(outEntries)
-	accs := make([][]*expr.Accumulator, len(regs))
-	for i := range accs {
-		row := make([]*expr.Accumulator, len(aggs))
-		for ai := range aggs {
-			row[ai] = expr.NewAccumulator(aggs[ai].Func)
-		}
-		accs[i] = row
-	}
+	rows := newAggRows(aggs, aggIdx, len(regs))
 	intervals.SweepOverlaps(outEntries, entries, func(o, e intervals.Entry) bool {
-		src := sources[e.Payload]
-		for ai := range aggs {
-			if aggIdx[ai] < 0 {
-				accs[o.Payload][ai].Add(gdm.Null())
-			} else {
-				accs[o.Payload][ai].Add(src.Values[aggIdx[ai]])
-			}
-		}
+		rows.add(int(o.Payload), sources[e.Payload])
 		return true
 	})
+	w := CoverSchema.Len() + len(aggs)
+	slab := newValueSlab(len(regs), w)
 	for i := range regs {
-		for ai := range aggs {
-			regs[i].Values = append(regs[i].Values, accs[i][ai].Result())
-		}
+		vals := append(slab.take(w), regs[i].Values...)
+		regs[i].Values = rows.appendResults(vals, i)
 	}
 }
 

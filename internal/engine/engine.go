@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"genogo/internal/expr"
 	"genogo/internal/gdm"
 	"genogo/internal/intervals"
 )
@@ -214,6 +215,89 @@ func chromEntries(s *gdm.Sample, lo, hi int) []intervals.Entry {
 		es[i-lo] = intervals.Entry{Start: r.Start, Stop: r.Stop, Payload: int32(i)}
 	}
 	return es
+}
+
+// indexSamples converts each distinct sample on one side (0 left, 1 right) of
+// the pairs to interval entries, entries[i] describing Regions[i]. MAP and
+// JOIN pair one sample with many partners, so they convert it once per
+// operator call instead of once per (pair, chromosome) task.
+func indexSamples(pairs [][2]*gdm.Sample, side int) map[*gdm.Sample][]intervals.Entry {
+	out := make(map[*gdm.Sample][]intervals.Entry)
+	for _, p := range pairs {
+		if s := p[side]; out[s] == nil {
+			out[s] = chromEntries(s, 0, len(s.Regions))
+		}
+	}
+	return out
+}
+
+// valueSlab is one allocation holding the Values of all regions of an output
+// sample (of a task, in JOIN). Every window taken from it is capacity-limited
+// to its own width, so a consumer that appends to one region's Values gets a
+// copy instead of overwriting the neighbouring region's.
+type valueSlab []gdm.Value
+
+func newValueSlab(regions, w int) valueSlab { return make(valueSlab, regions*w) }
+
+// take returns the next empty window of capacity w.
+func (s *valueSlab) take(w int) []gdm.Value {
+	out := (*s)[:0:w]
+	*s = (*s)[w:]
+	return out
+}
+
+// bindAggs resolves each aggregate's input attribute against the schema its
+// values come from (-1 for COUNT-like functions) and appends its result field
+// to fields.
+func bindAggs(op string, schema *gdm.Schema, aggs []expr.Aggregate, fields []gdm.Field) ([]int, []gdm.Field, error) {
+	attr := make([]int, len(aggs))
+	for i, a := range aggs {
+		in := gdm.KindNull
+		attr[i] = -1
+		if a.Func.NeedsAttr() {
+			j, ok := schema.Index(a.Attr)
+			if !ok {
+				return nil, nil, fmt.Errorf("%s: unknown attribute %q in schema %s", op, a.Attr, schema)
+			}
+			attr[i], in = j, schema.Field(j).Type
+		}
+		fields = append(fields, gdm.Field{Name: a.Output, Type: a.Func.ResultKind(in)})
+	}
+	return attr, fields, nil
+}
+
+// aggRows is the row-indexed state of an operator's aggregate list: one
+// expr.AggState per aggregate, each with one row per output region.
+type aggRows struct {
+	states []*expr.AggState
+	attr   []int // from bindAggs
+}
+
+func newAggRows(aggs []expr.Aggregate, attr []int, rows int) aggRows {
+	states := make([]*expr.AggState, len(aggs))
+	for i, a := range aggs {
+		states[i] = expr.NewAggState(a.Func, rows)
+	}
+	return aggRows{states: states, attr: attr}
+}
+
+// add folds one input region into a row of every aggregate.
+func (a aggRows) add(row int, r *gdm.Region) {
+	for i, st := range a.states {
+		if a.attr[i] < 0 {
+			st.Add(row, gdm.Null())
+		} else {
+			st.Add(row, r.Values[a.attr[i]])
+		}
+	}
+}
+
+// appendResults appends a row's aggregate values to vals.
+func (a aggRows) appendResults(vals []gdm.Value, row int) []gdm.Value {
+	for _, st := range a.states {
+		vals = append(vals, st.Result(row))
+	}
+	return vals
 }
 
 // chromSpan is one chromosome's index range within a sorted sample.

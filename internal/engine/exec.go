@@ -144,8 +144,9 @@ type evaluator struct {
 	cfg Config
 	cat Catalog
 	// cache memoizes results by plan node identity, so a subplan shared by
-	// several GMQL variables executes once. Operators never mutate their
-	// inputs, which makes sharing results safe.
+	// several GMQL variables executes once. Datasets are immutable once
+	// returned (see gdm.Dataset), so a cached result is handed to every
+	// consumer as is, and operator outputs may share its region storage.
 	mu    sync.Mutex
 	cache map[Node]*gdm.Dataset
 }

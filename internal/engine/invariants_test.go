@@ -11,57 +11,71 @@ import (
 
 // TestOperatorInvariants checks, for every operator over a battery of random
 // datasets, the DESIGN.md invariants: outputs validate (canonical region
-// order, typed values, unique sample IDs) and inputs are never mutated.
+// order, typed values, unique sample IDs) and inputs are never mutated —
+// which matters more now that outputs share region storage with inputs: in
+// every mode, under the race detector, and with each kind of aggregate state.
 func TestOperatorInvariants(t *testing.T) {
-	cfg := Config{Mode: ModeStream, Workers: 3, MetaFirst: true}
 	scoreGt := expr.Cmp{Op: expr.CmpGt, Left: expr.Attr{Name: "score"}, Right: expr.Const{Value: gdm.Float(5)}}
-	ops := map[string]func(a, b *gdm.Dataset) (*gdm.Dataset, error){
-		"select": func(a, _ *gdm.Dataset) (*gdm.Dataset, error) {
+	ops := map[string]func(cfg Config, a, b *gdm.Dataset) (*gdm.Dataset, error){
+		"select": func(cfg Config, a, _ *gdm.Dataset) (*gdm.Dataset, error) {
 			return Select(cfg, a, expr.MetaExists{Attr: "cell"}, scoreGt)
 		},
-		"project": func(a, _ *gdm.Dataset) (*gdm.Dataset, error) {
+		"project": func(cfg Config, a, _ *gdm.Dataset) (*gdm.Dataset, error) {
 			return Project(cfg, a, ProjectArgs{Regions: []ProjectItem{
 				{Name: "score"},
 				{Name: "mid", Expr: expr.Arith{Op: expr.OpAdd, Left: expr.Attr{Name: "left"}, Right: expr.Attr{Name: "right"}}},
 			}})
 		},
-		"extend": func(a, _ *gdm.Dataset) (*gdm.Dataset, error) {
+		"extend": func(cfg Config, a, _ *gdm.Dataset) (*gdm.Dataset, error) {
 			return Extend(cfg, a, []expr.Aggregate{{Output: "n", Func: expr.AggCount}})
 		},
-		"merge": func(a, _ *gdm.Dataset) (*gdm.Dataset, error) {
+		"merge": func(cfg Config, a, _ *gdm.Dataset) (*gdm.Dataset, error) {
 			return Merge(cfg, a, []string{"cell"})
 		},
-		"group": func(a, _ *gdm.Dataset) (*gdm.Dataset, error) {
+		"group": func(cfg Config, a, _ *gdm.Dataset) (*gdm.Dataset, error) {
 			return Group(cfg, a, GroupArgs{By: []string{"dataType"},
 				MetaAggs: []expr.Aggregate{{Output: "n", Func: expr.AggCountSamp}}})
 		},
-		"order": func(a, _ *gdm.Dataset) (*gdm.Dataset, error) {
+		"order": func(cfg Config, a, _ *gdm.Dataset) (*gdm.Dataset, error) {
 			return Order(cfg, a, OrderArgs{Keys: []OrderKey{{Attr: "cell"}}, Top: 3})
 		},
-		"union": func(a, b *gdm.Dataset) (*gdm.Dataset, error) {
+		"union": func(cfg Config, a, b *gdm.Dataset) (*gdm.Dataset, error) {
 			return Union(cfg, a, b)
 		},
-		"difference": func(a, b *gdm.Dataset) (*gdm.Dataset, error) {
+		"difference": func(cfg Config, a, b *gdm.Dataset) (*gdm.Dataset, error) {
 			return Difference(cfg, a, b, DifferenceArgs{})
 		},
-		"map": func(a, b *gdm.Dataset) (*gdm.Dataset, error) {
+		"map": func(cfg Config, a, b *gdm.Dataset) (*gdm.Dataset, error) {
 			return Map(cfg, a, b, MapArgs{Aggs: []expr.Aggregate{
 				{Output: "n", Func: expr.AggCount},
 				{Output: "avg", Func: expr.AggAvg, Attr: "score"},
+				{Output: "med", Func: expr.AggMedian, Attr: "score"},
+				{Output: "names", Func: expr.AggBag, Attr: "name"},
+				{Output: "lo", Func: expr.AggMin, Attr: "score"},
+				{Output: "sum", Func: expr.AggSum, Attr: "score"},
 			}})
 		},
-		"join": func(a, b *gdm.Dataset) (*gdm.Dataset, error) {
+		"join": func(cfg Config, a, b *gdm.Dataset) (*gdm.Dataset, error) {
 			return Join(cfg, a, b, JoinArgs{
 				Pred:   GenometricPred{Conds: []DistCond{{Op: DistLE, Dist: 200}}},
 				Output: OutCat,
 			})
 		},
-		"join-md": func(a, b *gdm.Dataset) (*gdm.Dataset, error) {
+		"join-md": func(cfg Config, a, b *gdm.Dataset) (*gdm.Dataset, error) {
 			return Join(cfg, a, b, JoinArgs{Pred: GenometricPred{MinDistK: 2}, Output: OutLeft})
 		},
-		"cover": func(a, _ *gdm.Dataset) (*gdm.Dataset, error) {
+		"cover": func(cfg Config, a, _ *gdm.Dataset) (*gdm.Dataset, error) {
 			return Cover(cfg, a, CoverArgs{
 				Min: CoverBound{Kind: BoundN, N: 2}, Max: CoverBound{Kind: BoundAny}})
+		},
+		"cover-aggs": func(cfg Config, a, _ *gdm.Dataset) (*gdm.Dataset, error) {
+			return Cover(cfg, a, CoverArgs{
+				Min: CoverBound{Kind: BoundN, N: 1}, Max: CoverBound{Kind: BoundAny},
+				Aggs: []expr.Aggregate{
+					{Output: "n", Func: expr.AggCount},
+					{Output: "med", Func: expr.AggMedian, Attr: "score"},
+					{Output: "hi", Func: expr.AggMax, Attr: "score"},
+				}})
 		},
 	}
 	for trial := 0; trial < 5; trial++ {
@@ -69,16 +83,19 @@ func TestOperatorInvariants(t *testing.T) {
 		a := randomDataset(rng, fmt.Sprintf("A%d", trial), 3+trial, 40)
 		b := randomDataset(rng, fmt.Sprintf("B%d", trial), 2+trial, 40)
 		aClone, bClone := a.Clone(), b.Clone()
-		for name, op := range ops {
-			out, err := op(a, b)
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, name, err)
+		for _, cfg := range allConfigs() {
+			for name, op := range ops {
+				label := fmt.Sprintf("trial %d mode=%s %s", trial, cfg.Mode, name)
+				out, err := op(cfg, a, b)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if err := out.Validate(); err != nil {
+					t.Errorf("%s: invalid output: %v", label, err)
+				}
+				datasetsEquivalent(t, label+" input A", aClone, a)
+				datasetsEquivalent(t, label+" input B", bClone, b)
 			}
-			if err := out.Validate(); err != nil {
-				t.Errorf("trial %d %s: invalid output: %v", trial, name, err)
-			}
-			datasetsEquivalent(t, fmt.Sprintf("trial %d %s input A", trial, name), aClone, a)
-			datasetsEquivalent(t, fmt.Sprintf("trial %d %s input B", trial, name), bClone, b)
 		}
 	}
 }

@@ -157,6 +157,7 @@ func Join(cfg Config, left, right *gdm.Dataset, args JoinArgs) (*gdm.Dataset, er
 		return nil, err
 	}
 	pairs := pairings(left, right, args.JoinBy)
+	rights := indexSamples(pairs, 1)
 	out := gdm.NewDataset(left.Name, merged.Schema)
 	outSamples := make([]*gdm.Sample, len(pairs))
 
@@ -184,32 +185,41 @@ func Join(cfg Config, left, right *gdm.Dataset, args JoinArgs) (*gdm.Dataset, er
 		if rlo == rhi {
 			return
 		}
-		rightEntries := chromEntries(r, rlo, rhi)
+		rightEntries := rights[r][rlo:rhi]
 		var maxRightLen int64
 		for _, e := range rightEntries {
 			if ln := e.Stop - e.Start; ln > maxRightLen {
 				maxRightLen = ln
 			}
 		}
+		// First collect the (anchor, experiment) region pairs that join, in one
+		// reused candidate buffer; then build the output regions and their
+		// Values slab at their exact sizes.
+		var cands []joinCand
+		var hits [][2]int32
 		var tick int
 		for li := cs.lo; li < cs.hi; li++ {
 			cfg.tick(&tick)
 			anchor := &l.Regions[li]
-			for _, cand := range joinCandidates(args.Pred, anchor, rightEntries, maxRightLen) {
+			cands = joinCandidates(cands[:0], args.Pred, anchor, rightEntries, maxRightLen)
+			for _, cand := range cands {
 				er := &r.Regions[cand.entry.Payload]
 				if args.Stream(anchor, er) {
 					continue
 				}
-				reg, ok := joinOutputRegion(args.Output, anchor, er)
-				if !ok {
-					continue
+				if _, ok := joinOutputRegion(args.Output, anchor, er); ok {
+					hits = append(hits, [2]int32{int32(li), cand.entry.Payload})
 				}
-				vals := make([]gdm.Value, 0, merged.Schema.Len())
-				vals = append(vals, anchor.Values...)
-				vals = append(vals, er.Values...)
-				reg.Values = vals
-				tk.out = append(tk.out, reg)
 			}
+		}
+		w := merged.Schema.Len()
+		tk.out = make([]gdm.Region, len(hits))
+		slab := newValueSlab(len(hits), w)
+		for i, h := range hits {
+			anchor, er := &l.Regions[h[0]], &r.Regions[h[1]]
+			tk.out[i], _ = joinOutputRegion(args.Output, anchor, er)
+			vals := append(slab.take(w), anchor.Values...)
+			tk.out[i].Values = append(vals, er.Values...)
 		}
 	})
 	cfg.forEach(len(pairs), func(pi int) {
@@ -246,12 +256,11 @@ type joinCand struct {
 	dist  int64
 }
 
-// joinCandidates returns the experiment entries satisfying the distance
-// conditions for one anchor, applying MD(k) when present. MD(k) is computed
-// over all same-chromosome experiment regions, then intersected with the
-// distance conditions, per GMQL semantics.
-func joinCandidates(pred GenometricPred, anchor *gdm.Region, rightEntries []intervals.Entry, maxRightLen int64) []joinCand {
-	var cands []joinCand
+// joinCandidates appends to cands (the caller's reused buffer) the experiment
+// entries satisfying the distance conditions for one anchor, applying MD(k)
+// when present. MD(k) is computed over all same-chromosome experiment
+// regions, then intersected with the distance conditions, per GMQL semantics.
+func joinCandidates(cands []joinCand, pred GenometricPred, anchor *gdm.Region, rightEntries []intervals.Entry, maxRightLen int64) []joinCand {
 	if pred.MinDistK > 0 {
 		for _, e := range intervals.Nearest(rightEntries, anchor.Start, anchor.Stop, pred.MinDistK) {
 			d := intervals.Distance(anchor.Start, anchor.Stop, e.Start, e.Stop)

@@ -35,21 +35,9 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 	if len(aggs) == 0 {
 		aggs = []expr.Aggregate{{Output: "count", Func: expr.AggCount}}
 	}
-	aggIdx := make([]int, len(aggs))
-	fields := ref.Schema.Fields()
-	for i, a := range aggs {
-		in := gdm.KindNull
-		if a.Func.NeedsAttr() {
-			j, ok := exp.Schema.Index(a.Attr)
-			if !ok {
-				return nil, fmt.Errorf("map: unknown experiment attribute %q in schema %s", a.Attr, exp.Schema)
-			}
-			aggIdx[i] = j
-			in = exp.Schema.Field(j).Type
-		} else {
-			aggIdx[i] = -1
-		}
-		fields = append(fields, gdm.Field{Name: a.Output, Type: a.Func.ResultKind(in)})
+	aggIdx, fields, err := bindAggs("map", exp.Schema, aggs, ref.Schema.Fields())
+	if err != nil {
+		return nil, err
 	}
 	schema, err := gdm.NewSchema(fields...)
 	if err != nil {
@@ -57,34 +45,26 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 	}
 
 	pairs := pairings(ref, exp, args.JoinBy)
+	refs, exps := indexSamples(pairs, 0), indexSamples(pairs, 1)
 	out := gdm.NewDataset(ref.Name, schema)
 	outSamples := make([]*gdm.Sample, len(pairs))
 
-	// pairState holds the per-pair accumulator matrix. Different
-	// chromosomes of one pair touch disjoint reference-region rows, so
-	// chromosome tasks of the same pair can run concurrently without locks.
-	type pairState struct {
-		r, e *gdm.Sample
-		// accs[ri][ai] accumulates aggregate ai for reference region ri.
-		accs [][]*expr.Accumulator
-	}
-	states := make([]*pairState, len(pairs))
+	// states[pi] is the pair's aggregate state, one row per reference
+	// region. Different chromosomes of one pair touch disjoint rows, so
+	// chromosome tasks of the same pair run concurrently without locks.
+	states := make([]aggRows, len(pairs))
 	type task struct {
 		pair int
 		cs   chromSpan
 	}
 	var tasks []task
+	var spans []chromSpan
 	for pi, p := range pairs {
-		st := &pairState{r: p[0], e: p[1], accs: make([][]*expr.Accumulator, len(p[0].Regions))}
-		for ri := range st.accs {
-			row := make([]*expr.Accumulator, len(aggs))
-			for ai := range aggs {
-				row[ai] = expr.NewAccumulator(aggs[ai].Func)
-			}
-			st.accs[ri] = row
+		states[pi] = newAggRows(aggs, aggIdx, len(p[0].Regions))
+		if pi == 0 || p[0] != pairs[pi-1][0] { // pairings lists a reference's partners together
+			spans = chromSpans(p[0])
 		}
-		states[pi] = st
-		for _, cs := range chromSpans(p[0]) {
+		for _, cs := range spans {
 			tasks = append(tasks, task{pair: pi, cs: cs})
 		}
 	}
@@ -94,22 +74,14 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 	// of the distributed GMQL implementations.
 	cfg.forEach(len(tasks), func(ti int) {
 		tk := tasks[ti]
+		r, e := pairs[tk.pair][0], pairs[tk.pair][1]
 		st := states[tk.pair]
-		r, e := st.r, st.e
 		var tick int
 		feed := func(refIdx, expIdx int32) {
 			cfg.tick(&tick)
-			rr := &r.Regions[refIdx]
 			er := &e.Regions[expIdx]
-			if !rr.Strand.Compatible(er.Strand) {
-				return
-			}
-			for ai := range aggs {
-				if aggIdx[ai] < 0 {
-					st.accs[refIdx][ai].Add(gdm.Null())
-				} else {
-					st.accs[refIdx][ai].Add(er.Values[aggIdx[ai]])
-				}
+			if r.Regions[refIdx].Strand.Compatible(er.Strand) {
+				st.add(int(refIdx), er)
 			}
 		}
 		cs := tk.cs
@@ -117,8 +89,9 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 		if elo == ehi {
 			return
 		}
+		expEntries := exps[e][elo:ehi]
 		if cfg.BinWidth > 0 {
-			tree := intervals.BuildTree(chromEntries(e, elo, ehi))
+			tree := intervals.BuildTree(expEntries)
 			for _, bin := range binSpans(r, cs, cfg.BinWidth) {
 				for ri := bin.lo; ri < bin.hi; ri++ {
 					reg := &r.Regions[ri]
@@ -130,8 +103,7 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 				}
 			}
 		} else {
-			intervals.SweepOverlaps(
-				chromEntries(r, cs.lo, cs.hi), chromEntries(e, elo, ehi),
+			intervals.SweepOverlaps(refs[r][cs.lo:cs.hi], expEntries,
 				func(l, x intervals.Entry) bool {
 					feed(l.Payload, x.Payload)
 					return true
@@ -139,25 +111,23 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 		}
 	})
 
-	// Phase 2: finalize output samples, parallel over pairs.
+	// Phase 2: finalize output samples, parallel over pairs. One Values
+	// slab serves the whole sample.
+	w := schema.Len()
 	cfg.forEach(len(pairs), func(pi int) {
-		st := states[pi]
-		ns := &gdm.Sample{
-			ID:      gdm.DeriveID("map", st.r.ID, st.e.ID),
-			Meta:    mergeSampleMeta(st.r, st.e),
-			Regions: make([]gdm.Region, len(st.r.Regions)),
+		r, e := pairs[pi][0], pairs[pi][1]
+		regions := make([]gdm.Region, len(r.Regions))
+		slab := newValueSlab(len(regions), w)
+		for ri := range regions {
+			regions[ri] = r.Regions[ri]
+			vals := append(slab.take(w), regions[ri].Values...)
+			regions[ri].Values = states[pi].appendResults(vals, ri)
 		}
-		for ri := range st.r.Regions {
-			src := st.r.Regions[ri]
-			vals := make([]gdm.Value, 0, schema.Len())
-			vals = append(vals, src.Values...)
-			for ai := range aggs {
-				vals = append(vals, st.accs[ri][ai].Result())
-			}
-			src.Values = vals
-			ns.Regions[ri] = src
+		outSamples[pi] = &gdm.Sample{
+			ID:      gdm.DeriveID("map", r.ID, e.ID),
+			Meta:    mergeSampleMeta(r, e),
+			Regions: regions,
 		}
-		outSamples[pi] = ns
 	})
 	out.Samples = outSamples
 	return out, nil

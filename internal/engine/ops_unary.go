@@ -71,7 +71,7 @@ func compileSelect(cfg Config, schema *gdm.Schema, meta expr.MetaPredicate, regi
 		}
 		ns := &gdm.Sample{ID: s.ID, Meta: s.Meta.Clone()}
 		if bound == nil {
-			ns.Regions = append([]gdm.Region(nil), s.Regions...)
+			ns.Regions = s.Regions
 		} else {
 			for ri := range s.Regions {
 				if bound.Eval(&s.Regions[ri]).Bool() {
@@ -192,30 +192,18 @@ func Project(cfg Config, ds *gdm.Dataset, args ProjectArgs) (*gdm.Dataset, error
 // compileExtend builds the EXTEND stage: per-sample region aggregates become
 // metadata attributes.
 func compileExtend(schema *gdm.Schema, aggs []expr.Aggregate) (stage, error) {
-	idx := make([]int, len(aggs))
-	for i, a := range aggs {
-		if !a.Func.NeedsAttr() {
-			idx[i] = -1
-			continue
-		}
-		j, ok := schema.Index(a.Attr)
-		if !ok {
-			return stage{}, fmt.Errorf("extend: unknown attribute %q in schema %s", a.Attr, schema)
-		}
-		idx[i] = j
+	idx, _, err := bindAggs("extend", schema, aggs, nil)
+	if err != nil {
+		return stage{}, err
 	}
 	fn := func(s *gdm.Sample) (*gdm.Sample, bool) {
-		ns := s.Clone()
-		for ai, a := range aggs {
-			acc := expr.NewAccumulator(a.Func)
-			for ri := range s.Regions {
-				if idx[ai] < 0 {
-					acc.Add(gdm.Null())
-				} else {
-					acc.Add(s.Regions[ri].Values[idx[ai]])
-				}
-			}
-			ns.Meta.Set(a.Output, acc.Result().String())
+		ns := &gdm.Sample{ID: s.ID, Meta: s.Meta.Clone(), Regions: s.Regions}
+		acc := newAggRows(aggs, idx, 1)
+		for ri := range s.Regions {
+			acc.add(0, &s.Regions[ri])
+		}
+		for ai, v := range acc.appendResults(nil, 0) {
+			ns.Meta.Set(aggs[ai].Output, v.String())
 		}
 		return ns, true
 	}
@@ -315,27 +303,13 @@ type GroupArgs struct {
 // metadata; with RegionAggs, duplicate regions inside each sample are
 // collapsed with aggregates.
 func Group(cfg Config, ds *gdm.Dataset, args GroupArgs) (*gdm.Dataset, error) {
+	regionIdx, fields, err := bindAggs("group", ds.Schema, args.RegionAggs, nil)
+	if err != nil {
+		return nil, err
+	}
 	outSchema := ds.Schema
-	regionIdx := make([]int, len(args.RegionAggs))
-	if len(args.RegionAggs) > 0 {
-		fields := make([]gdm.Field, 0, len(args.RegionAggs))
-		for i, a := range args.RegionAggs {
-			in := gdm.KindNull
-			if a.Func.NeedsAttr() {
-				j, ok := ds.Schema.Index(a.Attr)
-				if !ok {
-					return nil, fmt.Errorf("group: unknown region attribute %q in schema %s", a.Attr, ds.Schema)
-				}
-				regionIdx[i] = j
-				in = ds.Schema.Field(j).Type
-			} else {
-				regionIdx[i] = -1
-			}
-			fields = append(fields, gdm.Field{Name: a.Output, Type: a.Func.ResultKind(in)})
-		}
-		var err error
-		outSchema, err = gdm.NewSchema(fields...)
-		if err != nil {
+	if len(fields) > 0 {
+		if outSchema, err = gdm.NewSchema(fields...); err != nil {
 			return nil, fmt.Errorf("group: %w", err)
 		}
 	}
@@ -362,17 +336,17 @@ func groupImpl(cfg Config, ds *gdm.Dataset, args GroupArgs, outSchema *gdm.Schem
 		members := groups[k]
 		aggVals := make([]string, len(args.MetaAggs))
 		for ai, a := range args.MetaAggs {
-			acc := expr.NewAccumulator(a.Func)
+			acc := expr.NewAggState(a.Func, 1)
 			for _, m := range members {
 				if a.Func == expr.AggCountSamp {
-					acc.Add(gdm.Null())
+					acc.Add(0, gdm.Null())
 					continue
 				}
 				for _, v := range m.Meta.Values(a.Attr) {
-					acc.Add(gdm.Str(v))
+					acc.Add(0, gdm.Str(v))
 				}
 			}
-			aggVals[ai] = acc.Result().String()
+			aggVals[ai] = acc.Result(0).String()
 		}
 		for _, m := range members {
 			ns := m.Clone()
@@ -392,30 +366,20 @@ func groupImpl(cfg Config, ds *gdm.Dataset, args GroupArgs, outSchema *gdm.Schem
 // dedupRegions collapses coordinate-identical runs of canonically sorted
 // regions, aggregating their variable attributes.
 func dedupRegions(regions []gdm.Region, aggs []expr.Aggregate, aggIdx []int) []gdm.Region {
+	// Row i of the state is output region i; there are at most len(regions).
+	rows := newAggRows(aggs, aggIdx, len(regions))
 	var out []gdm.Region
-	for i := 0; i < len(regions); {
-		j := i
-		for j < len(regions) && regions[j].Chrom == regions[i].Chrom &&
-			regions[j].Start == regions[i].Start && regions[j].Stop == regions[i].Stop &&
-			regions[j].Strand == regions[i].Strand {
-			j++
+	for i := range regions {
+		r := &regions[i]
+		if n := len(out); n == 0 || out[n-1].Chrom != r.Chrom || out[n-1].Start != r.Start ||
+			out[n-1].Stop != r.Stop || out[n-1].Strand != r.Strand {
+			out = append(out, *r)
 		}
-		vals := make([]gdm.Value, len(aggs))
-		for ai := range aggs {
-			acc := expr.NewAccumulator(aggs[ai].Func)
-			for k := i; k < j; k++ {
-				if aggIdx[ai] < 0 {
-					acc.Add(gdm.Null())
-				} else {
-					acc.Add(regions[k].Values[aggIdx[ai]])
-				}
-			}
-			vals[ai] = acc.Result()
-		}
-		r := regions[i]
-		r.Values = vals
-		out = append(out, r)
-		i = j
+		rows.add(len(out)-1, r)
+	}
+	slab := newValueSlab(len(out), len(aggs))
+	for i := range out {
+		out[i].Values = rows.appendResults(slab.take(len(aggs)), i)
 	}
 	return out
 }

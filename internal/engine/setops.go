@@ -11,40 +11,49 @@ import (
 // operands. The result schema is the left operand's; right-operand regions
 // are re-laid-out onto it by attribute name (unmatched attributes become
 // null), realizing GDM schema interoperability. Right sample IDs are
-// re-derived when they would collide with a left ID.
+// re-derived when they would collide with a left ID. Left samples are shared
+// with the operand, and so are right samples whose layout already is the
+// result's.
 func Union(cfg Config, left, right *gdm.Dataset) (*gdm.Dataset, error) {
 	schema, mapping := gdm.UnionSchemas(left.Schema, right.Schema)
+	identity := right.Schema.Len() == len(mapping)
+	for vi, srcIdx := range mapping {
+		identity = identity && srcIdx == vi
+	}
 	out := gdm.NewDataset(left.Name, schema)
-	seen := make(map[string]bool, len(left.Samples)+len(right.Samples))
+	out.Samples = append(make([]*gdm.Sample, 0, len(left.Samples)+len(right.Samples)), left.Samples...)
+	rightOut := right.Samples
+	if !identity {
+		w := schema.Len()
+		rightOut = make([]*gdm.Sample, len(right.Samples))
+		cfg.forEach(len(right.Samples), func(i int) {
+			src := right.Samples[i]
+			regions := make([]gdm.Region, len(src.Regions))
+			slab := newValueSlab(len(regions), w)
+			for ri := range regions {
+				regions[ri] = src.Regions[ri]
+				vals := slab.take(w)[:w] // zero Values are null
+				for vi, srcIdx := range mapping {
+					if srcIdx >= 0 {
+						vals[vi] = src.Regions[ri].Values[srcIdx]
+					}
+				}
+				regions[ri].Values = vals
+			}
+			rightOut[i] = &gdm.Sample{ID: src.ID, Meta: src.Meta, Regions: regions}
+		})
+	}
+	seen := make(map[string]bool, cap(out.Samples))
 	for _, s := range left.Samples {
-		out.Samples = append(out.Samples, s.Clone())
 		seen[s.ID] = true
 	}
-	rightOut := make([]*gdm.Sample, len(right.Samples))
-	cfg.forEach(len(right.Samples), func(i int) {
-		src := right.Samples[i]
-		ns := &gdm.Sample{ID: src.ID, Meta: src.Meta.Clone(), Regions: make([]gdm.Region, len(src.Regions))}
-		for ri := range src.Regions {
-			r := src.Regions[ri]
-			vals := make([]gdm.Value, schema.Len())
-			for vi, srcIdx := range mapping {
-				if srcIdx >= 0 {
-					vals[vi] = r.Values[srcIdx]
-				} else {
-					vals[vi] = gdm.Null()
-				}
-			}
-			r.Values = vals
-			ns.Regions[ri] = r
+	for _, s := range rightOut {
+		if seen[s.ID] {
+			// The rename needs its own header; metadata and regions stay shared.
+			s = &gdm.Sample{ID: gdm.DeriveID("union", s.ID, "right"), Meta: s.Meta, Regions: s.Regions}
 		}
-		rightOut[i] = ns
-	})
-	for _, ns := range rightOut {
-		if seen[ns.ID] {
-			ns.ID = gdm.DeriveID("union", ns.ID, "right")
-		}
-		seen[ns.ID] = true
-		out.Samples = append(out.Samples, ns)
+		seen[s.ID] = true
+		out.Samples = append(out.Samples, s)
 	}
 	return out, nil
 }

@@ -1,0 +1,190 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"genogo/internal/expr"
+	"genogo/internal/gdm"
+)
+
+// headlineFixture is shaped like the paper's headline MAP: one reference
+// sample of promoter-sized regions against nExp experiment samples of short
+// peaks, with roughly one overlap for every two (reference region, sample).
+func headlineFixture(nExp int) (ref, exp *gdm.Dataset) {
+	rng := rand.New(rand.NewSource(18))
+	chroms := []string{"chr1", "chr2", "chr3", "chr4", "chr5"}
+	sample := func(id string, n int, width int64) *gdm.Sample {
+		s := gdm.NewSample(id)
+		s.Meta.Add("id", id)
+		for i := 0; i < n; i++ {
+			start := rng.Int63n(2_000_000)
+			s.AddRegion(gdm.NewRegion(chroms[rng.Intn(len(chroms))], start, start+width, gdm.StrandNone,
+				gdm.Float(rng.Float64()*10), gdm.Str(fmt.Sprintf("r%d", i))))
+		}
+		s.SortRegions()
+		return s
+	}
+	ref = gdm.NewDataset("PROMS", peakSchema())
+	ref.MustAdd(sample("proms", 2000, 2000))
+	exp = gdm.NewDataset("PEAKS", peakSchema())
+	for i := 0; i < nExp; i++ {
+		exp.MustAdd(sample(fmt.Sprintf("exp%02d", i), 1500, 300))
+	}
+	return ref, exp
+}
+
+// TestMapAllocsPerRegion pins the tentpole: MAP allocates per output sample,
+// not per output region. Only MEDIAN and BAG, which must keep every value,
+// may pay per row.
+func TestMapAllocsPerRegion(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	ref, exp := headlineFixture(20)
+	cfg := Config{Mode: ModeSerial, MetaFirst: true}
+	regions := float64(len(ref.Samples[0].Regions) * len(exp.Samples))
+	for _, c := range []struct {
+		agg    expr.Aggregate
+		perRow float64
+	}{
+		{expr.Aggregate{Output: "n", Func: expr.AggCount}, 0},
+		{expr.Aggregate{Output: "s", Func: expr.AggSum, Attr: "score"}, 0},
+		{expr.Aggregate{Output: "lo", Func: expr.AggMin, Attr: "score"}, 0},
+		{expr.Aggregate{Output: "sd", Func: expr.AggStd, Attr: "score"}, 0},
+		{expr.Aggregate{Output: "med", Func: expr.AggMedian, Attr: "score"}, 1},
+		{expr.Aggregate{Output: "names", Func: expr.AggBag, Attr: "name"}, 1},
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Map(cfg, ref, exp, MapArgs{Aggs: []expr.Aggregate{c.agg}}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations, %.4f per output region", c.agg, allocs, allocs/regions)
+		if got, limit := allocs/regions, 0.1+c.perRow; got > limit {
+			t.Errorf("%s: %.3f allocations per output region (%.0f / %.0f), want <= %.1f",
+				c.agg, got, allocs, regions, limit)
+		}
+	}
+}
+
+// TestValuesSlabAppendDoesNotAlias: the Values of a sample's regions are
+// windows of one slab, each capacity-limited, so a consumer appending to one
+// region's values cannot overwrite the next region's.
+func TestValuesSlabAppendDoesNotAlias(t *testing.T) {
+	ref, exp := headlineFixture(2)
+	// A right operand whose layout differs from the left's, so UNION re-lays it out.
+	swapped := gdm.NewDataset("R", gdm.MustSchema(
+		gdm.Field{Name: "name", Type: gdm.KindString}, gdm.Field{Name: "score", Type: gdm.KindFloat}))
+	sw := gdm.NewSample("swapped")
+	for _, r := range exp.Samples[0].Regions[:10] {
+		sw.AddRegion(gdm.NewRegion(r.Chrom, r.Start, r.Stop, r.Strand, r.Values[1], r.Values[0]))
+	}
+	swapped.MustAdd(sw)
+	pred := GenometricPred{Conds: []DistCond{{Op: DistLE, Dist: 1000}}}
+	outputs := map[string]func() (*gdm.Dataset, error){
+		"map":   func() (*gdm.Dataset, error) { return Map(Config{}, ref, exp, MapArgs{}) },
+		"join":  func() (*gdm.Dataset, error) { return Join(Config{}, ref, exp, JoinArgs{Pred: pred, Output: OutCat}) },
+		"union": func() (*gdm.Dataset, error) { return Union(Config{}, ref, swapped) },
+		"cover": func() (*gdm.Dataset, error) {
+			return Cover(Config{}, exp, CoverArgs{Min: CoverBound{Kind: BoundAny}, Max: CoverBound{Kind: BoundAny},
+				Aggs: []expr.Aggregate{{Output: "n", Func: expr.AggCount}}})
+		},
+	}
+	for name, run := range outputs {
+		out, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s := out.Samples[len(out.Samples)-1]
+		if len(s.Regions) < 2 {
+			t.Fatalf("%s: fixture produced %d regions", name, len(s.Regions))
+		}
+		want := s.Regions[1].String()
+		grown := append(s.Regions[0].Values, gdm.Str("overflow"), gdm.Str("overflow"))
+		if len(grown) != out.Schema.Len()+2 {
+			t.Fatalf("%s: region 0 holds %d values, schema %d", name, len(grown)-2, out.Schema.Len())
+		}
+		if got := s.Regions[1].String(); got != want {
+			t.Errorf("%s: appending to region 0 changed region 1: %s -> %s", name, want, got)
+		}
+	}
+}
+
+// TestUnionSharesStorage: with identical layouts UNION is header work — left
+// samples and right region storage are the operands' own — and a renamed
+// right sample leaves its source untouched.
+func TestUnionSharesStorage(t *testing.T) {
+	a := mkDataset(t, "A",
+		mkSample("same", map[string]string{"side": "a"}, regSpec{"chr1", 0, 1, gdm.StrandNone, 1, "x"}),
+		mkSample("onlyA", nil, regSpec{"chr1", 2, 3, gdm.StrandNone, 1, "x"}))
+	b := mkDataset(t, "B",
+		mkSample("same", map[string]string{"side": "b"}, regSpec{"chr1", 5, 6, gdm.StrandNone, 2, "y"}),
+		mkSample("onlyB", nil, regSpec{"chr1", 7, 8, gdm.StrandNone, 2, "y"}))
+	for _, cfg := range allConfigs() {
+		out, err := Union(cfg, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Samples[0] != a.Samples[0] || out.Samples[1] != a.Samples[1] {
+			t.Errorf("%s: left samples were copied", cfg.Mode)
+		}
+		renamed, kept := out.Samples[2], out.Samples[3]
+		if kept != b.Samples[1] {
+			t.Errorf("%s: right sample without a collision was copied", cfg.Mode)
+		}
+		if renamed.ID == "same" || b.Samples[0].ID != "same" {
+			t.Errorf("%s: rename: result %q, source %q", cfg.Mode, renamed.ID, b.Samples[0].ID)
+		}
+		if &renamed.Regions[0] != &b.Samples[0].Regions[0] {
+			t.Errorf("%s: renamed right sample's regions were copied", cfg.Mode)
+		}
+		if err := out.Validate(); err != nil {
+			t.Errorf("%s: %v", cfg.Mode, err)
+		}
+	}
+}
+
+// TestSumIntExactThroughOperators: MAP and EXTEND add int attributes as ints;
+// through float64, 2^53+1 loses its last bit.
+func TestSumIntExactThroughOperators(t *testing.T) {
+	const big = int64(1)<<53 + 1
+	schema := gdm.MustSchema(gdm.Field{Name: "reads", Type: gdm.KindInt}, gdm.Field{Name: "signal", Type: gdm.KindFloat})
+	exp := gdm.NewDataset("E", schema)
+	s := gdm.NewSample("e")
+	s.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandNone, gdm.Int(big), gdm.Float(0.5)))
+	s.AddRegion(gdm.NewRegion("chr1", 15, 25, gdm.StrandNone, gdm.Int(1), gdm.Float(2)))
+	exp.MustAdd(s)
+	ref := gdm.NewDataset("R", gdm.MustSchema())
+	rs := gdm.NewSample("r")
+	rs.AddRegion(gdm.NewRegion("chr1", 0, 100, gdm.StrandNone))
+	ref.MustAdd(rs)
+	aggs := []expr.Aggregate{
+		{Output: "reads", Func: expr.AggSum, Attr: "reads"},
+		{Output: "signal", Func: expr.AggSum, Attr: "signal"},
+	}
+	for _, cfg := range allConfigs() {
+		m, err := Map(cfg, ref, exp, MapArgs{Aggs: aggs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := m.Samples[0].Regions[0].Values
+		if got[0].Kind() != gdm.KindInt || got[0].Int() != big+1 {
+			t.Errorf("%s: MAP SUM(reads) = %v, want %d", cfg.Mode, got[0], big+1)
+		}
+		if got[1].Kind() != gdm.KindFloat || got[1].Float() != 2.5 {
+			t.Errorf("%s: MAP SUM(signal) = %v, want 2.5", cfg.Mode, got[1])
+		}
+		e, err := Extend(cfg, exp, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Samples[0].Meta.First("reads"); got != fmt.Sprint(big+1) {
+			t.Errorf("%s: EXTEND SUM(reads) = %s, want %d", cfg.Mode, got, big+1)
+		}
+		if got := e.Samples[0].Meta.First("signal"); got != "2.5" {
+			t.Errorf("%s: EXTEND SUM(signal) = %s, want 2.5", cfg.Mode, got)
+		}
+	}
+}

@@ -3,7 +3,7 @@ package expr
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -120,32 +120,54 @@ func (a Aggregate) String() string {
 	return fmt.Sprintf("%s AS %s(%s)", a.Output, a.Func, a.Attr)
 }
 
-// Accumulator folds a stream of values into one aggregate result. The zero
-// count yields null (except COUNT-like functions, which yield 0).
-type Accumulator struct {
-	fn      AggFunc
-	n       int64
-	sumF    float64
-	sumSq   float64
-	allInt  bool
-	sumI    int64
-	min     gdm.Value
-	max     gdm.Value
-	samples []float64 // median only
-	bag     []string  // bag only
+// AggState folds streams of values into one aggregate result per row: MAP
+// keeps a row per reference region of a sample pair, COVER and GROUP one per
+// output region, and the scalar users (EXTEND, GROUP's metadata aggregates,
+// AggregateValues) are the one-row case. The state is flat arrays indexed by
+// row, and only the arrays the function reads exist — a COUNT is a []int64 —
+// so an operator allocates per task, not per row; only MEDIAN and BAG, which
+// must keep every value, hold a slice per row. Rows are independent:
+// goroutines may Add to disjoint rows concurrently. A row that folded nothing
+// yields null (COUNT-like functions yield 0).
+type AggState struct {
+	fn     AggFunc
+	n      []int64     // values folded
+	sumF   []float64   // SUM, AVG, STD
+	sumSq  []float64   // STD
+	sumI   []int64     // SUM: the exact sum of the int values
+	nonInt []bool      // SUM: a non-int value was folded, so the result is a float
+	ext    []gdm.Value // MIN, MAX: the running extreme
+	floats [][]float64 // MEDIAN
+	strs   [][]string  // BAG
 }
 
-// NewAccumulator returns an empty accumulator for the function.
-func NewAccumulator(fn AggFunc) *Accumulator {
-	return &Accumulator{fn: fn, allInt: true}
+// NewAggState returns empty state for rows rows of the function.
+func NewAggState(fn AggFunc, rows int) *AggState {
+	a := &AggState{fn: fn, n: make([]int64, rows)}
+	switch fn {
+	case AggSum:
+		a.sumF, a.sumI, a.nonInt = make([]float64, rows), make([]int64, rows), make([]bool, rows)
+	case AggAvg:
+		a.sumF = make([]float64, rows)
+	case AggStd:
+		a.sumF, a.sumSq = make([]float64, rows), make([]float64, rows)
+	case AggMin, AggMax:
+		a.ext = make([]gdm.Value, rows)
+	case AggMedian:
+		a.floats = make([][]float64, rows)
+	case AggBag:
+		a.strs = make([][]string, rows)
+	}
+	return a
 }
 
-// Add folds one value. Null values are skipped (they carry no information),
-// except for COUNT-like functions where Add counts occurrences regardless of
-// the value passed.
-func (a *Accumulator) Add(v gdm.Value) {
-	if a.fn == AggCount || a.fn == AggCountSamp {
-		a.n++
+// Add folds one value into a row. Null values are skipped (they carry no
+// information), except for COUNT-like functions where Add counts occurrences
+// regardless of the value passed.
+func (a *AggState) Add(row int, v gdm.Value) {
+	switch a.fn {
+	case AggCount, AggCountSamp:
+		a.n[row]++
 		return
 	}
 	if v.IsNull() {
@@ -153,87 +175,85 @@ func (a *Accumulator) Add(v gdm.Value) {
 	}
 	switch a.fn {
 	case AggBag:
-		a.n++
-		a.bag = append(a.bag, v.String())
-		return
+		a.strs[row] = append(a.strs[row], v.String())
 	case AggMin:
-		if a.n == 0 || gdm.Compare(v, a.min) < 0 {
-			a.min = v
+		if a.n[row] == 0 || gdm.Compare(v, a.ext[row]) < 0 {
+			a.ext[row] = v
 		}
-		a.n++
-		return
 	case AggMax:
-		if a.n == 0 || gdm.Compare(v, a.max) > 0 {
-			a.max = v
+		if a.n[row] == 0 || gdm.Compare(v, a.ext[row]) > 0 {
+			a.ext[row] = v
 		}
-		a.n++
-		return
-	}
-	f, ok := v.AsFloat()
-	if !ok {
-		// Strings in numeric aggregates are parsed when possible; metadata
-		// values arrive as strings.
-		var err error
-		f, err = strconv.ParseFloat(strings.TrimSpace(v.Str()), 64)
-		if err != nil {
-			return
+	default:
+		f, ok := v.AsFloat()
+		if !ok {
+			// Strings in numeric aggregates are parsed when possible; metadata
+			// values arrive as strings.
+			var err error
+			f, err = strconv.ParseFloat(strings.TrimSpace(v.Str()), 64)
+			if err != nil {
+				return
+			}
+		}
+		switch a.fn {
+		case AggSum:
+			// Ints add exactly; a float64 cannot hold every int64.
+			if v.Kind() == gdm.KindInt {
+				a.sumI[row] += v.Int()
+			} else {
+				a.nonInt[row] = true
+			}
+			a.sumF[row] += f
+		case AggAvg:
+			a.sumF[row] += f
+		case AggStd:
+			a.sumF[row] += f
+			a.sumSq[row] += f * f
+		case AggMedian:
+			a.floats[row] = append(a.floats[row], f)
 		}
 	}
-	if v.Kind() != gdm.KindInt {
-		a.allInt = false
-	}
-	a.n++
-	a.sumF += f
-	a.sumSq += f * f
-	a.sumI += int64(f)
-	if a.fn == AggMedian {
-		a.samples = append(a.samples, f)
-	}
+	a.n[row]++
 }
 
-// Count returns how many values were folded.
-func (a *Accumulator) Count() int64 { return a.n }
-
-// Result returns the aggregate value.
-func (a *Accumulator) Result() gdm.Value {
+// Result returns a row's aggregate value.
+func (a *AggState) Result(row int) gdm.Value {
+	n := a.n[row]
 	switch a.fn {
 	case AggCount, AggCountSamp:
-		return gdm.Int(a.n)
+		return gdm.Int(n)
 	}
-	if a.n == 0 {
+	if n == 0 {
 		return gdm.Null()
 	}
 	switch a.fn {
 	case AggSum:
-		if a.allInt {
-			return gdm.Int(a.sumI)
+		if a.nonInt[row] {
+			return gdm.Float(a.sumF[row])
 		}
-		return gdm.Float(a.sumF)
+		return gdm.Int(a.sumI[row])
 	case AggAvg:
-		return gdm.Float(a.sumF / float64(a.n))
-	case AggMin:
-		return a.min
-	case AggMax:
-		return a.max
+		return gdm.Float(a.sumF[row] / float64(n))
+	case AggMin, AggMax:
+		return a.ext[row]
 	case AggMedian:
-		s := append([]float64(nil), a.samples...)
-		sort.Float64s(s)
+		s := a.floats[row]
+		slices.Sort(s)
 		mid := len(s) / 2
 		if len(s)%2 == 1 {
 			return gdm.Float(s[mid])
 		}
 		return gdm.Float((s[mid-1] + s[mid]) / 2)
 	case AggStd:
-		mean := a.sumF / float64(a.n)
-		varc := a.sumSq/float64(a.n) - mean*mean
+		mean := a.sumF[row] / float64(n)
+		varc := a.sumSq[row]/float64(n) - mean*mean
 		if varc < 0 {
 			varc = 0 // numeric noise
 		}
 		return gdm.Float(math.Sqrt(varc))
 	case AggBag:
-		s := append([]string(nil), a.bag...)
-		sort.Strings(s)
-		return gdm.Str(strings.Join(s, ","))
+		slices.Sort(a.strs[row])
+		return gdm.Str(strings.Join(a.strs[row], ","))
 	default:
 		return gdm.Null()
 	}
@@ -242,19 +262,19 @@ func (a *Accumulator) Result() gdm.Value {
 // AggregateValues folds a whole slice at once — convenience for tests and
 // for operators that already gathered the group.
 func AggregateValues(fn AggFunc, vs []gdm.Value) gdm.Value {
-	acc := NewAccumulator(fn)
+	acc := NewAggState(fn, 1)
 	for _, v := range vs {
-		acc.Add(v)
+		acc.Add(0, v)
 	}
-	return acc.Result()
+	return acc.Result(0)
 }
 
 // AggregateStrings folds metadata values (strings) — used by EXTEND/GROUP
 // aggregates over metadata and by the federation statistics endpoints.
 func AggregateStrings(fn AggFunc, vs []string) gdm.Value {
-	acc := NewAccumulator(fn)
+	acc := NewAggState(fn, 1)
 	for _, v := range vs {
-		acc.Add(gdm.Str(v))
+		acc.Add(0, gdm.Str(v))
 	}
-	return acc.Result()
+	return acc.Result(0)
 }

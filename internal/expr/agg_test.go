@@ -106,24 +106,39 @@ func TestAccumulatorStd(t *testing.T) {
 	}
 }
 
-func TestAccumulatorSkipsNullsAndBadStrings(t *testing.T) {
-	acc := NewAccumulator(AggSum)
-	acc.Add(gdm.Null())
-	acc.Add(gdm.Float(1))
-	acc.Add(gdm.Str("2.5")) // numeric string parses
-	acc.Add(gdm.Str("xyz")) // ignored
-	if acc.Count() != 2 {
-		t.Errorf("Count = %d", acc.Count())
-	}
-	if got := acc.Result(); got.Float() != 3.5 {
+func TestAggStateSkipsNullsAndBadStrings(t *testing.T) {
+	acc := NewAggState(AggSum, 1)
+	acc.Add(0, gdm.Null())
+	acc.Add(0, gdm.Float(1))
+	acc.Add(0, gdm.Str("2.5")) // numeric string parses
+	acc.Add(0, gdm.Str("xyz")) // ignored
+	if got := acc.Result(0); got.Float() != 3.5 {
 		t.Errorf("Result = %v", got)
 	}
+	// Two values were folded, not four: the average divides by two.
+	if got := AggregateValues(AggAvg, []gdm.Value{gdm.Null(), gdm.Float(1), gdm.Str("2.5"), gdm.Str("xyz")}); got.Float() != 1.75 {
+		t.Errorf("AVG = %v, want 1.75", got)
+	}
 	// COUNT counts everything, including nulls.
-	c := NewAccumulator(AggCount)
-	c.Add(gdm.Null())
-	c.Add(gdm.Float(1))
-	if c.Result().Int() != 2 {
-		t.Errorf("COUNT with null = %v", c.Result())
+	c := NewAggState(AggCount, 1)
+	c.Add(0, gdm.Null())
+	c.Add(0, gdm.Float(1))
+	if c.Result(0).Int() != 2 {
+		t.Errorf("COUNT with null = %v", c.Result(0))
+	}
+}
+
+// TestSumIntExact: ints add as ints. Folding them through float64 loses
+// 2^53+1.
+func TestSumIntExact(t *testing.T) {
+	const big = int64(1)<<53 + 1
+	got := AggregateValues(AggSum, []gdm.Value{gdm.Int(big), gdm.Int(1)})
+	if got.Kind() != gdm.KindInt || got.Int() != big+1 {
+		t.Errorf("SUM{2^53+1, 1} = %v (%v), want int %d", got, got.Kind(), big+1)
+	}
+	mixed := AggregateValues(AggSum, []gdm.Value{gdm.Int(2), gdm.Float(0.5), gdm.Int(1)})
+	if mixed.Kind() != gdm.KindFloat || mixed.Float() != 3.5 {
+		t.Errorf("SUM{2, 0.5, 1} = %v (%v), want float 3.5", mixed, mixed.Kind())
 	}
 }
 
@@ -139,30 +154,52 @@ func TestAggregateStrings(t *testing.T) {
 	}
 }
 
-func TestAccumulatorQuickProperties(t *testing.T) {
-	// SUM = AVG * COUNT, MIN <= MEDIAN <= MAX, STD >= 0.
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
+func TestAggStateQuickProperties(t *testing.T) {
+	// SUM = AVG * COUNT, MIN <= MEDIAN <= MAX, STD >= 0 — on every row of
+	// row-indexed state fed in interleaved order, and each row equal to the
+	// one-row fold of the same values (rows do not leak into each other).
+	fns := []AggFunc{AggSum, AggAvg, AggCount, AggMedian, AggMin, AggMax, AggStd, AggBag}
+	f := func(raw []int16, rowOf []uint8) bool {
+		const rows = 5
+		states := make(map[AggFunc]*AggState, len(fns))
+		for _, fn := range fns {
+			states[fn] = NewAggState(fn, rows)
 		}
-		vs := make([]gdm.Value, len(raw))
+		perRow := make([][]gdm.Value, rows)
 		for i, r := range raw {
-			vs[i] = gdm.Float(float64(r))
+			row := 0
+			if i < len(rowOf) {
+				row = int(rowOf[i]) % rows
+			}
+			v := gdm.Float(float64(r))
+			perRow[row] = append(perRow[row], v)
+			for _, st := range states {
+				st.Add(row, v)
+			}
 		}
-		sum := AggregateValues(AggSum, vs).Float()
-		avg := AggregateValues(AggAvg, vs).Float()
-		cnt := AggregateValues(AggCount, vs).Int()
-		med := AggregateValues(AggMedian, vs).Float()
-		mn := AggregateValues(AggMin, vs).Float()
-		mx := AggregateValues(AggMax, vs).Float()
-		std := AggregateValues(AggStd, vs).Float()
-		if math.Abs(sum-avg*float64(cnt)) > 1e-6*(1+math.Abs(sum)) {
-			return false
+		for row, vs := range perRow {
+			for _, fn := range fns {
+				got, want := states[fn].Result(row), AggregateValues(fn, vs)
+				if got.IsNull() != want.IsNull() || !gdm.Equal(got, want) {
+					t.Logf("row %d: %v = %v, one-row fold gives %v", row, fn, got, want)
+					return false
+				}
+			}
+			if len(vs) == 0 {
+				continue
+			}
+			sum, avg := states[AggSum].Result(row).Float(), states[AggAvg].Result(row).Float()
+			cnt := states[AggCount].Result(row).Int()
+			med := states[AggMedian].Result(row).Float()
+			mn, mx := states[AggMin].Result(row).Float(), states[AggMax].Result(row).Float()
+			if cnt != int64(len(vs)) || math.Abs(sum-avg*float64(cnt)) > 1e-6*(1+math.Abs(sum)) {
+				return false
+			}
+			if mn > med || med > mx || states[AggStd].Result(row).Float() < 0 {
+				return false
+			}
 		}
-		if mn > med || med > mx {
-			return false
-		}
-		return std >= 0
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -1,12 +1,15 @@
 package federation
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"genogo/internal/engine"
@@ -165,6 +168,42 @@ func TestStagingLimit(t *testing.T) {
 	}
 	if _, err := c.Execute(context.Background(), `X = SELECT() ENCODE; MATERIALIZE X;`, "X"); err != nil {
 		t.Errorf("slot not freed: %v", err)
+	}
+}
+
+// TestStagingFullRejectsBeforeEvaluation: with the staging area full, /query
+// answers 503 without entering the engine (the Stall hook runs before every
+// engine work item), so an unreleased backlog cannot burn evaluations.
+func TestStagingFullRejectsBeforeEvaluation(t *testing.T) {
+	srv, ts := newNode(t, "node1", 5, 5)
+	srv.maxStay = 1
+	c := NewClient(ts.URL)
+	staged, err := c.Execute(context.Background(), fedScript, "RESULT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entered atomic.Int64
+	srv.cfg.Stall = func(<-chan struct{}) { entered.Add(1) }
+	body, _ := json.Marshal(QueryRequest{Script: fedScript, Var: "RESULT"})
+	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("status = %d, want 503", resp.StatusCode)
+	}
+	if n := entered.Load(); n != 0 {
+		t.Errorf("engine ran %d work items for a request the staging area could not hold", n)
+	}
+	if err := c.Release(context.Background(), staged.ResultID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Execute(context.Background(), fedScript, "RESULT"); err != nil {
+		t.Fatalf("after release: %v", err)
+	}
+	if entered.Load() == 0 {
+		t.Error("Stall hook never ran: the test cannot tell whether the engine was entered")
 	}
 }
 

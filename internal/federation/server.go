@@ -332,6 +332,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+const stagingFullMsg = "staging area full; release results first"
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -354,6 +356,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	fail := func(status int, msg string) {
 		s.queries().Finish(entry, obs.StatusFailed, msg)
 		writeJSON(w, status, QueryResponse{Error: msg, QueryID: qid, Node: s.name})
+	}
+	// A client that never releases must not make every later request pay for
+	// a full evaluation to learn that: refuse before parsing. The check after
+	// the evaluation stays for requests that race past this one.
+	if s.StagedCount() >= s.maxStay {
+		fail(http.StatusServiceUnavailable, stagingFullMsg)
+		return
 	}
 	if s.Gate != nil {
 		release, gerr := s.Gate.Acquire(r.Context(), 1)
@@ -416,7 +425,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if len(s.staged) >= s.maxStay {
 		s.mu.Unlock()
-		fail(http.StatusServiceUnavailable, "staging area full; release results first")
+		fail(http.StatusServiceUnavailable, stagingFullMsg)
 		return
 	}
 	s.nextID++

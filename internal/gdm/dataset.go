@@ -86,6 +86,18 @@ func (s *Sample) Chroms() []string {
 
 // Dataset is a named collection of samples whose regions share one schema —
 // the GDM constraint that makes a dataset queryable as a unit.
+//
+// A dataset is immutable once an operator, a catalog or a Runner has returned
+// it: nobody writes to its samples, their metadata, their Regions or any
+// region's Values afterwards. Operators rely on that to share storage instead
+// of copying it — a SELECT without a region predicate, a UNION of equal
+// layouts and every published query result hold the very Regions slices of
+// their inputs, down to the catalog's — so a write through one dataset would
+// corrupt others. Code that needs to change a dataset takes a Clone first.
+// What a holder may always do is build new Sample and Dataset headers over
+// shared regions, and append to a region's Values: operators cut Values out
+// of per-sample slabs as capacity-limited windows, so an append copies rather
+// than running into the next region's values.
 type Dataset struct {
 	Name    string
 	Schema  *Schema

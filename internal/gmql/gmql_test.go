@@ -452,3 +452,49 @@ MATERIALIZE B;
 		t.Errorf("selects not merged:\n%s", opt.Explain(prog1, "B"))
 	}
 }
+
+// TestPublishSharesRegions: two MATERIALIZE targets bound to one plan node
+// come back as separate datasets over the same region storage — here the
+// catalog's own, since a metadata-only SELECT shares its input's regions —
+// with metadata private to each.
+func TestPublishSharesRegions(t *testing.T) {
+	prog, err := Parse(`
+PEAKS = SELECT(dataType == 'ChipSeq') ENCODE;
+MATERIALIZE PEAKS INTO one;
+MATERIALIZE PEAKS INTO two;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := testCatalog(t)
+	for _, cfg := range []engine.Config{
+		{Mode: engine.ModeSerial, MetaFirst: true},
+		{Mode: engine.ModeBatch, Workers: 3, MetaFirst: true},
+		{Mode: engine.ModeStream, Workers: 3, MetaFirst: true},
+	} {
+		results, err := (&Runner{Config: cfg, Catalog: cat}).Materialize(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, two := results[0].Dataset, results[1].Dataset
+		if one.Name != "one" || two.Name != "two" {
+			t.Fatalf("%s: names %q, %q", cfg.Mode, one.Name, two.Name)
+		}
+		if len(one.Samples) != 2 || len(two.Samples) != 2 {
+			t.Fatalf("%s: %d and %d samples, want 2 and 2", cfg.Mode, len(one.Samples), len(two.Samples))
+		}
+		for i, s := range one.Samples {
+			o, src := two.Samples[i], cat["ENCODE"].Sample(s.ID)
+			if s == o || s.ID != o.ID {
+				t.Fatalf("%s: sample %d: headers shared or misordered (%q, %q)", cfg.Mode, i, s.ID, o.ID)
+			}
+			if &s.Regions[0] != &o.Regions[0] || &s.Regions[0] != &src.Regions[0] {
+				t.Errorf("%s: sample %s: regions were copied on the way out", cfg.Mode, s.ID)
+			}
+			s.Meta.Add("note", "mine")
+			if o.Meta.Has("note") || src.Meta.Has("note") {
+				t.Errorf("%s: sample %s: metadata added to one result leaked", cfg.Mode, s.ID)
+			}
+		}
+	}
+}

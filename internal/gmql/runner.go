@@ -3,6 +3,7 @@ package gmql
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"genogo/internal/engine"
@@ -99,13 +100,19 @@ func (r *Runner) EvalContext(ctx context.Context, p *Program, name string) (*gdm
 	return publish(ds, name), nil
 }
 
-// publish hands a result out of the session: a deep copy (the session's
-// cache may still share ds with other targets) under the caller-facing name,
-// in canonical order.
+// publish hands a result out of the session under the caller-facing name.
+// The session's cache may still bind ds to other targets, and ds may be a
+// catalog dataset, so the result gets its own Dataset and Sample headers and
+// its own metadata; region storage is shared, not copied (gdm.Dataset:
+// operator outputs are immutable and already canonical). Samples are listed
+// in ID order.
 func publish(ds *gdm.Dataset, name string) *gdm.Dataset {
-	out := ds.Clone()
-	out.Name = name
-	out.SortRegions()
+	out := gdm.NewDataset(name, ds.Schema)
+	out.Samples = make([]*gdm.Sample, len(ds.Samples))
+	for i, s := range ds.Samples {
+		out.Samples[i] = &gdm.Sample{ID: s.ID, Meta: s.Meta.Clone(), Regions: s.Regions}
+	}
+	sort.SliceStable(out.Samples, func(i, j int) bool { return out.Samples[i].ID < out.Samples[j].ID })
 	return out
 }
 
