@@ -71,7 +71,11 @@ type Session struct{ e *evaluator }
 
 // NewSession creates an evaluation session over the catalog.
 func NewSession(cfg Config, cat Catalog) *Session {
-	return &Session{e: &evaluator{cfg: cfg, cat: cat, cache: make(map[Node]*gdm.Dataset)}}
+	e := &evaluator{cfg: cfg, cat: cat, cache: make(map[Node]*gdm.Dataset)}
+	if pc, ok := cat.(PrunedCatalog); ok && !cfg.DisablePruning {
+		e.pc = pc
+	}
+	return &Session{e: e}
 }
 
 // Eval executes one plan, reusing any cached subtree results.
@@ -143,6 +147,9 @@ func recoveredError(r any) error {
 type evaluator struct {
 	cfg Config
 	cat Catalog
+	// pc is cat's partition-level read path; nil when cat has none or
+	// Config.DisablePruning is set.
+	pc PrunedCatalog
 	// cache memoizes results by plan node identity, so a subplan shared by
 	// several GMQL variables executes once. Datasets are immutable once
 	// returned (see gdm.Dataset), so a cached result is handed to every
@@ -199,12 +206,18 @@ func (e *evaluator) eval(n Node, sp *obs.Span) (*gdm.Dataset, error) {
 // evalChild evaluates an input node, creating and attaching its span when the
 // parent is traced.
 func (e *evaluator) evalChild(n Node, parent *obs.Span) (*gdm.Dataset, error) {
-	var sp *obs.Span
-	if parent != nil {
-		sp = newSpan(n, e.cfg)
-		parent.AddChild(sp)
+	return e.eval(n, e.childSpan(parent, n))
+}
+
+// childSpan creates n's span and attaches it under parent; nil when parent
+// is (the run is untraced).
+func (e *evaluator) childSpan(parent *obs.Span, n Node) *obs.Span {
+	if parent == nil {
+		return nil
 	}
-	return e.eval(n, sp)
+	sp := newSpan(n, e.cfg)
+	parent.AddChild(sp)
+	return sp
 }
 
 func (e *evaluator) evalUncached(n Node, sp *obs.Span) (*gdm.Dataset, error) {
@@ -217,10 +230,7 @@ func (e *evaluator) evalUncached(n Node, sp *obs.Span) (*gdm.Dataset, error) {
 	case *Scan:
 		return e.cat.Dataset(op.Dataset)
 	case *SelectOp:
-		if ds, ok, err := e.trySelectPruned(op, sp); ok || err != nil {
-			return ds, err
-		}
-		in, err := e.evalChild(op.Input, sp)
+		in, err := e.selectInput(op.Input, op.Region, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -228,7 +238,6 @@ func (e *evaluator) evalUncached(n Node, sp *obs.Span) (*gdm.Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		observePrunableSelect(sp, in, op.Region)
 		return Select(e.cfg, in, meta, op.Region)
 	case *ProjectOp:
 		in, err := e.evalChild(op.Input, sp)
@@ -279,24 +288,17 @@ func (e *evaluator) evalUncached(n Node, sp *obs.Span) (*gdm.Dataset, error) {
 		}
 		return Difference(e.cfg, l, r, op.Args)
 	case *MapOp:
-		if ds, ok, err := e.tryMapPruned(op, sp); ok || err != nil {
-			return ds, err
-		}
-		l, r, err := e.evalPair(op.Ref, op.Exp, sp)
+		l, r, err := e.zonePair(op.Ref, op.Exp, sp, nil, mapKeep)
 		if err != nil {
 			return nil, err
 		}
-		observePrunableMap(sp, l, r)
 		return Map(e.cfg, l, r, op.Args)
 	case *JoinOp:
-		if ds, ok, err := e.tryJoinPruned(op, sp); ok || err != nil {
-			return ds, err
-		}
-		l, r, err := e.evalPair(op.Left, op.Right, sp)
+		keep := joinKeep(op.Args.Pred)
+		l, r, err := e.zonePair(op.Left, op.Right, sp, keep, keep)
 		if err != nil {
 			return nil, err
 		}
-		observePrunableJoin(sp, l, r, op.Args.Pred)
 		return Join(e.cfg, l, r, op.Args)
 	default:
 		return nil, fmt.Errorf("engine: unknown plan node %T", n)
@@ -306,15 +308,10 @@ func (e *evaluator) evalUncached(n Node, sp *obs.Span) (*gdm.Dataset, error) {
 // evalPair evaluates the two inputs of a binary operator: sequentially for
 // the serial and batch backends, concurrently for the stream backend.
 func (e *evaluator) evalPair(left, right Node, parent *obs.Span) (*gdm.Dataset, *gdm.Dataset, error) {
-	var lsp, rsp *obs.Span
-	if parent != nil {
-		// Both child spans attach before anything runs: the right operand may
-		// execute on another goroutine, and the profile's child order must be
-		// the plan order, not the finish order.
-		lsp, rsp = newSpan(left, e.cfg), newSpan(right, e.cfg)
-		parent.AddChild(lsp)
-		parent.AddChild(rsp)
-	}
+	// Both child spans attach before anything runs: the right operand may
+	// execute on another goroutine, and the profile's child order must be the
+	// plan order, not the finish order.
+	lsp, rsp := e.childSpan(parent, left), e.childSpan(parent, right)
 	if e.cfg.Mode != ModeStream {
 		l, err := e.eval(left, lsp)
 		if err != nil {
@@ -442,7 +439,12 @@ func (e *evaluator) tryFusedChain(n Node, sp *obs.Span) (*gdm.Dataset, bool, err
 		}
 		sp.SetFused(names)
 	}
-	src, prunedSrc, err := e.fusedChainSource(cur, chain, sp)
+	// The source loads under the innermost SELECT's zone proof, if any.
+	var region expr.Node
+	if inner, ok := chain[len(chain)-1].(*SelectOp); ok {
+		region = inner.Region
+	}
+	src, err := e.selectInput(cur, region, sp)
 	if err != nil {
 		return nil, true, err
 	}
@@ -458,13 +460,6 @@ func (e *evaluator) tryFusedChain(n Node, sp *obs.Span) (*gdm.Dataset, bool, err
 			meta, cerr = e.resolveSelectMeta(op, sp)
 			if cerr == nil {
 				st, cerr = compileSelect(e.cfg, schema, meta, op.Region)
-			}
-			if cerr == nil && i == len(chain)-1 && !prunedSrc {
-				// Only the innermost SELECT reads straight from the source;
-				// zone windows say nothing about intermediate results. A
-				// pruned source already realized the opportunity — its scan
-				// span carries the skipped= accounting instead.
-				observePrunableSelect(sp, src, op.Region)
 			}
 		case *ProjectOp:
 			st, cerr = compileProject(schema, op.Args)

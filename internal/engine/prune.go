@@ -10,14 +10,36 @@ import (
 	"genogo/internal/obs"
 )
 
-// Pruning-opportunity accounting (ROADMAP item 1's measured target): traced
-// SELECT, JOIN and MAP runs consult the same per-(sample, chromosome) zone
-// windows the catalog persists and count which partitions provably
-// contribute zero output — the data a pruning storage engine would never
-// have loaded. The counts ride on the operator's span (EXPLAIN ANALYZE's
-// `prunable=`), the cost registry, and the genogo_prune_* counters; the
-// kernels themselves still process everything, so the numbers measure the
-// opportunity, not a behavior change.
+// Zone pruning: a (sample, chromosome) partition that provably contributes no
+// output need not be read. Each pruning operator — SELECT, MAP, JOIN —
+// derives one keep function over partition zone windows (selectKeep, mapKeep,
+// joinKeep), and that one proof has two uses:
+//
+//   - Before the read: an input that is a Scan on a PrunedCatalog (pruning
+//     not disabled) loads through DatasetPruned, and the partitions keep
+//     rejects are never read — for columnar datasets their bytes stay on
+//     disk. The scan's span records skipped=.
+//   - After the read: any other input, on traced runs, is counted — the
+//     partitions of the materialized input keep rejects are what a pruned
+//     read would have skipped. The operator's span records prunable=, which
+//     the cost registry and the genogo_prune_* counters fold in.
+//
+// So prunable= on an in-memory catalog (or under DisablePruning) equals
+// skipped= on a pruning one, bar the JOIN-of-two-scans case zonePair notes.
+// An operator with a pruned input reports no prunable=: the opportunity was
+// taken, not missed.
+//
+// Soundness rests on two facts: a skipped partition provably contributes
+// zero regions to the operator's output, and pruned reads keep every sample
+// (possibly region-empty), so sample-level semantics — meta filters, sample
+// pairing, zero-count MAP rows — are untouched. Pruned scan results are
+// query-specific subsets, so they are deliberately kept out of the session's
+// plan-node result cache: another consumer of the same Scan node still gets
+// the full dataset.
+
+// keepFunc reports whether a partition on chrom with zone window
+// [minStart, maxStop) could contribute output.
+type keepFunc = func(chrom string, minStart, maxStop int64) bool
 
 // zonePart is one (sample, chromosome) partition with its zone extents: the
 // in-memory equivalent of one catalog ChromStats cell.
@@ -56,131 +78,121 @@ type chromExtent struct {
 	maxStop  int64
 }
 
-func chromExtents(parts []zonePart) map[string]chromExtent {
-	out := make(map[string]chromExtent)
-	for _, p := range parts {
-		e, ok := out[p.chrom]
-		if !ok {
-			out[p.chrom] = chromExtent{p.minStart, p.maxStop}
-			continue
-		}
-		if p.minStart < e.minStart {
-			e.minStart = p.minStart
-		}
-		if p.maxStop > e.maxStop {
-			e.maxStop = p.maxStop
-		}
-		out[p.chrom] = e
+// extents is a dataset's zone view per chromosome.
+type extents map[string]chromExtent
+
+func (x extents) add(chrom string, minStart, maxStop int64) {
+	e, ok := x[chrom]
+	if !ok {
+		x[chrom] = chromExtent{minStart, maxStop}
+		return
 	}
-	return out
+	x[chrom] = chromExtent{min(e.minStart, minStart), max(e.maxStop, maxStop)}
 }
 
-// observePrunableSelect records how many of a traced SELECT's input
-// partitions the region predicate's zone window prunes. Predicates with no
-// zone-checkable structure record nothing.
-func observePrunableSelect(sp *obs.Span, in *gdm.Dataset, region expr.Node) {
-	if sp == nil || in == nil || region == nil {
-		return
+// chromExtents folds materialized partitions into extents.
+func chromExtents(parts []zonePart) extents {
+	x := make(extents)
+	for _, p := range parts {
+		x.add(p.chrom, p.minStart, p.maxStop)
+	}
+	return x
+}
+
+// statsExtents folds a manifest stats block into extents — the zone view of
+// a dataset that has not been loaded.
+func statsExtents(st *catalog.DatasetStats) extents {
+	x := make(extents)
+	for i := range st.Samples {
+		for _, cs := range st.Samples[i].Chroms {
+			x.add(cs.Chrom, cs.MinStart, cs.MaxStop)
+		}
+	}
+	return x
+}
+
+// selectKeep is SELECT's proof: a partition the region predicate's zone
+// window clears holds only rejected regions. ok is false for predicates with
+// no zone-checkable structure.
+func selectKeep(region expr.Node) (keepFunc, bool) {
+	if region == nil {
+		return nil, false
 	}
 	w, ok := catalog.PredicateWindow(region)
 	if !ok {
-		return
+		return nil, false
 	}
-	consulted, pparts := 0, 0
-	var pregions int64
-	for _, p := range zoneParts(in) {
-		consulted++
-		if w.Prunes(p.chrom, p.minStart, p.maxStop) {
-			pparts++
-			pregions += int64(p.regions)
-		}
-	}
-	if consulted > 0 {
-		sp.SetPrunable(consulted, pparts, pregions)
+	return func(chrom string, minStart, maxStop int64) bool {
+		return !w.Prunes(chrom, minStart, maxStop)
+	}, true
+}
+
+// mapKeep is MAP's proof for the experiment side: keep a partition that
+// overlaps some reference extent. Reference regions are always emitted (a
+// zero count is still a row), so a non-overlapping experiment partition can
+// only contribute zero counts.
+func mapKeep(ref extents) keepFunc {
+	return func(chrom string, minStart, maxStop int64) bool {
+		e, ok := ref[chrom]
+		return ok && minStart < e.maxStop && maxStop > e.minStart
 	}
 }
 
-// observePrunableJoin records the zone-prunable partitions of a traced JOIN:
-// a partition on a chromosome the other side lacks can never pair, and with
-// a distance upper bound (DLE/DL clauses) a partition farther than the bound
-// from the other side's whole extent cannot either. MD(k) and stream clauses
-// only narrow further, so ignoring them stays sound.
-func observePrunableJoin(sp *obs.Span, left, right *gdm.Dataset, pred GenometricPred) {
-	if sp == nil || left == nil || right == nil {
-		return
-	}
-	bound, hasBound := pred.upperBound()
-	lparts, rparts := zoneParts(left), zoneParts(right)
-	lext, rext := chromExtents(lparts), chromExtents(rparts)
-	consulted, pparts := 0, 0
-	var pregions int64
-	count := func(parts []zonePart, other map[string]chromExtent) {
-		for _, p := range parts {
-			consulted++
-			e, ok := other[p.chrom]
-			prunable := !ok
-			if !prunable && hasBound {
-				prunable = p.minStart > satAdd(e.maxStop, bound) ||
-					p.maxStop < satSub(e.minStart, bound)
+// joinKeep is JOIN's proof for either side: keep a partition that could pair
+// with the other side — its chromosome must appear there, and under a
+// distance upper bound (DLE/DL clauses) its window must lie within the bound
+// of the other side's whole-chromosome extent. MD(k) and stream clauses only
+// narrow further, so ignoring them stays sound.
+func joinKeep(pred GenometricPred) func(other extents) keepFunc {
+	return func(other extents) keepFunc {
+		bound, hasBound := pred.upperBound()
+		return func(chrom string, minStart, maxStop int64) bool {
+			e, ok := other[chrom]
+			if !ok {
+				return false
 			}
-			if prunable {
-				pparts++
-				pregions += int64(p.regions)
-			}
+			return !hasBound || (minStart <= satAdd(e.maxStop, bound) && maxStop >= satSub(e.minStart, bound))
 		}
-	}
-	count(lparts, rext)
-	count(rparts, lext)
-	if consulted > 0 {
-		sp.SetPrunable(consulted, pparts, pregions)
 	}
 }
 
-// observePrunableMap records the zone-prunable experiment partitions of a
-// traced MAP. Reference regions are always emitted (a zero count is still a
-// row), so only experiment partitions that overlap no reference extent are
-// prunable.
-func observePrunableMap(sp *obs.Span, ref, exp *gdm.Dataset) {
-	if sp == nil || ref == nil || exp == nil {
-		return
-	}
-	rext := chromExtents(zoneParts(ref))
-	eparts := zoneParts(exp)
-	consulted, pparts := 0, 0
-	var pregions int64
-	for _, p := range eparts {
-		consulted++
-		e, ok := rext[p.chrom]
-		if !ok || p.minStart >= e.maxStop || p.maxStop <= e.minStart {
-			pparts++
-			pregions += int64(p.regions)
+// prunable accumulates the after-read use of keep functions over one
+// operator's inputs.
+type prunable struct {
+	consulted, parts int
+	regions          int64
+}
+
+func (c *prunable) count(parts []zonePart, keep keepFunc) {
+	for _, p := range parts {
+		c.consulted++
+		if !keep(p.chrom, p.minStart, p.maxStop) {
+			c.parts++
+			c.regions += int64(p.regions)
 		}
-	}
-	if consulted > 0 {
-		sp.SetPrunable(consulted, pparts, pregions)
 	}
 }
 
-// Pruned execution (the realized counterpart of the accounting above): when
-// the session's catalog is a PrunedCatalog, SELECT/JOIN/MAP over Scan inputs
-// load those scans through the partition-level read path, skipping every
-// partition whose zone window proves it irrelevant — for columnar datasets
-// the skipped bytes are never read. Soundness rests on two facts: a skipped
-// partition provably contributes zero regions to the pruning operator's
-// output (the same proofs the observePrunable* accounting uses), and pruned
-// reads keep every sample (possibly region-empty), so sample-level semantics
-// — meta filters, sample pairing, zero-count MAP rows — are untouched.
-//
-// Pruned scan results are query-specific subsets, so they are deliberately
-// kept out of the session's plan-node result cache: another consumer of the
-// same Scan node still gets the full dataset.
+func (c *prunable) record(sp *obs.Span) {
+	if c.consulted > 0 {
+		sp.SetPrunable(c.consulted, c.parts, c.regions)
+	}
+}
 
-// prunedScan reads one Scan through the catalog's partition-level path,
-// recording the realized skip accounting on csp (the scan's pre-attached
-// span; nil when untraced).
-func (e *evaluator) prunedScan(pc PrunedCatalog, scan *Scan, csp *obs.Span, keep func(chrom string, minStart, maxStop int64) bool) (*gdm.Dataset, error) {
+// pruneTarget returns n when it is a Scan the catalog can read pruned.
+func (e *evaluator) pruneTarget(n Node) *Scan {
+	if scan, ok := n.(*Scan); ok && e.pc != nil {
+		return scan
+	}
+	return nil
+}
+
+// prunedScan is the before-read use of keep: it loads scan skipping every
+// partition keep rejects, recording the skip accounting on csp (the scan's
+// attached span; nil when untraced).
+func (e *evaluator) prunedScan(scan *Scan, csp *obs.Span, keep keepFunc) (*gdm.Dataset, error) {
 	start := time.Now()
-	ds, st, err := pc.DatasetPruned(scan.Dataset, keep)
+	ds, st, err := e.pc.DatasetPruned(scan.Dataset, keep)
 	if err != nil {
 		return nil, err
 	}
@@ -191,223 +203,92 @@ func (e *evaluator) prunedScan(pc PrunedCatalog, scan *Scan, csp *obs.Span, keep
 	return ds, nil
 }
 
-// windowKeep turns a predicate's zone window into a partition keep function.
-func windowKeep(w catalog.Window) func(chrom string, minStart, maxStop int64) bool {
-	return func(chrom string, minStart, maxStop int64) bool {
-		return !w.Prunes(chrom, minStart, maxStop)
+// selectInput loads the input of a SELECT with region predicate region — for
+// a fused chain, the innermost SELECT's source (zone windows say nothing
+// about intermediate results) — under the predicate's zone proof. sp is the
+// SELECT's (or chain head's) span. Every skipped partition holds only
+// predicate-rejected regions, so the SELECT output is identical to the
+// unpruned path's, which also makes caching it under the SELECT node safe.
+func (e *evaluator) selectInput(in Node, region expr.Node, sp *obs.Span) (*gdm.Dataset, error) {
+	scan := e.pruneTarget(in)
+	if scan == nil && sp == nil {
+		return e.eval(in, nil)
 	}
-}
-
-// joinKeep keeps a partition that could pair with the other side: its
-// chromosome must appear there, and under a distance upper bound its window
-// must lie within the bound of the other side's whole-chromosome extent.
-func joinKeep(other map[string]chromExtent, bound int64, hasBound bool) func(chrom string, minStart, maxStop int64) bool {
-	return func(chrom string, minStart, maxStop int64) bool {
-		e, ok := other[chrom]
-		if !ok {
-			return false
-		}
-		if hasBound && (minStart > satAdd(e.maxStop, bound) || maxStop < satSub(e.minStart, bound)) {
-			return false
-		}
-		return true
-	}
-}
-
-// mapKeep keeps an experiment partition that overlaps some reference extent
-// (non-overlapping partitions can only contribute zero counts, which MAP
-// emits anyway).
-func mapKeep(ref map[string]chromExtent) func(chrom string, minStart, maxStop int64) bool {
-	return func(chrom string, minStart, maxStop int64) bool {
-		e, ok := ref[chrom]
-		return ok && minStart < e.maxStop && maxStop > e.minStart
-	}
-}
-
-// statsExtents folds a manifest stats block into per-chromosome extents —
-// the zone view of a dataset that has not been loaded.
-func statsExtents(st *catalog.DatasetStats) map[string]chromExtent {
-	out := make(map[string]chromExtent)
-	for i := range st.Samples {
-		for _, cs := range st.Samples[i].Chroms {
-			e, ok := out[cs.Chrom]
-			if !ok {
-				out[cs.Chrom] = chromExtent{cs.MinStart, cs.MaxStop}
-				continue
-			}
-			if cs.MinStart < e.minStart {
-				e.minStart = cs.MinStart
-			}
-			if cs.MaxStop > e.maxStop {
-				e.maxStop = cs.MaxStop
-			}
-			out[cs.Chrom] = e
-		}
-	}
-	return out
-}
-
-// trySelectPruned handles SELECT directly over a Scan on a pruning catalog:
-// the scan loads only the partitions the region predicate's zone window
-// cannot prune. Every skipped partition holds only predicate-rejected
-// regions, so the SELECT output is identical to the unpruned path's — which
-// also makes caching that output under the SelectOp node (eval's normal
-// wrapper) safe.
-func (e *evaluator) trySelectPruned(op *SelectOp, sp *obs.Span) (*gdm.Dataset, bool, error) {
-	if e.cfg.DisablePruning || op.Region == nil {
-		return nil, false, nil
-	}
-	pc, ok := e.cat.(PrunedCatalog)
+	keep, ok := selectKeep(region)
 	if !ok {
-		return nil, false, nil
+		return e.evalChild(in, sp)
 	}
-	scan, ok := op.Input.(*Scan)
-	if !ok {
-		return nil, false, nil
+	if scan != nil {
+		return e.prunedScan(scan, e.childSpan(sp, in), keep)
 	}
-	w, ok := catalog.PredicateWindow(op.Region)
-	if !ok {
-		return nil, false, nil
-	}
-	var csp *obs.Span
-	if sp != nil {
-		csp = newSpan(scan, e.cfg)
-		sp.AddChild(csp)
-	}
-	in, err := e.prunedScan(pc, scan, csp, windowKeep(w))
+	ds, err := e.evalChild(in, sp)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	meta, err := e.resolveSelectMeta(op, sp)
-	if err != nil {
-		return nil, true, err
-	}
-	out, err := Select(e.cfg, in, meta, op.Region)
-	return out, true, err
+	var c prunable
+	c.count(zoneParts(ds), keep)
+	c.record(sp)
+	return ds, nil
 }
 
-// fusedChainSource materializes a fused chain's source. When the innermost
-// chain operator is a SELECT whose region predicate yields a zone window and
-// the source is a Scan on a pruning catalog, the source loads pruned;
-// pruned=true tells the caller the opportunity was realized (its scan span
-// carries skipped= accounting) so the prunable= observation is skipped.
-func (e *evaluator) fusedChainSource(cur Node, chain []Node, sp *obs.Span) (*gdm.Dataset, bool, error) {
-	if !e.cfg.DisablePruning {
-		if pc, ok := e.cat.(PrunedCatalog); ok {
-			if scan, ok := cur.(*Scan); ok {
-				if inner, ok := chain[len(chain)-1].(*SelectOp); ok && inner.Region != nil {
-					if w, ok := catalog.PredicateWindow(inner.Region); ok {
-						var csp *obs.Span
-						if sp != nil {
-							csp = newSpan(scan, e.cfg)
-							sp.AddChild(csp)
-						}
-						src, err := e.prunedScan(pc, scan, csp, windowKeep(w))
-						return src, true, err
-					}
-				}
-			}
+// zonePair loads the inputs of a binary pruning operator under its zone
+// proof: keepL and keepR derive each side's keep function from the other
+// side's extents (nil: the side is never pruned, like MAP's reference).
+//
+// Without a prunable Scan input both sides evaluate as evalPair does and,
+// when traced, are counted. Otherwise evaluation is sequential — a pruned
+// side's keep function needs the other side first. A lone Scan side prunes
+// against the materialized other side. When both sides are Scans (JOIN), the
+// left prunes against the right's manifest stats (no region data read at
+// all), then the right prunes against the materialized — already pruned —
+// left: a left partition removed by the stats could pair with no right
+// region anyway, so the narrowed extents cannot over-prune the right. They
+// can prune more than the after-read count, which sees the whole left, so
+// there the right side's skipped= may exceed its prunable=.
+func (e *evaluator) zonePair(left, right Node, sp *obs.Span, keepL, keepR func(other extents) keepFunc) (l, r *gdm.Dataset, err error) {
+	var lscan, rscan *Scan
+	if keepL != nil {
+		lscan = e.pruneTarget(left)
+	}
+	if keepR != nil {
+		rscan = e.pruneTarget(right)
+	}
+	if lscan == nil && rscan == nil {
+		if l, r, err = e.evalPair(left, right, sp); err != nil || sp == nil {
+			return l, r, err
 		}
+		lparts, rparts := zoneParts(l), zoneParts(r)
+		var c prunable
+		if keepL != nil {
+			c.count(lparts, keepL(chromExtents(rparts)))
+		}
+		if keepR != nil {
+			c.count(rparts, keepR(chromExtents(lparts)))
+		}
+		c.record(sp)
+		return l, r, nil
 	}
-	src, err := e.evalChild(cur, sp)
-	return src, false, err
-}
-
-// tryMapPruned handles MAP whose experiment input is a Scan on a pruning
-// catalog: the reference materializes first (cached like any subplan), and
-// the experiment scan skips every partition overlapping no reference extent.
-// The two inputs evaluate sequentially here even under the stream backend —
-// the experiment's keep function needs the materialized reference.
-func (e *evaluator) tryMapPruned(op *MapOp, sp *obs.Span) (*gdm.Dataset, bool, error) {
-	if e.cfg.DisablePruning {
-		return nil, false, nil
-	}
-	pc, ok := e.cat.(PrunedCatalog)
-	if !ok {
-		return nil, false, nil
-	}
-	scan, ok := op.Exp.(*Scan)
-	if !ok {
-		return nil, false, nil
-	}
-	var lsp, rsp *obs.Span
-	if sp != nil {
-		// Both child spans attach upfront so the profile's child order is the
-		// plan order, matching evalPair.
-		lsp, rsp = newSpan(op.Ref, e.cfg), newSpan(op.Exp, e.cfg)
-		sp.AddChild(lsp)
-		sp.AddChild(rsp)
-	}
-	ref, err := e.eval(op.Ref, lsp)
-	if err != nil {
-		return nil, true, err
-	}
-	exp, err := e.prunedScan(pc, scan, rsp, mapKeep(chromExtents(zoneParts(ref))))
-	if err != nil {
-		return nil, true, err
-	}
-	out, err := Map(e.cfg, ref, exp, op.Args)
-	return out, true, err
-}
-
-// tryJoinPruned handles JOIN with at least one Scan input on a pruning
-// catalog. A lone Scan side prunes against the materialized other side's
-// extents. When both sides are Scans, the left prunes against the right's
-// manifest stats (no region data read at all), then the right prunes against
-// the materialized — already pruned — left: a left partition removed by the
-// stats could pair with no right region anyway, so the narrowed extents
-// cannot over-prune the right.
-func (e *evaluator) tryJoinPruned(op *JoinOp, sp *obs.Span) (*gdm.Dataset, bool, error) {
-	if e.cfg.DisablePruning {
-		return nil, false, nil
-	}
-	pc, ok := e.cat.(PrunedCatalog)
-	if !ok {
-		return nil, false, nil
-	}
-	lscan, lok := op.Left.(*Scan)
-	rscan, rok := op.Right.(*Scan)
-	if !lok && !rok {
-		return nil, false, nil
-	}
-	bound, hasBound := op.Args.Pred.upperBound()
-	var lsp, rsp *obs.Span
-	if sp != nil {
-		lsp, rsp = newSpan(op.Left, e.cfg), newSpan(op.Right, e.cfg)
-		sp.AddChild(lsp)
-		sp.AddChild(rsp)
-	}
-	var l, r *gdm.Dataset
-	var err error
+	lsp, rsp := e.childSpan(sp, left), e.childSpan(sp, right)
 	switch {
-	case lok && rok:
-		if st, ok := pc.Stats(rscan.Dataset); ok {
-			l, err = e.prunedScan(pc, lscan, lsp, joinKeep(statsExtents(st), bound, hasBound))
+	case lscan != nil && rscan != nil:
+		if st, ok := e.pc.Stats(rscan.Dataset); ok {
+			l, err = e.prunedScan(lscan, lsp, keepL(statsExtents(st)))
 		} else {
-			l, err = e.eval(op.Left, lsp)
+			l, err = e.eval(left, lsp)
 		}
-		if err != nil {
-			return nil, true, err
+		if err == nil {
+			r, err = e.prunedScan(rscan, rsp, keepR(chromExtents(zoneParts(l))))
 		}
-		r, err = e.prunedScan(pc, rscan, rsp, joinKeep(chromExtents(zoneParts(l)), bound, hasBound))
-	case lok:
-		r, err = e.eval(op.Right, rsp)
-		if err != nil {
-			return nil, true, err
+	case lscan != nil:
+		if r, err = e.eval(right, rsp); err == nil {
+			l, err = e.prunedScan(lscan, lsp, keepL(chromExtents(zoneParts(r))))
 		}
-		l, err = e.prunedScan(pc, lscan, lsp, joinKeep(chromExtents(zoneParts(r)), bound, hasBound))
 	default:
-		l, err = e.eval(op.Left, lsp)
-		if err != nil {
-			return nil, true, err
+		if l, err = e.eval(left, lsp); err == nil {
+			r, err = e.prunedScan(rscan, rsp, keepR(chromExtents(zoneParts(l))))
 		}
-		r, err = e.prunedScan(pc, rscan, rsp, joinKeep(chromExtents(zoneParts(l)), bound, hasBound))
 	}
-	if err != nil {
-		return nil, true, err
-	}
-	out, err := Join(e.cfg, l, r, op.Args)
-	return out, true, err
+	return l, r, err
 }
 
 func satAdd(a, b int64) int64 {

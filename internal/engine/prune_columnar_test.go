@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -108,7 +109,8 @@ func TestPrunedSelectBoundary(t *testing.T) {
 
 // TestPrunedSelectEquivalenceAllModes: pruned reads must be invisible to
 // results under every scheduling mode and fusion setting, on a dataset large
-// enough to have partitions worth skipping.
+// enough to have partitions worth skipping — and on the chromosome-restricted
+// SELECT, pruning must actually engage.
 func TestPrunedSelectEquivalenceAllModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ds := randomDataset(rng, "R", 6, 40)
@@ -130,11 +132,14 @@ func TestPrunedSelectEquivalenceAllModes(t *testing.T) {
 			for _, noPrune := range []bool{false, true} {
 				cfg := cfg
 				cfg.DisablePruning = noPrune
-				got, err := NewSession(cfg, writeColumnarCatalog(t, ds)).Eval(plan)
+				got, root, err := NewSession(cfg, writeColumnarCatalog(t, ds)).EvalProfiled(plan)
 				if err != nil {
 					t.Fatalf("pred %d %s noprune=%v: %v", pi, cfg.Mode, noPrune, err)
 				}
 				datasetsEquivalent(t, cfg.Mode.String(), want, got)
+				if _, skipped, _ := sumSkipped(root); pi == 0 && !noPrune && skipped == 0 {
+					t.Errorf("%s: chr2 SELECT skipped no partitions:\n%s", cfg.Mode, root.Render())
+				}
 			}
 		}
 	}
@@ -250,6 +255,118 @@ func TestPrunedScanNotCached(t *testing.T) {
 	}
 	if n := regionCount(full); n != 2 {
 		t.Errorf("full scan after pruned select returned %d regions, want 2", n)
+	}
+}
+
+// sumPrunable totals the after-read accounting over a span tree.
+func sumPrunable(sp *obs.Span) (consulted, prunable int, regions int64) {
+	for _, s := range sp.Flatten() {
+		consulted += s.PruneParts
+		prunable += s.PrunableParts
+		regions += s.PrunableRegions
+	}
+	return
+}
+
+// TestPrunedEqualsPrunableProperty: each pruning operator has one zone proof,
+// so what a traced run on an in-memory catalog (or under DisablePruning)
+// reports as prunable= is exactly what a pruned read of the same data on a
+// columnar catalog skips — and neither changes the result, which must equal
+// the DisablePruning run's.
+func TestPrunedEqualsPrunableProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	chroms := []string{"chr1", "chr2", "chr3", "chrX", "chrM"}
+	window := func() expr.Node {
+		k := rng.Int63n(110000)
+		switch rng.Intn(5) {
+		case 0:
+			return chromEq(chroms[rng.Intn(len(chroms))])
+		case 1:
+			return startCmp([]expr.CmpOp{expr.CmpGe, expr.CmpGt}[rng.Intn(2)], k)
+		case 2:
+			return stopCmp([]expr.CmpOp{expr.CmpLe, expr.CmpLt}[rng.Intn(2)], k)
+		case 3:
+			return expr.And{Left: chromEq(chroms[rng.Intn(len(chroms))]), Right: stopCmp(expr.CmpLe, k)}
+		default:
+			return expr.And{Left: startCmp(expr.CmpGe, k), Right: stopCmp(expr.CmpLe, k+rng.Int63n(40000))}
+		}
+	}
+	skippedBy := make(map[string]int) // the property must not hold vacuously
+	for iter := 0; iter < 12; iter++ {
+		// Few regions per sample keep partition windows narrow enough for
+		// MAP and JOIN extents to prune something.
+		a := randomDataset(rng, "A", 1+rng.Intn(5), 1+rng.Intn(8))
+		b := randomDataset(rng, "B", 1+rng.Intn(5), 1+rng.Intn(8))
+		mem := MapCatalog{"A": a, "B": b}
+		disk := writeColumnarCatalog(t, a, b)
+		dle := GenometricPred{Conds: []DistCond{{Op: DistLE, Dist: rng.Int63n(20000)}}}
+		pred := window()
+		plans := []struct {
+			name string
+			plan Node
+			// bothScans marks the JOIN of two Scans, the one case where the
+			// pruned read goes further than the after-read count: the right
+			// side prunes against the already-pruned left's extents, while
+			// prunable= sees the whole left. So skipped >= prunable there.
+			bothScans bool
+		}{
+			{"select", &SelectOp{Input: &Scan{Dataset: "A"}, Region: pred}, false},
+			{"select-fused", &SelectOp{Input: &SelectOp{Input: &Scan{Dataset: "A"}, Region: pred}}, false},
+			{"map", &MapOp{Ref: &Scan{Dataset: "A"}, Exp: &Scan{Dataset: "B"}, Args: MapArgs{Aggs: countAgg()}}, false},
+			{"map-selected-ref", &MapOp{
+				Ref:  &SelectOp{Input: &Scan{Dataset: "A"}, Region: pred},
+				Exp:  &Scan{Dataset: "B"},
+				Args: MapArgs{Aggs: countAgg()},
+			}, false},
+			{"join-dle", &JoinOp{
+				Left: &Scan{Dataset: "A"}, Right: &Scan{Dataset: "B"},
+				Args: JoinArgs{Pred: dle, Output: OutLeft},
+			}, true},
+		}
+		for _, cfg := range allConfigs() {
+			for _, tc := range plans {
+				label := fmt.Sprintf("iter %d %s %s", iter, cfg.Mode, tc.name)
+				_, memRoot, err := NewSession(cfg, mem).EvalProfiled(tc.plan)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				got, diskRoot, err := NewSession(cfg, disk).EvalProfiled(tc.plan)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				off := cfg
+				off.DisablePruning = true
+				want, offRoot, err := NewSession(off, disk).EvalProfiled(tc.plan)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				datasetsEquivalent(t, label, want, got)
+
+				pc, pp, pr := sumPrunable(memRoot)
+				if oc, op, or := sumPrunable(offRoot); oc != pc || op != pp || or != pr {
+					t.Errorf("%s: DisablePruning on disk reports prunable=%dr/%dof%dp, in memory %dr/%dof%dp",
+						label, or, op, oc, pr, pp, pc)
+				}
+				sc, sp, sr := sumSkipped(diskRoot)
+				equal := pc == sc && pp == sp && pr == sr
+				if tc.bothScans {
+					equal = pc == sc && pp <= sp && pr <= sr
+				}
+				if !equal {
+					t.Errorf("%s: prunable=%dr/%dof%dp but skipped=%dr/%dof%dp\n%s\n%s",
+						label, pr, pp, pc, sr, sp, sc, memRoot.Render(), diskRoot.Render())
+				}
+				if c, _, _ := sumPrunable(diskRoot); c != 0 {
+					t.Errorf("%s: pruned run also reports prunable= over %d partitions", label, c)
+				}
+				skippedBy[tc.name] += sp
+			}
+		}
+	}
+	for name, n := range skippedBy {
+		if n == 0 {
+			t.Errorf("%s: no iteration skipped a partition", name)
+		}
 	}
 }
 

@@ -155,6 +155,21 @@ func (lt *legTrace) attempt(member int, baseURL, role string) *memberTrace {
 	return tr
 }
 
+// abandon seals the MEMBER span of an attempt runLeg gives up on (a hedge
+// loser, canceled while still in flight) before runLeg returns. The leg keeps
+// a snapshot marked abandoned; the attempt's goroutine, still unwinding,
+// writes only to the detached original — otherwise its late writes would
+// race with the lock-free readers (Render, JSON) of the returned tree.
+func (lt *legTrace) abandon(tr *memberTrace, started time.Time) {
+	if tr.span == nil {
+		return
+	}
+	sealed := tr.span.Snapshot()
+	sealed.SetAttr("abandoned", "true")
+	sealed.Finish(started)
+	lt.legSp.ReplaceChild(tr.span, sealed)
+}
+
 // legResult is one leg's outcome: the winning replica's dataset, or the
 // failures of every replica tried.
 type legResult struct {
@@ -179,6 +194,12 @@ func (f *Federator) runLeg(ctx context.Context, script, varName string, chunkSiz
 		ds   *gdm.Dataset
 		fail *NodeFailure
 		role string
+		idx  int // launch order
+	}
+	type attempt struct {
+		tr      *memberTrace
+		started time.Time
+		done    bool
 	}
 	outcomes := make(chan attemptOutcome, len(order))
 	cancels := make([]context.CancelFunc, 0, len(order))
@@ -188,23 +209,24 @@ func (f *Federator) runLeg(ctx context.Context, script, varName string, chunkSiz
 		}
 	}()
 
-	launched := 0
+	attempts := make([]attempt, 0, len(order))
 	launch := func(role string) bool {
-		if launched >= len(order) {
+		idx := len(attempts)
+		if idx >= len(order) {
 			return false
 		}
-		m := order[launched]
-		launched++
+		m := order[idx]
 		actx, cancel := context.WithCancel(ctx)
 		cancels = append(cancels, cancel)
 		tr := lt.attempt(m, f.Clients[m].BaseURL, role)
 		started := time.Now()
+		attempts = append(attempts, attempt{tr: tr, started: started})
 		go func() {
 			ds, fail := queryNode(actx, f.Clients[m], script, varName, chunkSize, tr)
 			if fail == nil {
 				f.hedgeWin.observe(time.Since(started))
 			}
-			outcomes <- attemptOutcome{ds: ds, fail: fail, role: role}
+			outcomes <- attemptOutcome{ds: ds, fail: fail, role: role, idx: idx}
 		}()
 		return true
 	}
@@ -222,6 +244,7 @@ func (f *Federator) runLeg(ctx context.Context, script, varName string, chunkSiz
 		select {
 		case out := <-outcomes:
 			pending--
+			attempts[out.idx].done = true
 			if out.role == "hedge" {
 				hedgeOutstanding = false
 			}
@@ -234,6 +257,11 @@ func (f *Federator) runLeg(ctx context.Context, script, varName string, chunkSiz
 				}
 				if out.role == "failover" && lt.legSp != nil {
 					lt.legSp.SetAttr("failover", "recovered")
+				}
+				for _, a := range attempts {
+					if !a.done {
+						lt.abandon(a.tr, a.started)
+					}
 				}
 				res.ds = out.ds
 				return res

@@ -55,8 +55,9 @@ type Span struct {
 	// operator's zone-map analysis consulted; PrunableParts of them — holding
 	// PrunableRegions regions — provably contribute zero output, so a pruning
 	// storage engine would have skipped loading them entirely. All zero when
-	// the operator's predicate has no zone-checkable structure (or the run
-	// was not traced).
+	// the operator's predicate has no zone-checkable structure, when an
+	// input was read pruned (its scan span's Parts* fields carry the same
+	// proof's numbers), or when the run was not traced.
 	PruneParts      int   `json:"prune_parts,omitempty"`
 	PrunableParts   int   `json:"prunable_parts,omitempty"`
 	PrunableRegions int64 `json:"prunable_regions,omitempty"`
@@ -99,6 +100,22 @@ func (s *Span) AddChild(c *Span) {
 	}
 	s.mu.Lock()
 	s.Children = append(s.Children, c)
+	s.mu.Unlock()
+}
+
+// ReplaceChild swaps the child old for c in place, keeping the child order.
+// Attaching a Snapshot here seals a subtree another goroutine may still be
+// writing: the tree keeps the copy, the writer the detached original.
+func (s *Span) ReplaceChild(old, c *Span) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	for i, k := range s.Children {
+		if k == old {
+			s.Children[i] = c
+		}
+	}
 	s.mu.Unlock()
 }
 
