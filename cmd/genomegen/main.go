@@ -1,5 +1,5 @@
-// Command genomegen writes synthetic genomic datasets to disk in the native
-// GDM layout, standing in for the public repositories (ENCODE, TCGA,
+// Command genomegen writes synthetic genomic datasets to disk as repository
+// members, standing in for the public repositories (ENCODE, TCGA,
 // annotation databases) the paper queries.
 //
 // Usage:
@@ -125,7 +125,7 @@ func run(args []string) error {
 	}
 	for _, ds := range datasets {
 		dir := filepath.Join(*out, ds.Name)
-		if err := formats.WriteDataset(dir, ds); err != nil {
+		if err := formats.WriteDatasetColumnar(dir, ds); err != nil {
 			return err
 		}
 		metricDatasets.With(sub).Inc()

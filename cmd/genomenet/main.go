@@ -86,7 +86,7 @@ func setupHost(args []string, out io.Writer) (http.Handler, string, error) {
 			fmt.Fprintf(out, "WARNING: %s published partially: %d sample(s) quarantined (see /debug/storage)\n",
 				ds.Name, len(rep.Quarantined))
 		} else if rep.Unverified {
-			fmt.Fprintf(out, "WARNING: %s has no manifest; published unverified (gmqlfsck -rebuild upgrades it)\n", ds.Name)
+			fmt.Fprintf(out, "WARNING: %s has no manifest; published unverified (gmqlfsck -rebuild converts it into a member)\n", ds.Name)
 		}
 	}
 	if len(dss) == 0 {

@@ -15,7 +15,7 @@ func writeRepo(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	g := synth.New(6)
-	if err := formats.WriteDataset(filepath.Join(dir, "CHIP"),
+	if err := formats.WriteDatasetColumnar(filepath.Join(dir, "CHIP"),
 		g.Encode(synth.EncodeOptions{Samples: 5, MeanPeaks: 10})); err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,11 @@
 //	     [-profile-json] [-query-deadline D] [-max-regions N] [-max-bytes N]
 //	     SCRIPT.gmql
 //
-// Every subdirectory of -data holding a schema.txt is loaded as a dataset
-// named after the subdirectory. Results of MATERIALIZE statements are
-// written under -out in the native layout.
+// Every subdirectory of -data holding a manifest.json (a repository member)
+// or a schema.txt (a text export, imported unverified) is loaded as a dataset
+// named after the subdirectory. Results of MATERIALIZE statements are written
+// under -out as repository members; -format native exports them in the GDM
+// text layout instead, -format bed as BED6 files.
 //
 // Query lifecycle governance: -query-deadline, -max-regions and -max-bytes
 // are per-query budgets enforced inside the engine; Ctrl-C (SIGINT) and
@@ -82,7 +84,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	explain := fs.String("explain", "", "print the plan of VAR instead of executing")
 	profile := fs.Bool("profile", false, "print an EXPLAIN ANALYZE span tree per materialized variable")
 	profileJSON := fs.Bool("profile-json", false, "emit the profile (query_id + span tree per variable) as JSON instead of text")
-	format := fs.String("format", "native", "result format: native (GDM text layout), columnar (binary .gdmc partitions) or bed (one BED6 file per sample)")
+	format := fs.String("format", "columnar", "result format: columnar (a repository member: manifest-verified .gdmc images), native (the GDM text layout, an export) or bed (one BED6 file per sample)")
 	queryDeadline := fs.Duration("query-deadline", 0, "per-query wall-clock budget (0 disables)")
 	maxRegions := fs.Int64("max-regions", 0, "per-query budget: max regions in any operator output (0 disables)")
 	maxBytes := fs.Int64("max-bytes", 0, "per-query budget: max resident bytes of operator outputs (0 disables)")
@@ -164,12 +166,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	for i, r := range results {
 		dir := filepath.Join(*outDir, r.Target)
 		switch *format {
-		case "native":
-			if err := formats.WriteDataset(dir, r.Dataset); err != nil {
-				return err
-			}
 		case "columnar":
 			if err := formats.WriteDatasetColumnar(dir, r.Dataset); err != nil {
+				return err
+			}
+		case "native":
+			if err := formats.WriteDataset(dir, r.Dataset); err != nil {
 				return err
 			}
 		case "bed":
@@ -208,7 +210,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 // writeBEDDataset exports a dataset as one BED6 file plus one .meta file per
 // sample — the interchange path for downstream tools (genome browsers,
-// bedtools) that do not read the native layout.
+// bedtools) that read neither a member nor the GDM text layout.
 func writeBEDDataset(dir string, ds *gdm.Dataset) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -260,8 +262,8 @@ func parseConfig(mode string, workers int, binWidth int64) (engine.Config, error
 // loadCatalog reads every dataset subdirectory under dir through the
 // verified read path. Corrupt samples are skipped with a warning (left in
 // place — the interactive CLI should not rearrange a repository it may not
-// own; gmqld and gmqlfsck do the quarantining); datasets without a manifest
-// load with a one-time unverified warning.
+// own; gmqld and gmqlfsck do the quarantining); text exports load with a
+// one-time unverified warning.
 func loadCatalog(dir string, warn io.Writer) (engine.MapCatalog, error) {
 	dss, reps, err := formats.LoadRepository(dir, formats.IntegrityPolicy{AllowPartial: true})
 	if err != nil {
@@ -274,7 +276,7 @@ func loadCatalog(dir string, warn io.Writer) (engine.MapCatalog, error) {
 			fmt.Fprintf(warn, "WARNING: %s loaded partially: %d corrupt sample(s) skipped (gmqlfsck can repair)\n",
 				ds.Name, len(rep.Quarantined))
 		} else if rep.Unverified {
-			fmt.Fprintf(warn, "WARNING: %s has no manifest; loaded unverified (gmqlfsck -rebuild upgrades it)\n", ds.Name)
+			fmt.Fprintf(warn, "WARNING: %s has no manifest; loaded unverified (gmqlfsck -rebuild converts it into a member)\n", ds.Name)
 		}
 	}
 	if len(cat) == 0 {

@@ -22,10 +22,10 @@ func writeRepo(t *testing.T) string {
 	g := synth.New(3)
 	enc := g.Encode(synth.EncodeOptions{Samples: 12, MeanPeaks: 40})
 	anns := g.Annotations(g.Genes(50))
-	if err := formats.WriteDataset(filepath.Join(dir, "ENCODE"), enc); err != nil {
+	if err := formats.WriteDatasetColumnar(filepath.Join(dir, "ENCODE"), enc); err != nil {
 		t.Fatal(err)
 	}
-	if err := formats.WriteDataset(filepath.Join(dir, "ANNOTATIONS"), anns); err != nil {
+	if err := formats.WriteDatasetColumnar(filepath.Join(dir, "ANNOTATIONS"), anns); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -103,10 +103,10 @@ func TestCLIModes(t *testing.T) {
 	}
 }
 
-// TestCLIColumnar runs the same script against a columnar input repository
-// with -format columnar output: the CLI must auto-detect the binary layout on
-// load, and the materialized result must decode to exactly what the text
-// pipeline produces.
+// TestCLIColumnar runs the same script against a repository of members and
+// against text exports of the same datasets: the member result (the default
+// -format) must decode to exactly what the export pipeline (-format native)
+// produces.
 func TestCLIColumnar(t *testing.T) {
 	g := synth.New(3)
 	enc := g.Encode(synth.EncodeOptions{Samples: 12, MeanPeaks: 40})
@@ -129,11 +129,11 @@ func TestCLIColumnar(t *testing.T) {
 
 	textOut := filepath.Join(t.TempDir(), "results")
 	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-data", textData, "-out", textOut, script}, &out); err != nil {
+	if err := run(context.Background(), []string{"-data", textData, "-out", textOut, "-format", "native", script}, &out); err != nil {
 		t.Fatal(err)
 	}
 	colOut := filepath.Join(t.TempDir(), "results")
-	if err := run(context.Background(), []string{"-data", colData, "-out", colOut, "-format", "columnar", script}, &out); err != nil {
+	if err := run(context.Background(), []string{"-data", colData, "-out", colOut, script}, &out); err != nil {
 		t.Fatal(err)
 	}
 
@@ -145,8 +145,8 @@ func TestCLIColumnar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Layout != formats.LayoutColumnar {
-		t.Errorf("materialized layout = %q, want %q", rep.Layout, formats.LayoutColumnar)
+	if !rep.Verified {
+		t.Errorf("materialized result report = %+v, want a verified member", rep)
 	}
 	if a, b := want.ContentDigest(), got.ContentDigest(); a != b {
 		t.Errorf("text and columnar pipelines disagree: %s != %s", a, b)

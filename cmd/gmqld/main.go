@@ -208,17 +208,12 @@ func setup(args []string, out io.Writer) (*node, error) {
 	}
 	for i, ds := range dss {
 		srv.AddDataset(ds)
-		layout := "text"
-		if reps[i].Layout == formats.LayoutColumnar {
-			layout = "columnar"
-		}
-		fmt.Fprintf(out, "serving %s [%s]: %d samples, %d regions\n",
-			ds.Name, layout, len(ds.Samples), ds.NumRegions())
+		fmt.Fprintf(out, "serving %s: %d samples, %d regions\n", ds.Name, len(ds.Samples), ds.NumRegions())
 		if rep := reps[i]; rep.Partial() {
 			fmt.Fprintf(out, "WARNING: %s loaded partially: %d sample(s) quarantined (see /debug/storage)\n",
 				ds.Name, len(rep.Quarantined))
 		} else if rep.Unverified {
-			fmt.Fprintf(out, "WARNING: %s has no manifest; loaded unverified (gmqlfsck -rebuild upgrades it)\n", ds.Name)
+			fmt.Fprintf(out, "WARNING: %s has no manifest; loaded unverified (gmqlfsck -rebuild converts it into a member)\n", ds.Name)
 		}
 	}
 	if len(dss) == 0 {

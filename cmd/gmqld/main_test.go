@@ -21,11 +21,11 @@ func writeRepo(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	g := synth.New(5)
-	if err := formats.WriteDataset(filepath.Join(dir, "ENCODE"),
+	if err := formats.WriteDatasetColumnar(filepath.Join(dir, "ENCODE"),
 		g.Encode(synth.EncodeOptions{Samples: 6, MeanPeaks: 20})); err != nil {
 		t.Fatal(err)
 	}
-	if err := formats.WriteDataset(filepath.Join(dir, "ANNOTATIONS"),
+	if err := formats.WriteDatasetColumnar(filepath.Join(dir, "ANNOTATIONS"),
 		g.Annotations(g.Genes(20))); err != nil {
 		t.Fatal(err)
 	}

@@ -39,11 +39,11 @@ func writeBigRepo(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	g := synth.New(9)
-	if err := formats.WriteDataset(filepath.Join(dir, "ENCODE"),
+	if err := formats.WriteDatasetColumnar(filepath.Join(dir, "ENCODE"),
 		g.Encode(synth.EncodeOptions{Samples: 16, MeanPeaks: 1500})); err != nil {
 		t.Fatal(err)
 	}
-	if err := formats.WriteDataset(filepath.Join(dir, "ANNOTATIONS"),
+	if err := formats.WriteDatasetColumnar(filepath.Join(dir, "ANNOTATIONS"),
 		g.Annotations(g.Genes(400))); err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	dsSeed := fs.Int64("dataset-seed", 1, "seed for the synthetic input catalog")
 	report := fs.String("report", "", "write the JSON campaign report to this file")
 	federation := fs.Bool("federation", false, "sample a single-node federation round-trip")
-	storage := fs.Bool("storage", false, "add the storage-format axis (text and columnar disk reads, pruned columnar scans)")
+	storage := fs.Bool("storage", false, "add the storage axis (the catalog read back from repository members, pruned and unpruned)")
 	fedEvery := fs.Int("federation-every", 10, "run the federation round-trip on every Nth case")
 	jobs := fs.Int("jobs", 4, "campaign parallelism")
 	tolerance := fs.Float64("tolerance", difftest.DefaultTolerance, "absolute/relative float comparison tolerance")

@@ -1,10 +1,11 @@
-// Command gmqlfsck scans a repository of native GDM datasets, verifies every
-// file against its dataset manifest, and repairs what can be repaired without
+// Command gmqlfsck scans a repository of GDM datasets, verifies every file of
+// a member against its manifest, and repairs what can be repaired without
 // guessing: orphan staging directories are removed, torn directory swaps
 // rolled back, corrupt files restored from checksum-matching quarantine
-// copies. With -rebuild it additionally upgrades legacy (manifest-less)
-// datasets in place and reconstructs manifests around surviving files,
-// quarantining anything unparseable.
+// copies. With -rebuild it additionally converts text directories (exports,
+// and text members written by older genogo versions) into members in place
+// and reconstructs manifests around surviving files, quarantining anything
+// unparseable.
 //
 // Usage:
 //
@@ -35,7 +36,7 @@ func run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("gmqlfsck", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	dataDir := fs.String("data", "", "repository root or single dataset directory (required)")
-	rebuild := fs.Bool("rebuild", false, "reconstruct manifests: quarantine corrupt files, drop missing ones, add footers to legacy files")
+	rebuild := fs.Bool("rebuild", false, "reconstruct manifests: quarantine corrupt files, drop missing ones, convert text directories into members")
 	asJSON := fs.Bool("json", false, "emit results as JSON on stdout")
 	verbose := fs.Bool("v", false, "list clean datasets too, not only damaged or repaired ones")
 	if err := fs.Parse(args); err != nil {
@@ -98,7 +99,7 @@ func run(args []string, out, errOut io.Writer) int {
 			status = "repaired"
 		}
 		if r.Unverified {
-			status += " (unverified: no manifest; run -rebuild to upgrade)"
+			status += " (unverified: no manifest; run -rebuild to convert)"
 		}
 		fmt.Fprintf(out, "%s: %s", r.Dir, status)
 		if r.Samples > 0 || r.Digest != "" {

@@ -46,7 +46,7 @@ func TestFsckCLIUsage(t *testing.T) {
 func TestFsckCLICleanAndDamaged(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "DS")
-	if err := formats.WriteDataset(dir, campaignDataset(t, "DS")); err != nil {
+	if err := formats.WriteDatasetColumnar(dir, campaignDataset(t, "DS")); err != nil {
 		t.Fatal(err)
 	}
 	var out, errOut bytes.Buffer
@@ -59,12 +59,12 @@ func TestFsckCLICleanAndDamaged(t *testing.T) {
 
 	// Corrupt a sample: detection without -rebuild exits 1 and names the
 	// damage; -rebuild repairs and exits 0.
-	data, err := os.ReadFile(filepath.Join(dir, "s1.gdm"))
+	data, err := os.ReadFile(filepath.Join(dir, "s1.gdmc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[0] ^= 0x40
-	if err := os.WriteFile(filepath.Join(dir, "s1.gdm"), data, 0o644); err != nil {
+	data[len(data)-1] ^= 0x40 // inside the last partition's payload
+	if err := os.WriteFile(filepath.Join(dir, "s1.gdmc"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
@@ -87,7 +87,7 @@ func TestFsckCLICleanAndDamaged(t *testing.T) {
 func TestFsckCLISingleDatasetAndJSON(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "DS")
-	if err := formats.WriteDataset(dir, campaignDataset(t, "DS")); err != nil {
+	if err := formats.WriteDatasetColumnar(dir, campaignDataset(t, "DS")); err != nil {
 		t.Fatal(err)
 	}
 	var out, errOut bytes.Buffer
@@ -108,7 +108,7 @@ func TestFsckCLISingleDatasetAndJSON(t *testing.T) {
 // repaired repository must verify clean with zero silent wrong-result loads —
 // every strict read either verifies against the rebuilt manifest or fails
 // typed. The iteration count defaults low for the ordinary test run;
-// GENOGO_FSCK_CAMPAIGN raises it (CI runs 200).
+// GENOGO_FSCK_CAMPAIGN raises it (CI runs 400).
 func TestFsckCampaign(t *testing.T) {
 	iterations := 25
 	if env := os.Getenv("GENOGO_FSCK_CAMPAIGN"); env != "" {
@@ -118,36 +118,30 @@ func TestFsckCampaign(t *testing.T) {
 		}
 		iterations = n
 	}
-	writers := map[string]func(string, *gdm.Dataset) error{
-		"text":     formats.WriteDataset,
-		"columnar": formats.WriteDatasetColumnar,
-	}
-	for layout, write := range writers {
-		t.Run(layout, func(t *testing.T) {
-			for i := 0; i < iterations; i++ {
-				seed := int64(i + 1)
-				root := t.TempDir()
-				want := campaignDataset(t, "DS")
-				dir := filepath.Join(root, "DS")
-				if err := write(dir, want); err != nil {
-					t.Fatal(err)
-				}
-				inj := &resilience.DiskFaultInjector{Seed: seed}
-				class, err := inj.Inject(dir)
-				if err != nil {
-					t.Fatalf("seed %d: inject: %v", seed, err)
-				}
-
-				// Detect: the strict read path must refuse the damage. A fault the
-				// verified path cannot see would be a silent wrong-result load.
-				if _, err := formats.ReadDataset(dir); err == nil {
-					t.Fatalf("seed %d: strict read succeeded on %s damage", seed, class)
-				}
-
-				repairAndVerify(t, root, dir, want, seed, class)
+	t.Run("columnar", func(t *testing.T) {
+		for i := 0; i < iterations; i++ {
+			seed := int64(i + 1)
+			root := t.TempDir()
+			want := campaignDataset(t, "DS")
+			dir := filepath.Join(root, "DS")
+			if err := formats.WriteDatasetColumnar(dir, want); err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			inj := &resilience.DiskFaultInjector{Seed: seed}
+			class, err := inj.Inject(dir)
+			if err != nil {
+				t.Fatalf("seed %d: inject: %v", seed, err)
+			}
+
+			// Detect: the strict read path must refuse the damage. A fault the
+			// verified path cannot see would be a silent wrong-result load.
+			if _, err := formats.ReadDataset(dir); err == nil {
+				t.Fatalf("seed %d: strict read succeeded on %s damage", seed, class)
+			}
+
+			repairAndVerify(t, root, dir, want, seed, class)
+		}
+	})
 }
 
 // repairAndVerify runs gmqlfsck -rebuild, then re-checks: a second pass finds

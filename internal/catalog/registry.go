@@ -31,8 +31,8 @@ var (
 const (
 	// SourceManifest marks stats read from a dataset's manifest stats block.
 	SourceManifest = "manifest"
-	// SourceScan marks stats computed by scanning a loaded dataset (legacy
-	// layouts, missing or stale manifest blocks).
+	// SourceScan marks stats computed by scanning a loaded dataset (text
+	// exports, missing or stale manifest blocks).
 	SourceScan = "scan"
 	// SourceMemory marks stats of datasets registered directly in memory
 	// (federation members, tests) with no on-disk manifest.

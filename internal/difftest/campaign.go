@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"genogo/internal/engine"
+	"genogo/internal/formats"
 )
 
 // catalogDigests records every catalog dataset's content digest. A campaign
@@ -44,10 +45,10 @@ type CampaignOptions struct {
 	// Federation adds the federation round-trip to every FederationEvery-th
 	// case (the HTTP round-trip dominates runtime, so it is sampled).
 	Federation bool
-	// Storage adds the storage-format axis to every case: the shared catalog
-	// is materialized once (text and columnar layouts) into a temporary
-	// directory and each script additionally executes against the disk
-	// copies, the columnar ones through pruned reads.
+	// Storage adds the storage axis to every case: the shared catalog is
+	// materialized once as repository members into a temporary directory and
+	// each script additionally executes against the disk copy, through
+	// pruned reads.
 	Storage bool
 	// FederationEvery samples the federation round-trip; zero means 10.
 	FederationEvery int
@@ -113,13 +114,13 @@ func RunCampaign(opts CampaignOptions) *Report {
 	}
 	cat := BuildCatalog(opts.DatasetSeed)
 	before := catalogDigests(cat)
-	var storage *StorageCatalogs
+	var storage *formats.DirCatalog
 	var storageErr error
 	if opts.Storage {
 		dir, err := os.MkdirTemp("", "gmqldiff-storage-")
 		if err == nil {
 			defer os.RemoveAll(dir)
-			storage, err = BuildStorageCatalogs(dir, cat)
+			storage, err = BuildStorageCatalog(dir, cat)
 		}
 		// A storage axis that cannot be built must fail loudly, not silently
 		// shrink the matrix; the error is reported as a synthetic divergence.

@@ -7,6 +7,7 @@ import (
 
 	"genogo/internal/engine"
 	"genogo/internal/federation"
+	"genogo/internal/formats"
 	"genogo/internal/gdm"
 	"genogo/internal/gmql"
 	"genogo/internal/synth"
@@ -80,10 +81,10 @@ type Options struct {
 	// Catalog, when non-nil, overrides BuildCatalog(DatasetSeed) — the
 	// campaign runner shares one catalog across cases.
 	Catalog engine.MapCatalog
-	// Storage, when non-nil, adds the storage-format axis: the same script
-	// read back from disk materializations (text and columnar layouts, the
-	// columnar ones through pruned reads), compared to the in-memory oracle.
-	Storage *StorageCatalogs
+	// Storage, when non-nil, adds the storage axis: the same script read
+	// back from the members BuildStorageCatalog wrote, through pruned reads,
+	// compared to the in-memory oracle.
+	Storage *formats.DirCatalog
 }
 
 // ConfigResult is the outcome of one execution configuration on one case.

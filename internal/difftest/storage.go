@@ -1,49 +1,25 @@
 package difftest
 
 import (
-	"os"
 	"path/filepath"
 
 	"genogo/internal/engine"
 	"genogo/internal/formats"
 )
 
-// StorageCatalogs holds disk materializations of a case catalog in both
-// layouts — the storage-format axis of the differential matrix. Built once
-// per campaign (the writes are the expensive part); each configuration then
-// reads through the real verified-load paths, the columnar ones through the
-// partition-level pruned reads.
-type StorageCatalogs struct {
-	// Text reads the native text materialization (full verified loads).
-	Text engine.Catalog
-	// Columnar reads the binary columnar materialization through
-	// formats.DirCatalog, which implements engine.PrunedCatalog — so
-	// SELECT/JOIN/MAP over scans exercise the pruned-read path against the
-	// in-memory oracle.
-	Columnar engine.Catalog
-}
-
-// BuildStorageCatalogs materializes cat into dir (one subtree per layout) and
-// returns disk-backed catalogs over the two copies.
-func BuildStorageCatalogs(dir string, cat engine.MapCatalog) (*StorageCatalogs, error) {
-	textRoot, colRoot := filepath.Join(dir, "text"), filepath.Join(dir, "columnar")
-	for _, root := range []string{textRoot, colRoot} {
-		if err := os.MkdirAll(root, 0o755); err != nil {
-			return nil, err
-		}
-	}
+// BuildStorageCatalog materializes cat as repository members under dir and
+// returns the disk-backed catalog over them — the storage axis of the
+// differential matrix. Built once per campaign (the writes are the expensive
+// part); each configuration then reads through the real verified-load path,
+// and formats.DirCatalog implements engine.PrunedCatalog, so SELECT/JOIN/MAP
+// over scans exercise the pruned reads against the in-memory oracle.
+func BuildStorageCatalog(dir string, cat engine.MapCatalog) (*formats.DirCatalog, error) {
 	for name, ds := range cat {
-		if err := formats.WriteDataset(filepath.Join(textRoot, name), ds); err != nil {
-			return nil, err
-		}
-		if err := formats.WriteDatasetColumnar(filepath.Join(colRoot, name), ds); err != nil {
+		if err := formats.WriteDatasetColumnar(filepath.Join(dir, name), ds); err != nil {
 			return nil, err
 		}
 	}
-	return &StorageCatalogs{
-		Text:     formats.NewDirCatalog(textRoot),
-		Columnar: formats.NewDirCatalog(colRoot),
-	}, nil
+	return formats.NewDirCatalog(dir), nil
 }
 
 // storageConfig is one storage-axis execution configuration: a backend
@@ -54,13 +30,12 @@ type storageConfig struct {
 	Cat  engine.Catalog
 }
 
-// storageMatrix is the storage-format axis: the same scripts, read back from
-// disk. text-disk proves the text write→read round-trip; the columnar
-// entries prove the binary decode and that pruned reads are invisible to
+// storageMatrix is the storage axis: the same scripts, read back from disk.
+// The entries prove the binary decode and that pruned reads are invisible to
 // results under serial and stream×fusion scheduling; the noprune entry pins
 // pruned ≡ unpruned over identical bytes.
-func storageMatrix(sc *StorageCatalogs) []storageConfig {
-	if sc == nil {
+func storageMatrix(dc *formats.DirCatalog) []storageConfig {
+	if dc == nil {
 		return nil
 	}
 	base := func(m engine.Mode, workers int, noPrune bool) engine.Config {
@@ -70,17 +45,16 @@ func storageMatrix(sc *StorageCatalogs) []storageConfig {
 		}
 	}
 	return []storageConfig{
-		{Name: "text-disk/serial", Cfg: base(engine.ModeSerial, 1, false), Cat: sc.Text},
-		{Name: "columnar/serial", Cfg: base(engine.ModeSerial, 1, false), Cat: sc.Columnar},
-		{Name: "columnar/stream/w4", Cfg: base(engine.ModeStream, 4, false), Cat: sc.Columnar},
-		{Name: "columnar/serial/noprune", Cfg: base(engine.ModeSerial, 1, true), Cat: sc.Columnar},
+		{Name: "columnar/serial", Cfg: base(engine.ModeSerial, 1, false), Cat: dc},
+		{Name: "columnar/stream/w4", Cfg: base(engine.ModeStream, 4, false), Cat: dc},
+		{Name: "columnar/serial/noprune", Cfg: base(engine.ModeSerial, 1, true), Cat: dc},
 	}
 }
 
 // StorageConfigNames lists the storage-axis configuration names, for reports.
 func StorageConfigNames() []string {
 	var names []string
-	for _, sc := range storageMatrix(&StorageCatalogs{}) {
+	for _, sc := range storageMatrix(&formats.DirCatalog{}) {
 		names = append(names, sc.Name)
 	}
 	return names

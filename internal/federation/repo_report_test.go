@@ -86,15 +86,15 @@ MATERIALIZE RESULT;`},
 			prunableParts, consulted, flatErr, zoneErr)
 	}
 
-	// Write-path overhead: full WriteDataset (which computes the stats block
-	// inline) vs the stats computation alone.
+	// Write-path overhead: full WriteDatasetColumnar (which computes the
+	// stats block inline) vs the stats computation alone.
 	dir := t.TempDir()
 	const rounds = 5
 	var writeNS, statsNS int64
 	for i := 0; i < rounds; i++ {
 		target := filepath.Join(dir, fmt.Sprintf("W%d", i))
 		start := time.Now()
-		if err := formats.WriteDataset(target, enc); err != nil {
+		if err := formats.WriteDatasetColumnar(target, enc); err != nil {
 			t.Fatal(err)
 		}
 		writeNS += time.Since(start).Nanoseconds()

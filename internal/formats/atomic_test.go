@@ -16,7 +16,7 @@ func TestWriteDatasetAtomicReplace(t *testing.T) {
 	parent := t.TempDir()
 	dir := filepath.Join(parent, "PEAKS")
 	ds1 := testDataset(t)
-	if err := WriteDataset(dir, ds1); err != nil {
+	if err := WriteDatasetColumnar(dir, ds1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -27,7 +27,7 @@ func TestWriteDatasetAtomicReplace(t *testing.T) {
 	if err := ds2.Add(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteDataset(dir, ds2); err != nil {
+	if err := WriteDatasetColumnar(dir, ds2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -36,8 +36,8 @@ func TestWriteDatasetAtomicReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	datasetsEqual(t, ds2, got)
-	if _, err := os.Stat(filepath.Join(dir, "sample1.gdm")); !os.IsNotExist(err) {
-		t.Errorf("stale sample1.gdm from the replaced materialization survived (err=%v)", err)
+	if _, err := os.Stat(filepath.Join(dir, "sample1.gdmc")); !os.IsNotExist(err) {
+		t.Errorf("stale sample1.gdmc from the replaced materialization survived (err=%v)", err)
 	}
 	entries, err := os.ReadDir(parent)
 	if err != nil {
@@ -58,12 +58,12 @@ func TestWriteDatasetCrashLeftoverIsHarmless(t *testing.T) {
 	parent := t.TempDir()
 	dir := filepath.Join(parent, "PEAKS")
 	ds := testDataset(t)
-	if err := WriteDataset(dir, ds); err != nil {
+	if err := WriteDatasetColumnar(dir, ds); err != nil {
 		t.Fatal(err)
 	}
 
 	// Simulate the on-disk state of a writer killed mid-write: a staging
-	// directory with a valid schema but a torn region file.
+	// directory with a valid schema, a torn image and no manifest yet.
 	crash := filepath.Join(parent, ".PEAKS.tmp12345")
 	if err := os.Mkdir(crash, 0o755); err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestWriteDatasetCrashLeftoverIsHarmless(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(crash, "schema.txt"), []byte("p_value\tfloat\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(crash, "torn.gdm"), []byte("chr1\t100\t"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(crash, "torn.gdmc"), []byte("GDMC02"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,7 +93,7 @@ func TestWriteDatasetCrashLeftoverIsHarmless(t *testing.T) {
 func TestWriteDatasetFreshParent(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "a", "b", "PEAKS")
 	ds := testDataset(t)
-	if err := WriteDataset(dir, ds); err != nil {
+	if err := WriteDatasetColumnar(dir, ds); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadDataset(dir)

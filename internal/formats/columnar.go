@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -17,16 +16,16 @@ import (
 	"genogo/internal/gdm"
 )
 
-// The columnar layout is the binary sibling of the native text layout: the
-// same directory shape (schema.txt, <sample>.gdm.meta, manifest.json with
-// Layout: "columnar"), but each sample's regions live in a <sample>.gdmc file
-// partitioned by chromosome — the on-disk realization of the catalog's
-// per-(sample, chromosome) zone cells. The file's index records every
-// partition's zone window [MinStart, MaxStop) next to its byte extent, so a
-// reader can skip a partition a query's coordinate window provably cannot
-// touch without reading (or checksumming) a single payload byte. The same
-// image is the body of a wire frame (stream.go): disk and wire share one
-// encoder and one decoder.
+// A repository member is the one layout the repository stores a dataset in:
+// a footered schema.txt and <sample>.gdm.meta per sample, as in the text
+// layout, a manifest.json with Layout: "columnar", and each sample's regions
+// in a <sample>.gdmc image partitioned by chromosome — the on-disk
+// realization of the catalog's per-(sample, chromosome) zone cells. The
+// image's index records every partition's zone window [MinStart, MaxStop)
+// next to its byte extent, so a reader can skip a partition a query's
+// coordinate window provably cannot touch without reading (or checksumming)
+// a single payload byte. The same image is the body of a wire frame
+// (stream.go): disk and wire share one encoder and one decoder.
 //
 // File layout (fixed-width integers little-endian; "uv" is an unsigned
 // varint, "zz" a zigzag varint, as in encoding/binary):
@@ -54,16 +53,10 @@ import (
 // read verifies everything, and the manifest additionally records the whole
 // file's size and checksum for fsck's end-to-end pass.
 
-// Layout names a dataset's on-disk representation, recorded in the manifest.
-const (
-	// LayoutNative is the text layout; the manifest field's zero value, so
-	// every pre-columnar manifest reads as native.
-	LayoutNative = ""
-	// LayoutColumnar is the binary columnar layout.
-	LayoutColumnar = "columnar"
-)
+// LayoutColumnar is the layout word every member's manifest records.
+const LayoutColumnar = "columnar"
 
-// columnarExt is the region-file extension of the columnar layout.
+// columnarExt is the extension of a member's region images.
 const columnarExt = ".gdmc"
 
 // columnarMagic opens every .gdmc image; its last two bytes are the payload
@@ -295,19 +288,10 @@ func writeColumnarFile(path string, s *gdm.Sample, schema *gdm.Schema) (FileInfo
 	if err != nil {
 		return FileInfo{}, err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return FileInfo{}, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return FileInfo{}, err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeSynced(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return FileInfo{}, err
 	}
 	return columnarFileInfo(data), nil
@@ -658,25 +642,19 @@ func decodeColumnarSample(dataset, path, id string, data []byte, schema *gdm.Sch
 	return s, nil
 }
 
-// readColumnarSampleVerified is the full verified read of one columnar
-// sample: whole-file manifest check (size and CRC32C), then structural decode
-// with every section checksum verified, then the metadata file through the
-// text path.
+// readColumnarSampleVerified is the full verified read of one member sample:
+// whole-file manifest check (size and CRC32C), then structural decode with
+// every section checksum verified, then the metadata file.
 func readColumnarSampleVerified(dir, id string, schema *gdm.Schema, man *Manifest) (*gdm.Sample, *IntegrityError) {
 	name := filepath.Base(dir)
 	file := id + columnarExt
 	path := filepath.Join(dir, file)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, &IntegrityError{Dataset: name, Path: path, Reason: ReasonMissing}
-		}
-		return nil, &IntegrityError{Dataset: name, Path: path, Reason: ReasonMissing, Detail: err.Error()}
+		return nil, fileError(name, path, err)
 	}
-	if man != nil {
-		if ie := checkColumnarManifest(name, path, file, data, man); ie != nil {
-			return nil, ie
-		}
+	if ie := checkColumnarManifest(name, path, file, data, man); ie != nil {
+		return nil, ie
 	}
 	s, ie := decodeColumnarSample(name, path, id, data, schema)
 	if ie != nil {
@@ -711,48 +689,18 @@ func checkColumnarManifest(dataset, path, file string, data []byte, man *Manifes
 	return nil
 }
 
-// readSampleMeta verifies and parses one sample's .gdm.meta into s — the
-// metadata half shared by the text and columnar read paths.
+// readSampleMeta verifies and parses one member sample's .gdm.meta into s —
+// the metadata half the full and the pruned read share.
 func readSampleMeta(dir, id string, man *Manifest, s *gdm.Sample) *IntegrityError {
-	name := filepath.Base(dir)
-	metaFile := id + ".gdm.meta"
-	path := filepath.Join(dir, metaFile)
-	payload, info, hasFooter, err := readFileVerified(name, path)
-	if err != nil {
-		var ie *IntegrityError
-		if errors.As(err, &ie) {
-			return ie
-		}
-		if os.IsNotExist(err) {
-			if man == nil || !hasManifestEntry(man, metaFile) {
-				return nil // metadata is optional when nothing vouches for it
-			}
-			return &IntegrityError{Dataset: name, Path: path, Reason: ReasonMissing}
-		}
-		return &IntegrityError{Dataset: name, Path: path, Reason: ReasonMissing, Detail: err.Error()}
+	file := id + ".gdm.meta"
+	ie := readMemberFile(dir, file, man, func(r io.Reader) (err error) {
+		s.Meta, err = ReadMeta(r)
+		return err
+	})
+	if _, listed := man.Files[file]; ie != nil && !listed && ie.Reason == ReasonMissing {
+		return nil // metadata is optional when nothing vouches for it
 	}
-	if man != nil {
-		want, listed := man.Files[metaFile]
-		if !listed {
-			return &IntegrityError{Dataset: name, Path: path, Reason: ReasonStaleManifest,
-				Detail: "file not listed in manifest"}
-		}
-		if !hasFooter {
-			return &IntegrityError{Dataset: name, Path: path, Reason: ReasonTruncated,
-				Detail: "manifest present but integrity footer missing"}
-		}
-		if want != info {
-			return &IntegrityError{Dataset: name, Path: path, Reason: ReasonStaleManifest,
-				Detail: fmt.Sprintf("file is self-consistent (%s, %d bytes) but manifest records %s, %d bytes",
-					info.CRC32C, info.Size, want.CRC32C, want.Size)}
-		}
-	}
-	md, merr := ReadMeta(bytes.NewReader(payload))
-	if merr != nil {
-		return &IntegrityError{Dataset: name, Path: path, Reason: ReasonParse, Detail: merr.Error()}
-	}
-	s.Meta = md
-	return nil
+	return ie
 }
 
 // ---------------------------------------------------------------------------
@@ -772,25 +720,20 @@ func openColumnarSamplePruned(dir, id string, schema *gdm.Schema, man *Manifest,
 	var st catalog.PruneStats
 	f, err := os.Open(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, st, &IntegrityError{Dataset: name, Path: path, Reason: ReasonMissing}
-		}
-		return nil, st, &IntegrityError{Dataset: name, Path: path, Reason: ReasonMissing, Detail: err.Error()}
+		return nil, st, fileError(name, path, err)
 	}
 	defer f.Close()
 	size := int64(-1)
 	if fi, err := f.Stat(); err == nil {
 		size = fi.Size()
 	}
-	if man != nil {
-		if want, listed := man.Files[file]; listed && size >= 0 && size != want.Size {
-			reason := ReasonStaleManifest
-			if size < want.Size {
-				reason = ReasonTruncated
-			}
-			return nil, st, &IntegrityError{Dataset: name, Path: path, Reason: reason,
-				Detail: fmt.Sprintf("file is %d bytes, manifest records %d", size, want.Size)}
+	if want, listed := man.Files[file]; listed && size >= 0 && size != want.Size {
+		reason := ReasonStaleManifest
+		if size < want.Size {
+			reason = ReasonTruncated
 		}
+		return nil, st, &IntegrityError{Dataset: name, Path: path, Reason: reason,
+			Detail: fmt.Sprintf("file is %d bytes, manifest records %d", size, want.Size)}
 	}
 	ci, ie := parseColumnarIndex(name, path, bufio.NewReader(f), size)
 	if ie != nil {
@@ -888,17 +831,20 @@ func ColumnarSectionOffsets(path string) ([]int64, error) {
 // ---------------------------------------------------------------------------
 // Dataset-level write
 
-// WriteDatasetColumnar materializes a dataset into dir using the columnar
-// layout, through the same atomic staging path as WriteDataset: every file is
-// staged, checksummed and fsynced, the manifest (Layout: "columnar") is
-// written last, and the staged directory swaps into place in one rename.
+// WriteDatasetColumnar materializes a dataset into dir as a repository
+// member, atomically and self-verifyingly: every file is staged, checksummed
+// and fsynced, the manifest (checksums, sample count, content digest) is
+// written last, and the staged directory swaps into place in one rename (see
+// writeStaged). A manifest's presence therefore certifies the
+// materialization completed. A schema field name or metadata pair the text
+// readers would not return unchanged fails the write with ErrUnwritable.
 func WriteDatasetColumnar(dir string, ds *gdm.Dataset) error {
-	return writeDatasetLayout(dir, ds, LayoutColumnar)
+	return writeStaged(dir, ds, writeColumnarDatasetFiles)
 }
 
-// writeColumnarDatasetFiles writes the columnar layout (text schema, binary
-// region files, text metadata files) into an existing directory, then the
-// manifest recording their checksums and the stats block that doubles as the
+// writeColumnarDatasetFiles writes a member (footered schema, .gdmc images,
+// footered metadata files) into an existing directory, then the manifest
+// recording their checksums and the stats block that doubles as the
 // partition index of the catalog.
 func writeColumnarDatasetFiles(dir string, ds *gdm.Dataset) error {
 	files := make(map[string]FileInfo, 1+2*len(ds.Samples))
@@ -926,29 +872,8 @@ func writeColumnarDatasetFiles(dir string, ds *gdm.Dataset) error {
 		sampleStats = append(sampleStats, catalog.ComputeSample(s))
 	}
 	crash("pre-manifest")
-	m := buildManifest(ds, files, sampleStats)
-	m.Layout = LayoutColumnar
-	if err := writeManifest(dir, m); err != nil {
+	if err := writeManifest(dir, buildManifest(ds, files, sampleStats)); err != nil {
 		return fmt.Errorf("dataset %s: %w", ds.Name, err)
 	}
 	return nil
-}
-
-// detectLayout decides a dataset directory's layout: the manifest's word when
-// present, otherwise the presence of .gdmc files (a legacy/manifestless
-// columnar directory — still self-verifying through its section checksums).
-func detectLayout(dir string, man *Manifest) string {
-	if man != nil {
-		return man.Layout
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return LayoutNative
-	}
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == columnarExt {
-			return LayoutColumnar
-		}
-	}
-	return LayoutNative
 }

@@ -93,8 +93,8 @@ func TestColumnarDatasetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Layout != LayoutColumnar {
-		t.Errorf("layout = %q, want %q", rep.Layout, LayoutColumnar)
+	if !rep.Verified {
+		t.Errorf("report = %+v, want verified", rep)
 	}
 	datasetsEqual(t, ds, got)
 	if a, b := ds.ContentDigest(), got.ContentDigest(); a != b {
@@ -102,8 +102,8 @@ func TestColumnarDatasetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColumnarRoundTripProperty: for seeded synthetic catalogs, text →
-// columnar → decode is the identity — both layouts read back to the same
+// TestColumnarRoundTripProperty: for seeded synthetic catalogs, export →
+// import and member → read are the identity — both read back to the same
 // content digest as the in-memory original.
 func TestColumnarRoundTripProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
@@ -348,41 +348,28 @@ func TestColumnarSectionOffsets(t *testing.T) {
 	}
 }
 
-func TestDetectLayout(t *testing.T) {
-	ds := testDataset(t)
+// TestManifestlessImagesFailTyped: a directory holding .gdmc images but no
+// manifest is a member that lost its manifest, not a text export: every entry
+// point fails it with a typed missing_file on manifest.json instead of
+// loading it as a dataset without those samples.
+func TestManifestlessImagesFailTyped(t *testing.T) {
 	root := t.TempDir()
-	textDir, colDir := filepath.Join(root, "T"), filepath.Join(root, "C")
-	if err := WriteDataset(textDir, ds); err != nil {
+	dir := filepath.Join(root, "C")
+	if err := WriteDatasetColumnar(dir, testDataset(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteDatasetColumnar(colDir, ds); err != nil {
+	if err := os.Remove(filepath.Join(dir, ManifestName)); err != nil {
 		t.Fatal(err)
 	}
-	for dir, want := range map[string]string{textDir: LayoutNative, colDir: LayoutColumnar} {
-		man, err := ReadManifest(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := detectLayout(dir, man); got != want {
-			t.Errorf("detectLayout(%s, manifest) = %q, want %q", dir, got, want)
-		}
-		// Manifestless: fall back to the directory's file extensions.
-		if err := os.Remove(filepath.Join(dir, ManifestName)); err != nil {
-			t.Fatal(err)
-		}
-		if got := detectLayout(dir, nil); got != want {
-			t.Errorf("detectLayout(%s, nil) = %q, want %q", dir, got, want)
-		}
-		// Still readable without a manifest (section checksums self-verify).
-		got, rep, err := OpenDataset(dir, IntegrityPolicy{})
-		if err != nil {
-			t.Fatalf("manifestless open of %s: %v", dir, err)
-		}
-		if rep.Layout != want {
-			t.Errorf("manifestless open layout = %q, want %q", rep.Layout, want)
-		}
-		datasetsEqual(t, ds, got)
+	_, _, err := OpenDataset(dir, IntegrityPolicy{AllowPartial: true})
+	if ie := wantIntegrityError(t, err, ReasonMissing); ie.Path != filepath.Join(dir, ManifestName) {
+		t.Errorf("path = %s, want the manifest", ie.Path)
 	}
+	if _, _, err := LoadRepository(root, IntegrityPolicy{AllowPartial: true}); err == nil {
+		t.Error("LoadRepository loaded a manifest-less member")
+	}
+	_, _, err = NewDirCatalog(root).DatasetPruned("C", nil)
+	wantIntegrityError(t, err, ReasonMissing)
 }
 
 func TestColumnarStaleManifestDetected(t *testing.T) {
@@ -434,9 +421,13 @@ func TestDirCatalog(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		datasetsEqual(t, ds, got)
-		if st, ok := c.Stats(name); !ok || len(st.Samples) != 2 {
-			t.Errorf("%s: stats ok=%v %+v", name, ok, st)
-		}
+	}
+	// Only a member carries a stats block; an export is scanned on demand.
+	if st, ok := c.Stats("COL"); !ok || len(st.Samples) != 2 {
+		t.Errorf("COL: stats ok=%v %+v", ok, st)
+	}
+	if _, ok := c.Stats("TEXT"); ok {
+		t.Error("TEXT: an export reported a stats block")
 	}
 	for _, bad := range []string{"", ".", "..", "a/b", `a\b`, ".hidden", "NOPE"} {
 		if _, err := c.Dataset(bad); err == nil {
@@ -445,7 +436,7 @@ func TestDirCatalog(t *testing.T) {
 	}
 
 	keepChr1 := func(chrom string, minStart, maxStop int64) bool { return chrom == "chr1" }
-	// Columnar: real partition skips.
+	// A member: real partition skips.
 	pruned, st, err := c.DatasetPruned("COL", keepChr1)
 	if err != nil {
 		t.Fatal(err)
@@ -464,7 +455,7 @@ func TestDirCatalog(t *testing.T) {
 			}
 		}
 	}
-	// Text layout: full fallback, honest zero skip accounting.
+	// An export: full fallback, honest zero skip accounting.
 	full, st2, err := c.DatasetPruned("TEXT", keepChr1)
 	if err != nil {
 		t.Fatal(err)

@@ -15,12 +15,11 @@ import (
 )
 
 // DirCatalog resolves engine Scan nodes straight against a repository
-// directory: datasets load lazily, per query, with format auto-detection and
-// verified reads — and columnar datasets load through the partition-level
-// pruned read path, so a query whose zone windows prove partitions irrelevant
-// never reads their bytes. It implements engine.Catalog and the engine's
-// PrunedCatalog extension (the interface is declared there; this is its disk
-// implementation).
+// directory: datasets load lazily, per query, through OpenDataset — and
+// members load through the partition-level pruned read path, so a query
+// whose zone windows prove partitions irrelevant never reads their bytes. It
+// implements engine.Catalog and the engine's PrunedCatalog extension (the
+// interface is declared there; this is its disk implementation).
 //
 // Full loads are cached per catalog instance (a session's repeated scans of
 // one dataset parse once); pruned loads are query-specific subsets and always
@@ -109,8 +108,8 @@ func (c *DirCatalog) Dataset(name string) (*gdm.Dataset, error) {
 
 // Stats returns the dataset's manifest stats block — the partition index —
 // without loading any region data: one manifest read. ok is false for
-// datasets without a trustworthy block (no manifest, old writer, stale
-// digest key is the reader's concern).
+// datasets without a trustworthy block (a text export, an old writer, a
+// stale digest).
 func (c *DirCatalog) Stats(name string) (*catalog.DatasetStats, bool) {
 	dir, err := c.datasetDir(name)
 	if err != nil {
@@ -127,13 +126,12 @@ func (c *DirCatalog) Stats(name string) (*catalog.DatasetStats, bool) {
 }
 
 // DatasetPruned implements the engine's partition-level read: load the named
-// dataset skipping every partition keep rejects. For columnar datasets the
-// skipped partitions' payload bytes are never read — the zone-map accounting
-// turned into real skipped I/O. Text-layout datasets cannot skip reads
-// (parsing is sequential), so they fall back to the full cached load with
-// zero skip accounting: callers observe honest I/O numbers either way, and
-// results are identical because a skipped partition provably contributes
-// nothing to the pruning consumer.
+// dataset skipping every partition keep rejects. For a member the skipped
+// partitions' payload bytes are never read — the zone-map accounting turned
+// into real skipped I/O. A text export has no partition index to skip by, so
+// it falls back to the full cached load with zero skip accounting: callers
+// observe honest I/O numbers either way, and results are identical because a
+// skipped partition provably contributes nothing to the pruning consumer.
 func (c *DirCatalog) DatasetPruned(name string, keep func(chrom string, minStart, maxStop int64) bool) (*gdm.Dataset, catalog.PruneStats, error) {
 	var st catalog.PruneStats
 	dir, err := c.datasetDir(name)
@@ -141,39 +139,19 @@ func (c *DirCatalog) DatasetPruned(name string, keep func(chrom string, minStart
 		return nil, st, err
 	}
 	man, err := ReadManifest(dir)
-	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			return nil, st, err
-		}
-		man = nil
-	}
-	if detectLayout(dir, man) != LayoutColumnar {
+	if errors.Is(err, fs.ErrNotExist) {
 		ds, err := c.Dataset(name)
 		return ds, st, err
 	}
-
-	schema, err := readDatasetSchema(dir, man)
 	if err != nil {
 		return nil, st, err
 	}
-	var ids []string
-	if man != nil {
-		ids = man.SampleIDs()
-	} else {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return nil, st, fmt.Errorf("dataset %s: %w", dir, err)
-		}
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), columnarExt) {
-				ids = append(ids, strings.TrimSuffix(e.Name(), columnarExt))
-			}
-		}
-		sort.Strings(ids)
+	schema, err := readMemberSchema(dir, man)
+	if err != nil {
+		return nil, st, err
 	}
-
 	ds := gdm.NewDataset(filepath.Base(dir), schema)
-	for _, id := range ids {
+	for _, id := range man.SampleIDs() {
 		s, sst, ie := openColumnarSamplePruned(dir, id, schema, man, keep)
 		if ie != nil {
 			metricIntegrityFailures.With(string(ie.Reason)).Inc()

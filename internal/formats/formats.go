@@ -1,8 +1,9 @@
 // Package formats implements the data interoperability layer of the paper:
 // readers and writers that mediate between the technology-driven formats of
 // secondary analysis (BED, narrowPeak/broadPeak, bedGraph, GTF, VCF) and the
-// GDM data model, plus the native GDM on-disk dataset layout used by the
-// engine, the CLI tools and the federation protocol.
+// GDM data model, plus the repository's one on-disk dataset layout (a
+// manifest-verified member of .gdmc images) and the GDM text layout it
+// exports to and imports from.
 //
 // Every reader produces a gdm.Sample plus the schema its variable attributes
 // follow; datasets group samples with equal schemas, per the GDM constraint.
@@ -108,23 +109,30 @@ type lineScanner struct {
 	bytes int64 // raw bytes consumed, flushed to the parse-bytes counter
 }
 
+// maxLineBytes bounds one line of a text file: a longer one fails the scan.
+const maxLineBytes = 16 * 1024 * 1024
+
 func newLineScanner(r io.Reader) *lineScanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	return &lineScanner{sc: sc}
 }
 
-// next advances to the next payload line, skipping blanks, comments and
-// browser/track header lines.
+// skipsLine reports whether the scanner passes over a line, given its
+// whitespace-trimmed form: blanks, comments and browser/track headers.
+func skipsLine(trimmed string) bool {
+	return trimmed == "" || strings.HasPrefix(trimmed, "#") ||
+		strings.HasPrefix(trimmed, "track ") || trimmed == "track" ||
+		strings.HasPrefix(trimmed, "browser ")
+}
+
+// next advances to the next payload line, skipping what skipsLine names.
 func (ls *lineScanner) next() bool {
 	for ls.sc.Scan() {
 		ls.line++
 		ls.bytes += int64(len(ls.sc.Bytes())) + 1
 		t := strings.TrimRight(ls.sc.Text(), "\r\n")
-		trimmed := strings.TrimSpace(t)
-		if trimmed == "" || strings.HasPrefix(trimmed, "#") ||
-			strings.HasPrefix(trimmed, "track ") || trimmed == "track" ||
-			strings.HasPrefix(trimmed, "browser ") {
+		if skipsLine(strings.TrimSpace(t)) {
 			continue
 		}
 		ls.text = t

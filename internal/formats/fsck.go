@@ -26,10 +26,11 @@ import (
 //     rolled back by restoring the old version;
 //   - a corrupt or missing file whose checksum-matching copy sits in
 //     .quarantine is restored from there;
-//   - with Rebuild, everything else that is structurally sound is upgraded in
-//     place: corrupt files are quarantined, footers are added to legacy
-//     files, and a fresh manifest is written. Rebuild preserves the
-//     .quarantine directory — repairs never destroy evidence.
+//   - with Rebuild, everything else that is structurally sound is kept in
+//     place: corrupt files are quarantined, text directories (exports, and
+//     text members of older genogo versions) are converted into members, and
+//     a fresh manifest is written. Rebuild preserves the .quarantine
+//     directory — repairs never destroy evidence.
 //
 // Damage that cannot be repaired without inventing data (corrupt schema with
 // no good copy, checksum mismatches without Rebuild) is reported as a
@@ -48,7 +49,7 @@ const (
 	ActionRestoreTornRename = "restore_torn_rename"
 	ActionRestoreQuarantine = "restore_quarantine"
 	ActionQuarantineCorrupt = "quarantine_corrupt"
-	ActionAddFooter         = "add_footer"
+	ActionConvertText       = "convert_text"
 	ActionDropMissing       = "drop_missing"
 	ActionRebuildManifest   = "rebuild_manifest"
 	ActionRebuildStats      = "rebuild_stats"
@@ -88,9 +89,10 @@ func (r *FsckResult) problem(path string, reason FaultReason, detail string) {
 // FsckOptions configures a check-and-repair run.
 type FsckOptions struct {
 	// Rebuild authorizes manifest reconstruction: corrupt files are
-	// quarantined, missing ones dropped, legacy files gain footers, and the
-	// manifest is rewritten from what remains. Without it, fsck only applies
-	// repairs that restore the manifest's recorded state exactly.
+	// quarantined, missing ones dropped, text directories converted into
+	// members, and the manifest is rewritten from what remains. Without it,
+	// fsck only applies repairs that restore the manifest's recorded state
+	// exactly.
 	Rebuild bool
 }
 
@@ -175,14 +177,6 @@ func FsckRepo(root string, opts FsckOptions) ([]*FsckResult, error) {
 	return results, nil
 }
 
-// fileState is the triage outcome for one manifest-listed file.
-type fileState struct {
-	payload   []byte
-	info      FileInfo
-	hasFooter bool
-	err       *IntegrityError // nil when the file is good
-}
-
 // FsckDataset checks and repairs one dataset directory.
 func FsckDataset(dir string, opts FsckOptions) (*FsckResult, error) {
 	dir = filepath.Clean(dir)
@@ -190,28 +184,20 @@ func FsckDataset(dir string, opts FsckOptions) (*FsckResult, error) {
 	res := &FsckResult{Dir: dir, Dataset: name}
 
 	man, manErr := ReadManifest(dir)
-	switch {
-	case manErr == nil:
-	case errors.Is(manErr, fs.ErrNotExist):
-		man = nil
-	default:
-		// Present but damaged manifest.
-		if !opts.Rebuild {
-			detail := manErr.Error()
-			var ie *IntegrityError
-			if errors.As(manErr, &ie) {
-				detail = ie.Detail
-			}
-			res.problem(filepath.Join(dir, ManifestName), ReasonBadManifest, detail+"; run with -rebuild")
-			return res, nil
+	if manErr != nil && !errors.Is(manErr, fs.ErrNotExist) && !opts.Rebuild {
+		// Present but damaged, or an old text member's.
+		detail := manErr.Error()
+		var ie *IntegrityError
+		if errors.As(manErr, &ie) {
+			detail = ie.Detail
 		}
-		man = nil
+		res.problem(filepath.Join(dir, ManifestName), ReasonBadManifest, detail+"; run with -rebuild")
+		return res, nil
 	}
 
 	if man == nil && !opts.Rebuild {
-		// Legacy dataset: no manifest to verify against. Check what can be
-		// checked (footers where present, parseability) and report the
-		// directory as unverified.
+		// A text export: no manifest to verify against. Check that it imports
+		// and report the directory as unverified.
 		res.Unverified = true
 		ds, _, err := OpenDataset(dir, IntegrityPolicy{})
 		if err != nil {
@@ -223,19 +209,11 @@ func FsckDataset(dir string, opts FsckOptions) (*FsckResult, error) {
 		return res, nil
 	}
 
-	needRebuild := man == nil
-	if man != nil {
-		needRebuild = fsckVerifyAgainstManifest(dir, man, opts, res)
-		if !opts.Rebuild && needRebuild {
-			// Verification found damage only a rebuild can clear; the
-			// problems were already recorded.
-			return res, nil
-		}
-	}
-	if needRebuild {
-		if !fsckRebuild(dir, res) {
-			return res, nil
-		}
+	needRebuild := man == nil || fsckVerifyAgainstManifest(dir, man, opts, res)
+	if needRebuild && (!opts.Rebuild || !fsckRebuild(dir, res)) {
+		// Damage only a rebuild can clear, or a rebuild that failed; the
+		// problems were already recorded.
+		return res, nil
 	}
 
 	// Final verdict: the strict verified read path must now pass.
@@ -245,12 +223,7 @@ func FsckDataset(dir string, opts FsckOptions) (*FsckResult, error) {
 			res.problem(dir, reasonOf(err), err.Error())
 			return res, nil
 		}
-		res.Samples = len(ds.Samples)
-		if rep.Digest != "" {
-			res.Digest = rep.Digest
-		} else {
-			res.Digest = ds.ContentDigest()
-		}
+		res.Samples, res.Digest = len(ds.Samples), rep.Digest
 		// The files check out; now hold the manifest's stats block to the
 		// same standard. A manifest fsck just rebuilt carries fresh stats by
 		// construction, so only an adopted (pre-existing) manifest is
@@ -346,8 +319,8 @@ func fsckVerifyAgainstManifest(dir string, man *Manifest, opts FsckOptions, res 
 	for _, file := range files {
 		want := man.Files[file]
 		path := filepath.Join(dir, file)
-		st := triageFile(name, path, want)
-		if st.err == nil {
+		ie := triageFile(name, path, want)
+		if ie == nil {
 			continue
 		}
 		// Try a quarantine restore: a copy whose payload checksum matches
@@ -361,7 +334,7 @@ func fsckVerifyAgainstManifest(dir string, man *Manifest, opts FsckOptions, res 
 			}
 			if err := os.Rename(cand, path); err == nil {
 				res.repair(ActionRestoreQuarantine, path, "restored from "+cand)
-				if st2 := triageFile(name, path, want); st2.err == nil {
+				if triageFile(name, path, want) == nil {
 					continue
 				}
 			}
@@ -369,12 +342,12 @@ func fsckVerifyAgainstManifest(dir string, man *Manifest, opts FsckOptions, res 
 		// No restore possible. With Rebuild the file is dropped (corrupt
 		// copies preserved in quarantine); without, it is a problem.
 		if !opts.Rebuild {
-			res.problem(path, st.err.Reason, st.err.Detail+"; run with -rebuild to drop or re-adopt")
+			res.problem(path, ie.Reason, ie.Detail+"; run with -rebuild to drop or re-adopt")
 			needRebuild = true
 			continue
 		}
 		needRebuild = true
-		switch st.err.Reason {
+		switch ie.Reason {
 		case ReasonMissing:
 			res.repair(ActionDropMissing, path, "no copy to restore; dropping from manifest")
 		case ReasonStaleManifest:
@@ -395,11 +368,7 @@ func fsckVerifyAgainstManifest(dir string, man *Manifest, opts FsckOptions, res 
 	}
 	for _, e := range entries {
 		n := e.Name()
-		if e.IsDir() || n == ManifestName {
-			continue
-		}
-		if !strings.HasSuffix(n, ".gdm") && !strings.HasSuffix(n, ".gdm.meta") &&
-			!strings.HasSuffix(n, columnarExt) && n != "schema.txt" {
+		if _, sample := sampleFileID(n); e.IsDir() || !sample && n != "schema.txt" {
 			continue
 		}
 		if _, listed := man.Files[n]; listed {
@@ -413,65 +382,27 @@ func fsckVerifyAgainstManifest(dir string, man *Manifest, opts FsckOptions, res 
 	return needRebuild
 }
 
-// triageFile verifies one file against its manifest entry. Columnar region
-// files take their own triage: they carry no text footer, so the manifest's
-// whole-file checksum and the file's internal section CRCs stand in for it.
-func triageFile(dataset, path string, want FileInfo) fileState {
-	if strings.HasSuffix(path, columnarExt) {
-		return triageColumnarFile(dataset, path, want)
-	}
-	payload, info, hasFooter, err := readFileVerified(dataset, path)
-	if err != nil {
-		var ie *IntegrityError
-		if errors.As(err, &ie) {
-			return fileState{err: ie}
-		}
-		reason := ReasonMissing
-		detail := ""
-		if !os.IsNotExist(err) {
-			detail = err.Error()
-		}
-		return fileState{err: &IntegrityError{Dataset: dataset, Path: path, Reason: reason, Detail: detail}}
-	}
-	if !hasFooter {
-		return fileState{payload: payload, info: info, err: &IntegrityError{
-			Dataset: dataset, Path: path, Reason: ReasonTruncated,
-			Detail: "manifest present but integrity footer missing"}}
-	}
-	if info != want {
-		return fileState{payload: payload, info: info, hasFooter: true, err: &IntegrityError{
-			Dataset: dataset, Path: path, Reason: ReasonStaleManifest,
-			Detail: fmt.Sprintf("file is self-consistent (%s, %d bytes) but manifest records %s, %d bytes",
-				info.CRC32C, info.Size, want.CRC32C, want.Size)}}
-	}
-	return fileState{payload: payload, info: info, hasFooter: true}
-}
-
-// triageColumnarFile verifies one columnar region file against its manifest
-// entry. Self-consistency means the binary structure itself — index CRC plus
-// every partition CRC — checks out: such a file the manifest merely disagrees
-// with is a stale-manifest case a rebuild re-adopts, anything else is
-// corruption.
-func triageColumnarFile(dataset, path string, want FileInfo) fileState {
+// triageFile verifies one member file against its manifest entry. A footered
+// text file checks its footer; a .gdmc image, which carries none, is
+// self-consistent when its index CRC and every partition CRC check out. A
+// self-consistent file the manifest merely disagrees with is a stale-manifest
+// case a rebuild re-adopts; anything else is corruption.
+func triageFile(dataset, path string, want FileInfo) *IntegrityError {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		detail := ""
-		if !os.IsNotExist(err) {
-			detail = err.Error()
+		return fileError(dataset, path, err)
+	}
+	if !strings.HasSuffix(path, columnarExt) {
+		_, ie := checkFootered(dataset, path, data, want, true)
+		return ie
+	}
+	if have := columnarFileInfo(data); have != want {
+		if ie := checkColumnarStructure(dataset, path, data); ie != nil {
+			return ie
 		}
-		return fileState{err: &IntegrityError{Dataset: dataset, Path: path, Reason: ReasonMissing, Detail: detail}}
+		return staleError(dataset, path, have, want)
 	}
-	info := columnarFileInfo(data)
-	if info == want {
-		return fileState{payload: data, info: info, hasFooter: true}
-	}
-	if ie := checkColumnarStructure(dataset, path, data); ie != nil {
-		return fileState{err: ie}
-	}
-	return fileState{payload: data, info: info, hasFooter: true, err: &IntegrityError{
-		Dataset: dataset, Path: path, Reason: ReasonStaleManifest,
-		Detail: fmt.Sprintf("file is self-consistent (%s, %d bytes) but manifest records %s, %d bytes",
-			info.CRC32C, info.Size, want.CRC32C, want.Size)}}
+	return nil
 }
 
 // findQuarantineCandidate returns the path of a quarantined copy of file
@@ -499,67 +430,49 @@ func findQuarantineCandidate(dir, file string, want FileInfo) string {
 		if err != nil {
 			continue
 		}
+		// Columnar copies match on the whole-file checksum the manifest
+		// records; text copies on their footer's.
+		var have FileInfo
 		if strings.HasSuffix(file, columnarExt) {
-			// Columnar copies match on the whole-file checksum the manifest
-			// records; there is no text footer to consult.
-			if columnarFileInfo(data) == want {
-				return path
-			}
-			continue
+			have = columnarFileInfo(data)
+		} else {
+			_, have, _ = footerPayload(filepath.Base(dir), path, data, true)
 		}
-		_, sum, hasFooter, ok := splitFooter(data)
-		if !hasFooter || !ok {
-			continue
-		}
-		if crcHex(sum) == want.CRC32C && int64(len(data)) == want.Size {
+		if have == want {
 			return path
 		}
 	}
 	return ""
 }
 
-// fsckRebuild reconstructs the dataset's integrity state in place: corrupt
-// files are quarantined, structurally sound ones kept (gaining footers if
-// they lack them), and a fresh manifest is written. Returns false when the
-// dataset is beyond rebuilding (schema unusable).
+// fsckRebuild reconstructs a member in place from whatever the directory
+// holds — a damaged member, or a text directory being converted. Schema and
+// metadata files with a valid footer are kept and an export's footerless ones
+// rewritten with one; each sample's regions are decided by rebuilder.regions;
+// anything that fails is quarantined, and the .quarantine directory is
+// preserved — repairs never destroy evidence. The manifest is written last,
+// so an interrupted conversion leaves a directory the next run picks up where
+// it stopped and finishes the same way. Returns false when the dataset is
+// beyond rebuilding (schema unusable) or a file could not be written.
 func fsckRebuild(dir string, res *FsckResult) bool {
-	name := res.Dataset
-	files := make(map[string]FileInfo)
-
-	keepFile := func(file string) ([]byte, bool) {
-		path := filepath.Join(dir, file)
-		payload, info, hasFooter, err := readFileVerified(name, path)
-		if err != nil {
-			if !os.IsNotExist(err) {
-				if moved, qerr := quarantineFile(dir, file); qerr == nil && moved != "" {
-					metricQuarantined.Inc()
-					res.repair(ActionQuarantineCorrupt, path, "moved to "+moved)
-				}
-			}
-			return nil, false
-		}
-		if !hasFooter {
-			info, err = rewriteWithFooter(path, payload)
-			if err != nil {
-				res.problem(path, ReasonTruncated, "cannot add footer: "+err.Error())
-				return nil, false
-			}
-			res.repair(ActionAddFooter, path, "")
-		}
-		files[file] = info
-		return payload, true
-	}
-
-	schemaPayload, ok := keepFile("schema.txt")
+	// Every text file of a member, old or new, carries a footer; only an
+	// export, which never holds a manifest, has footerless ones. In a
+	// directory with a manifest — even one too damaged or too old to read —
+	// a missing footer is therefore a truncation, not an export's file.
+	_, statErr := os.Stat(filepath.Join(dir, ManifestName))
+	b := &rebuilder{dir: dir, res: res, files: make(map[string]FileInfo), footered: statErr == nil}
+	schemaPath := filepath.Join(dir, "schema.txt")
+	payload, info, ok := b.readText("schema.txt")
 	if !ok {
-		res.problem(filepath.Join(dir, "schema.txt"), ReasonMissing,
-			"schema unusable and no good copy in quarantine; dataset is unrepairable")
+		res.problem(schemaPath, ReasonMissing, "schema unusable and no good copy in quarantine; dataset is unrepairable")
 		return false
 	}
-	schema, err := ReadSchema(bytes.NewReader(schemaPayload))
+	schema, err := ReadSchema(bytes.NewReader(payload))
 	if err != nil {
-		res.problem(filepath.Join(dir, "schema.txt"), ReasonParse,
-			err.Error()+"; dataset is unrepairable")
+		res.problem(schemaPath, ReasonParse, err.Error()+"; dataset is unrepairable")
+		return false
+	}
+	if !b.adoptText("schema.txt", info, func(w io.Writer) error { return WriteSchema(w, schema) }) {
 		return false
 	}
 
@@ -568,121 +481,53 @@ func fsckRebuild(dir string, res *FsckResult) bool {
 		res.problem(dir, ReasonMissing, err.Error())
 		return false
 	}
-	// The rebuilt manifest adopts whichever layout the directory holds; a
-	// region file of the other layout is not a state the writer produces, so
-	// it is moved aside rather than mixed in (the final strict verify would
-	// reject it as unlisted anyway).
-	layout := detectLayout(dir, nil)
-	regionExt := ".gdm"
-	if layout == LayoutColumnar {
-		regionExt = columnarExt
-	}
 	var ids []string
 	hasRegions := make(map[string]bool)
 	for _, e := range entries {
-		n := e.Name()
-		if e.IsDir() || strings.HasSuffix(n, ".gdm.meta") {
-			continue
-		}
-		switch {
-		case strings.HasSuffix(n, regionExt):
-			id := strings.TrimSuffix(n, regionExt)
-			ids = append(ids, id)
+		id, ok := sampleFileID(e.Name())
+		if ok && !e.IsDir() && !strings.HasSuffix(e.Name(), ".gdm.meta") && !hasRegions[id] {
 			hasRegions[id] = true
-		case strings.HasSuffix(n, ".gdm") || strings.HasSuffix(n, columnarExt):
-			if moved, qerr := quarantineFile(dir, n); qerr == nil && moved != "" {
-				metricQuarantined.Inc()
-				res.repair(ActionQuarantineCorrupt, filepath.Join(dir, n),
-					"region file of a different layout; moved to "+moved)
-			}
+			ids = append(ids, id)
 		}
 	}
 	sort.Strings(ids)
 	// Orphan metadata files — partner region file lost or quarantined — are
-	// moved aside too: the rebuilt manifest must account for every native
-	// file the directory holds, or the final strict verify would fail.
+	// moved aside: the rebuilt manifest must account for every sample file
+	// the directory holds, or the final strict verify would fail.
 	for _, e := range entries {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".gdm.meta") {
+		if id, ok := strings.CutSuffix(e.Name(), ".gdm.meta"); ok && !e.IsDir() && !hasRegions[id] {
+			b.quarantine(e.Name(), "orphan metadata without a region file")
+		}
+	}
+
+	ds := gdm.NewDataset(res.Dataset, schema)
+	for _, id := range ids {
+		s, err := b.regions(id, schema)
+		if err != nil {
+			res.problem(filepath.Join(dir, id+columnarExt), ReasonTruncated, "cannot write the converted image: "+err.Error())
+			return false
+		}
+		if s == nil {
 			continue
 		}
-		if id := strings.TrimSuffix(n, ".gdm.meta"); !hasRegions[id] {
-			if moved, qerr := quarantineFile(dir, n); qerr == nil && moved != "" {
-				metricQuarantined.Inc()
-				res.repair(ActionQuarantineCorrupt, filepath.Join(dir, n),
-					"orphan metadata without a region file; moved to "+moved)
-			}
-		}
-	}
-
-	// keepColumnar adopts one structurally sound columnar region file:
-	// internal CRCs verified, whole-file checksum recorded in the manifest.
-	keepColumnar := func(file string) ([]byte, bool) {
-		path := filepath.Join(dir, file)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, false
-		}
-		if ie := checkColumnarStructure(name, path, data); ie != nil {
-			if moved, qerr := quarantineFile(dir, file); qerr == nil && moved != "" {
-				metricQuarantined.Inc()
-				res.repair(ActionQuarantineCorrupt, path, "moved to "+moved)
-			}
-			return nil, false
-		}
-		files[file] = columnarFileInfo(data)
-		return data, true
-	}
-
-	ds := gdm.NewDataset(name, schema)
-	for _, id := range ids {
-		var s *gdm.Sample
-		if layout == LayoutColumnar {
-			data, ok := keepColumnar(id + columnarExt)
-			if !ok {
-				continue
-			}
-			var ie *IntegrityError
-			s, ie = decodeColumnarSample(name, filepath.Join(dir, id+columnarExt), id, data, schema)
-			if ie != nil {
-				dropSample(dir, id, regionExt, res, ie.Reason, ie.Detail)
-				delete(files, id+columnarExt)
-				continue
-			}
-		} else {
-			regPayload, ok := keepFile(id + ".gdm")
-			if !ok {
-				continue
-			}
-			s = gdm.NewSample(id)
-			if err := ReadRegions(bytes.NewReader(regPayload), schema, s); err != nil {
-				dropSample(dir, id, regionExt, res, ReasonParse, err.Error())
-				delete(files, id+".gdm")
-				continue
-			}
-		}
-		if metaPayload, ok := keepFile(id + ".gdm.meta"); ok {
-			md, err := ReadMeta(bytes.NewReader(metaPayload))
+		meta := id + ".gdm.meta"
+		if payload, info, ok := b.readText(meta); ok {
+			md, err := ReadMeta(bytes.NewReader(payload))
 			if err != nil {
-				dropSample(dir, id, regionExt, res, ReasonParse, err.Error())
-				delete(files, id+regionExt)
-				delete(files, id+".gdm.meta")
+				b.drop(id, ReasonParse, err.Error())
 				continue
+			}
+			if !b.adoptText(meta, info, func(w io.Writer) error { return WriteMeta(w, md) }) {
+				return false
 			}
 			s.Meta = md
 		}
-		s.SortRegions()
 		if err := ds.Add(s); err != nil {
-			dropSample(dir, id, regionExt, res, ReasonParse, err.Error())
-			delete(files, id+regionExt)
-			delete(files, id+".gdm.meta")
-			continue
+			b.drop(id, ReasonParse, err.Error())
 		}
 	}
 
-	m := buildManifest(ds, files, nil)
-	m.Layout = layout
-	if err := writeManifest(dir, m); err != nil {
+	if err := writeManifest(dir, buildManifest(ds, b.files, nil)); err != nil {
 		res.problem(filepath.Join(dir, ManifestName), ReasonBadManifest, err.Error())
 		return false
 	}
@@ -695,36 +540,134 @@ func fsckRebuild(dir string, res *FsckResult) bool {
 	return true
 }
 
-// dropSample quarantines a sample's files during a rebuild so the rebuilt
-// manifest does not adopt unparseable data. regionExt selects the layout's
-// region file (".gdm" or ".gdmc").
-func dropSample(dir, id, regionExt string, res *FsckResult, reason FaultReason, detail string) {
-	for _, f := range []string{id + regionExt, id + ".gdm.meta"} {
-		if moved, err := quarantineFile(dir, f); err == nil && moved != "" {
-			metricQuarantined.Inc()
-			res.repair(ActionQuarantineCorrupt, filepath.Join(dir, f),
-				fmt.Sprintf("%s: %s; moved to %s", reason, detail, moved))
-		}
+// rebuilder carries one fsckRebuild run: the directory, the result it
+// reports into, the manifest entries of the files it has adopted, and
+// whether every text file must carry a footer.
+type rebuilder struct {
+	dir      string
+	res      *FsckResult
+	files    map[string]FileInfo
+	footered bool
+}
+
+// quarantine moves one file aside into .quarantine, reporting why.
+func (b *rebuilder) quarantine(file, why string) {
+	if moved, err := quarantineFile(b.dir, file); err == nil && moved != "" {
+		metricQuarantined.Inc()
+		b.res.repair(ActionQuarantineCorrupt, filepath.Join(b.dir, file), why+"; moved to "+moved)
 	}
 }
 
-// rewriteWithFooter atomically rewrites path so its payload gains an
-// integrity footer.
-func rewriteWithFooter(path string, payload []byte) (FileInfo, error) {
-	tmp := path + ".fscktmp"
-	info, err := writeFileWith(tmp, func(w io.Writer) error {
-		_, werr := w.Write(payload)
-		return werr
-	})
+// drop quarantines every file of a sample that cannot be rebuilt.
+func (b *rebuilder) drop(id string, reason FaultReason, detail string) {
+	for _, f := range []string{id + columnarExt, id + ".gdm", id + ".gdm.meta"} {
+		b.quarantine(f, fmt.Sprintf("%s: %s", reason, detail))
+		delete(b.files, f)
+	}
+}
+
+// readText reads a schema or metadata file to adopt; one whose footer fails
+// (footerPayload, required when b.footered) is quarantined.
+func (b *rebuilder) readText(file string) ([]byte, FileInfo, bool) {
+	path := filepath.Join(b.dir, file)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		os.Remove(tmp)
-		return FileInfo{}, err
+		return nil, FileInfo{}, false
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return FileInfo{}, err
+	payload, info, ie := footerPayload(b.res.Dataset, path, data, b.footered)
+	if ie != nil {
+		b.quarantine(file, fmt.Sprintf("%s: %s", ie.Reason, ie.Detail))
+		return nil, FileInfo{}, false
 	}
-	return info, nil
+	return payload, info, true
+}
+
+// adoptText lists a text file in the manifest. A footerless one (zero info)
+// is first rewritten from its parsed content with a footer, through a
+// temporary file: a torn footerless file would be misread, not detected.
+func (b *rebuilder) adoptText(file string, info FileInfo, render func(io.Writer) error) bool {
+	path := filepath.Join(b.dir, file)
+	if info == (FileInfo{}) {
+		var err error
+		if info, err = writeFileWith(path+".fscktmp", render); err == nil {
+			err = os.Rename(path+".fscktmp", path)
+		}
+		if err != nil {
+			os.Remove(path + ".fscktmp")
+			b.res.problem(path, ReasonTruncated, "cannot rewrite with a footer: "+err.Error())
+			return false
+		}
+		b.res.repair(ActionConvertText, path, "rewritten with an integrity footer")
+	}
+	b.files[file] = info
+	return true
+}
+
+// regions decides one sample's regions and adopts the image that holds them:
+//
+//   - a .gdmc image whose structure checks out is kept. A .gdm beside it
+//     that holds the same regions — left by a conversion interrupted after
+//     the image was durable — is removed; any other is quarantined;
+//   - otherwise the sample's .gdm is footer-checked like readText, parsed,
+//     rewritten as .gdmc and removed once the image is durable (a torn image
+//     fails its structure check on the next run and is converted again from
+//     the .gdm);
+//   - a sample that fails either way is dropped, and s is nil.
+//
+// s comes back with its regions sorted; err reports an image that could not
+// be written.
+func (b *rebuilder) regions(id string, schema *gdm.Schema) (s *gdm.Sample, err error) {
+	img, text := id+columnarExt, id+".gdm"
+	imgPath, textPath := filepath.Join(b.dir, img), filepath.Join(b.dir, text)
+	fromText := gdm.NewSample(id)
+	textErr := readTextFile(b.res.Dataset, textPath, b.footered, func(r io.Reader) error {
+		return ReadRegions(r, schema, fromText)
+	})
+	fromText.SortRegions()
+	if data, err := os.ReadFile(imgPath); err == nil {
+		s, ie := decodeColumnarSample(b.res.Dataset, imgPath, id, data, schema)
+		if ie == nil {
+			s.SortRegions()
+			if textErr == nil && sameRegions(s, fromText) {
+				if os.Remove(textPath) == nil {
+					b.res.repair(ActionConvertText, textPath, "already converted; text copy removed")
+				}
+			} else if textErr == nil {
+				b.quarantine(text, "regions differ from the sample's "+img)
+			} else {
+				b.quarantine(text, fmt.Sprintf("%s: %s", textErr.Reason, textErr.Detail)) // no-op when absent
+			}
+			b.files[img] = columnarFileInfo(data)
+			return s, nil
+		}
+		b.quarantine(img, fmt.Sprintf("%s: %s", ie.Reason, ie.Detail))
+	}
+	if textErr != nil {
+		if textErr.Detail == "" {
+			textErr.Detail = "no usable region file"
+		}
+		b.drop(id, textErr.Reason, textErr.Detail)
+		return nil, nil
+	}
+	info, err := writeColumnarFile(imgPath, fromText, schema)
+	if err == nil {
+		if err = syncDir(b.dir); err == nil {
+			err = os.Remove(textPath)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	b.files[img] = info
+	b.res.repair(ActionConvertText, textPath, "rewritten as "+img)
+	return fromText, nil
+}
+
+// sameRegions reports whether two samples with sorted regions render to the
+// same text.
+func sameRegions(a, b *gdm.Sample) bool {
+	var x, y bytes.Buffer
+	return WriteRegions(&x, a) == nil && WriteRegions(&y, b) == nil && bytes.Equal(x.Bytes(), y.Bytes())
 }
 
 // reasonOf extracts the typed fault reason from an error, defaulting to

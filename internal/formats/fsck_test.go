@@ -20,7 +20,7 @@ func hasAction(r *FsckResult, action string) bool {
 func TestFsckCleanRepo(t *testing.T) {
 	parent := t.TempDir()
 	for _, name := range []string{"A", "B"} {
-		if err := WriteDataset(filepath.Join(parent, name), testDataset(t)); err != nil {
+		if err := WriteDatasetColumnar(filepath.Join(parent, name), testDataset(t)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,14 +43,14 @@ func TestFsckCleanRepo(t *testing.T) {
 func TestFsckRemovesOrphanStaging(t *testing.T) {
 	parent := t.TempDir()
 	dir := filepath.Join(parent, "PEAKS")
-	if err := WriteDataset(dir, testDataset(t)); err != nil {
+	if err := WriteDatasetColumnar(dir, testDataset(t)); err != nil {
 		t.Fatal(err)
 	}
 	staging := filepath.Join(parent, ".PEAKS.tmp98765")
 	if err := os.Mkdir(staging, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(staging, "torn.gdm"), []byte("chr1\t1\t"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(staging, "torn.gdmc"), []byte("GDMC"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	results, err := FsckRepo(parent, FsckOptions{})
@@ -70,7 +70,7 @@ func TestFsckRemovesOrphanStaging(t *testing.T) {
 func TestFsckRemovesSupersededOld(t *testing.T) {
 	parent := t.TempDir()
 	dir := filepath.Join(parent, "PEAKS")
-	if err := WriteDataset(dir, testDataset(t)); err != nil {
+	if err := WriteDatasetColumnar(dir, testDataset(t)); err != nil {
 		t.Fatal(err)
 	}
 	old := filepath.Join(parent, ".PEAKS.old")
@@ -95,7 +95,7 @@ func TestFsckRestoresFromQuarantine(t *testing.T) {
 	dir, ds := writeTestDataset(t)
 	// Simulate an operator (or an earlier over-eager tool) having moved the
 	// file aside: quarantine holds the only good copy.
-	if _, err := quarantineFile(dir, "sample1.gdm"); err != nil {
+	if _, err := quarantineFile(dir, "sample1.gdmc"); err != nil {
 		t.Fatal(err)
 	}
 	res, err := FsckDataset(dir, FsckOptions{})
@@ -117,7 +117,7 @@ func TestFsckRestoresFromQuarantine(t *testing.T) {
 // quarantine and the good one restored.
 func TestFsckPrefersQuarantineOverCorrupt(t *testing.T) {
 	dir, ds := writeTestDataset(t)
-	live := filepath.Join(dir, "sample1.gdm")
+	live := filepath.Join(dir, "sample1.gdmc")
 	good, err := os.ReadFile(live)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestFsckPrefersQuarantineOverCorrupt(t *testing.T) {
 	if err := os.Mkdir(qdir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(qdir, "sample1.gdm"), good, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(qdir, "sample1.gdmc"), good, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	flipByte(t, live)
@@ -148,7 +148,7 @@ func TestFsckPrefersQuarantineOverCorrupt(t *testing.T) {
 // not papered over, and nothing is modified without -rebuild authority.
 func TestFsckCorruptionWithoutRebuild(t *testing.T) {
 	dir, _ := writeTestDataset(t)
-	flipByte(t, filepath.Join(dir, "sample1.gdm"))
+	flipByte(t, filepath.Join(dir, "sample1.gdmc"))
 	res, err := FsckDataset(dir, FsckOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestFsckCorruptionWithoutRebuild(t *testing.T) {
 	if res.Problems[0].Reason != ReasonChecksum {
 		t.Fatalf("problems = %+v", res.Problems)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "sample1.gdm")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "sample1.gdmc")); err != nil {
 		t.Fatal("file moved without rebuild authority")
 	}
 }
@@ -169,7 +169,7 @@ func TestFsckCorruptionWithoutRebuild(t *testing.T) {
 // strict read.
 func TestFsckRebuildDropsCorrupt(t *testing.T) {
 	dir, _ := writeTestDataset(t)
-	flipByte(t, filepath.Join(dir, "sample1.gdm"))
+	flipByte(t, filepath.Join(dir, "sample1.gdmc"))
 	res, err := FsckDataset(dir, FsckOptions{Rebuild: true})
 	if err != nil {
 		t.Fatal(err)
@@ -188,17 +188,17 @@ func TestFsckRebuildDropsCorrupt(t *testing.T) {
 		t.Fatalf("rebuilt dataset = %s", got)
 	}
 	// The corrupt evidence is preserved.
-	if _, err := os.Stat(filepath.Join(dir, quarantineDirName, "sample1.gdm")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, quarantineDirName, "sample1.gdmc")); err != nil {
 		t.Fatal("corrupt file not preserved in quarantine")
 	}
 }
 
-// TestFsckRebuildUpgradesLegacy: -rebuild brings a pre-manifest dataset onto
-// the verified path in place — footers added, manifest written, quarantine
-// (and its contents) untouched.
+// TestFsckRebuildUpgradesLegacy: -rebuild converts a text export into a
+// member in place — regions rewritten as images, text files footered,
+// manifest written, quarantine (and its contents) untouched.
 func TestFsckRebuildUpgradesLegacy(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "OLD")
-	writeLegacyDataset(t, dir)
+	writeTextExport(t, dir)
 	evidence := filepath.Join(dir, quarantineDirName, "earlier.gdm")
 	if err := os.MkdirAll(filepath.Dir(evidence), 0o755); err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestFsckRebuildUpgradesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Clean() || !hasAction(res, ActionAddFooter) || !hasAction(res, ActionRebuildManifest) {
+	if !res.Clean() || !hasAction(res, ActionConvertText) || !hasAction(res, ActionRebuildManifest) {
 		t.Fatalf("result = %+v", res)
 	}
 	_, rep, err := OpenDataset(dir, IntegrityPolicy{})
@@ -273,7 +273,7 @@ func TestFsckSchemaUnrepairable(t *testing.T) {
 // reconstruction target, the footered file the evidence.
 func TestFsckRebuildAdoptsStaleFile(t *testing.T) {
 	dir, _ := writeTestDataset(t)
-	rewriteSelfConsistent(t, filepath.Join(dir, "sample1.gdm"))
+	rewriteSelfConsistent(t, filepath.Join(dir, "sample1.gdm.meta"))
 	res, err := FsckDataset(dir, FsckOptions{Rebuild: true})
 	if err != nil {
 		t.Fatal(err)
@@ -290,11 +290,11 @@ func TestFsckRebuildAdoptsStaleFile(t *testing.T) {
 	}
 }
 
-// TestFsckLegacyWithoutRebuildIsUnverified: fsck without -rebuild reports
-// legacy datasets as unverified but does not modify them.
+// TestFsckLegacyWithoutRebuildIsUnverified: fsck without -rebuild reports a
+// text export as unverified but does not modify it.
 func TestFsckLegacyWithoutRebuildIsUnverified(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "OLD")
-	writeLegacyDataset(t, dir)
+	writeTextExport(t, dir)
 	res, err := FsckDataset(dir, FsckOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package formats
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,11 +37,13 @@ func FuzzBED(f *testing.F) {
 	})
 }
 
-// FuzzNativeRead: the verified read path consumes whatever a disk hands
-// back — torn files, flipped bits, hand-edited manifests, hostile record
-// counts. Whatever the bytes, OpenDataset must never panic and must never
-// return a dataset whose shape disagrees with its schema: it either loads
-// verified data, degrades with a typed report, or fails with a typed error.
+// FuzzNativeRead: the text import and the manifest check consume whatever a
+// disk hands back — torn files, flipped bits, hand-edited manifests, hostile
+// record counts. Whatever the bytes, OpenDataset must never panic and must
+// never return a dataset whose shape disagrees with its schema: it either
+// loads, degrades with a typed report, or fails with a typed error. A
+// directory of text files under a manifest that does not verify is never
+// imported: it fails typed bad_manifest.
 func FuzzNativeRead(f *testing.F) {
 	goodSchema := "p_value\tfloat\nname\tstring\n"
 	goodRegions := "chr1\t100\t200\t+\t0.5\tpeak\nchr2\t5\t10\t-\t0.25\t.\n"
@@ -66,8 +69,13 @@ func FuzzNativeRead(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
+		_, manErr := ReadManifest(dir)
 		for _, pol := range []IntegrityPolicy{{}, {AllowPartial: true, Quarantine: true}} {
 			ds, rep, err := OpenDataset(dir, pol)
+			var ie *IntegrityError
+			if manifest != "" && manErr != nil && (!errors.As(err, &ie) || ie.Reason != ReasonBadManifest) {
+				t.Fatalf("manifest %q does not verify, but the open returned %v", manifest, err)
+			}
 			if err != nil {
 				continue
 			}

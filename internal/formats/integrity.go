@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -17,17 +18,16 @@ import (
 	"genogo/internal/gdm"
 )
 
-// The integrity layer makes the native on-disk layout self-verifying. Every
-// file WriteDataset produces ends with a one-line footer
+// The integrity layer makes a repository member self-verifying. A member's
+// text files (schema.txt, every <sample>.gdm.meta and the manifest) end with
+// a one-line footer
 //
 //	#gdmsum<TAB>crc32c:<8 hex><TAB>bytes:<payload length>
 //
-// covering every byte before it, and the dataset directory gains a
-// manifest.json recording per-file sizes and checksums plus the dataset's
-// content digest (its version). The footer starts with '#', so the line
-// scanners of the pre-integrity readers skip it: old binaries read new
-// datasets unchanged, and new binaries read old (footerless, manifestless)
-// datasets as "unverified" legacy data.
+// covering every byte before it; its .gdmc images carry section checksums of
+// their own (columnar.go). The manifest.json records every file's size and
+// checksum plus the dataset's content digest (its version). The footer
+// starts with '#', so the text line scanners skip it.
 //
 // OpenDataset is the verified read path. Damage is never parsed into wrong
 // query results: a corrupt file either fails the load with a typed
@@ -47,10 +47,54 @@ func footerLine(sum uint32, payloadLen int64) string {
 	return fmt.Sprintf("#gdmsum\tcrc32c:%s\tbytes:%d\n", crcHex(sum), payloadLen)
 }
 
+// countingWriter tracks how many payload bytes were written and whether the
+// last one was a newline, so the integrity footer always starts on its own
+// line.
+type countingWriter struct {
+	w        io.Writer
+	n        int64
+	lastByte byte
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	if n > 0 {
+		c.lastByte = p[n-1]
+	}
+	return n, err
+}
+
+// writeFileWith writes fn's output to path followed by the integrity footer,
+// fsynced, so the bytes are durable and self-verifying by the time the staged
+// directory is renamed into place. It returns the file's manifest entry.
+func writeFileWith(path string, fn func(io.Writer) error) (FileInfo, error) {
+	var info FileInfo
+	err := writeSynced(path, func(w io.Writer) error {
+		h := crc32.New(castagnoli)
+		cw := &countingWriter{w: io.MultiWriter(w, h)}
+		if err := fn(cw); err != nil {
+			return err
+		}
+		if cw.n > 0 && cw.lastByte != '\n' {
+			if _, err := cw.Write([]byte("\n")); err != nil {
+				return err
+			}
+		}
+		footer := footerLine(h.Sum32(), cw.n)
+		if _, err := io.WriteString(w, footer); err != nil {
+			return err
+		}
+		info = FileInfo{Size: cw.n + int64(len(footer)), CRC32C: crcHex(h.Sum32())}
+		return nil
+	})
+	return info, err
+}
+
 // splitFooter locates and validates the integrity footer in a file's bytes.
 // It returns the payload with the footer stripped and whether the checksum
-// verified. hasFooter distinguishes "no footer present" (legacy file, ok
-// false) from "footer present but wrong" (corruption, ok false).
+// verified. hasFooter distinguishes "no footer present" (a text export's
+// file, ok false) from "footer present but wrong" (corruption, ok false).
 func splitFooter(data []byte) (payload []byte, sum uint32, hasFooter, ok bool) {
 	start := -1
 	if bytes.HasPrefix(data, []byte(footerMagic)) {
@@ -149,13 +193,12 @@ type QuarantinedSample struct {
 // non-fatal damage travels here, the way federation's PartialFailure travels
 // next to a degraded result.
 type IntegrityReport struct {
-	Dataset string `json:"dataset"`
-	Dir     string `json:"dir"`
-	Digest  string `json:"digest,omitempty"`
-	// Layout is the storage layout the load detected (LayoutNative or
-	// LayoutColumnar).
-	Layout        string              `json:"layout,omitempty"`
-	Verified      bool                `json:"verified"`
+	Dataset  string `json:"dataset"`
+	Dir      string `json:"dir"`
+	Digest   string `json:"digest,omitempty"`
+	Verified bool   `json:"verified"`
+	// Unverified marks an import of a text export: no manifest vouched for
+	// its bytes.
 	Unverified    bool                `json:"unverified"`
 	SamplesLoaded int                 `json:"samples_loaded"`
 	Quarantined   []QuarantinedSample `json:"quarantined,omitempty"`
@@ -164,37 +207,86 @@ type IntegrityReport struct {
 // Partial reports whether the load excluded any samples.
 func (r *IntegrityReport) Partial() bool { return r != nil && len(r.Quarantined) > 0 }
 
-// readFileVerified reads path fully and validates its footer when present.
-// The returned payload has the footer stripped. info describes the file the
-// way a manifest records it. Corruption comes back as *IntegrityError; a
-// missing file as the os error.
-func readFileVerified(dataset, path string) (payload []byte, info FileInfo, hasFooter bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, FileInfo{}, false, err
+// fileError types a failed read of a dataset file: it is missing (or
+// unreadable) damage.
+func fileError(dataset, path string, err error) *IntegrityError {
+	ie := &IntegrityError{Dataset: dataset, Path: path, Reason: ReasonMissing}
+	if !os.IsNotExist(err) {
+		ie.Detail = err.Error()
 	}
-	payload, sum, hasFooter, ok := splitFooter(data)
-	if hasFooter && !ok {
-		return nil, FileInfo{}, true, &IntegrityError{
-			Dataset: dataset, Path: path, Reason: ReasonChecksum,
-			Detail: "integrity footer does not match file contents",
-		}
-	}
-	if !hasFooter {
-		payload = data
-	}
-	if !hasFooter {
-		sum = crc32.Checksum(payload, castagnoli)
-	}
-	return payload, FileInfo{Size: int64(len(data)), CRC32C: crcHex(sum)}, hasFooter, nil
+	return ie
 }
 
-// OpenDataset loads a native-layout dataset directory through the verified
-// read path. With a manifest present every file is checked — footer first
-// (is the file self-consistent?), then against the manifest (is it the file
-// the materialization promised?) — before a single line is parsed. Without
-// one, the dataset loads as legacy/unverified data and
-// genogo_storage_unverified_total counts it.
+// staleError is the fault of a self-consistent file the manifest describes
+// differently: the file verifies, the materialization lies.
+func staleError(dataset, path string, have, want FileInfo) *IntegrityError {
+	return &IntegrityError{Dataset: dataset, Path: path, Reason: ReasonStaleManifest,
+		Detail: fmt.Sprintf("file is self-consistent (%s, %d bytes) but manifest records %s, %d bytes",
+			have.CRC32C, have.Size, want.CRC32C, want.Size)}
+}
+
+// footerPayload strips a text file's footer and returns the payload and the
+// file's FileInfo. A footer must match where present, and be present when
+// required — its loss is then a truncation; a footerless file comes back
+// whole with a zero FileInfo.
+func footerPayload(dataset, path string, data []byte, required bool) ([]byte, FileInfo, *IntegrityError) {
+	payload, sum, hasFooter, ok := splitFooter(data)
+	switch {
+	case ok:
+		return payload, FileInfo{Size: int64(len(data)), CRC32C: crcHex(sum)}, nil
+	case hasFooter:
+		return nil, FileInfo{}, &IntegrityError{Dataset: dataset, Path: path, Reason: ReasonChecksum,
+			Detail: "integrity footer does not match file contents"}
+	case required:
+		return nil, FileInfo{}, &IntegrityError{Dataset: dataset, Path: path, Reason: ReasonTruncated,
+			Detail: "integrity footer missing"}
+	}
+	return data, FileInfo{}, nil
+}
+
+// checkFootered verifies the bytes of one footered member file (schema.txt,
+// a .gdm.meta, listed in the manifest as want when listed) and returns the
+// payload: footer first (is the file self-consistent?), then the manifest
+// (is it the file the materialization promised?). A file the manifest does
+// not vouch for cannot be trusted even if self-consistent: the manifest is
+// stale.
+func checkFootered(dataset, path string, data []byte, want FileInfo, listed bool) ([]byte, *IntegrityError) {
+	payload, have, ie := footerPayload(dataset, path, data, listed)
+	switch {
+	case ie != nil:
+		return nil, ie
+	case !listed:
+		return nil, &IntegrityError{Dataset: dataset, Path: path, Reason: ReasonStaleManifest,
+			Detail: "file not listed in manifest"}
+	case have != want:
+		return nil, staleError(dataset, path, have, want)
+	}
+	return payload, nil
+}
+
+// readMemberFile reads one footered file of a member, verifies it against
+// the manifest and parses its payload.
+func readMemberFile(dir, file string, man *Manifest, parse func(io.Reader) error) *IntegrityError {
+	name, path := filepath.Base(dir), filepath.Join(dir, file)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fileError(name, path, err)
+	}
+	want, listed := man.Files[file]
+	payload, ie := checkFootered(name, path, data, want, listed)
+	if ie == nil {
+		if err := parse(bytes.NewReader(payload)); err != nil {
+			ie = &IntegrityError{Dataset: name, Path: path, Reason: ReasonParse, Detail: err.Error()}
+		}
+	}
+	return ie
+}
+
+// OpenDataset loads a dataset directory. This is where a directory is told
+// apart as a repository member or a text export, once: with a manifest it is
+// a member, and every file is verified — footer or section checksums, then
+// the manifest — before its contents are used; without one it is an export,
+// imported as unverified data (genogo_storage_unverified_total counts it).
 //
 // Under the zero policy any damage fails the load with a typed
 // *IntegrityError. With AllowPartial, damaged samples are excluded (and with
@@ -206,7 +298,7 @@ func OpenDataset(dir string, pol IntegrityPolicy) (*gdm.Dataset, *IntegrityRepor
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 		if err != nil && os.IsNotExist(err) {
 			// A missing directory next to a ".<name>.old" sibling is the
-			// signature of a torn WriteDataset rename: the previous version
+			// signature of a torn staged-write rename: the previous version
 			// was moved aside and the crash hit before the new one landed.
 			old := filepath.Join(filepath.Dir(dir), "."+name+".old")
 			if ofi, oerr := os.Stat(old); oerr == nil && ofi.IsDir() {
@@ -223,28 +315,28 @@ func OpenDataset(dir string, pol IntegrityPolicy) (*gdm.Dataset, *IntegrityRepor
 		return nil, nil, fmt.Errorf("dataset %s: %w", dir, err)
 	}
 	rep := &IntegrityReport{Dataset: name, Dir: dir}
+	var ds *gdm.Dataset
+	var stats *catalog.DatasetStats
 	man, err := ReadManifest(dir)
 	switch {
 	case err == nil:
+		ds, err = openMember(dir, man, pol, rep)
+		stats = man.Stats
 	case errors.Is(err, fs.ErrNotExist):
-		man = nil
+		rep.Unverified = true
+		ds, err = readExport(dir, pol, rep)
 	default:
 		var ie *IntegrityError
 		if errors.As(err, &ie) {
 			metricIntegrityFailures.With(string(ie.Reason)).Inc()
 		}
-		return nil, nil, err
 	}
-	rep.Layout = detectLayout(dir, man)
-
-	ds, err := openDatasetFiles(dir, man, pol, rep)
 	if err != nil {
 		return nil, nil, err
 	}
 	rep.SamplesLoaded = len(ds.Samples)
 	switch {
-	case man == nil:
-		rep.Unverified = true
+	case rep.Unverified:
 		metricUnverifiedLoads.Inc()
 	case rep.Partial():
 		metricPartialLoads.Inc()
@@ -253,265 +345,148 @@ func OpenDataset(dir string, pol IntegrityPolicy) (*gdm.Dataset, *IntegrityRepor
 		metricVerifiedLoads.Inc()
 	}
 	recordIntegrity(rep)
-	catalogDataset(ds, man, rep)
+	catalogDataset(ds, rep, stats)
 	return ds, rep, nil
 }
 
 // catalogDataset files a freshly opened dataset in the repository catalog. A
-// fully verified manifest with a stats block hands the block over as-is; a
-// legacy layout, a missing/old-format block, or a partial load (the loaded
-// dataset is a subset of what the manifest describes) retains the dataset
-// for one lazy scan instead.
-func catalogDataset(ds *gdm.Dataset, man *Manifest, rep *IntegrityReport) {
+// fully verified member hands its manifest's stats block over as-is; an
+// import, a member without a block, or a partial load (the loaded dataset is
+// a subset of what the manifest describes) retains the dataset for one lazy
+// scan instead.
+func catalogDataset(ds *gdm.Dataset, rep *IntegrityReport, stats *catalog.DatasetStats) {
 	info := catalog.Info{
 		Name:        ds.Name,
 		Dir:         rep.Dir,
 		Source:      catalog.SourceScan,
+		Integrity:   "unverified",
 		Quarantined: len(rep.Quarantined),
 		Dataset:     ds,
 	}
-	switch {
-	case rep.Verified:
-		info.Integrity = "verified"
-	case rep.Partial():
+	if rep.Partial() {
 		info.Integrity = "partial"
-	default:
-		info.Integrity = "unverified"
 	}
-	if man != nil && !rep.Partial() {
-		info.Digest = man.Digest
-		if man.Stats != nil {
+	if rep.Verified {
+		info.Integrity = "verified"
+		info.Digest = rep.Digest
+		if stats != nil {
 			info.Source = catalog.SourceManifest
-			info.Stats = man.Stats
+			info.Stats = stats
 		}
 	}
 	catalog.Repo().Record(info)
 }
 
-// readDatasetSchema verifies and parses dir's schema.txt — the fatal-first
-// step every layout and the pruned read path share. Damage is always fatal:
-// without the schema nothing is interpretable. man == nil skips the manifest
-// cross-check (legacy directories).
-func readDatasetSchema(dir string, man *Manifest) (*gdm.Schema, error) {
-	name := filepath.Base(dir)
-	fatal := func(ie *IntegrityError) error {
+// readMemberSchema verifies and parses a member's schema.txt — the
+// fatal-first step the full and the pruned read share. Damage is always
+// fatal: without the schema nothing is interpretable.
+func readMemberSchema(dir string, man *Manifest) (schema *gdm.Schema, err error) {
+	if ie := readMemberFile(dir, "schema.txt", man, func(r io.Reader) error {
+		schema, err = ReadSchema(r)
+		return err
+	}); ie != nil {
 		metricIntegrityFailures.With(string(ie.Reason)).Inc()
-		return ie
-	}
-	schemaPath := filepath.Join(dir, "schema.txt")
-	schemaPayload, schemaInfo, schemaFooter, err := readFileVerified(name, schemaPath)
-	if err != nil {
-		var ie *IntegrityError
-		if errors.As(err, &ie) {
-			return nil, fatal(ie)
-		}
-		if os.IsNotExist(err) && man != nil {
-			return nil, fatal(&IntegrityError{Dataset: name, Path: schemaPath, Reason: ReasonMissing})
-		}
-		return nil, fmt.Errorf("dataset %s: %w", dir, err)
-	}
-	if man != nil {
-		if !schemaFooter {
-			return nil, fatal(&IntegrityError{Dataset: name, Path: schemaPath, Reason: ReasonTruncated,
-				Detail: "manifest present but integrity footer missing"})
-		}
-		if want := man.Files["schema.txt"]; want != schemaInfo {
-			return nil, fatal(&IntegrityError{Dataset: name, Path: schemaPath, Reason: ReasonStaleManifest,
-				Detail: fmt.Sprintf("file is self-consistent (%s, %d bytes) but manifest records %s, %d bytes",
-					schemaInfo.CRC32C, schemaInfo.Size, want.CRC32C, want.Size)})
-		}
-	}
-	schema, err := ReadSchema(bytes.NewReader(schemaPayload))
-	if err != nil {
-		return nil, fatal(&IntegrityError{Dataset: name, Path: schemaPath, Reason: ReasonParse, Detail: err.Error()})
+		return nil, ie
 	}
 	return schema, nil
 }
 
-// openDatasetFiles does the per-file verification and parsing for
-// OpenDataset. man == nil selects the legacy (unverified) path.
-func openDatasetFiles(dir string, man *Manifest, pol IntegrityPolicy, rep *IntegrityReport) (*gdm.Dataset, error) {
-	name := rep.Dataset
-
-	// Schema first; schema damage is always fatal.
-	schema, err := readDatasetSchema(dir, man)
+// openMember verifies and loads a repository member: the schema, every sample
+// the manifest lists, then whatever else the directory holds.
+func openMember(dir string, man *Manifest, pol IntegrityPolicy, rep *IntegrityReport) (*gdm.Dataset, error) {
+	schema, err := readMemberSchema(dir, man)
+	if err != nil {
+		return nil, err
+	}
+	ids := man.SampleIDs()
+	ds := gdm.NewDataset(rep.Dataset, schema)
+	err = addSamples(ds, ids, columnarExt, pol, rep, func(id string) (*gdm.Sample, *IntegrityError) {
+		return readColumnarSampleVerified(dir, id, schema, man)
+	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Decide the sample universe: the manifest's when present (files it does
-	// not list are unverifiable and treated as stale-manifest damage),
-	// otherwise whatever region files the directory holds.
-	columnar := rep.Layout == LayoutColumnar
-	regionExt := ".gdm"
-	if columnar {
-		regionExt = columnarExt
-	}
-	var ids []string
-	if man != nil {
-		ids = man.SampleIDs()
-	} else {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return nil, fmt.Errorf("dataset %s: %w", dir, err)
-		}
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), regionExt) {
-				ids = append(ids, strings.TrimSuffix(e.Name(), regionExt))
-			}
-		}
-		sort.Strings(ids)
-	}
-
-	ds := gdm.NewDataset(name, schema)
-	exclude := func(sampleID, file string, reason FaultReason, detail string) error {
-		metricIntegrityFailures.With(string(reason)).Inc()
-		if !pol.AllowPartial {
-			return &IntegrityError{Dataset: name, Path: filepath.Join(dir, file), Reason: reason, Detail: detail}
-		}
-		q := QuarantinedSample{Sample: sampleID, File: file, Reason: reason, Detail: detail}
-		if pol.Quarantine {
-			for _, f := range []string{sampleID + regionExt, sampleID + ".gdm.meta"} {
-				if moved, err := quarantineFile(dir, f); err == nil && moved != "" {
-					metricQuarantined.Inc()
-					if f == file || q.MovedTo == "" {
-						q.MovedTo = moved
-					}
-				}
-			}
-		}
-		rep.Quarantined = append(rep.Quarantined, q)
-		return nil
-	}
-
-	for _, id := range ids {
-		var s *gdm.Sample
-		var ie *IntegrityError
-		if columnar {
-			s, ie = readColumnarSampleVerified(dir, id, schema, man)
-		} else {
-			s, ie = readSampleVerified(dir, id, schema, man)
-		}
-		if ie != nil {
-			if err := exclude(id, filepath.Base(ie.Path), ie.Reason, ie.Detail); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		s.SortRegions()
-		if err := ds.Add(s); err != nil {
-			if err := exclude(id, id+regionExt, ReasonParse, err.Error()); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Native files on disk that belong to no manifest-listed sample are
+	// Sample files on disk that belong to no manifest-listed sample are
 	// stale-manifest damage: leftovers of a torn write or additions made
 	// behind the manifest's back, with no checksum to trust them by.
-	// (Unlisted files of listed samples were already handled per sample.)
-	if man != nil {
-		known := make(map[string]bool, len(ids))
-		for _, id := range ids {
-			known[id] = true
-		}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return nil, fmt.Errorf("dataset %s: %w", dir, err)
-		}
-		for _, e := range entries {
-			n := e.Name()
-			if e.IsDir() || n == ManifestName || n == "schema.txt" {
-				continue
-			}
-			if !strings.HasSuffix(n, ".gdm") && !strings.HasSuffix(n, ".gdm.meta") &&
-				!strings.HasSuffix(n, columnarExt) {
-				continue
-			}
-			sampleID := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(n, ".meta"), ".gdm"), columnarExt)
-			if known[sampleID] {
-				continue
-			}
-			known[sampleID] = true // one report per rogue sample, not per file
-			if err := exclude(sampleID, n, ReasonStaleManifest, "file not listed in manifest"); err != nil {
-				return nil, err
-			}
-		}
-		rep.Digest = man.Digest
+	known := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		known[id] = true
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("dataset %s: %w", dir, err)
+	}
+	for _, e := range entries {
+		id, ok := sampleFileID(e.Name())
+		if e.IsDir() || !ok || known[id] {
+			continue
+		}
+		known[id] = true // one report per rogue sample, not per file
+		ie := &IntegrityError{Dataset: rep.Dataset, Path: filepath.Join(dir, e.Name()),
+			Reason: ReasonStaleManifest, Detail: "file not listed in manifest"}
+		if err := rep.exclude(pol, id, ie, e.Name(), id+".gdm.meta"); err != nil {
+			return nil, err
+		}
+	}
+	rep.Digest = man.Digest
 	return ds, nil
 }
 
-// readSampleVerified verifies and parses one sample's region and metadata
-// files. Any damage comes back as a typed *IntegrityError; the caller decides
-// between failing the load and quarantining the sample.
-func readSampleVerified(dir, id string, schema *gdm.Schema, man *Manifest) (*gdm.Sample, *IntegrityError) {
-	name := filepath.Base(dir)
-	verify := func(file string, required bool) ([]byte, bool, *IntegrityError) {
-		path := filepath.Join(dir, file)
-		payload, info, hasFooter, err := readFileVerified(name, path)
-		if err != nil {
-			var ie *IntegrityError
-			if errors.As(err, &ie) {
-				return nil, false, ie
-			}
-			if os.IsNotExist(err) {
-				if !required {
-					return nil, false, nil
-				}
-				return nil, false, &IntegrityError{Dataset: name, Path: path, Reason: ReasonMissing}
-			}
-			return nil, false, &IntegrityError{Dataset: name, Path: path, Reason: ReasonMissing, Detail: err.Error()}
+// sampleFileID returns the sample a region or metadata file belongs to.
+func sampleFileID(file string) (string, bool) {
+	for _, ext := range []string{".gdm.meta", columnarExt, ".gdm"} {
+		if id, ok := strings.CutSuffix(file, ext); ok {
+			return id, true
 		}
-		if man != nil {
-			want, listed := man.Files[file]
-			if !listed {
-				// A file the manifest does not vouch for cannot be trusted
-				// even if self-consistent: the manifest is stale.
-				return nil, false, &IntegrityError{Dataset: name, Path: path, Reason: ReasonStaleManifest,
-					Detail: "file not listed in manifest"}
-			}
-			if !hasFooter {
-				return nil, false, &IntegrityError{Dataset: name, Path: path, Reason: ReasonTruncated,
-					Detail: "manifest present but integrity footer missing"}
-			}
-			if want != info {
-				return nil, false, &IntegrityError{Dataset: name, Path: path, Reason: ReasonStaleManifest,
-					Detail: fmt.Sprintf("file is self-consistent (%s, %d bytes) but manifest records %s, %d bytes",
-						info.CRC32C, info.Size, want.CRC32C, want.Size)}
-			}
-		}
-		return payload, true, nil
 	}
-
-	regFile := id + ".gdm"
-	regPayload, _, ie := verify(regFile, true)
-	if ie != nil {
-		return nil, ie
-	}
-	s := gdm.NewSample(id)
-	if err := ReadRegions(bytes.NewReader(regPayload), schema, s); err != nil {
-		return nil, &IntegrityError{Dataset: name, Path: filepath.Join(dir, regFile), Reason: ReasonParse, Detail: err.Error()}
-	}
-	metaFile := id + ".gdm.meta"
-	metaRequired := man != nil && hasManifestEntry(man, metaFile)
-	metaPayload, present, ie := verify(metaFile, metaRequired)
-	if ie != nil {
-		return nil, ie
-	}
-	if present {
-		md, err := ReadMeta(bytes.NewReader(metaPayload))
-		if err != nil {
-			return nil, &IntegrityError{Dataset: name, Path: filepath.Join(dir, metaFile), Reason: ReasonParse, Detail: err.Error()}
-		}
-		s.Meta = md
-	}
-	return s, nil
+	return "", false
 }
 
-func hasManifestEntry(man *Manifest, file string) bool {
-	_, ok := man.Files[file]
-	return ok
+// addSamples reads each sample in ids and adds it to ds. A sample that fails
+// (ext names its region file) is excluded under pol.
+func addSamples(ds *gdm.Dataset, ids []string, ext string, pol IntegrityPolicy, rep *IntegrityReport,
+	read func(id string) (*gdm.Sample, *IntegrityError)) error {
+	for _, id := range ids {
+		s, ie := read(id)
+		if ie == nil {
+			s.SortRegions()
+			if err := ds.Add(s); err != nil {
+				ie = &IntegrityError{Dataset: ds.Name, Path: filepath.Join(rep.Dir, id+ext),
+					Reason: ReasonParse, Detail: err.Error()}
+			}
+		}
+		if ie != nil {
+			if err := rep.exclude(pol, id, ie, id+ext, id+".gdm.meta"); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// exclude applies pol to one damaged sample: the strict policy fails the load
+// with ie; AllowPartial itemizes the sample in the report and, with
+// Quarantine, moves its files into .quarantine.
+func (r *IntegrityReport) exclude(pol IntegrityPolicy, sampleID string, ie *IntegrityError, files ...string) error {
+	metricIntegrityFailures.With(string(ie.Reason)).Inc()
+	if !pol.AllowPartial {
+		return ie
+	}
+	q := QuarantinedSample{Sample: sampleID, File: filepath.Base(ie.Path), Reason: ie.Reason, Detail: ie.Detail}
+	if pol.Quarantine {
+		for _, f := range files {
+			if moved, err := quarantineFile(r.Dir, f); err == nil && moved != "" {
+				metricQuarantined.Inc()
+				if f == q.File || q.MovedTo == "" {
+					q.MovedTo = moved
+				}
+			}
+		}
+	}
+	r.Quarantined = append(r.Quarantined, q)
+	return nil
 }
 
 // quarantineDirName is the dot-prefixed (loader-invisible) directory corrupt
@@ -583,9 +558,9 @@ func IntegritySnapshot() []IntegrityReport {
 	return out
 }
 
-// LoadRepository opens every dataset directory under root through the
-// verified read path: non-hidden subdirectories holding a manifest.json or
-// schema.txt. Dot-prefixed entries are skipped — they are WriteDataset
+// LoadRepository opens every dataset directory under root through
+// OpenDataset: non-hidden subdirectories holding a manifest.json (members) or
+// schema.txt (text exports). Dot-prefixed entries are skipped — they are
 // staging leftovers or quarantine areas, never datasets. The reports line up
 // with the datasets index-for-index.
 func LoadRepository(root string, pol IntegrityPolicy) ([]*gdm.Dataset, []*IntegrityReport, error) {
@@ -613,13 +588,12 @@ func LoadRepository(root string, pol IntegrityPolicy) ([]*gdm.Dataset, []*Integr
 	return dss, reps, nil
 }
 
-// isDatasetDir reports whether dir looks like a native dataset directory.
+// isDatasetDir reports whether dir looks like a member or a text export.
 func isDatasetDir(dir string) bool {
-	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
-		return true
-	}
-	if _, err := os.Stat(filepath.Join(dir, "schema.txt")); err == nil {
-		return true
+	for _, f := range []string{ManifestName, "schema.txt"} {
+		if _, err := os.Stat(filepath.Join(dir, f)); err == nil {
+			return true
+		}
 	}
 	return false
 }

@@ -11,33 +11,38 @@ import (
 	"genogo/internal/gdm"
 )
 
-// writeTestDataset materializes the standard test dataset and returns its
-// directory plus the dataset.
+// writeTestDataset materializes the standard test dataset as a member and
+// returns its directory plus the dataset.
 func writeTestDataset(t *testing.T) (string, *gdm.Dataset) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "PEAKS")
 	ds := testDataset(t)
-	if err := WriteDataset(dir, ds); err != nil {
+	if err := WriteDatasetColumnar(dir, ds); err != nil {
 		t.Fatal(err)
 	}
 	return dir, ds
 }
 
-// flipByte flips one bit inside the payload area of a native file, leaving
-// its footer untouched — the signature of media bit rot.
+// flipByte flips one bit of a file — media bit rot: a text file's first
+// byte, leaving its footer untouched, or a .gdmc image's last byte, inside
+// the partition payload its last checksum covers.
 func flipByte(t *testing.T, path string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[0] ^= 0x01
+	i := 0
+	if strings.HasSuffix(path, columnarExt) {
+		i = len(data) - 1
+	}
+	data[i] ^= 0x01
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// rewriteSelfConsistent rewrites a native file with one extra comment line
+// rewriteSelfConsistent rewrites a footered file with one extra comment line
 // and a freshly computed footer: the file verifies on its own, but no longer
 // matches what the manifest recorded.
 func rewriteSelfConsistent(t *testing.T, path string) {
@@ -59,7 +64,7 @@ func rewriteSelfConsistent(t *testing.T, path string) {
 }
 
 // stripFooter removes the integrity footer line entirely — the on-disk state
-// of a file torn at a line boundary, or written by a pre-manifest genogo.
+// of a file torn at a line boundary.
 func stripFooter(t *testing.T, path string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -102,7 +107,10 @@ func TestWriteDatasetEmitsManifest(t *testing.T) {
 	if man.Digest != ds.ContentDigest() {
 		t.Fatalf("manifest digest %s != content digest %s", man.Digest, ds.ContentDigest())
 	}
-	want := []string{"sample1.gdm", "sample1.gdm.meta", "sample2.gdm", "sample2.gdm.meta", "schema.txt"}
+	if man.Layout != LayoutColumnar {
+		t.Fatalf("manifest layout = %q", man.Layout)
+	}
+	want := []string{"sample1.gdm.meta", "sample1.gdmc", "sample2.gdm.meta", "sample2.gdmc", "schema.txt"}
 	if len(man.Files) != len(want) {
 		t.Fatalf("manifest files = %v", man.Files)
 	}
@@ -114,6 +122,12 @@ func TestWriteDatasetEmitsManifest(t *testing.T) {
 		data, err := os.ReadFile(filepath.Join(dir, f))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if strings.HasSuffix(f, columnarExt) {
+			if got := columnarFileInfo(data); got != info {
+				t.Fatalf("%s: file %+v vs manifest %+v", f, got, info)
+			}
+			continue
 		}
 		payload, sum, hasFooter, ok := splitFooter(data)
 		if !hasFooter || !ok {
@@ -164,7 +178,7 @@ func TestFooterMustBeCanonical(t *testing.T) {
 		"signed length": func(s string) string { return strings.Replace(s, "bytes:", "bytes:+", 1) },
 	} {
 		dir, _ := writeTestDataset(t)
-		path := filepath.Join(dir, "sample1.gdm")
+		path := filepath.Join(dir, "sample1.gdm.meta")
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -183,12 +197,12 @@ func TestFooterMustBeCanonical(t *testing.T) {
 	}
 }
 
-// TestBitFlipFailsStrictLoad: one flipped bit anywhere in a region file makes
-// the strict load fail with a typed checksum error — never a silently wrong
+// TestBitFlipFailsStrictLoad: one flipped bit in a region image makes the
+// strict load fail with a typed checksum error — never a silently wrong
 // dataset.
 func TestBitFlipFailsStrictLoad(t *testing.T) {
 	dir, _ := writeTestDataset(t)
-	flipByte(t, filepath.Join(dir, "sample1.gdm"))
+	flipByte(t, filepath.Join(dir, "sample1.gdmc"))
 	_, err := ReadDataset(dir)
 	wantIntegrityError(t, err, ReasonChecksum)
 }
@@ -199,7 +213,7 @@ func TestBitFlipFailsStrictLoad(t *testing.T) {
 // PartialFailure.
 func TestPartialLoadQuarantines(t *testing.T) {
 	dir, _ := writeTestDataset(t)
-	flipByte(t, filepath.Join(dir, "sample1.gdm"))
+	flipByte(t, filepath.Join(dir, "sample1.gdmc"))
 	ds, rep, err := OpenDataset(dir, IntegrityPolicy{AllowPartial: true, Quarantine: true})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +228,7 @@ func TestPartialLoadQuarantines(t *testing.T) {
 	if q.Sample != "sample1" || q.Reason != ReasonChecksum || q.MovedTo == "" {
 		t.Fatalf("quarantined = %+v", q)
 	}
-	for _, f := range []string{"sample1.gdm", "sample1.gdm.meta"} {
+	for _, f := range []string{"sample1.gdmc", "sample1.gdm.meta"} {
 		if _, err := os.Stat(filepath.Join(dir, quarantineDirName, f)); err != nil {
 			t.Errorf("%s not in quarantine: %v", f, err)
 		}
@@ -228,12 +242,25 @@ func TestPartialLoadQuarantines(t *testing.T) {
 	wantIntegrityError(t, err, ReasonMissing)
 }
 
-// TestTruncationDetected: a file whose footer is gone (torn at a line
-// boundary) under a manifest is truncation damage.
+// TestTruncationDetected: a text file whose footer is gone (torn at a line
+// boundary) or an image shorter than the manifest records is truncation
+// damage.
 func TestTruncationDetected(t *testing.T) {
 	dir, _ := writeTestDataset(t)
-	stripFooter(t, filepath.Join(dir, "sample2.gdm"))
+	stripFooter(t, filepath.Join(dir, "sample2.gdm.meta"))
 	_, err := ReadDataset(dir)
+	wantIntegrityError(t, err, ReasonTruncated)
+
+	dir, _ = writeTestDataset(t)
+	path := filepath.Join(dir, "sample2.gdmc")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadDataset(dir)
 	wantIntegrityError(t, err, ReasonTruncated)
 }
 
@@ -241,7 +268,7 @@ func TestTruncationDetected(t *testing.T) {
 // partial policy degrades around it.
 func TestMissingFileDetected(t *testing.T) {
 	dir, _ := writeTestDataset(t)
-	if err := os.Remove(filepath.Join(dir, "sample1.gdm")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "sample1.gdmc")); err != nil {
 		t.Fatal(err)
 	}
 	_, err := ReadDataset(dir)
@@ -259,27 +286,31 @@ func TestMissingFileDetected(t *testing.T) {
 // with is its own fault class — the file verifies, the materialization lies.
 func TestStaleManifestDetected(t *testing.T) {
 	dir, _ := writeTestDataset(t)
-	rewriteSelfConsistent(t, filepath.Join(dir, "sample1.gdm"))
+	rewriteSelfConsistent(t, filepath.Join(dir, "sample1.gdm.meta"))
 	_, err := ReadDataset(dir)
 	wantIntegrityError(t, err, ReasonStaleManifest)
 }
 
-// TestRogueFileDetected: a region file the manifest does not list cannot be
-// trusted; strict loads fail and partial loads exclude it.
+// TestRogueFileDetected: a region image the manifest does not list cannot be
+// trusted, however well it verifies on its own; strict loads fail and partial
+// loads exclude it.
 func TestRogueFileDetected(t *testing.T) {
-	dir, _ := writeTestDataset(t)
-	rogue := []byte("chr1\t1\t2\t+\t0.5\tx\n")
-	if err := os.WriteFile(filepath.Join(dir, "rogue.gdm"), rogue, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ReadDataset(dir)
-	wantIntegrityError(t, err, ReasonStaleManifest)
-	ds, rep, err := OpenDataset(dir, IntegrityPolicy{AllowPartial: true})
+	dir, ds := writeTestDataset(t)
+	rogue, err := appendColumnarSample(nil, ds.Samples[0], ds.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds.Samples) != 2 || !rep.Partial() || rep.Quarantined[0].Sample != "rogue" {
-		t.Fatalf("ds=%d samples, report=%+v", len(ds.Samples), rep)
+	if err := os.WriteFile(filepath.Join(dir, "rogue.gdmc"), rogue, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadDataset(dir)
+	wantIntegrityError(t, err, ReasonStaleManifest)
+	got, rep, err := OpenDataset(dir, IntegrityPolicy{AllowPartial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Samples) != 2 || !rep.Partial() || rep.Quarantined[0].Sample != "rogue" {
+		t.Fatalf("ds=%d samples, report=%+v", len(got.Samples), rep)
 	}
 }
 
@@ -293,7 +324,7 @@ func TestSchemaDamageAlwaysFatal(t *testing.T) {
 }
 
 // TestBadManifestDetected: a damaged manifest is typed bad_manifest damage,
-// not a crash or a silent legacy load.
+// not a crash or a silent unverified import.
 func TestBadManifestDetected(t *testing.T) {
 	dir, _ := writeTestDataset(t)
 	flipByte(t, filepath.Join(dir, ManifestName))
@@ -329,9 +360,8 @@ func TestTornRenameDetected(t *testing.T) {
 	datasetsEqual(t, ds, got)
 }
 
-// writeLegacyDataset lays out a dataset the way pre-manifest genogo did: no
-// footers, no manifest.
-func writeLegacyDataset(t *testing.T, dir string) {
+// writeTextExport lays out a text export by hand: no footers, no manifest.
+func writeTextExport(t *testing.T, dir string) {
 	t.Helper()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
@@ -348,11 +378,11 @@ func writeLegacyDataset(t *testing.T, dir string) {
 	}
 }
 
-// TestLegacyDatasetLoadsUnverified: manifest-less directories stay loadable
-// — flagged unverified, never refused.
+// TestLegacyDatasetLoadsUnverified: a text export (no manifest) imports —
+// flagged unverified, never refused.
 func TestLegacyDatasetLoadsUnverified(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "OLD")
-	writeLegacyDataset(t, dir)
+	writeTextExport(t, dir)
 	ds, rep, err := OpenDataset(dir, IntegrityPolicy{})
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +391,7 @@ func TestLegacyDatasetLoadsUnverified(t *testing.T) {
 		t.Fatalf("report = %+v, want unverified", rep)
 	}
 	if len(ds.Samples) != 1 || len(ds.Samples[0].Regions) != 2 {
-		t.Fatalf("legacy load = %s", ds)
+		t.Fatalf("import = %s", ds)
 	}
 }
 
@@ -390,7 +420,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			parent := t.TempDir()
 			dir := filepath.Join(parent, "PEAKS")
 			v1 := testDataset(t)
-			if err := WriteDataset(dir, v1); err != nil {
+			if err := WriteDatasetColumnar(dir, v1); err != nil {
 				t.Fatal(err)
 			}
 			v2 := testDataset(t)
@@ -409,7 +439,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 						t.Fatalf("crash at %s did not fire", stage)
 					}
 				}()
-				_ = WriteDataset(dir, v2)
+				_ = WriteDatasetColumnar(dir, v2)
 			}()
 			crashPoint = nil
 
@@ -447,4 +477,48 @@ func TestSchemaFieldCap(t *testing.T) {
 	if _, err := ReadSchema(strings.NewReader(sb.String())); err == nil {
 		t.Fatal("oversized schema accepted")
 	}
+}
+
+// TestMemberTextMustReadBack: a metadata pair or schema field name the text
+// readers would not return unchanged fails the member write with
+// ErrUnwritable and commits nothing — a verified member never reads back
+// different metadata from what was written.
+func TestMemberTextMustReadBack(t *testing.T) {
+	for _, pairs := range [][][2]string{
+		{{"#hash", "x"}, {"note", "foo\nbar\tbaz"}},
+		{{"a\tb", "c"}},
+		{{"cr", "x\r"}},
+		{{"browser x", "y"}},
+		{{"", ""}},
+	} {
+		ds := testDataset(t)
+		for _, p := range pairs {
+			ds.Samples[0].Meta.Add(p[0], p[1])
+		}
+		dir := filepath.Join(t.TempDir(), "PEAKS")
+		if err := WriteDatasetColumnar(dir, ds); !errors.Is(err, ErrUnwritable) {
+			t.Errorf("meta %q: err = %v, want ErrUnwritable", pairs, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("meta %q: a member was committed", pairs)
+		}
+	}
+	ds := testDataset(t)
+	ds.Schema = gdm.MustSchema(gdm.Field{Name: "#p_value", Type: gdm.KindFloat}, gdm.Field{Name: "name", Type: gdm.KindString})
+	if err := WriteDatasetColumnar(filepath.Join(t.TempDir(), "PEAKS"), ds); !errors.Is(err, ErrUnwritable) {
+		t.Errorf("schema field %q: err = %v, want ErrUnwritable", "#p_value", err)
+	}
+
+	// What the readers do return unchanged still round-trips.
+	ds = testDataset(t)
+	ds.Samples[0].Meta.Add(" note ", "tab\tinside, spaces around ")
+	dir := filepath.Join(t.TempDir(), "PEAKS")
+	if err := WriteDatasetColumnar(dir, ds); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadDataset(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	datasetsEqual(t, ds, got)
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"genogo/internal/catalog"
 	"genogo/internal/gdm"
@@ -17,32 +18,32 @@ import (
 // file the materialization consists of.
 const ManifestName = "manifest.json"
 
-// ManifestFormatVersion is the native layout version this code writes. A
+// ManifestFormatVersion is the member layout version this code writes. A
 // higher version on disk means the dataset was written by a newer genogo and
 // is refused rather than half-understood.
 const ManifestFormatVersion = 1
 
-// FileInfo records one native file's payload size and checksum as the
-// manifest sees them. Size is the full on-disk size including the integrity
-// footer; CRC32C covers the payload bytes before the footer, so it equals the
-// checksum the footer itself declares.
+// FileInfo records one member file's size and checksum as the manifest sees
+// them. Size is the full on-disk size. For a footered text file CRC32C covers
+// the payload bytes before the footer, so it equals the checksum the footer
+// itself declares; for a .gdmc image it covers the whole file.
 type FileInfo struct {
 	Size   int64  `json:"size"`
 	CRC32C string `json:"crc32c"`
 }
 
 // Manifest is the dataset's self-description, written last (fsynced, inside
-// the staging directory) by WriteDataset so its presence certifies a complete
-// materialization. Digest is the gdm content digest of the whole dataset —
-// the dataset's version: it changes iff the logical content changes.
+// the staging directory) by WriteDatasetColumnar so its presence certifies a
+// complete materialization. Digest is the gdm content digest of the whole
+// dataset — the dataset's version: it changes iff the logical content
+// changes.
 type Manifest struct {
 	FormatVersion int    `json:"format_version"`
 	Dataset       string `json:"dataset"`
 	Samples       int    `json:"samples"`
 	Digest        string `json:"digest"`
-	// Layout names the on-disk representation: "" (LayoutNative) for the
-	// text layout — the zero value, so pre-columnar manifests read as native
-	// — or "columnar" for binary .gdmc region files.
+	// Layout is always LayoutColumnar. A manifest without it was written by
+	// an older genogo for the text layout, which gmqlfsck -rebuild converts.
 	Layout string              `json:"layout,omitempty"`
 	Files  map[string]FileInfo `json:"files"`
 	// Stats is the per-(sample, chromosome) statistics block, computed
@@ -54,22 +55,11 @@ type Manifest struct {
 }
 
 // SampleIDs lists the sample IDs the manifest declares, sorted, derived from
-// its region-file entries (.gdm for the native layout, .gdmc for columnar).
+// its .gdmc entries.
 func (m *Manifest) SampleIDs() []string {
-	seen := make(map[string]bool)
 	var ids []string
 	for name := range m.Files {
-		var id string
-		switch filepath.Ext(name) {
-		case ".gdm":
-			id = name[:len(name)-len(".gdm")]
-		case columnarExt:
-			id = name[:len(name)-len(columnarExt)]
-		default:
-			continue
-		}
-		if !seen[id] {
-			seen[id] = true
+		if id, ok := strings.CutSuffix(name, columnarExt); ok {
 			ids = append(ids, id)
 		}
 	}
@@ -77,10 +67,10 @@ func (m *Manifest) SampleIDs() []string {
 	return ids
 }
 
-// ReadManifest loads and verifies dir's manifest. A dataset without one
-// (the pre-manifest legacy layout) yields an error satisfying
-// errors.Is(err, fs.ErrNotExist); a present but damaged manifest yields a
-// typed *IntegrityError with ReasonBadManifest.
+// ReadManifest loads and verifies dir's manifest. A directory without one (a
+// text export) yields an error satisfying errors.Is(err, fs.ErrNotExist); a
+// present but damaged manifest, or one that does not describe a member,
+// yields a typed *IntegrityError with ReasonBadManifest.
 func ReadManifest(dir string) (*Manifest, error) {
 	path := filepath.Join(dir, ManifestName)
 	data, err := os.ReadFile(path)
@@ -93,14 +83,9 @@ func ReadManifest(dir string) (*Manifest, error) {
 	bad := func(detail string) error {
 		return &IntegrityError{Dataset: filepath.Base(dir), Path: path, Reason: ReasonBadManifest, Detail: detail}
 	}
-	payload, _, hasFooter, ok := splitFooter(data)
+	payload, _, _, ok := splitFooter(data)
 	if !ok {
-		if hasFooter {
-			return nil, bad("manifest checksum mismatch")
-		}
-		// No footer at all: a manifest written by hand or torn mid-line.
-		// Try the raw bytes — json.Unmarshal is the arbiter.
-		payload = data
+		return nil, bad("integrity footer missing or does not match")
 	}
 	var m Manifest
 	if err := json.Unmarshal(payload, &m); err != nil {
@@ -108,6 +93,10 @@ func ReadManifest(dir string) (*Manifest, error) {
 	}
 	if m.FormatVersion > ManifestFormatVersion {
 		return nil, bad(fmt.Sprintf("format version %d is newer than supported %d", m.FormatVersion, ManifestFormatVersion))
+	}
+	if m.Layout != LayoutColumnar {
+		return nil, bad(fmt.Sprintf("layout %q is not a member's (%q): a text directory from an older genogo; gmqlfsck -rebuild converts it",
+			m.Layout, LayoutColumnar))
 	}
 	if m.Files == nil {
 		return nil, bad("no files section")
@@ -121,8 +110,8 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// writeManifest materializes the manifest into dir, checksummed and fsynced
-// like every other native file.
+// writeManifest materializes the manifest into dir, footered and fsynced like
+// every other text file of a member.
 func writeManifest(dir string, m *Manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -150,6 +139,7 @@ func buildManifest(ds *gdm.Dataset, files map[string]FileInfo, sampleStats []cat
 		Dataset:       ds.Name,
 		Samples:       len(ds.Samples),
 		Digest:        digest,
+		Layout:        LayoutColumnar,
 		Files:         files,
 		Stats: &catalog.DatasetStats{
 			Version:   catalog.StatsVersion,

@@ -8,7 +8,7 @@ var (
 	metricVerifiedLoads = obs.Default().Counter("genogo_storage_verified_total",
 		"Dataset loads fully verified against a manifest (every checksum matched).")
 	metricUnverifiedLoads = obs.Default().Counter("genogo_storage_unverified_total",
-		"Dataset loads of legacy directories without a manifest (no integrity guarantee; run gmqlfsck -rebuild to upgrade).")
+		"Imports of text exports, dataset directories without a manifest (no integrity guarantee; gmqlfsck -rebuild converts them into members).")
 	metricIntegrityFailures = obs.Default().CounterVec("genogo_storage_integrity_failures_total",
 		"Integrity faults detected on the read path, by reason.", "reason")
 	metricQuarantined = obs.Default().Counter("genogo_storage_quarantined_total",

@@ -2,14 +2,14 @@ package formats
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"genogo/internal/catalog"
 	"genogo/internal/gdm"
 )
 
@@ -18,20 +18,40 @@ import (
 // allocation.
 const maxSchemaFields = 1 << 12
 
-// The native GDM on-disk layout mirrors the repository layout of the GMQL
-// system: a dataset is a directory holding
+// The GDM text layout is the export and import form of a dataset, the
+// repository layout of the original GMQL system: a directory holding
 //
 //	schema.txt          one "name<TAB>type" line per variable attribute
 //	<sample>.gdm        regions: chrom<TAB>start<TAB>stop<TAB>strand<TAB>values...
 //	<sample>.gdm.meta   metadata: attribute<TAB>value lines
 //
-// Datasets move over the wire (federation protocol, Internet-of-Genomes
-// crawler) as binary frames of .gdmc images instead: see stream.go.
+// A repository member keeps schema.txt and <sample>.gdm.meta in this form,
+// each with an integrity footer, and its regions as .gdmc images (see
+// columnar.go). Datasets move over the wire as binary frames of .gdmc images:
+// see stream.go.
 
-// WriteSchema writes a schema as schema.txt lines.
+// ErrUnwritable marks a schema field name or metadata pair the text readers
+// would not return unchanged (a newline, a leading '#', a tab in a name, ...):
+// writing it would commit a file that reads back as something else.
+var ErrUnwritable = errors.New("formats: text line would not read back unchanged")
+
+// readsBack reports whether the line scanner returns line, a "key<TAB>rest"
+// line without its newline, exactly as written.
+func readsBack(key, line string) bool {
+	return !strings.Contains(key, "\t") && !strings.Contains(line, "\n") &&
+		!strings.HasSuffix(line, "\r") && len(line) < maxLineBytes &&
+		!skipsLine(strings.TrimSpace(line))
+}
+
+// WriteSchema writes a schema as schema.txt lines. A field name ReadSchema
+// would not return unchanged fails with ErrUnwritable.
 func WriteSchema(w io.Writer, s *gdm.Schema) error {
 	for _, f := range s.Fields() {
-		if _, err := fmt.Fprintf(w, "%s\t%s\n", f.Name, f.Type); err != nil {
+		line := f.Name + "\t" + f.Type.String()
+		if !readsBack(f.Name, line) {
+			return fmt.Errorf("schema: field %q: %w", f.Name, ErrUnwritable)
+		}
+		if _, err := io.WriteString(w, line+"\n"); err != nil {
 			return fmt.Errorf("schema: %w", err)
 		}
 	}
@@ -118,10 +138,15 @@ func ReadRegions(r io.Reader, schema *gdm.Schema, s *gdm.Sample) error {
 	return nil
 }
 
-// WriteMeta writes sample metadata as attribute<TAB>value lines.
+// WriteMeta writes sample metadata as attribute<TAB>value lines. A pair
+// ReadMeta would not return unchanged fails with ErrUnwritable.
 func WriteMeta(w io.Writer, md *gdm.Metadata) error {
 	for _, p := range md.Pairs() {
-		if _, err := fmt.Fprintf(w, "%s\t%s\n", p[0], p[1]); err != nil {
+		line := p[0] + "\t" + p[1]
+		if !readsBack(p[0], line) {
+			return fmt.Errorf("meta: attribute %q value %q: %w", p[0], p[1], ErrUnwritable)
+		}
+		if _, err := io.WriteString(w, line+"\n"); err != nil {
 			return fmt.Errorf("meta: %w", err)
 		}
 	}
@@ -145,10 +170,10 @@ func ReadMeta(r io.Reader) (*gdm.Metadata, error) {
 	return md, nil
 }
 
-// crashPoint, when non-nil, is invoked at named stages of WriteDataset's
-// commit sequence ("pre-manifest", "pre-rename", "mid-rename"). Tests use it
-// to simulate a writer killed mid-write by panicking out of the stage;
-// production code never sets it.
+// crashPoint, when non-nil, is invoked at named stages of the staged write
+// ("pre-manifest", "pre-rename", "mid-rename"). Tests use it to simulate a
+// writer killed mid-write by panicking out of the stage; production code
+// never sets it.
 var crashPoint func(stage string)
 
 func crash(stage string) {
@@ -157,25 +182,25 @@ func crash(stage string) {
 	}
 }
 
-// WriteDataset materializes a dataset into dir using the native layout,
-// atomically and self-verifyingly: every file is staged in a hidden sibling
-// directory (".<name>.tmp*") with an integrity footer, the manifest
-// (checksums, sample count, content digest) is written last, everything is
-// fsynced, then the staged directory is renamed into place in one step. A
-// process killed mid-write can therefore never leave a half-readable dataset
-// at dir — readers see either the previous materialization in full or the
-// new one, nothing in between — and a manifest's presence certifies the
-// materialization completed. Leftover hidden staging directories from a
-// crash are ignored by the repository loaders (they skip dot-prefixed
-// entries); gmqlfsck removes them.
+// WriteDataset exports a dataset into dir in the GDM text layout: plain
+// schema.txt, <id>.gdm and <id>.gdm.meta files, with no footers, manifest or
+// statistics. The export is staged and swapped into place like a member
+// (see writeStaged), so dir never holds half of it. Reading it back is an
+// unverified import; gmqlfsck -rebuild converts it into a member.
 func WriteDataset(dir string, ds *gdm.Dataset) error {
-	return writeDatasetLayout(dir, ds, LayoutNative)
+	return writeStaged(dir, ds, writeExportFiles)
 }
 
-// writeDatasetLayout is the shared atomic materialization path: stage, write
-// the layout's files, fsync, swap into place. WriteDataset and
-// WriteDatasetColumnar differ only in the staged files.
-func writeDatasetLayout(dir string, ds *gdm.Dataset, layout string) error {
+// writeStaged is the atomic materialization path shared by the export and
+// the member writer: stage, write files into the staging directory, fsync,
+// swap into place. Every file lands in a hidden sibling directory
+// (".<name>.tmp*") first, then the staged directory is renamed into place in
+// one step. A process killed mid-write can therefore never leave a
+// half-readable dataset at dir — readers see either the previous
+// materialization in full or the new one, nothing in between. Leftover
+// hidden staging directories from a crash are ignored by the repository
+// loaders (they skip dot-prefixed entries); gmqlfsck removes them.
+func writeStaged(dir string, ds *gdm.Dataset, writeFiles func(dir string, ds *gdm.Dataset) error) error {
 	dir = filepath.Clean(dir)
 	parent, base := filepath.Dir(dir), filepath.Base(dir)
 	if err := os.MkdirAll(parent, 0o755); err != nil {
@@ -186,12 +211,7 @@ func writeDatasetLayout(dir string, ds *gdm.Dataset, layout string) error {
 		return fmt.Errorf("dataset %s: %w", ds.Name, err)
 	}
 	defer os.RemoveAll(tmp) // no-op once renamed into place
-	if layout == LayoutColumnar {
-		err = writeColumnarDatasetFiles(tmp, ds)
-	} else {
-		err = writeDatasetFiles(tmp, ds)
-	}
-	if err != nil {
+	if err := writeFiles(tmp, ds); err != nil {
 		return err
 	}
 	if err := syncDir(tmp); err != nil {
@@ -220,94 +240,50 @@ func writeDatasetLayout(dir string, ds *gdm.Dataset, layout string) error {
 	return syncDir(parent)
 }
 
-// writeDatasetFiles writes the native layout (schema plus per-sample region
-// and metadata files, each with an integrity footer) into an existing
-// directory, then the manifest recording their checksums.
-func writeDatasetFiles(dir string, ds *gdm.Dataset) error {
-	files := make(map[string]FileInfo, 1+2*len(ds.Samples))
-	sampleStats := make([]catalog.SampleStats, 0, len(ds.Samples))
-	info, err := writeFileWith(filepath.Join(dir, "schema.txt"), func(w io.Writer) error {
+// writeExportFiles writes the text layout into an existing directory.
+func writeExportFiles(dir string, ds *gdm.Dataset) error {
+	if err := writeSynced(filepath.Join(dir, "schema.txt"), func(w io.Writer) error {
 		return WriteSchema(w, ds.Schema)
-	})
-	if err != nil {
+	}); err != nil {
 		return fmt.Errorf("dataset %s: %w", ds.Name, err)
 	}
-	files["schema.txt"] = info
 	for _, s := range ds.Samples {
-		info, err := writeFileWith(filepath.Join(dir, s.ID+".gdm"), func(w io.Writer) error {
+		if err := writeSynced(filepath.Join(dir, s.ID+".gdm"), func(w io.Writer) error {
 			return WriteRegions(w, s)
-		})
-		if err != nil {
+		}); err != nil {
 			return fmt.Errorf("dataset %s sample %s: %w", ds.Name, s.ID, err)
 		}
-		files[s.ID+".gdm"] = info
-		info, err = writeFileWith(filepath.Join(dir, s.ID+".gdm.meta"), func(w io.Writer) error {
+		if err := writeSynced(filepath.Join(dir, s.ID+".gdm.meta"), func(w io.Writer) error {
 			return WriteMeta(w, s.Meta)
-		})
-		if err != nil {
+		}); err != nil {
 			return fmt.Errorf("dataset %s sample %s: %w", ds.Name, s.ID, err)
 		}
-		files[s.ID+".gdm.meta"] = info
-		sampleStats = append(sampleStats, catalog.ComputeSample(s))
-	}
-	crash("pre-manifest")
-	if err := writeManifest(dir, buildManifest(ds, files, sampleStats)); err != nil {
-		return fmt.Errorf("dataset %s: %w", ds.Name, err)
 	}
 	return nil
 }
 
-// countingWriter tracks how many payload bytes fn wrote and whether the last
-// one was a newline, so the integrity footer always starts on its own line.
-type countingWriter struct {
-	w        io.Writer
-	n        int64
-	lastByte byte
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	if n > 0 {
-		c.lastByte = p[n-1]
-	}
-	return n, err
-}
-
-// writeFileWith creates path, streams fn's output into it, appends the
-// integrity footer and fsyncs before closing, so the bytes are durable and
-// self-verifying by the time the staged directory is renamed into place. It
-// returns the file's manifest entry.
-func writeFileWith(path string, fn func(io.Writer) error) (FileInfo, error) {
+// writeSynced creates path, streams fn's output into it through a buffer and
+// fsyncs before closing, so the bytes are durable by the time the staged
+// directory is renamed into place.
+func writeSynced(path string, fn func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return FileInfo{}, err
+		return err
 	}
-	h := crc32.New(castagnoli)
-	cw := &countingWriter{w: io.MultiWriter(f, h)}
-	if err := fn(cw); err != nil {
+	bw := bufio.NewWriter(f)
+	if err := fn(bw); err != nil {
 		f.Close()
-		return FileInfo{}, err
+		return err
 	}
-	if cw.n > 0 && cw.lastByte != '\n' {
-		if _, err := cw.Write([]byte("\n")); err != nil {
-			f.Close()
-			return FileInfo{}, err
-		}
-	}
-	footer := footerLine(h.Sum32(), cw.n)
-	if _, err := f.WriteString(footer); err != nil {
+	if err := bw.Flush(); err != nil {
 		f.Close()
-		return FileInfo{}, err
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return FileInfo{}, err
+		return err
 	}
-	if err := f.Close(); err != nil {
-		return FileInfo{}, err
-	}
-	return FileInfo{Size: cw.n + int64(len(footer)), CRC32C: crcHex(h.Sum32())}, nil
+	return f.Close()
 }
 
 // syncDir fsyncs a directory, making the renames and file creations inside
@@ -324,11 +300,94 @@ func syncDir(dir string) error {
 	return err
 }
 
-// ReadDataset loads a native-layout dataset directory through the verified
-// read path with the strict policy: any integrity damage fails the load with
-// a typed *IntegrityError. Callers that prefer to degrade — load the intact
-// samples, quarantine the corrupt ones — use OpenDataset with an
-// IntegrityPolicy instead. The dataset name is the directory base name.
+// readExport imports a text export — a dataset directory without a
+// manifest — as unverified data: nothing vouches for its bytes, so they are
+// only parsed. A directory holding .gdmc images is a member that lost its
+// manifest, never an export, and fails typed instead of loading as a dataset
+// without those samples.
+func readExport(dir string, pol IntegrityPolicy, rep *IntegrityReport) (*gdm.Dataset, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("dataset %s: %w", dir, err)
+	}
+	var ids []string // ReadDir sorts by name, so these come sorted
+	for _, e := range entries {
+		if e.IsDir() {
+			continue
+		}
+		if strings.HasSuffix(e.Name(), columnarExt) {
+			metricIntegrityFailures.With(string(ReasonMissing)).Inc()
+			return nil, &IntegrityError{Dataset: rep.Dataset, Path: filepath.Join(dir, ManifestName), Reason: ReasonMissing,
+				Detail: "directory holds .gdmc images but no manifest; gmqlfsck -rebuild reconstructs it"}
+		}
+		if id, ok := strings.CutSuffix(e.Name(), ".gdm"); ok {
+			ids = append(ids, id)
+		}
+	}
+	var schema *gdm.Schema
+	if ie := readTextFile(rep.Dataset, filepath.Join(dir, "schema.txt"), false, func(r io.Reader) (err error) {
+		schema, err = ReadSchema(r)
+		return err
+	}); ie != nil {
+		metricIntegrityFailures.With(string(ie.Reason)).Inc()
+		return nil, ie
+	}
+	ds := gdm.NewDataset(rep.Dataset, schema)
+	err = addSamples(ds, ids, ".gdm", pol, rep, func(id string) (*gdm.Sample, *IntegrityError) {
+		return readExportSample(dir, id, schema)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ds, nil
+}
+
+// readExportSample parses one sample of a text export; its metadata file is
+// optional.
+func readExportSample(dir, id string, schema *gdm.Schema) (*gdm.Sample, *IntegrityError) {
+	name := filepath.Base(dir)
+	s := gdm.NewSample(id)
+	if ie := readTextFile(name, filepath.Join(dir, id+".gdm"), false, func(r io.Reader) error {
+		return ReadRegions(r, schema, s)
+	}); ie != nil {
+		return nil, ie
+	}
+	meta := filepath.Join(dir, id+".gdm.meta")
+	if _, err := os.Stat(meta); os.IsNotExist(err) {
+		return s, nil
+	}
+	if ie := readTextFile(name, meta, false, func(r io.Reader) (err error) {
+		s.Meta, err = ReadMeta(r)
+		return err
+	}); ie != nil {
+		return nil, ie
+	}
+	return s, nil
+}
+
+// readTextFile reads one text file and parses its payload. A footer must
+// match where the file carries one, and be present when footered; an
+// import's bytes are only parsed, but a footered text directory that lost
+// its manifest is imported too.
+func readTextFile(dataset, path string, footered bool, parse func(io.Reader) error) *IntegrityError {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fileError(dataset, path, err)
+	}
+	payload, _, ie := footerPayload(dataset, path, data, footered)
+	if ie == nil {
+		if err := parse(bytes.NewReader(payload)); err != nil {
+			ie = &IntegrityError{Dataset: dataset, Path: path, Reason: ReasonParse, Detail: err.Error()}
+		}
+	}
+	return ie
+}
+
+// ReadDataset loads a dataset directory through OpenDataset with the strict
+// policy: any integrity damage fails the load with a typed *IntegrityError.
+// Callers that prefer to degrade — load the intact samples, quarantine the
+// corrupt ones — use OpenDataset with an IntegrityPolicy instead. The dataset
+// name is the directory base name.
 func ReadDataset(dir string) (*gdm.Dataset, error) {
 	ds, _, err := OpenDataset(dir, IntegrityPolicy{})
 	return ds, err

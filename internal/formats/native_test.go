@@ -2,6 +2,7 @@ package formats
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -172,15 +173,33 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDatasetDirRoundTrip: the text export is plain files — no manifest, no
+// footers — and imports back, unverified, to the same dataset.
 func TestDatasetDirRoundTrip(t *testing.T) {
 	ds := testDataset(t)
 	dir := filepath.Join(t.TempDir(), "PEAKS")
 	if err := WriteDataset(dir, ds); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadDataset(dir)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Name() == ManifestName || bytes.Contains(data, []byte(footerMagic)) {
+			t.Errorf("export holds %s with manifest or footer bytes", e.Name())
+		}
+	}
+	got, rep, err := OpenDataset(dir, IntegrityPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Unverified || rep.Verified {
+		t.Errorf("report = %+v, want an unverified import", rep)
 	}
 	if got.Name != "PEAKS" {
 		t.Errorf("name = %q", got.Name)

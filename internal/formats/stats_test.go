@@ -8,7 +8,7 @@ import (
 	"genogo/internal/gdm"
 )
 
-// TestRepoManifestStatsRoundTrip: WriteDataset persists the stats block,
+// TestRepoManifestStatsRoundTrip: WriteDatasetColumnar persists the stats block,
 // ReadManifest returns it intact, and an OpenDataset load hands it to the
 // repository catalog without rescanning.
 func TestRepoManifestStatsRoundTrip(t *testing.T) {
@@ -48,24 +48,24 @@ func TestRepoManifestStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRepoLegacyDatasetScansLazilyOnce: a manifest-less dataset is cataloged
+// TestRepoLegacyDatasetScansLazilyOnce: a text export (no manifest) is cataloged
 // without stats; the first catalog read scans it, subsequent reads reuse the
 // cached scan.
 func TestRepoLegacyDatasetScansLazilyOnce(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "OLDSTATS")
-	writeLegacyDataset(t, dir)
+	writeTextExport(t, dir)
 	ds, rep, err := OpenDataset(dir, IntegrityPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Unverified {
-		t.Fatal("legacy dataset loaded verified?")
+		t.Fatal("text export loaded verified?")
 	}
 
 	before := catalog.LazyScans()
 	st, ok := catalog.Repo().Stats(ds.Name)
 	if !ok || st == nil {
-		t.Fatal("catalog missing legacy dataset")
+		t.Fatal("catalog missing text export")
 	}
 	if catalog.LazyScans() != before+1 {
 		t.Fatalf("LazyScans = %d, want %d", catalog.LazyScans(), before+1)
@@ -90,7 +90,7 @@ func TestRepoLegacyDatasetScansLazilyOnce(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("legacy dataset missing from catalog snapshot")
+		t.Fatal("text export missing from catalog snapshot")
 	}
 	scans := catalog.LazyScans()
 	_ = catalog.Repo().Snapshot()

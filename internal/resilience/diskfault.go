@@ -29,7 +29,7 @@ var AllDiskFaults = []string{
 	DiskFaultMissingFile, DiskFaultStaleManifest,
 }
 
-// DiskFaultInjector deterministically damages native dataset directories for
+// DiskFaultInjector deterministically damages repository members for
 // chaos tests, the ChaosTransport of the storage layer: one seeded source
 // drives every choice (which fault, which file, which byte), so a given
 // (seed, call sequence) pair always produces the same damage. Destructive
@@ -190,8 +190,7 @@ func (d *DiskFaultInjector) injectTornRename(dir string) error {
 // touching the manifest — the manifest now describes a file that no longer
 // exists in that form.
 func (d *DiskFaultInjector) injectStaleManifest(dir string) error {
-	// Only text files carry the footer this injection rewrites; columnar
-	// datasets still expose their .gdm.meta files to it.
+	// Only the .gdm.meta files carry the footer this injection rewrites.
 	target, err := d.pickSampleFile(dir, true)
 	if err != nil {
 		return err
@@ -224,9 +223,9 @@ func (d *DiskFaultInjector) injectStaleManifest(dir string) error {
 	return nil
 }
 
-// pickSampleFile chooses one sample region or metadata file from dir,
-// deterministically under the seed. textOnly restricts the choice to
-// footer-carrying text files (region/metadata text, not binary .gdmc).
+// pickSampleFile chooses one sample image or metadata file from dir,
+// deterministically under the seed. textOnly restricts the choice to the
+// footer-carrying metadata files.
 func (d *DiskFaultInjector) pickSampleFile(dir string, textOnly bool) (string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -238,8 +237,7 @@ func (d *DiskFaultInjector) pickSampleFile(dir string, textOnly bool) (string, e
 		if e.IsDir() || strings.HasPrefix(n, ".") {
 			continue
 		}
-		if strings.HasSuffix(n, ".gdm") || strings.HasSuffix(n, ".gdm.meta") ||
-			(!textOnly && strings.HasSuffix(n, ".gdmc")) {
+		if strings.HasSuffix(n, ".gdm.meta") || (!textOnly && strings.HasSuffix(n, ".gdmc")) {
 			files = append(files, n)
 		}
 	}

@@ -24,7 +24,7 @@ func faultTestDataset(t *testing.T) (string, string) {
 			t.Fatal(err)
 		}
 	}
-	if err := formats.WriteDataset(dir, ds); err != nil {
+	if err := formats.WriteDatasetColumnar(dir, ds); err != nil {
 		t.Fatal(err)
 	}
 	return parent, dir
@@ -157,33 +157,13 @@ func TestDiskFaultErrors(t *testing.T) {
 	}
 }
 
-// TestDiskFaultColumnar: every fault class applies to a columnar dataset
-// directory too, and the strict verified read refuses the damage. The
-// stale-manifest class, which rewrites text footers, must keep picking the
-// .gdm.meta files rather than binary .gdmc ones.
+// TestDiskFaultColumnar: the stale-manifest class, which rewrites text
+// footers, must pick a member's .gdm.meta files, never its binary .gdmc
+// images; and every class stays visible to the strict verified read.
 func TestDiskFaultColumnar(t *testing.T) {
-	writeColumnar := func(t *testing.T) (string, string) {
-		t.Helper()
-		parent := t.TempDir()
-		dir := filepath.Join(parent, "DS")
-		schema := gdm.MustSchema(gdm.Field{Name: "score", Type: gdm.KindFloat})
-		ds := gdm.NewDataset("DS", schema)
-		for _, id := range []string{"s1", "s2"} {
-			s := gdm.NewSample(id)
-			s.Meta.Add("origin", "chaos-test")
-			s.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandPlus, gdm.Float(1)))
-			if err := ds.Add(s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := formats.WriteDatasetColumnar(dir, ds); err != nil {
-			t.Fatal(err)
-		}
-		return parent, dir
-	}
 	for _, class := range AllDiskFaults {
 		t.Run(class, func(t *testing.T) {
-			_, dir := writeColumnar(t)
+			_, dir := faultTestDataset(t)
 			inj := &DiskFaultInjector{Seed: 3}
 			if err := inj.InjectClass(dir, class); err != nil {
 				t.Fatal(err)
@@ -220,7 +200,7 @@ func TestDiskFaultColumnar(t *testing.T) {
 // and reject offsets outside the file.
 func TestDiskFaultInjectFileAt(t *testing.T) {
 	_, dir := faultTestDataset(t)
-	path := filepath.Join(dir, "s1.gdm")
+	path := filepath.Join(dir, "s1.gdmc")
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
