@@ -9,10 +9,16 @@
 //	     SCRIPT.gmql
 //
 // Every subdirectory of -data holding a manifest.json (a repository member)
-// or a schema.txt (a text export, imported unverified) is loaded as a dataset
-// named after the subdirectory. Results of MATERIALIZE statements are written
-// under -out as repository members; -format native exports them in the GDM
-// text layout instead, -format bed as BED6 files.
+// or a schema.txt (a text export, imported unverified) is a dataset named
+// after the subdirectory. A dataset is opened on first use, and only as far
+// as the script needs it: a SELECT reads the metadata of every sample but the
+// regions only of the samples its metadata predicate keeps, and SELECT, MAP
+// and JOIN skip the partitions their zone windows prove irrelevant. Damaged
+// samples the run touches are skipped, and after the run a WARNING names each
+// dataset that was read partially or unverified; damage in what the run did
+// not read goes unreported — gmqlfsck is the scanner. Results of MATERIALIZE
+// statements are written under -out as repository members; -format native
+// exports them in the GDM text layout instead, -format bed as BED6 files.
 //
 // Query lifecycle governance: -query-deadline, -max-regions and -max-bytes
 // are per-query budgets enforced inside the engine; Ctrl-C (SIGINT) and
@@ -107,9 +113,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	catalog, err := loadCatalog(*dataDir, out)
-	if err != nil {
+	catalog := &formats.DirCatalog{Root: *dataDir, Policy: formats.IntegrityPolicy{AllowPartial: true}}
+	if names, err := catalog.Names(); err != nil {
 		return err
+	} else if len(names) == 0 {
+		return fmt.Errorf("no datasets found under %s", *dataDir)
 	}
 	runner := &gmql.Runner{Config: cfg, Catalog: catalog, DisableOptimizer: *noOpt,
 		Limits: engine.Limits{
@@ -138,6 +146,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	} else {
 		results, err = runner.MaterializeContext(ctx, prog)
 	}
+	warnIntegrity(out, *dataDir)
 	if err != nil {
 		// A governance kill with -profile-json still emits machine-readable
 		// output — tools post-processing traces see why the run died rather
@@ -259,28 +268,20 @@ func parseConfig(mode string, workers int, binWidth int64) (engine.Config, error
 	return cfg, nil
 }
 
-// loadCatalog reads every dataset subdirectory under dir through the
-// verified read path. Corrupt samples are skipped with a warning (left in
-// place — the interactive CLI should not rearrange a repository it may not
-// own; gmqld and gmqlfsck do the quarantining); text exports load with a
-// one-time unverified warning.
-func loadCatalog(dir string, warn io.Writer) (engine.MapCatalog, error) {
-	dss, reps, err := formats.LoadRepository(dir, formats.IntegrityPolicy{AllowPartial: true})
-	if err != nil {
-		return nil, err
-	}
-	cat := engine.MapCatalog{}
-	for i, ds := range dss {
-		cat[ds.Name] = ds
-		if rep := reps[i]; rep.Partial() {
-			fmt.Fprintf(warn, "WARNING: %s loaded partially: %d corrupt sample(s) skipped (gmqlfsck can repair)\n",
-				ds.Name, len(rep.Quarantined))
-		} else if rep.Unverified {
-			fmt.Fprintf(warn, "WARNING: %s has no manifest; loaded unverified (gmqlfsck -rebuild converts it into a member)\n", ds.Name)
+// warnIntegrity prints a WARNING for every dataset under root the run read
+// partially (corrupt samples it touched were skipped, and left in place — the
+// interactive CLI should not rearrange a repository it may not own; gmqld and
+// gmqlfsck do the quarantining) or unverified (a text export).
+func warnIntegrity(w io.Writer, root string) {
+	root = filepath.Clean(root)
+	for _, rep := range formats.IntegritySnapshot() {
+		switch {
+		case filepath.Dir(rep.Dir) != root:
+		case rep.Partial():
+			fmt.Fprintf(w, "WARNING: %s loaded partially: %d corrupt sample(s) skipped (gmqlfsck can repair)\n",
+				rep.Dataset, len(rep.Quarantined))
+		case rep.Unverified:
+			fmt.Fprintf(w, "WARNING: %s has no manifest; loaded unverified (gmqlfsck -rebuild converts it into a member)\n", rep.Dataset)
 		}
 	}
-	if len(cat) == 0 {
-		return nil, fmt.Errorf("no datasets found under %s", dir)
-	}
-	return cat, nil
 }

@@ -10,7 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"genogo/internal/engine"
 	"genogo/internal/formats"
+	"genogo/internal/gdm"
+	"genogo/internal/gmql"
 	"genogo/internal/obs"
 	"genogo/internal/synth"
 )
@@ -406,4 +409,184 @@ func TestGovernExitPaths(t *testing.T) {
 			t.Errorf("exitCode(generic) = %d, want 1", code)
 		}
 	})
+}
+
+// lazyRepo writes the lazy-catalog tests' repository and returns its root
+// and the cell of the first ENCODE sample, which the scripts select on.
+func lazyRepo(t *testing.T) (string, *gdm.Dataset, string) {
+	t.Helper()
+	dir := t.TempDir()
+	g := synth.New(5)
+	enc := g.Encode(synth.EncodeOptions{Samples: 12, MeanPeaks: 40})
+	for _, ds := range []*gdm.Dataset{enc, g.Annotations(g.Genes(50))} {
+		if err := formats.WriteDatasetColumnar(filepath.Join(dir, ds.Name), ds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir, enc, enc.Samples[0].Meta.First("cell")
+}
+
+// eagerDigests runs a script the way gmql did before it opened datasets
+// lazily — every dataset loaded up front into an in-memory catalog — and
+// returns each MATERIALIZE target's content digest.
+func eagerDigests(t *testing.T, data, script, mode string) map[string]string {
+	t.Helper()
+	dss, _, err := formats.LoadRepository(data, formats.IntegrityPolicy{AllowPartial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := engine.MapCatalog{}
+	for _, ds := range dss {
+		cat[ds.Name] = ds
+	}
+	cfg, err := parseConfig(mode, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := gmql.Parse(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := (&gmql.Runner{Config: cfg, Catalog: cat}).Materialize(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, r := range results {
+		out[r.Target] = r.Dataset.ContentDigest()
+	}
+	return out
+}
+
+// lazyRun runs the CLI and returns its output and each MATERIALIZE target's
+// content digest, read back strictly.
+func lazyRun(t *testing.T, data, script, mode string, targets map[string]string) (string, map[string]string) {
+	t.Helper()
+	outDir := filepath.Join(t.TempDir(), "results")
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-data", data, "-out", outDir, "-mode", mode, writeScript(t, script)}, &out); err != nil {
+		t.Fatalf("%s: %v\n%s", mode, err, out.String())
+	}
+	got := map[string]string{}
+	for target := range targets {
+		ds, _, err := formats.OpenDataset(filepath.Join(outDir, target), formats.IntegrityPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[target] = ds.ContentDigest()
+	}
+	return out.String(), got
+}
+
+// TestLazyCatalogEquivalence: the CLI opens datasets on first use and reads
+// scans under SELECT, MAP and JOIN pruned — by metadata and by zone window —
+// yet every MATERIALIZE output in every mode is the one the eager in-memory
+// load computes. The image of a sample every SELECT of a script rejects by
+// metadata is never opened: bit-flipped, the run still succeeds, byte-
+// identical and without a warning.
+func TestLazyCatalogEquivalence(t *testing.T) {
+	data, enc, cell := lazyRepo(t)
+	script := fmt.Sprintf(`
+P = SELECT(annType == 'promoter') ANNOTATIONS;
+MC = SELECT(dataType == 'ChipSeq' AND cell == '%[1]s'; region: chr == 'chr1') ENCODE;
+M = SELECT(cell == '%[1]s') ENCODE;
+SJ = SELECT(dataType == 'ChipSeq'; semijoin: cell IN M) ENCODE;
+E = SELECT(dataType == 'ChipSeq') ENCODE;
+MP = MAP(peak_count AS COUNT) P E;
+J = JOIN(DLE(10000); output: CAT) P E;
+H = HISTOGRAM(2, ANY) E;
+U = UNION() M MC;
+MATERIALIZE MC INTO mc;
+MATERIALIZE M INTO m;
+MATERIALIZE SJ INTO sj;
+MATERIALIZE MP INTO mp;
+MATERIALIZE J INTO j;
+MATERIALIZE H INTO h;
+MATERIALIZE U INTO u;
+`, cell)
+	selects := fmt.Sprintf(`
+MC = SELECT(dataType == 'ChipSeq' AND cell == '%[1]s'; region: chr == 'chr1') ENCODE;
+M = SELECT(cell == '%[1]s') ENCODE;
+MATERIALIZE MC INTO mc;
+MATERIALIZE M INTO m;
+`, cell)
+	modes := []string{"serial", "batch", "stream"}
+	for _, mode := range modes {
+		want := eagerDigests(t, data, script, mode)
+		if len(want) != 7 {
+			t.Fatalf("eager run materialized %d targets, want 7", len(want))
+		}
+		_, got := lazyRun(t, data, script, mode, want)
+		for target, digest := range want {
+			if got[target] != digest {
+				t.Errorf("%s %s: lazy digest %s, eager %s", mode, target, gdm.ShortDigest(got[target]), gdm.ShortDigest(digest))
+			}
+		}
+	}
+
+	wantSelects := eagerDigests(t, data, selects, "serial")
+	var rejected string
+	for _, s := range enc.Samples {
+		if s.Meta.First("cell") != cell {
+			rejected = s.ID
+			break
+		}
+	}
+	if rejected == "" {
+		t.Fatal("every sample has the selected cell")
+	}
+	path := filepath.Join(data, "ENCODE", rejected+".gdmc")
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)-1] ^= 0x01
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range modes {
+		out, got := lazyRun(t, data, selects, mode, wantSelects)
+		if strings.Contains(out, "WARNING") {
+			t.Errorf("%s: a run that never opens the damaged image warned:\n%s", mode, out)
+		}
+		for target, digest := range wantSelects {
+			if got[target] != digest {
+				t.Errorf("%s %s over a damaged unread image: digest %s, want %s", mode, target, gdm.ShortDigest(got[target]), gdm.ShortDigest(digest))
+			}
+		}
+	}
+}
+
+// TestLazyCatalogWarnings: damage a run reads is skipped and reported in one
+// WARNING after the run; damage in a dataset the run never opens is not.
+func TestLazyCatalogWarnings(t *testing.T) {
+	data, enc, cell := lazyRepo(t)
+	var kept string
+	for _, s := range enc.Samples {
+		if s.Meta.First("cell") == cell {
+			kept = s.ID
+		}
+	}
+	for _, path := range []string{
+		filepath.Join(data, "ENCODE", kept+".gdmc"),
+		filepath.Join(data, "ANNOTATIONS", "genes.gdm.meta"),
+	} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)-1] ^= 0x01
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	script := writeScript(t, fmt.Sprintf("M = SELECT(cell == '%s') ENCODE; MATERIALIZE M INTO m;", cell))
+	if err := run(context.Background(), []string{"-data", data, "-out", filepath.Join(t.TempDir(), "r"), script}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(out.String(), "WARNING"); n != 1 ||
+		!strings.Contains(out.String(), "WARNING: ENCODE loaded partially: 1 corrupt sample(s) skipped") {
+		t.Errorf("want one WARNING, for ENCODE:\n%s", out.String())
+	}
 }

@@ -1,8 +1,8 @@
 // Package catalog is the repository statistics layer: per-(sample,
 // chromosome) statistics of every dataset — region counts, coordinate
 // extents (the zone-map seed), serialized bytes, attribute arity — computed
-// once on the write path, persisted in the dataset manifest, and served to
-// three consumers:
+// once on the write path, persisted in the dataset's stats.json member file,
+// and served to three consumers:
 //
 //   - operators: the /debug/repo console and genogo_repo_* metrics give a
 //     catalog view of what a node stores (Section 3 of the paper: the
@@ -25,16 +25,37 @@ import (
 	"genogo/internal/gdm"
 )
 
-// StatsVersion is the format version of the manifest stats block this code
-// writes. A higher version on disk means a newer genogo wrote it; readers
-// treat it like a missing block (rescan) rather than misread it.
+// StatsVersion is the format version of the stats block this code writes. A
+// higher version on disk means a newer genogo wrote it; readers treat it like
+// a missing block (rescan) rather than misread it.
 const StatsVersion = 1
 
-// PruneStats accounts one pruned dataset read: how many (sample, chromosome)
-// partitions the zone maps consulted and how many they proved irrelevant —
-// whose regions and payload bytes were therefore never read. It is the
-// realized counterpart of the engine's prunable-opportunity accounting.
+// Keep is a pruned read's proof, in two halves: Sample rejects whole samples
+// by their metadata — their region data is never read — and Part rejects
+// (sample, chromosome) partitions of the kept samples by zone window
+// [minStart, maxStop). A nil half keeps everything.
+type Keep struct {
+	Sample func(md *gdm.Metadata) bool
+	Part   func(chrom string, minStart, maxStop int64) bool
+}
+
+// KeepsSample reports whether the sample half keeps a sample with md.
+func (k Keep) KeepsSample(md *gdm.Metadata) bool { return k.Sample == nil || k.Sample(md) }
+
+// KeepsPart reports whether the partition half keeps a partition.
+func (k Keep) KeepsPart(chrom string, minStart, maxStop int64) bool {
+	return k.Part == nil || k.Part(chrom, minStart, maxStop)
+}
+
+// PruneStats accounts one pruned dataset read: how many samples the metadata
+// half skipped, how many (sample, chromosome) partitions of the rest the zone
+// maps consulted and how many they proved irrelevant — whose regions and
+// payload bytes were therefore never read. It is the realized counterpart of
+// the engine's prunable-opportunity accounting.
 type PruneStats struct {
+	// SkippedSamples were rejected by their metadata: their images were
+	// never opened, so their partitions are not consulted.
+	SkippedSamples int `json:"skipped_samples"`
 	// Parts is the number of partitions consulted.
 	Parts int `json:"parts"`
 	// SkippedParts of them were skipped without reading a payload byte.
@@ -47,6 +68,7 @@ type PruneStats struct {
 
 // Add folds another read's accounting into this one.
 func (p *PruneStats) Add(o PruneStats) {
+	p.SkippedSamples += o.SkippedSamples
 	p.Parts += o.Parts
 	p.SkippedParts += o.SkippedParts
 	p.SkippedRegions += o.SkippedRegions
@@ -96,14 +118,15 @@ func (ss *SampleStats) Bytes() int64 {
 	return n
 }
 
-// DatasetStats is the versioned stats block: the manifest persists it next
-// to the file checksums, keyed by the dataset content digest so a reader can
-// tell whether the block describes the data it sits beside.
+// DatasetStats is the versioned stats block: a member persists it as its
+// stats.json file (which the manifest checksums like any other), keyed by the
+// dataset content digest so a reader can tell whether the block describes the
+// data it sits beside.
 type DatasetStats struct {
 	Version int `json:"version"`
 	// Digest is the gdm content digest of the dataset the stats were
-	// computed from. A manifest whose own digest differs carries a stale
-	// block (hand-edited or written by a buggy tool) and readers rescan.
+	// computed from. A block whose digest differs from its manifest's is
+	// stale (hand-edited or written by a buggy tool) and readers rescan.
 	Digest string `json:"digest"`
 	// AttrArity is the number of region schema attributes.
 	AttrArity int `json:"attr_arity"`

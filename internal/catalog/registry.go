@@ -22,25 +22,26 @@ var (
 	metricRepoStale = obs.Default().Gauge("genogo_repo_stats_stale",
 		"Cataloged datasets whose statistics are flagged stale (content digest moved on).")
 	metricRepoLazyScans = obs.Default().Counter("genogo_repo_lazy_scans_total",
-		"Full dataset scans performed to compute statistics for datasets without a usable manifest stats block.")
+		"Full dataset scans performed to compute statistics for datasets without a usable stats block.")
 	metricRepoRecorded = obs.Default().CounterVec("genogo_repo_records_total",
 		"Catalog record events, by statistics source (manifest, scan, memory).", "source")
 )
 
 // Stats sources.
 const (
-	// SourceManifest marks stats read from a dataset's manifest stats block.
+	// SourceManifest marks stats read from a member's stats block (its
+	// manifest-verified stats.json).
 	SourceManifest = "manifest"
 	// SourceScan marks stats computed by scanning a loaded dataset (text
-	// exports, missing or stale manifest blocks).
+	// exports, missing or stale stats blocks).
 	SourceScan = "scan"
 	// SourceMemory marks stats of datasets registered directly in memory
 	// (federation members, tests) with no on-disk manifest.
 	SourceMemory = "memory"
 )
 
-// Info is one catalog record: what a loader learned about a dataset. Either
-// Stats (a usable manifest block) or Dataset (for a later lazy scan) should
+// Info is one catalog record: what a loader learned about a dataset.
+// LoadStats (a block read on first use) or Dataset (for a lazy scan) should
 // be set; both may be.
 type Info struct {
 	Name   string
@@ -50,9 +51,12 @@ type Info struct {
 	// Integrity is the load verdict: "verified", "partial", "unverified".
 	Integrity   string
 	Quarantined int
-	// Stats is the manifest stats block when present (possibly stale).
-	Stats *DatasetStats
-	// Dataset enables the lazy scan when Stats is missing or stale.
+	// LoadStats reads the block from disk. It runs at most once, on the
+	// entry's first Stats, Snapshot or Detail, without the registry lock
+	// held; nil or an unusable block falls back to the lazy scan of Dataset,
+	// if set.
+	LoadStats func() *DatasetStats
+	// Dataset enables the lazy scan when LoadStats is missing or unusable.
 	Dataset *gdm.Dataset
 }
 
@@ -63,6 +67,10 @@ type entry struct {
 	loadedAt time.Time
 	stats    *DatasetStats // nil until computed or adopted
 	ds       *gdm.Dataset  // retained only until a scan is needed
+	// load is info.LoadStats, run once by resolve; set before the entry is
+	// published and never written after.
+	load   func() *DatasetStats
+	loaded sync.Once
 }
 
 // Registry is the process-wide repository catalog: every dataset the
@@ -93,38 +101,20 @@ func usable(st *DatasetStats, digest string) bool {
 	return digest == "" || st.Digest == digest
 }
 
-// Record files (or refiles) one dataset in the catalog. A usable stats block
-// is adopted as-is; otherwise the previous scan's stats stay cached and are
-// flagged stale when the content digest moved on, so the next Stats call
-// rescans exactly once.
+// Record files (or refiles) one dataset in the catalog. The previous
+// record's stats stay cached until the new one's block is read or scanned,
+// flagged stale when the content digest moved on or fresh content came with
+// the record, so the next Stats call replaces them exactly once.
 func (r *Registry) Record(info Info) {
 	if info.Name == "" {
 		return
 	}
 	r.mu.Lock()
-	e := &entry{info: info, loadedAt: time.Now(), ds: info.Dataset}
-	if usable(info.Stats, info.Digest) {
-		e.stats = info.Stats
-		e.ds = nil
-	} else {
-		// The block on disk (if any) cannot be trusted: stale digest or a
-		// newer format. Keep any previously scanned stats visible but
-		// stale-flagged until the rescan.
-		if info.Stats != nil {
-			e.stale = true
-		}
-		if old := r.entries[info.Name]; old != nil && old.stats != nil {
-			e.stats = old.stats
-			if info.Digest != "" && old.stats.Digest != "" && info.Digest != old.stats.Digest {
-				e.stale = true
-			}
-			if info.Dataset != nil {
-				// A re-registration ships fresh content with no authoritative
-				// block: the cached stats may describe the previous content,
-				// so serve them stale-flagged until the rescan.
-				e.stale = true
-			}
-		}
+	e := &entry{info: info, loadedAt: time.Now(), ds: info.Dataset, load: info.LoadStats}
+	if old := r.entries[info.Name]; old != nil && old.stats != nil {
+		e.stats = old.stats
+		e.stale = info.Dataset != nil ||
+			info.Digest != "" && old.stats.Digest != "" && info.Digest != old.stats.Digest
 	}
 	if _, seen := r.entries[info.Name]; !seen {
 		r.order = append(r.order, info.Name)
@@ -135,19 +125,44 @@ func (r *Registry) Record(info Info) {
 	r.mu.Unlock()
 }
 
-// Stats returns the dataset's statistics, scanning the retained dataset on
-// first use when no usable manifest block was recorded. The scan happens at
-// most once per recorded load: its result is cached (and the retained
-// dataset reference released).
+// Stats returns the dataset's statistics: on first use the recorded loader
+// reads the block from disk, and without a usable block the retained dataset
+// is scanned. Either happens at most once per recorded load: the result is
+// cached (and the retained dataset reference released).
 func (r *Registry) Stats(name string) (*DatasetStats, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.entries[name]
+	e := r.resolve(name)
 	if e == nil {
 		return nil, false
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	st := r.statsLocked(e)
 	return st, st != nil
+}
+
+// resolve returns the named entry (nil if none) after running its stats
+// loader, if it has one, once: the loader reads a file, so it runs without
+// the registry lock held, and concurrent callers wait for the one run. A
+// usable block is adopted; otherwise the entry falls back to the lazy scan.
+func (r *Registry) resolve(name string) *entry {
+	r.mu.Lock()
+	e := r.entries[name]
+	r.mu.Unlock()
+	if e == nil || e.load == nil {
+		return e
+	}
+	e.loaded.Do(func() {
+		st := e.load()
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if usable(st, e.info.Digest) {
+			e.stats, e.stale, e.ds = st, false, nil
+			r.updateGaugesLocked()
+		} else if e.ds != nil {
+			e.info.Source = SourceScan
+		}
+	})
+	return e
 }
 
 // statsLocked resolves an entry's stats, performing the lazy scan if needed.
@@ -242,6 +257,12 @@ func summarize(e *entry, st *DatasetStats) DatasetSummary {
 // scan here.
 func (r *Registry) Snapshot() []DatasetSummary {
 	r.mu.Lock()
+	names := append([]string(nil), r.order...)
+	r.mu.Unlock()
+	for _, name := range names {
+		r.resolve(name)
+	}
+	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]DatasetSummary, 0, len(r.entries))
 	for _, name := range r.order {
@@ -265,12 +286,12 @@ func sortSummaries(out []DatasetSummary) {
 
 // Detail returns the drill-down view of one dataset.
 func (r *Registry) Detail(name string) (DatasetDetail, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.entries[name]
+	e := r.resolve(name)
 	if e == nil {
 		return DatasetDetail{}, false
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	st := r.statsLocked(e)
 	return DatasetDetail{
 		DatasetSummary: summarize(e, st),

@@ -9,7 +9,8 @@ func TestRepoRecordManifestStats(t *testing.T) {
 	ds := testDataset(t, "beds", testSample("s", nil, [3]any{"chr1", 0, 100}))
 	st := Compute(ds)
 	st.Digest = ds.ContentDigest()
-	r.Record(Info{Name: "beds", Digest: st.Digest, Source: SourceManifest, Stats: st, Integrity: "verified"})
+	r.Record(Info{Name: "beds", Digest: st.Digest, Source: SourceManifest,
+		LoadStats: func() *DatasetStats { return st }, Integrity: "verified"})
 
 	before := LazyScans()
 	got, ok := r.Stats("beds")
@@ -86,7 +87,7 @@ func TestRepoStaleManifestBlockRescans(t *testing.T) {
 	stale := Compute(ds)
 	stale.Digest = "sha256:someone-elses-digest"
 	r.Record(Info{Name: "d", Digest: ds.ContentDigest(), Source: SourceManifest,
-		Stats: stale, Dataset: ds})
+		LoadStats: func() *DatasetStats { return stale }, Dataset: ds})
 
 	before := LazyScans()
 	st, ok := r.Stats("d")
@@ -108,7 +109,7 @@ func TestRepoFutureVersionRescans(t *testing.T) {
 	future.Version = StatsVersion + 1
 	future.Digest = ds.ContentDigest()
 	r.Record(Info{Name: "d", Digest: ds.ContentDigest(), Source: SourceManifest,
-		Stats: future, Dataset: ds})
+		LoadStats: func() *DatasetStats { return future }, Dataset: ds})
 	st, ok := r.Stats("d")
 	if !ok || st == future {
 		t.Fatal("future-version block must not be adopted")

@@ -18,20 +18,21 @@ type Catalog interface {
 	Dataset(name string) (*gdm.Dataset, error)
 }
 
-// PrunedCatalog is the partition-level dataset-access extension a columnar
-// storage engine implements (formats.DirCatalog is the disk implementation):
-// the engine can ask for a dataset with every (sample, chromosome) partition
-// the keep function rejects skipped — for columnar layouts those partitions'
-// bytes are never read, turning the zone-map `prunable=` accounting into
-// real skipped I/O. Skipped partitions drop only their regions: every sample
-// still appears (possibly region-empty), so sample-level semantics are
-// untouched. Stats serves the manifest's persisted partition index without
+// PrunedCatalog is the pruned dataset-access extension a storage engine
+// implements (formats.DirCatalog is the disk implementation): ReadPruned
+// returns a dataset without the samples keep.Sample rejects and without the
+// (sample, chromosome) partitions keep.Part rejects — for members their
+// region bytes are never read, turning the `prunable=` accounting into real
+// skipped I/O. Skipped partitions drop only their regions, and keep.Sample is
+// only ever a SELECT's own metadata predicate: every sample the consuming
+// operator keeps still appears (possibly region-empty), so sample-level
+// semantics are untouched. Stats serves the persisted partition index without
 // loading region data, letting a JOIN of two scans prune each side before
 // either is materialized.
 type PrunedCatalog interface {
 	Catalog
 	Stats(name string) (*catalog.DatasetStats, bool)
-	DatasetPruned(name string, keep func(chrom string, minStart, maxStop int64) bool) (*gdm.Dataset, catalog.PruneStats, error)
+	ReadPruned(name string, keep catalog.Keep) (*gdm.Dataset, catalog.PruneStats, error)
 }
 
 // MapCatalog is the in-memory Catalog.
@@ -230,7 +231,7 @@ func (e *evaluator) evalUncached(n Node, sp *obs.Span) (*gdm.Dataset, error) {
 	case *Scan:
 		return e.cat.Dataset(op.Dataset)
 	case *SelectOp:
-		in, err := e.selectInput(op.Input, op.Region, sp)
+		in, err := e.selectInput(op.Input, op, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -439,12 +440,9 @@ func (e *evaluator) tryFusedChain(n Node, sp *obs.Span) (*gdm.Dataset, bool, err
 		}
 		sp.SetFused(names)
 	}
-	// The source loads under the innermost SELECT's zone proof, if any.
-	var region expr.Node
-	if inner, ok := chain[len(chain)-1].(*SelectOp); ok {
-		region = inner.Region
-	}
-	src, err := e.selectInput(cur, region, sp)
+	// The source loads under the innermost SELECT's proof, if any.
+	inner, _ := chain[len(chain)-1].(*SelectOp)
+	src, err := e.selectInput(cur, inner, sp)
 	if err != nil {
 		return nil, true, err
 	}

@@ -5,24 +5,25 @@ import (
 	"time"
 
 	"genogo/internal/catalog"
-	"genogo/internal/expr"
 	"genogo/internal/gdm"
 	"genogo/internal/obs"
 )
 
-// Zone pruning: a (sample, chromosome) partition that provably contributes no
-// output need not be read. Each pruning operator — SELECT, MAP, JOIN —
-// derives one keep function over partition zone windows (selectKeep, mapKeep,
-// joinKeep), and that one proof has two uses:
+// Pruning: what provably contributes no output need not be read. Each
+// pruning operator — SELECT, MAP, JOIN — derives one proof, a catalog.Keep
+// with two halves: the sample half (SELECT only) rejects samples its
+// metadata predicate drops, and the partition half (selectKeep, mapKeep,
+// joinKeep) rejects (sample, chromosome) partitions by zone window. That one
+// proof has two uses:
 //
 //   - Before the read: an input that is a Scan on a PrunedCatalog (pruning
-//     not disabled) loads through DatasetPruned, and the partitions keep
-//     rejects are never read — for columnar datasets their bytes stay on
-//     disk. The scan's span records skipped=.
-//   - After the read: any other input, on traced runs, is counted — the
-//     partitions of the materialized input keep rejects are what a pruned
-//     read would have skipped. The operator's span records prunable=, which
-//     the cost registry and the genogo_prune_* counters fold in.
+//     not disabled) loads through ReadPruned. Rejected samples' images are
+//     never opened and rejected partitions are never read — for members
+//     their bytes stay on disk. The scan's span records skipped=.
+//   - After the read: any other input, on traced runs, is counted — what the
+//     proof rejects of the materialized input is what a pruned read would
+//     have skipped. The operator's span records prunable=, which the cost
+//     registry and the genogo_prune_* counters fold in.
 //
 // So prunable= on an in-memory catalog (or under DisablePruning) equals
 // skipped= on a pruning one, bar the JOIN-of-two-scans case zonePair notes.
@@ -30,9 +31,11 @@ import (
 // taken, not missed.
 //
 // Soundness rests on two facts: a skipped partition provably contributes
-// zero regions to the operator's output, and pruned reads keep every sample
-// (possibly region-empty), so sample-level semantics — meta filters, sample
-// pairing, zero-count MAP rows — are untouched. Pruned scan results are
+// zero regions to the operator's output, and a pruned read keeps every
+// sample the operator itself keeps (possibly region-empty) — it leaves out
+// only samples the SELECT reading it would drop anyway, by the same
+// metadata predicate — so sample-level semantics (meta filters, sample
+// pairing, zero-count MAP rows) are untouched. Pruned scan results are
 // query-specific subsets, so they are deliberately kept out of the session's
 // plan-node result cache: another consumer of the same Scan node still gets
 // the full dataset.
@@ -50,24 +53,30 @@ type zonePart struct {
 	maxStop  int64
 }
 
-// zoneParts enumerates a dataset's partitions. Samples are canonically
+// sampleParts appends a sample's partitions to out. Samples are canonically
 // sorted by (chrom, start, stop), so minStart is the run's first region;
 // maxStop needs the scan (a long region can start early and end last).
+func sampleParts(out []zonePart, s *gdm.Sample) []zonePart {
+	for _, cs := range chromSpans(s) {
+		p := zonePart{
+			chrom: cs.chrom, regions: cs.hi - cs.lo,
+			minStart: s.Regions[cs.lo].Start, maxStop: s.Regions[cs.lo].Stop,
+		}
+		for i := cs.lo + 1; i < cs.hi; i++ {
+			if s.Regions[i].Stop > p.maxStop {
+				p.maxStop = s.Regions[i].Stop
+			}
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// zoneParts enumerates a dataset's partitions.
 func zoneParts(ds *gdm.Dataset) []zonePart {
 	var out []zonePart
 	for _, s := range ds.Samples {
-		for _, cs := range chromSpans(s) {
-			p := zonePart{
-				chrom: cs.chrom, regions: cs.hi - cs.lo,
-				minStart: s.Regions[cs.lo].Start, maxStop: s.Regions[cs.lo].Stop,
-			}
-			for i := cs.lo + 1; i < cs.hi; i++ {
-				if s.Regions[i].Stop > p.maxStop {
-					p.maxStop = s.Regions[i].Stop
-				}
-			}
-			out = append(out, p)
-		}
+		out = sampleParts(out, s)
 	}
 	return out
 }
@@ -99,7 +108,7 @@ func chromExtents(parts []zonePart) extents {
 	return x
 }
 
-// statsExtents folds a manifest stats block into extents — the zone view of
+// statsExtents folds a stats block into extents — the zone view of
 // a dataset that has not been loaded.
 func statsExtents(st *catalog.DatasetStats) extents {
 	x := make(extents)
@@ -111,20 +120,27 @@ func statsExtents(st *catalog.DatasetStats) extents {
 	return x
 }
 
-// selectKeep is SELECT's proof: a partition the region predicate's zone
-// window clears holds only rejected regions. ok is false for predicates with
-// no zone-checkable structure.
-func selectKeep(region expr.Node) (keepFunc, bool) {
-	if region == nil {
-		return nil, false
+// selectKeep is SELECT's proof. Its sample half is the metadata predicate,
+// when it alone decides which samples survive: under meta-first evaluation
+// and without a semijoin, whose key set exists only once its external
+// dataset has been evaluated. Its partition half rejects partitions the
+// region predicate's zone window clears, which hold only rejected regions.
+// ok is false when neither half has anything to prove.
+func (e *evaluator) selectKeep(sel *SelectOp) (k catalog.Keep, ok bool) {
+	if sel == nil {
+		return k, false
 	}
-	w, ok := catalog.PredicateWindow(region)
-	if !ok {
-		return nil, false
+	if sel.Meta != nil && sel.SemiJoin == nil && e.cfg.MetaFirst {
+		k.Sample = sel.Meta.EvalMeta
 	}
-	return func(chrom string, minStart, maxStop int64) bool {
-		return !w.Prunes(chrom, minStart, maxStop)
-	}, true
+	if sel.Region != nil {
+		if w, ok := catalog.PredicateWindow(sel.Region); ok {
+			k.Part = func(chrom string, minStart, maxStop int64) bool {
+				return !w.Prunes(chrom, minStart, maxStop)
+			}
+		}
+	}
+	return k, k.Sample != nil || k.Part != nil
 }
 
 // mapKeep is MAP's proof for the experiment side: keep a partition that
@@ -156,26 +172,38 @@ func joinKeep(pred GenometricPred) func(other extents) keepFunc {
 	}
 }
 
-// prunable accumulates the after-read use of keep functions over one
-// operator's inputs.
+// prunable accumulates the after-read use of proofs over one operator's
+// inputs, counting what a pruned read would skip: samples by metadata, then
+// the other samples' partitions by zone window.
 type prunable struct {
-	consulted, parts int
-	regions          int64
+	samples, consulted, parts int
+	regions                   int64
 }
 
-func (c *prunable) count(parts []zonePart, keep keepFunc) {
-	for _, p := range parts {
-		c.consulted++
-		if !keep(p.chrom, p.minStart, p.maxStop) {
-			c.parts++
-			c.regions += int64(p.regions)
+func (c *prunable) count(ds *gdm.Dataset, keep catalog.Keep) {
+	var parts []zonePart
+	for _, s := range ds.Samples {
+		if !keep.KeepsSample(s.Meta) {
+			c.samples++
+			continue
+		}
+		if keep.Part == nil {
+			continue // a proof without a partition half consults none
+		}
+		parts = sampleParts(parts[:0], s)
+		for _, p := range parts {
+			c.consulted++
+			if !keep.Part(p.chrom, p.minStart, p.maxStop) {
+				c.parts++
+				c.regions += int64(p.regions)
+			}
 		}
 	}
 }
 
 func (c *prunable) record(sp *obs.Span) {
-	if c.consulted > 0 {
-		sp.SetPrunable(c.consulted, c.parts, c.regions)
+	if c.consulted > 0 || c.samples > 0 {
+		sp.SetPrunable(c.samples, c.consulted, c.parts, c.regions)
 	}
 }
 
@@ -187,34 +215,35 @@ func (e *evaluator) pruneTarget(n Node) *Scan {
 	return nil
 }
 
-// prunedScan is the before-read use of keep: it loads scan skipping every
-// partition keep rejects, recording the skip accounting on csp (the scan's
+// prunedScan is the before-read use of a proof: it loads scan skipping
+// everything keep rejects, recording the skip accounting on csp (the scan's
 // attached span; nil when untraced).
-func (e *evaluator) prunedScan(scan *Scan, csp *obs.Span, keep keepFunc) (*gdm.Dataset, error) {
+func (e *evaluator) prunedScan(scan *Scan, csp *obs.Span, keep catalog.Keep) (*gdm.Dataset, error) {
 	start := time.Now()
-	ds, st, err := e.pc.DatasetPruned(scan.Dataset, keep)
+	ds, st, err := e.pc.ReadPruned(scan.Dataset, keep)
 	if err != nil {
 		return nil, err
 	}
 	if csp != nil {
-		csp.SetSkipped(st.Parts, st.SkippedParts, st.SkippedRegions)
+		csp.SetSkipped(st.SkippedSamples, st.Parts, st.SkippedParts, st.SkippedRegions)
 		finishSpan(csp, e.cfg, ds, start)
 	}
 	return ds, nil
 }
 
-// selectInput loads the input of a SELECT with region predicate region — for
-// a fused chain, the innermost SELECT's source (zone windows say nothing
-// about intermediate results) — under the predicate's zone proof. sp is the
-// SELECT's (or chain head's) span. Every skipped partition holds only
-// predicate-rejected regions, so the SELECT output is identical to the
-// unpruned path's, which also makes caching it under the SELECT node safe.
-func (e *evaluator) selectInput(in Node, region expr.Node, sp *obs.Span) (*gdm.Dataset, error) {
+// selectInput loads the input of SELECT sel — for a fused chain, the source
+// of the innermost SELECT, nil when the chain has none (neither metadata nor
+// zone windows say anything about intermediate results) — under sel's proof.
+// sp is the SELECT's (or chain head's) span. Every skipped sample is one sel
+// drops and every skipped partition holds only rejected regions, so the
+// SELECT output is identical to the unpruned path's, which also makes caching
+// it under the SELECT node safe.
+func (e *evaluator) selectInput(in Node, sel *SelectOp, sp *obs.Span) (*gdm.Dataset, error) {
 	scan := e.pruneTarget(in)
 	if scan == nil && sp == nil {
 		return e.eval(in, nil)
 	}
-	keep, ok := selectKeep(region)
+	keep, ok := e.selectKeep(sel)
 	if !ok {
 		return e.evalChild(in, sp)
 	}
@@ -226,7 +255,7 @@ func (e *evaluator) selectInput(in Node, region expr.Node, sp *obs.Span) (*gdm.D
 		return nil, err
 	}
 	var c prunable
-	c.count(zoneParts(ds), keep)
+	c.count(ds, keep)
 	c.record(sp)
 	return ds, nil
 }
@@ -234,6 +263,7 @@ func (e *evaluator) selectInput(in Node, region expr.Node, sp *obs.Span) (*gdm.D
 // zonePair loads the inputs of a binary pruning operator under its zone
 // proof: keepL and keepR derive each side's keep function from the other
 // side's extents (nil: the side is never pruned, like MAP's reference).
+// MAP and JOIN keep every sample, so their proofs have no sample half.
 //
 // Without a prunable Scan input both sides evaluate as evalPair does and,
 // when traced, are counted. Otherwise evaluation is sequential — a pruned
@@ -257,13 +287,13 @@ func (e *evaluator) zonePair(left, right Node, sp *obs.Span, keepL, keepR func(o
 		if l, r, err = e.evalPair(left, right, sp); err != nil || sp == nil {
 			return l, r, err
 		}
-		lparts, rparts := zoneParts(l), zoneParts(r)
+		lx, rx := chromExtents(zoneParts(l)), chromExtents(zoneParts(r))
 		var c prunable
 		if keepL != nil {
-			c.count(lparts, keepL(chromExtents(rparts)))
+			c.count(l, catalog.Keep{Part: keepL(rx)})
 		}
 		if keepR != nil {
-			c.count(rparts, keepR(chromExtents(lparts)))
+			c.count(r, catalog.Keep{Part: keepR(lx)})
 		}
 		c.record(sp)
 		return l, r, nil
@@ -272,20 +302,20 @@ func (e *evaluator) zonePair(left, right Node, sp *obs.Span, keepL, keepR func(o
 	switch {
 	case lscan != nil && rscan != nil:
 		if st, ok := e.pc.Stats(rscan.Dataset); ok {
-			l, err = e.prunedScan(lscan, lsp, keepL(statsExtents(st)))
+			l, err = e.prunedScan(lscan, lsp, catalog.Keep{Part: keepL(statsExtents(st))})
 		} else {
 			l, err = e.eval(left, lsp)
 		}
 		if err == nil {
-			r, err = e.prunedScan(rscan, rsp, keepR(chromExtents(zoneParts(l))))
+			r, err = e.prunedScan(rscan, rsp, catalog.Keep{Part: keepR(chromExtents(zoneParts(l)))})
 		}
 	case lscan != nil:
 		if r, err = e.eval(right, rsp); err == nil {
-			l, err = e.prunedScan(lscan, lsp, keepL(chromExtents(zoneParts(r))))
+			l, err = e.prunedScan(lscan, lsp, catalog.Keep{Part: keepL(chromExtents(zoneParts(r)))})
 		}
 	default:
 		if l, err = e.eval(left, lsp); err == nil {
-			r, err = e.prunedScan(rscan, rsp, keepR(chromExtents(zoneParts(l))))
+			r, err = e.prunedScan(rscan, rsp, catalog.Keep{Part: keepR(chromExtents(zoneParts(l)))})
 		}
 	}
 	return l, r, err

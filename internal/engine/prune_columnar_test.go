@@ -258,6 +258,16 @@ func TestPrunedScanNotCached(t *testing.T) {
 	}
 }
 
+// sumSamples totals the samples a tree's proofs rejected by metadata: after
+// the read (prunable=) and before it (skipped=).
+func sumSamples(sp *obs.Span) (prunable, skipped int) {
+	for _, s := range sp.Flatten() {
+		prunable += s.PrunableSamples
+		skipped += s.SamplesSkipped
+	}
+	return
+}
+
 // sumPrunable totals the after-read accounting over a span tree.
 func sumPrunable(sp *obs.Span) (consulted, prunable int, regions int64) {
 	for _, s := range sp.Flatten() {
@@ -268,11 +278,12 @@ func sumPrunable(sp *obs.Span) (consulted, prunable int, regions int64) {
 	return
 }
 
-// TestPrunedEqualsPrunableProperty: each pruning operator has one zone proof,
-// so what a traced run on an in-memory catalog (or under DisablePruning)
-// reports as prunable= is exactly what a pruned read of the same data on a
-// columnar catalog skips — and neither changes the result, which must equal
-// the DisablePruning run's.
+// TestPrunedEqualsPrunableProperty: each pruning operator has one proof, so
+// what a traced run on an in-memory catalog (or under DisablePruning) reports
+// as prunable= is exactly what a pruned read of the same data on a columnar
+// catalog skips — and neither changes the result, which must equal the
+// DisablePruning run's. A SELECT's metadata predicate skips exactly the
+// samples it rejects, and nothing under a semijoin.
 func TestPrunedEqualsPrunableProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	chroms := []string{"chr1", "chr2", "chr3", "chrX", "chrM"}
@@ -301,6 +312,14 @@ func TestPrunedEqualsPrunableProperty(t *testing.T) {
 		disk := writeColumnarCatalog(t, a, b)
 		dle := GenometricPred{Conds: []DistCond{{Op: DistLE, Dist: rng.Int63n(20000)}}}
 		pred := window()
+		meta := expr.MetaCmp{Attr: "cell", Op: expr.CmpEq, Value: []string{"HeLa", "K562", "GM12878"}[rng.Intn(3)]}
+		rejected := 0 // the samples of A the metadata predicate drops
+		for _, s := range a.Samples {
+			if !meta.EvalMeta(s.Meta) {
+				rejected++
+			}
+		}
+		semijoin := &SemiJoin{Attrs: []string{"cell"}, External: &Scan{Dataset: "B"}}
 		plans := []struct {
 			name string
 			plan Node
@@ -309,19 +328,25 @@ func TestPrunedEqualsPrunableProperty(t *testing.T) {
 			// side prunes against the already-pruned left's extents, while
 			// prunable= sees the whole left. So skipped >= prunable there.
 			bothScans bool
+			// samples is how many samples the metadata half must skip.
+			samples int
 		}{
-			{"select", &SelectOp{Input: &Scan{Dataset: "A"}, Region: pred}, false},
-			{"select-fused", &SelectOp{Input: &SelectOp{Input: &Scan{Dataset: "A"}, Region: pred}}, false},
-			{"map", &MapOp{Ref: &Scan{Dataset: "A"}, Exp: &Scan{Dataset: "B"}, Args: MapArgs{Aggs: countAgg()}}, false},
+			{"select", &SelectOp{Input: &Scan{Dataset: "A"}, Region: pred}, false, 0},
+			{"select-fused", &SelectOp{Input: &SelectOp{Input: &Scan{Dataset: "A"}, Region: pred}}, false, 0},
+			{"select-meta", &SelectOp{Input: &Scan{Dataset: "A"}, Meta: meta, Region: pred}, false, rejected},
+			{"select-meta-only", &SelectOp{Input: &Scan{Dataset: "A"}, Meta: meta}, false, rejected},
+			{"select-meta-fused", &SelectOp{Input: &SelectOp{Input: &Scan{Dataset: "A"}, Meta: meta, Region: pred}}, false, rejected},
+			{"select-semijoin", &SelectOp{Input: &Scan{Dataset: "A"}, Meta: meta, Region: pred, SemiJoin: semijoin}, false, 0},
+			{"map", &MapOp{Ref: &Scan{Dataset: "A"}, Exp: &Scan{Dataset: "B"}, Args: MapArgs{Aggs: countAgg()}}, false, 0},
 			{"map-selected-ref", &MapOp{
-				Ref:  &SelectOp{Input: &Scan{Dataset: "A"}, Region: pred},
+				Ref:  &SelectOp{Input: &Scan{Dataset: "A"}, Meta: meta, Region: pred},
 				Exp:  &Scan{Dataset: "B"},
 				Args: MapArgs{Aggs: countAgg()},
-			}, false},
+			}, false, rejected},
 			{"join-dle", &JoinOp{
 				Left: &Scan{Dataset: "A"}, Right: &Scan{Dataset: "B"},
 				Args: JoinArgs{Pred: dle, Output: OutLeft},
-			}, true},
+			}, true, 0},
 		}
 		for _, cfg := range allConfigs() {
 			for _, tc := range plans {
@@ -359,13 +384,19 @@ func TestPrunedEqualsPrunableProperty(t *testing.T) {
 				if c, _, _ := sumPrunable(diskRoot); c != 0 {
 					t.Errorf("%s: pruned run also reports prunable= over %d partitions", label, c)
 				}
-				skippedBy[tc.name] += sp
+				memSamples, _ := sumSamples(memRoot)
+				diskPrunable, diskSamples := sumSamples(diskRoot)
+				if memSamples != tc.samples || diskSamples != tc.samples || diskPrunable != 0 {
+					t.Errorf("%s: metadata skipped %d samples on disk (prunable %d in memory, %d on disk), want %d",
+						label, diskSamples, memSamples, diskPrunable, tc.samples)
+				}
+				skippedBy[tc.name] += sp + diskSamples
 			}
 		}
 	}
 	for name, n := range skippedBy {
 		if n == 0 {
-			t.Errorf("%s: no iteration skipped a partition", name)
+			t.Errorf("%s: no iteration skipped anything", name)
 		}
 	}
 }

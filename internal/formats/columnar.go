@@ -706,18 +706,25 @@ func readSampleMeta(dir, id string, man *Manifest, s *gdm.Sample) *IntegrityErro
 // ---------------------------------------------------------------------------
 // Pruned (partition-granular) reads
 
-// openColumnarSamplePruned reads one columnar sample loading only the
-// partitions keep accepts: the index is read and verified, rejected
-// partitions' payload bytes are never read (real skipped I/O, not post-load
-// filtering), loaded partitions verify their section CRC. skipped accounts
-// what the zone windows proved irrelevant.
-func openColumnarSamplePruned(dir, id string, schema *gdm.Schema, man *Manifest,
-	keep func(chrom string, minStart, maxStop int64) bool) (*gdm.Sample, catalog.PruneStats, *IntegrityError) {
-
+// openColumnarSamplePruned reads one member sample under both halves of
+// keep. The metadata comes first: a sample keep.Sample rejects is counted in
+// st and comes back nil, its image never opened. Otherwise the image's index
+// is read and verified, and only the partitions keep.Part accepts are read,
+// each verifying its section CRC — rejected partitions' payload bytes are
+// never read (real skipped I/O, not post-load filtering).
+func openColumnarSamplePruned(dir, id string, schema *gdm.Schema, man *Manifest, keep catalog.Keep) (*gdm.Sample, catalog.PruneStats, *IntegrityError) {
+	var st catalog.PruneStats
+	s := gdm.NewSample(id)
+	if ie := readSampleMeta(dir, id, man, s); ie != nil {
+		return nil, st, ie
+	}
+	if !keep.KeepsSample(s.Meta) {
+		st.SkippedSamples = 1
+		return nil, st, nil
+	}
 	name := filepath.Base(dir)
 	file := id + columnarExt
 	path := filepath.Join(dir, file)
-	var st catalog.PruneStats
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, st, fileError(name, path, err)
@@ -743,11 +750,12 @@ func openColumnarSamplePruned(dir, id string, schema *gdm.Schema, man *Manifest,
 		return nil, st, &IntegrityError{Dataset: name, Path: path, Reason: ReasonParse,
 			Detail: fmt.Sprintf("file declares %d attributes, schema has %d", ci.Arity, schema.Len())}
 	}
-	s := gdm.NewSample(id)
 	var buf []byte
 	for _, p := range ci.Parts {
-		st.Parts++
-		if keep != nil && !keep(p.Chrom, p.MinStart, p.MaxStop) {
+		if keep.Part != nil {
+			st.Parts++ // consulted: a read without a partition half consults none
+		}
+		if !keep.KeepsPart(p.Chrom, p.MinStart, p.MaxStop) {
 			st.SkippedParts++
 			st.SkippedRegions += int64(p.Regions)
 			st.SkippedBytes += p.Length
@@ -764,9 +772,6 @@ func openColumnarSamplePruned(dir, id string, schema *gdm.Schema, man *Manifest,
 		if ie := decodeColumnarPart(name, path, p, buf, schema, s); ie != nil {
 			return nil, st, ie
 		}
-	}
-	if ie := readSampleMeta(dir, id, man, s); ie != nil {
-		return nil, st, ie
 	}
 	return s, st, nil
 }
@@ -843,9 +848,9 @@ func WriteDatasetColumnar(dir string, ds *gdm.Dataset) error {
 }
 
 // writeColumnarDatasetFiles writes a member (footered schema, .gdmc images,
-// footered metadata files) into an existing directory, then the manifest
-// recording their checksums and the stats block that doubles as the
-// partition index of the catalog.
+// footered metadata files) into an existing directory, then its stats.json —
+// the catalog's partition index — and the manifest recording every file's
+// checksum.
 func writeColumnarDatasetFiles(dir string, ds *gdm.Dataset) error {
 	files := make(map[string]FileInfo, 1+2*len(ds.Samples))
 	sampleStats := make([]catalog.SampleStats, 0, len(ds.Samples))
@@ -872,7 +877,7 @@ func writeColumnarDatasetFiles(dir string, ds *gdm.Dataset) error {
 		sampleStats = append(sampleStats, catalog.ComputeSample(s))
 	}
 	crash("pre-manifest")
-	if err := writeManifest(dir, buildManifest(ds, files, sampleStats)); err != nil {
+	if err := writeMemberIndex(dir, ds, files, sampleStats); err != nil {
 		return fmt.Errorf("dataset %s: %w", ds.Name, err)
 	}
 	return nil

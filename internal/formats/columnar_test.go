@@ -267,7 +267,7 @@ func TestColumnarPrunedRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keepChr1 := func(chrom string, minStart, maxStop int64) bool { return chrom == "chr1" }
+	keepChr1 := catalog.Keep{Part: func(chrom string, minStart, maxStop int64) bool { return chrom == "chr1" }}
 
 	// sample1 holds chr1 (1 region) + chr2 (1 region); keep chr1 only.
 	s, st, ie := openColumnarSamplePruned(dir, "sample1", ds.Schema, man, keepChr1)
@@ -284,8 +284,8 @@ func TestColumnarPrunedRead(t *testing.T) {
 		t.Errorf("pruned read lost metadata: %v", s.Meta.Pairs())
 	}
 
-	// nil keep loads everything with zero skips.
-	full, st2, ie := openColumnarSamplePruned(dir, "sample1", ds.Schema, man, nil)
+	// An empty keep loads everything with zero skips.
+	full, st2, ie := openColumnarSamplePruned(dir, "sample1", ds.Schema, man, catalog.Keep{})
 	if ie != nil {
 		t.Fatal(ie)
 	}
@@ -315,7 +315,7 @@ func TestColumnarPrunedRead(t *testing.T) {
 	if _, _, ie := openColumnarSamplePruned(dir, "sample1", ds.Schema, man, keepChr1); ie != nil {
 		t.Errorf("damage in a skipped partition failed the pruned read: %v", ie)
 	}
-	if _, _, ie := openColumnarSamplePruned(dir, "sample1", ds.Schema, man, nil); ie == nil {
+	if _, _, ie := openColumnarSamplePruned(dir, "sample1", ds.Schema, man, catalog.Keep{}); ie == nil {
 		t.Error("damage in a kept partition passed the full pruned-open")
 	}
 	if ie := checkColumnarStructure("PEAKS", path, mut); ie == nil {
@@ -464,4 +464,73 @@ func TestDirCatalog(t *testing.T) {
 		t.Errorf("text fallback stats = %+v, want zero", st2)
 	}
 	datasetsEqual(t, ds, full)
+}
+
+// TestColumnarPrunedReadPolicy: pruned reads follow DirCatalog.Policy. A
+// bit-flipped partition the read keeps fails it typed under the strict
+// policy; under AllowPartial the sample is excluded and itemized in the
+// dataset's integrity report, exactly as OpenDataset does.
+func TestColumnarPrunedReadPolicy(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "PEAKS")
+	if err := WriteDatasetColumnar(dir, testDataset(t)); err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, filepath.Join(dir, "sample2.gdmc")) // its one partition, chr1
+	keepChr1 := func(chrom string, minStart, maxStop int64) bool { return chrom == "chr1" }
+
+	_, _, err := NewDirCatalog(root).DatasetPruned("PEAKS", keepChr1)
+	wantIntegrityError(t, err, ReasonChecksum)
+
+	c := &DirCatalog{Root: root, Policy: IntegrityPolicy{AllowPartial: true}}
+	got, _, err := c.DatasetPruned("PEAKS", keepChr1)
+	if err != nil {
+		t.Fatalf("partial pruned read failed: %v", err)
+	}
+	if len(got.Samples) != 1 || got.Samples[0].ID != "sample1" {
+		t.Fatalf("partial pruned read kept %d samples, want sample1 alone", len(got.Samples))
+	}
+	var rep *IntegrityReport
+	for _, r := range IntegritySnapshot() {
+		if r.Dir == dir {
+			rep = &r
+		}
+	}
+	if rep == nil || !rep.Partial() || rep.Verified ||
+		rep.Quarantined[0].Sample != "sample2" || rep.Quarantined[0].Reason != ReasonChecksum {
+		t.Fatalf("integrity report = %+v, want sample2 excluded for checksum_mismatch", rep)
+	}
+	// Nothing was moved: the policy has no Quarantine.
+	if _, err := os.Stat(filepath.Join(dir, "sample2.gdmc")); err != nil {
+		t.Errorf("partial pruned read moved the damaged image: %v", err)
+	}
+}
+
+// TestColumnarPrunedReadSkipsByMetadata: the sample half of a pruned read
+// checks metadata first, so the image of a sample it rejects is never
+// opened — damage there passes even the strict policy unseen — while damage
+// in what the read does touch still fails it.
+func TestColumnarPrunedReadSkipsByMetadata(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "PEAKS")
+	ds := testDataset(t)
+	if err := WriteDatasetColumnar(dir, ds); err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, filepath.Join(dir, "sample1.gdmc"))
+	keepK562 := catalog.Keep{Sample: func(md *gdm.Metadata) bool { return md.First("cell") == "K562" }}
+	got, st, err := NewDirCatalog(root).ReadPruned("PEAKS", keepK562)
+	if err != nil {
+		t.Fatalf("damage in a sample skipped by metadata failed the read: %v", err)
+	}
+	if st.SkippedSamples != 1 || st.Parts != 0 {
+		t.Errorf("prune stats = %+v, want 1 sample skipped and no partition consulted", st)
+	}
+	if len(got.Samples) != 1 || got.Samples[0].ID != "sample2" || len(got.Samples[0].Regions) != 1 {
+		t.Fatalf("read returned %v", got)
+	}
+	// The kept sample's metadata is read and verified like any member file.
+	flipByte(t, filepath.Join(dir, "sample2.gdm.meta"))
+	_, _, err = NewDirCatalog(root).ReadPruned("PEAKS", keepK562)
+	wantIntegrityError(t, err, ReasonChecksum)
 }

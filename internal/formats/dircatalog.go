@@ -15,11 +15,12 @@ import (
 )
 
 // DirCatalog resolves engine Scan nodes straight against a repository
-// directory: datasets load lazily, per query, through OpenDataset — and
-// members load through the partition-level pruned read path, so a query
-// whose zone windows prove partitions irrelevant never reads their bytes. It
-// implements engine.Catalog and the engine's PrunedCatalog extension (the
-// interface is declared there; this is its disk implementation).
+// directory: nothing is opened when it is made, and a dataset is read only
+// when a query scans it. It implements engine.Catalog and the engine's
+// PrunedCatalog extension (the interface is declared there; this is its disk
+// implementation), so a scan under SELECT, MAP or JOIN reads only what that
+// operator's proof keeps: samples whose metadata passes and, of those, the
+// partitions whose zone windows can matter.
 //
 // Full loads are cached per catalog instance (a session's repeated scans of
 // one dataset parse once); pruned loads are query-specific subsets and always
@@ -27,8 +28,10 @@ import (
 type DirCatalog struct {
 	// Root is the repository directory: one dataset per subdirectory.
 	Root string
-	// Policy governs full loads (OpenDataset). Pruned reads are always
-	// strict: a damaged partition fails the query rather than degrading.
+	// Policy governs every read, full and pruned. Under AllowPartial a
+	// damaged sample the read touches is excluded and itemized in the
+	// dataset's IntegrityReport (IntegritySnapshot); under the strict zero
+	// policy it fails the read with a typed *IntegrityError.
 	Policy IntegrityPolicy
 	// NoCache disables the full-load cache (benchmarks measure cold loads).
 	NoCache bool
@@ -106,33 +109,39 @@ func (c *DirCatalog) Dataset(name string) (*gdm.Dataset, error) {
 	return ds, nil
 }
 
-// Stats returns the dataset's manifest stats block — the partition index —
-// without loading any region data: one manifest read. ok is false for
-// datasets without a trustworthy block (a text export, an old writer, a
-// stale digest).
+// Stats returns the dataset's stats block — the partition index — from its
+// stats.json, without loading any region data. ok is false for datasets
+// without a trustworthy block (a text export, a member written before
+// stats.json existed, a damaged or stale file).
 func (c *DirCatalog) Stats(name string) (*catalog.DatasetStats, bool) {
 	dir, err := c.datasetDir(name)
 	if err != nil {
 		return nil, false
 	}
 	man, err := ReadManifest(dir)
-	if err != nil || man.Stats == nil || man.Stats.Version > catalog.StatsVersion {
+	if err != nil {
 		return nil, false
 	}
-	if man.Stats.Digest != "" && man.Stats.Digest != man.Digest {
-		return nil, false // stale block: it does not describe the data beside it
-	}
-	return man.Stats, true
+	return usableStats(dir, man)
 }
 
-// DatasetPruned implements the engine's partition-level read: load the named
-// dataset skipping every partition keep rejects. For a member the skipped
-// partitions' payload bytes are never read — the zone-map accounting turned
-// into real skipped I/O. A text export has no partition index to skip by, so
-// it falls back to the full cached load with zero skip accounting: callers
-// observe honest I/O numbers either way, and results are identical because a
-// skipped partition provably contributes nothing to the pruning consumer.
+// DatasetPruned is ReadPruned with only the partition half of the proof.
 func (c *DirCatalog) DatasetPruned(name string, keep func(chrom string, minStart, maxStop int64) bool) (*gdm.Dataset, catalog.PruneStats, error) {
+	return c.ReadPruned(name, catalog.Keep{Part: keep})
+}
+
+// ReadPruned implements the engine's pruned read: load the named dataset
+// without the samples keep.Sample rejects — only their metadata is read —
+// and without the partitions keep.Part rejects, whose payload bytes are never
+// read. A text export has no partition index to skip by, so it falls back to
+// the full cached load with zero skip accounting: callers observe honest I/O
+// numbers either way, and results are identical because whatever keep
+// rejects provably contributes nothing to the consumer.
+//
+// Damage follows Policy as in OpenDataset, but only in what the read
+// touches: a sample skipped by its metadata is never checked past its
+// .gdm.meta, and a skipped partition's bytes are never checked at all.
+func (c *DirCatalog) ReadPruned(name string, keep catalog.Keep) (*gdm.Dataset, catalog.PruneStats, error) {
 	var st catalog.PruneStats
 	dir, err := c.datasetDir(name)
 	if err != nil {
@@ -150,20 +159,30 @@ func (c *DirCatalog) DatasetPruned(name string, keep func(chrom string, minStart
 	if err != nil {
 		return nil, st, err
 	}
-	ds := gdm.NewDataset(filepath.Base(dir), schema)
+	rep := &IntegrityReport{Dataset: filepath.Base(dir), Dir: dir, Digest: man.Digest}
+	ds := gdm.NewDataset(rep.Dataset, schema)
 	for _, id := range man.SampleIDs() {
 		s, sst, ie := openColumnarSamplePruned(dir, id, schema, man, keep)
+		if ie == nil && s != nil {
+			s.SortRegions()
+			if err := ds.Add(s); err != nil {
+				ie = &IntegrityError{Dataset: ds.Name, Path: filepath.Join(dir, id+columnarExt),
+					Reason: ReasonParse, Detail: err.Error()}
+			}
+		}
 		if ie != nil {
-			metricIntegrityFailures.With(string(ie.Reason)).Inc()
-			return nil, st, ie
+			if err := rep.exclude(c.Policy, id, ie, id+columnarExt, id+".gdm.meta"); err != nil {
+				return nil, st, err
+			}
+			continue
 		}
 		st.Add(sst)
-		s.SortRegions()
-		if err := ds.Add(s); err != nil {
-			return nil, st, &IntegrityError{Dataset: ds.Name, Path: filepath.Join(dir, id+columnarExt),
-				Reason: ReasonParse, Detail: err.Error()}
-		}
 	}
+	rep.SamplesLoaded = len(ds.Samples)
+	if rep.Verified = !rep.Partial(); !rep.Verified {
+		metricPartialLoads.Inc()
+	}
+	noteIntegrity(rep)
 	metricColumnarLoads.Inc()
 	metricPrunedParts.With("skipped").Add(int64(st.SkippedParts))
 	metricPrunedParts.With("read").Add(int64(st.Parts - st.SkippedParts))

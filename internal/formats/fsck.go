@@ -235,26 +235,29 @@ func FsckDataset(dir string, opts FsckOptions) (*FsckResult, error) {
 	return res, nil
 }
 
-// fsckCheckStats verifies the manifest's statistics block against the
-// verified dataset: the block must exist, carry the manifest's own digest,
-// a supported version, and agree with a fresh scan of the loaded data. With
-// Rebuild the manifest is rewritten in place with recomputed stats; without,
-// the divergence is a problem (exit nonzero) — wrong statistics silently
-// mislead the pruning accounting and the federation estimator.
+// fsckCheckStats verifies the member's stats.json against the verified
+// dataset: the manifest must list it, its bytes must verify against the
+// manifest, and the block must carry the manifest's own digest, a supported
+// version, and agree with a fresh scan of the loaded data. With Rebuild the
+// file is rewritten with recomputed stats and the manifest with its new
+// checksum; without, the divergence is a problem (exit nonzero) — wrong
+// statistics silently mislead the pruning of a JOIN and the federation
+// estimator.
 func fsckCheckStats(dir string, man *Manifest, ds *gdm.Dataset, opts FsckOptions, res *FsckResult) {
-	path := filepath.Join(dir, ManifestName)
+	path := filepath.Join(dir, StatsName)
 	detail := ""
+	st, ie := readStats(dir, man)
 	switch {
-	case man.Stats == nil:
-		detail = "manifest has no stats block"
-	case man.Stats.Version > catalog.StatsVersion:
+	case ie != nil:
+		detail = fmt.Sprintf("%s: %s", ie.Reason, ie.Detail)
+	case st.Version > catalog.StatsVersion:
 		detail = fmt.Sprintf("stats block version %d is newer than supported %d",
-			man.Stats.Version, catalog.StatsVersion)
-	case man.Stats.Digest != man.Digest:
+			st.Version, catalog.StatsVersion)
+	case st.Digest != man.Digest:
 		detail = fmt.Sprintf("stats block digest %s does not match manifest digest %s",
-			gdm.ShortDigest(man.Stats.Digest), gdm.ShortDigest(man.Digest))
+			gdm.ShortDigest(st.Digest), gdm.ShortDigest(man.Digest))
 	default:
-		if mismatch := statsMismatch(man.Stats, ds); mismatch != "" {
+		if mismatch := statsMismatch(st, ds); mismatch != "" {
 			detail = "stats block disagrees with data: " + mismatch
 		}
 	}
@@ -267,8 +270,12 @@ func fsckCheckStats(dir string, man *Manifest, ds *gdm.Dataset, opts FsckOptions
 	}
 	fresh := catalog.Compute(ds)
 	fresh.Digest = man.Digest
-	man.Stats = fresh
-	if err := writeManifest(dir, man); err != nil {
+	info, err := writeStats(dir, fresh)
+	if err == nil {
+		man.Files[StatsName] = info
+		err = writeManifest(dir, man)
+	}
+	if err != nil {
 		res.problem(path, ReasonBadStats, err.Error())
 		return
 	}
@@ -317,6 +324,9 @@ func fsckVerifyAgainstManifest(dir string, man *Manifest, opts FsckOptions, res 
 	}
 	sort.Strings(files)
 	for _, file := range files {
+		if file == StatsName {
+			continue // derived from the data; fsckCheckStats judges and rebuilds it
+		}
 		want := man.Files[file]
 		path := filepath.Join(dir, file)
 		ie := triageFile(name, path, want)
@@ -527,7 +537,7 @@ func fsckRebuild(dir string, res *FsckResult) bool {
 		}
 	}
 
-	if err := writeManifest(dir, buildManifest(ds, b.files, nil)); err != nil {
+	if err := writeMemberIndex(dir, ds, b.files, nil); err != nil {
 		res.problem(filepath.Join(dir, ManifestName), ReasonBadManifest, err.Error())
 		return false
 	}

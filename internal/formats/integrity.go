@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -316,12 +317,10 @@ func OpenDataset(dir string, pol IntegrityPolicy) (*gdm.Dataset, *IntegrityRepor
 	}
 	rep := &IntegrityReport{Dataset: name, Dir: dir}
 	var ds *gdm.Dataset
-	var stats *catalog.DatasetStats
 	man, err := ReadManifest(dir)
 	switch {
 	case err == nil:
 		ds, err = openMember(dir, man, pol, rep)
-		stats = man.Stats
 	case errors.Is(err, fs.ErrNotExist):
 		rep.Unverified = true
 		ds, err = readExport(dir, pol, rep)
@@ -345,16 +344,20 @@ func OpenDataset(dir string, pol IntegrityPolicy) (*gdm.Dataset, *IntegrityRepor
 		metricVerifiedLoads.Inc()
 	}
 	recordIntegrity(rep)
-	catalogDataset(ds, rep, stats)
+	catalogDataset(ds, rep, man)
 	return ds, rep, nil
 }
 
 // catalogDataset files a freshly opened dataset in the repository catalog. A
-// fully verified member hands its manifest's stats block over as-is; an
-// import, a member without a block, or a partial load (the loaded dataset is
-// a subset of what the manifest describes) retains the dataset for one lazy
+// fully verified member that lists a stats.json hands the catalog a loader
+// for it — read on the catalog's first use, not here — and nothing else: the
+// catalog must not keep every loaded dataset alive (gmqlfsck opens a whole
+// repository one dataset at a time), so a stats.json that then fails to
+// verify leaves the entry without statistics until gmqlfsck -rebuild. An
+// import, a member without one, or a partial load (the loaded dataset is a
+// subset of what the manifest describes) retains the dataset for one lazy
 // scan instead.
-func catalogDataset(ds *gdm.Dataset, rep *IntegrityReport, stats *catalog.DatasetStats) {
+func catalogDataset(ds *gdm.Dataset, rep *IntegrityReport, man *Manifest) {
 	info := catalog.Info{
 		Name:        ds.Name,
 		Dir:         rep.Dir,
@@ -369,9 +372,12 @@ func catalogDataset(ds *gdm.Dataset, rep *IntegrityReport, stats *catalog.Datase
 	if rep.Verified {
 		info.Integrity = "verified"
 		info.Digest = rep.Digest
-		if stats != nil {
-			info.Source = catalog.SourceManifest
-			info.Stats = stats
+		if _, listed := man.Files[StatsName]; listed {
+			info.Source, info.Dataset = catalog.SourceManifest, nil
+			info.LoadStats = func() *catalog.DatasetStats {
+				st, _ := usableStats(rep.Dir, man)
+				return st
+			}
 		}
 	}
 	catalog.Repo().Record(info)
@@ -536,6 +542,28 @@ func recordIntegrity(rep *IntegrityReport) {
 	integrityState.Lock()
 	integrityState.reports[rep.Dir] = &cp
 	integrityState.Unlock()
+}
+
+// noteIntegrity folds a pruned read's report into the dataset's latest one.
+// A pruned read checks only the part of the dataset it touches, so the damage
+// it finds adds to what earlier reads of the dataset found rather than
+// replacing it.
+func noteIntegrity(rep *IntegrityReport) {
+	integrityState.Lock()
+	defer integrityState.Unlock()
+	prev := integrityState.reports[rep.Dir]
+	if prev == nil {
+		cp := *rep
+		cp.Quarantined = append([]QuarantinedSample(nil), rep.Quarantined...)
+		integrityState.reports[rep.Dir] = &cp
+		return
+	}
+	for _, q := range rep.Quarantined {
+		if !slices.ContainsFunc(prev.Quarantined, func(p QuarantinedSample) bool { return p.Sample == q.Sample }) {
+			prev.Quarantined = append(prev.Quarantined, q)
+		}
+	}
+	prev.Verified = prev.Verified && !prev.Partial()
 }
 
 // IntegritySnapshot returns the latest integrity report of every dataset this

@@ -110,7 +110,7 @@ func TestWriteDatasetEmitsManifest(t *testing.T) {
 	if man.Layout != LayoutColumnar {
 		t.Fatalf("manifest layout = %q", man.Layout)
 	}
-	want := []string{"sample1.gdm.meta", "sample1.gdmc", "sample2.gdm.meta", "sample2.gdmc", "schema.txt"}
+	want := []string{"sample1.gdm.meta", "sample1.gdmc", "sample2.gdm.meta", "sample2.gdmc", "schema.txt", StatsName}
 	if len(man.Files) != len(want) {
 		t.Fatalf("manifest files = %v", man.Files)
 	}

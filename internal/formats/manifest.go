@@ -18,6 +18,14 @@ import (
 // file the materialization consists of.
 const ManifestName = "manifest.json"
 
+// StatsName is a member's partition index: the catalog stats block as
+// footered JSON, listed in the manifest with a size and checksum like every
+// other member file. No dataset read parses it — each .gdmc image carries its
+// own partition index — only the consumers that want a dataset's zone view
+// without opening it: a JOIN of two scans, the repository catalog and
+// gmqlfsck, each on demand.
+const StatsName = "stats.json"
+
 // ManifestFormatVersion is the member layout version this code writes. A
 // higher version on disk means the dataset was written by a newer genogo and
 // is refused rather than half-understood.
@@ -36,7 +44,11 @@ type FileInfo struct {
 // the staging directory) by WriteDatasetColumnar so its presence certifies a
 // complete materialization. Digest is the gdm content digest of the whole
 // dataset — the dataset's version: it changes iff the logical content
-// changes.
+// changes. It is kept small, because every read of the dataset parses it:
+// the per-partition statistics live in the stats.json it lists. Manifests
+// written before stats.json existed carry the block inline; it is ignored
+// (gmqlfsck reports the missing stats.json, and -rebuild moves the block
+// out).
 type Manifest struct {
 	FormatVersion int    `json:"format_version"`
 	Dataset       string `json:"dataset"`
@@ -46,12 +58,6 @@ type Manifest struct {
 	// an older genogo for the text layout, which gmqlfsck -rebuild converts.
 	Layout string              `json:"layout,omitempty"`
 	Files  map[string]FileInfo `json:"files"`
-	// Stats is the per-(sample, chromosome) statistics block, computed
-	// incrementally while the samples were written. Absent in manifests
-	// from before the catalog existed (readers then scan once, lazily);
-	// carrying its own digest lets readers and gmqlfsck detect a block
-	// that no longer describes the data beside it.
-	Stats *catalog.DatasetStats `json:"stats,omitempty"`
 }
 
 // SampleIDs lists the sample IDs the manifest declares, sorted, derived from
@@ -125,27 +131,74 @@ func writeManifest(dir string, m *Manifest) error {
 	return err
 }
 
-// buildManifest assembles the manifest for a dataset whose files were just
-// written with the given checksums. sampleStats carries the per-sample
-// statistics the write loop computed incrementally; nil (the fsck rebuild
-// path, which has no write loop) computes them here in one pass.
-func buildManifest(ds *gdm.Dataset, files map[string]FileInfo, sampleStats []catalog.SampleStats) *Manifest {
+// writeMemberIndex finishes a member whose data files were just written with
+// the given checksums: stats.json first, then the manifest listing it with
+// them. sampleStats carries the per-sample statistics the write loop computed
+// incrementally; nil (the fsck rebuild path, which has no write loop)
+// computes them here in one pass.
+func writeMemberIndex(dir string, ds *gdm.Dataset, files map[string]FileInfo, sampleStats []catalog.SampleStats) error {
 	digest := ds.ContentDigest()
 	if sampleStats == nil {
 		sampleStats = catalog.Compute(ds).Samples
 	}
-	return &Manifest{
+	info, err := writeStats(dir, &catalog.DatasetStats{
+		Version:   catalog.StatsVersion,
+		Digest:    digest,
+		AttrArity: ds.Schema.Len(),
+		Samples:   sampleStats,
+	})
+	if err != nil {
+		return err
+	}
+	files[StatsName] = info
+	return writeManifest(dir, &Manifest{
 		FormatVersion: ManifestFormatVersion,
 		Dataset:       ds.Name,
 		Samples:       len(ds.Samples),
 		Digest:        digest,
 		Layout:        LayoutColumnar,
 		Files:         files,
-		Stats: &catalog.DatasetStats{
-			Version:   catalog.StatsVersion,
-			Digest:    digest,
-			AttrArity: ds.Schema.Len(),
-			Samples:   sampleStats,
-		},
+	})
+}
+
+// writeStats materializes a stats block as dir's stats.json, footered and
+// fsynced, and returns its manifest entry.
+func writeStats(dir string, st *catalog.DatasetStats) (FileInfo, error) {
+	data, err := json.Marshal(st)
+	if err != nil {
+		return FileInfo{}, fmt.Errorf("stats: %w", err)
 	}
+	return writeFileWith(filepath.Join(dir, StatsName), func(w io.Writer) error {
+		_, werr := w.Write(data)
+		return werr
+	})
+}
+
+// readStats reads and verifies a member's stats.json against its manifest:
+// footer, then the manifest entry. A manifest that does not list the file
+// (one written before it existed) yields a ReasonMissing error. The block's
+// version and digest are the caller's to judge.
+func readStats(dir string, man *Manifest) (*catalog.DatasetStats, *IntegrityError) {
+	if _, listed := man.Files[StatsName]; !listed {
+		return nil, &IntegrityError{Dataset: filepath.Base(dir), Path: filepath.Join(dir, StatsName),
+			Reason: ReasonMissing, Detail: "manifest lists no " + StatsName}
+	}
+	var st catalog.DatasetStats
+	if ie := readMemberFile(dir, StatsName, man, func(r io.Reader) error {
+		return json.NewDecoder(r).Decode(&st)
+	}); ie != nil {
+		return nil, ie
+	}
+	return &st, nil
+}
+
+// usableStats returns the member's stats block when it is trustworthy: it
+// verifies, its version is one this build reads, and it describes the data
+// beside it (its digest is the manifest's).
+func usableStats(dir string, man *Manifest) (*catalog.DatasetStats, bool) {
+	st, ie := readStats(dir, man)
+	if ie != nil || st.Version > catalog.StatsVersion || st.Digest != man.Digest {
+		return nil, false
+	}
+	return st, true
 }

@@ -46,9 +46,9 @@ func TestMetricsGoldenSpanTree(t *testing.T) {
 	}
 	root.ZeroDurations()
 	want := `MAP peak_count AS COUNT joinby: []  [serial] time=0.0ms in=3s/6r out=2s/4r prunable=0r/0of2p
-  SELECT meta: annType == 'promoter'; region: true  [serial] time=0.0ms in=2s/3r out=1s/2r
+  SELECT meta: annType == 'promoter'; region: true  [serial] time=0.0ms in=2s/3r out=1s/2r prunable=1s
     SCAN ANNOTATIONS  [serial] time=0.0ms out=2s/3r
-  SELECT meta: dataType == 'ChipSeq'; region: true  [serial] time=0.0ms in=3s/5r out=2s/4r
+  SELECT meta: dataType == 'ChipSeq'; region: true  [serial] time=0.0ms in=3s/5r out=2s/4r prunable=1s
     SCAN ENCODE  [serial] time=0.0ms out=3s/5r
 `
 	if got := root.Render(); got != want {

@@ -57,16 +57,22 @@ type Span struct {
 	// storage engine would have skipped loading them entirely. All zero when
 	// the operator's predicate has no zone-checkable structure, when an
 	// input was read pruned (its scan span's Parts* fields carry the same
-	// proof's numbers), or when the run was not traced.
+	// proof's numbers), or when the run was not traced. PrunableSamples
+	// counts the samples a SELECT's metadata predicate rejects: a pruning
+	// read never opens their region data, so their partitions are not
+	// consulted.
+	PrunableSamples int   `json:"prunable_samples,omitempty"`
 	PruneParts      int   `json:"prune_parts,omitempty"`
 	PrunableParts   int   `json:"prunable_parts,omitempty"`
 	PrunableRegions int64 `json:"prunable_regions,omitempty"`
 	// PartsConsulted is the number of (sample, chromosome) partitions a
 	// pruned storage read consulted; PartsSkipped of them — holding
 	// RegionsSkipped regions — were proven irrelevant by their zone windows
-	// and never read from disk. Where the Prunable* fields above measure the
-	// opportunity on an operator, these measure the I/O a pruning scan
-	// actually skipped.
+	// and never read from disk, and SamplesSkipped samples were rejected by
+	// their metadata before their images were opened. Where the Prunable*
+	// fields above measure the opportunity on an operator, these measure the
+	// I/O a pruning scan actually skipped.
+	SamplesSkipped int   `json:"samples_skipped,omitempty"`
 	PartsConsulted int   `json:"parts_consulted,omitempty"`
 	PartsSkipped   int   `json:"parts_skipped,omitempty"`
 	RegionsSkipped int64 `json:"regions_skipped,omitempty"`
@@ -199,26 +205,29 @@ func (s *Span) SetWorkers(n int) {
 	s.mu.Unlock()
 }
 
-// SetPrunable records the operator's zone-map pruning opportunity: of the
-// consulted (sample, chromosome) partitions, prunableParts (holding
-// prunableRegions regions) provably contribute zero output.
-func (s *Span) SetPrunable(consulted, prunableParts int, prunableRegions int64) {
+// SetPrunable records the operator's pruning opportunity: samples samples
+// are rejected by metadata, and of the other samples' consulted (sample,
+// chromosome) partitions, prunableParts (holding prunableRegions regions)
+// provably contribute zero output.
+func (s *Span) SetPrunable(samples, consulted, prunableParts int, prunableRegions int64) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
+	s.PrunableSamples = samples
 	s.PruneParts, s.PrunableParts, s.PrunableRegions = consulted, prunableParts, prunableRegions
 	s.mu.Unlock()
 }
 
-// SetSkipped records a pruned storage read's realized skip accounting: of
-// the consulted partitions, skipped (holding regions regions) were never
-// read from disk.
-func (s *Span) SetSkipped(consulted, skipped int, regions int64) {
+// SetSkipped records a pruned storage read's realized skip accounting:
+// samples samples were skipped by metadata, and of the consulted partitions,
+// skipped (holding regions regions) were never read from disk.
+func (s *Span) SetSkipped(samples, consulted, skipped int, regions int64) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
+	s.SamplesSkipped = samples
 	s.PartsConsulted, s.PartsSkipped, s.RegionsSkipped = consulted, skipped, regions
 	s.mu.Unlock()
 }
@@ -299,10 +308,10 @@ func (s *Span) Snapshot() *Span {
 		SamplesOut: s.SamplesOut, RegionsOut: s.RegionsOut,
 		Workers: s.Workers, CacheHit: s.CacheHit, Remote: s.Remote,
 		CPUNS: s.CPUNS, AllocObjs: s.AllocObjs, AllocBytes: s.AllocBytes,
-		PruneParts: s.PruneParts, PrunableParts: s.PrunableParts,
-		PrunableRegions: s.PrunableRegions,
-		PartsConsulted:  s.PartsConsulted, PartsSkipped: s.PartsSkipped,
-		RegionsSkipped: s.RegionsSkipped,
+		PrunableSamples: s.PrunableSamples, PruneParts: s.PruneParts,
+		PrunableParts: s.PrunableParts, PrunableRegions: s.PrunableRegions,
+		SamplesSkipped: s.SamplesSkipped, PartsConsulted: s.PartsConsulted,
+		PartsSkipped: s.PartsSkipped, RegionsSkipped: s.RegionsSkipped,
 	}
 	if len(s.Fused) > 0 {
 		c.Fused = append([]string(nil), s.Fused...)
@@ -472,18 +481,28 @@ func (s *Span) render(b *strings.Builder, indent int) {
 		fmt.Fprintf(b, " in=%ds/%dr", s.SamplesIn, s.RegionsIn)
 	}
 	fmt.Fprintf(b, " out=%ds/%dr", s.SamplesOut, s.RegionsOut)
-	// Pruning opportunity prints only when the zone-map analysis consulted
-	// partitions, so profiles of unanalyzable plans render exactly as before.
-	if s.PruneParts > 0 {
-		fmt.Fprintf(b, " prunable=%dr/%dof%dp", s.PrunableRegions, s.PrunableParts, s.PruneParts)
-	}
+	// Pruning opportunity prints only when the analysis consulted something,
+	// so profiles of unanalyzable plans render exactly as before.
+	renderPrune(b, "prunable", s.PrunableSamples, s.PruneParts, s.PrunableParts, s.PrunableRegions)
 	// Realized pruning prints only on spans of pruned storage reads, so
 	// profiles of in-memory or text-layout scans render exactly as before.
-	if s.PartsConsulted > 0 {
-		fmt.Fprintf(b, " skipped=%dr/%dof%dp", s.RegionsSkipped, s.PartsSkipped, s.PartsConsulted)
-	}
+	renderPrune(b, "skipped", s.SamplesSkipped, s.PartsConsulted, s.PartsSkipped, s.RegionsSkipped)
 	b.WriteByte('\n')
 	for _, c := range s.Children {
 		c.render(b, indent+1)
+	}
+}
+
+// renderPrune writes one pruning figure: " key=Rr/PofNp" when partitions were
+// consulted, then "/Ks" (or " key=Ks" alone) when samples were rejected by
+// metadata; nothing when neither.
+func renderPrune(b *strings.Builder, key string, samples, consulted, parts int, regions int64) {
+	sep := " " + key + "="
+	if consulted > 0 {
+		fmt.Fprintf(b, "%s%dr/%dof%dp", sep, regions, parts, consulted)
+		sep = "/"
+	}
+	if samples > 0 {
+		fmt.Fprintf(b, "%s%ds", sep, samples)
 	}
 }
