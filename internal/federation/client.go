@@ -288,12 +288,10 @@ func (c *Client) execute(ctx context.Context, script, varName string, user *gdm.
 // FetchChunk retrieves samples [start, start+count) of a staged result,
 // returning the chunk and the staged total.
 func (c *Client) FetchChunk(ctx context.Context, resultID string, start, count int) (*gdm.Dataset, int, error) {
-	path := fmt.Sprintf("/results/%s?start=%d&count=%d", resultID, start, count)
-	body, hdr, err := c.do(ctx, http.MethodGet, path, nil, http.StatusOK)
+	body, total, err := c.fetchFrame(ctx, resultID, start, count)
 	if err != nil {
-		return nil, 0, fmt.Errorf("federation: fetch %s: %w", resultID, err)
+		return nil, 0, err
 	}
-	total, _ := strconv.Atoi(hdr.Get("X-Total-Samples"))
 	ds, err := formats.DecodeDataset(bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, err
@@ -301,66 +299,138 @@ func (c *Client) FetchChunk(ctx context.Context, resultID string, start, count i
 	return ds, total, nil
 }
 
+// fetchFrame retrieves samples [start, start+count) of a staged result as an
+// undecoded frame, with the staged total.
+func (c *Client) fetchFrame(ctx context.Context, resultID string, start, count int) ([]byte, int, error) {
+	path := fmt.Sprintf("/results/%s?start=%d&count=%d", resultID, start, count)
+	body, hdr, err := c.do(ctx, http.MethodGet, path, nil, http.StatusOK)
+	if err != nil {
+		return nil, 0, fmt.Errorf("federation: fetch %s: %w", resultID, err)
+	}
+	total, _ := strconv.Atoi(hdr.Get("X-Total-Samples"))
+	return body, total, nil
+}
+
 // FetchAll retrieves a whole staged result in chunks of chunkSize samples —
 // the "deferred result retrieval through limited staging" of Section 4.3.
 //
-// When the context carries a span (obs.WithSpan) each chunked-download stage
-// records a CHUNK child span with its sample range, data volume, and retry
+// It keeps one chunk ahead: once a chunk's body, and with it the staged
+// total, is in hand, the next chunk's request goes out, and only then is the
+// chunk in hand decoded, so the wire and the decode overlap. On any failure
+// the request in flight is cancelled and awaited before FetchAll returns,
+// and no part of the result is returned.
+//
+// When the context carries a span (obs.WithSpan) each chunk records a CHUNK
+// child span, in sample order, with its sample range, data volume, and retry
 // attempts, so a federated profile shows exactly how a member's result
-// traveled.
+// traveled. A CHUNK span runs from its request to the end of its decode.
 func (c *Client) FetchAll(ctx context.Context, resultID string, chunkSize int) (*gdm.Dataset, error) {
 	if chunkSize <= 0 {
 		chunkSize = 8
 	}
-	parent := obs.SpanFrom(ctx)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var out *gdm.Dataset
-	start := 0
+	cur := c.startChunk(ctx, resultID, 0, chunkSize)
+	total := -1
 	for {
-		cctx := ctx
-		var csp *obs.Span
-		var ct *callTrace
-		var began time.Time
-		if parent != nil {
-			csp = obs.NewSpan("CHUNK")
-			csp.Detail = fmt.Sprintf("CHUNK %s [%d,%d)", resultID, start, start+chunkSize)
-			csp.Mode = "fed"
-			parent.AddChild(csp)
-			ct = &callTrace{}
-			if prev := callTraceFrom(ctx); prev != nil {
-				ct.parent = prev.parent
-			}
-			cctx = withCallTrace(ctx, ct)
-			began = time.Now()
+		got := <-cur.done
+		if got.err != nil {
+			cur.finish("fetch", nil)
+			return nil, got.err
 		}
-		chunk, total, err := c.FetchChunk(cctx, resultID, start, chunkSize)
-		if csp != nil && ct.attempts > 1 {
-			csp.SetAttr("attempts", strconv.Itoa(ct.attempts))
+		if total >= 0 && got.total != total {
+			cur.finish("fetch", nil)
+			return nil, fmt.Errorf("federation: fetch %s: staged total changed from %d to %d", resultID, total, got.total)
+		}
+		total = got.total
+		// The server clamps every window to the staged total, so the total
+		// alone says what this chunk holds and where the next one starts.
+		n := min(chunkSize, max(total-cur.start, 0))
+		var next *pendingChunk
+		if cur.start+n < total {
+			next = c.startChunk(ctx, resultID, cur.start+n, chunkSize)
+		}
+		chunk, err := formats.DecodeDataset(bytes.NewReader(got.body))
+		if err == nil && len(chunk.Samples) != n {
+			err = fmt.Errorf("federation: fetch %s: chunk at %d holds %d samples, want %d", resultID, cur.start, len(chunk.Samples), n)
 		}
 		if err != nil {
-			if csp != nil {
-				csp.SetAttr("error", "fetch")
-				csp.Finish(began)
+			cur.finish("decode", nil)
+			if next != nil {
+				cancel()
+				<-next.done
+				next.finish("cancelled", nil)
 			}
 			return nil, err
 		}
-		if csp != nil {
-			regions := 0
-			for i := range chunk.Samples {
-				regions += len(chunk.Samples[i].Regions)
-			}
-			csp.SetOutput(len(chunk.Samples), regions)
-			csp.Finish(began)
-		}
+		cur.finish("", chunk)
 		if out == nil {
 			out = gdm.NewDataset(chunk.Name, chunk.Schema)
 		}
 		out.Samples = append(out.Samples, chunk.Samples...)
-		start += len(chunk.Samples)
-		if start >= total || len(chunk.Samples) == 0 {
-			break
+		if next == nil {
+			return out, nil
 		}
+		cur = next
 	}
-	return out, nil
+}
+
+// pendingChunk is one FetchAll chunk request in flight, with its CHUNK span
+// (nil when the fetch is unprofiled).
+type pendingChunk struct {
+	start int
+	done  chan fetchedChunk // receives exactly one value
+	span  *obs.Span
+	ct    *callTrace
+	began time.Time
+}
+
+// fetchedChunk is the outcome of one chunk request.
+type fetchedChunk struct {
+	body  []byte
+	total int
+	err   error
+}
+
+// startChunk opens the chunk's span on the calling goroutine, so that spans
+// stay in sample order, and issues its request on a new one.
+func (c *Client) startChunk(ctx context.Context, resultID string, start, count int) *pendingChunk {
+	p := &pendingChunk{start: start, done: make(chan fetchedChunk, 1)}
+	if parent := obs.SpanFrom(ctx); parent != nil {
+		p.span = obs.NewSpan("CHUNK")
+		p.span.Detail = fmt.Sprintf("CHUNK %s [%d,%d)", resultID, start, start+count)
+		p.span.Mode = "fed"
+		parent.AddChild(p.span)
+		p.ct = &callTrace{}
+		if prev := callTraceFrom(ctx); prev != nil {
+			p.ct.parent = prev.parent
+		}
+		ctx = withCallTrace(ctx, p.ct)
+		p.began = time.Now()
+	}
+	go func() {
+		body, total, err := c.fetchFrame(ctx, resultID, start, count)
+		p.done <- fetchedChunk{body: body, total: total, err: err}
+	}()
+	return p
+}
+
+// finish closes the chunk's span once its request has returned: the retry
+// attempts, the failed stage when failed is set, else the chunk's volume.
+func (p *pendingChunk) finish(failed string, chunk *gdm.Dataset) {
+	if p.span == nil {
+		return
+	}
+	if p.ct.attempts > 1 {
+		p.span.SetAttr("attempts", strconv.Itoa(p.ct.attempts))
+	}
+	if failed != "" {
+		p.span.SetAttr("error", failed)
+	} else {
+		p.span.SetOutput(len(chunk.Samples), chunk.NumRegions())
+	}
+	p.span.Finish(p.began)
 }
 
 // Release frees a staged result at the node.

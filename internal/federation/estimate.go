@@ -8,7 +8,9 @@ import (
 
 // Estimate is a compile-time prediction of a query result's size — the
 // information the paper's protocol returns with a compilation so the
-// requester can plan staging resources before launching execution.
+// requester can plan staging resources before launching execution. Bytes is
+// in the unit a node stages and serves: the result's wire frame
+// (QueryResponse.Bytes).
 type Estimate struct {
 	Samples int   `json:"samples"`
 	Regions int   `json:"regions"`
@@ -17,9 +19,10 @@ type Estimate struct {
 
 // DatasetStats are the per-dataset statistics estimation runs on.
 type DatasetStats struct {
-	Samples        int
-	Regions        int
-	BytesPerRegion float64
+	Samples int
+	Regions int
+	// Arity is the number of region attributes of the dataset's schema.
+	Arity int
 	// Zones is the per-(sample, chromosome) statistics block from the
 	// repository catalog; estimation uses it to replace the flat selectivity
 	// constants with zone-derived figures where the plan allows. nil falls
@@ -61,14 +64,34 @@ type memoStats struct {
 
 func statsOf(ds *gdm.Dataset) DatasetStats {
 	zones := catalog.Compute(ds)
-	_, regions, bytes := zones.Totals()
-	st := DatasetStats{Samples: len(ds.Samples), Regions: regions, Zones: zones}
-	if regions > 0 {
-		st.BytesPerRegion = float64(bytes) / float64(regions)
-	} else {
-		st.BytesPerRegion = 40
+	_, regions, _ := zones.Totals()
+	return DatasetStats{Samples: len(ds.Samples), Regions: regions, Arity: ds.Schema.Len(), Zones: zones}
+}
+
+// The frame-size model that turns a predicted cardinality into Bytes. In a
+// frame a region costs its coordinates (a start delta and a length, both
+// varints, and a share of the strand column) and one encoded value per
+// attribute: a varint int, an 8-byte float, a bool byte, or a string and its
+// length. A sample costs its header entry (ID and metadata), its image's
+// fixed header, and one index entry per chromosome it spans. The attribute
+// figure is the mean over the kinds of the synth ENCODE-like results
+// (EXPERIMENTS.md, "Staged frames").
+const (
+	frameBytesPerRegion    = 3.5
+	frameBytesPerAttribute = 7
+	frameBytesPerSample    = 150
+	frameBytesPerPartition = 47 // index entry and chromosome name
+	framePartitionsMax     = 24 // chromosomes a sample spans at most
+)
+
+// frameBytes predicts the frame size of a result of the given shape.
+func frameBytes(samples, regions, arity int) int64 {
+	if samples <= 0 {
+		return 0
 	}
-	return st
+	parts := min(regions/samples, framePartitionsMax)
+	perSample := frameBytesPerSample + frameBytesPerPartition*parts
+	return int64(samples*perSample) + int64(float64(regions)*(frameBytesPerRegion+float64(arity)*frameBytesPerAttribute))
 }
 
 // Selectivity constants of the estimator. These are the classic
@@ -83,29 +106,30 @@ const (
 	coverCompression   = 0.4 // cover output regions vs input regions
 )
 
-// EstimatePlan predicts the result cardinality of a plan bottom-up.
+// EstimatePlan predicts the result cardinality of a plan bottom-up, and
+// from it and the result's attribute arity the size of the result's frame.
 // Unknown datasets contribute zero (the node will fail the query at
 // execution time anyway; compile-time estimation stays total).
 func EstimatePlan(n engine.Node, stats StatsProvider) Estimate {
-	e, bpr, _ := estimateNode(n, stats)
-	e.Bytes = int64(float64(e.Regions) * bpr)
+	e, arity, _ := estimateNode(n, stats)
+	e.Bytes = frameBytes(e.Samples, e.Regions, arity)
 	return e
 }
 
-// estimateNode returns the cardinality estimate, the running
-// bytes-per-region figure, and the zone statistics still describing the
+// estimateNode returns the cardinality estimate, the region attribute arity
+// of the output schema, and the zone statistics still describing the
 // flowing data. Zones survive sample-local operators (the coordinate
 // distribution is unchanged or narrowed) and die at shape-changing ones.
-func estimateNode(n engine.Node, stats StatsProvider) (Estimate, float64, *catalog.DatasetStats) {
+func estimateNode(n engine.Node, stats StatsProvider) (Estimate, int, *catalog.DatasetStats) {
 	switch op := n.(type) {
 	case *engine.Scan:
 		st, ok := stats(op.Dataset)
 		if !ok {
-			return Estimate{}, 40, nil
+			return Estimate{}, 0, nil
 		}
-		return Estimate{Samples: st.Samples, Regions: st.Regions}, st.BytesPerRegion, st.Zones
+		return Estimate{Samples: st.Samples, Regions: st.Regions}, st.Arity, st.Zones
 	case *engine.SelectOp:
-		in, bpr, zones := estimateNode(op.Input, stats)
+		in, arity, zones := estimateNode(op.Input, stats)
 		out := in
 		if op.Meta != nil {
 			out.Samples = scaleInt(in.Samples, selMetaPredicate)
@@ -134,42 +158,48 @@ func estimateNode(n engine.Node, stats StatsProvider) (Estimate, float64, *catal
 				out.Regions = scaleInt(out.Regions, selRegionPredicate)
 			}
 		}
-		return out, bpr, zones
+		return out, arity, zones
 	case *engine.ProjectOp:
-		in, bpr, zones := estimateNode(op.Input, stats)
+		in, arity, zones := estimateNode(op.Input, stats)
 		if op.Args.Regions != nil {
-			bpr *= 0.8
+			arity = len(op.Args.Regions)
 		}
-		return in, bpr, zones
+		return in, arity, zones
 	case *engine.ExtendOp:
 		return estimateNode(op.Input, stats)
 	case *engine.MergeOp:
-		in, bpr, _ := estimateNode(op.Input, stats)
+		in, arity, _ := estimateNode(op.Input, stats)
 		groups := 1
 		if len(op.GroupBy) > 0 && in.Samples > 0 {
 			groups = intMax(in.Samples/4, 1)
 		}
-		return Estimate{Samples: groups, Regions: in.Regions}, bpr, nil
+		return Estimate{Samples: groups, Regions: in.Regions}, arity, nil
 	case *engine.GroupOp:
-		return estimateNode(op.Input, stats)
+		in, arity, zones := estimateNode(op.Input, stats)
+		if len(op.Args.RegionAggs) > 0 {
+			arity = len(op.Args.RegionAggs)
+		}
+		return in, arity, zones
 	case *engine.OrderOp:
-		in, bpr, zones := estimateNode(op.Input, stats)
+		in, arity, zones := estimateNode(op.Input, stats)
 		if op.Args.Top > 0 && op.Args.Top < in.Samples && in.Samples > 0 {
 			perSample := in.Regions / in.Samples
 			in.Regions = perSample * op.Args.Top
 			in.Samples = op.Args.Top
 		}
-		return in, bpr, zones
+		return in, arity, zones
 	case *engine.UnionOp:
-		l, lb, _ := estimateNode(op.Left, stats)
-		r, rb, _ := estimateNode(op.Right, stats)
+		l, la, _ := estimateNode(op.Left, stats)
+		r, ra, _ := estimateNode(op.Right, stats)
+		// The union schema is the left one plus the right attributes it
+		// lacks; attributes with the same name are shared.
 		return Estimate{Samples: l.Samples + r.Samples, Regions: l.Regions + r.Regions},
-			maxf(lb, rb), nil
+			intMax(la, ra), nil
 	case *engine.DifferenceOp:
-		l, lb, lz := estimateNode(op.Left, stats)
-		return Estimate{Samples: l.Samples, Regions: scaleInt(l.Regions, selDifference)}, lb, lz
+		l, la, lz := estimateNode(op.Left, stats)
+		return Estimate{Samples: l.Samples, Regions: scaleInt(l.Regions, selDifference)}, la, lz
 	case *engine.MapOp:
-		ref, rb, _ := estimateNode(op.Ref, stats)
+		ref, ra, _ := estimateNode(op.Ref, stats)
 		exp, _, _ := estimateNode(op.Exp, stats)
 		pairs := ref.Samples * exp.Samples
 		perRefSample := 0
@@ -177,11 +207,12 @@ func estimateNode(n engine.Node, stats StatsProvider) (Estimate, float64, *catal
 			perRefSample = ref.Regions / ref.Samples
 		}
 		// MAP cardinality law: one sample per pair, each with the reference
-		// region count, plus the aggregate columns.
-		return Estimate{Samples: pairs, Regions: pairs * perRefSample}, rb + 8, nil
+		// region count, plus the aggregate columns (a lone COUNT when none
+		// is named).
+		return Estimate{Samples: pairs, Regions: pairs * perRefSample}, ra + intMax(len(op.Args.Aggs), 1), nil
 	case *engine.JoinOp:
-		l, lb, lz := estimateNode(op.Left, stats)
-		r, rbr, rz := estimateNode(op.Right, stats)
+		l, la, lz := estimateNode(op.Left, stats)
+		r, ra, rz := estimateNode(op.Right, stats)
 		pairs := l.Samples * r.Samples
 		perLeftSample := 0
 		if l.Samples > 0 {
@@ -193,16 +224,18 @@ func estimateNode(n engine.Node, stats StatsProvider) (Estimate, float64, *catal
 			// cannot pair; scale by the chromosome-coupling factor.
 			emitted = scaleInt(emitted, lz.SharedChromFraction(rz))
 		}
-		return Estimate{Samples: pairs, Regions: emitted}, lb + rbr, nil
+		// The output schema is the merge of both sides' schemas.
+		return Estimate{Samples: pairs, Regions: emitted}, la + ra, nil
 	case *engine.CoverOp:
-		in, bpr, _ := estimateNode(op.Input, stats)
+		in, _, _ := estimateNode(op.Input, stats)
 		groups := 1
 		if len(op.Args.GroupBy) > 0 && in.Samples > 0 {
 			groups = intMax(in.Samples/4, 1)
 		}
-		return Estimate{Samples: groups, Regions: scaleInt(in.Regions, coverCompression)}, bpr, nil
+		// acc_index, then the aggregates.
+		return Estimate{Samples: groups, Regions: scaleInt(in.Regions, coverCompression)}, 1 + len(op.Args.Aggs), nil
 	default:
-		return Estimate{}, 40, nil
+		return Estimate{}, 0, nil
 	}
 }
 
@@ -215,13 +248,6 @@ func scaleInt(n int, f float64) int {
 }
 
 func intMax(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
 	if a > b {
 		return a
 	}

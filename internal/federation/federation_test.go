@@ -14,6 +14,7 @@ import (
 
 	"genogo/internal/engine"
 	"genogo/internal/gdm"
+	"genogo/internal/obs"
 	"genogo/internal/synth"
 )
 
@@ -349,6 +350,47 @@ func TestEstimateWithinOrderOfMagnitude(t *testing.T) {
 	}
 }
 
+// TestEstimateBytesAreFrameBytes: /debug/estimates compares EstimatePlan's
+// Bytes with QueryResponse.Bytes, the size of the staged frame, which is what
+// a fetch of the whole result moves. On the headline MAP the byte prediction
+// must be off by no more than the region prediction is, give or take a
+// factor of sqrt(2) for the frame-size model.
+func TestEstimateBytesAreFrameBytes(t *testing.T) {
+	_, ts := newNode(t, "node1", 11, 20)
+	c := NewClient(ts.URL)
+	qr, err := c.Execute(context.Background(), fedScript, "RESULT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Bytes()
+	if _, _, err := c.FetchChunk(context.Background(), qr.ResultID, 0, qr.Samples); err != nil {
+		t.Fatal(err)
+	}
+	if moved := c.Bytes() - before; moved != qr.Bytes {
+		t.Errorf("fetching the whole result moved %d bytes, QueryResponse.Bytes says %d", moved, qr.Bytes)
+	}
+	var obsv *obs.EstimateObs
+	for _, o := range obs.Estimates().Report().Recent {
+		if o.Query == qr.QueryID {
+			obsv = &o
+			break
+		}
+	}
+	if obsv == nil {
+		t.Fatalf("no /debug/estimates observation for query %s", qr.QueryID)
+	}
+	if got := obsv.Actual[obs.EstDimBytes]; got != qr.Bytes {
+		t.Errorf("observed bytes %d, staged frame %d", got, qr.Bytes)
+	}
+	bytesErr := math.Abs(obsv.Log2Err[obs.EstDimBytes])
+	regionsErr := math.Abs(obsv.Log2Err[obs.EstDimRegions])
+	if bytesErr > regionsErr+0.5 {
+		t.Errorf("bytes predicted %d for %d (log2 error %.2f), regions %d for %d (log2 error %.2f)",
+			obsv.Predicted[obs.EstDimBytes], qr.Bytes, bytesErr,
+			obsv.Predicted[obs.EstDimRegions], qr.Regions, regionsErr)
+	}
+}
+
 func TestUserDatasetPrivacy(t *testing.T) {
 	srv, ts := newNode(t, "node1", 12, 10)
 	c := NewClient(ts.URL)
@@ -444,31 +486,32 @@ func TestResultsWindowOverflow(t *testing.T) {
 	}
 }
 
-// TestResultEncodeFailureIs500: a staged result the frame encoder refuses
-// (a region narrower than the schema) answers 500 with the reason before any
-// body byte, where it used to send a cut 200.
-func TestResultEncodeFailureIs500(t *testing.T) {
+// TestResultEncodeFailureFailsQuery: a result the frame encoder refuses (a
+// region narrower than the schema) fails POST /query with a typed error
+// naming the arity mismatch, and stages nothing; the full-dataset stream of
+// the same data answers 500 with the reason before any body byte.
+func TestResultEncodeFailureFailsQuery(t *testing.T) {
 	srv, ts := newNode(t, "node1", 15, 3)
 	bad := gdm.NewDataset("BAD", gdm.MustSchema(gdm.Field{Name: "n", Type: gdm.KindInt}))
 	s := gdm.NewSample("s")
 	s.AddRegion(gdm.NewRegion("chr1", 1, 2, gdm.StrandNone)) // no value for n
 	bad.Samples = append(bad.Samples, s)
-	srv.mu.Lock()
-	srv.staged["rbad"] = bad
-	srv.mu.Unlock()
 	srv.AddDataset(bad)
-	for _, path := range []string{"/results/rbad", "/datasets/BAD/stream"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "attributes") {
-			t.Errorf("GET %s: status %d body %q, want 500 naming the arity mismatch", path, resp.StatusCode, body)
-		}
+	before := srv.StagedCount()
+	qr, err := NewClient(ts.URL).Execute(context.Background(), `X = SELECT() BAD; MATERIALIZE X;`, "X")
+	if err == nil || qr.OK || qr.ResultID != "" || !strings.Contains(qr.Error, "encode") || !strings.Contains(qr.Error, "attributes") {
+		t.Errorf("query of an unencodable result: %+v, %v; want a failure naming the arity mismatch", qr, err)
 	}
-	if _, _, err := NewClient(ts.URL).FetchChunk(context.Background(), "rbad", 0, 1); err == nil {
-		t.Error("FetchChunk of an unencodable result succeeded")
+	if n := srv.StagedCount(); n != before {
+		t.Errorf("staged %d results after a failed encode, had %d", n, before)
+	}
+	resp, err := http.Get(ts.URL + "/datasets/BAD/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "attributes") {
+		t.Errorf("GET /datasets/BAD/stream: status %d body %q, want 500 naming the arity mismatch", resp.StatusCode, body)
 	}
 }

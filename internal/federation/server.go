@@ -103,7 +103,7 @@ type Server struct {
 	cfg     engine.Config
 	mu      sync.Mutex
 	data    map[string]*gdm.Dataset
-	staged  map[string]*gdm.Dataset
+	staged  map[string]*formats.Frame // results, encoded once for the wire
 	nextID  int
 	maxStay int // max staged results kept (limited staging)
 
@@ -152,7 +152,7 @@ func NewServer(name string, cfg engine.Config, datasets ...*gdm.Dataset) *Server
 	s := &Server{
 		name: name, cfg: cfg,
 		data:   make(map[string]*gdm.Dataset),
-		staged: make(map[string]*gdm.Dataset),
+		staged: make(map[string]*formats.Frame),
 		// The paper calls for "a limited amount of staging at the sites
 		// hosting the services".
 		maxStay:   16,
@@ -422,6 +422,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusOK, err.Error())
 		return
 	}
+	// The result is encoded once, here; every chunk request then serves a
+	// copy of part of the frame, and the dataset itself is not kept.
+	frame, err := formats.NewFrame(ds)
+	if err != nil {
+		fail(http.StatusOK, "result: "+err.Error())
+		return
+	}
 	s.mu.Lock()
 	if len(s.staged) >= s.maxStay {
 		s.mu.Unlock()
@@ -430,13 +437,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("r%06d", s.nextID)
-	s.staged[id] = ds
+	s.staged[id] = frame
 	metricStagedResults.Set(int64(len(s.staged)))
 	s.mu.Unlock()
 	s.queries().Finish(entry, obs.StatusDone, "")
 	resp := QueryResponse{
 		OK: true, ResultID: id,
-		Samples: len(ds.Samples), Regions: ds.NumRegions(), Bytes: ds.EstimateBytes(),
+		Samples: len(ds.Samples), Regions: ds.NumRegions(), Bytes: frame.Size(),
 		QueryID: qid, Node: s.name,
 	}
 	// Close the estimator's feedback loop: every finished execution files its
@@ -464,6 +471,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 //
 //	GET    /results/{id}?start=S&count=N   stream samples [S, S+N)
 //	DELETE /results/{id}                   release the staging
+//
+// A GET copies part of the staged frame; nothing is encoded here.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/results/")
 	if id == "" {
@@ -471,7 +480,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	ds := s.staged[id]
+	frame := s.staged[id]
 	s.mu.Unlock()
 	switch r.Method {
 	case http.MethodDelete:
@@ -481,11 +490,11 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 	case http.MethodGet:
-		if ds == nil {
+		if frame == nil {
 			http.Error(w, "unknown result", http.StatusNotFound)
 			return
 		}
-		start, count := 0, len(ds.Samples)
+		start, count := 0, frame.Samples()
 		for _, p := range []struct {
 			key string
 			dst *int
@@ -499,13 +508,9 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 				*p.dst = n
 			}
 		}
-		// Clamped without adding: start+count may not fit an int.
-		start = min(start, len(ds.Samples))
-		count = min(count, len(ds.Samples)-start)
-		chunk := gdm.NewDataset(ds.Name, ds.Schema)
-		chunk.Samples = ds.Samples[start : start+count]
-		w.Header().Set("X-Total-Samples", strconv.Itoa(len(ds.Samples)))
-		formats.ServeDataset(w, chunk)
+		// The frame clamps the window to its samples.
+		w.Header().Set("X-Total-Samples", strconv.Itoa(frame.Samples()))
+		frame.ServeRange(w, start, count)
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}

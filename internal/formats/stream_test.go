@@ -55,36 +55,50 @@ func wantStreamError(t *testing.T, what string, data []byte) *IntegrityError {
 	return ie
 }
 
+// testFrames are the frames the damage tests corrupt: the all-kinds fixture
+// whole, and window [0, 1) of it as a staged result serves it (a rebuilt
+// header and the window's images).
+func testFrames(t *testing.T) map[string][]byte {
+	f, err := NewFrame(kindsDataset(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]byte{"whole": encodeFrame(t, kindsDataset(t)), "range": frameRange(t, f, 0, 1)}
+}
+
 // TestStreamEveryBitFlipDetected is the wire twin of
 // TestColumnarEveryBitFlipDetected: the header CRC covers the prefix and the
 // header, every image carries its own section checksums, so flipping any
 // single bit of a frame must fail the decode with a typed error.
 func TestStreamEveryBitFlipDetected(t *testing.T) {
-	data := encodeFrame(t, kindsDataset(t))
-	mut := make([]byte, len(data))
-	for off := range data {
-		for bit := uint(0); bit < 8; bit++ {
-			copy(mut, data)
-			mut[off] ^= 1 << bit
-			wantStreamError(t, "bit flip", mut)
+	for what, data := range testFrames(t) {
+		mut := make([]byte, len(data))
+		for off := range data {
+			for bit := uint(0); bit < 8; bit++ {
+				copy(mut, data)
+				mut[off] ^= 1 << bit
+				wantStreamError(t, what+" frame bit flip", mut)
+			}
 		}
-	}
-	// The flip that still parses as metadata is the header checksum's to find.
-	copy(mut, data)
-	mut[bytes.Index(data, []byte("HeLa"))] = 'X'
-	if ie := wantStreamError(t, "metadata flip", mut); ie.Reason != ReasonChecksum {
-		t.Errorf("metadata flip: reason %s, want %s", ie.Reason, ReasonChecksum)
+		// The flip that still parses as metadata is the header checksum's to
+		// find.
+		copy(mut, data)
+		mut[bytes.Index(data, []byte("HeLa"))] = 'X'
+		if ie := wantStreamError(t, what+" frame metadata flip", mut); ie.Reason != ReasonChecksum {
+			t.Errorf("%s frame metadata flip: reason %s, want %s", what, ie.Reason, ReasonChecksum)
+		}
 	}
 }
 
 // TestStreamEveryTruncationDetected: every proper prefix of a frame, and a
 // frame with a byte appended, fails the decode.
 func TestStreamEveryTruncationDetected(t *testing.T) {
-	data := encodeFrame(t, kindsDataset(t))
-	for n := 0; n < len(data); n++ {
-		wantStreamError(t, "truncation", data[:n])
+	for what, data := range testFrames(t) {
+		for n := 0; n < len(data); n++ {
+			wantStreamError(t, what+" frame truncation", data[:n])
+		}
+		wantStreamError(t, what+" frame trailing byte", append(append([]byte{}, data...), 0))
 	}
-	wantStreamError(t, "trailing byte", append(append([]byte{}, data...), 0))
 }
 
 // sealFrame wraps a hand-made header and image block in a valid prefix and
