@@ -52,16 +52,26 @@ func BenchmarkMapKernel(b *testing.B) {
 	}
 }
 
+// sizeSweep runs fn at 1x, 2x and 4x the base regions per chromosome, with
+// the chromosomes lengthened to match: the density, and so the work per
+// region of a linear kernel, stays the same, and ns/op should double per step.
+func sizeSweep(b *testing.B, samples int, fn func(b *testing.B, ds *gdm.Dataset)) {
+	for _, m := range []int{1, 2, 4} {
+		rng := rand.New(rand.NewSource(1))
+		ds := randomDatasetSpan(rng, "A", samples, 2000*m, 100000*int64(m))
+		b.Run(fmt.Sprintf("x%d", m), func(b *testing.B) { fn(b, ds) })
+	}
+}
+
 func BenchmarkJoinKernel(b *testing.B) {
 	l, r := benchData(3, 2000)
+	cfg := Config{Mode: ModeStream, Workers: 4, MetaFirst: true}
 	preds := map[string]GenometricPred{
 		"DLE":    {Conds: []DistCond{{Op: DistLE, Dist: 1000}}},
-		"MD":     {MinDistK: 2},
 		"DLE+MD": {Conds: []DistCond{{Op: DistLE, Dist: 5000}}, MinDistK: 3},
 	}
 	for name, pred := range preds {
 		b.Run(name, func(b *testing.B) {
-			cfg := Config{Mode: ModeStream, Workers: 4, MetaFirst: true}
 			for i := 0; i < b.N; i++ {
 				if _, err := Join(cfg, l, r, JoinArgs{Pred: pred, Output: OutLeft}); err != nil {
 					b.Fatal(err)
@@ -69,24 +79,43 @@ func BenchmarkJoinKernel(b *testing.B) {
 			}
 		})
 	}
+	b.Run("MD", func(b *testing.B) {
+		sizeSweep(b, 3, func(b *testing.B, ds *gdm.Dataset) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Join(cfg, ds, ds, JoinArgs{Pred: GenometricPred{MinDistK: 2}, Output: OutLeft}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
 }
 
 func BenchmarkCoverKernel(b *testing.B) {
 	a, _ := benchData(10, 2000)
-	for _, variant := range []CoverVariant{CoverStandard, CoverHistogram, CoverSummit, CoverFlat} {
+	cfg := Config{Mode: ModeStream, Workers: 4, MetaFirst: true}
+	args := func(v CoverVariant) CoverArgs {
+		return CoverArgs{Min: CoverBound{Kind: BoundN, N: 2}, Max: CoverBound{Kind: BoundAny}, Variant: v}
+	}
+	for _, variant := range []CoverVariant{CoverStandard, CoverHistogram, CoverSummit} {
 		b.Run(variant.String(), func(b *testing.B) {
-			cfg := Config{Mode: ModeStream, Workers: 4, MetaFirst: true}
 			for i := 0; i < b.N; i++ {
-				_, err := Cover(cfg, a, CoverArgs{
-					Min: CoverBound{Kind: BoundN, N: 2}, Max: CoverBound{Kind: BoundAny},
-					Variant: variant,
-				})
-				if err != nil {
+				if _, err := Cover(cfg, a, args(variant)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+	b.Run(CoverFlat.String(), func(b *testing.B) {
+		sizeSweep(b, 10, func(b *testing.B, ds *gdm.Dataset) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Cover(cfg, ds, args(CoverFlat)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
 }
 
 func BenchmarkForEachOverhead(b *testing.B) {

@@ -182,8 +182,13 @@ func Cover(cfg Config, ds *gdm.Dataset, args CoverArgs) (*gdm.Dataset, error) {
 		members := groups[order[tk.group]]
 		// entries index into sources so aggregates can read the
 		// contributing regions' attribute values.
-		var entries []intervals.Entry
-		var sources []*gdm.Region
+		n := 0
+		for _, m := range members {
+			lo, hi := m.ChromRange(tk.chrom)
+			n += hi - lo
+		}
+		entries := make([]intervals.Entry, 0, n)
+		sources := make([]*gdm.Region, 0, n)
 		var tick int
 		for _, m := range members {
 			lo, hi := m.ChromRange(tk.chrom)
@@ -217,9 +222,7 @@ func Cover(cfg Config, ds *gdm.Dataset, args CoverArgs) (*gdm.Dataset, error) {
 			m.Meta.MergeInto(ns.Meta, "")
 		}
 		ns.Meta.Set("_cover", fmt.Sprintf("%s(%s,%s)", args.Variant, args.Min, args.Max))
-		for _, ti := range taskIdx[gi] {
-			ns.Regions = append(ns.Regions, tasks[ti].out...)
-		}
+		ns.Regions = concatRegions(len(taskIdx[gi]), func(i int) []gdm.Region { return tasks[taskIdx[gi][i]].out })
 		ns.SortRegions()
 		outSamples[gi] = ns
 	})
@@ -252,77 +255,72 @@ func appendCoverAggs(regs []gdm.Region, entries []intervals.Entry, sources []*gd
 }
 
 // coverRegions turns one chromosome's coverage profile into output regions
-// according to the variant. Chrom is filled in by the caller.
+// according to the variant, with their acc_index values in one slab. It
+// reuses segs' storage. Chrom is filled in by the caller.
 func coverRegions(segs []intervals.CoverSegment, entries []intervals.Entry, minAcc, maxAcc int64, variant CoverVariant) []gdm.Region {
 	qualifies := func(d int) bool { return int64(d) >= minAcc && int64(d) <= maxAcc }
-	var out []gdm.Region
-
-	switch variant {
-	case CoverHistogram:
-		for _, s := range segs {
-			if qualifies(s.Depth) {
-				out = append(out, gdm.Region{Start: s.Start, Stop: s.Stop,
-					Values: []gdm.Value{gdm.Int(int64(s.Depth))}})
-			}
-		}
-		return out
-
-	case CoverSummit:
-		// A summit is a qualifying segment whose depth is not exceeded by
-		// its contiguous neighbours (plateaus emit once).
-		for i, s := range segs {
-			if !qualifies(s.Depth) {
-				continue
-			}
-			leftLower := i == 0 || segs[i-1].Stop != s.Start || segs[i-1].Depth < s.Depth
-			rightLowerOrEqual := i == len(segs)-1 || segs[i+1].Start != s.Stop || segs[i+1].Depth <= s.Depth
-			rightStrictlyHigher := i < len(segs)-1 && segs[i+1].Start == s.Stop && segs[i+1].Depth > s.Depth
-			if leftLower && rightLowerOrEqual && !rightStrictlyHigher {
-				out = append(out, gdm.Region{Start: s.Start, Stop: s.Stop,
-					Values: []gdm.Value{gdm.Int(int64(s.Depth))}})
-			}
-		}
-		return out
-	}
-
-	// CoverStandard and CoverFlat: merge contiguous qualifying segments
-	// into runs, tracking the maximum depth.
-	type run struct {
-		start, stop int64
-		maxDepth    int
-	}
-	var runs []run
-	for _, s := range segs {
+	// Filter segs in place into the emitted (start, stop, acc_index)
+	// triples. Writes never pass the read position, and a write below it
+	// stores the value already there, so the neighbours SUMMIT reads are
+	// still the profile's own.
+	kept := segs[:0]
+	for i, s := range segs {
 		if !qualifies(s.Depth) {
 			continue
 		}
-		if n := len(runs); n > 0 && runs[n-1].stop == s.Start {
-			runs[n-1].stop = s.Stop
-			if s.Depth > runs[n-1].maxDepth {
-				runs[n-1].maxDepth = s.Depth
+		switch variant {
+		case CoverHistogram:
+			kept = append(kept, s)
+		case CoverSummit:
+			// A summit is a qualifying segment whose depth is not exceeded
+			// by its contiguous neighbours (plateaus emit once).
+			leftLower := i == 0 || segs[i-1].Stop != s.Start || segs[i-1].Depth < s.Depth
+			rightLowerOrEqual := i == len(segs)-1 || segs[i+1].Start != s.Stop || segs[i+1].Depth <= s.Depth
+			if leftLower && rightLowerOrEqual {
+				kept = append(kept, s)
 			}
-		} else {
-			runs = append(runs, run{s.Start, s.Stop, s.Depth})
+		default:
+			// CoverStandard and CoverFlat merge contiguous qualifying
+			// segments into runs, tracking the maximum depth.
+			if n := len(kept); n > 0 && kept[n-1].Stop == s.Start {
+				kept[n-1].Stop = s.Stop
+				kept[n-1].Depth = max(kept[n-1].Depth, s.Depth)
+			} else {
+				kept = append(kept, s)
+			}
 		}
 	}
-	for _, rn := range runs {
-		start, stop := rn.start, rn.stop
-		if variant == CoverFlat {
-			// Extend to the extent of every original region intersecting
-			// the run.
-			for _, e := range entries {
-				if e.Start < rn.stop && rn.start < e.Stop {
-					if e.Start < start {
-						start = e.Start
-					}
-					if e.Stop > stop {
-						stop = e.Stop
-					}
-				}
-			}
-		}
-		out = append(out, gdm.Region{Start: start, Stop: stop,
-			Values: []gdm.Value{gdm.Int(int64(rn.maxDepth))}})
+	if variant == CoverFlat {
+		flatExtents(kept, entries)
+	}
+	out := make([]gdm.Region, len(kept))
+	slab := newValueSlab(len(kept), 1)
+	for i, k := range kept {
+		out[i] = gdm.Region{Start: k.Start, Stop: k.Stop, Values: append(slab.take(1), gdm.Int(int64(k.Depth)))}
 	}
 	return out
+}
+
+// flatExtents extends each run to the extent of every entry intersecting
+// it, in one sweep: runs are disjoint and ascending, entries start-sorted.
+// The leftmost intersecting entry is the first whose stop passes the run's
+// start (every earlier one ends before this run and every later one), and
+// the rightmost stop is the largest among entries starting inside it.
+func flatExtents(runs []intervals.CoverSegment, entries []intervals.Entry) {
+	first, next := 0, 0
+	maxStop := int64(math.MinInt64)
+	for i := range runs {
+		rn := &runs[i]
+		start, stop := rn.Start, rn.Stop
+		for first < len(entries) && entries[first].Stop <= start {
+			first++
+		}
+		if first < len(entries) && entries[first].Start < start {
+			rn.Start = entries[first].Start
+		}
+		for ; next < len(entries) && entries[next].Start < stop; next++ {
+			maxStop = max(maxStop, entries[next].Stop)
+		}
+		rn.Stop = max(stop, maxStop)
+	}
 }

@@ -321,6 +321,23 @@ func chromSpans(s *gdm.Sample) []chromSpan {
 	return out
 }
 
+// concatRegions concatenates n parts into one exact-size slice (nil when
+// they are all empty).
+func concatRegions(n int, part func(i int) []gdm.Region) []gdm.Region {
+	total := 0
+	for i := 0; i < n; i++ {
+		total += len(part(i))
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]gdm.Region, 0, total)
+	for i := 0; i < n; i++ {
+		out = append(out, part(i)...)
+	}
+	return out
+}
+
 // binSpans splits a chromosome span into genometric bins of width w (by
 // region start coordinate). Regions stay whole: a region belongs to the bin
 // containing its start, and bin boundaries never split the slice mid-run.

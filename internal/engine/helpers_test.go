@@ -53,6 +53,11 @@ func mkDataset(t *testing.T, name string, samples ...*gdm.Sample) *gdm.Dataset {
 // randomDataset builds a reproducible random dataset for property and
 // mode-equivalence tests.
 func randomDataset(rng *rand.Rand, name string, nSamples, regionsPerSample int) *gdm.Dataset {
+	return randomDatasetSpan(rng, name, nSamples, regionsPerSample, 100000)
+}
+
+// randomDatasetSpan is randomDataset with region starts drawn from [0, span).
+func randomDatasetSpan(rng *rand.Rand, name string, nSamples, regionsPerSample int, span int64) *gdm.Dataset {
 	ds := gdm.NewDataset(name, peakSchema())
 	chroms := []string{"chr1", "chr2", "chr3", "chrX"}
 	cells := []string{"HeLa", "K562", "GM12878"}
@@ -63,7 +68,7 @@ func randomDataset(rng *rand.Rand, name string, nSamples, regionsPerSample int) 
 		s.Meta.Add("dataType", types[rng.Intn(len(types))])
 		s.Meta.Add("replicate", string(rune('1'+rng.Intn(3))))
 		for j := 0; j < regionsPerSample; j++ {
-			start := rng.Int63n(100000)
+			start := rng.Int63n(span)
 			s.AddRegion(gdm.NewRegion(
 				chroms[rng.Intn(len(chroms))], start, start+1+rng.Int63n(2000),
 				gdm.Strand(rng.Intn(3)-1),

@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"genogo/internal/gdm"
 	"genogo/internal/intervals"
@@ -91,8 +93,8 @@ func (p GenometricPred) upperBound() (int64, bool) {
 			}
 			ok = true
 		case DistLT:
-			if c.Dist-1 < bound {
-				bound = c.Dist - 1
+			if d := satSub(c.Dist, 1); d < bound {
+				bound = d
 			}
 			ok = true
 		}
@@ -162,8 +164,11 @@ func Join(cfg Config, left, right *gdm.Dataset, args JoinArgs) (*gdm.Dataset, er
 	outSamples := make([]*gdm.Sample, len(pairs))
 
 	// Tasks span both parallelism axes: (sample pair, anchor chromosome).
-	// Each task owns a private output slice; pair outputs are concatenated
-	// and sorted afterwards, so no locks are needed.
+	// Each task owns a private output slice and stably sorts it itself.
+	// Tasks run in the anchor's canonical chromosome order and every output
+	// region's chromosome compares equal to its anchor's, so a pair's
+	// concatenated outputs are already canonical, and equal regions keep the
+	// order a stable sort of the unsorted concatenation would give them.
 	type task struct {
 		pair int
 		cs   chromSpan
@@ -192,23 +197,20 @@ func Join(cfg Config, left, right *gdm.Dataset, args JoinArgs) (*gdm.Dataset, er
 				maxRightLen = ln
 			}
 		}
-		// First collect the (anchor, experiment) region pairs that join, in one
-		// reused candidate buffer; then build the output regions and their
-		// Values slab at their exact sizes.
-		var cands []joinCand
-		var hits [][2]int32
+		// First collect the (anchor, experiment) region pairs that join, in
+		// pooled buffers; then build the output regions and their Values slab
+		// at their exact sizes.
+		js := joinScratchPool.Get().(*joinScratch)
+		defer joinScratchPool.Put(js)
+		hits := js.hits[:0]
 		var tick int
 		for li := cs.lo; li < cs.hi; li++ {
 			cfg.tick(&tick)
 			anchor := &l.Regions[li]
-			cands = joinCandidates(cands[:0], args.Pred, anchor, rightEntries, maxRightLen)
-			for _, cand := range cands {
-				er := &r.Regions[cand.entry.Payload]
-				if args.Stream(anchor, er) {
-					continue
-				}
-				if _, ok := joinOutputRegion(args.Output, anchor, er); ok {
-					hits = append(hits, [2]int32{int32(li), cand.entry.Payload})
+			for _, ri := range js.candidates(args.Pred, anchor, rightEntries, maxRightLen) {
+				er := &r.Regions[ri]
+				if !args.Stream(anchor, er) && args.Output.emits(anchor, er) {
+					hits = append(hits, [2]int32{int32(li), ri})
 				}
 			}
 		}
@@ -217,10 +219,12 @@ func Join(cfg Config, left, right *gdm.Dataset, args JoinArgs) (*gdm.Dataset, er
 		slab := newValueSlab(len(hits), w)
 		for i, h := range hits {
 			anchor, er := &l.Regions[h[0]], &r.Regions[h[1]]
-			tk.out[i], _ = joinOutputRegion(args.Output, anchor, er)
+			tk.out[i] = joinOutputRegion(args.Output, anchor, er)
 			vals := append(slab.take(w), anchor.Values...)
 			tk.out[i].Values = append(vals, er.Values...)
 		}
+		js.hits = hits
+		(&gdm.Sample{Regions: tk.out}).SortRegions()
 	})
 	cfg.forEach(len(pairs), func(pi int) {
 		l, r := pairs[pi][0], pairs[pi][1]
@@ -228,9 +232,7 @@ func Join(cfg Config, left, right *gdm.Dataset, args JoinArgs) (*gdm.Dataset, er
 			ID:   gdm.DeriveID("join", l.ID, r.ID),
 			Meta: mergeSampleMeta(l, r),
 		}
-		for _, ti := range taskIdx[pi] {
-			ns.Regions = append(ns.Regions, tasks[ti].out...)
-		}
+		ns.Regions = concatRegions(len(taskIdx[pi]), func(i int) []gdm.Region { return tasks[taskIdx[pi][i]].out })
 		ns.SortRegions()
 		outSamples[pi] = ns
 	})
@@ -251,58 +253,72 @@ func (a JoinArgs) Stream(anchor, exp *gdm.Region) bool {
 	}
 }
 
-type joinCand struct {
-	entry intervals.Entry
-	dist  int64
+// joinScratch holds a task's working buffers: the candidates of one
+// anchor, MD(k)'s neighbours, and the task's joining (anchor, experiment)
+// index pairs. Tasks take them from joinScratchPool.
+type joinScratch struct {
+	cands []int32
+	near  []intervals.Neighbor
+	hits  [][2]int32
 }
 
-// joinCandidates appends to cands (the caller's reused buffer) the experiment
-// entries satisfying the distance conditions for one anchor, applying MD(k)
-// when present. MD(k) is computed over all same-chromosome experiment
-// regions, then intersected with the distance conditions, per GMQL semantics.
-func joinCandidates(cands []joinCand, pred GenometricPred, anchor *gdm.Region, rightEntries []intervals.Entry, maxRightLen int64) []joinCand {
+var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
+
+// candidates returns the payloads (experiment region indexes, ascending) of
+// the entries satisfying the distance conditions for one anchor, applying
+// MD(k) when present, in a buffer reused by the next call. MD(k) is computed
+// over all same-chromosome experiment regions, then intersected with the
+// distance conditions, per GMQL semantics.
+func (js *joinScratch) candidates(pred GenometricPred, anchor *gdm.Region, rightEntries []intervals.Entry, maxRightLen int64) []int32 {
+	js.cands = js.cands[:0]
 	if pred.MinDistK > 0 {
-		for _, e := range intervals.Nearest(rightEntries, anchor.Start, anchor.Stop, pred.MinDistK) {
-			d := intervals.Distance(anchor.Start, anchor.Stop, e.Start, e.Stop)
-			if pred.holds(d) {
-				cands = append(cands, joinCand{e, d})
+		js.near = intervals.Nearest(js.near, rightEntries, maxRightLen, anchor.Start, anchor.Stop, pred.MinDistK)
+		for _, nb := range js.near {
+			if pred.holds(nb.Dist) {
+				js.cands = append(js.cands, rightEntries[nb.Index].Payload)
 			}
 		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].entry.Payload < cands[j].entry.Payload })
-		return cands
+		slices.Sort(js.cands)
+		return js.cands
 	}
+	lo, hi := 0, len(rightEntries)
 	if bound, ok := pred.upperBound(); ok {
 		// Entries are start-sorted. Anything starting beyond
 		// anchor.Stop+bound is too far to the right; anything whose stop is
 		// before anchor.Start-bound is too far to the left, and with starts
-		// at least Start-maxRightLen away that gives a left cut too.
-		hi := sort.Search(len(rightEntries), func(i int) bool {
-			return rightEntries[i].Start > anchor.Stop+bound
-		})
-		lo := sort.Search(hi, func(i int) bool {
-			return rightEntries[i].Start >= anchor.Start-bound-maxRightLen
-		})
-		for _, e := range rightEntries[lo:hi] {
-			d := intervals.Distance(anchor.Start, anchor.Stop, e.Start, e.Stop)
-			if d <= bound && pred.holds(d) {
-				cands = append(cands, joinCand{e, d})
-			}
-		}
-		return cands
+		// at least Start-maxRightLen away that gives a left cut too. The
+		// window saturates, so a huge bound spans the whole chromosome.
+		right := satAdd(anchor.Stop, bound)
+		left := satSub(satSub(anchor.Start, bound), maxRightLen)
+		hi = sort.Search(hi, func(i int) bool { return rightEntries[i].Start > right })
+		lo = sort.Search(hi, func(i int) bool { return rightEntries[i].Start >= left })
 	}
-	// No upper bound and no MD: scan the chromosome (documented O(n·m)
-	// fallback; the compiler warns about unbounded genometric joins).
-	for _, e := range rightEntries {
-		d := intervals.Distance(anchor.Start, anchor.Stop, e.Start, e.Stop)
-		if pred.holds(d) {
-			cands = append(cands, joinCand{e, d})
+	// Without an upper bound this scans the chromosome (the documented
+	// O(n·m) fallback; the compiler warns about unbounded genometric joins).
+	for _, e := range rightEntries[lo:hi] {
+		if pred.holds(intervals.Distance(anchor.Start, anchor.Stop, e.Start, e.Stop)) {
+			js.cands = append(js.cands, e.Payload)
 		}
 	}
-	return cands
+	return js.cands
 }
 
-// joinOutputRegion builds the emitted region's coordinates for one pair.
-func joinOutputRegion(mode JoinOutput, anchor, exp *gdm.Region) (gdm.Region, bool) {
+// emits reports whether a pair that satisfies the genometric predicate
+// produces an output region: INT needs the two regions to overlap.
+func (o JoinOutput) emits(anchor, exp *gdm.Region) bool {
+	switch o {
+	case OutInt:
+		return anchor.Overlaps(*exp)
+	case OutLeft, OutRight, OutCat:
+		return true
+	default:
+		return false
+	}
+}
+
+// joinOutputRegion builds the emitted region's coordinates for a pair that
+// emits.
+func joinOutputRegion(mode JoinOutput, anchor, exp *gdm.Region) gdm.Region {
 	strand := anchor.Strand
 	if strand == gdm.StrandNone {
 		strand = exp.Strand
@@ -311,26 +327,12 @@ func joinOutputRegion(mode JoinOutput, anchor, exp *gdm.Region) (gdm.Region, boo
 	}
 	switch mode {
 	case OutInt:
-		if !anchor.Overlaps(*exp) {
-			return gdm.Region{}, false
-		}
-		inter, _ := anchor.Intersect(*exp)
-		inter.Strand = strand
-		return inter, true
+		return gdm.Region{Chrom: anchor.Chrom, Start: max(anchor.Start, exp.Start), Stop: min(anchor.Stop, exp.Stop), Strand: strand}
 	case OutLeft:
-		return gdm.Region{Chrom: anchor.Chrom, Start: anchor.Start, Stop: anchor.Stop, Strand: anchor.Strand}, true
+		return gdm.Region{Chrom: anchor.Chrom, Start: anchor.Start, Stop: anchor.Stop, Strand: anchor.Strand}
 	case OutRight:
-		return gdm.Region{Chrom: exp.Chrom, Start: exp.Start, Stop: exp.Stop, Strand: exp.Strand}, true
-	case OutCat:
-		start, stop := anchor.Start, anchor.Stop
-		if exp.Start < start {
-			start = exp.Start
-		}
-		if exp.Stop > stop {
-			stop = exp.Stop
-		}
-		return gdm.Region{Chrom: anchor.Chrom, Start: start, Stop: stop, Strand: strand}, true
-	default:
-		return gdm.Region{}, false
+		return gdm.Region{Chrom: exp.Chrom, Start: exp.Start, Stop: exp.Stop, Strand: exp.Strand}
+	default: // OutCat
+		return gdm.Region{Chrom: anchor.Chrom, Start: min(anchor.Start, exp.Start), Stop: max(anchor.Stop, exp.Stop), Strand: strand}
 	}
 }

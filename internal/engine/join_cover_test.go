@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"genogo/internal/gdm"
@@ -470,6 +473,150 @@ func TestCoverOutputsNeverOverlap(t *testing.T) {
 				if v := s.Regions[i].Values[0].Int(); v < 2 && variant != CoverFlat {
 					t.Fatalf("%s: depth %d below min", variant, v)
 				}
+			}
+		}
+	}
+}
+
+// TestJoinTaskSortMatchesGlobalSort: each JOIN task sorts its own output, and
+// the result must equal a stable canonical sort of all pairs' regions in
+// emission order (anchor chromosome, anchor, experiment region), as if the
+// whole sample were sorted at once. The fixture packs regions into a small
+// span with few distinct widths and random strands, so many output regions
+// tie and only their Values tell them apart.
+func TestJoinTaskSortMatchesGlobalSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	mk := func(name string) *gdm.Dataset {
+		ds := gdm.NewDataset(name, peakSchema())
+		for si := 0; si < 2; si++ {
+			s := gdm.NewSample(fmt.Sprintf("%s%d", name, si))
+			for i := 0; i < 80; i++ {
+				start := rng.Int63n(60) * 10
+				s.AddRegion(gdm.NewRegion([]string{"chr1", "chr2", "chr10", "chrX"}[rng.Intn(4)],
+					start, start+10*(1+rng.Int63n(3)), gdm.Strand(rng.Intn(3)-1),
+					gdm.Float(float64(i)), gdm.Str(fmt.Sprintf("%s%d.%d", name, si, i))))
+			}
+			s.SortRegions()
+			ds.MustAdd(s)
+		}
+		return ds
+	}
+	left, right := mk("L"), mk("R")
+	preds := map[string]GenometricPred{
+		"DLE":    {Conds: []DistCond{{Op: DistLE, Dist: 30}}},
+		"MD":     {MinDistK: 3},
+		"DGE+UP": {Conds: []DistCond{{Op: DistGE, Dist: 0}, {Op: DistLE, Dist: 200}}, Stream: StreamUp},
+	}
+	for pname, pred := range preds {
+		for _, mode := range []JoinOutput{OutInt, OutLeft, OutRight, OutCat} {
+			args := JoinArgs{Pred: pred, Output: mode}
+			for _, cfg := range allConfigs() {
+				out, err := Join(cfg, left, right, args)
+				if err != nil {
+					t.Fatal(err)
+				}
+				byID := map[string]*gdm.Sample{}
+				for _, ns := range out.Samples {
+					byID[ns.ID] = ns
+				}
+				for _, l := range left.Samples {
+					for _, r := range right.Samples {
+						want := &gdm.Sample{Regions: joinUnsorted(l, r, args)}
+						want.SortRegions()
+						got := byID[gdm.DeriveID("join", l.ID, r.ID)]
+						if len(want.Regions) != len(got.Regions) {
+							t.Fatalf("%s %s %s: %d regions, reference %d", pname, mode, cfg.Mode, len(got.Regions), len(want.Regions))
+						}
+						for i := range want.Regions {
+							if g, w := got.Regions[i].String(), want.Regions[i].String(); g != w {
+								t.Fatalf("%s %s %s: region %d = %s, reference %s", pname, mode, cfg.Mode, i, g, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// joinUnsorted is the JOIN of one sample pair by brute force, in emission
+// order and before any sorting.
+func joinUnsorted(l, r *gdm.Sample, args JoinArgs) []gdm.Region {
+	var out []gdm.Region
+	for li := range l.Regions {
+		anchor := &l.Regions[li]
+		var near map[int]bool
+		if args.Pred.MinDistK > 0 {
+			near = bruteNearest(anchor, r, args.Pred.MinDistK)
+		}
+		for ri := range r.Regions {
+			er := &r.Regions[ri]
+			if er.Chrom != anchor.Chrom || near != nil && !near[ri] {
+				continue
+			}
+			d := intervals.Distance(anchor.Start, anchor.Stop, er.Start, er.Stop)
+			if !args.Pred.holds(d) || args.Stream(anchor, er) || !args.Output.emits(anchor, er) {
+				continue
+			}
+			reg := joinOutputRegion(args.Output, anchor, er)
+			reg.Values = append(append([]gdm.Value(nil), anchor.Values...), er.Values...)
+			out = append(out, reg)
+		}
+	}
+	return out
+}
+
+// bruteNearest returns the indexes of the k regions of r nearest to the
+// anchor on its chromosome, ties going to the lower index.
+func bruteNearest(anchor *gdm.Region, r *gdm.Sample, k int) map[int]bool {
+	var idx []int
+	for i := range r.Regions {
+		if r.Regions[i].Chrom == anchor.Chrom {
+			idx = append(idx, i)
+		}
+	}
+	dist := func(i int) int64 {
+		return intervals.Distance(anchor.Start, anchor.Stop, r.Regions[i].Start, r.Regions[i].Stop)
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return dist(idx[a]) < dist(idx[b]) })
+	near := map[int]bool{}
+	for _, i := range idx[:min(k, len(idx))] {
+		near[i] = true
+	}
+	return near
+}
+
+// TestFlatExtentsMatchesScan: FLAT's one-sweep extension equals extending
+// each run by a scan of every entry, on profiles dense in abutting,
+// nested, duplicate and zero-length intervals.
+func TestFlatExtentsMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 500; trial++ {
+		entries := make([]intervals.Entry, rng.Intn(60))
+		for i := range entries {
+			start := rng.Int63n(40) * 5
+			entries[i] = intervals.Entry{Start: start, Stop: start + rng.Int63n(8)*5, Payload: int32(i)}
+		}
+		intervals.SortEntries(entries)
+		minAcc := int64(1 + rng.Intn(3))
+		regs := coverRegions(intervals.Coverage(entries), entries, minAcc, math.MaxInt64, CoverStandard)
+		runs := make([]intervals.CoverSegment, len(regs))
+		for i, r := range regs {
+			runs[i] = intervals.CoverSegment{Start: r.Start, Stop: r.Stop}
+		}
+		want := append([]intervals.CoverSegment(nil), runs...)
+		for i := range want {
+			for _, e := range entries {
+				if e.Start < runs[i].Stop && runs[i].Start < e.Stop {
+					want[i].Start = min(want[i].Start, e.Start)
+					want[i].Stop = max(want[i].Stop, e.Stop)
+				}
+			}
+		}
+		flatExtents(runs, entries)
+		for i := range want {
+			if runs[i] != want[i] {
+				t.Fatalf("trial %d run %d: swept %v, scan %v (entries %v)", trial, i, runs[i], want[i], entries)
 			}
 		}
 	}

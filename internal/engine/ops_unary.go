@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"genogo/internal/expr"
 	"genogo/internal/gdm"
@@ -73,11 +74,7 @@ func compileSelect(cfg Config, schema *gdm.Schema, meta expr.MetaPredicate, regi
 		if bound == nil {
 			ns.Regions = s.Regions
 		} else {
-			for ri := range s.Regions {
-				if bound.Eval(&s.Regions[ri]).Bool() {
-					ns.Regions = append(ns.Regions, s.Regions[ri])
-				}
-			}
+			ns.Regions = filterRegions(s.Regions, bound)
 		}
 		if meta != nil && !metaFirst && !meta.EvalMeta(ns.Meta) {
 			// Ablation path: metadata evaluated after the region work.
@@ -86,6 +83,32 @@ func compileSelect(cfg Config, schema *gdm.Schema, meta expr.MetaPredicate, regi
 		return ns, true
 	}
 	return stage{fn: fn, schema: schema}, nil
+}
+
+// keptPool recycles the index buffers of filterRegions across samples.
+var keptPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// filterRegions returns the regions the predicate keeps, in an exact-size
+// slice (nil when none is kept): the kept indexes are collected first, in a
+// pooled buffer.
+func filterRegions(regions []gdm.Region, pred expr.Bound) []gdm.Region {
+	buf := keptPool.Get().(*[]int32)
+	defer keptPool.Put(buf)
+	kept := (*buf)[:0]
+	for ri := range regions {
+		if pred.Eval(&regions[ri]).Bool() {
+			kept = append(kept, int32(ri))
+		}
+	}
+	*buf = kept
+	if len(kept) == 0 {
+		return nil
+	}
+	out := make([]gdm.Region, len(kept))
+	for i, ri := range kept {
+		out[i] = regions[ri]
+	}
+	return out
 }
 
 // Select implements GMQL SELECT: the metadata predicate picks samples, the

@@ -321,16 +321,24 @@ func (e *evaluator) zonePair(left, right Node, sp *obs.Span, keepL, keepR func(o
 	return l, r, err
 }
 
+// satAdd and satSub clamp at the int64 limits instead of wrapping, so a
+// window built from a user's distance bound never turns inside out.
 func satAdd(a, b int64) int64 {
-	if a > 0 && b > math.MaxInt64-a {
+	if s := a + b; (s > a) == (b > 0) {
+		return s
+	}
+	if b > 0 {
 		return math.MaxInt64
 	}
-	return a + b
+	return math.MinInt64
 }
 
 func satSub(a, b int64) int64 {
-	if a < 0 && b > 0 && a < math.MinInt64+b {
+	if s := a - b; (s < a) == (b > 0) {
+		return s
+	}
+	if b > 0 {
 		return math.MinInt64
 	}
-	return a - b
+	return math.MaxInt64
 }

@@ -69,6 +69,68 @@ func TestMapAllocsPerRegion(t *testing.T) {
 	}
 }
 
+// TestCoverAllocsPerRegion: every COVER variant allocates per (group,
+// chromosome) task, not per output region.
+func TestCoverAllocsPerRegion(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	_, exp := headlineFixture(20)
+	cfg := Config{Mode: ModeSerial, MetaFirst: true}
+	for _, v := range []CoverVariant{CoverStandard, CoverFlat, CoverSummit, CoverHistogram} {
+		args := CoverArgs{Min: CoverBound{Kind: BoundN, N: 2}, Max: CoverBound{Kind: BoundAny}, Variant: v}
+		out, err := Cover(cfg, exp, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions := float64(out.NumRegions())
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Cover(cfg, exp, args); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations, %.0f output regions, %.4f per region", v, allocs, regions, allocs/regions)
+		if got := allocs / regions; got > 0.1 {
+			t.Errorf("%s: %.3f allocations per output region (%.0f / %.0f), want <= 0.1", v, got, allocs, regions)
+		}
+	}
+}
+
+// TestJoinAllocsPerRegion: JOIN allocates per (pair, chromosome) task, its
+// output regions and their Values slab, not per output region.
+func TestJoinAllocsPerRegion(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	ref, exp := headlineFixture(20)
+	cfg := Config{Mode: ModeSerial, MetaFirst: true}
+	for _, out := range []JoinOutput{OutInt, OutLeft, OutRight, OutCat} {
+		for name, pred := range map[string]GenometricPred{
+			"DLE": {Conds: []DistCond{{Op: DistLE, Dist: 1000}}},
+			"MD":  {MinDistK: 2},
+		} {
+			args := JoinArgs{Pred: pred, Output: out}
+			res, err := Join(cfg, ref, exp, args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			regions := float64(res.NumRegions())
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := Join(cfg, ref, exp, args); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s %s: %.0f allocations, %.0f output regions, %.4f per region", name, out, allocs, regions, allocs/regions)
+			// The worst case, INT at about 0.055, emits the fewest regions
+			// for the same per-task work.
+			if got := allocs / regions; got > 0.1 {
+				t.Errorf("%s %s: %.3f allocations per output region (%.0f / %.0f), want <= 0.1",
+					name, out, got, allocs, regions)
+			}
+		}
+	}
+}
+
 // TestValuesSlabAppendDoesNotAlias: the Values of a sample's regions are
 // windows of one slab, each capacity-limited, so a consumer appending to one
 // region's values cannot overwrite the next region's.
@@ -91,6 +153,11 @@ func TestValuesSlabAppendDoesNotAlias(t *testing.T) {
 			return Cover(Config{}, exp, CoverArgs{Min: CoverBound{Kind: BoundAny}, Max: CoverBound{Kind: BoundAny},
 				Aggs: []expr.Aggregate{{Output: "n", Func: expr.AggCount}}})
 		},
+	}
+	for _, v := range []CoverVariant{CoverStandard, CoverFlat, CoverSummit, CoverHistogram} {
+		outputs[v.String()] = func() (*gdm.Dataset, error) {
+			return Cover(Config{}, exp, CoverArgs{Min: CoverBound{Kind: BoundAny}, Max: CoverBound{Kind: BoundAny}, Variant: v})
+		}
 	}
 	for name, run := range outputs {
 		out, err := run()

@@ -1,6 +1,9 @@
 package gmql
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -495,6 +498,67 @@ MATERIALIZE PEAKS INTO two;
 			if o.Meta.Has("note") || src.Meta.Has("note") {
 				t.Errorf("%s: sample %s: metadata added to one result leaked", cfg.Mode, s.ID)
 			}
+		}
+	}
+}
+
+// TestJoinHugeDistanceBound: a distance bound near the int64 limit means
+// "anywhere on the chromosome". The candidate window must saturate rather
+// than wrap, or DLE(9223372036854775807) silently joins nothing. Checked on
+// the kernel in every mode and through a parsed script, whose plan also
+// runs JOIN's zone-pruning proof.
+func TestJoinHugeDistanceBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	schema := gdm.MustSchema(gdm.Field{Name: "score", Type: gdm.KindFloat})
+	mk := func(name string) *gdm.Dataset {
+		ds := gdm.NewDataset(name, schema)
+		s := gdm.NewSample(strings.ToLower(name))
+		for i := 0; i < 50; i++ {
+			start := rng.Int63n(100000)
+			s.AddRegion(gdm.NewRegion(fmt.Sprintf("chr%d", 1+rng.Intn(3)), start, start+1+rng.Int63n(2000),
+				gdm.StrandNone, gdm.Float(rng.Float64())))
+		}
+		s.SortRegions()
+		ds.MustAdd(s)
+		return ds
+	}
+	a, b := mk("A"), mk("B")
+	want := 0 // every same-chromosome pair is within any bound >= 2^40
+	for _, l := range a.Samples[0].Regions {
+		for _, r := range b.Samples[0].Regions {
+			if l.Chrom == r.Chrom {
+				want++
+			}
+		}
+	}
+	modes := []engine.Mode{engine.ModeSerial, engine.ModeBatch, engine.ModeStream}
+	for _, bound := range []int64{1 << 40, math.MaxInt64 - 10, math.MaxInt64} {
+		for _, op := range []engine.DistOp{engine.DistLE, engine.DistLT} {
+			pred := engine.GenometricPred{Conds: []engine.DistCond{{Op: op, Dist: bound}}}
+			for _, mode := range modes {
+				cfg := engine.Config{Mode: mode, Workers: 3, MetaFirst: true}
+				out, err := engine.Join(cfg, a, b, engine.JoinArgs{Pred: pred, Output: engine.OutLeft})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := out.NumRegions(); got != want {
+					t.Errorf("%s(%d) %s: %d regions, want %d", op, bound, mode, got, want)
+				}
+			}
+		}
+	}
+	prog, err := Parse(`X = JOIN(DLE(9223372036854775807); output: LEFT) A B;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range modes {
+		r := &Runner{Config: engine.Config{Mode: mode, Workers: 3, MetaFirst: true}, Catalog: engine.MapCatalog{"A": a, "B": b}}
+		out, err := r.Eval(prog, "X")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.NumRegions(); got != want {
+			t.Errorf("script, %s: %d regions, want %d", mode, got, want)
 		}
 	}
 }

@@ -77,19 +77,11 @@ func BenchmarkCoverage(b *testing.B) {
 func BenchmarkNearest(b *testing.B) {
 	es := benchEntries(100000, 5000000)
 	rng := rand.New(rand.NewSource(9))
+	ml := maxLen(es)
+	var buf []Neighbor
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := rng.Int63n(5000000)
-		Nearest(es, q, q+500, 3)
-	}
-}
-
-func BenchmarkWithinWindow(b *testing.B) {
-	left := benchEntries(5000, 250000)
-	right := benchEntries(5000, 250000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		WithinWindow(left, right, 1000, func(l, r Entry, d int64) bool { n++; return true })
+		buf = Nearest(buf, es, ml, q, q+500, 3)
 	}
 }

@@ -8,7 +8,12 @@
 // strategy the paper's parallel implementations use).
 package intervals
 
-import "sort"
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sort"
+)
 
 // Entry is one interval with an opaque payload, normally the index of the
 // region it came from. Coordinates are half-open [Start, Stop).
@@ -20,11 +25,11 @@ type Entry struct {
 // SortEntries sorts entries into the canonical (Start, Stop) order required
 // by every kernel in this package.
 func SortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Start != es[j].Start {
-			return es[i].Start < es[j].Start
+	slices.SortFunc(es, func(a, b Entry) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return es[i].Stop < es[j].Stop
+		return cmp.Compare(a.Stop, b.Stop)
 	})
 }
 
@@ -138,13 +143,6 @@ func (t *Tree) walk(lo, hi int, start, stop int64, fn func(Entry) bool) bool {
 	return t.walk(mid+1, hi, start, stop, fn)
 }
 
-// CountOverlapping returns the number of entries overlapping [start, stop).
-func (t *Tree) CountOverlapping(start, stop int64) int {
-	n := 0
-	t.Overlapping(start, stop, func(Entry) bool { n++; return true })
-	return n
-}
-
 // SweepOverlaps enumerates every overlapping (left, right) pair of two
 // canonical-order entry slices with a single merge sweep. emit receives the
 // payloads; returning false aborts the sweep. The sweep is
@@ -180,131 +178,73 @@ func SweepOverlaps(left, right []Entry, emit func(l, r Entry) bool) {
 	}
 }
 
-// WithinWindow enumerates every (left, right) pair whose genometric distance
-// is at most maxDist (overlapping pairs have negative distance and always
-// qualify for maxDist >= 0). Both inputs must be in canonical order. emit
-// returning false aborts.
-func WithinWindow(left, right []Entry, maxDist int64, emit func(l, r Entry, dist int64) bool) {
-	if maxDist < 0 {
-		// Distance <= negative bound means overlap of at least |maxDist|;
-		// delegate to the overlap sweep with the extra check.
-		SweepOverlaps(left, right, func(l, r Entry) bool {
-			d := Distance(l.Start, l.Stop, r.Start, r.Stop)
-			if d <= maxDist {
-				return emit(l, r, d)
-			}
-			return true
-		})
-		return
-	}
-	lo := 0
-	for _, l := range left {
-		// Right entries with Stop < l.Start-maxDist can never qualify for
-		// this or any later left entry.
-		for lo < len(right) && right[lo].Stop < l.Start-maxDist {
-			lo++
-		}
-		for ri := lo; ri < len(right); ri++ {
-			r := right[ri]
-			if r.Start > l.Stop+maxDist {
-				break
-			}
-			d := Distance(l.Start, l.Stop, r.Start, r.Stop)
-			if d <= maxDist {
-				if !emit(l, r, d) {
-					return
-				}
-			}
-		}
-	}
+// Neighbor is one result of Nearest: a position in the searched slice and
+// that entry's genometric distance to the query.
+type Neighbor struct {
+	Index int
+	Dist  int64
 }
 
-// Nearest returns the entries among `sorted` that are the k nearest to the
-// query interval by genometric distance, ties broken by canonical order. It
-// expands a window around the query's insertion point; the left-side bound
-// uses the maximum interval length, so for genomic data (short, similarly
-// sized intervals) the expansion examines O(k) entries.
-func Nearest(sorted []Entry, qStart, qStop int64, k int) []Entry {
+// Nearest returns the k entries of `sorted` nearest to the query interval by
+// genometric distance, ordered by (Dist, Index) so that ties go to canonical
+// order. The result reuses buf's storage. maxLen must be at least the
+// longest entry's Stop-Start; callers compute it once per slice, not once
+// per query. The search expands a window around the query's insertion point
+// and closes each side once no entry left there can beat the k-th best, so
+// for genomic data (short, similarly sized intervals) it examines O(k)
+// entries.
+func Nearest(buf []Neighbor, sorted []Entry, maxLen, qStart, qStop int64, k int) []Neighbor {
+	best := buf[:0]
 	n := len(sorted)
 	if k <= 0 || n == 0 {
-		return nil
+		return best
 	}
 	if k > n {
 		k = n
 	}
-	ml := maxLen(sorted)
 	// Position of the first entry starting at or after the query start.
 	pos := sort.Search(n, func(i int) bool { return sorted[i].Start >= qStart })
-
-	type cand struct {
-		idx  int
-		dist int64
-	}
-	// best holds up to k candidates sorted by (dist, idx).
-	best := make([]cand, 0, k+1)
+	kth := int64(math.MaxInt64) // distance of the k-th best once there are k
 	insert := func(idx int, d int64) {
-		c := cand{idx, d}
-		i := sort.Search(len(best), func(i int) bool {
-			if best[i].dist != c.dist {
-				return best[i].dist > c.dist
-			}
-			return best[i].idx > c.idx
-		})
-		best = append(best, cand{})
-		copy(best[i+1:], best[i:])
-		best[i] = c
-		if len(best) > k {
+		i := len(best)
+		best = append(best, Neighbor{})
+		for ; i > 0 && (best[i-1].Dist > d || best[i-1].Dist == d && best[i-1].Index > idx); i-- {
+			best[i] = best[i-1]
+		}
+		best[i] = Neighbor{idx, d}
+		if len(best) >= k {
 			best = best[:k]
+			kth = best[k-1].Dist
 		}
-	}
-	kth := func() int64 {
-		if len(best) < k {
-			return int64(1<<62 - 1)
-		}
-		return best[len(best)-1].dist
 	}
 
 	li, ri := pos-1, pos
 	for li >= 0 || ri < n {
 		// Lower bounds on the distance any remaining entry on each side can
 		// achieve. Right side: starts are >= sorted[ri].Start, so distance
-		// >= Start - qStop. Left side: stops are <= Start + ml, so distance
-		// >= qStart - (Start + ml).
-		leftOpen := li >= 0 && qStart-(sorted[li].Start+ml) <= kth()
-		rightOpen := ri < n && sorted[ri].Start-qStop <= kth()
+		// >= Start - qStop. Left side: stops are <= Start + maxLen, so
+		// distance >= qStart - (Start + maxLen).
+		leftOpen := li >= 0 && qStart-(sorted[li].Start+maxLen) <= kth
+		rightOpen := ri < n && sorted[ri].Start-qStop <= kth
 		if !leftOpen && !rightOpen {
 			break
 		}
 		if leftOpen {
 			e := sorted[li]
-			if d := Distance(qStart, qStop, e.Start, e.Stop); d <= kth() {
+			if d := Distance(qStart, qStop, e.Start, e.Stop); d <= kth {
 				insert(li, d)
 			}
 			li--
 		}
 		if rightOpen {
 			e := sorted[ri]
-			if d := Distance(qStart, qStop, e.Start, e.Stop); d <= kth() {
+			if d := Distance(qStart, qStop, e.Start, e.Stop); d <= kth {
 				insert(ri, d)
 			}
 			ri++
 		}
 	}
-	out := make([]Entry, len(best))
-	for i, c := range best {
-		out[i] = sorted[c.idx]
-	}
-	return out
-}
-
-func maxLen(es []Entry) int64 {
-	var m int64
-	for _, e := range es {
-		if l := e.Stop - e.Start; l > m {
-			m = l
-		}
-	}
-	return m
+	return best
 }
 
 // CoverSegment is a maximal genomic segment with constant accumulation depth,
@@ -318,32 +258,42 @@ type CoverSegment struct {
 // maximal segments with constant overlap depth (depth >= 1 only). This is the
 // COVER operator's kernel: COVER(minAcc, maxAcc) keeps segments whose depth
 // lies within bounds and coalesces adjacent survivors.
+//
+// The profile is a merge of two sorted position arrays: the starts, in entry
+// order (canonical input is already sorted by Start), and the stops, sorted
+// once. Every depth change at one position is applied before the next
+// segment opens.
 func Coverage(entries []Entry) []CoverSegment {
 	if len(entries) == 0 {
 		return nil
 	}
-	type event struct {
-		pos   int64
-		delta int
-	}
-	evs := make([]event, 0, 2*len(entries))
+	n := len(entries)
+	pos := make([]int64, 2*n)
+	starts, stops := pos[:0:n], pos[n:n]
 	for _, e := range entries {
 		if e.Stop <= e.Start {
 			continue // empty intervals contribute no coverage
 		}
-		evs = append(evs, event{e.Start, 1}, event{e.Stop, -1})
+		starts = append(starts, e.Start)
+		stops = append(stops, e.Stop)
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].pos != evs[j].pos {
-			return evs[i].pos < evs[j].pos
-		}
-		return evs[i].delta > evs[j].delta // opens before closes at same pos
-	})
-	var out []CoverSegment
+	if len(stops) == 0 {
+		return nil
+	}
+	if !slices.IsSorted(starts) {
+		slices.Sort(starts)
+	}
+	slices.Sort(stops)
+	// n intervals have at most 2n distinct endpoints, so 2n-1 segments.
+	out := make([]CoverSegment, 0, 2*len(stops)-1)
 	depth := 0
 	var segStart int64
-	for i := 0; i < len(evs); {
-		pos := evs[i].pos
+	// Each stop follows its own start, so the starts run out first.
+	for i, j := 0, 0; j < len(stops); {
+		pos := stops[j]
+		if i < len(starts) && starts[i] < pos {
+			pos = starts[i]
+		}
 		if depth > 0 && segStart < pos {
 			// Coalesce with the previous segment when an open and a close at
 			// the same position cancelled out, keeping segments maximal.
@@ -353,41 +303,13 @@ func Coverage(entries []Entry) []CoverSegment {
 				out = append(out, CoverSegment{segStart, pos, depth})
 			}
 		}
-		for i < len(evs) && evs[i].pos == pos {
-			depth += evs[i].delta
-			i++
+		for ; i < len(starts) && starts[i] == pos; i++ {
+			depth++
+		}
+		for ; j < len(stops) && stops[j] == pos; j++ {
+			depth--
 		}
 		segStart = pos
-	}
-	return out
-}
-
-// Merge coalesces segments that touch or overlap into maximal intervals,
-// ignoring depth — the kernel behind COVER region assembly and the MERGE of
-// overlapping result regions.
-func Merge(segs []CoverSegment) []CoverSegment {
-	if len(segs) == 0 {
-		return nil
-	}
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].Start != segs[j].Start {
-			return segs[i].Start < segs[j].Start
-		}
-		return segs[i].Stop < segs[j].Stop
-	})
-	out := []CoverSegment{segs[0]}
-	for _, s := range segs[1:] {
-		last := &out[len(out)-1]
-		if s.Start <= last.Stop {
-			if s.Stop > last.Stop {
-				last.Stop = s.Stop
-			}
-			if s.Depth > last.Depth {
-				last.Depth = s.Depth
-			}
-		} else {
-			out = append(out, s)
-		}
 	}
 	return out
 }

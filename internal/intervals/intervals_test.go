@@ -29,6 +29,12 @@ func bruteOverlapping(es []Entry, start, stop int64) []Entry {
 	return out
 }
 
+func countOverlapping(t *Tree, start, stop int64) int {
+	n := 0
+	t.Overlapping(start, stop, func(Entry) bool { n++; return true })
+	return n
+}
+
 func TestSortEntriesAndSorted(t *testing.T) {
 	es := []Entry{{5, 9, 0}, {1, 3, 1}, {1, 2, 2}}
 	if Sorted(es) {
@@ -77,10 +83,10 @@ func TestTreeOverlappingSmall(t *testing.T) {
 	if len(got) != 3 {
 		t.Errorf("extra results: %v", got)
 	}
-	if n := tree.CountOverlapping(100, 200); n != 0 {
+	if n := countOverlapping(tree, 100, 200); n != 0 {
 		t.Errorf("empty query returned %d", n)
 	}
-	if n := tree.CountOverlapping(0, 100); n != 5 {
+	if n := countOverlapping(tree, 0, 100); n != 5 {
 		t.Errorf("full query returned %d", n)
 	}
 	// Early stop.
@@ -95,7 +101,7 @@ func TestTreeEmptyAndSingle(t *testing.T) {
 	empty := BuildTree(nil)
 	empty.Overlapping(0, 10, func(Entry) bool { t.Error("callback on empty tree"); return true })
 	one := BuildTree([]Entry{{5, 10, 7}})
-	if one.CountOverlapping(0, 6) != 1 || one.CountOverlapping(10, 20) != 0 {
+	if countOverlapping(one, 0, 6) != 1 || countOverlapping(one, 10, 20) != 0 {
 		t.Error("single-entry tree wrong")
 	}
 }
@@ -166,62 +172,44 @@ func TestSweepOverlapsEarlyStop(t *testing.T) {
 	}
 }
 
-func TestWithinWindowAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, maxDist := range []int64{-5, 0, 10, 100} {
-		for trial := 0; trial < 20; trial++ {
-			left := randomEntries(rng, 80, 600, 30)
-			right := randomEntries(rng, 90, 600, 30)
-			want := map[[2]int32]int64{}
-			for _, l := range left {
-				for _, r := range right {
-					if d := Distance(l.Start, l.Stop, r.Start, r.Stop); d <= maxDist {
-						want[[2]int32{l.Payload, r.Payload}] = d
-					}
-				}
-			}
-			got := map[[2]int32]int64{}
-			WithinWindow(left, right, maxDist, func(l, r Entry, d int64) bool {
-				got[[2]int32{l.Payload, r.Payload}] = d
-				return true
-			})
-			if len(got) != len(want) {
-				t.Fatalf("maxDist %d trial %d: got %d pairs, want %d", maxDist, trial, len(got), len(want))
-			}
-			for k, d := range want {
-				if got[k] != d {
-					t.Fatalf("maxDist %d: pair %v dist %d, want %d", maxDist, k, got[k], d)
-				}
-			}
-		}
+func maxLen(es []Entry) int64 {
+	var m int64
+	for _, e := range es {
+		m = max(m, e.Stop-e.Start)
 	}
+	return m
 }
 
-func TestWithinWindowEarlyStop(t *testing.T) {
-	left := []Entry{{0, 10, 0}}
-	right := []Entry{{12, 20, 0}, {15, 25, 1}}
-	calls := 0
-	WithinWindow(left, right, 50, func(l, r Entry, d int64) bool { calls++; return false })
-	if calls != 1 {
-		t.Errorf("early stop made %d calls", calls)
+// nearest is Nearest with the caller's work done: maxLen computed and the
+// neighbours resolved to entries.
+func nearest(es []Entry, qStart, qStop int64, k int) []Entry {
+	var out []Entry
+	for _, nb := range Nearest(nil, es, maxLen(es), qStart, qStop, k) {
+		out = append(out, es[nb.Index])
 	}
+	return out
 }
 
 func TestNearestSmall(t *testing.T) {
 	es := []Entry{{0, 10, 0}, {20, 30, 1}, {35, 40, 2}, {100, 110, 3}}
 	// Distances from [31,33): entry 1 is 1 away, entry 2 is 2 away.
-	got := Nearest(es, 31, 33, 2)
-	if len(got) != 2 || got[0].Payload != 1 || got[1].Payload != 2 {
+	got := Nearest(nil, es, maxLen(es), 31, 33, 2)
+	if len(got) != 2 || got[0] != (Neighbor{1, 1}) || got[1] != (Neighbor{2, 2}) {
 		t.Errorf("Nearest = %v", got)
 	}
-	if got := Nearest(es, 0, 1, 0); got != nil {
+	if got := nearest(es, 0, 1, 0); len(got) != 0 {
 		t.Errorf("k=0 returned %v", got)
 	}
-	if got := Nearest(nil, 0, 1, 3); got != nil {
+	if got := nearest(nil, 0, 1, 3); len(got) != 0 {
 		t.Errorf("empty input returned %v", got)
 	}
-	if got := Nearest(es, 50, 60, 10); len(got) != 4 {
+	if got := nearest(es, 50, 60, 10); len(got) != 4 {
 		t.Errorf("k>n returned %d entries", len(got))
+	}
+	// The buffer is reused, not appended to.
+	buf := Nearest(nil, es, maxLen(es), 31, 33, 3)
+	if again := Nearest(buf, es, maxLen(es), 0, 1, 1); len(again) != 1 || &again[0] != &buf[0] || again[0].Index != 0 {
+		t.Errorf("reused buffer: %v", again)
 	}
 }
 
@@ -232,7 +220,7 @@ func TestNearestAgainstBruteForce(t *testing.T) {
 		qStart := rng.Int63n(2200) - 100
 		qStop := qStart + rng.Int63n(100)
 		for _, k := range []int{1, 3, 7} {
-			got := Nearest(es, qStart, qStop, k)
+			got := nearest(es, qStart, qStop, k)
 			// Brute force: sort by (dist, canonical index).
 			type cand struct {
 				i int
@@ -327,52 +315,108 @@ func TestCoverageInvariantsQuick(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	segs := []CoverSegment{{20, 30, 1}, {0, 10, 2}, {8, 15, 1}, {30, 35, 3}}
-	got := Merge(segs)
-	want := []CoverSegment{{0, 15, 2}, {20, 35, 3}}
-	if len(got) != len(want) {
-		t.Fatalf("Merge = %v", got)
+// eventSweepCoverage is the event-sort formulation of Coverage that the
+// two-array merge replaced, kept as the reference it must match: one +1/-1
+// event per endpoint, sorted by position with opens first.
+func eventSweepCoverage(entries []Entry) []CoverSegment {
+	type event struct {
+		pos   int64
+		delta int
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Merge[%d] = %v, want %v", i, got[i], want[i])
+	var evs []event
+	for _, e := range entries {
+		if e.Stop > e.Start {
+			evs = append(evs, event{e.Start, 1}, event{e.Stop, -1})
 		}
 	}
-	if Merge(nil) != nil {
-		t.Error("Merge(nil) non-nil")
+	sort.Slice(evs, func(i, j int) bool {
+		if evs[i].pos != evs[j].pos {
+			return evs[i].pos < evs[j].pos
+		}
+		return evs[i].delta > evs[j].delta
+	})
+	var out []CoverSegment
+	depth := 0
+	var segStart int64
+	for i := 0; i < len(evs); {
+		pos := evs[i].pos
+		if depth > 0 && segStart < pos {
+			if n := len(out); n > 0 && out[n-1].Stop == segStart && out[n-1].Depth == depth {
+				out[n-1].Stop = pos
+			} else {
+				out = append(out, CoverSegment{segStart, pos, depth})
+			}
+		}
+		for i < len(evs) && evs[i].pos == pos {
+			depth += evs[i].delta
+			i++
+		}
+		segStart = pos
+	}
+	return out
+}
+
+// TestCoverageMatchesEventSweep: on random entries dense in duplicate
+// endpoints, zero-length, nested and abutting intervals, Coverage equals the
+// event-sort reference segment for segment, sorted input or not.
+func TestCoverageMatchesEventSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	check := func(label string, es []Entry) {
+		t.Helper()
+		want := eventSweepCoverage(es)
+		got := Coverage(es)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d segments, reference %d\n got %v\nwant %v", label, len(got), len(want), got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: segment %d = %v, reference %v", label, i, got[i], want[i])
+			}
+		}
+	}
+	check("empty", nil)
+	check("zero-length only", []Entry{{5, 5, 0}, {7, 7, 1}})
+	check("abutting", []Entry{{0, 10, 0}, {10, 20, 1}, {20, 20, 2}, {20, 30, 3}})
+	check("nested", []Entry{{0, 100, 0}, {10, 90, 1}, {20, 80, 2}, {20, 80, 3}, {50, 50, 4}})
+	check("cancelling", []Entry{{0, 10, 0}, {10, 20, 1}, {0, 20, 2}, {5, 15, 3}})
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(60)
+		span := int64(1 + rng.Intn(40)) // small spans force shared endpoints
+		es := make([]Entry, n)
+		for i := range es {
+			start := rng.Int63n(span)
+			es[i] = Entry{Start: start, Stop: start + rng.Int63n(span/2+1), Payload: int32(i)}
+		}
+		if trial%2 == 0 {
+			SortEntries(es)
+		}
+		check("random", es)
 	}
 }
 
-func TestMergeProducesDisjointQuick(t *testing.T) {
-	f := func(raw []uint16) bool {
-		segs := make([]CoverSegment, 0, len(raw)/2)
-		for i := 0; i+1 < len(raw); i += 2 {
-			start := int64(raw[i] % 300)
-			segs = append(segs, CoverSegment{start, start + int64(raw[i+1]%40) + 1, 1})
+// TestSortEntriesMatchesSortSlice: SortEntries gives entries that tie on
+// (Start, Stop) the same order the reflection-based sort it replaced gave
+// them, since COVER's aggregates see entries in this order.
+func TestSortEntriesMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 200; trial++ {
+		es := make([]Entry, rng.Intn(300))
+		for i := range es {
+			start := rng.Int63n(20)
+			es[i] = Entry{Start: start, Stop: start + rng.Int63n(5), Payload: int32(i)}
 		}
-		out := Merge(segs)
-		for i := 1; i < len(out); i++ {
-			if out[i].Start <= out[i-1].Stop {
-				return false
+		want := append([]Entry(nil), es...)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Start != want[j].Start {
+				return want[i].Start < want[j].Start
+			}
+			return want[i].Stop < want[j].Stop
+		})
+		SortEntries(es)
+		for i := range want {
+			if es[i] != want[i] {
+				t.Fatalf("trial %d: entry %d = %v, sort.Slice gives %v", trial, i, es[i], want[i])
 			}
 		}
-		// Every input is covered by some output.
-		for _, s := range segs {
-			ok := false
-			for _, o := range out {
-				if o.Start <= s.Start && s.Stop <= o.Stop {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
