@@ -552,7 +552,8 @@ func BenchmarkAblationBinWidth(b *testing.B) {
 }
 
 // BenchmarkAblationFusion measures stream-mode operator fusion on a chain
-// of sample-local operators.
+// of sample-local operators: on a unary chain the only difference between
+// ModeStream and ModeBatch is that stream fuses it.
 func BenchmarkAblationFusion(b *testing.B) {
 	f := load()
 	script := `
@@ -562,9 +563,9 @@ C = PROJECT(region: signal) B;
 D = EXTEND(n AS COUNT, s AS SUM(signal)) C;
 MATERIALIZE D;
 `
-	for _, disable := range []bool{false, true} {
-		b.Run(fmt.Sprintf("fusionDisabled=%v", disable), func(b *testing.B) {
-			cfg := engine.Config{Mode: engine.ModeStream, MetaFirst: true, DisableFusion: disable}
+	for _, mode := range []engine.Mode{engine.ModeStream, engine.ModeBatch} {
+		b.Run(fmt.Sprintf("mode=%s", mode), func(b *testing.B) {
+			cfg := engine.Config{Mode: mode, MetaFirst: true}
 			cat := engine.MapCatalog{"ENCODE": f.encode[303]}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -95,11 +95,10 @@ func setupHost(args []string, out io.Writer) (http.Handler, string, error) {
 	fmt.Fprintf(out, "host %s listening on %s\n", *name, *addr)
 	mux := http.NewServeMux()
 	mux.Handle("/", h.Handler())
-	obs.Mount(mux, obs.Default())
-	obs.MountState(mux, "/debug/storage",
-		"storage integrity: per-dataset manifest verification reports",
-		func() any { return formats.IntegritySnapshot() })
-	catalog.MountRepo(mux, catalog.Repo())
+	c := obs.NewConsole(mux)
+	obs.Mount(c, obs.Default())
+	c.Register(formats.IntegrityView())
+	c.Register(catalog.Repo().View())
 	return mux, *addr, nil
 }
 

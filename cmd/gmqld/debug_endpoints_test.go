@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,66 +15,178 @@ import (
 	"genogo/internal/federation"
 )
 
-// TestDebugEndpointsContentTypes pins the content type of every operational
-// endpoint the node mounts.
-func TestDebugEndpointsContentTypes(t *testing.T) {
-	dir := writeRepo(t)
-	var out bytes.Buffer
-	n, err := setup([]string{"-data", dir, "-mode", "serial", "-slow-query", "1ns"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(n.srv.Handler)
-	defer ts.Close()
+// debugRow is one registered debug endpoint of the console contract.
+type debugRow struct {
+	path string
+	// key is a drill-down key that exists ("" when the view has none); the
+	// list page must link to it.
+	key string
+	// html lists values the browser page must show, already escaped.
+	html []string
+}
 
-	cases := map[string]string{
-		"/metrics":         "text/plain; version=0.0.4; charset=utf-8",
-		"/debug/storage":   "application/json",
-		"/debug/prof":      "application/json",
-		"/debug/costs":     "application/json",
-		"/debug/slowlog":   "application/json",
-		"/debug/estimates": "application/json",
-		"/debug/repo":      "text/html; charset=utf-8",
-		"/debug/":          "text/html; charset=utf-8",
+// contractScript's region predicate carries a "<" and quotes, so every page
+// that shows the operator detail proves it escapes.
+const contractScript = `X = SELECT(dataType == 'ChipSeq'; region: p_value < 0.5) ENCODE; MATERIALIZE X;`
+
+// The /debug/ index of each listener, as the console has always listed it.
+var (
+	fullIndex = []string{"/debug/", "/debug/costs", "/debug/estimates", "/debug/federation",
+		"/debug/pprof/", "/debug/prof", "/debug/queries", "/debug/repo", "/debug/slowlog",
+		"/debug/storage", "/metrics"}
+	nodeIndex = []string{"/debug/", "/debug/costs", "/debug/estimates", "/debug/federation",
+		"/debug/prof", "/debug/queries", "/debug/repo"}
+)
+
+// TestDebugEndpointsContentTypes is the console contract over every debug
+// endpoint, on both listener layouts (one listener, and -metrics-addr
+// splitting the debug surface off): a plain GET is JSON, a browser Accept
+// header gets the HTML page with escaped values and drill-down links,
+// ?format=json overrides it, non-GET is 405, an unknown key is 404, and each
+// listener's index lists exactly its endpoints.
+func TestDebugEndpointsContentTypes(t *testing.T) {
+	for _, split := range []bool{false, true} {
+		t.Run(fmt.Sprintf("split=%v", split), func(t *testing.T) {
+			dir := writeRepo(t)
+			args := []string{"-data", dir, "-mode", "stream", "-slow-query", "1ns"}
+			if split {
+				args = append(args, "-metrics-addr", "127.0.0.1:0")
+			}
+			var out bytes.Buffer
+			n, err := setup(args, &out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			main := httptest.NewServer(n.srv.Handler)
+			defer main.Close()
+			debug := main
+			if split {
+				debug = httptest.NewServer(n.metrics.Handler)
+				defer debug.Close()
+			}
+			qr, err := federation.NewClient(main.URL).Execute(context.Background(), contractScript, "X")
+			if err != nil {
+				t.Fatal(err)
+			}
+			escaped := "dataType == &#39;ChipSeq&#39;; region: p_value &lt; 0.5"
+			rows := []debugRow{
+				{path: "/debug/", html: []string{`href="/debug/queries"`, `href="/debug/repo"`}},
+				{path: "/debug/queries", key: qr.QueryID, html: []string{"<th>active</th>", ">done<", escaped}},
+				{path: "/debug/repo", key: "ENCODE", html: []string{">ANNOTATIONS<", "<th>chroms</th>"}},
+				{path: "/debug/federation", html: []string{"<th>hedging</th><td>false</td>"}},
+				{path: "/debug/prof", html: []string{"<th>captures</th>"}},
+				{path: "/debug/costs", html: []string{">SELECT<", "<th>ns_per_region</th>"}},
+				{path: "/debug/estimates", html: []string{">regions<"}},
+				{path: "/debug/slowlog", html: []string{">" + qr.QueryID + "<", escaped}},
+				{path: "/debug/storage", html: []string{">ENCODE<", "<th>verified</th>"}},
+			}
+			checkConsole(t, debug.URL, rows, fullIndex)
+			if split {
+				// The node's own console answers on the query listener.
+				checkConsole(t, main.URL, rows[:7], nodeIndex)
+			}
+			checkPlain(t, debug.URL)
+		})
 	}
-	for path, want := range cases {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+}
+
+func checkConsole(t *testing.T, base string, rows []debugRow, index []string) {
+	t.Helper()
+	for _, r := range rows {
+		paths := []string{r.path}
+		if r.key != "" {
+			paths = append(paths, r.path+"/"+r.key)
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s status = %d", path, resp.StatusCode)
+		for _, p := range paths {
+			if code, ct, body := fetch(t, http.MethodGet, base+p, ""); code != http.StatusOK || ct != "application/json" || !json.Valid(body) {
+				t.Errorf("GET %s = %d %q, want JSON", p, code, ct)
+			}
+			if code, ct, _ := fetch(t, http.MethodGet, base+p+"?format=json", "text/html"); code != http.StatusOK || ct != "application/json" {
+				t.Errorf("GET %s?format=json = %d %q, want JSON", p, code, ct)
+			}
+			if code, _, _ := fetch(t, http.MethodPost, base+p, ""); code != http.StatusMethodNotAllowed {
+				t.Errorf("POST %s = %d, want 405", p, code)
+			}
 		}
-		if ct := resp.Header.Get("Content-Type"); ct != want {
-			t.Errorf("%s content-type = %q, want %q", path, ct, want)
+		code, ct, page := fetch(t, http.MethodGet, base+r.path, "text/html,application/xhtml+xml,*/*;q=0.8")
+		if code != http.StatusOK || ct != "text/html; charset=utf-8" {
+			t.Errorf("browser GET %s = %d %q, want HTML", r.path, code, ct)
 		}
-		if len(body) == 0 {
-			t.Errorf("%s returned empty body", path)
+		if r.key != "" {
+			_, _, detail := fetch(t, http.MethodGet, base+r.path+"/"+r.key, "text/html")
+			page = append(page, detail...)
+			if link := `href="` + r.path + "/" + r.key + `"`; !strings.Contains(string(page), link) {
+				t.Errorf("%s page has no drill-down link %s", r.path, link)
+			}
 		}
-		// Non-GET must be rejected.
-		pr, err := http.Post(ts.URL+path, "text/plain", strings.NewReader("x"))
-		if err != nil {
-			t.Fatalf("POST %s: %v", path, err)
+		for _, want := range r.html {
+			if !strings.Contains(string(page), want) {
+				t.Errorf("%s pages missing %q", r.path, want)
+			}
 		}
-		pr.Body.Close()
-		if pr.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("POST %s status = %d, want 405", path, pr.StatusCode)
+		if strings.Contains(string(page), "p_value < 0.5") {
+			t.Errorf("%s pages leak an unescaped value", r.path)
+		}
+		if code, _, _ := fetch(t, http.MethodGet, base+strings.TrimSuffix(r.path, "/")+"/999999", ""); code != http.StatusNotFound {
+			t.Errorf("GET %s/999999 = %d, want 404", r.path, code)
 		}
 	}
-	// /metrics must carry the build identity and uptime on this mount.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
+	_, _, body := fetch(t, http.MethodGet, base+"/debug/", "")
+	var eps []struct {
+		Path string `json:"path"`
+	}
+	if err := json.Unmarshal(body, &eps); err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	var got []string
+	for _, ep := range eps {
+		got = append(got, ep.Path)
+	}
+	if strings.Join(got, " ") != strings.Join(index, " ") {
+		t.Errorf("index on %s = %v, want %v", base, got, index)
+	}
+}
+
+// checkPlain covers the plain handlers the index lists next to the views.
+func checkPlain(t *testing.T, base string) {
+	t.Helper()
+	code, ct, body := fetch(t, http.MethodGet, base+"/metrics", "text/html")
+	if code != http.StatusOK || ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Errorf("/metrics = %d %q", code, ct)
+	}
 	for _, m := range []string{"genogo_build_info{", "genogo_uptime_seconds"} {
 		if !strings.Contains(string(body), m) {
 			t.Errorf("/metrics missing %s", m)
 		}
 	}
+	if code, _, _ := fetch(t, http.MethodPost, base+"/metrics", ""); code != http.StatusMethodNotAllowed {
+		t.Errorf("POST /metrics = %d, want 405", code)
+	}
+	if code, _, _ := fetch(t, http.MethodGet, base+"/debug/pprof/", ""); code != http.StatusOK {
+		t.Errorf("/debug/pprof/ = %d", code)
+	}
+	if code, _, _ := fetch(t, http.MethodGet, base+"/debug/prof/999999", ""); code != http.StatusNotFound {
+		t.Errorf("/debug/prof/999999 = %d, want 404", code)
+	}
+}
+
+// fetch sends one request, returning status, content type and body.
+func fetch(t *testing.T, method, url, accept string) (int, string, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, resp.Header.Get("Content-Type"), body
 }
 
 // TestRepoConsoleAndIndex: the daemon serves the repository catalog for its

@@ -237,50 +237,28 @@ func setup(args []string, out io.Writer) (*node, error) {
 			prober := federation.NewProber(clients)
 			prober.Interval = *probeInterval
 			probeStop = prober.Start()
-			srv.Membership = func() *federation.MembershipSnapshot {
-				snap := &federation.MembershipSnapshot{}
-				for i, st := range prober.Status() {
-					snap.Members = append(snap.Members, federation.MemberSnapshot{
-						MemberHealth: st,
-						Breaker:      clients[i].Breaker.State().String(),
-					})
-				}
-				return snap
-			}
+			srv.Membership = (&federation.Federator{Clients: clients, Prober: prober}).Membership
 			fmt.Fprintf(out, "probing %d peer(s) every %v\n", len(clients), *probeInterval)
 		}
 	}
 
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
-	storageState := func() any { return formats.IntegritySnapshot() }
-	const storageDesc = "storage integrity: per-dataset manifest verification reports"
-	// The membership console must also be mounted on the debug mux: the
-	// /debug/ index handler there shadows the federation server's own
-	// /debug/federation mount for anything routed through it.
-	membership := func() *federation.MembershipSnapshot {
-		if srv.Membership == nil {
-			return nil
-		}
-		return srv.Membership()
-	}
+	// The debug surface goes on its own console: the node handler's console
+	// is shadowed by this mux's /debug/ index for anything routed through it.
+	debugMux := mux
 	var metricsSrv *http.Server
-	if *metricsAddr == "" {
-		obs.Mount(mux, obs.Default())
-		obs.MountState(mux, "/debug/storage", storageDesc, storageState)
-		obs.MountSlowlog(mux, srv.SlowLog)
-		catalog.MountRepo(mux, catalog.Repo())
-		federation.MountFederation(mux, membership)
-	} else {
-		mmux := http.NewServeMux()
-		obs.Mount(mmux, obs.Default())
-		obs.MountState(mmux, "/debug/storage", storageDesc, storageState)
-		obs.MountSlowlog(mmux, srv.SlowLog)
-		catalog.MountRepo(mmux, catalog.Repo())
-		federation.MountFederation(mmux, membership)
-		metricsSrv = &http.Server{Addr: *metricsAddr, Handler: mmux}
+	if *metricsAddr != "" {
+		debugMux = http.NewServeMux()
+		metricsSrv = &http.Server{Addr: *metricsAddr, Handler: debugMux}
 		fmt.Fprintf(out, "metrics on %s\n", *metricsAddr)
 	}
+	c := obs.NewConsole(debugMux)
+	obs.Mount(c, obs.Default())
+	c.Register(formats.IntegrityView())
+	c.Register(srv.SlowLog.View())
+	c.Register(catalog.Repo().View())
+	c.Register(federation.MembershipView(srv.Membership))
 	fmt.Fprintf(out, "node %s listening on %s (%s backend)\n", *name, *addr, cfg.Mode)
 	return &node{
 		srv: &http.Server{

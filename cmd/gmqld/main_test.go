@@ -267,18 +267,23 @@ func TestPeersMembershipConsole(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	// The HTML console and the /debug/ index carry the endpoint too.
-	resp, err := http.Get(ts.URL + "/debug/federation")
+	// The browser page shows the same members.
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/debug/federation", nil)
+	req.Header.Set("Accept", "text/html")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(body), "federation membership") {
-		t.Error("HTML console missing")
+	for _, want := range []string{">" + peer.URL + "<", ">" + deadURL + "<", ">up<", ">down<", "<th>breaker</th>"} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("HTML console missing %q", want)
+		}
 	}
 
-	// Without -peers the node is a standalone page, and no probe loop runs.
+	// Without -peers the node serves an empty membership, and no probe loop
+	// runs.
 	n2, err := setup([]string{"-data", dir, "-mode", "serial"}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -292,9 +297,10 @@ func TestPeersMembershipConsole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ = io.ReadAll(resp.Body)
+	var solo federation.MembershipSnapshot
+	err = json.NewDecoder(resp.Body).Decode(&solo)
 	resp.Body.Close()
-	if !strings.Contains(string(body), "standalone node") {
-		t.Error("standalone page missing without -peers")
+	if err != nil || len(solo.Members) != 0 {
+		t.Errorf("membership without -peers = %+v (%v)", solo, err)
 	}
 }

@@ -1,6 +1,6 @@
 // Command gmqldiff runs a differential fuzzing campaign over the GMQL
 // engine: generated scripts execute under every scheduling mode (serial,
-// batch, stream × fusion × workers) and the outputs are compared against
+// batch and fused stream, each × workers) and the outputs are compared against
 // the serial oracle. Divergences come with minimized reproducers.
 //
 // Usage:

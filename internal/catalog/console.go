@@ -1,153 +1,19 @@
 package catalog
 
-import (
-	"fmt"
-	"html"
-	"net/http"
-	"strings"
+import "genogo/internal/obs"
 
-	"genogo/internal/obs"
-)
-
-// The repository console: /debug/repo lists every cataloged dataset;
-// /debug/repo/{name} drills into one, rendering the per-chromosome histogram
-// and the full partition table. Both answer HTML for browsers and JSON for
-// tools, sharing the obs debug-console frame and conventions.
-
-// MountRepo registers the repository console over one catalog registry.
-func MountRepo(mux *http.ServeMux, r *Registry) {
-	h := func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		name := strings.Trim(strings.TrimPrefix(req.URL.Path, "/debug/repo"), "/")
-		if name == "" {
-			serveRepoList(w, req, r)
-			return
-		}
-		serveRepoDetail(w, req, r, name)
+// View is the repository console over this registry: /debug/repo lists
+// every cataloged dataset, /debug/repo/{name} drills into one with its
+// per-chromosome totals and full partition table.
+func (r *Registry) View() obs.View {
+	return obs.View{
+		Path: "/debug/repo",
+		Desc: "repository catalog: per-dataset statistics with chromosome drill-down",
+		List: func() any {
+			return struct {
+				Datasets []DatasetSummary `json:"datasets"`
+			}{r.Snapshot()}
+		},
+		Drill: func(name string) (any, bool) { return r.Detail(name) },
 	}
-	mux.HandleFunc("/debug/repo", h)
-	mux.HandleFunc("/debug/repo/", h)
-	obs.RegisterEndpoint(mux, "/debug/repo",
-		"repository catalog: per-dataset statistics with chromosome drill-down")
-}
-
-func serveRepoList(w http.ResponseWriter, req *http.Request, r *Registry) {
-	rows := r.Snapshot()
-	if obs.WantJSON(req) {
-		type listResponse struct {
-			Datasets []DatasetSummary `json:"datasets"`
-		}
-		obs.WriteJSON(w, listResponse{Datasets: rows})
-		return
-	}
-	var b strings.Builder
-	b.WriteString(obs.PageHeader("repository"))
-	fmt.Fprintf(&b, "<h1>repository</h1><p>%d datasets cataloged</p>", len(rows))
-	if len(rows) == 0 {
-		b.WriteString("<p>none</p>")
-	} else {
-		b.WriteString("<table><tr><th>dataset</th><th>source</th><th>integrity</th><th>samples</th><th>regions</th><th>bytes</th><th>attrs</th><th>digest</th></tr>")
-		for _, d := range rows {
-			integrity := d.Integrity
-			if integrity == "" {
-				integrity = "unverified"
-			}
-			flags := ""
-			if d.Stale {
-				flags += " <span class=st-stale>stale</span>"
-			}
-			if d.Quarantined > 0 {
-				flags += fmt.Sprintf(" <span class=err>%dq</span>", d.Quarantined)
-			}
-			fmt.Fprintf(&b, "<tr><td><a href=\"/debug/repo/%s\">%s</a></td><td>%s</td><td><span class=st-%s>%s</span>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%s</td></tr>",
-				html.EscapeString(d.Name), html.EscapeString(d.Name),
-				html.EscapeString(d.Source), html.EscapeString(integrity), html.EscapeString(integrity), flags,
-				d.Samples, d.Regions, d.Bytes, d.AttrArity, html.EscapeString(shortDigest(d.Digest)))
-		}
-		b.WriteString("</table>")
-	}
-	b.WriteString(obs.PageFooter)
-	obs.WriteHTML(w, b.String())
-}
-
-func serveRepoDetail(w http.ResponseWriter, req *http.Request, r *Registry, name string) {
-	d, ok := r.Detail(name)
-	if !ok {
-		http.Error(w, "unknown dataset "+name+"; see /debug/repo for the catalog", http.StatusNotFound)
-		return
-	}
-	if obs.WantJSON(req) {
-		obs.WriteJSON(w, d)
-		return
-	}
-	var b strings.Builder
-	b.WriteString(obs.PageHeader("repository: " + name))
-	fmt.Fprintf(&b, "<h1>%s</h1>", html.EscapeString(name))
-	integrity := d.Integrity
-	if integrity == "" {
-		integrity = "unverified"
-	}
-	fmt.Fprintf(&b, "<p><span class=st-%s>%s</span> source=%s samples=%d regions=%d bytes=%d attrs=%d digest=%s",
-		html.EscapeString(integrity), html.EscapeString(integrity), html.EscapeString(d.Source),
-		d.Samples, d.Regions, d.Bytes, d.AttrArity, html.EscapeString(shortDigest(d.Digest)))
-	if d.Stale {
-		b.WriteString(" <span class=st-stale>stats stale</span>")
-	}
-	if d.Quarantined > 0 {
-		fmt.Fprintf(&b, " <span class=err>%d quarantined</span>", d.Quarantined)
-	}
-	if d.Dir != "" {
-		fmt.Fprintf(&b, " dir=%s", html.EscapeString(d.Dir))
-	}
-	b.WriteString("</p>")
-
-	b.WriteString("<h2>chromosomes</h2>")
-	if len(d.Chroms) == 0 {
-		b.WriteString("<p>no regions</p>")
-	} else {
-		maxRegions := 0
-		for _, c := range d.Chroms {
-			if c.Regions > maxRegions {
-				maxRegions = c.Regions
-			}
-		}
-		b.WriteString("<table><tr><th>chrom</th><th>regions</th><th></th><th>samples</th><th>extent</th><th>bytes</th></tr>")
-		for _, c := range d.Chroms {
-			width := 0
-			if maxRegions > 0 {
-				width = c.Regions * 200 / maxRegions
-			}
-			fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td><span class=bar style=\"width:%dpx\"></span></td><td>%d</td><td>[%d, %d)</td><td>%d</td></tr>",
-				html.EscapeString(c.Chrom), c.Regions, width, c.Samples, c.MinStart, c.MaxStop, c.Bytes)
-		}
-		b.WriteString("</table>")
-	}
-
-	if d.Stats != nil && len(d.Stats.Samples) > 0 {
-		b.WriteString("<h2>samples</h2><table><tr><th>sample</th><th>meta attrs</th><th>regions</th><th>bytes</th><th>partitions</th></tr>")
-		for i := range d.Stats.Samples {
-			ss := &d.Stats.Samples[i]
-			parts := make([]string, 0, len(ss.Chroms))
-			for _, cs := range ss.Chroms {
-				parts = append(parts, fmt.Sprintf("%s:%d[%d,%d)", cs.Chrom, cs.Regions, cs.MinStart, cs.MaxStop))
-			}
-			fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%s</td></tr>",
-				html.EscapeString(ss.ID), ss.MetaAttrs, ss.Regions(), ss.Bytes(),
-				html.EscapeString(strings.Join(parts, " ")))
-		}
-		b.WriteString("</table>")
-	}
-	b.WriteString(obs.PageFooter)
-	obs.WriteHTML(w, b.String())
-}
-
-// shortDigest trims a content digest for table display.
-func shortDigest(d string) string {
-	if len(d) > 12 {
-		return d[:12]
-	}
-	return d
 }

@@ -7,7 +7,26 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"genogo/internal/obs"
 )
+
+// getHTML GETs url the way a browser does (Accept lists text/html).
+func getHTML(t *testing.T, url string) (*http.Response, string) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodGet, url, nil)
+	req.Header.Set("Accept", "text/html,application/xhtml+xml,*/*;q=0.8")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, string(raw)
+}
 
 func newConsoleServer(t *testing.T) (*httptest.Server, *Registry) {
 	t.Helper()
@@ -18,7 +37,7 @@ func newConsoleServer(t *testing.T) (*httptest.Server, *Registry) {
 	r.Record(Info{Name: "beds", Digest: ds.ContentDigest(), Source: SourceMemory,
 		Integrity: "verified", Dataset: ds})
 	mux := http.NewServeMux()
-	MountRepo(mux, r)
+	obs.NewConsole(mux).Register(r.View())
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv, r
@@ -26,20 +45,11 @@ func newConsoleServer(t *testing.T) (*httptest.Server, *Registry) {
 
 func TestRepoConsoleList(t *testing.T) {
 	srv, _ := newConsoleServer(t)
-	resp, err := http.Get(srv.URL + "/debug/repo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp, body := getHTML(t, srv.URL+"/debug/repo")
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
-	for _, want := range []string{"beds", "/debug/repo/beds", "verified"} {
+	for _, want := range []string{`href="/debug/repo/beds"`, ">beds<", ">verified<", ">2<"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("list HTML missing %q:\n%s", want, body)
 		}
@@ -69,17 +79,8 @@ func TestRepoConsoleListJSON(t *testing.T) {
 
 func TestRepoConsoleDetail(t *testing.T) {
 	srv, _ := newConsoleServer(t)
-	resp, err := http.Get(srv.URL + "/debug/repo/beds")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
-	for _, want := range []string{"chr1", "chr2", "class=bar", "s1"} {
+	_, body := getHTML(t, srv.URL+"/debug/repo/beds")
+	for _, want := range []string{">chr1<", ">chr2<", ">500<", ">s1<"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("detail HTML missing %q:\n%s", want, body)
 		}

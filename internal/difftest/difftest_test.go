@@ -54,7 +54,7 @@ func TestGeneratorCoversAllOperators(t *testing.T) {
 }
 
 // TestSmokeCampaign is the tier-1 differential smoke: >= 200 generated
-// scripts across the full serial/batch/stream × fusion × workers matrix
+// scripts across the full serial/batch/fused-stream × workers matrix
 // (federation sampled every 25th case), with zero divergences. This is the
 // acceptance gate every perf PR runs against.
 func TestSmokeCampaign(t *testing.T) {

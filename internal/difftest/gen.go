@@ -1,7 +1,7 @@
 // Package difftest is the differential execution oracle for the GMQL engine:
 // a seeded generator of random-but-valid GMQL scripts, a canonical result
 // normalizer, and a harness that runs every script under every execution
-// backend (serial / batch / stream × fusion × workers, plus a federation
+// backend (serial / batch / fused stream × workers, plus a federation
 // round-trip) and compares the results against the serial oracle.
 //
 // The paper's core claim is that one GMQL script has a single meaning

@@ -51,20 +51,15 @@ type ExecConfig struct {
 // (canonical region order, schema-width arity, typed values) on every plan
 // node — the invariant half of the differential check.
 func Matrix() []ExecConfig {
-	base := func(m engine.Mode, workers int, noFusion bool) engine.Config {
-		return engine.Config{
-			Mode: m, Workers: workers, MetaFirst: true,
-			DisableFusion: noFusion, ValidateOutputs: true,
-		}
+	base := func(m engine.Mode, workers int) engine.Config {
+		return engine.Config{Mode: m, Workers: workers, MetaFirst: true, ValidateOutputs: true}
 	}
 	return []ExecConfig{
-		{Name: "serial", Cfg: base(engine.ModeSerial, 1, false)},
-		{Name: "batch/w1", Cfg: base(engine.ModeBatch, 1, false)},
-		{Name: "batch/w4", Cfg: base(engine.ModeBatch, 4, false)},
-		{Name: "stream/w1", Cfg: base(engine.ModeStream, 1, false)},
-		{Name: "stream/w4", Cfg: base(engine.ModeStream, 4, false)},
-		{Name: "stream/w1/nofuse", Cfg: base(engine.ModeStream, 1, true)},
-		{Name: "stream/w4/nofuse", Cfg: base(engine.ModeStream, 4, true)},
+		{Name: "serial", Cfg: base(engine.ModeSerial, 1)},
+		{Name: "batch/w1", Cfg: base(engine.ModeBatch, 1)},
+		{Name: "batch/w4", Cfg: base(engine.ModeBatch, 4)},
+		{Name: "stream/w1", Cfg: base(engine.ModeStream, 1)},
+		{Name: "stream/w4", Cfg: base(engine.ModeStream, 4)},
 	}
 }
 

@@ -32,7 +32,7 @@ type storageConfig struct {
 
 // storageMatrix is the storage axis: the same scripts, read back from disk.
 // The entries prove the binary decode and that pruned reads are invisible to
-// results under serial and stream×fusion scheduling; the noprune entry pins
+// results under serial and fused stream scheduling; the noprune entry pins
 // pruned ≡ unpruned over identical bytes.
 func storageMatrix(dc *formats.DirCatalog) []storageConfig {
 	if dc == nil {

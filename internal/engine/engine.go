@@ -70,8 +70,6 @@ type Config struct {
 	// prune whole samples before any region is touched. Disabled only for
 	// the optimizer ablation.
 	MetaFirst bool
-	// DisableFusion turns off operator fusion in ModeStream (ablation).
-	DisableFusion bool
 	// DisablePruning turns off partition-level pruned reads against a
 	// PrunedCatalog: every Scan loads its full dataset. The pruned and
 	// unpruned paths must produce identical results — this is the ablation

@@ -222,7 +222,7 @@ func (e *evaluator) childSpan(parent *obs.Span, n Node) *obs.Span {
 }
 
 func (e *evaluator) evalUncached(n Node, sp *obs.Span) (*gdm.Dataset, error) {
-	if e.cfg.Mode == ModeStream && !e.cfg.DisableFusion {
+	if e.cfg.Mode == ModeStream {
 		if ds, ok, err := e.tryFusedChain(n, sp); ok || err != nil {
 			return ds, err
 		}

@@ -284,7 +284,7 @@ func TestStreamFusionEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unfused, err := Run(Config{Mode: ModeStream, Workers: 3, MetaFirst: true, DisableFusion: true}, plan(), cat)
+	unfused, err := Run(Config{Mode: ModeBatch, Workers: 3, MetaFirst: true}, plan(), cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,18 +17,17 @@ import (
 const cancelLatencyBound = 100 * time.Millisecond
 
 // governedConfigs covers every backend the governance layer must stop:
-// serial, batch, stream with fusion, stream without fusion.
+// serial, batch (unfused, concurrent binary operands) and stream (fused).
 func governedConfigs() []Config {
 	return []Config{
 		{Mode: ModeSerial, MetaFirst: true},
 		{Mode: ModeBatch, Workers: 3, MetaFirst: true},
 		{Mode: ModeStream, Workers: 3, MetaFirst: true},
-		{Mode: ModeStream, Workers: 3, MetaFirst: true, DisableFusion: true},
 	}
 }
 
 func cfgLabel(cfg Config) string {
-	return fmt.Sprintf("%s_fusion=%v", cfg.Mode, cfg.Mode == ModeStream && !cfg.DisableFusion)
+	return fmt.Sprintf("%s_fusion=%v", cfg.Mode, cfg.Mode == ModeStream)
 }
 
 // governedPlan exercises the fused-chain path (two stacked SELECTs), the

@@ -108,9 +108,9 @@ func TestPrunedSelectBoundary(t *testing.T) {
 }
 
 // TestPrunedSelectEquivalenceAllModes: pruned reads must be invisible to
-// results under every scheduling mode and fusion setting, on a dataset large
-// enough to have partitions worth skipping — and on the chromosome-restricted
-// SELECT, pruning must actually engage.
+// results under every scheduling mode, fused (stream) or not, on a dataset
+// large enough to have partitions worth skipping — and on the
+// chromosome-restricted SELECT, pruning must actually engage.
 func TestPrunedSelectEquivalenceAllModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ds := randomDataset(rng, "R", 6, 40)
@@ -121,7 +121,7 @@ func TestPrunedSelectEquivalenceAllModes(t *testing.T) {
 		expr.And{Left: chromEq("chr1"), Right: stopCmp(expr.CmpLe, 30000)},
 	}
 	configs := append(allConfigs(),
-		Config{Mode: ModeStream, Workers: 3, MetaFirst: true, DisableFusion: true})
+		Config{Mode: ModeBatch, Workers: 1, MetaFirst: true})
 	for pi, pred := range preds {
 		plan := &SelectOp{Input: &Scan{Dataset: "R"}, Region: pred}
 		want, err := oracle.Eval(plan)

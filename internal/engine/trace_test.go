@@ -113,8 +113,8 @@ func TestMetricsSpanFusion(t *testing.T) {
 	if len(root.Children) != 1 || root.Children[0].Op != "SCAN" {
 		t.Fatalf("children = %+v, want one SCAN", root.Children)
 	}
-	// Fusion off: same plan yields nested SELECT spans instead.
-	cfg.DisableFusion = true
+	// Batch never fuses: same plan yields nested SELECT spans instead.
+	cfg.Mode = ModeBatch
 	s = NewSession(cfg, traceCatalog(t))
 	_, root, err = s.EvalProfiled(plan)
 	if err != nil {

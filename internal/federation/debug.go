@@ -1,18 +1,11 @@
 package federation
 
-import (
-	"fmt"
-	"html"
-	"net/http"
-	"strings"
-
-	"genogo/internal/obs"
-)
+import "genogo/internal/obs"
 
 // The /debug/federation membership console: per-member health state (probe
 // outcome, latency, breaker position) and the placement map's replica count
-// per data unit — the coordinator's live view of the federation, mounted on
-// gmqld and on federation servers alike.
+// per data unit — the coordinator's live view of the federation, registered
+// on gmqld and on federation servers alike.
 
 // PlacementSnapshot is one data unit's row of the placement table.
 type PlacementSnapshot struct {
@@ -64,79 +57,18 @@ func (f *Federator) Membership() MembershipSnapshot {
 	return snap
 }
 
-// MountFederation serves the membership console on /debug/federation. snap
-// resolves the current membership view per request (so it can be wired
-// after mounting); a nil snap — or a snap returning nil — renders the
-// standalone-node page (this process coordinates no federation).
-func MountFederation(mux *http.ServeMux, snap func() *MembershipSnapshot) {
-	mux.HandleFunc("/debug/federation", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		var sp *MembershipSnapshot
-		if snap != nil {
-			sp = snap()
-		}
-		var s MembershipSnapshot
-		if sp != nil {
-			s = *sp
-		}
-		if obs.WantJSON(r) {
-			obs.WriteJSON(w, s)
-			return
-		}
-		var b strings.Builder
-		b.WriteString(obs.PageHeader("federation"))
-		fmt.Fprintf(&b, "<h1>federation membership</h1>")
-		if sp == nil {
-			b.WriteString("<p>standalone node: this process coordinates no federation members</p>")
-			b.WriteString(obs.PageFooter)
-			obs.WriteHTML(w, b.String())
-			return
-		}
-		fmt.Fprintf(&b, "<p>%d members, hedging %s</p>", len(s.Members), onOff(s.Hedging))
-		b.WriteString("<h2>members</h2><table><tr><th>member</th><th>state</th><th>probe latency</th><th>failures</th><th>breaker</th><th>last error</th></tr>")
-		for _, m := range s.Members {
-			fmt.Fprintf(&b, "<tr><td>%s</td><td><span class=st-%s>%s</span></td><td>%.1fms</td><td>%d</td><td>%s</td><td>%s</td></tr>",
-				html.EscapeString(m.Member), stateClass(m.StateName), html.EscapeString(m.StateName),
-				m.LatencyMS, m.Failures, html.EscapeString(m.Breaker), html.EscapeString(m.Err))
-		}
-		b.WriteString("</table>")
-		if len(s.Placement) > 0 {
-			b.WriteString("<h2>placement</h2><table><tr><th>data unit</th><th>replicas</th><th>members</th></tr>")
-			for _, p := range s.Placement {
-				fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td>%s</td></tr>",
-					html.EscapeString(p.Unit), p.Replicas, html.EscapeString(strings.Join(p.Members, ", ")))
+// MembershipView serves the membership console on /debug/federation. snap
+// resolves the current membership view per request; a nil snap serves the
+// empty view of a node that coordinates no federation.
+func MembershipView(snap func() MembershipSnapshot) obs.View {
+	return obs.View{
+		Path: "/debug/federation",
+		Desc: "federation membership: per-member health, probe latency, breaker state, replica placement",
+		List: func() any {
+			if snap == nil {
+				return MembershipSnapshot{}
 			}
-			b.WriteString("</table>")
-		} else {
-			b.WriteString("<p>no placement map: legacy single-copy layout (one leg per member, no failover)</p>")
-		}
-		b.WriteString(obs.PageFooter)
-		obs.WriteHTML(w, b.String())
-	})
-	obs.RegisterEndpoint(mux, "/debug/federation",
-		"federation membership: per-member health, probe latency, breaker state, replica placement")
-}
-
-// stateClass maps a health state to the console's status CSS classes.
-func stateClass(state string) string {
-	switch state {
-	case "up":
-		return "done"
-	case "suspect":
-		return "partial"
-	case "down":
-		return "failed"
-	default:
-		return "running"
+			return snap()
+		},
 	}
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
 }

@@ -3,10 +3,13 @@ package federation
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,11 +64,7 @@ func TestFederationConsole(t *testing.T) {
 		Hedge:  HedgePolicy{Enabled: true},
 	}
 	mux := http.NewServeMux()
-	MountFederation(mux, func() *MembershipSnapshot {
-		s := fed.Membership()
-		return &s
-	})
-	obs.MountIndex(mux)
+	obs.NewConsole(mux).Register(MembershipView(fed.Membership))
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
@@ -83,20 +82,21 @@ func TestFederationConsole(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	code, html := get("/debug/federation", "")
+	code, html := get("/debug/federation", "text/html")
 	if code != http.StatusOK {
 		t.Fatalf("console status = %d", code)
 	}
 	for _, want := range []string{
 		rc.urls[0], rc.urls[1], "ENCODE@A", "ENCODE@B",
-		">up<", ">suspect<", "hedging on", "placement",
+		">up<", ">suspect<", "<th>hedging</th><td>true</td>", "<th>placement</th>",
+		"<th>latency_ms</th>", "<th>breaker</th>", ">closed<",
 	} {
 		if !strings.Contains(html, want) {
 			t.Errorf("console HTML missing %q", want)
 		}
 	}
 
-	code, body := get("/debug/federation", "application/json")
+	code, body := get("/debug/federation", "")
 	if code != http.StatusOK {
 		t.Fatalf("console JSON status = %d", code)
 	}
@@ -120,23 +120,24 @@ func TestFederationConsole(t *testing.T) {
 		t.Errorf("placement row 0 = %+v", snap.Placement[0])
 	}
 
-	if _, index := get("/debug/", ""); !strings.Contains(index, "/debug/federation") {
-		t.Error("/debug/ index does not list the federation console")
+	if _, index := get("/debug/", "text/html"); !strings.Contains(index, `href="/debug/federation"`) {
+		t.Error("/debug/ index does not link the federation console")
 	}
 
-	// A process coordinating no federation renders the standalone page.
+	// A process coordinating no federation serves the empty view.
 	solo := http.NewServeMux()
-	MountFederation(solo, nil)
+	obs.NewConsole(solo).Register(MembershipView(nil))
 	sts := httptest.NewServer(solo)
 	defer sts.Close()
 	resp, err := http.Get(sts.URL + "/debug/federation")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := io.ReadAll(resp.Body)
+	var empty MembershipSnapshot
+	err = json.NewDecoder(resp.Body).Decode(&empty)
 	resp.Body.Close()
-	if !strings.Contains(string(b), "standalone node") {
-		t.Error("standalone page missing")
+	if err != nil || len(empty.Members) != 0 || len(empty.Placement) != 0 || empty.Hedging {
+		t.Errorf("standalone view = %+v (%v)", empty, err)
 	}
 }
 
@@ -172,5 +173,31 @@ func TestServerHealthEndpoint(t *testing.T) {
 		if resp.StatusCode == http.StatusOK {
 			t.Error("POST /health should not be accepted")
 		}
+	}
+}
+
+// TestServerHandlerCollectable: a server whose Handler was built is freed
+// once the server and its handler are dropped — the handler's debug index
+// lives with its mux, so nothing process-wide pins the server, its datasets
+// or its staged frames.
+func TestServerHandlerCollectable(t *testing.T) {
+	const servers = 5
+	g := synth.New(42)
+	ds := g.Encode(synth.EncodeOptions{Samples: 2, MeanPeaks: 10})
+	var collected atomic.Int32
+	build := func(i int) {
+		srv := NewServer(fmt.Sprintf("node-%d", i), engine.Config{Mode: engine.ModeSerial, MetaFirst: true}, ds)
+		_ = srv.Handler()
+		runtime.SetFinalizer(srv, func(*Server) { collected.Add(1) })
+	}
+	for i := 0; i < servers; i++ {
+		build(i)
+	}
+	for i := 0; i < 50 && collected.Load() < servers; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := collected.Load(); got != servers {
+		t.Fatalf("%d of %d dropped servers collected", got, servers)
 	}
 }

@@ -135,8 +135,8 @@ type Server struct {
 
 	// Membership, when non-nil, feeds this node's /debug/federation console
 	// with a coordinator's membership view (gmqld wires its peer prober
-	// here). Nil renders the standalone-node page. Set it before serving.
-	Membership func() *MembershipSnapshot
+	// here). Nil serves an empty membership. Set it before calling Handler.
+	Membership func() MembershipSnapshot
 }
 
 // queries resolves the console registry.
@@ -191,11 +191,11 @@ func (s *Server) catalog() engine.MapCatalog {
 }
 
 // Handler returns the node's HTTP handler. Besides the federation protocol
-// it serves the node's live query console on /debug/queries, so an operator
-// can inspect what a member is executing (and for whom — entries carry the
-// coordinator's QueryID) straight from the node's own port, plus the
-// node's recent pprof captures on /debug/prof and its learned per-operator
-// costs on /debug/costs.
+// it registers the node's debug console: the live query console on
+// /debug/queries, so an operator can inspect what a member is executing (and
+// for whom — entries carry the coordinator's QueryID) straight from the
+// node's own port, plus its membership view, recent pprof captures, learned
+// per-operator costs, repository catalog and estimator accuracy.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/datasets", s.handleDatasets)
@@ -204,18 +204,14 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/results/", s.handleResults)
 	mux.HandleFunc("/health", s.handleHealth)
-	MountFederation(mux, func() *MembershipSnapshot {
-		if s.Membership == nil {
-			return nil
-		}
-		return s.Membership()
-	})
-	obs.MountQueries(mux, s.queries())
-	obs.MountProf(mux, obs.Prof())
-	obs.MountCosts(mux, obs.Costs())
-	catalog.MountRepo(mux, s.repo)
-	obs.MountEstimates(mux, obs.Estimates())
-	obs.MountIndex(mux)
+	c := obs.NewConsole(mux)
+	c.Register(MembershipView(s.Membership))
+	c.Register(s.queries().View())
+	c.Register(obs.Prof().View())
+	mux.Handle("/debug/prof/", obs.Prof().Download())
+	c.Register(obs.Costs().View())
+	c.Register(s.repo.View())
+	c.Register(obs.Estimates().View())
 	return mux
 }
 

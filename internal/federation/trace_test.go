@@ -343,7 +343,9 @@ func TestConsoleLiveFederatedQuery(t *testing.T) {
 
 	reg := obs.NewQueryRegistry(8)
 	fed := &Federator{Clients: []*Client{NewClient(ts.URL)}, Queries: reg}
-	console := httptest.NewServer(reg.ConsoleHandler())
+	mux := http.NewServeMux()
+	obs.NewConsole(mux).Register(reg.View())
+	console := httptest.NewServer(mux)
 	t.Cleanup(console.Close)
 
 	ctx := obs.WithQueryID(context.Background(), "qlive-1")

@@ -17,6 +17,7 @@ import (
 
 	"genogo/internal/catalog"
 	"genogo/internal/gdm"
+	"genogo/internal/obs"
 )
 
 // The integrity layer makes a repository member self-verifying. A member's
@@ -564,6 +565,15 @@ func noteIntegrity(rep *IntegrityReport) {
 		}
 	}
 	prev.Verified = prev.Verified && !prev.Partial()
+}
+
+// IntegrityView serves IntegritySnapshot on /debug/storage.
+func IntegrityView() obs.View {
+	return obs.View{
+		Path: "/debug/storage",
+		Desc: "storage integrity: per-dataset manifest verification reports",
+		List: func() any { return IntegritySnapshot() },
+	}
 }
 
 // IntegritySnapshot returns the latest integrity report of every dataset this

@@ -1,219 +1,262 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"html"
 	"net/http"
+	"net/url"
+	"slices"
+	"sort"
 	"strings"
-	"time"
+	"sync"
 )
 
-// The live query console: /debug/queries lists a process's active and
-// recently finished queries; /debug/queries/{id} drills into one, rendering
-// its (possibly still growing) span tree — the merged federated profile on a
-// coordinator, the local execution profile on a node. Both answer HTML for
-// browsers and JSON for tools (?format=json or an Accept: application/json
-// header), in the spirit of the Flink/Spark web UIs the ROADMAP's
-// production-scale north star calls for.
+// The debug console: every /debug endpoint is a View — a snapshot function
+// plus an optional drill-down — registered on one listener's Console, which
+// serves the snapshot as JSON, or through the one HTML renderer below when
+// the Accept header lists text/html (what browsers send). The Console also
+// owns the listener's /debug/ index, so the index lives exactly as long as
+// the mux it is mounted on.
 
-// querySummary is the JSON shape of one console row.
-type querySummary struct {
-	ID         string        `json:"id"`
-	Node       string        `json:"node"`
-	Var        string        `json:"var"`
-	Digest     string        `json:"digest"`
-	ParentSpan string        `json:"parent_span,omitempty"`
-	Status     QueryStatus   `json:"status"`
-	Err        string        `json:"err,omitempty"`
-	StartedAt  time.Time     `json:"started_at"`
-	TookMS     float64       `json:"took_ms"`
-	Members    []MemberState `json:"members,omitempty"`
-	Progress   Progress      `json:"progress"`
+// endpoint is one row of the /debug/ index.
+type endpoint struct {
+	Path string `json:"path"`
+	Desc string `json:"desc"`
 }
 
-func summarize(e *QueryEntry) querySummary {
-	return querySummary{
-		ID: e.ID, Node: e.Node, Var: e.Var, Digest: e.Digest,
-		ParentSpan: e.ParentSpan(),
-		Status:     e.Status(), Err: e.Err(),
-		StartedAt: e.Start,
-		TookMS:    float64(e.Took().Microseconds()) / 1e3,
-		Members:   e.Members(),
-		Progress:  e.Progress(),
-	}
+// View is one debug endpoint: GET Path serves List(), and, when Drill is
+// set, GET Path/{key} serves Drill(key) (404 when it reports false). On the
+// HTML list page, each row of an array of objects links to its drill-down,
+// keyed by its first column (a key that is already a path links as is).
+type View struct {
+	Path  string
+	Desc  string
+	List  func() any
+	Drill func(key string) (any, bool)
 }
 
-// WantJSON reports whether the request asked for the JSON view (a
-// ?format=json query or an Accept: application/json header). Debug consoles
-// outside this package (the repository catalog) share the convention.
-func WantJSON(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "json" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "application/json")
+// Console is the debug surface of one listener: its views and its index.
+type Console struct {
+	mux *http.ServeMux
+	mu  sync.Mutex
+	eps []endpoint
 }
 
-// ConsoleHandler serves the query console over this registry.
-func (q *QueryRegistry) ConsoleHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// NewConsole mounts the /debug/ index on mux and returns the console to
+// register views on. A /debug path no view serves is a 404 there.
+func NewConsole(mux *http.ServeMux) *Console {
+	c := &Console{mux: mux}
+	c.Register(View{
+		Path: "/debug/",
+		Desc: "this index: every debug endpoint mounted on this listener",
+		List: func() any {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			out := append([]endpoint(nil), c.eps...)
+			sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+			return out
+		},
+		Drill: func(string) (any, bool) { return nil, false },
+	})
+	return c
+}
+
+// Register mounts v on the console's mux and lists it in the index.
+func (c *Console) Register(v View) {
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		id := strings.Trim(strings.TrimPrefix(r.URL.Path, "/debug/queries"), "/")
-		if id == "" {
-			q.serveList(w, r)
+		key := strings.Trim(strings.TrimPrefix(r.URL.Path, v.Path), "/")
+		if key == "" {
+			serveView(w, r, v, v.List(), v.Drill != nil)
 			return
 		}
-		q.serveQuery(w, r, id)
-	})
-}
-
-func (q *QueryRegistry) serveList(w http.ResponseWriter, r *http.Request) {
-	active, recent := q.Active(), q.Recent()
-	if WantJSON(r) {
-		type listResponse struct {
-			Active []querySummary `json:"active"`
-			Recent []querySummary `json:"recent"`
-		}
-		resp := listResponse{Active: []querySummary{}, Recent: []querySummary{}}
-		for _, e := range active {
-			resp.Active = append(resp.Active, summarize(e))
-		}
-		for _, e := range recent {
-			resp.Recent = append(resp.Recent, summarize(e))
-		}
-		WriteJSON(w, resp)
-		return
-	}
-	var b strings.Builder
-	b.WriteString(consoleHeader)
-	fmt.Fprintf(&b, "<h1>queries</h1><p>%d active, %d recent</p>", len(active), len(recent))
-	writeTable(&b, "active", active)
-	writeTable(&b, "recent", recent)
-	b.WriteString(consoleFooter)
-	WriteHTML(w, b.String())
-}
-
-func (q *QueryRegistry) serveQuery(w http.ResponseWriter, r *http.Request, id string) {
-	e := q.Get(id)
-	if e == nil {
-		http.Error(w, "unknown query "+id, http.StatusNotFound)
-		return
-	}
-	root := e.Root()
-	if WantJSON(r) {
-		type queryResponse struct {
-			querySummary
-			Profile  *Span  `json:"profile,omitempty"`
-			Rendered string `json:"rendered,omitempty"`
-		}
-		resp := queryResponse{querySummary: summarize(e), Profile: root}
-		if root != nil {
-			resp.Rendered = root.Render()
-		}
-		WriteJSON(w, resp)
-		return
-	}
-	var b strings.Builder
-	b.WriteString(consoleHeader)
-	s := summarize(e)
-	fmt.Fprintf(&b, "<h1>query %s</h1>", html.EscapeString(s.ID))
-	fmt.Fprintf(&b, "<p><span class=st-%s>%s</span> node=%s var=%s digest=%s took=%.1fms",
-		s.Status, s.Status, html.EscapeString(s.Node), html.EscapeString(s.Var), s.Digest, s.TookMS)
-	if s.ParentSpan != "" {
-		fmt.Fprintf(&b, " parent=%s", html.EscapeString(s.ParentSpan))
-	}
-	b.WriteString("</p>")
-	if s.Err != "" {
-		fmt.Fprintf(&b, "<p class=err>%s</p>", html.EscapeString(s.Err))
-	}
-	fmt.Fprintf(&b, "<p>progress: %d/%d operators done, %ds/%dr produced, cpu=%.1fms allocs=%d/%s</p>",
-		s.Progress.SpansDone, s.Progress.SpansSeen, s.Progress.SamplesOut, s.Progress.RegionsOut,
-		s.Progress.CPUMS, s.Progress.AllocObjs, sizeString(s.Progress.AllocBytes))
-	if len(s.Members) > 0 {
-		b.WriteString("<h2>members</h2><table><tr><th>node</th><th>stage</th><th>samples</th><th>regions</th><th>attempts</th><th>breaker</th><th>bytes</th><th>error</th></tr>")
-		for _, m := range s.Members {
-			fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%s</td><td>%d</td><td>%s</td></tr>",
-				html.EscapeString(m.Node), html.EscapeString(m.Stage), m.Samples, m.Regions,
-				m.Attempts, html.EscapeString(m.Breaker), m.Bytes, html.EscapeString(m.Err))
-		}
-		b.WriteString("</table>")
-	}
-	if root != nil {
-		fmt.Fprintf(&b, "<h2>profile</h2><pre>%s</pre>", html.EscapeString(root.Render()))
-	} else {
-		b.WriteString("<p>no profile recorded</p>")
-	}
-	b.WriteString(consoleFooter)
-	WriteHTML(w, b.String())
-}
-
-func writeTable(b *strings.Builder, title string, entries []*QueryEntry) {
-	fmt.Fprintf(b, "<h2>%s</h2>", title)
-	if len(entries) == 0 {
-		b.WriteString("<p>none</p>")
-		return
-	}
-	b.WriteString("<table><tr><th>id</th><th>status</th><th>node</th><th>var</th><th>digest</th><th>took</th><th>cpu</th><th>allocs</th><th>progress</th><th>members</th></tr>")
-	for _, e := range entries {
-		s := summarize(e)
-		done := 0
-		for _, m := range s.Members {
-			if m.Stage == "done" || strings.HasPrefix(m.Stage, "failed") {
-				done++
+		if v.Drill != nil {
+			if val, ok := v.Drill(key); ok {
+				serveView(w, r, v, val, false)
+				return
 			}
 		}
-		members := ""
-		if len(s.Members) > 0 {
-			members = fmt.Sprintf("%d/%d", done, len(s.Members))
-		}
-		fmt.Fprintf(b, "<tr><td><a href=\"/debug/queries/%s\">%s</a></td><td><span class=st-%s>%s</span></td><td>%s</td><td>%s</td><td>%s</td><td>%.1fms</td><td>%.1fms</td><td>%d/%s</td><td>%d/%d ops, %ds/%dr</td><td>%s</td></tr>",
-			html.EscapeString(s.ID), html.EscapeString(s.ID), s.Status, s.Status,
-			html.EscapeString(s.Node), html.EscapeString(s.Var), s.Digest, s.TookMS,
-			s.Progress.CPUMS, s.Progress.AllocObjs, sizeString(s.Progress.AllocBytes),
-			s.Progress.SpansDone, s.Progress.SpansSeen, s.Progress.SamplesOut, s.Progress.RegionsOut,
-			members)
+		http.Error(w, fmt.Sprintf("%s has no entry %q; see /debug/ for the index", v.Path, key), http.StatusNotFound)
+	})
+	c.mux.Handle(v.Path, h)
+	if v.Drill != nil && !strings.HasSuffix(v.Path, "/") {
+		c.mux.Handle(v.Path+"/", h)
 	}
-	b.WriteString("</table>")
+	c.list(v.Path, v.Desc)
 }
 
-// WriteJSON serves v as indented JSON — the shared debug-console JSON
-// writer.
-func WriteJSON(w http.ResponseWriter, v any) {
+// list files a path in the index; Mount lists its plain handlers with it.
+func (c *Console) list(path, desc string) {
+	c.mu.Lock()
+	c.eps = append(c.eps, endpoint{Path: path, Desc: desc})
+	c.mu.Unlock()
+}
+
+// serveView writes val as JSON, or as an HTML page when the Accept header
+// lists text/html and no ?format=json overrides it. links says whether the
+// page links list rows to their drill-down.
+func serveView(w http.ResponseWriter, r *http.Request, v View, val any, links bool) {
+	if r.URL.Query().Get("format") == "json" || !acceptsHTML(r.Header.Get("Accept")) {
+		writeJSON(w, val)
+		return
+	}
+	raw, err := json.Marshal(val)
+	var root *jsonNode
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.UseNumber()
+		root, err = decodeNode(dec)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, `<!DOCTYPE html><html><head><title>%[1]s</title><style>
+body{font-family:monospace;margin:2em}table{border-collapse:collapse}
+td,th{border:1px solid #999;padding:2px 8px;text-align:left;vertical-align:top}
+pre{background:#f4f4f4;padding:0.5em;margin:0}
+</style></head><body><h1>%[1]s</h1><p>%[2]s</p>`, html.EscapeString(r.URL.Path), html.EscapeString(v.Desc))
+	base := ""
+	if links {
+		base = strings.TrimSuffix(v.Path, "/") + "/"
+	}
+	root.render(&b, base)
+	b.WriteString("</body></html>")
+	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	_, _ = w.Write([]byte(b.String()))
+}
+
+// acceptsHTML reports whether an Accept header lists text/html.
+func acceptsHTML(accept string) bool {
+	for _, part := range strings.Split(accept, ",") {
+		if media, _, _ := strings.Cut(part, ";"); strings.TrimSpace(media) == "text/html" {
+			return true
+		}
+	}
+	return false
+}
+
+// writeJSON serves v as indented JSON: the one debug JSON writer.
+func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 }
 
-// WriteHTML serves a complete HTML document — the shared debug-console HTML
-// writer.
-func WriteHTML(w http.ResponseWriter, body string) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_, _ = w.Write([]byte(body))
+// jsonNode is a decoded JSON value that keeps object keys in document
+// order, so the page lists fields in the order the JSON does.
+type jsonNode struct {
+	delim json.Delim // '{' or '[' for containers, 0 for scalars
+	text  string     // scalar text ("" for null)
+	keys  []string   // object keys, parallel to items
+	items []*jsonNode
 }
 
-// PageHeader opens a debug-console HTML document with the shared monospace
-// style sheet; PageFooter (the ConsoleFooter constant) closes it. Consoles
-// in other packages (the repository catalog) use the same frame so every
-// /debug page looks alike.
-func PageHeader(title string) string {
-	return `<!DOCTYPE html><html><head><title>` + html.EscapeString(title) + `</title><style>
-body{font-family:monospace;margin:2em}
-table{border-collapse:collapse}
-td,th{border:1px solid #999;padding:2px 8px;text-align:left}
-pre{background:#f4f4f4;padding:1em;overflow-x:auto}
-.bar{background:#8ab;display:inline-block;height:0.8em}
-.st-running{color:#06c}.st-done,.st-verified{color:#080}.st-partial,.st-stale{color:#b60}.st-failed,.st-unverified,.err{color:#c00}
-.st-canceled{color:#a3a}.st-shed{color:#c60}
-</style></head><body>`
+func decodeNode(dec *json.Decoder) (*jsonNode, error) {
+	tok, err := dec.Token()
+	if err != nil {
+		return nil, err
+	}
+	d, ok := tok.(json.Delim)
+	if !ok {
+		if tok == nil {
+			return &jsonNode{}, nil
+		}
+		return &jsonNode{text: fmt.Sprint(tok)}, nil
+	}
+	n := &jsonNode{delim: d}
+	for dec.More() {
+		if d == '{' {
+			if tok, err = dec.Token(); err != nil {
+				return nil, err
+			}
+			n.keys = append(n.keys, tok.(string))
+		}
+		item, err := decodeNode(dec)
+		if err != nil {
+			return nil, err
+		}
+		n.items = append(n.items, item)
+	}
+	_, err = dec.Token() // the closing delimiter
+	return n, err
 }
 
-// PageFooter closes a PageHeader document.
-const PageFooter = `</body></html>`
+// field returns an object's value for key, or nil.
+func (n *jsonNode) field(key string) *jsonNode {
+	for i, k := range n.keys {
+		if k == key {
+			return n.items[i]
+		}
+	}
+	return nil
+}
 
-var consoleHeader = PageHeader("queries")
-
-const consoleFooter = PageFooter
+// render writes n as HTML: an object as key/value rows, an array of objects
+// as one table whose columns are the union of the rows' keys (each row
+// linked under base when base is set), any other array one item per line,
+// and a multi-line string as <pre>.
+func (n *jsonNode) render(b *strings.Builder, base string) {
+	switch {
+	case n.delim == '{':
+		b.WriteString("<table>")
+		for i, k := range n.keys {
+			fmt.Fprintf(b, "<tr><th>%s</th><td>", html.EscapeString(k))
+			n.items[i].render(b, base)
+			b.WriteString("</td></tr>")
+		}
+		b.WriteString("</table>")
+	case n.delim == '[' && len(n.items) == 0:
+		b.WriteString("none")
+	case n.delim == '[' && n.items[0].delim == '{':
+		var cols []string
+		for _, row := range n.items {
+			for _, k := range row.keys {
+				if !slices.Contains(cols, k) {
+					cols = append(cols, k)
+				}
+			}
+		}
+		b.WriteString("<table><tr>")
+		for _, c := range cols {
+			fmt.Fprintf(b, "<th>%s</th>", html.EscapeString(c))
+		}
+		b.WriteString("</tr>")
+		for _, row := range n.items {
+			b.WriteString("<tr>")
+			for i, c := range cols {
+				b.WriteString("<td>")
+				if v := row.field(c); v != nil && i == 0 && base != "" && v.delim == 0 {
+					href := v.text
+					if !strings.HasPrefix(href, "/") {
+						href = base + url.PathEscape(v.text)
+					}
+					fmt.Fprintf(b, `<a href="%s">%s</a>`, html.EscapeString(href), html.EscapeString(v.text))
+				} else if v != nil {
+					v.render(b, "")
+				}
+				b.WriteString("</td>")
+			}
+			b.WriteString("</tr>")
+		}
+		b.WriteString("</table>")
+	case n.delim == '[':
+		for i, item := range n.items {
+			if i > 0 {
+				b.WriteString("<br>")
+			}
+			item.render(b, "")
+		}
+	case strings.Contains(n.text, "\n"):
+		fmt.Fprintf(b, "<pre>%s</pre>", html.EscapeString(n.text))
+	default:
+		b.WriteString(html.EscapeString(n.text))
+	}
+}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"net/http"
 	"sort"
 	"sync"
 )
@@ -258,9 +257,11 @@ func (c *CostRegistry) Snapshot() []OpCost {
 	return out
 }
 
-// MountCosts registers GET /debug/costs serving the registry as JSON.
-func MountCosts(mux *http.ServeMux, c *CostRegistry) {
-	MountState(mux, "/debug/costs",
-		"operator cost registry: per-operator time/alloc/row totals from profiled runs",
-		func() any { return c.Snapshot() })
+// View serves the cost table on /debug/costs.
+func (c *CostRegistry) View() View {
+	return View{
+		Path: "/debug/costs",
+		Desc: "operator cost registry: per-operator time/alloc/row totals from profiled runs",
+		List: func() any { return c.Snapshot() },
+	}
 }

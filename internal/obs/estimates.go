@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"net/http"
 	"sync"
 	"time"
 )
@@ -200,9 +199,11 @@ func (er *EstimateRegistry) Count() int64 {
 	return er.queries
 }
 
-// MountEstimates registers /debug/estimates serving the accuracy report.
-func MountEstimates(mux *http.ServeMux, er *EstimateRegistry) {
-	MountState(mux, "/debug/estimates",
-		"estimator accuracy: predicted vs actual result sizes per finished federated query",
-		func() any { return er.Report() })
+// View serves the accuracy report on /debug/estimates.
+func (er *EstimateRegistry) View() View {
+	return View{
+		Path: "/debug/estimates",
+		Desc: "estimator accuracy: predicted vs actual result sizes per finished federated query",
+		List: func() any { return er.Report() },
+	}
 }

@@ -17,7 +17,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/pprof"
 )
@@ -41,54 +40,25 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Mount registers the observability endpoints on a mux: /metrics serving the
-// registry, /debug/queries serving the process-wide query console, /debug/prof
-// serving the continuous profiler's capture ring, /debug/costs serving the
-// operator cost registry, /debug/estimates serving the estimator accuracy
-// registry, the /debug/pprof profiling handlers, and the /debug/ discovery
-// index listing everything mounted here. Every serving binary (gmqld,
-// genomenet host) calls this so operators get engine profiles, live query
-// state, and runtime profiles from the same port the service answers on.
-func Mount(mux *http.ServeMux, r *Registry) {
-	mux.Handle("/metrics", r.Handler())
-	RegisterEndpoint(mux, "/metrics", "Prometheus text exposition of every registered metric")
-	MountQueries(mux, Queries())
-	MountProf(mux, Prof())
-	MountCosts(mux, Costs())
-	MountEstimates(mux, Estimates())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	RegisterEndpoint(mux, "/debug/pprof/", "net/http/pprof runtime profiles (heap, cpu, goroutine, trace)")
-	MountIndex(mux)
-}
-
-// MountQueries registers the live query console for one registry: the list
-// view on /debug/queries and per-query drill-down on /debug/queries/{id}.
-func MountQueries(mux *http.ServeMux, q *QueryRegistry) {
-	h := q.ConsoleHandler()
-	mux.Handle("/debug/queries", h)
-	mux.Handle("/debug/queries/", h)
-	RegisterEndpoint(mux, "/debug/queries", "live query console: active and recent queries with span-tree drill-down")
-}
-
-// MountState registers a JSON state endpoint: each GET serves the value fn
-// returns at that moment, and desc files the endpoint in the /debug/ index.
-// Subsystems obs cannot import (layering) use it to publish their debug
-// state next to /metrics — e.g. the storage layer's per-dataset integrity
-// reports on /debug/storage.
-func MountState(mux *http.ServeMux, path, desc string, fn func() any) {
-	mux.HandleFunc(path, func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(fn())
-	})
-	RegisterEndpoint(mux, path, desc)
+// Mount registers the process-wide observability endpoints on a listener's
+// console: /metrics serving the registry, the query console, the continuous
+// profiler's capture ring (its captures downloadable from /debug/prof/{id}),
+// the operator cost and estimator accuracy registries, and the /debug/pprof
+// profiling handlers. Every serving binary (gmqld, genomenet host) calls
+// this so operators get engine profiles, live query state, and runtime
+// profiles from the same port the service answers on.
+func Mount(c *Console, r *Registry) {
+	c.mux.Handle("/metrics", r.Handler())
+	c.list("/metrics", "Prometheus text exposition of every registered metric")
+	c.Register(Queries().View())
+	c.Register(Prof().View())
+	c.mux.Handle("/debug/prof/", Prof().Download())
+	c.Register(Costs().View())
+	c.Register(Estimates().View())
+	c.mux.HandleFunc("/debug/pprof/", pprof.Index)
+	c.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	c.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	c.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	c.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	c.list("/debug/pprof/", "net/http/pprof runtime profiles (heap, cpu, goroutine, trace)")
 }

@@ -2,13 +2,12 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"path"
 	"runtime/pprof"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -279,24 +278,27 @@ func (p *Profiler) Get(id int) (Capture, []byte, bool) {
 	return Capture{}, nil, false
 }
 
-// MountProf registers the capture ring on a mux: GET /debug/prof lists the
-// captures as JSON (enabled state, ring metadata); GET /debug/prof/{id}
-// downloads one capture as a pprof protobuf ready for `go tool pprof`.
-func MountProf(mux *http.ServeMux, p *Profiler) {
-	serve := func(w http.ResponseWriter, req *http.Request) {
+// View lists the capture ring on /debug/prof: the enabled state and each
+// capture's metadata.
+func (p *Profiler) View() View {
+	return View{
+		Path: "/debug/prof",
+		Desc: "continuous profiler capture ring: slow-query pprof captures for download",
+		List: func() any {
+			return map[string]any{"enabled": p.Enabled(), "captures": p.ListCaptures()}
+		},
+	}
+}
+
+// Download serves GET /debug/prof/{id}: one capture as a pprof protobuf
+// ready for `go tool pprof`.
+func (p *Profiler) Download() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		rest := trimPathPrefix(req.URL.Path, "/debug/prof")
-		if rest == "" {
-			writeJSON(w, map[string]any{
-				"enabled":  p.Enabled(),
-				"captures": p.ListCaptures(),
-			})
-			return
-		}
-		id, err := strconv.Atoi(rest)
+		id, err := strconv.Atoi(strings.TrimPrefix(req.URL.Path, "/debug/prof/"))
 		if err != nil {
 			http.Error(w, "bad capture id", http.StatusBadRequest)
 			return
@@ -310,27 +312,5 @@ func MountProf(mux *http.ServeMux, p *Profiler) {
 		w.Header().Set("Content-Disposition",
 			fmt.Sprintf("attachment; filename=%q", fmt.Sprintf("%s-%d.pprof", meta.Kind, meta.ID)))
 		_, _ = w.Write(data)
-	}
-	mux.HandleFunc("/debug/prof", serve)
-	mux.HandleFunc("/debug/prof/", serve)
-	RegisterEndpoint(mux, "/debug/prof",
-		"continuous profiler capture ring: slow-query pprof captures for download")
-}
-
-// trimPathPrefix strips prefix and any leading "/" from p, cleaning the rest
-// to a single path element ("" when p is the prefix itself).
-func trimPathPrefix(p, prefix string) string {
-	rest := path.Clean("/" + p[len(prefix):])
-	if rest == "/" {
-		return ""
-	}
-	return rest[1:]
-}
-
-// writeJSON serves v as indented JSON.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	})
 }

@@ -155,7 +155,8 @@ func TestMountProf(t *testing.T) {
 	p := newTestProfiler(4)
 	p.Trigger("slow_query", "q-777")
 	mux := http.NewServeMux()
-	MountProf(mux, p)
+	NewConsole(mux).Register(p.View())
+	mux.Handle("/debug/prof/", p.Download())
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 

@@ -238,8 +238,8 @@ func NewQueryRegistry(keep int) *QueryRegistry {
 	return &QueryRegistry{active: make(map[string]*QueryEntry), keep: keep}
 }
 
-// defaultQueries is the process-wide registry obs.Mount wires the console
-// to; every subsystem that runs queries registers entries here by default.
+// defaultQueries is the process-wide registry whose console Mount serves;
+// every subsystem that runs queries registers entries here by default.
 var defaultQueries = NewQueryRegistry(DefaultRecentQueries)
 
 // Queries returns the process-wide query registry.
@@ -350,4 +350,74 @@ func (q *QueryRegistry) Get(id string) *QueryEntry {
 		}
 	}
 	return nil
+}
+
+// View is the live query console over this registry: /debug/queries lists
+// the active and recently finished queries, /debug/queries/{id} drills into
+// one with its (possibly still growing) span tree — the merged federated
+// profile on a coordinator, the local execution profile on a node.
+func (q *QueryRegistry) View() View {
+	return View{
+		Path:  "/debug/queries",
+		Desc:  "live query console: active and recent queries with span-tree drill-down",
+		List:  q.listing,
+		Drill: q.lookup,
+	}
+}
+
+// querySummary is the JSON shape of one console row.
+type querySummary struct {
+	ID         string        `json:"id"`
+	Node       string        `json:"node"`
+	Var        string        `json:"var"`
+	Digest     string        `json:"digest"`
+	ParentSpan string        `json:"parent_span,omitempty"`
+	Status     QueryStatus   `json:"status"`
+	Err        string        `json:"err,omitempty"`
+	StartedAt  time.Time     `json:"started_at"`
+	TookMS     float64       `json:"took_ms"`
+	Members    []MemberState `json:"members,omitempty"`
+	Progress   Progress      `json:"progress"`
+}
+
+func summarize(e *QueryEntry) querySummary {
+	return querySummary{
+		ID: e.ID, Node: e.Node, Var: e.Var, Digest: e.Digest,
+		ParentSpan: e.ParentSpan(),
+		Status:     e.Status(), Err: e.Err(),
+		StartedAt: e.Start,
+		TookMS:    float64(e.Took().Microseconds()) / 1e3,
+		Members:   e.Members(),
+		Progress:  e.Progress(),
+	}
+}
+
+func (q *QueryRegistry) listing() any {
+	summaries := func(entries []*QueryEntry) []querySummary {
+		out := []querySummary{}
+		for _, e := range entries {
+			out = append(out, summarize(e))
+		}
+		return out
+	}
+	return struct {
+		Active []querySummary `json:"active"`
+		Recent []querySummary `json:"recent"`
+	}{summaries(q.Active()), summaries(q.Recent())}
+}
+
+func (q *QueryRegistry) lookup(id string) (any, bool) {
+	e := q.Get(id)
+	if e == nil {
+		return nil, false
+	}
+	resp := struct {
+		querySummary
+		Profile  *Span  `json:"profile,omitempty"`
+		Rendered string `json:"rendered,omitempty"`
+	}{querySummary: summarize(e), Profile: e.Root()}
+	if resp.Profile != nil {
+		resp.Rendered = resp.Profile.Render()
+	}
+	return resp, true
 }

@@ -237,8 +237,7 @@ func TestConsoleHandlerListJSON(t *testing.T) {
 	running.InitMembers([]string{"a", "b"})
 	done := q.Begin("q-done", "node1", "Y", "script")
 	q.Finish(done, StatusPartial, "")
-	ts := httptest.NewServer(q.ConsoleHandler())
-	defer ts.Close()
+	ts := consoleServer(t, q.View())
 
 	resp, err := http.Get(ts.URL + "/debug/queries?format=json")
 	if err != nil {
@@ -279,8 +278,7 @@ func TestConsoleHandlerDrilldown(t *testing.T) {
 	root.SetOutput(2, 20)
 	e.SetRoot(root)
 	q.Finish(e, StatusDone, "")
-	ts := httptest.NewServer(q.ConsoleHandler())
-	defer ts.Close()
+	ts := consoleServer(t, q.View())
 
 	resp, err := http.Get(ts.URL + "/debug/queries/q-prof?format=json")
 	if err != nil {
@@ -317,30 +315,31 @@ func TestConsoleHandlerHTML(t *testing.T) {
 	q := NewQueryRegistry(4)
 	e := q.Begin("q-html", "node<1>", "X", "script")
 	q.Finish(e, StatusFailed, "boom <tag>")
-	ts := httptest.NewServer(q.ConsoleHandler())
-	defer ts.Close()
+	ts := consoleServer(t, q.View())
 
 	for _, path := range []string{"/debug/queries", "/debug/queries/q-html"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := readAllString(t, resp)
-		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
+		body, ct := getAccept(t, ts.URL+path, "text/html")
+		if !strings.HasPrefix(ct, "text/html") {
 			t.Errorf("%s content type = %q", path, ct)
 		}
-		if !strings.Contains(body, "q-html") {
-			t.Errorf("%s does not mention the query", path)
+		for _, want := range []string{"q-html", "node&lt;1&gt;", "boom &lt;tag&gt;", "failed"} {
+			if !strings.Contains(body, want) {
+				t.Errorf("%s missing %q", path, want)
+			}
 		}
-		if strings.Contains(body, "node<1>") {
+		if strings.Contains(body, "node<1>") || strings.Contains(body, "<tag>") {
 			t.Errorf("%s leaks unescaped HTML", path)
 		}
+	}
+	// The list links each row to its drill-down.
+	if body, _ := getAccept(t, ts.URL+"/debug/queries", "text/html"); !strings.Contains(body, `href="/debug/queries/q-html"`) {
+		t.Errorf("list does not link the drill-down:\n%s", body)
 	}
 }
 
 func TestConsoleMountServesRegistry(t *testing.T) {
 	mux := http.NewServeMux()
-	Mount(mux, Default())
+	Mount(NewConsole(mux), Default())
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/debug/queries?format=json")
@@ -351,6 +350,36 @@ func TestConsoleMountServesRegistry(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("console status = %d", resp.StatusCode)
 	}
+}
+
+// consoleServer serves views on a fresh console.
+func consoleServer(t *testing.T, views ...View) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	c := NewConsole(mux)
+	for _, v := range views {
+		c.Register(v)
+	}
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// getAccept GETs url with an Accept header, returning body and content type.
+func getAccept(t *testing.T, url, accept string) (string, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return readAllString(t, resp), resp.Header.Get("Content-Type")
 }
 
 func readAllString(t *testing.T, resp *http.Response) string {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"log/slog"
-	"net/http"
 	"sync"
 	"time"
 )
@@ -135,11 +134,13 @@ func (l *SlowQueryLog) Recent() []SlowRecord {
 	return out
 }
 
-// MountSlowlog registers GET /debug/slowlog serving the retained ring.
-func MountSlowlog(mux *http.ServeMux, l *SlowQueryLog) {
-	MountState(mux, "/debug/slowlog",
-		"slow query log: recent queries that crossed the latency threshold",
-		func() any { return l.Recent() })
+// View serves the retained ring on /debug/slowlog.
+func (l *SlowQueryLog) View() View {
+	return View{
+		Path: "/debug/slowlog",
+		Desc: "slow query log: recent queries that crossed the latency threshold",
+		List: func() any { return l.Recent() },
+	}
 }
 
 // truncQuery bounds the stored query text.
