@@ -28,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"genogo/internal/catalog"
 	"genogo/internal/formats"
 	"genogo/internal/genomenet"
 	"genogo/internal/obs"
@@ -72,10 +71,12 @@ func setupHost(args []string, out io.Writer) (http.Handler, string, error) {
 		return nil, "", err
 	}
 	h := genomenet.NewHost(*name)
-	// Load through the verified read path: a host must not publish silently
-	// wrong bytes to the network. Corrupt samples are quarantined and the
-	// dataset published partially, mirroring federation's degraded mode.
-	dss, reps, err := formats.LoadRepository(*dataDir, formats.IntegrityPolicy{AllowPartial: true, Quarantine: true})
+	// Warm the host's one catalog through the verified read path: a host
+	// must not publish silently wrong bytes to the network. Corrupt samples
+	// are quarantined and the dataset published partially, mirroring
+	// federation's degraded mode. The catalog is also /debug/repo.
+	cat := &formats.DirCatalog{Root: *dataDir, Policy: formats.IntegrityPolicy{AllowPartial: true, Quarantine: true}}
+	dss, reps, err := cat.Warm()
 	if err != nil {
 		return nil, "", err
 	}
@@ -98,7 +99,7 @@ func setupHost(args []string, out io.Writer) (http.Handler, string, error) {
 	c := obs.NewConsole(mux)
 	obs.Mount(c, obs.Default())
 	c.Register(formats.IntegrityView())
-	c.Register(catalog.Repo().View())
+	c.Register(cat.View())
 	return mux, *addr, nil
 }
 

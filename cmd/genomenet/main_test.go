@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -91,5 +93,37 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if _, _, err := setupHost([]string{"-data", filepath.Join(t.TempDir(), "nope")}, &out); err == nil {
 		t.Error("missing data dir accepted")
+	}
+}
+
+// TestRepoHostView: the host serves its one warmed catalog on /debug/repo:
+// the published member, filed from its manifest with its directory.
+func TestRepoHostView(t *testing.T) {
+	dir := writeRepo(t)
+	var out bytes.Buffer
+	handler, _, err := setupHost([]string{"-data", dir}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(handler)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/debug/repo?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var listing struct {
+		Datasets []formats.DatasetSummary `json:"datasets"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
+		t.Fatal(err)
+	}
+	if len(listing.Datasets) != 1 {
+		t.Fatalf("rows = %+v, want CHIP", listing.Datasets)
+	}
+	row := listing.Datasets[0]
+	if row.Name != "CHIP" || row.Source != formats.SourceManifest || row.Dir != filepath.Join(dir, "CHIP") ||
+		row.Integrity != "verified" || row.Samples != 5 {
+		t.Errorf("row = %+v, want the verified CHIP member from its manifest", row)
 	}
 }

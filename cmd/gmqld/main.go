@@ -1,7 +1,11 @@
 // Command gmqld serves a federation node (Section 4.4 of the paper): it
 // owns the datasets under its data directory and answers the federated
 // protocol — dataset information, query compilation with result size
-// estimates, remote execution, and staged result retrieval.
+// estimates, remote execution, and staged result retrieval. The node has
+// one catalog (formats.DirCatalog), warmed at boot by loading every
+// dataset: it answers every route, holds each dataset's statistics (the
+// member's stats.json, or one scan of a partial load or text export) and is
+// the /debug/repo view on both listeners.
 //
 // Usage:
 //
@@ -44,6 +48,8 @@
 // /debug/prof lists the ring; /debug/prof/{id} downloads a capture for
 // `go tool pprof`. /debug/costs exports the rolling per-operator cost model
 // (ns/region, allocs/region by backend and fusion) fed by profiled queries.
+// /debug/repo lists the catalog's datasets with their statistics and where
+// they came from; /debug/storage the integrity verdict of every load.
 package main
 
 import (
@@ -59,7 +65,6 @@ import (
 	"syscall"
 	"time"
 
-	"genogo/internal/catalog"
 	"genogo/internal/engine"
 	"genogo/internal/federation"
 	"genogo/internal/formats"
@@ -174,7 +179,8 @@ func setup(args []string, out io.Writer) (*node, error) {
 		return nil, fmt.Errorf("unknown mode %q", *mode)
 	}
 
-	srv := federation.NewServer(*name, cfg)
+	cat := &formats.DirCatalog{Root: *dataDir, Policy: formats.IntegrityPolicy{AllowPartial: true, Quarantine: true}}
+	srv := federation.NewCatalogServer(*name, cfg, cat)
 	if *slowQuery > 0 {
 		srv.SlowLog = &obs.SlowQueryLog{Threshold: *slowQuery, Logger: slog.Default()}
 	}
@@ -199,15 +205,15 @@ func setup(args []string, out io.Writer) (*node, error) {
 		fmt.Fprintf(out, "admission: %d concurrent, queue %d, queue timeout %v\n",
 			*maxConcurrent, *maxQueue, *queueTimeout)
 	}
-	// Load through the verified read path: checksums and manifests are
-	// checked, corrupt samples are quarantined rather than served as wrong
-	// results, and the per-dataset verdicts land on /debug/storage.
-	dss, reps, err := formats.LoadRepository(*dataDir, formats.IntegrityPolicy{AllowPartial: true, Quarantine: true})
+	// Warm the node's one catalog through the verified read path: every
+	// dataset is loaded now, checksums and manifests are checked, corrupt
+	// samples are quarantined rather than served as wrong results, and the
+	// per-dataset verdicts land on /debug/storage.
+	dss, reps, err := cat.Warm()
 	if err != nil {
 		return nil, err
 	}
 	for i, ds := range dss {
-		srv.AddDataset(ds)
 		fmt.Fprintf(out, "serving %s: %d samples, %d regions\n", ds.Name, len(ds.Samples), ds.NumRegions())
 		if rep := reps[i]; rep.Partial() {
 			fmt.Fprintf(out, "WARNING: %s loaded partially: %d sample(s) quarantined (see /debug/storage)\n",
@@ -257,7 +263,7 @@ func setup(args []string, out io.Writer) (*node, error) {
 	obs.Mount(c, obs.Default())
 	c.Register(formats.IntegrityView())
 	c.Register(srv.SlowLog.View())
-	c.Register(catalog.Repo().View())
+	c.Register(cat.View())
 	c.Register(federation.MembershipView(srv.Membership))
 	fmt.Fprintf(out, "node %s listening on %s (%s backend)\n", *name, *addr, cfg.Mode)
 	return &node{

@@ -2,21 +2,21 @@
 // chromosome) statistics of every dataset — region counts, coordinate
 // extents (the zone-map seed), serialized bytes, attribute arity — computed
 // once on the write path, persisted in the dataset's stats.json member file,
-// and served to three consumers:
+// and served by a node's one catalog (formats.DirCatalog) to three
+// consumers:
 //
 //   - operators: the /debug/repo console and genogo_repo_* metrics give a
 //     catalog view of what a node stores (Section 3 of the paper: the
 //     repository is a first-class system component, not a directory of
 //     files);
-//   - the engine: traced SELECT/JOIN/MAP runs consult the same zone windows
-//     to count how many loaded regions a pruning storage engine would have
-//     skipped (ROADMAP item 1's measured target);
+//   - the engine: zone windows prove which samples and partitions a
+//     SELECT/JOIN/MAP cannot use, so a pruned read skips them (skipped=) and
+//     a read of held data counts them (prunable=);
 //   - the federation estimator: per-chromosome extents turn the System-R
-//     magic selectivity constants into data-dependent estimates (ROADMAP
-//     item 3's planner input).
+//     magic selectivity constants into data-dependent estimates.
 //
-// The package sits below formats, engine and federation: it imports only
-// gdm, expr and obs.
+// The package holds types and pure functions only, no registry: it sits
+// below formats, engine and federation and imports only gdm and expr.
 package catalog
 
 import (

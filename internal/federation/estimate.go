@@ -3,7 +3,6 @@ package federation
 import (
 	"genogo/internal/catalog"
 	"genogo/internal/engine"
-	"genogo/internal/gdm"
 )
 
 // Estimate is a compile-time prediction of a query result's size — the
@@ -15,57 +14,6 @@ type Estimate struct {
 	Samples int   `json:"samples"`
 	Regions int   `json:"regions"`
 	Bytes   int64 `json:"bytes"`
-}
-
-// DatasetStats are the per-dataset statistics estimation runs on.
-type DatasetStats struct {
-	Samples int
-	Regions int
-	// Arity is the number of region attributes of the dataset's schema.
-	Arity int
-	// Zones is the per-(sample, chromosome) statistics block from the
-	// repository catalog; estimation uses it to replace the flat selectivity
-	// constants with zone-derived figures where the plan allows. nil falls
-	// back to the constants.
-	Zones *catalog.DatasetStats
-}
-
-// StatsProvider resolves dataset statistics by name.
-type StatsProvider func(name string) (DatasetStats, bool)
-
-// stats builds a StatsProvider over the server's local data. Results are
-// memoized per dataset: statsOf scans every region, and before the memo a
-// node recomputed it on every /compile and /query. The cache keys on the
-// registered *gdm.Dataset, so re-registering a name under AddDataset
-// invalidates its entry automatically.
-func (s *Server) stats() StatsProvider {
-	return func(name string) (DatasetStats, bool) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		ds, ok := s.data[name]
-		if !ok {
-			return DatasetStats{}, false
-		}
-		if m, hit := s.statsMemo[name]; hit && m.ds == ds {
-			return m.st, true
-		}
-		st := statsOf(ds)
-		s.statsMemo[name] = memoStats{ds: ds, st: st}
-		return st, true
-	}
-}
-
-// memoStats is one memoized statsOf result, valid while the name still
-// resolves to the same dataset value.
-type memoStats struct {
-	ds *gdm.Dataset
-	st DatasetStats
-}
-
-func statsOf(ds *gdm.Dataset) DatasetStats {
-	zones := catalog.Compute(ds)
-	_, regions, _ := zones.Totals()
-	return DatasetStats{Samples: len(ds.Samples), Regions: regions, Arity: ds.Schema.Len(), Zones: zones}
 }
 
 // The frame-size model that turns a predicted cardinality into Bytes. In a
@@ -106,11 +54,12 @@ const (
 	coverCompression   = 0.4 // cover output regions vs input regions
 )
 
-// EstimatePlan predicts the result cardinality of a plan bottom-up, and
+// EstimatePlan predicts the result cardinality of a plan bottom-up from each
+// scanned dataset's statistics block (the shape of DirCatalog.Stats), and
 // from it and the result's attribute arity the size of the result's frame.
 // Unknown datasets contribute zero (the node will fail the query at
 // execution time anyway; compile-time estimation stays total).
-func EstimatePlan(n engine.Node, stats StatsProvider) Estimate {
+func EstimatePlan(n engine.Node, stats func(name string) (*catalog.DatasetStats, bool)) Estimate {
 	e, arity, _ := estimateNode(n, stats)
 	e.Bytes = frameBytes(e.Samples, e.Regions, arity)
 	return e
@@ -120,14 +69,15 @@ func EstimatePlan(n engine.Node, stats StatsProvider) Estimate {
 // of the output schema, and the zone statistics still describing the
 // flowing data. Zones survive sample-local operators (the coordinate
 // distribution is unchanged or narrowed) and die at shape-changing ones.
-func estimateNode(n engine.Node, stats StatsProvider) (Estimate, int, *catalog.DatasetStats) {
+func estimateNode(n engine.Node, stats func(name string) (*catalog.DatasetStats, bool)) (Estimate, int, *catalog.DatasetStats) {
 	switch op := n.(type) {
 	case *engine.Scan:
 		st, ok := stats(op.Dataset)
 		if !ok {
 			return Estimate{}, 0, nil
 		}
-		return Estimate{Samples: st.Samples, Regions: st.Regions}, st.Arity, st.Zones
+		samples, regions, _ := st.Totals()
+		return Estimate{Samples: samples, Regions: regions}, st.AttrArity, st
 	case *engine.SelectOp:
 		in, arity, zones := estimateNode(op.Input, stats)
 		out := in

@@ -7,12 +7,27 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"genogo/internal/catalog"
 	"genogo/internal/engine"
 	"genogo/internal/expr"
+	"genogo/internal/formats"
 	"genogo/internal/gdm"
 	"genogo/internal/obs"
 	"genogo/internal/synth"
 )
+
+// computedStats is an estimator statistics source over in-memory datasets:
+// each block is one catalog.Compute of the dataset.
+func computedStats(dss ...*gdm.Dataset) func(string) (*catalog.DatasetStats, bool) {
+	blocks := make(map[string]*catalog.DatasetStats, len(dss))
+	for _, ds := range dss {
+		blocks[ds.Name] = catalog.Compute(ds)
+	}
+	return func(name string) (*catalog.DatasetStats, bool) {
+		st, ok := blocks[name]
+		return st, ok
+	}
+}
 
 // zoneDataset builds a dataset whose regions split unevenly across two
 // chromosomes, so a zone-aware estimate is distinguishable from the flat
@@ -37,25 +52,16 @@ func zoneDataset(t *testing.T, name string) *gdm.Dataset {
 // the zone map (regions actually on that chromosome), not the flat 30%
 // constant.
 func TestEstimateZoneAwareSelect(t *testing.T) {
-	ds := zoneDataset(t, "Z")
-	stats := func(name string) (DatasetStats, bool) {
-		if name != "Z" {
-			return DatasetStats{}, false
-		}
-		return statsOf(ds), true
-	}
+	stats := computedStats(zoneDataset(t, "Z"))
 	chr2 := expr.Cmp{Op: expr.CmpEq, Left: expr.Attr{Name: "chrom"}, Right: expr.Const{Value: gdm.Str("chr2")}}
 	est := EstimatePlan(&engine.SelectOp{Input: &engine.Scan{Dataset: "Z"}, Region: chr2}, stats)
 	if est.Regions != 1 {
 		t.Errorf("zone-aware estimate = %d regions, want 1 (chr2's share)", est.Regions)
 	}
-	// Without zones the same plan falls back to the flat constant.
-	flat := func(name string) (DatasetStats, bool) {
-		st, ok := stats(name)
-		st.Zones = nil
-		return st, ok
-	}
-	est = EstimatePlan(&engine.SelectOp{Input: &engine.Scan{Dataset: "Z"}, Region: chr2}, flat)
+	// A predicate the zone map cannot analyze falls back to the flat
+	// constant.
+	score := expr.Cmp{Op: expr.CmpGt, Left: expr.Attr{Name: "score"}, Right: expr.Const{Value: gdm.Float(0)}}
+	est = EstimatePlan(&engine.SelectOp{Input: &engine.Scan{Dataset: "Z"}, Region: score}, stats)
 	if est.Regions != 3 {
 		t.Errorf("flat estimate = %d regions, want 3 (30%% of 10)", est.Regions)
 	}
@@ -76,16 +82,7 @@ func TestEstimateZoneAwareJoin(t *testing.T) {
 		ds.MustAdd(s)
 		return ds
 	}
-	l, r := mk("L", "chr1"), mk("R", "chr7")
-	stats := func(name string) (DatasetStats, bool) {
-		switch name {
-		case "L":
-			return statsOf(l), true
-		case "R":
-			return statsOf(r), true
-		}
-		return DatasetStats{}, false
-	}
+	stats := computedStats(mk("L", "chr1"), mk("R", "chr7"))
 	join := &engine.JoinOp{Left: &engine.Scan{Dataset: "L"}, Right: &engine.Scan{Dataset: "R"}}
 	est := EstimatePlan(join, stats)
 	// SharedChromFraction is 0; scaleInt floors a nonzero input at 1.
@@ -94,24 +91,23 @@ func TestEstimateZoneAwareJoin(t *testing.T) {
 	}
 }
 
-// TestEstimateStatsMemoized: the provider computes a dataset's statistics
-// once and serves the same block until the name is re-registered.
+// TestEstimateStatsMemoized: the node catalog computes a registered
+// dataset's statistics once and serves the same block until the name is
+// re-registered.
 func TestEstimateStatsMemoized(t *testing.T) {
 	srv := NewServer("n", engine.Config{Mode: engine.ModeSerial}, zoneDataset(t, "Z"))
-	provider := srv.stats()
-	st1, ok := provider("Z")
-	if !ok || st1.Zones == nil {
+	before := formats.LazyScans()
+	st1, ok := srv.cat.Stats("Z")
+	if !ok || len(st1.Samples) != 1 {
 		t.Fatalf("no stats for Z: %+v", st1)
 	}
-	st2, _ := provider("Z")
-	if st1.Zones != st2.Zones {
-		t.Error("second lookup recomputed statistics")
+	if st2, _ := srv.cat.Stats("Z"); st2 != st1 || formats.LazyScans() != before+1 {
+		t.Errorf("second lookup recomputed statistics (%d scans)", formats.LazyScans()-before)
 	}
-	// Re-registration invalidates the memo.
+	// Re-registration drops the cached block.
 	srv.AddDataset(zoneDataset(t, "Z"))
-	st3, ok := provider("Z")
-	if !ok || st3.Zones == st1.Zones {
-		t.Error("re-registration served the stale memo")
+	if st3, ok := srv.cat.Stats("Z"); !ok || st3 == st1 {
+		t.Error("re-registration served the stale statistics")
 	}
 }
 
@@ -188,7 +184,7 @@ func TestEstimateNodeRepoConsole(t *testing.T) {
 	for _, d := range listing.Datasets {
 		if d.Name == "ZREPO" {
 			found = true
-			if d.Source != "memory" || d.Regions != 10 {
+			if d.Source != formats.SourceMemory || d.Regions != 10 {
 				t.Errorf("ZREPO row = %+v", d)
 			}
 		}

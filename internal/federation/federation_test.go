@@ -286,15 +286,7 @@ func TestEstimatePlanShapes(t *testing.T) {
 	g := synth.New(10)
 	enc := g.Encode(synth.EncodeOptions{Samples: 40, MeanPeaks: 30})
 	anns := g.Annotations(g.Genes(60))
-	stats := func(name string) (DatasetStats, bool) {
-		switch name {
-		case "ENCODE":
-			return statsOf(enc), true
-		case "ANNOTATIONS":
-			return statsOf(anns), true
-		}
-		return DatasetStats{}, false
-	}
+	stats := computedStats(enc, anns)
 	scan := &engine.Scan{Dataset: "ENCODE"}
 	full := EstimatePlan(scan, stats)
 	if full.Samples != 40 || full.Regions != enc.NumRegions() {

@@ -248,7 +248,7 @@ func TestStagedResultSurvivesSourceReplacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := (&gmql.Runner{Config: engine.Config{Mode: engine.ModeSerial}, Catalog: srv.catalog()}).Eval(prog, "X")
+	want, err := (&gmql.Runner{Config: engine.Config{Mode: engine.ModeSerial}, Catalog: requestCatalog{node: srv.cat}}).Eval(prog, "X")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"strings"
 	"sync"
 
-	"genogo/internal/catalog"
 	"genogo/internal/engine"
 	"genogo/internal/formats"
 	"genogo/internal/gdm"
@@ -99,19 +98,15 @@ type QueryResponse struct {
 
 // Server is one federation node.
 type Server struct {
-	name    string
-	cfg     engine.Config
+	name string
+	cfg  engine.Config
+	// cat is the node's one catalog: its datasets, their statistics and
+	// the /debug/repo view.
+	cat     *formats.DirCatalog
 	mu      sync.Mutex
-	data    map[string]*gdm.Dataset
 	staged  map[string]*formats.Frame // results, encoded once for the wire
 	nextID  int
 	maxStay int // max staged results kept (limited staging)
-
-	// repo is the node's repository catalog: every registered dataset with
-	// its zone statistics, served on /debug/repo.
-	repo *catalog.Registry
-	// statsMemo caches statsOf per dataset name (see Server.stats).
-	statsMemo map[string]memoStats
 
 	// SlowLog, when non-nil, receives a structured record for every query
 	// this node executes slower than the log's threshold. Set it before
@@ -147,47 +142,46 @@ func (s *Server) queries() *obs.QueryRegistry {
 	return obs.Queries()
 }
 
-// NewServer builds a node over its local datasets.
+// NewServer builds a node over datasets registered in memory.
 func NewServer(name string, cfg engine.Config, datasets ...*gdm.Dataset) *Server {
-	s := &Server{
-		name: name, cfg: cfg,
-		data:   make(map[string]*gdm.Dataset),
+	cat := &formats.DirCatalog{}
+	for _, ds := range datasets {
+		cat.Add(ds)
+	}
+	return NewCatalogServer(name, cfg, cat)
+}
+
+// NewCatalogServer builds a node serving a catalog: gmqld hands it the
+// repository catalog it warmed at boot.
+func NewCatalogServer(name string, cfg engine.Config, cat *formats.DirCatalog) *Server {
+	return &Server{
+		name: name, cfg: cfg, cat: cat,
 		staged: make(map[string]*formats.Frame),
 		// The paper calls for "a limited amount of staging at the sites
 		// hosting the services".
-		maxStay:   16,
-		repo:      catalog.NewRegistry(),
-		statsMemo: make(map[string]memoStats),
+		maxStay: 16,
 	}
-	for _, ds := range datasets {
-		s.data[ds.Name] = ds
-		s.repo.Record(catalog.Info{Name: ds.Name, Source: catalog.SourceMemory, Dataset: ds})
-	}
-	return s
 }
 
-// AddDataset registers one more local dataset. Re-registering a name drops
-// its memoized statistics and refiles it in the node catalog.
-func (s *Server) AddDataset(ds *gdm.Dataset) {
-	s.mu.Lock()
-	s.data[ds.Name] = ds
-	delete(s.statsMemo, ds.Name)
-	s.mu.Unlock()
-	s.repo.Record(catalog.Info{Name: ds.Name, Source: catalog.SourceMemory, Dataset: ds})
+// AddDataset registers one more local dataset in memory. Re-registering a
+// name replaces the dataset and drops its statistics.
+func (s *Server) AddDataset(ds *gdm.Dataset) { s.cat.Add(ds) }
+
+// requestCatalog is one request's view of the node: the requester's private
+// dataset, if any, shadows the node catalog for this request only. It is a
+// plain engine.Catalog: every dataset of a node is held in memory, so a
+// pruned read could only re-read the disk.
+type requestCatalog struct {
+	user *gdm.Dataset
+	node *formats.DirCatalog
 }
 
-// Repo exposes the node's repository catalog (tests, embedding servers).
-func (s *Server) Repo() *catalog.Registry { return s.repo }
-
-// catalog implements engine.Catalog over the node's local data.
-func (s *Server) catalog() engine.MapCatalog {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(engine.MapCatalog, len(s.data))
-	for k, v := range s.data {
-		out[k] = v
+// Dataset implements engine.Catalog.
+func (c requestCatalog) Dataset(name string) (*gdm.Dataset, error) {
+	if c.user != nil && c.user.Name == name {
+		return c.user, nil
 	}
-	return out
+	return c.node.Dataset(name)
 }
 
 // Handler returns the node's HTTP handler. Besides the federation protocol
@@ -210,7 +204,7 @@ func (s *Server) Handler() http.Handler {
 	c.Register(obs.Prof().View())
 	mux.Handle("/debug/prof/", obs.Prof().Download())
 	c.Register(obs.Costs().View())
-	c.Register(s.repo.View())
+	c.Register(s.cat.View())
 	c.Register(obs.Estimates().View())
 	return mux
 }
@@ -223,9 +217,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	s.mu.Lock()
-	staged, datasets := len(s.staged), len(s.data)
-	s.mu.Unlock()
+	staged, datasets := s.StagedCount(), len(s.cat.Held())
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ok": true, "node": s.name, "datasets": datasets, "staged": staged,
 	})
@@ -237,11 +229,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) infos() []DatasetInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]DatasetInfo, 0, len(s.data))
-	for _, ds := range s.data {
+func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
+	held := s.cat.Held()
+	infos := make([]DatasetInfo, 0, len(held))
+	for _, ds := range held {
 		info := DatasetInfo{
 			Name:           ds.Name,
 			Samples:        len(ds.Samples),
@@ -257,24 +252,7 @@ func (s *Server) infos() []DatasetInfo {
 				info.MetaAttributes[attr]++
 			}
 		}
-		out = append(out, info)
-	}
-	return out
-}
-
-func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	infos := s.infos()
-	// Deterministic order for clients and tests.
-	for i := 0; i < len(infos); i++ {
-		for j := i + 1; j < len(infos); j++ {
-			if infos[j].Name < infos[i].Name {
-				infos[i], infos[j] = infos[j], infos[i]
-			}
-		}
+		infos = append(infos, info)
 	}
 	writeJSON(w, http.StatusOK, infos)
 }
@@ -294,10 +272,8 @@ func (s *Server) handleDatasetStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "want /datasets/{name}/stream", http.StatusNotFound)
 		return
 	}
-	s.mu.Lock()
-	ds := s.data[name]
-	s.mu.Unlock()
-	if ds == nil {
+	ds, err := s.cat.Dataset(name)
+	if err != nil {
 		http.Error(w, "unknown dataset", http.StatusNotFound)
 		return
 	}
@@ -320,7 +296,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	plan := engine.Optimize(prog.Plan(req.Var))
-	est := EstimatePlan(plan, s.stats())
+	est := EstimatePlan(plan, s.cat.Stats)
 	writeJSON(w, http.StatusOK, CompileResponse{
 		OK:       true,
 		Explain:  engine.Explain(plan),
@@ -387,18 +363,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusOK, err.Error())
 		return
 	}
-	catalog := s.catalog()
+	cat := requestCatalog{node: s.cat}
 	if len(req.UserDataset) > 0 {
-		// The private dataset lives only in this request's catalog copy.
-		user, err := formats.DecodeDataset(bytes.NewReader(req.UserDataset))
-		if err != nil {
+		// The private dataset lives only in this request's catalog.
+		if cat.user, err = formats.DecodeDataset(bytes.NewReader(req.UserDataset)); err != nil {
 			fail(http.StatusOK, "user dataset: "+err.Error())
 			return
 		}
-		catalog[user.Name] = user
 	}
 	runner := &gmql.Runner{
-		Config: s.cfg, Catalog: catalog, SlowLog: s.SlowLog,
+		Config: s.cfg, Catalog: cat, SlowLog: s.SlowLog,
 		QueryID: qid, SpanObserver: entry.SetRoot, Limits: s.Limits,
 	}
 	metricNodeQueries.Inc()
@@ -445,7 +419,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Close the estimator's feedback loop: every finished execution files its
 	// compile-time prediction against the real result size, so /debug/estimates
 	// shows how far off the estimator runs (and in which direction).
-	predicted := EstimatePlan(engine.Optimize(prog.Plan(req.Var)), s.stats())
+	predicted := EstimatePlan(engine.Optimize(prog.Plan(req.Var)), s.cat.Stats)
 	obs.Estimates().Observe(qid, req.Var,
 		map[string]int64{
 			obs.EstDimSamples: int64(predicted.Samples),

@@ -415,6 +415,14 @@ func TestDirCatalog(t *testing.T) {
 	if fmt.Sprint(names) != "[COL TEXT]" {
 		t.Errorf("names = %v", names)
 	}
+	// Only a member carries a stats block; an export is scanned on demand,
+	// once it is held.
+	if st, ok := c.Stats("COL"); !ok || len(st.Samples) != 2 {
+		t.Errorf("COL: stats ok=%v %+v", ok, st)
+	}
+	if _, ok := c.Stats("TEXT"); ok {
+		t.Error("TEXT: an export reported a stats block")
+	}
 	for _, name := range names {
 		got, err := c.Dataset(name)
 		if err != nil {
@@ -422,12 +430,8 @@ func TestDirCatalog(t *testing.T) {
 		}
 		datasetsEqual(t, ds, got)
 	}
-	// Only a member carries a stats block; an export is scanned on demand.
-	if st, ok := c.Stats("COL"); !ok || len(st.Samples) != 2 {
-		t.Errorf("COL: stats ok=%v %+v", ok, st)
-	}
-	if _, ok := c.Stats("TEXT"); ok {
-		t.Error("TEXT: an export reported a stats block")
+	if st, ok := c.Stats("TEXT"); !ok || len(st.Samples) != 2 {
+		t.Errorf("TEXT: held export stats ok=%v %+v", ok, st)
 	}
 	for _, bad := range []string{"", ".", "..", "a/b", `a\b`, ".hidden", "NOPE"} {
 		if _, err := c.Dataset(bad); err == nil {

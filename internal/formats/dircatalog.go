@@ -9,36 +9,70 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"genogo/internal/catalog"
 	"genogo/internal/gdm"
+	"genogo/internal/obs"
 )
 
-// DirCatalog resolves engine Scan nodes straight against a repository
-// directory: nothing is opened when it is made, and a dataset is read only
-// when a query scans it. It implements engine.Catalog and the engine's
-// PrunedCatalog extension (the interface is declared there; this is its disk
-// implementation), so a scan under SELECT, MAP or JOIN reads only what that
-// operator's proof keeps: samples whose metadata passes and, of those, the
-// partitions whose zone windows can matter.
+// DirCatalog is a node's one repository catalog: the datasets it holds in
+// memory, their statistics, and the /debug/repo view of both. It resolves
+// engine Scan nodes straight against a repository directory: nothing is
+// opened when it is made, and a dataset is read only when a query scans it
+// (gmql) or when Warm loads every one at boot (gmqld, genomenet host).
+// Datasets registered with Add live only in memory. It implements
+// engine.Catalog and the engine's PrunedCatalog extension (the interface is
+// declared there; this is its disk implementation), so a scan under SELECT,
+// MAP or JOIN reads only what that operator's proof keeps: samples whose
+// metadata passes and, of those, the partitions whose zone windows can
+// matter.
 //
-// Full loads are cached per catalog instance (a session's repeated scans of
+// Full loads are held per catalog instance (a session's repeated scans of
 // one dataset parse once); pruned loads are query-specific subsets and always
 // hit the disk, which is exactly what the skipped-I/O accounting measures.
 type DirCatalog struct {
-	// Root is the repository directory: one dataset per subdirectory.
+	// Root is the repository directory: one dataset per subdirectory. An
+	// empty Root is a catalog of registered datasets only.
 	Root string
 	// Policy governs every read, full and pruned. Under AllowPartial a
 	// damaged sample the read touches is excluded and itemized in the
 	// dataset's IntegrityReport (IntegritySnapshot); under the strict zero
 	// policy it fails the read with a typed *IntegrityError.
 	Policy IntegrityPolicy
-	// NoCache disables the full-load cache (benchmarks measure cold loads).
+	// NoCache keeps full loads from being held (benchmarks measure cold
+	// loads).
 	NoCache bool
 
 	mu   sync.Mutex
-	full map[string]*gdm.Dataset
+	held map[string]*heldDataset
+	// served is set by Warm: this catalog is the one the process serves,
+	// it never reads a dataset it does not hold, and its totals are the
+	// genogo_repo_* gauges.
+	served bool
 }
+
+// heldDataset is one dataset the catalog holds in full, with its statistics
+// once resolved. stats and source are written once, under the catalog lock.
+type heldDataset struct {
+	ds       *gdm.Dataset
+	rep      *IntegrityReport // nil for a dataset registered in memory
+	loadedAt time.Time
+	once     sync.Once
+	stats    *catalog.DatasetStats
+	source   string
+}
+
+// Statistics sources, as /debug/repo reports them.
+const (
+	// SourceManifest: the member's verified stats.json.
+	SourceManifest = "manifest"
+	// SourceScan: one scan of the loaded dataset (a text export, a partial
+	// load, a member without a usable stats.json).
+	SourceScan = "scan"
+	// SourceMemory: one scan of a dataset registered in memory.
+	SourceMemory = "memory"
+)
 
 // NewDirCatalog creates a lazy disk-backed catalog over a repository
 // directory with the strict integrity policy.
@@ -54,13 +88,13 @@ func (c *DirCatalog) datasetDir(name string) (string, error) {
 		return "", fmt.Errorf("formats: invalid dataset name %q", name)
 	}
 	dir := filepath.Join(c.Root, name)
-	if !isDatasetDir(dir) {
+	if c.Root == "" || !isDatasetDir(dir) {
 		return "", fmt.Errorf("engine: unknown dataset %q", name)
 	}
 	return dir, nil
 }
 
-// Names lists the datasets the repository holds, sorted.
+// Names lists the datasets the repository directory holds, sorted.
 func (c *DirCatalog) Names() ([]string, error) {
 	entries, err := os.ReadDir(c.Root)
 	if err != nil {
@@ -79,41 +113,134 @@ func (c *DirCatalog) Names() ([]string, error) {
 	return names, nil
 }
 
-// Dataset implements engine.Catalog: a full verified load under the catalog's
-// policy, cached per instance.
-func (c *DirCatalog) Dataset(name string) (*gdm.Dataset, error) {
-	if !c.NoCache {
-		c.mu.Lock()
-		if ds, ok := c.full[name]; ok {
-			c.mu.Unlock()
-			return ds, nil
-		}
-		c.mu.Unlock()
-	}
-	dir, err := c.datasetDir(name)
-	if err != nil {
-		return nil, err
-	}
-	ds, _, err := OpenDataset(dir, c.Policy)
-	if err != nil {
-		return nil, err
-	}
-	if !c.NoCache {
-		c.mu.Lock()
-		if c.full == nil {
-			c.full = make(map[string]*gdm.Dataset)
-		}
-		c.full[name] = ds
-		c.mu.Unlock()
-	}
-	return ds, nil
+// Add registers a dataset in memory under its name, replacing (with its
+// statistics) any dataset held under that name.
+func (c *DirCatalog) Add(ds *gdm.Dataset) {
+	c.hold(ds.Name, &heldDataset{ds: ds, loadedAt: time.Now()})
 }
 
-// Stats returns the dataset's stats block — the partition index — from its
-// stats.json, without loading any region data. ok is false for datasets
-// without a trustworthy block (a text export, a member written before
-// stats.json existed, a damaged or stale file).
+func (c *DirCatalog) hold(name string, h *heldDataset) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.held == nil {
+		c.held = make(map[string]*heldDataset)
+	}
+	c.held[name] = h
+	c.publishLocked()
+}
+
+// Dataset implements engine.Catalog: a held dataset, or else (unless the
+// catalog was warmed) a full verified load under the catalog's policy, held
+// from then on.
+func (c *DirCatalog) Dataset(name string) (*gdm.Dataset, error) {
+	h, disk := c.lookup(name)
+	if h != nil {
+		return h.ds, nil
+	}
+	if !disk {
+		return nil, fmt.Errorf("engine: unknown dataset %q", name)
+	}
+	ds, _, err := c.load(name)
+	return ds, err
+}
+
+// lookup returns the dataset held under name, or nil, and whether a miss
+// may go to the disk: a warmed catalog serves exactly what it holds.
+func (c *DirCatalog) lookup(name string) (*heldDataset, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.held[name], !c.served
+}
+
+// load reads one dataset from disk and, unless NoCache, holds it.
+func (c *DirCatalog) load(name string) (*gdm.Dataset, *IntegrityReport, error) {
+	dir, err := c.datasetDir(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	ds, rep, err := OpenDataset(dir, c.Policy)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !c.NoCache {
+		c.hold(name, &heldDataset{ds: ds, rep: rep, loadedAt: time.Now()})
+	}
+	return ds, rep, nil
+}
+
+// Warm loads every dataset of the repository, in name order, and returns
+// them with their integrity reports index-for-index. A node serves the
+// warmed catalog: from here on it answers for exactly the datasets it holds
+// (a directory added later is not read), and its totals are the
+// genogo_repo_* gauges.
+func (c *DirCatalog) Warm() ([]*gdm.Dataset, []*IntegrityReport, error) {
+	dss, reps, err := c.loadAll()
+	if err == nil {
+		c.mu.Lock()
+		c.served = true
+		c.publishLocked()
+		c.mu.Unlock()
+	}
+	return dss, reps, err
+}
+
+func (c *DirCatalog) loadAll() ([]*gdm.Dataset, []*IntegrityReport, error) {
+	names, err := c.Names()
+	if err != nil {
+		return nil, nil, err
+	}
+	dss := make([]*gdm.Dataset, 0, len(names))
+	reps := make([]*IntegrityReport, 0, len(names))
+	for _, name := range names {
+		ds, rep, err := c.load(name)
+		if err != nil {
+			return nil, nil, fmt.Errorf("loading %s: %w", filepath.Join(c.Root, name), err)
+		}
+		dss = append(dss, ds)
+		reps = append(reps, rep)
+	}
+	return dss, reps, nil
+}
+
+// heldSorted returns the held datasets in name order.
+func (c *DirCatalog) heldSorted() []*heldDataset {
+	c.mu.Lock()
+	out := make([]*heldDataset, 0, len(c.held))
+	for _, h := range c.held {
+		out = append(out, h)
+	}
+	c.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ds.Name < out[j].ds.Name })
+	return out
+}
+
+// Held returns the datasets the catalog holds in memory, sorted by name.
+func (c *DirCatalog) Held() []*gdm.Dataset {
+	hs := c.heldSorted()
+	out := make([]*gdm.Dataset, len(hs))
+	for i, h := range hs {
+		out[i] = h.ds
+	}
+	return out
+}
+
+// Stats returns the dataset's statistics without loading region data. A held
+// dataset's are resolved once and cached: a complete load adopts its
+// member's verified stats.json; anything else — a partial load, a text
+// export, a member without a usable block, a registered dataset — is scanned
+// once. A dataset not held (by a catalog that was not warmed) is answered
+// from its stats.json, the partition
+// index pruned reads plan by; ok is false for one without a trustworthy
+// block (a text export, a member written before stats.json existed, a
+// damaged or stale file).
 func (c *DirCatalog) Stats(name string) (*catalog.DatasetStats, bool) {
+	h, disk := c.lookup(name)
+	if h != nil {
+		return c.resolve(h), true
+	}
+	if !disk {
+		return nil, false
+	}
 	dir, err := c.datasetDir(name)
 	if err != nil {
 		return nil, false
@@ -123,6 +250,146 @@ func (c *DirCatalog) Stats(name string) (*catalog.DatasetStats, bool) {
 		return nil, false
 	}
 	return usableStats(dir, man)
+}
+
+// resolve returns a held dataset's statistics, resolving them on first use:
+// the file read or the scan runs without the catalog lock, and concurrent
+// callers wait for the one run.
+func (c *DirCatalog) resolve(h *heldDataset) *catalog.DatasetStats {
+	h.once.Do(func() {
+		st, source := h.block()
+		if st == nil {
+			st, source = catalog.Compute(h.ds), SourceScan
+			switch {
+			case h.rep == nil:
+				st.Digest, source = h.ds.ContentDigest(), SourceMemory
+			case h.rep.Verified:
+				st.Digest = h.rep.Digest
+			default:
+				st.Digest = h.ds.ContentDigest()
+			}
+			metricRepoScans.Inc()
+		}
+		c.mu.Lock()
+		h.stats, h.source = st, source
+		c.publishLocked()
+		c.mu.Unlock()
+	})
+	return h.stats
+}
+
+// block returns a complete member load's stats.json when it verifies, this
+// build reads its version, and it describes the loaded content.
+func (h *heldDataset) block() (*catalog.DatasetStats, string) {
+	if h.rep == nil || !h.rep.Verified {
+		return nil, ""
+	}
+	man, err := ReadManifest(h.rep.Dir)
+	if err != nil {
+		return nil, ""
+	}
+	if st, ok := usableStats(h.rep.Dir, man); ok && st.Digest == h.rep.Digest {
+		return st, SourceManifest
+	}
+	return nil, ""
+}
+
+// publishLocked sets the genogo_repo_* gauges from a served catalog: every
+// held dataset, and the totals of those whose statistics are resolved.
+func (c *DirCatalog) publishLocked() {
+	if !c.served {
+		return
+	}
+	var samples, regions int
+	var bytes int64
+	for _, h := range c.held {
+		s, r, b := h.stats.Totals()
+		samples, regions, bytes = samples+s, regions+r, bytes+b
+	}
+	metricRepoDatasets.Set(int64(len(c.held)))
+	metricRepoSamples.Set(int64(samples))
+	metricRepoRegions.Set(int64(regions))
+	metricRepoBytes.Set(bytes)
+}
+
+// LazyScans reports how many statistics scans this process has performed
+// (test hook for the scanned-exactly-once guarantee).
+func LazyScans() int64 { return metricRepoScans.Value() }
+
+// DatasetSummary is one /debug/repo row.
+type DatasetSummary struct {
+	Name        string    `json:"name"`
+	Dir         string    `json:"dir,omitempty"`
+	Digest      string    `json:"digest,omitempty"`
+	Source      string    `json:"source"`
+	Integrity   string    `json:"integrity,omitempty"`
+	Quarantined int       `json:"quarantined,omitempty"`
+	LoadedAt    time.Time `json:"loaded_at"`
+	Samples     int       `json:"samples"`
+	Regions     int       `json:"regions"`
+	Bytes       int64     `json:"bytes"`
+	AttrArity   int       `json:"attr_arity"`
+}
+
+// DatasetDetail is the /debug/repo/{name} drill-down: the summary plus the
+// per-chromosome aggregation and the full per-sample partition stats.
+type DatasetDetail struct {
+	DatasetSummary
+	Chroms []catalog.ChromTotal  `json:"chroms"`
+	Stats  *catalog.DatasetStats `json:"stats,omitempty"`
+}
+
+// summary resolves a held dataset's statistics and describes it.
+func (c *DirCatalog) summary(h *heldDataset) DatasetSummary {
+	st := c.resolve(h)
+	s := DatasetSummary{Name: h.ds.Name, Digest: st.Digest, Source: h.source,
+		LoadedAt: h.loadedAt, AttrArity: st.AttrArity}
+	s.Samples, s.Regions, s.Bytes = st.Totals()
+	if rep := h.rep; rep != nil {
+		s.Dir, s.Quarantined = rep.Dir, len(rep.Quarantined)
+		switch {
+		case rep.Verified:
+			s.Integrity = "verified"
+		case rep.Partial():
+			s.Integrity = "partial"
+		default:
+			s.Integrity = "unverified"
+		}
+	}
+	return s
+}
+
+// summaries describes every held dataset, in name order.
+func (c *DirCatalog) summaries() []DatasetSummary {
+	hs := c.heldSorted()
+	rows := make([]DatasetSummary, len(hs))
+	for i, h := range hs {
+		rows[i] = c.summary(h)
+	}
+	return rows
+}
+
+// View is the repository console: /debug/repo lists every held dataset,
+// resolving its statistics, and /debug/repo/{name} drills into one with its
+// per-chromosome totals and full partition table.
+func (c *DirCatalog) View() obs.View {
+	return obs.View{
+		Path: "/debug/repo",
+		Desc: "repository catalog: per-dataset statistics with chromosome drill-down",
+		List: func() any {
+			return struct {
+				Datasets []DatasetSummary `json:"datasets"`
+			}{c.summaries()}
+		},
+		Drill: func(name string) (any, bool) {
+			h, _ := c.lookup(name)
+			if h == nil {
+				return nil, false
+			}
+			st := c.resolve(h)
+			return DatasetDetail{DatasetSummary: c.summary(h), Chroms: st.ChromTotals(), Stats: st}, true
+		},
+	}
 }
 
 // DatasetPruned is ReadPruned with only the partition half of the proof.

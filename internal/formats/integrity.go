@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 
-	"genogo/internal/catalog"
 	"genogo/internal/gdm"
 	"genogo/internal/obs"
 )
@@ -345,43 +344,7 @@ func OpenDataset(dir string, pol IntegrityPolicy) (*gdm.Dataset, *IntegrityRepor
 		metricVerifiedLoads.Inc()
 	}
 	recordIntegrity(rep)
-	catalogDataset(ds, rep, man)
 	return ds, rep, nil
-}
-
-// catalogDataset files a freshly opened dataset in the repository catalog. A
-// fully verified member that lists a stats.json hands the catalog a loader
-// for it — read on the catalog's first use, not here — and nothing else: the
-// catalog must not keep every loaded dataset alive (gmqlfsck opens a whole
-// repository one dataset at a time), so a stats.json that then fails to
-// verify leaves the entry without statistics until gmqlfsck -rebuild. An
-// import, a member without one, or a partial load (the loaded dataset is a
-// subset of what the manifest describes) retains the dataset for one lazy
-// scan instead.
-func catalogDataset(ds *gdm.Dataset, rep *IntegrityReport, man *Manifest) {
-	info := catalog.Info{
-		Name:        ds.Name,
-		Dir:         rep.Dir,
-		Source:      catalog.SourceScan,
-		Integrity:   "unverified",
-		Quarantined: len(rep.Quarantined),
-		Dataset:     ds,
-	}
-	if rep.Partial() {
-		info.Integrity = "partial"
-	}
-	if rep.Verified {
-		info.Integrity = "verified"
-		info.Digest = rep.Digest
-		if _, listed := man.Files[StatsName]; listed {
-			info.Source, info.Dataset = catalog.SourceManifest, nil
-			info.LoadStats = func() *catalog.DatasetStats {
-				st, _ := usableStats(rep.Dir, man)
-				return st
-			}
-		}
-	}
-	catalog.Repo().Record(info)
 }
 
 // readMemberSchema verifies and parses a member's schema.txt — the
@@ -597,33 +560,13 @@ func IntegritySnapshot() []IntegrityReport {
 }
 
 // LoadRepository opens every dataset directory under root through
-// OpenDataset: non-hidden subdirectories holding a manifest.json (members) or
-// schema.txt (text exports). Dot-prefixed entries are skipped — they are
-// staging leftovers or quarantine areas, never datasets. The reports line up
-// with the datasets index-for-index.
+// OpenDataset, in name order, without holding them: non-hidden
+// subdirectories holding a manifest.json (members) or schema.txt (text
+// exports). Dot-prefixed entries are skipped — they are staging leftovers or
+// quarantine areas, never datasets. The reports line up with the datasets
+// index-for-index.
 func LoadRepository(root string, pol IntegrityPolicy) ([]*gdm.Dataset, []*IntegrityReport, error) {
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return nil, nil, err
-	}
-	var dss []*gdm.Dataset
-	var reps []*IntegrityReport
-	for _, e := range entries {
-		if !e.IsDir() || strings.HasPrefix(e.Name(), ".") {
-			continue
-		}
-		sub := filepath.Join(root, e.Name())
-		if !isDatasetDir(sub) {
-			continue
-		}
-		ds, rep, err := OpenDataset(sub, pol)
-		if err != nil {
-			return nil, nil, fmt.Errorf("loading %s: %w", sub, err)
-		}
-		dss = append(dss, ds)
-		reps = append(reps, rep)
-	}
-	return dss, reps, nil
+	return (&DirCatalog{Root: root, Policy: pol, NoCache: true}).loadAll()
 }
 
 // isDatasetDir reports whether dir looks like a member or a text export.

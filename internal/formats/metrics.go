@@ -30,3 +30,18 @@ var (
 	metricPrunedBytes = obs.Default().Counter("genogo_storage_pruned_bytes_total",
 		"Payload bytes pruned columnar reads skipped without reading.")
 )
+
+// Repository metrics: the catalog a node serves (DirCatalog.Warm), as time
+// series.
+var (
+	metricRepoDatasets = obs.Default().Gauge("genogo_repo_datasets",
+		"Datasets the served repository catalog holds.")
+	metricRepoSamples = obs.Default().Gauge("genogo_repo_samples",
+		"Samples across the served catalog's datasets with resolved statistics.")
+	metricRepoRegions = obs.Default().Gauge("genogo_repo_regions",
+		"Regions across the served catalog's datasets with resolved statistics.")
+	metricRepoBytes = obs.Default().Gauge("genogo_repo_bytes",
+		"Estimated serialized bytes across the served catalog's datasets with resolved statistics.")
+	metricRepoScans = obs.Default().Counter("genogo_repo_lazy_scans_total",
+		"Full dataset scans performed to compute statistics for datasets without a usable stats block.")
+)

@@ -11,9 +11,9 @@ import (
 )
 
 // TestRepoManifestStatsRoundTrip: WriteDatasetColumnar persists the stats block
-// as the manifest-listed stats.json, it reads back intact, and an OpenDataset
-// load hands the repository catalog a loader for it: the first catalog read
-// serves the block from the file, without rescanning.
+// as the manifest-listed stats.json, it reads back intact, and a catalog
+// holding the verified load adopts it: the first Stats serves the block from
+// the file, without rescanning.
 func TestRepoManifestStatsRoundTrip(t *testing.T) {
 	dir, ds := writeTestDataset(t)
 	man, err := ReadManifest(dir)
@@ -39,34 +39,37 @@ func TestRepoManifestStatsRoundTrip(t *testing.T) {
 			samples, regions, len(ds.Samples), ds.NumRegions())
 	}
 
-	before := catalog.LazyScans()
-	if _, _, err := OpenDataset(dir, IntegrityPolicy{}); err != nil {
+	c := NewDirCatalog(filepath.Dir(dir))
+	if _, err := c.Dataset(ds.Name); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := catalog.Repo().Stats(ds.Name)
+	before := LazyScans()
+	st, ok := c.Stats(ds.Name)
 	if !ok || st == nil {
 		t.Fatal("catalog has no stats after verified load")
 	}
-	if catalog.LazyScans() != before {
+	if LazyScans() != before {
 		t.Fatal("verified load with a stats.json triggered a scan")
 	}
-	for _, row := range catalog.Repo().Snapshot() {
-		if row.Name == ds.Name && row.Source != catalog.SourceManifest {
-			t.Errorf("catalog source = %q, want %q", row.Source, catalog.SourceManifest)
-		}
+	if rows := c.summaries(); len(rows) != 1 || rows[0].Source != SourceManifest || rows[0].Integrity != "verified" {
+		t.Errorf("catalog rows = %+v, want one verified row from the manifest", rows)
 	}
 	if st.Digest != man.Digest {
 		t.Fatalf("catalog stats digest = %q, want %q", st.Digest, man.Digest)
 	}
 }
 
-// TestRepoLegacyDatasetScansLazilyOnce: a text export (no manifest) is cataloged
-// without stats; the first catalog read scans it, subsequent reads reuse the
-// cached scan.
+// TestRepoLegacyDatasetScansLazilyOnce: a text export (no manifest) has no
+// stats block; once held, its first Stats scans it and later reads, the
+// listing included, reuse the cached scan.
 func TestRepoLegacyDatasetScansLazilyOnce(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "OLDSTATS")
-	writeTextExport(t, dir)
-	ds, rep, err := OpenDataset(dir, IntegrityPolicy{})
+	root := t.TempDir()
+	writeTextExport(t, filepath.Join(root, "OLDSTATS"))
+	c := NewDirCatalog(root)
+	if _, ok := c.Stats("OLDSTATS"); ok {
+		t.Fatal("an export not yet held reported a stats block")
+	}
+	ds, rep, err := c.load("OLDSTATS")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,40 +77,26 @@ func TestRepoLegacyDatasetScansLazilyOnce(t *testing.T) {
 		t.Fatal("text export loaded verified?")
 	}
 
-	before := catalog.LazyScans()
-	st, ok := catalog.Repo().Stats(ds.Name)
+	before := LazyScans()
+	st, ok := c.Stats(ds.Name)
 	if !ok || st == nil {
 		t.Fatal("catalog missing text export")
 	}
-	if catalog.LazyScans() != before+1 {
-		t.Fatalf("LazyScans = %d, want %d", catalog.LazyScans(), before+1)
+	if LazyScans() != before+1 {
+		t.Fatalf("LazyScans = %d, want %d", LazyScans(), before+1)
 	}
 	if _, regions, _ := st.Totals(); regions != ds.NumRegions() {
 		t.Fatalf("scanned regions = %d, want %d", regions, ds.NumRegions())
 	}
-	if _, _ = catalog.Repo().Stats(ds.Name); catalog.LazyScans() != before+1 {
+	if _, _ = c.Stats(ds.Name); LazyScans() != before+1 {
 		t.Fatal("second catalog read rescanned")
 	}
-	// The process-wide registry may hold other tests' entries still awaiting
-	// their scan, so the counter check is snapshot idempotence: a second
-	// snapshot right after the first must scan nothing.
-	rows := catalog.Repo().Snapshot()
-	found := false
-	for _, r := range rows {
-		if r.Name == ds.Name {
-			found = true
-			if r.Integrity != "unverified" {
-				t.Fatalf("integrity = %q", r.Integrity)
-			}
-		}
+	rows := c.summaries()
+	if len(rows) != 1 || rows[0].Integrity != "unverified" || rows[0].Source != SourceScan {
+		t.Fatalf("rows = %+v", rows)
 	}
-	if !found {
-		t.Fatal("text export missing from catalog snapshot")
-	}
-	scans := catalog.LazyScans()
-	_ = catalog.Repo().Snapshot()
-	if catalog.LazyScans() != scans {
-		t.Fatal("snapshot rescanned")
+	if LazyScans() != before+1 {
+		t.Fatal("listing rescanned")
 	}
 }
 
@@ -361,9 +350,49 @@ func TestRepoInlineStatsMember(t *testing.T) {
 	if samples, regions, _ := st.Totals(); samples != len(ds.Samples) || regions != ds.NumRegions() {
 		t.Fatalf("stats totals = (%d, %d), want (%d, %d)", samples, regions, len(ds.Samples), ds.NumRegions())
 	}
-	before := catalog.LazyScans()
-	if got, ok := catalog.Repo().Stats("PEAKS"); !ok || got.Digest != ds.ContentDigest() || catalog.LazyScans() != before {
+	held := NewDirCatalog(root)
+	if _, err := held.Dataset("PEAKS"); err != nil {
+		t.Fatal(err)
+	}
+	before := LazyScans()
+	if got, ok := held.Stats("PEAKS"); !ok || got.Digest != ds.ContentDigest() || LazyScans() != before {
 		t.Fatalf("catalog stats = %+v, %v (lazy scans %d -> %d), want the block from stats.json",
-			got, ok, before, catalog.LazyScans())
+			got, ok, before, LazyScans())
+	}
+}
+
+// TestRepoWarmServesWhatItHolds: Warm loads every dataset in name order and
+// fixes the catalog's contents — a dataset directory added afterwards is
+// neither read nor answered for, as with the eager boot it replaces.
+func TestRepoWarmServesWhatItHolds(t *testing.T) {
+	root := t.TempDir()
+	ds := testDataset(t)
+	for _, name := range []string{"B", "A"} {
+		if err := WriteDatasetColumnar(filepath.Join(root, name), ds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewDirCatalog(root)
+	dss, reps, err := c.Warm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dss) != 2 || dss[0].Name != "A" || dss[1].Name != "B" || !reps[0].Verified || !reps[1].Verified {
+		t.Fatalf("Warm = %v datasets, %v reports", dss, reps)
+	}
+	if held := c.Held(); len(held) != 2 || held[0] != dss[0] || held[1] != dss[1] {
+		t.Fatalf("Held = %v, want the warmed datasets", held)
+	}
+	if err := WriteDatasetColumnar(filepath.Join(root, "LATE"), ds); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Dataset("LATE"); err == nil {
+		t.Error("a warmed catalog read a dataset added after boot")
+	}
+	if _, ok := c.Stats("LATE"); ok {
+		t.Error("a warmed catalog answered statistics for a dataset added after boot")
+	}
+	if got, err := c.Dataset("A"); err != nil || got != dss[0] {
+		t.Errorf("Dataset(A) = %p, %v, want the held dataset", got, err)
 	}
 }
