@@ -292,7 +292,7 @@ func (c *Client) FetchChunk(ctx context.Context, resultID string, start, count i
 	if err != nil {
 		return nil, 0, err
 	}
-	ds, err := formats.DecodeDataset(bytes.NewReader(body))
+	ds, err := formats.DecodeFrame(body)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -351,7 +351,7 @@ func (c *Client) FetchAll(ctx context.Context, resultID string, chunkSize int) (
 		if cur.start+n < total {
 			next = c.startChunk(ctx, resultID, cur.start+n, chunkSize)
 		}
-		chunk, err := formats.DecodeDataset(bytes.NewReader(got.body))
+		chunk, err := formats.DecodeFrame(got.body)
 		if err == nil && len(chunk.Samples) != n {
 			err = fmt.Errorf("federation: fetch %s: chunk at %d holds %d samples, want %d", resultID, cur.start, len(chunk.Samples), n)
 		}
@@ -450,7 +450,7 @@ func (c *Client) DownloadDataset(ctx context.Context, name string) (*gdm.Dataset
 	if err != nil {
 		return nil, fmt.Errorf("federation: download %s: %w", name, err)
 	}
-	return formats.DecodeDataset(bytes.NewReader(body))
+	return formats.DecodeFrame(body)
 }
 
 // NodeFailure records one member's failure during a federated query.

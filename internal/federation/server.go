@@ -12,7 +12,6 @@
 package federation
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -366,7 +365,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	cat := requestCatalog{node: s.cat}
 	if len(req.UserDataset) > 0 {
 		// The private dataset lives only in this request's catalog.
-		if cat.user, err = formats.DecodeDataset(bytes.NewReader(req.UserDataset)); err != nil {
+		if cat.user, err = formats.DecodeFrame(req.UserDataset); err != nil {
 			fail(http.StatusOK, "user dataset: "+err.Error())
 			return
 		}

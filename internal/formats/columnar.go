@@ -239,16 +239,18 @@ func appendColumnarPayload(dst []byte, regs []gdm.Region, schema *gdm.Schema) ([
 		if want > gdm.KindBool {
 			return nil, fmt.Errorf("attribute %q has unencodable kind %d", schema.Field(ai).Name, want)
 		}
-		// A null-typed column has no uniform form: it would cost no bytes per
+		// The column is written in one pass as uniform, and rewound to the
+		// tagged form at the first value that is not of the schema kind. A
+		// null-typed column has no uniform form: it would cost no bytes per
 		// region, and minRegionBytes counts on one.
-		uniform := want != gdm.KindNull
-		for i := 0; i < len(regs) && uniform; i++ {
-			uniform = regs[i].Values[ai].Kind() == want
+		mark := len(dst)
+		dst = append(dst, columnUniform)
+		i := 0
+		for ; want != gdm.KindNull && i < len(regs) && regs[i].Values[ai].Kind() == want; i++ {
+			dst = appendValue(dst, &regs[i].Values[ai])
 		}
-		if uniform {
-			dst = append(dst, columnUniform)
-		} else {
-			dst = append(dst, columnTagged)
+		if i < len(regs) {
+			dst = append(dst[:mark], columnTagged)
 			for i := range regs {
 				k := regs[i].Values[ai].Kind()
 				if k != gdm.KindNull && k != want {
@@ -256,18 +258,8 @@ func appendColumnarPayload(dst []byte, regs []gdm.Region, schema *gdm.Schema) ([
 				}
 				dst = append(dst, byte(k))
 			}
-		}
-		for i := range regs {
-			v := &regs[i].Values[ai]
-			switch v.Kind() { // null, or want
-			case gdm.KindInt:
-				dst = binary.AppendUvarint(dst, zigzag(v.Int()))
-			case gdm.KindFloat:
-				dst = appendUint64(dst, math.Float64bits(v.Float()))
-			case gdm.KindBool:
-				dst = append(dst, byte(v.Int()))
-			case gdm.KindString:
-				dst = binary.AppendUvarint(dst, uint64(len(v.Str())))
+			for i := range regs {
+				dst = appendValue(dst, &regs[i].Values[ai])
 			}
 		}
 		if want == gdm.KindString {
@@ -277,6 +269,22 @@ func appendColumnarPayload(dst []byte, regs []gdm.Region, schema *gdm.Schema) ([
 		}
 	}
 	return dst, nil
+}
+
+// appendValue appends one value's column entry: nothing for a null, the
+// length for a string (whose bytes follow the column's lengths).
+func appendValue(dst []byte, v *gdm.Value) []byte {
+	switch v.Kind() {
+	case gdm.KindInt:
+		dst = binary.AppendUvarint(dst, zigzag(v.Int()))
+	case gdm.KindFloat:
+		dst = appendUint64(dst, math.Float64bits(v.Float()))
+	case gdm.KindBool:
+		dst = append(dst, byte(v.Int()))
+	case gdm.KindString:
+		dst = binary.AppendUvarint(dst, uint64(len(v.Str())))
+	}
+	return dst
 }
 
 // writeColumnarFile materializes one sample's .gdmc, fsynced, and returns its
@@ -343,6 +351,7 @@ func parseColumnarIndex(dataset, path string, r io.Reader, size int64) (*columna
 	ci := &columnarIndex{Arity: arity, Parts: make([]columnarPart, 0, min(nParts, 256))}
 	indexLen := int64(columnarHeaderLen)
 	var prevEnd int64 = -1
+	var rest []byte // one entry after its name's length, reused: the name is copied out
 	for i := 0; i < nParts; i++ {
 		var lenBuf [2]byte
 		if _, err := io.ReadFull(tr, lenBuf[:]); err != nil {
@@ -352,7 +361,7 @@ func parseColumnarIndex(dataset, path string, r io.Reader, size int64) (*columna
 		if chromLen > maxColumnarChrom {
 			return nil, fail(ReasonParse, fmt.Sprintf("chromosome name length %d exceeds limit %d", chromLen, maxColumnarChrom))
 		}
-		rest := make([]byte, chromLen+columnarEntryFixed-2) // the name, then the fixed fields
+		rest = slices.Grow(rest[:0], chromLen+columnarEntryFixed-2)[:chromLen+columnarEntryFixed-2] // the name, then the fixed fields
 		if _, err := io.ReadFull(tr, rest); err != nil {
 			return nil, fail(ReasonTruncated, "index truncated")
 		}
@@ -409,9 +418,10 @@ func parseColumnarIndex(dataset, path string, r io.Reader, size int64) (*columna
 }
 
 // decodeColumnarPart verifies one partition payload against its index entry
-// and decodes it, appending the regions to s. Attribute kinds must match the
-// schema (or be null) — a mismatch is corruption, never a silent coercion.
-func decodeColumnarPart(dataset, path string, p columnarPart, payload []byte, schema *gdm.Schema, s *gdm.Sample) *IntegrityError {
+// and decodes it into regs (p.Regions zeroed regions) and values (their
+// p.Regions × arity values). Attribute kinds must match the schema (or be
+// null) — a mismatch is corruption, never a silent coercion.
+func decodeColumnarPart(dataset, path string, p columnarPart, payload []byte, schema *gdm.Schema, regs []gdm.Region, values []gdm.Value) *IntegrityError {
 	fail := func(reason FaultReason, detail string) *IntegrityError {
 		return &IntegrityError{Dataset: dataset, Path: path, Reason: reason,
 			Detail: fmt.Sprintf("partition %s: %s", p.Chrom, detail)}
@@ -426,10 +436,7 @@ func decodeColumnarPart(dataset, path string, p columnarPart, payload []byte, sc
 	if int64(n)*minRegionBytes(arity) > int64(len(payload)) {
 		return fail(ReasonParse, fmt.Sprintf("%d regions cannot fit %d payload bytes", n, len(payload)))
 	}
-	base := len(s.Regions)
-	s.Regions = append(s.Regions, make([]gdm.Region, n)...)
-	if detail := decodeColumnarPayload(payload, p, schema, s.Regions[base:]); detail != "" {
-		s.Regions = s.Regions[:base]
+	if detail := decodeColumnarPayload(payload, p, schema, regs[:n], values[:n*arity]); detail != "" {
 		return fail(ReasonParse, detail)
 	}
 	return nil
@@ -481,13 +488,20 @@ func (c *byteCursor) u8() byte {
 }
 
 // decodeColumnarPayload decodes a checksummed partition payload into regs
-// (len(regs) regions, zeroed), allocating one slab for all their values and
-// one string per string column. It returns what is wrong with the payload,
-// or "" when it decoded in full.
-func decodeColumnarPayload(payload []byte, p columnarPart, schema *gdm.Schema, regs []gdm.Region) string {
+// (len(regs) regions, zeroed), cutting their values out of values (len(regs)
+// × arity, zeroed) and allocating one string per string column. It returns
+// what is wrong with the payload, or "" when it decoded in full. A region it
+// returns passes Region.Validate — a chromosome, a start ≥ 0, a stop ≥ the
+// start — and each value is null or of its column's kind: everything
+// Dataset.Add checks of a sample, so decoded samples join a dataset as they
+// are.
+func decodeColumnarPayload(payload []byte, p columnarPart, schema *gdm.Schema, regs []gdm.Region, values []gdm.Value) string {
 	n, arity := len(regs), schema.Len()
 	if n == 0 {
 		return "partition without regions" // the writer makes one per chromosome seen
+	}
+	if p.Chrom == "" {
+		return "partition without a chromosome"
 	}
 	c := byteCursor{b: payload}
 	var prev int64
@@ -497,8 +511,17 @@ func decodeColumnarPayload(payload []byte, p columnarPart, schema *gdm.Schema, r
 		regs[i].Chrom, regs[i].Start = p.Chrom, prev
 		minStart = min(minStart, prev)
 	}
+	// A start that wraps past MaxInt64 comes back negative, so this bounds
+	// every start, and the stops below cannot overflow from a negative one.
+	if minStart < 0 {
+		return "region with a negative start"
+	}
 	for i := range regs {
-		regs[i].Stop = regs[i].Start + int64(c.uvarint())
+		u := c.uvarint()
+		if u > uint64(math.MaxInt64-regs[i].Start) {
+			return fmt.Sprintf("region %d: start %d + length %d overflows", i, regs[i].Start, u)
+		}
+		regs[i].Stop = regs[i].Start + int64(u)
 		maxStop = max(maxStop, regs[i].Stop)
 	}
 	var strands []byte
@@ -528,7 +551,6 @@ func decodeColumnarPayload(payload []byte, p columnarPart, schema *gdm.Schema, r
 			return fmt.Sprintf("region %d has strand byte %d", i, s)
 		}
 	}
-	values := make([]gdm.Value, n*arity)
 	for i := range regs {
 		regs[i].Values = values[i*arity : (i+1)*arity : (i+1)*arity]
 	}
@@ -622,17 +644,18 @@ func decodeColumnarSample(dataset, path, id string, data []byte, schema *gdm.Sch
 		return nil, &IntegrityError{Dataset: dataset, Path: path, Reason: ReasonParse,
 			Detail: fmt.Sprintf("file declares %d attributes, schema has %d", ci.Arity, schema.Len())}
 	}
-	s := gdm.NewSample(id)
-	total := 0
-	for _, p := range ci.Parts {
-		total += p.Regions // bounded by the bytes present, partition by partition
+	if id == "" {
+		return nil, &IntegrityError{Dataset: dataset, Path: path, Reason: ReasonParse, Detail: "sample with empty ID"}
 	}
-	s.Regions = make([]gdm.Region, 0, total)
+	s := gdm.NewSample(id)
+	values := allocRegions(s, ci.Parts, schema)
 	var end int64 = ci.IndexLen
+	at := 0
 	for _, p := range ci.Parts {
-		if ie := decodeColumnarPart(dataset, path, p, data[p.Offset:p.Offset+p.Length], schema, s); ie != nil {
+		if ie := decodeColumnarPart(dataset, path, p, data[p.Offset:p.Offset+p.Length], schema, s.Regions[at:], values[at*schema.Len():]); ie != nil {
 			return nil, ie
 		}
+		at += p.Regions
 		end = p.Offset + p.Length
 	}
 	if end != int64(len(data)) {
@@ -640,6 +663,20 @@ func decodeColumnarSample(dataset, path, id string, data []byte, schema *gdm.Sch
 			Detail: fmt.Sprintf("%d trailing bytes after last partition", int64(len(data))-end)}
 	}
 	return s, nil
+}
+
+// allocRegions gives s the regions of the partitions parts and returns the
+// one slab all their values are cut from, both sized from the index's region
+// counts. parseColumnarIndex bounds every count by the bytes its partition
+// spans, and the partitions by the image's size, so the index cannot make
+// this allocate more than the image backs.
+func allocRegions(s *gdm.Sample, parts []columnarPart, schema *gdm.Schema) []gdm.Value {
+	total := 0
+	for _, p := range parts {
+		total += p.Regions
+	}
+	s.Regions = make([]gdm.Region, total)
+	return make([]gdm.Value, total*schema.Len())
 }
 
 // readColumnarSampleVerified is the full verified read of one member sample:
@@ -714,6 +751,12 @@ func readSampleMeta(dir, id string, man *Manifest, s *gdm.Sample) *IntegrityErro
 // never read (real skipped I/O, not post-load filtering).
 func openColumnarSamplePruned(dir, id string, schema *gdm.Schema, man *Manifest, keep catalog.Keep) (*gdm.Sample, catalog.PruneStats, *IntegrityError) {
 	var st catalog.PruneStats
+	name := filepath.Base(dir)
+	file := id + columnarExt
+	path := filepath.Join(dir, file)
+	if id == "" {
+		return nil, st, &IntegrityError{Dataset: name, Path: path, Reason: ReasonParse, Detail: "sample with empty ID"}
+	}
 	s := gdm.NewSample(id)
 	if ie := readSampleMeta(dir, id, man, s); ie != nil {
 		return nil, st, ie
@@ -722,19 +765,19 @@ func openColumnarSamplePruned(dir, id string, schema *gdm.Schema, man *Manifest,
 		st.SkippedSamples = 1
 		return nil, st, nil
 	}
-	name := filepath.Base(dir)
-	file := id + columnarExt
-	path := filepath.Join(dir, file)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, st, fileError(name, path, err)
 	}
 	defer f.Close()
-	size := int64(-1)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
+	// The size bounds the index's extents, and with them what the region
+	// counts may make allocRegions allocate.
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, st, fileError(name, path, err)
 	}
-	if want, listed := man.Files[file]; listed && size >= 0 && size != want.Size {
+	size := fi.Size()
+	if want, listed := man.Files[file]; listed && size != want.Size {
 		reason := ReasonStaleManifest
 		if size < want.Size {
 			reason = ReasonTruncated
@@ -750,7 +793,7 @@ func openColumnarSamplePruned(dir, id string, schema *gdm.Schema, man *Manifest,
 		return nil, st, &IntegrityError{Dataset: name, Path: path, Reason: ReasonParse,
 			Detail: fmt.Sprintf("file declares %d attributes, schema has %d", ci.Arity, schema.Len())}
 	}
-	var buf []byte
+	kept := make([]columnarPart, 0, len(ci.Parts))
 	for _, p := range ci.Parts {
 		if keep.Part != nil {
 			st.Parts++ // consulted: a read without a partition half consults none
@@ -761,6 +804,12 @@ func openColumnarSamplePruned(dir, id string, schema *gdm.Schema, man *Manifest,
 			st.SkippedBytes += p.Length
 			continue
 		}
+		kept = append(kept, p)
+	}
+	values := allocRegions(s, kept, schema)
+	var buf []byte
+	at := 0
+	for _, p := range kept {
 		if int64(cap(buf)) < p.Length {
 			buf = make([]byte, p.Length)
 		}
@@ -769,9 +818,10 @@ func openColumnarSamplePruned(dir, id string, schema *gdm.Schema, man *Manifest,
 			return nil, st, &IntegrityError{Dataset: name, Path: path, Reason: ReasonTruncated,
 				Detail: fmt.Sprintf("partition %s: %v", p.Chrom, err)}
 		}
-		if ie := decodeColumnarPart(name, path, p, buf, schema, s); ie != nil {
+		if ie := decodeColumnarPart(name, path, p, buf, schema, s.Regions[at:], values[at*schema.Len():]); ie != nil {
 			return nil, st, ie
 		}
+		at += p.Regions
 	}
 	return s, st, nil
 }

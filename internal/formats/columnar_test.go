@@ -1,7 +1,9 @@
 package formats
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,6 +34,79 @@ func kindsDataset(t testing.TB) *gdm.Dataset {
 	ds.MustAdd(s1)
 	ds.MustAdd(gdm.NewSample("s2")) // region-free sample
 	return ds
+}
+
+// goldenDataset is the fixed dataset whose .gdmc image (sample s1) and frame
+// are committed under testdata/golden: a tagged column (hits, with a null),
+// a null-typed column, -0.0 and two NaNs (one with a payload) among the
+// floats, an empty string, every strand.
+func goldenDataset() *gdm.Dataset {
+	schema := gdm.MustSchema(
+		gdm.Field{Name: "hits", Type: gdm.KindInt},
+		gdm.Field{Name: "p", Type: gdm.KindFloat},
+		gdm.Field{Name: "name", Type: gdm.KindString},
+		gdm.Field{Name: "ok", Type: gdm.KindBool},
+		gdm.Field{Name: "none", Type: gdm.KindNull},
+	)
+	ds := gdm.NewDataset("GOLD", schema)
+	s1 := gdm.NewSample("s1")
+	s1.Meta.Add("cell", "HeLa")
+	s1.Meta.Add("antibody", "CTCF")
+	s1.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandPlus, gdm.Int(3), gdm.Float(math.Copysign(0, -1)), gdm.Str("a"), gdm.Bool(true), gdm.Null()))
+	s1.AddRegion(gdm.NewRegion("chr1", 15, 40, gdm.StrandMinus, gdm.Null(), gdm.Float(math.NaN()), gdm.Str("bc"), gdm.Bool(false), gdm.Null()))
+	s1.AddRegion(gdm.NewRegion("chr2", 0, 7, gdm.StrandNone, gdm.Int(-1<<40), gdm.Float(math.Float64frombits(goldenNaNBits)), gdm.Str(""), gdm.Bool(true), gdm.Null()))
+	s1.AddRegion(gdm.NewRegion("chrX", 100, 1000, gdm.StrandNone, gdm.Int(7), gdm.Float(-2.25), gdm.Str("x\ty"), gdm.Bool(false), gdm.Null()))
+	s2 := gdm.NewSample("s2")
+	s2.Meta.Add("cell", "K562")
+	s2.AddRegion(gdm.NewRegion("chr1", 5, 6, gdm.StrandPlus, gdm.Int(1), gdm.Float(0), gdm.Str("z"), gdm.Null(), gdm.Null()))
+	ds.MustAdd(s1)
+	ds.MustAdd(s2)
+	return ds
+}
+
+// goldenNaNBits is a NaN with a payload, which must survive storage as is.
+const goldenNaNBits = 0x7ff4000000000abc
+
+// TestColumnarGoldenBytes: the .gdmc image and the frame of the fixed
+// dataset are byte for byte the committed ones, so neither format moves
+// under an encoder change; and decoding them gives back every float's bits.
+func TestColumnarGoldenBytes(t *testing.T) {
+	ds := goldenDataset()
+	image, err := appendColumnarSample(nil, ds.Samples[0], ds.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := encodeFrame(t, ds)
+	for file, got := range map[string][]byte{"GOLD.gdmc": image, "GOLD.gdmf": frame} {
+		want, err := os.ReadFile(filepath.Join("testdata", "golden", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: encoded %d bytes differ from the committed %d", file, len(got), len(want))
+		}
+	}
+	back, err := DecodeFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si, s := range ds.Samples {
+		for ri, r := range s.Regions {
+			for ai, v := range r.Values {
+				w := back.Samples[si].Regions[ri].Values[ai]
+				if v.Kind() != w.Kind() || v.Int() != w.Int() || v.Str() != w.Str() ||
+					math.Float64bits(v.Float()) != math.Float64bits(w.Float()) {
+					t.Errorf("sample %s region %d attribute %d: encoded %#v, decoded %#v", s.ID, ri, ai, v, w)
+				}
+			}
+		}
+	}
+	if got := math.Float64bits(back.Samples[0].Regions[0].Values[1].Float()); got != 1<<63 {
+		t.Errorf("-0.0 decoded with bits %#x", got)
+	}
+	if got := math.Float64bits(back.Samples[0].Regions[2].Values[1].Float()); got != goldenNaNBits {
+		t.Errorf("NaN payload decoded with bits %#x, want %#x", got, uint64(goldenNaNBits))
+	}
 }
 
 func TestColumnarSampleRoundTrip(t *testing.T) {

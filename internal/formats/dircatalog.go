@@ -432,10 +432,7 @@ func (c *DirCatalog) ReadPruned(name string, keep catalog.Keep) (*gdm.Dataset, c
 		s, sst, ie := openColumnarSamplePruned(dir, id, schema, man, keep)
 		if ie == nil && s != nil {
 			s.SortRegions()
-			if err := ds.Add(s); err != nil {
-				ie = &IntegrityError{Dataset: ds.Name, Path: filepath.Join(dir, id+columnarExt),
-					Reason: ReasonParse, Detail: err.Error()}
-			}
+			ds.Samples = append(ds.Samples, s) // the decoder proved what Add checks
 		}
 		if ie != nil {
 			if err := rep.exclude(c.Policy, id, ie, id+columnarExt, id+".gdm.meta"); err != nil {

@@ -11,6 +11,7 @@ package formats
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -112,9 +113,19 @@ type lineScanner struct {
 // maxLineBytes bounds one line of a text file: a longer one fails the scan.
 const maxLineBytes = 16 * 1024 * 1024
 
+// lineBufBytes is the scanner's starting buffer; a longer line grows it.
+const lineBufBytes = 64 * 1024
+
 func newLineScanner(r io.Reader) *lineScanner {
+	size := lineBufBytes
+	if br, ok := r.(*bytes.Reader); ok {
+		// An in-memory payload, such as a verified member file, is scanned
+		// in a buffer its size: one byte more, so that a last line without
+		// a newline does not make the scanner grow a full buffer.
+		size = min(size, br.Len()+1)
+	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	sc.Buffer(make([]byte, 0, size), maxLineBytes)
 	return &lineScanner{sc: sc}
 }
 

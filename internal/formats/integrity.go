@@ -370,8 +370,13 @@ func openMember(dir string, man *Manifest, pol IntegrityPolicy, rep *IntegrityRe
 	}
 	ids := man.SampleIDs()
 	ds := gdm.NewDataset(rep.Dataset, schema)
-	err = addSamples(ds, ids, columnarExt, pol, rep, func(id string) (*gdm.Sample, *IntegrityError) {
-		return readColumnarSampleVerified(dir, id, schema, man)
+	err = addSamples(ids, columnarExt, pol, rep, func(id string) *IntegrityError {
+		s, ie := readColumnarSampleVerified(dir, id, schema, man)
+		if ie == nil {
+			s.SortRegions()
+			ds.Samples = append(ds.Samples, s) // the decoder proved what Add checks
+		}
+		return ie
 	})
 	if err != nil {
 		return nil, err
@@ -414,20 +419,13 @@ func sampleFileID(file string) (string, bool) {
 	return "", false
 }
 
-// addSamples reads each sample in ids and adds it to ds. A sample that fails
-// (ext names its region file) is excluded under pol.
-func addSamples(ds *gdm.Dataset, ids []string, ext string, pol IntegrityPolicy, rep *IntegrityReport,
-	read func(id string) (*gdm.Sample, *IntegrityError)) error {
+// addSamples calls add, which reads one sample into the dataset, for each
+// sample in ids. A sample add fails (ext names its region file) is excluded
+// under pol.
+func addSamples(ids []string, ext string, pol IntegrityPolicy, rep *IntegrityReport,
+	add func(id string) *IntegrityError) error {
 	for _, id := range ids {
-		s, ie := read(id)
-		if ie == nil {
-			s.SortRegions()
-			if err := ds.Add(s); err != nil {
-				ie = &IntegrityError{Dataset: ds.Name, Path: filepath.Join(rep.Dir, id+ext),
-					Reason: ReasonParse, Detail: err.Error()}
-			}
-		}
-		if ie != nil {
+		if ie := add(id); ie != nil {
 			if err := rep.exclude(pol, id, ie, id+ext, id+".gdm.meta"); err != nil {
 				return err
 			}

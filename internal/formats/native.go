@@ -333,8 +333,17 @@ func readExport(dir string, pol IntegrityPolicy, rep *IntegrityReport) (*gdm.Dat
 		return nil, ie
 	}
 	ds := gdm.NewDataset(rep.Dataset, schema)
-	err = addSamples(ds, ids, ".gdm", pol, rep, func(id string) (*gdm.Sample, *IntegrityError) {
-		return readExportSample(dir, id, schema)
+	err = addSamples(ids, ".gdm", pol, rep, func(id string) *IntegrityError {
+		s, ie := readExportSample(dir, id, schema)
+		if ie != nil {
+			return ie
+		}
+		// Text is only parsed: Add validates the regions and coerces values.
+		s.SortRegions()
+		if err := ds.Add(s); err != nil {
+			return &IntegrityError{Dataset: ds.Name, Path: filepath.Join(dir, id+".gdm"), Reason: ReasonParse, Detail: err.Error()}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err

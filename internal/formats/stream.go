@@ -225,19 +225,24 @@ func (f *Frame) ServeRange(w http.ResponseWriter, start, count int) {
 	_ = writeParts(w, hdr, images) // fails only when the requester is gone
 }
 
-// DecodeDataset reads a frame produced by EncodeDataset. Any damage — a
-// flipped bit, a cut, a count the bytes cannot back — fails the decode with
-// a typed *IntegrityError; nothing is ever returned from a frame that does
-// not verify in full.
+// DecodeDataset reads a frame produced by EncodeDataset from r, then decodes
+// it with DecodeFrame. A caller that holds the frame's bytes calls
+// DecodeFrame, which does not copy them first.
 func DecodeDataset(r io.Reader) (*gdm.Dataset, error) {
-	// Callers hold a fetched body and pass a bytes.Reader over it, which
-	// io.Copy lets write itself into the buffer in one piece, where
-	// io.ReadAll would grow and copy its way up to it.
+	// A bytes.Reader writes itself into the buffer in one piece through
+	// io.Copy, where io.ReadAll would grow and copy its way up to it.
 	var buf bytes.Buffer
 	if _, err := io.Copy(&buf, r); err != nil {
 		return nil, fmt.Errorf("decode dataset: %w", err)
 	}
-	data := buf.Bytes()
+	return DecodeFrame(buf.Bytes())
+}
+
+// DecodeFrame decodes a frame produced by EncodeDataset. Any damage — a
+// flipped bit, a cut, a count the bytes cannot back — fails the decode with
+// a typed *IntegrityError; nothing is ever returned from a frame that does
+// not verify in full. The dataset shares no memory with data.
+func DecodeFrame(data []byte) (*gdm.Dataset, error) {
 	ds, ie := decodeFrame(data)
 	if ie != nil {
 		metricIntegrityFailures.With(string(ie.Reason)).Inc()
@@ -319,9 +324,7 @@ func decodeFrame(data []byte) (*gdm.Dataset, *IntegrityError) {
 		}
 		images = images[size:]
 		s.Meta = md
-		if err := ds.Add(s); err != nil {
-			return nil, fail(ReasonParse, err.Error())
-		}
+		ds.Samples = append(ds.Samples, s) // decodeColumnarSample proved what Add checks
 	}
 	if h.bad || len(h.b) != 0 || len(images) != 0 {
 		return nil, fail(ReasonParse, "malformed frame header or trailing bytes")

@@ -5,9 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
+	"genogo/internal/catalog"
 	"genogo/internal/gdm"
 )
 
@@ -195,15 +199,125 @@ func TestStreamHostilePayload(t *testing.T) {
 		"trailing":               {2, 2, 2, 2, strandConstant, 0, columnUniform, 0, 0, 0},
 	} {
 		regs := make([]gdm.Region, part.Regions)
-		if detail := decodeColumnarPayload(payload, part, schema, regs); detail == "" {
+		if detail := decodeColumnarPayload(payload, part, schema, regs, make([]gdm.Value, part.Regions)); detail == "" {
 			t.Errorf("%s: hostile payload decoded cleanly: %v", what, regs)
 		}
 	}
 	regs := make([]gdm.Region, part.Regions)
-	if detail := decodeColumnarPayload([]byte{2, 2, 2, 2, strandConstant, 0, columnUniform, 1, 0, 'a'}, part, schema, regs); detail != "" {
+	if detail := decodeColumnarPayload([]byte{2, 2, 2, 2, strandConstant, 0, columnUniform, 1, 0, 'a'}, part, schema, regs, make([]gdm.Value, part.Regions)); detail != "" {
 		t.Fatalf("honest hand-made payload: %s", detail)
 	}
 	if regs[0].String() != "chr1:1-3(*) a" || regs[1].String() != "chr1:2-4(*) " {
 		t.Errorf("decoded %v", regs)
+	}
+}
+
+// sealImage builds a one-partition .gdmc image of arity 1 around a hand-made
+// payload, with a zone window that admits anything and every checksum right,
+// so that only the payload decoder's own checks judge the regions.
+func sealImage(chrom string, regions int, payload []byte) []byte {
+	img := append([]byte{}, columnarMagic...)
+	img = appendUint16(img, 1)
+	img = appendUint32(img, 1)
+	img = appendUint16(img, uint16(len(chrom)))
+	img = append(img, chrom...)
+	img = appendUint32(img, uint32(regions))
+	img = appendUint64(img, 1<<63)   // minStart: MinInt64
+	img = appendUint64(img, 1<<63-1) // maxStop: MaxInt64
+	img = appendUint64(img, uint64(len(img)+8+8+4+4))
+	img = appendUint64(img, uint64(len(payload)))
+	img = appendUint32(img, crc32.Checksum(payload, castagnoli))
+	img = appendUint32(img, crc32.Checksum(img, castagnoli))
+	return append(img, payload...)
+}
+
+// TestDecodeHostileRegions: regions Dataset.Add would refuse — no
+// chromosome, a negative start, a stop past MaxInt64 — fail the decode
+// itself with a typed parse error, whether they arrive as an image, in a
+// frame, or from a member on disk through the full and the pruned read. The
+// decoder's samples join a dataset without Add, so nothing else stops them.
+func TestDecodeHostileRegions(t *testing.T) {
+	schema := gdm.MustSchema(gdm.Field{Name: "n", Type: gdm.KindInt})
+	uv := func(u uint64) []byte { return binary.AppendUvarint(nil, u) }
+	zz := func(v int64) []byte { return uv(zigzag(v)) }
+	payload := func(starts, lengths [2][]byte) []byte {
+		return bytes.Join([][]byte{starts[0], starts[1], lengths[0], lengths[1],
+			{strandConstant, 0, columnUniform}, zz(2), zz(4)}, nil)
+	}
+	honest := payload([2][]byte{zz(10), zz(10)}, [2][]byte{uv(5), uv(5)})
+	hostile := map[string][]byte{
+		"empty chromosome":   sealImage("", 2, honest),
+		"negative start":     sealImage("chr1", 2, payload([2][]byte{zz(10), zz(-11)}, [2][]byte{uv(5), uv(5)})),
+		"start wraps":        sealImage("chr1", 2, payload([2][]byte{zz(math.MaxInt64), zz(2)}, [2][]byte{uv(0), uv(0)})),
+		"start+length wraps": sealImage("chr1", 2, payload([2][]byte{zz(10), zz(0)}, [2][]byte{uv(5), uv(math.MaxInt64 - 9)})),
+	}
+	wantParse := func(what string, err error) {
+		t.Helper()
+		var ie *IntegrityError
+		if !errors.As(err, &ie) || ie.Reason != ReasonParse {
+			t.Errorf("%s: error %v, want a typed %s error", what, err, ReasonParse)
+		}
+	}
+	frameOf := func(id string, image []byte) []byte {
+		str := func(s string) []byte { return appendString(nil, s) }
+		return sealFrame(bytes.Join([][]byte{str("X"), {1}, str("n"), {byte(gdm.KindInt)},
+			{1}, str(id), {0}, uv(uint64(len(image)))}, nil), image)
+	}
+	// member writes a one-sample member whose image is image, under a
+	// manifest that vouches for it.
+	member := func(image []byte) string {
+		root := t.TempDir()
+		ds := gdm.NewDataset("M", schema)
+		s := gdm.NewSample("s")
+		s.AddRegion(gdm.NewRegion("chr1", 1, 2, gdm.StrandNone, gdm.Int(1)))
+		ds.MustAdd(s)
+		dir := filepath.Join(root, "M")
+		if err := WriteDatasetColumnar(dir, ds); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "s"+columnarExt), image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		man, err := ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man.Files["s"+columnarExt] = columnarFileInfo(image)
+		if err := writeManifest(dir, man); err != nil {
+			t.Fatal(err)
+		}
+		return root
+	}
+	for what, image := range hostile {
+		if _, ie := decodeColumnarSample("X", "x.gdmc", "s", image, schema); ie == nil {
+			t.Errorf("%s image: decoded", what)
+		} else {
+			wantParse(what+" image", ie)
+		}
+		ds, err := DecodeFrame(frameOf("s", image))
+		if ds != nil {
+			t.Errorf("%s frame: decoded", what)
+		}
+		wantParse(what+" frame", err)
+		root := member(image)
+		_, _, err = OpenDataset(filepath.Join(root, "M"), IntegrityPolicy{})
+		wantParse(what+" full load", err)
+		_, _, err = NewDirCatalog(root).ReadPruned("M", catalog.Keep{})
+		wantParse(what+" pruned read", err)
+	}
+	// The same image is sound once the lie is taken out, but not as a
+	// sample without an ID.
+	honestImage := sealImage("chr1", 2, honest)
+	_, err := DecodeFrame(frameOf("", honestImage))
+	wantParse("empty sample ID", err)
+	ds, err := DecodeFrame(frameOf("s", honestImage))
+	if err != nil {
+		t.Fatalf("honest hand-made frame: %v", err)
+	}
+	if got := ds.Samples[0].Regions[1].String(); got != "chr1:20-25(*) 4" {
+		t.Errorf("honest frame decoded %s", got)
+	}
+	if _, _, err := NewDirCatalog(member(honestImage)).ReadPruned("M", catalog.Keep{}); err != nil {
+		t.Errorf("honest member: %v", err)
 	}
 }

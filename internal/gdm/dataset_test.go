@@ -1,6 +1,7 @@
 package gdm
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -325,5 +326,29 @@ func TestSortRegionsMatchesStableReference(t *testing.T) {
 				t.Fatalf("round %d region %d: %s, reference %s", round, i, s.Regions[i], want[i])
 			}
 		}
+	}
+}
+
+// TestContentDigestGolden: the digest is a dataset's version in every
+// manifest, so a fixed dataset — every kind, a null, -0.0, NaN, extreme
+// ints — must keep digesting to the committed value.
+func TestContentDigestGolden(t *testing.T) {
+	schema := MustSchema(
+		Field{"hits", KindInt}, Field{"p", KindFloat}, Field{"name", KindString}, Field{"ok", KindBool},
+	)
+	ds := NewDataset("GOLD", schema)
+	s1 := NewSample("s1")
+	s1.Meta.Add("cell", "HeLa")
+	s1.Meta.Add("antibody", "CTCF")
+	s1.AddRegion(NewRegion("chr2", 0, 7, StrandNone, Int(math.MinInt64), Float(math.NaN()), Str(""), Bool(true)))
+	s1.AddRegion(NewRegion("chr1", 10, 20, StrandPlus, Int(3), Float(math.Copysign(0, -1)), Str("a"), Bool(true)))
+	s1.AddRegion(NewRegion("chr1", 15, 40, StrandMinus, Null(), Float(1e-300), Str("x\ty"), Null()))
+	s2 := NewSample("s0")
+	s2.AddRegion(NewRegion("chrX", 5, 6, StrandPlus, Int(math.MaxInt64), Null(), Null(), Bool(false)))
+	ds.MustAdd(s1)
+	ds.MustAdd(s2)
+	const want = "baf74fb913c84bf86095b80b8b637d56e2be56173fbe3fb4b07c81e05e2a3899"
+	if got := ds.ContentDigest(); got != want {
+		t.Errorf("ContentDigest = %s, want %s", got, want)
 	}
 }

@@ -69,33 +69,36 @@ func ParseKind(s string) (Kind, error) {
 
 // Value is a typed attribute value. It is a tagged struct rather than an
 // interface so that large region slices stay free of per-value heap boxes;
-// datasets routinely hold tens of millions of regions.
+// datasets routinely hold tens of millions of regions. Its 32 bytes are the
+// string payload, one 64-bit payload shared by the numeric kinds (the int,
+// the bool as 0 or 1, or the float's IEEE-754 bits, so -0.0 and NaN keep
+// their bits) and the kind tag; the accessors read the 64-bit payload only
+// for the kinds that own it.
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
 	s    string
+	n    uint64
+	kind Kind
 }
 
 // Null returns the missing value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a floating point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // Str returns a string value.
 func Str(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
-	var i int64
+	var n uint64
 	if v {
-		i = 1
+		n = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool, n: n}
 }
 
 // Kind reports the kind tag of the value.
@@ -105,25 +108,35 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // Int returns the integer payload. It is 0 unless Kind is KindInt or KindBool.
-func (v Value) Int() int64 { return v.i }
+func (v Value) Int() int64 {
+	if v.kind == KindInt || v.kind == KindBool {
+		return int64(v.n)
+	}
+	return 0
+}
 
 // Float returns the float payload. It is 0 unless Kind is KindFloat.
-func (v Value) Float() float64 { return v.f }
+func (v Value) Float() float64 {
+	if v.kind == KindFloat {
+		return math.Float64frombits(v.n)
+	}
+	return 0
+}
 
 // Str returns the string payload. It is "" unless Kind is KindString.
 func (v Value) Str() string { return v.s }
 
-// Bool returns the boolean payload.
-func (v Value) Bool() bool { return v.i != 0 }
+// Bool returns the boolean payload: whether Int is nonzero.
+func (v Value) Bool() bool { return v.Int() != 0 }
 
 // AsFloat converts numeric and boolean values to float64 for use in
 // aggregates and arithmetic. Strings and nulls yield (0, false).
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindInt, KindBool:
-		return float64(v.i), true
+		return float64(int64(v.n)), true
 	case KindFloat:
-		return v.f, true
+		return math.Float64frombits(v.n), true
 	default:
 		return 0, false
 	}
@@ -136,13 +149,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
@@ -176,12 +189,12 @@ func (v Value) Coerce(k Kind) (Value, error) {
 	case KindInt:
 		switch v.kind {
 		case KindFloat:
-			if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) {
-				return Int(int64(v.f)), nil
+			if f := v.Float(); f == math.Trunc(f) && !math.IsInf(f, 0) {
+				return Int(int64(f)), nil
 			}
-			return Null(), fmt.Errorf("gdm: cannot coerce non-integral float %g to int", v.f)
+			return Null(), fmt.Errorf("gdm: cannot coerce non-integral float %g to int", v.Float())
 		case KindBool:
-			return Int(v.i), nil
+			return Int(v.Int()), nil
 		case KindString:
 			i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 			if err != nil {
@@ -194,7 +207,7 @@ func (v Value) Coerce(k Kind) (Value, error) {
 	case KindBool:
 		switch v.kind {
 		case KindInt:
-			return Bool(v.i != 0), nil
+			return Bool(v.n != 0), nil
 		case KindString:
 			b, err := strconv.ParseBool(strings.TrimSpace(v.s))
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -37,27 +38,62 @@ func TestParseKind(t *testing.T) {
 	}
 }
 
+// TestValueConstructorsAndAccessors pins every accessor for every kind: Int and Bool read
+// the numeric payload only for int and bool values, Float only for floats,
+// Str only for strings, whatever the payload's bits.
 func TestValueConstructorsAndAccessors(t *testing.T) {
-	if v := Int(42); v.Kind() != KindInt || v.Int() != 42 {
-		t.Errorf("Int(42) = %+v", v)
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	for _, c := range []struct {
+		v       Value
+		kind    Kind
+		i       int64
+		f       float64
+		str     string
+		b       bool
+		asFloat float64
+		numeric bool
+	}{
+		{Null(), KindNull, 0, 0, "", false, 0, false},
+		{Int(42), KindInt, 42, 0, "", true, 42, true},
+		{Int(-1), KindInt, -1, 0, "", true, -1, true},
+		{Int(0), KindInt, 0, 0, "", false, 0, true},
+		{Int(math.MinInt64), KindInt, math.MinInt64, 0, "", true, math.MinInt64, true},
+		{Float(2.5), KindFloat, 0, 2.5, "", false, 2.5, true},
+		{Float(-1), KindFloat, 0, -1, "", false, -1, true},
+		{Float(negZero), KindFloat, 0, negZero, "", false, negZero, true},
+		{Str("x"), KindString, 0, 0, "x", false, 0, false},
+		{Str(""), KindString, 0, 0, "", false, 0, false},
+		{Bool(true), KindBool, 1, 0, "", true, 1, true},
+		{Bool(false), KindBool, 0, 0, "", false, 0, true},
+	} {
+		f, numeric := c.v.AsFloat()
+		if c.v.Kind() != c.kind || c.v.IsNull() != (c.kind == KindNull) || c.v.Int() != c.i ||
+			math.Float64bits(c.v.Float()) != math.Float64bits(c.f) || c.v.Str() != c.str || c.v.Bool() != c.b ||
+			math.Float64bits(f) != math.Float64bits(c.asFloat) || numeric != c.numeric {
+			t.Errorf("%s %v: kind %s Int %d Float %g Str %q Bool %v AsFloat %g,%v",
+				c.kind, c.v, c.v.Kind(), c.v.Int(), c.v.Float(), c.v.Str(), c.v.Bool(), f, numeric)
+		}
 	}
-	if v := Float(2.5); v.Kind() != KindFloat || v.Float() != 2.5 {
-		t.Errorf("Float(2.5) = %+v", v)
+	if v := Float(nan); v.Int() != 0 || v.Bool() || !math.IsNaN(v.Float()) {
+		t.Errorf("Float(NaN): Int %d Bool %v Float %g", v.Int(), v.Bool(), v.Float())
 	}
-	if v := Str("x"); v.Kind() != KindString || v.Str() != "x" {
-		t.Errorf("Str(x) = %+v", v)
+	// A float's payload is its IEEE-754 bits, kept exactly.
+	for _, bits := range []uint64{math.Float64bits(negZero), math.Float64bits(nan), 0x7ff4000000000abc, 0xfff8000000000001} {
+		if got := math.Float64bits(Float(math.Float64frombits(bits)).Float()); got != bits {
+			t.Errorf("Float bits %#x came back %#x", bits, got)
+		}
 	}
-	if v := Bool(true); v.Kind() != KindBool || !v.Bool() {
-		t.Errorf("Bool(true) = %+v", v)
+}
+
+// TestValueLayout pins the sizes the region slabs are made of: a Value is a
+// string, one 64-bit payload and a kind tag, and a Region stays one cache
+// line.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("Value is %d bytes, want 32", got)
 	}
-	if v := Bool(false); v.Bool() {
-		t.Errorf("Bool(false).Bool() = true")
-	}
-	if v := Null(); !v.IsNull() || v.Kind() != KindNull {
-		t.Errorf("Null() = %+v", v)
-	}
-	if Int(1).IsNull() {
-		t.Error("Int(1).IsNull() = true")
+	if got := unsafe.Sizeof(Region{}); got != 64 {
+		t.Errorf("Region is %d bytes, want 64", got)
 	}
 }
 
@@ -86,6 +122,8 @@ func TestValueString(t *testing.T) {
 	cases := map[string]Value{
 		"NULL": Null(), "42": Int(42), "-1": Int(-1),
 		"2.5": Float(2.5), "x y": Str("x y"), "true": Bool(true), "false": Bool(false),
+		"-0": Float(math.Copysign(0, -1)), "NaN": Float(math.NaN()), "+Inf": Float(math.Inf(1)),
+		"-9223372036854775808": Int(math.MinInt64),
 	}
 	for want, v := range cases {
 		if got := v.String(); got != want {
@@ -119,6 +157,12 @@ func TestValueCoerce(t *testing.T) {
 		{Bool(true), KindString, Str("true"), false},
 		{Null(), KindInt, Null(), false},
 		{Int(1), KindInt, Int(1), false},
+		{Float(math.Copysign(0, -1)), KindInt, Int(0), false},
+		{Float(math.Copysign(0, -1)), KindString, Str("-0"), false},
+		{Float(math.NaN()), KindInt, Null(), true},
+		{Float(2), KindBool, Null(), true},
+		{Bool(false), KindInt, Int(0), false},
+		{Int(-5), KindFloat, Float(-5), false},
 	}
 	for _, c := range cases {
 		got, err := c.in.Coerce(c.to)
@@ -192,6 +236,10 @@ func TestCompare(t *testing.T) {
 		{Str("a"), Int(1), 1},
 		{Bool(false), Bool(true), -1},
 		{Bool(true), Int(1), 0},
+		{Float(math.Copysign(0, -1)), Float(0), 0}, // -0 == +0 numerically
+		{Float(math.Copysign(0, -1)), Int(0), 0},
+		{Float(math.NaN()), Float(1), 0}, // NaN is unordered: neither less nor greater
+		{Float(math.Inf(-1)), Int(math.MinInt64), -1},
 	}
 	for _, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {

@@ -8,7 +8,6 @@
 package genomenet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -442,7 +441,7 @@ func fetchDataset(ctx context.Context, c *http.Client, opt CrawlOptions, url str
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", url, err)
 	}
-	return formats.DecodeDataset(bytes.NewReader(body))
+	return formats.DecodeFrame(body)
 }
 
 // indexMeta parses the host's metadata lines and stores them per sample,
