@@ -8,6 +8,11 @@
 //	gmqldiff [-seeds N] [-start S] [-dataset-seed D] [-report FILE]
 //	         [-federation] [-storage] [-jobs N] [-tolerance T]
 //
+// -federation adds the configs federation, federation/2 and federation/3:
+// a Federator over 1, 2 and 3 in-process nodes holding the catalog split by
+// sample, on every -federation-every'th case. -storage adds the columnar/*
+// configs, the catalog read back from repository members.
+//
 // The exit status is nonzero when any case diverges, or when the catalog the
 // cases share read-only does not end with the content it started with, so CI
 // can gate on it; the -report JSON artifact carries the full evidence either
@@ -52,9 +57,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	start := fs.Int64("start", 1, "first generator seed")
 	dsSeed := fs.Int64("dataset-seed", 1, "seed for the synthetic input catalog")
 	report := fs.String("report", "", "write the JSON campaign report to this file")
-	federation := fs.Bool("federation", false, "sample a single-node federation round-trip")
+	federation := fs.Bool("federation", false, "sample the federation axis: a Federator over 1, 2 and 3 nodes (configs federation, federation/2, federation/3)")
 	storage := fs.Bool("storage", false, "add the storage axis (the catalog read back from repository members, pruned and unpruned)")
-	fedEvery := fs.Int("federation-every", 10, "run the federation round-trip on every Nth case")
+	fedEvery := fs.Int("federation-every", 10, "run the federation axis on every Nth case")
 	jobs := fs.Int("jobs", 4, "campaign parallelism")
 	tolerance := fs.Float64("tolerance", difftest.DefaultTolerance, "absolute/relative float comparison tolerance")
 	if err := fs.Parse(args); err != nil {

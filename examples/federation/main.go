@@ -81,8 +81,7 @@ func main() {
 	fmt.Println("\n=== Federated vs naive architecture ===")
 	fmt.Printf("result:      %d samples, %d regions (identical in both: %v)\n",
 		len(result.Samples), result.NumRegions(),
-		len(result.Samples) == len(naiveResult.Samples) &&
-			result.NumRegions() == naiveResult.NumRegions())
+		result.ContentDigest() == naiveResult.ContentDigest())
 	fmt.Printf("query  ship: %.2f MB moved\n", float64(fedBytes)/1e6)
 	fmt.Printf("data   ship: %.2f MB moved\n", float64(naiveBytes)/1e6)
 	fmt.Printf("advantage:   %.1fx less traffic with federation\n",

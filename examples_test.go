@@ -30,7 +30,7 @@ func TestExamplesRun(t *testing.T) {
 		{"./examples/breakpoints", []string{"-genes", "80"},
 			[]string{"dis-regulated genes", "fold change"}},
 		{"./examples/federation", nil,
-			[]string{"Remote datasets", "Compile-time estimate", "less traffic with federation"}},
+			[]string{"Remote datasets", "Compile-time estimate", "identical in both: true", "less traffic with federation"}},
 		{"./examples/ontology_search", nil,
 			[]string{"Curation report", "ontological search", "recall=1.00"}},
 		{"./examples/enrichment", nil,

@@ -42,8 +42,8 @@ type CampaignOptions struct {
 	DatasetSeed int64
 	// Tolerance for float comparison; zero means DefaultTolerance.
 	Tolerance float64
-	// Federation adds the federation round-trip to every FederationEvery-th
-	// case (the HTTP round-trip dominates runtime, so it is sampled).
+	// Federation adds the federation axis to every FederationEvery-th case
+	// (the HTTP round trips dominate runtime, so it is sampled).
 	Federation bool
 	// Storage adds the storage axis to every case: the shared catalog is
 	// materialized once as repository members into a temporary directory and
@@ -78,7 +78,7 @@ type Report struct {
 	OpCoverage map[string]int `json:"op_coverage"`
 	// Configs names the matrix the campaign ran.
 	Configs []string `json:"configs"`
-	// Federation reports whether the federation round-trip was sampled.
+	// Federation reports whether the federation axis was sampled.
 	Federation bool    `json:"federation"`
 	Tolerance  float64 `json:"tolerance"`
 	// Canceled reports a campaign cut short by its Context; counts cover
@@ -179,7 +179,9 @@ dispatch:
 		rep.Configs = append(rep.Configs, StorageConfigNames()...)
 	}
 	if opts.Federation {
-		rep.Configs = append(rep.Configs, "federation")
+		for _, n := range fanOuts {
+			rep.Configs = append(rep.Configs, fanOutName(n))
+		}
 	}
 	if storageErr != nil {
 		rep.Diverged = append(rep.Diverged, &CaseResult{

@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,7 +56,8 @@ func TestGeneratorCoversAllOperators(t *testing.T) {
 
 // TestSmokeCampaign is the tier-1 differential smoke: >= 200 generated
 // scripts across the full serial/batch/fused-stream × workers matrix
-// (federation sampled every 25th case), with zero divergences. This is the
+// (the 1-, 2- and 3-member federation sampled every 25th case), with zero
+// divergences. This is the
 // acceptance gate every perf PR runs against.
 func TestSmokeCampaign(t *testing.T) {
 	seeds := 220
@@ -80,6 +82,9 @@ func TestSmokeCampaign(t *testing.T) {
 	}
 	if !rep.CatalogUnchanged {
 		t.Error("the shared catalog changed during the campaign: something wrote through shared region storage")
+	}
+	if !testing.Short() && !(slices.Contains(rep.Configs, "federation/2") && slices.Contains(rep.Configs, "federation/3")) {
+		t.Errorf("configs %v lack the 2- and 3-member federation fan-out", rep.Configs)
 	}
 	if rep.Agreed+rep.OracleErrors != seeds {
 		t.Fatalf("case accounting broken: agreed %d + oracle errors %d != %d",

@@ -69,9 +69,11 @@ type Options struct {
 	DatasetSeed int64
 	// Tolerance for float comparison; zero means DefaultTolerance.
 	Tolerance float64
-	// Federation adds a single-node federation round-trip (execute the
-	// script on an HTTP federation node, fetch the result in chunks,
-	// compare against the serial oracle).
+	// Federation adds the federation axis: the script runs through a
+	// Federator over 1, 2 and 3 HTTP federation nodes holding the catalog
+	// split by sample (splitCatalog), which fetches each result in chunks
+	// and merges the legs; each is compared with the serial engine's answer
+	// over the same split (fanOutReference).
 	Federation bool
 	// Catalog, when non-nil, overrides BuildCatalog(DatasetSeed) — the
 	// campaign runner shares one catalog across cases.
@@ -168,71 +170,119 @@ func runMatrix(res *CaseResult, text, final string, cat engine.MapCatalog, opts 
 	if oracleErr != nil {
 		res.OracleErr = oracleErr.Error()
 	}
-	for _, ec := range matrix[1:] {
-		cr := ConfigResult{Config: ec.Name}
-		got, err := (&gmql.Runner{Config: ec.Cfg, Catalog: cat}).Eval(prog, final)
+	// check files one configuration's outcome against its reference: both
+	// erroring is agreement; otherwise the results must be equivalent.
+	check := func(config string, want *gdm.Dataset, wantErr error, got *gdm.Dataset, err error) {
+		cr := ConfigResult{Config: config}
 		switch {
-		case err != nil && oracleErr != nil:
-			// Both error: agreement.
+		case err != nil && wantErr != nil:
 			cr.Err = err.Error()
 		case err != nil:
 			cr.Err = err.Error()
 			cr.Diff = fmt.Sprintf("config errored but oracle succeeded: %v", err)
-		case oracleErr != nil:
-			cr.Diff = "config succeeded but oracle errored: " + oracleErr.Error()
+		case wantErr != nil:
+			cr.Diff = "config succeeded but oracle errored: " + wantErr.Error()
 		default:
-			cr.Diff = Diff(oracle, got, opts.Tolerance)
+			cr.Diff = Diff(want, got, opts.Tolerance)
 		}
 		res.Results = append(res.Results, cr)
+	}
+	for _, ec := range matrix[1:] {
+		got, err := (&gmql.Runner{Config: ec.Cfg, Catalog: cat}).Eval(prog, final)
+		check(ec.Name, oracle, oracleErr, got, err)
 	}
 	for _, sc := range storageMatrix(opts.Storage) {
-		cr := ConfigResult{Config: sc.Name}
 		got, err := (&gmql.Runner{Config: sc.Cfg, Catalog: sc.Cat}).Eval(prog, final)
-		switch {
-		case err != nil && oracleErr != nil:
-			cr.Err = err.Error()
-		case err != nil:
-			cr.Err = err.Error()
-			cr.Diff = fmt.Sprintf("config errored but oracle succeeded: %v", err)
-		case oracleErr != nil:
-			cr.Diff = "config succeeded but oracle errored: " + oracleErr.Error()
-		default:
-			cr.Diff = Diff(oracle, got, opts.Tolerance)
-		}
-		res.Results = append(res.Results, cr)
+		check(sc.Name, oracle, oracleErr, got, err)
 	}
 	if opts.Federation {
-		cr := ConfigResult{Config: "federation"}
-		got, err := runFederated(text, final, cat)
-		switch {
-		case err != nil && oracleErr != nil:
-			cr.Err = err.Error()
-		case err != nil:
-			cr.Err = err.Error()
-			cr.Diff = fmt.Sprintf("federation errored but oracle succeeded: %v", err)
-		case oracleErr != nil:
-			cr.Diff = "federation succeeded but oracle errored: " + oracleErr.Error()
-		default:
-			cr.Diff = Diff(oracle, got, opts.Tolerance)
+		for _, n := range fanOuts {
+			members := splitCatalog(cat, n)
+			want, wantErr := fanOutReference(prog, final, members)
+			got, err := runFederated(text, final, members)
+			if err == nil {
+				// The merge is no operator, so ValidateOutputs never saw it.
+				err = got.Validate()
+			}
+			check(fanOutName(n), want, wantErr, got, err)
 		}
-		res.Results = append(res.Results, cr)
 	}
 }
 
-// runFederated executes the script on a single in-process federation node
-// (stream mode, 4 workers) and fetches the staged result in small chunks —
-// the full execute/stage/chunked-retrieval wire path of Section 4.3.
-func runFederated(text, final string, cat engine.MapCatalog) (*gdm.Dataset, error) {
-	cfg := engine.Config{Mode: engine.ModeStream, Workers: 4, MetaFirst: true, ValidateOutputs: true}
-	srv := federation.NewServer("difftest-node", cfg,
-		cat["ENCODE"], cat["PEAKS"], cat["ANNOT"])
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := federation.NewClient(ts.URL)
-	ctx := context.Background()
-	resp, err := client.Execute(ctx, text, final)
-	if err != nil {
-		return nil, err
+// fanOuts are the federation axis: the member counts of a real Federator
+// over the split catalog. One member is the single-node round trip.
+var fanOuts = []int{1, 2, 3}
+
+// fanOutName names a federation-axis configuration in reports.
+func fanOutName(n int) string {
+	if n == 1 {
+		return "federation"
 	}
-	return client.FetchAll(ctx, resp.ResultID, 3)
+	return fmt.Sprintf("federation/%d", n)
+}
+
+// splitCatalog is the headline's data layout over n members: the experiment
+// datasets (ENCODE, PEAKS) are dealt out round-robin by sample and the ANNOT
+// reference sits on every member. The members share the catalog's samples
+// read-only.
+func splitCatalog(cat engine.MapCatalog, n int) []engine.MapCatalog {
+	members := make([]engine.MapCatalog, n)
+	for i := range members {
+		members[i] = engine.MapCatalog{"ANNOT": cat["ANNOT"]}
+	}
+	for _, name := range []string{"ENCODE", "PEAKS"} {
+		src := cat[name]
+		for i := range members {
+			members[i][name] = gdm.NewDataset(name, src.Schema)
+		}
+		for j, s := range src.Samples {
+			part := members[j%n][name]
+			part.Samples = append(part.Samples, s)
+		}
+	}
+	return members
+}
+
+// fanOutReference is what a federation over members is defined to return:
+// each member's catalog evaluated by the serial engine, folded in member
+// order with engine.Union. Every member is its own replica group, so a
+// sample ID repeated between members is a different sample and Union keeps
+// it, renamed. A cross-sample script over a split dataset (COVER, MERGE) is
+// thereby compared with the federation's answer, not the single node's.
+func fanOutReference(prog *gmql.Program, final string, members []engine.MapCatalog) (*gdm.Dataset, error) {
+	cfg := Matrix()[0].Cfg
+	var merged *gdm.Dataset
+	for _, cat := range members {
+		ds, err := (&gmql.Runner{Config: cfg, Catalog: cat}).Eval(prog, final)
+		if err != nil {
+			return nil, err
+		}
+		if merged == nil {
+			merged = ds
+			continue
+		}
+		if merged, err = engine.Union(cfg, merged, ds); err != nil {
+			return nil, err
+		}
+	}
+	return merged, nil
+}
+
+// runFederated runs the script through a Federator over one in-process
+// federation node per member catalog (stream mode, 4 workers), which fetches
+// each staged result in chunks of 3 samples and merges the legs — the full
+// fan-out, execute/stage/chunked-retrieval wire path and MERGE of
+// Sections 4.3–4.4.
+func runFederated(text, final string, members []engine.MapCatalog) (*gdm.Dataset, error) {
+	cfg := engine.Config{Mode: engine.ModeStream, Workers: 4, MetaFirst: true, ValidateOutputs: true}
+	fed := &federation.Federator{}
+	for i, cat := range members {
+		srv := federation.NewServer(fmt.Sprintf("difftest-node%d", i+1), cfg,
+			cat["ENCODE"], cat["PEAKS"], cat["ANNOT"])
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		fed.Clients = append(fed.Clients, federation.NewClient(ts.URL))
+	}
+	ds, _, err := fed.Query(context.Background(), text, final, 3)
+	return ds, err
 }

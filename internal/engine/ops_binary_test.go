@@ -65,6 +65,14 @@ func TestUnionIDCollision(t *testing.T) {
 	if err := out.Validate(); err != nil {
 		t.Error(err)
 	}
+	// A third "same" collides with the original and with its first rename.
+	out, err = Union(Config{MetaFirst: true}, out, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Validate(); err != nil {
+		t.Errorf("three-way collision: %v", err)
+	}
 }
 
 func TestDifferenceOverlap(t *testing.T) {

@@ -49,8 +49,14 @@ func Union(cfg Config, left, right *gdm.Dataset) (*gdm.Dataset, error) {
 	}
 	for _, s := range rightOut {
 		if seen[s.ID] {
-			// The rename needs its own header; metadata and regions stay shared.
-			s = &gdm.Sample{ID: gdm.DeriveID("union", s.ID, "right"), Meta: s.Meta, Regions: s.Regions}
+			// The rename needs its own header; metadata and regions stay
+			// shared. The left side may hold the derived ID already (it is
+			// itself a union that renamed this ID), so derive until unused.
+			id := gdm.DeriveID("union", s.ID, "right")
+			for seen[id] {
+				id = gdm.DeriveID("union", id, "right")
+			}
+			s = &gdm.Sample{ID: id, Meta: s.Meta, Regions: s.Regions}
 		}
 		seen[s.ID] = true
 		out.Samples = append(out.Samples, s)

@@ -14,6 +14,7 @@ import (
 	"genogo/internal/engine"
 	"genogo/internal/formats"
 	"genogo/internal/gdm"
+	"genogo/internal/gmql"
 	"genogo/internal/obs"
 	"genogo/internal/resilience"
 )
@@ -453,10 +454,10 @@ func (c *Client) DownloadDataset(ctx context.Context, name string) (*gdm.Dataset
 	return formats.DecodeFrame(body)
 }
 
-// NodeFailure records one member's failure during a federated query.
+// NodeFailure records one lost leg of a federated query.
 type NodeFailure struct {
-	Node  string // the member's base URL
-	Stage string // "execute" or "fetch"
+	Node  string // the base URL of every replica tried, joined by "+"
+	Stage string // where the last attempt failed: "execute" or "fetch"
 	Err   error
 }
 
@@ -465,8 +466,8 @@ func (nf NodeFailure) String() string {
 	return fmt.Sprintf("%s (%s): %v", nf.Node, nf.Stage, nf.Err)
 }
 
-// PartialFailure is the structured degraded-mode report: exactly the
-// members whose results are missing from a federated answer, and why.
+// PartialFailure is the structured degraded-mode report: exactly the legs
+// whose results are missing from a federated answer, and why.
 // QueryID is the federated query's identity, so a partial-failure report
 // correlates with the /debug/queries console entry and the slow-log lines
 // of every node the query touched.
@@ -493,7 +494,7 @@ func (p *PartialFailure) Error() string {
 	return b.String()
 }
 
-// Nodes lists the failed members' base URLs, in client order.
+// Nodes lists the lost legs' NodeFailure.Node values, in leg order.
 func (p *PartialFailure) Nodes() []string {
 	if p == nil {
 		return nil
@@ -507,14 +508,14 @@ func (p *PartialFailure) Nodes() []string {
 
 // Policy configures degraded-mode federation.
 type Policy struct {
-	// AllowPartial returns merged results from the reachable members when
-	// some fail, instead of aborting the whole query.
+	// AllowPartial returns merged results from the legs that answered when
+	// some are lost, instead of aborting the whole query.
 	AllowPartial bool
-	// Quorum is the minimum number of members that must answer for a
-	// partial result to stand; <= 0 means 1.
+	// Quorum is the minimum number of legs that must answer for a partial
+	// result to stand; <= 0 means 1.
 	Quorum int
-	// Deadline bounds the whole query (all members, all chunks); 0 means
-	// the caller's context alone governs.
+	// Deadline bounds the whole query (all legs, all chunks); 0 means the
+	// caller's context alone governs.
 	Deadline time.Duration
 }
 
@@ -526,10 +527,10 @@ func (p Policy) quorum() int {
 }
 
 // Federator coordinates a query across several nodes: it ships the script
-// to every node, executes locally there, pulls only results, and merges
-// them into one dataset (sample union). This is the query-shipping
-// architecture of Section 4.4. Members are queried concurrently; the
-// Policy decides whether member failures abort the query or degrade it.
+// to one member of every leg, executes locally there, pulls only results,
+// and merges them into one dataset (sample union). This is the
+// query-shipping architecture of Section 4.4. Legs run concurrently; the
+// Policy decides whether a lost leg aborts the query or degrades it.
 type Federator struct {
 	Clients []*Client
 	Policy  Policy
@@ -537,12 +538,14 @@ type Federator struct {
 	// /debug/queries console; nil means the process-wide obs.Queries().
 	Queries *obs.QueryRegistry
 
-	// Placement, when non-nil, turns on replicated federation: data units
-	// registered on R members collapse into replica groups, the query runs
-	// one leg per group (served by any one replica, with failover to the
-	// survivors when a member dies mid-query), and the merge dedups samples
-	// by identity so overlapping replicas can never double-count. Nil keeps
-	// the legacy layout: one leg per member, no failover.
+	// Placement decides the query's legs: data units registered on R
+	// members collapse into replica groups, and the query runs one leg per
+	// group, served by any one replica, with failover to the survivors when
+	// a member dies mid-query. Nil means one singleton group per member:
+	// every member holds its own samples and is its own leg. The merge
+	// collapses a repeated sample ID only between legs whose groups are
+	// connected by shared members (see mergeLegs), so replicas never
+	// double-count and distinct samples that share an ID are both kept.
 	Placement *Placement
 	// Prober, when non-nil, supplies member health for replica ordering:
 	// legs try up members before suspect ones before down ones. Nil treats
@@ -572,15 +575,15 @@ func (f *Federator) BytesMoved() int64 {
 	return total
 }
 
-// Query runs the script on every member concurrently and merges the
-// results (sample union, in member order).
+// Query runs the script on every leg concurrently and merges the results
+// (sample union, in leg order).
 //
-// Under the default strict policy any member failure aborts the query:
-// the merged dataset is nil and the error carries the failure report.
-// With Policy.AllowPartial, the reachable members' results are merged and
-// returned together with a PartialFailure naming exactly the members that
-// were skipped (nil when every member answered); the query only errors
-// when fewer than Policy.Quorum members succeed.
+// Under the default strict policy a lost leg aborts the query: the merged
+// dataset is nil and the error carries the failure report. With
+// Policy.AllowPartial, the answering legs' results are merged and returned
+// together with a PartialFailure naming exactly the legs that were lost
+// (nil when every leg answered); the query only errors when fewer than
+// Policy.Quorum legs succeed.
 //
 // Every federated query gets a QueryID (reused from the context when
 // obs.WithQueryID set one), propagated to members as X-Query-ID and
@@ -592,14 +595,25 @@ func (f *Federator) Query(ctx context.Context, script, varName string, chunkSize
 }
 
 // QueryNaive is the baseline architecture: download every input dataset the
-// script references from every node and evaluate locally. It moves the full
-// inputs over the network instead of the results.
+// script references from one member of every leg and evaluate locally. It
+// moves the full inputs over the network instead of the results. The leg
+// results merge under the same rule as Query's (mergeLegs), so the two
+// architectures answer alike.
 func (f *Federator) QueryNaive(ctx context.Context, script, varName string, datasets []string, cfg engine.Config) (*gdm.Dataset, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var merged *gdm.Dataset
-	for _, c := range f.Clients {
+	groups, err := f.legGroups()
+	if err != nil {
+		return nil, err
+	}
+	prog, err := gmql.Parse(script)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]*gdm.Dataset, len(groups))
+	for i, g := range groups {
+		c := f.Clients[g.Members[0]]
 		cat := engine.MapCatalog{}
 		for _, name := range datasets {
 			ds, err := c.DownloadDataset(ctx, name)
@@ -608,23 +622,10 @@ func (f *Federator) QueryNaive(ctx context.Context, script, varName string, data
 			}
 			cat[name] = ds
 		}
-		prog, err := parseScript(script)
-		if err != nil {
+		if parts[i], err = (&gmql.Runner{Config: cfg, Catalog: cat}).Eval(prog, varName); err != nil {
 			return nil, err
 		}
-		ds, err := evalScript(prog, varName, cfg, cat)
-		if err != nil {
-			return nil, err
-		}
-		if merged == nil {
-			merged = ds
-			continue
-		}
-		u, err := engine.Union(cfg, merged, ds)
-		if err != nil {
-			return nil, err
-		}
-		merged = u
 	}
-	return merged, nil
+	merged, _, err := mergeLegs(cfg, groups, parts)
+	return merged, err
 }

@@ -25,8 +25,8 @@ type MemberSnapshot struct {
 type MembershipSnapshot struct {
 	// Members lists every member with its probed health and breaker state.
 	Members []MemberSnapshot `json:"members"`
-	// Placement lists every replicated data unit (empty for the legacy
-	// single-copy layout).
+	// Placement lists every replicated data unit (empty without a
+	// Placement, where each member is its own leg).
 	Placement []PlacementSnapshot `json:"placement,omitempty"`
 	// Hedging reports whether hedged requests are on.
 	Hedging bool `json:"hedging"`

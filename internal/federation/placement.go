@@ -14,10 +14,11 @@ import (
 // served by any one of them, because each holds the same samples.
 //
 // Declared at Federator construction, the placement decides the query's leg
-// structure: members with identical unit sets collapse into one replica
+// structure: units with identical member sets collapse into one replica
 // group, and the coordinator runs one leg per group, failing over (and
-// hedging) within the group. A nil Placement is the legacy single-copy
-// layout: one leg per member, no failover.
+// hedging) within the group. A nil Placement means one singleton group per
+// member: every leg is one member's own samples, with nobody to fail over
+// to. All methods are safe on a nil Placement.
 //
 // Placement is immutable after construction-time Register calls; reads
 // during queries need no locking.
@@ -122,8 +123,9 @@ type ReplicaGroup struct {
 // Groups derives the query legs: units with identical member sets collapse
 // into one group, in first-registration order. Overlapping member sets
 // across groups are legal — a member serving two groups returns its full
-// local answer for each, and the coordinator's sample-identity dedup keeps
-// the union exact.
+// local answer for each, and the merge collapses a sample ID repeated
+// between groups that share a member, which keeps the union exact. A nil
+// Placement has no groups; the Federator synthesises its singleton legs.
 func (p *Placement) Groups() []ReplicaGroup {
 	if p == nil {
 		return nil

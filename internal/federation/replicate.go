@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"genogo/internal/engine"
 	"genogo/internal/gdm"
 	"genogo/internal/obs"
 )
@@ -18,7 +20,7 @@ import (
 // duplicate work for a tail latency set by the second-slowest replica
 // instead of the slowest.
 type HedgePolicy struct {
-	// Enabled turns hedging on (replicated federation only).
+	// Enabled turns hedging on (legs with more than one replica only).
 	Enabled bool
 	// Delay is the floor (and the fallback while the latency window is
 	// still cold) for the hedge trigger; <= 0 means DefaultHedgeDelay.
@@ -113,21 +115,30 @@ func (f *Federator) rankReplicas(members []int) []int {
 	return out
 }
 
-// legGroups resolves the query's leg structure from the placement (nil
-// placement is handled by the caller's legacy path).
+// legGroups resolves the query's legs: the placement's replica groups, or,
+// with a nil Placement, one singleton group per member. A singleton group
+// has no units to name and nobody to fail over or hedge to, so its leg is
+// one attempt on its member.
 func (f *Federator) legGroups() ([]ReplicaGroup, error) {
-	if err := f.Placement.Validate(len(f.Clients)); err != nil {
-		return nil, err
+	var groups []ReplicaGroup
+	if f.Placement == nil {
+		for i := range f.Clients {
+			groups = append(groups, ReplicaGroup{Key: strconv.Itoa(i), Members: []int{i}})
+		}
+	} else {
+		if err := f.Placement.Validate(len(f.Clients)); err != nil {
+			return nil, err
+		}
+		groups = f.Placement.Groups()
 	}
-	groups := f.Placement.Groups()
 	if len(groups) == 0 {
-		return nil, fmt.Errorf("federation: placement registers no data units")
+		return nil, fmt.Errorf("federation: the query has no legs (no members, or a placement with no units)")
 	}
 	return groups, nil
 }
 
-// legTrace builds the observability for one replica leg: a LEG span under
-// the federated root holding one MEMBER attempt span per dispatched replica,
+// legTrace builds the observability for one leg: a LEG span under the
+// federated root holding one MEMBER attempt span per dispatched replica,
 // each annotated with its role (primary, failover, hedge).
 type legTrace struct {
 	entry    *obs.QueryEntry
@@ -147,7 +158,6 @@ func (lt *legTrace) attempt(member int, baseURL, role string) *memberTrace {
 		sp.Detail = fmt.Sprintf("MEMBER %d %s", member+1, baseURL)
 		sp.Mode = "fed"
 		sp.SetAttr("role", role)
-		sp.SetAttr("leg", lt.group.Key)
 		lt.legSp.AddChild(sp)
 		tr.span = sp
 		tr.ref = fmt.Sprintf("%s/leg%s/member%d.%d", lt.qid, lt.group.Key, member+1, lt.attempts)
@@ -177,7 +187,8 @@ type legResult struct {
 	ds    *gdm.Dataset
 	// fails holds one NodeFailure per replica attempt that failed. The leg
 	// failed only when ds is nil; a non-nil ds with fails means failover
-	// saved the leg and the result is still exact.
+	// saved the leg and the result is still exact. The report sees them only
+	// through legFailure.
 	fails []NodeFailure
 }
 
@@ -290,48 +301,100 @@ func (f *Federator) runLeg(ctx context.Context, script, varName string, chunkSiz
 }
 
 // legFailure summarizes a lost leg for the PartialFailure report: one
-// NodeFailure naming the leg's units and every replica that was tried.
+// NodeFailure naming every replica that was tried, the stage the last one
+// failed in, and the leg's units when the placement named any.
 func (r legResult) legFailure() NodeFailure {
 	nodes := make([]string, len(r.fails))
 	for i := range r.fails {
 		nodes[i] = r.fails[i].Node
 	}
 	last := r.fails[len(r.fails)-1]
-	return NodeFailure{
-		Node:  strings.Join(nodes, "+"),
-		Stage: last.Stage,
-		Err: fmt.Errorf("leg %s (units %s): all %d replica(s) failed, last: %w",
-			r.group.Key, strings.Join(r.group.Units, ","), len(r.fails), last.Err),
+	leg := "leg " + r.group.Key
+	if len(r.group.Units) > 0 {
+		leg += " (units " + strings.Join(r.group.Units, ",") + ")"
 	}
+	err := last.Err
+	if len(r.fails) > 1 {
+		err = fmt.Errorf("all %d replicas failed, last: %w", len(r.fails), err)
+	}
+	return NodeFailure{Node: strings.Join(nodes, "+"), Stage: last.Stage, Err: fmt.Errorf("%s: %w", leg, err)}
 }
 
-// dedupFilter drops samples whose identity has already been merged from an
-// overlapping replica, preserving order. It returns the filtered dataset
-// (the input when nothing was dropped) and the number of duplicates removed.
-func dedupFilter(seen map[string]bool, ds *gdm.Dataset) (*gdm.Dataset, int) {
-	dropped := 0
-	fresh := 0
-	for i := range ds.Samples {
-		if seen[ds.Samples[i].ID] {
-			dropped++
-		} else {
-			fresh++
+// replicaSets labels each group with its connected set: groups that share a
+// member, directly or through a chain of groups, get one label. A member
+// holding units of two groups answers either leg with both units' samples,
+// so only legs of one set can return the same sample.
+func replicaSets(groups []ReplicaGroup) []int {
+	parent := make(map[int]int)
+	var find func(m int) int
+	find = func(m int) int {
+		p, ok := parent[m]
+		if !ok || p == m {
+			return m
+		}
+		p = find(p)
+		parent[m] = p
+		return p
+	}
+	for _, g := range groups {
+		for _, m := range g.Members[1:] {
+			parent[find(m)] = find(g.Members[0])
 		}
 	}
-	if dropped == 0 {
-		for i := range ds.Samples {
-			seen[ds.Samples[i].ID] = true
-		}
-		return ds, 0
+	sets := make([]int, len(groups))
+	for i, g := range groups {
+		sets[i] = find(g.Members[0])
 	}
-	out := gdm.NewDataset(ds.Name, ds.Schema)
-	out.Samples = make([]*gdm.Sample, 0, fresh)
-	for i := range ds.Samples {
-		if seen[ds.Samples[i].ID] {
+	return sets
+}
+
+// mergeLegs is the federation's one merge rule. It folds the legs' datasets,
+// in leg order, into one sample union; parts[i] is the dataset of groups[i],
+// nil for a lost leg. A sample ID that repeats between legs of one replica
+// set (replicaSets) is one sample served twice and is merged once. A repeat
+// between legs of different sets is a different sample that happens to share
+// the ID, and engine.Union keeps it, renamed. Comparing content instead
+// would not do: replicas may sum floats in a different order, so two copies
+// of one sample need not be bit-equal. The result is nil when every part is;
+// collapsed counts the repeats merged once.
+func mergeLegs(cfg engine.Config, groups []ReplicaGroup, parts []*gdm.Dataset) (merged *gdm.Dataset, collapsed int, err error) {
+	sets := replicaSets(groups)
+	type identity struct {
+		id  string
+		set int
+	}
+	seen := make(map[identity]bool)
+	for i, ds := range parts {
+		if ds == nil {
 			continue
 		}
-		seen[ds.Samples[i].ID] = true
-		out.Samples = append(out.Samples, ds.Samples[i])
+		repeats := 0
+		for _, s := range ds.Samples {
+			if seen[identity{s.ID, sets[i]}] {
+				repeats++
+			}
+		}
+		if repeats > 0 {
+			fresh := gdm.NewDataset(ds.Name, ds.Schema)
+			fresh.Samples = make([]*gdm.Sample, 0, len(ds.Samples)-repeats)
+			for _, s := range ds.Samples {
+				if !seen[identity{s.ID, sets[i]}] {
+					fresh.Samples = append(fresh.Samples, s)
+				}
+			}
+			ds = fresh
+			collapsed += repeats
+		}
+		for _, s := range ds.Samples {
+			seen[identity{s.ID, sets[i]}] = true
+		}
+		if merged == nil {
+			merged = ds
+			continue
+		}
+		if merged, err = engine.Union(cfg, merged, ds); err != nil {
+			return nil, collapsed, err
+		}
 	}
-	return out, dropped
+	return merged, collapsed, nil
 }

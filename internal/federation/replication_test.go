@@ -173,6 +173,102 @@ func TestReplicaShardedExactDedup(t *testing.T) {
 	}
 }
 
+// TestReplicaMergeRule pins the federation's one merge rule: a sample ID
+// repeated between legs whose replica groups share a member is one sample
+// served twice and merges once; repeated anywhere else it is a different
+// sample that happens to share the ID, and both are kept, the later one
+// renamed as engine.Union renames. Member 1 of the disjoint cases holds
+// three samples numbered like member 0's, with other content. A nil member
+// is dead: its leg fails over.
+func TestReplicaMergeRule(t *testing.T) {
+	full := synth.New(42).Encode(synth.EncodeOptions{Samples: 6, MeanPeaks: 8})
+	a, b := full.Samples[:3], full.Samples[3:]
+	other := synth.New(43).Encode(synth.EncodeOptions{Samples: 3, MeanPeaks: 8}).Samples
+	dataset := func(parts ...[]*gdm.Sample) *gdm.Dataset {
+		ds := gdm.NewDataset("ENCODE", full.Schema)
+		for _, p := range parts {
+			ds.Samples = append(ds.Samples, p...)
+		}
+		return ds
+	}
+	both := sampleIDs(dataset(a))
+	for _, s := range other {
+		if s.ID != a[0].ID && s.ID != a[1].ID && s.ID != a[2].ID {
+			t.Fatalf("sample %s of the second member repeats no ID of the first", s.ID)
+		}
+		both = append(both, gdm.DeriveID("union", s.ID, "right"))
+	}
+	sort.Strings(both)
+	cases := []struct {
+		name      string
+		members   []*gdm.Dataset
+		placement *Placement
+		want      []string
+		regions   int
+	}{
+		{
+			name:      "disjoint-groups-keep-both",
+			members:   []*gdm.Dataset{dataset(a), dataset(other)},
+			placement: NewPlacement().Register("ENCODE@A", 0).Register("ENCODE@B", 1),
+			want:      both,
+			regions:   dataset(a, other).NumRegions(),
+		},
+		{
+			name:      "overlapping-groups-collapse",
+			members:   []*gdm.Dataset{dataset(a), dataset(a, b), dataset(b)},
+			placement: NewPlacement().Register("ENCODE@A", 0, 1).Register("ENCODE@B", 1, 2),
+			want:      sampleIDs(full),
+			regions:   full.NumRegions(),
+		},
+		{
+			// Leg {0,1} fails over to member 1 and returns A and B; leg
+			// {2,3} is answered by member 2 with B and C. The two legs
+			// share no member but return the same samples of B: they are
+			// connected through group {1,2}.
+			name:      "chained-groups-collapse",
+			members:   []*gdm.Dataset{nil, dataset(a, b[:1]), dataset(b[:1], b[1:]), dataset(b[1:])},
+			placement: NewPlacement().Register("ENCODE@A", 0, 1).Register("ENCODE@C", 2, 3).Register("ENCODE@B", 1, 2),
+			want:      sampleIDs(full),
+			regions:   full.NumRegions(),
+		},
+		{
+			name:    "nil-placement-renames",
+			members: []*gdm.Dataset{dataset(a), dataset(other)},
+			want:    both,
+			regions: dataset(a, other).NumRegions(),
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var clients []*Client
+			for _, ds := range tc.members {
+				srv := NewServer("m", engine.Config{Mode: engine.ModeSerial, MetaFirst: true})
+				if ds != nil {
+					srv.AddDataset(ds)
+				}
+				ts := httptest.NewServer(srv.Handler())
+				if ds == nil {
+					ts.Close()
+				} else {
+					t.Cleanup(ts.Close)
+				}
+				clients = append(clients, NewClient(ts.URL))
+			}
+			fed := &Federator{Clients: clients, Placement: tc.placement}
+			ds, report, err := fed.Query(context.Background(), replScript, "X", 2)
+			if err != nil || report != nil {
+				t.Fatalf("err=%v report=%v", err, report)
+			}
+			if got := sampleIDs(ds); strings.Join(got, "|") != strings.Join(tc.want, "|") {
+				t.Errorf("merged samples = %v, want %v", got, tc.want)
+			}
+			if got := ds.NumRegions(); got != tc.regions {
+				t.Errorf("merged %d regions, want %d", got, tc.regions)
+			}
+		})
+	}
+}
+
 // TestFailoverMidQueryExact: the primary replica of one leg is killed; the
 // leg must re-dispatch to the surviving replica and the merged result must
 // be byte-identical to the no-failure run — exact, not partial.

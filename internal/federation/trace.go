@@ -39,8 +39,8 @@ func callTraceFrom(ctx context.Context) *callTrace {
 	return ct
 }
 
-// memberTrace carries one member's observability state through queryNode:
-// the MEMBER span under the federated root (nil when the query is
+// memberTrace carries one member attempt's observability state through
+// queryNode: the MEMBER span under its LEG (nil when the query is
 // unprofiled), the console entry's member slot, and the coordinator span
 // reference remote executions hang under.
 type memberTrace struct {
@@ -69,11 +69,11 @@ func (tr *memberTrace) child(op, detail string) *obs.Span {
 	return sp
 }
 
-// leg runs one stage call with attempt counting: the returned context makes
-// do() count attempts into ct and stamp X-Parent-Span, and record transfers
+// stage runs one stage call with attempt counting: the returned context
+// makes do() count attempts and stamp X-Parent-Span, and record transfers
 // the retry count (attempts beyond the first) onto the stage span and the
 // console state once the call returns.
-func (tr *memberTrace) leg(ctx context.Context) (context.Context, *callTrace, func(sp *obs.Span)) {
+func (tr *memberTrace) stage(ctx context.Context) (context.Context, func(sp *obs.Span)) {
 	ct := &callTrace{parent: tr.ref}
 	record := func(sp *obs.Span) {
 		if ct.attempts > 1 {
@@ -83,7 +83,7 @@ func (tr *memberTrace) leg(ctx context.Context) (context.Context, *callTrace, fu
 			}
 		}
 	}
-	return withCallTrace(ctx, ct), ct, record
+	return withCallTrace(ctx, ct), record
 }
 
 // queryNode runs the script on one member and fetches the staged result.
@@ -119,11 +119,7 @@ func queryNode(ctx context.Context, c *Client, script, varName string, chunkSize
 				tr.span.SetAttr("retries", strconv.Itoa(tr.state.Attempts))
 			}
 			if ds != nil {
-				rs := 0
-				for i := range ds.Samples {
-					rs += len(ds.Samples[i].Regions)
-				}
-				tr.span.SetOutput(len(ds.Samples), rs)
+				tr.span.SetOutput(len(ds.Samples), ds.NumRegions())
 			}
 			tr.span.Finish(start)
 		}
@@ -131,7 +127,7 @@ func queryNode(ctx context.Context, c *Client, script, varName string, chunkSize
 
 	tr.setStage("execute")
 	execSp := tr.child("EXECUTE", "EXECUTE "+varName)
-	ectx, _, record := tr.leg(ctx)
+	ectx, record := tr.stage(ctx)
 	execStart := time.Now()
 	var qr QueryResponse
 	var err error
@@ -164,7 +160,7 @@ func queryNode(ctx context.Context, c *Client, script, varName string, chunkSize
 	release := func() {
 		relSp := tr.child("RELEASE", "RELEASE "+qr.ResultID)
 		relStart := time.Now()
-		rctx, _, record := tr.leg(ctx)
+		rctx, record := tr.stage(ctx)
 		if ctx.Err() == nil {
 			err := c.Release(rctx, qr.ResultID)
 			record(relSp)
@@ -193,7 +189,7 @@ func queryNode(ctx context.Context, c *Client, script, varName string, chunkSize
 	tr.setStage("fetch")
 	fetchSp := tr.child("FETCH", "FETCH "+qr.ResultID)
 	fetchStart := time.Now()
-	fctx, _, _ := tr.leg(ctx) // chunk spans carry their own attempt counts
+	fctx, _ := tr.stage(ctx) // chunk spans carry their own attempt counts
 	fctx = obs.WithSpan(fctx, fetchSp)
 	ds, err = c.FetchAll(fctx, qr.ResultID, chunkSize)
 	if fetchSp != nil {
@@ -214,12 +210,8 @@ func queryNode(ctx context.Context, c *Client, script, varName string, chunkSize
 		return nil, &NodeFailure{Node: c.BaseURL, Stage: "fetch", Err: err}
 	}
 	if fetchSp != nil {
-		rs := 0
-		for i := range ds.Samples {
-			rs += len(ds.Samples[i].Regions)
-		}
 		fetchSp.SetInput(qr.Samples, qr.Regions)
-		fetchSp.SetOutput(len(ds.Samples), rs)
+		fetchSp.SetOutput(len(ds.Samples), ds.NumRegions())
 		fetchSp.Finish(fetchStart)
 	}
 	tr.setStage("release")
@@ -227,12 +219,13 @@ func queryNode(ctx context.Context, c *Client, script, varName string, chunkSize
 	return ds, nil
 }
 
-// run is the shared federated query path: fan the script out to every
-// member, track each leg in the query console, and merge the survivors.
-// With profile set it additionally builds the merged cross-node span tree —
-// a FEDERATED root over PLAN, one MEMBER subtree per node (remote execution
-// trees grafted in), and the final MERGE — which the EXPLAIN ANALYZE
-// renderer prints like any local profile.
+// run is the federated query path: resolve the legs, fan the script out to
+// one replica per leg (runLegs), track each attempt in the query console,
+// and merge the surviving legs (mergeLegs). With profile set it additionally
+// builds the merged cross-node span tree — a FEDERATED root over PLAN, one
+// LEG per replica group holding a MEMBER subtree per attempt (remote
+// execution trees grafted in), and the final MERGE — which the EXPLAIN
+// ANALYZE renderer prints like any local profile.
 func (f *Federator) run(ctx context.Context, script, varName string, chunkSize int, profile bool) (*gdm.Dataset, *obs.Span, *PartialFailure, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -245,14 +238,9 @@ func (f *Federator) run(ctx context.Context, script, varName string, chunkSize i
 	}
 	began := time.Now()
 
-	replicated := f.Placement != nil
-	var groups []ReplicaGroup
-	if replicated {
-		var gerr error
-		groups, gerr = f.legGroups()
-		if gerr != nil {
-			return nil, nil, nil, gerr
-		}
+	groups, err := f.legGroups()
+	if err != nil {
+		return nil, nil, nil, err
 	}
 
 	entry := f.queries().Begin(qid, "federator", varName, script)
@@ -274,20 +262,12 @@ func (f *Federator) run(ctx context.Context, script, varName string, chunkSize i
 		planSp.Detail = fmt.Sprintf("PLAN %s digest=%s", varName, obs.ScriptDigest(script))
 		planSp.Mode = "fed"
 		root.AddChild(planSp)
-		if replicated {
-			planSp.SetAttr("replicated", "true")
-			planSp.SetAttr("legs", strconv.Itoa(len(groups)))
-		}
+		planSp.SetAttr("legs", strconv.Itoa(len(groups)))
 		planSp.SetOutput(len(f.Clients), 0)
 		planSp.Finish(planStart)
 	}
 
-	var results []legResult
-	if replicated {
-		results = f.runReplicated(ctx, script, varName, chunkSize, qid, entry, root, groups)
-	} else {
-		results = f.runLegacy(ctx, script, varName, chunkSize, qid, entry, root)
-	}
+	results := f.runLegs(ctx, script, varName, chunkSize, qid, entry, root, groups)
 
 	finish := func(status obs.QueryStatus, err error) {
 		errText := ""
@@ -308,81 +288,46 @@ func (f *Federator) run(ctx context.Context, script, varName string, chunkSize i
 		mergeSp.Mode = "fed"
 		root.AddChild(mergeSp)
 	}
-	var merged *gdm.Dataset
 	var report *PartialFailure
-	successes := 0
-	sIn, rIn := 0, 0
-	dedup := 0
-	var seen map[string]bool
-	if replicated {
-		seen = make(map[string]bool)
-	}
-	for _, r := range results {
+	parts := make([]*gdm.Dataset, len(results))
+	successes, sIn, rIn := 0, 0, 0
+	for i, r := range results {
 		if r.ds == nil {
 			if report == nil {
 				report = &PartialFailure{QueryID: qid}
 			}
-			if replicated {
-				report.Failed = append(report.Failed, r.legFailure())
-			} else {
-				report.Failed = append(report.Failed, r.fails...)
-			}
+			report.Failed = append(report.Failed, r.legFailure())
 			continue
 		}
 		successes++
-		ds := r.ds
-		if replicated {
-			// Overlapping replica groups may return the same sample from two
-			// legs; merge each identity exactly once so replication can never
-			// double-count.
-			var dropped int
-			ds, dropped = dedupFilter(seen, ds)
-			dedup += dropped
-		}
-		rs := 0
-		for i := range ds.Samples {
-			rs += len(ds.Samples[i].Regions)
-		}
-		sIn += len(ds.Samples)
-		rIn += rs
-		if merged == nil {
-			merged = ds
-			continue
-		}
-		u, err := engine.Union(engine.Config{MetaFirst: true}, merged, ds)
-		if err != nil {
-			if mergeSp != nil {
-				mergeSp.SetAttr("error", "merge")
-				mergeSp.Finish(mergeStart)
-			}
-			finish(obs.StatusFailed, err)
-			return nil, root, report, err
-		}
-		merged = u
+		parts[i] = r.ds
+		sIn += len(r.ds.Samples)
+		rIn += r.ds.NumRegions()
 	}
-	if dedup > 0 {
-		metricDedupSamples.Add(int64(dedup))
+	merged, collapsed, err := mergeLegs(engine.Config{MetaFirst: true}, groups, parts)
+	if err != nil {
+		if mergeSp != nil {
+			mergeSp.SetAttr("error", "merge")
+			mergeSp.Finish(mergeStart)
+		}
+		finish(obs.StatusFailed, err)
+		return nil, root, report, err
+	}
+	if collapsed > 0 {
+		metricDedupSamples.Add(int64(collapsed))
 	}
 	if mergeSp != nil {
 		mergeSp.SetInput(sIn, rIn)
-		if dedup > 0 {
-			mergeSp.SetAttr("dedup", strconv.Itoa(dedup))
+		if collapsed > 0 {
+			mergeSp.SetAttr("dedup", strconv.Itoa(collapsed))
 		}
 		if merged != nil {
-			rs := 0
-			for i := range merged.Samples {
-				rs += len(merged.Samples[i].Regions)
-			}
-			mergeSp.SetOutput(len(merged.Samples), rs)
+			mergeSp.SetOutput(len(merged.Samples), merged.NumRegions())
 		}
 		mergeSp.Finish(mergeStart)
 	}
 	if root != nil && merged != nil {
-		rs := 0
-		for i := range merged.Samples {
-			rs += len(merged.Samples[i].Regions)
-		}
-		root.SetOutput(len(merged.Samples), rs)
+		root.SetOutput(len(merged.Samples), merged.NumRegions())
 	}
 
 	if report == nil {
@@ -396,14 +341,8 @@ func (f *Federator) run(ctx context.Context, script, varName string, chunkSize i
 		return nil, root, report, err
 	}
 	if successes < f.Policy.quorum() {
-		var err error
-		if replicated {
-			err = fmt.Errorf("federated query below quorum (%d/%d legs answered): %w",
-				successes, len(results), report)
-		} else {
-			err = fmt.Errorf("federated query below quorum (%d/%d members answered): %w",
-				successes, len(f.Clients), report)
-		}
+		err := fmt.Errorf("federated query below quorum (%d/%d legs answered): %w",
+			successes, len(results), report)
 		finish(obs.StatusFailed, err)
 		return nil, root, report, err
 	}
@@ -411,47 +350,19 @@ func (f *Federator) run(ctx context.Context, script, varName string, chunkSize i
 	return merged, root, report, nil
 }
 
-// runLegacy is the single-copy fan-out: one leg per member, no failover. A
-// member failure costs its samples (degraded mode per the Policy).
-func (f *Federator) runLegacy(ctx context.Context, script, varName string, chunkSize int, qid string, entry *obs.QueryEntry, root *obs.Span) []legResult {
-	traces := make([]*memberTrace, len(f.Clients))
-	for i := range f.Clients {
-		traces[i] = &memberTrace{entry: entry, idx: i}
-		if root != nil {
-			memberSp := obs.NewSpan("MEMBER")
-			memberSp.Detail = fmt.Sprintf("MEMBER %d %s", i+1, f.Clients[i].BaseURL)
-			memberSp.Mode = "fed"
-			root.AddChild(memberSp)
-			traces[i].span = memberSp
-			traces[i].ref = fmt.Sprintf("%s/member%d", qid, i+1)
-		}
-	}
-	results := make([]legResult, len(f.Clients))
-	var wg sync.WaitGroup
-	for i, c := range f.Clients {
-		wg.Add(1)
-		go func(i int, c *Client) {
-			defer wg.Done()
-			ds, fail := queryNode(ctx, c, script, varName, chunkSize, traces[i])
-			results[i] = legResult{ds: ds}
-			if fail != nil {
-				results[i].fails = []NodeFailure{*fail}
-			}
-		}(i, c)
-	}
-	wg.Wait()
-	return results
-}
-
-// runReplicated fans out one leg per replica group, each with failover and
+// runLegs fans out one leg per replica group, each with failover and
 // (optionally) hedging inside the group.
-func (f *Federator) runReplicated(ctx context.Context, script, varName string, chunkSize int, qid string, entry *obs.QueryEntry, root *obs.Span, groups []ReplicaGroup) []legResult {
+func (f *Federator) runLegs(ctx context.Context, script, varName string, chunkSize int, qid string, entry *obs.QueryEntry, root *obs.Span, groups []ReplicaGroup) []legResult {
 	legs := make([]*legTrace, len(groups))
 	for i, g := range groups {
 		legs[i] = &legTrace{entry: entry, qid: qid, group: g}
 		if root != nil {
 			legSp := obs.NewSpan("LEG")
-			legSp.Detail = fmt.Sprintf("LEG %s [%s] x%d", g.Key, strings.Join(g.Units, ","), len(g.Members))
+			legSp.Detail = "LEG " + g.Key
+			if len(g.Units) > 0 {
+				legSp.Detail += " [" + strings.Join(g.Units, ",") + "]"
+			}
+			legSp.Detail += fmt.Sprintf(" x%d", len(g.Members))
 			legSp.Mode = "fed"
 			root.AddChild(legSp)
 			legs[i].legSp = legSp
@@ -466,12 +377,8 @@ func (f *Federator) runReplicated(ctx context.Context, script, varName string, c
 			started := time.Now()
 			results[i] = f.runLeg(ctx, script, varName, chunkSize, legs[i])
 			if legs[i].legSp != nil {
-				if results[i].ds != nil {
-					rs := 0
-					for _, s := range results[i].ds.Samples {
-						rs += len(s.Regions)
-					}
-					legs[i].legSp.SetOutput(len(results[i].ds.Samples), rs)
+				if ds := results[i].ds; ds != nil {
+					legs[i].legSp.SetOutput(len(ds.Samples), ds.NumRegions())
 				}
 				legs[i].legSp.SetAttr("attempts", strconv.Itoa(legs[i].attempts))
 				legs[i].legSp.Finish(started)
@@ -484,10 +391,10 @@ func (f *Federator) runReplicated(ctx context.Context, script, varName string, c
 
 // QueryProfiled is Query with federated EXPLAIN ANALYZE: it returns the
 // merged cross-node span tree alongside the result. The tree's FEDERATED
-// root covers coordinator planning, one MEMBER subtree per node — execute
-// (with the node's own remote profile grafted in), chunked fetch, release,
-// each annotated with retry attempts, breaker state and bytes moved — and
-// the final merge. Render it with (*obs.Span).Render, exactly like a local
+// root covers coordinator planning, one LEG per replica group with a MEMBER
+// subtree per attempt — execute (with the node's own remote profile grafted
+// in), chunked fetch, release, each annotated with retry attempts, breaker
+// state and bytes moved — and the final merge. Render it with (*obs.Span).Render, exactly like a local
 // profile.
 func (f *Federator) QueryProfiled(ctx context.Context, script, varName string, chunkSize int) (*gdm.Dataset, *obs.Span, *PartialFailure, error) {
 	return f.run(ctx, script, varName, chunkSize, true)

@@ -76,9 +76,14 @@ func TestTraceFederatedGoldenMergedTree(t *testing.T) {
 	// to the merged result.
 	snap := root.Snapshot()
 	var memberSpans []*obs.Span
-	for _, c := range snap.Children {
-		if c.Op == "MEMBER" {
-			memberSpans = append(memberSpans, c)
+	for _, leg := range snap.Children {
+		if leg.Op != "LEG" {
+			continue
+		}
+		for _, c := range leg.Children {
+			if c.Op == "MEMBER" {
+				memberSpans = append(memberSpans, c)
+			}
 		}
 	}
 	if len(memberSpans) != 3 {
@@ -136,31 +141,34 @@ func TestTraceFederatedGoldenMergedTree(t *testing.T) {
 	scrubSpans(snap, map[string]string{ts1.URL: "node1", ts2.URL: "node2", ts3.URL: "node3"})
 	got := snap.Render()
 	want := `FEDERATED X (3 members)  [fed] time=0.0ms out=15s/108r
-  PLAN X digest=b8b6cfbfbed5  [fed] time=0.0ms out=3s/0r
-  MEMBER 1 node1  [fed breaker=closed bytes=_] time=0.0ms out=5s/28r
-    EXECUTE X  [fed] time=0.0ms out=5s/28r
-      SELECT meta: true; region: true  [serial remote node=node1] time=0.0ms in=5s/28r out=5s/28r
-        SCAN ENCODE  [serial remote] time=0.0ms out=5s/28r
-    FETCH r000001  [fed] time=0.0ms in=5s/28r out=5s/28r
-      CHUNK r000001 [0,4)  [fed] time=0.0ms out=4s/25r
-      CHUNK r000001 [4,8)  [fed] time=0.0ms out=1s/3r
-    RELEASE r000001  [fed] time=0.0ms out=0s/0r
-  MEMBER 2 node2  [fed breaker=closed bytes=_ retries=1] time=0.0ms out=5s/28r
-    EXECUTE X  [fed attempts=2] time=0.0ms out=5s/28r
-      SELECT meta: true; region: true  [serial remote node=node2] time=0.0ms in=5s/28r out=5s/28r
-        SCAN ENCODE  [serial remote] time=0.0ms out=5s/28r
-    FETCH r000001  [fed] time=0.0ms in=5s/28r out=5s/28r
-      CHUNK r000001 [0,4)  [fed] time=0.0ms out=4s/24r
-      CHUNK r000001 [4,8)  [fed] time=0.0ms out=1s/4r
-    RELEASE r000001  [fed] time=0.0ms out=0s/0r
-  MEMBER 3 node3  [fed breaker=closed bytes=_] time=0.0ms out=5s/52r
-    EXECUTE X  [fed] time=0.0ms out=5s/52r
-      SELECT meta: true; region: true  [serial remote node=node3] time=0.0ms in=5s/52r out=5s/52r
-        SCAN ENCODE  [serial remote] time=0.0ms out=5s/52r
-    FETCH r000001  [fed] time=0.0ms in=5s/52r out=5s/52r
-      CHUNK r000001 [0,4)  [fed] time=0.0ms out=4s/23r
-      CHUNK r000001 [4,8)  [fed] time=0.0ms out=1s/29r
-    RELEASE r000001  [fed] time=0.0ms out=0s/0r
+  PLAN X digest=b8b6cfbfbed5  [fed legs=3] time=0.0ms out=3s/0r
+  LEG 0 x1  [fed attempts=1] time=0.0ms out=5s/28r
+    MEMBER 1 node1  [fed breaker=closed bytes=_ role=primary] time=0.0ms out=5s/28r
+      EXECUTE X  [fed] time=0.0ms out=5s/28r
+        SELECT meta: true; region: true  [serial remote node=node1] time=0.0ms in=5s/28r out=5s/28r
+          SCAN ENCODE  [serial remote] time=0.0ms out=5s/28r
+      FETCH r000001  [fed] time=0.0ms in=5s/28r out=5s/28r
+        CHUNK r000001 [0,4)  [fed] time=0.0ms out=4s/25r
+        CHUNK r000001 [4,8)  [fed] time=0.0ms out=1s/3r
+      RELEASE r000001  [fed] time=0.0ms out=0s/0r
+  LEG 1 x1  [fed attempts=1] time=0.0ms out=5s/28r
+    MEMBER 2 node2  [fed breaker=closed bytes=_ retries=1 role=primary] time=0.0ms out=5s/28r
+      EXECUTE X  [fed attempts=2] time=0.0ms out=5s/28r
+        SELECT meta: true; region: true  [serial remote node=node2] time=0.0ms in=5s/28r out=5s/28r
+          SCAN ENCODE  [serial remote] time=0.0ms out=5s/28r
+      FETCH r000001  [fed] time=0.0ms in=5s/28r out=5s/28r
+        CHUNK r000001 [0,4)  [fed] time=0.0ms out=4s/24r
+        CHUNK r000001 [4,8)  [fed] time=0.0ms out=1s/4r
+      RELEASE r000001  [fed] time=0.0ms out=0s/0r
+  LEG 2 x1  [fed attempts=1] time=0.0ms out=5s/52r
+    MEMBER 3 node3  [fed breaker=closed bytes=_ role=primary] time=0.0ms out=5s/52r
+      EXECUTE X  [fed] time=0.0ms out=5s/52r
+        SELECT meta: true; region: true  [serial remote node=node3] time=0.0ms in=5s/52r out=5s/52r
+          SCAN ENCODE  [serial remote] time=0.0ms out=5s/52r
+      FETCH r000001  [fed] time=0.0ms in=5s/52r out=5s/52r
+        CHUNK r000001 [0,4)  [fed] time=0.0ms out=4s/23r
+        CHUNK r000001 [4,8)  [fed] time=0.0ms out=1s/29r
+      RELEASE r000001  [fed] time=0.0ms out=0s/0r
   MERGE X (sample union)  [fed] time=0.0ms in=15s/108r out=15s/108r
 `
 	if got != want {
@@ -226,7 +234,7 @@ func TestTraceHeaderPropagation(t *testing.T) {
 		}
 		if r.path == "/query" {
 			sawExecute = true
-			if r.parent != "qhdr-1/member1" {
+			if r.parent != "qhdr-1/leg0/member1.1" {
 				t.Errorf("execute X-Parent-Span = %q", r.parent)
 			}
 		}
@@ -240,7 +248,7 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	if e == nil {
 		t.Fatal("node registry has no entry for the propagated id")
 	}
-	if e.ParentSpan() != "qhdr-1/member1" {
+	if e.ParentSpan() != "qhdr-1/leg0/member1.1" {
 		t.Errorf("node entry parent span = %q", e.ParentSpan())
 	}
 	if e.Status() != obs.StatusDone {
