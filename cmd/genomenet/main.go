@@ -70,35 +70,23 @@ func setupHost(args []string, out io.Writer) (http.Handler, string, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, "", err
 	}
-	h := genomenet.NewHost(*name)
 	// Warm the host's one catalog through the verified read path: a host
 	// must not publish silently wrong bytes to the network. Corrupt samples
 	// are quarantined and the dataset published partially, mirroring
 	// federation's degraded mode. The catalog is also /debug/repo.
-	cat := &formats.DirCatalog{Root: *dataDir, Policy: formats.IntegrityPolicy{AllowPartial: true, Quarantine: true}}
-	dss, reps, err := cat.Warm()
+	cat, err := formats.ServeRepository(*dataDir)
 	if err != nil {
 		return nil, "", err
 	}
-	for i, ds := range dss {
-		h.Publish(ds, true)
+	for _, ds := range cat.Held() {
 		fmt.Fprintf(out, "publishing %s: %d samples, %d regions\n", ds.Name, len(ds.Samples), ds.NumRegions())
-		if rep := reps[i]; rep.Partial() {
-			fmt.Fprintf(out, "WARNING: %s published partially: %d sample(s) quarantined (see /debug/storage)\n",
-				ds.Name, len(rep.Quarantined))
-		} else if rep.Unverified {
-			fmt.Fprintf(out, "WARNING: %s has no manifest; published unverified (gmqlfsck -rebuild converts it into a member)\n", ds.Name)
-		}
 	}
-	if len(dss) == 0 {
-		return nil, "", fmt.Errorf("no datasets found under %s", *dataDir)
-	}
+	cat.WriteWarnings(out)
 	fmt.Fprintf(out, "host %s listening on %s\n", *name, *addr)
 	mux := http.NewServeMux()
-	mux.Handle("/", h.Handler())
+	mux.Handle("/", genomenet.NewCatalogHost(*name, cat).Handler())
 	c := obs.NewConsole(mux)
 	obs.Mount(c, obs.Default())
-	c.Register(formats.IntegrityView())
 	c.Register(cat.View())
 	return mux, *addr, nil
 }

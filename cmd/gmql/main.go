@@ -146,7 +146,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	} else {
 		results, err = runner.MaterializeContext(ctx, prog)
 	}
-	warnIntegrity(out, *dataDir)
+	// Corrupt samples the run touched were skipped and left in place: the
+	// interactive CLI does not rearrange a repository it may not own (gmqld
+	// and gmqlfsck do the quarantining).
+	catalog.WriteWarnings(out)
 	if err != nil {
 		// A governance kill with -profile-json still emits machine-readable
 		// output — tools post-processing traces see why the run died rather
@@ -266,22 +269,4 @@ func parseConfig(mode string, workers int, binWidth int64) (engine.Config, error
 		return cfg, fmt.Errorf("unknown mode %q", mode)
 	}
 	return cfg, nil
-}
-
-// warnIntegrity prints a WARNING for every dataset under root the run read
-// partially (corrupt samples it touched were skipped, and left in place — the
-// interactive CLI should not rearrange a repository it may not own; gmqld and
-// gmqlfsck do the quarantining) or unverified (a text export).
-func warnIntegrity(w io.Writer, root string) {
-	root = filepath.Clean(root)
-	for _, rep := range formats.IntegritySnapshot() {
-		switch {
-		case filepath.Dir(rep.Dir) != root:
-		case rep.Partial():
-			fmt.Fprintf(w, "WARNING: %s loaded partially: %d corrupt sample(s) skipped (gmqlfsck can repair)\n",
-				rep.Dataset, len(rep.Quarantined))
-		case rep.Unverified:
-			fmt.Fprintf(w, "WARNING: %s has no manifest; loaded unverified (gmqlfsck -rebuild converts it into a member)\n", rep.Dataset)
-		}
-	}
 }

@@ -33,7 +33,7 @@ const contractScript = `X = SELECT(dataType == 'ChipSeq'; region: p_value < 0.5)
 var (
 	fullIndex = []string{"/debug/", "/debug/costs", "/debug/estimates", "/debug/federation",
 		"/debug/pprof/", "/debug/prof", "/debug/queries", "/debug/repo", "/debug/slowlog",
-		"/debug/storage", "/metrics"}
+		"/metrics"}
 	nodeIndex = []string{"/debug/", "/debug/costs", "/debug/estimates", "/debug/federation",
 		"/debug/prof", "/debug/queries", "/debug/repo"}
 )
@@ -72,13 +72,12 @@ func TestDebugEndpointsContentTypes(t *testing.T) {
 			rows := []debugRow{
 				{path: "/debug/", html: []string{`href="/debug/queries"`, `href="/debug/repo"`}},
 				{path: "/debug/queries", key: qr.QueryID, html: []string{"<th>active</th>", ">done<", escaped}},
-				{path: "/debug/repo", key: "ENCODE", html: []string{">ANNOTATIONS<", "<th>chroms</th>"}},
+				{path: "/debug/repo", key: "ENCODE", html: []string{">ANNOTATIONS<", "<th>chroms</th>", "<th>samples_loaded</th>"}},
 				{path: "/debug/federation", html: []string{"<th>hedging</th><td>false</td>"}},
 				{path: "/debug/prof", html: []string{"<th>captures</th>"}},
 				{path: "/debug/costs", html: []string{">SELECT<", "<th>ns_per_region</th>"}},
 				{path: "/debug/estimates", html: []string{">regions<"}},
 				{path: "/debug/slowlog", html: []string{">" + qr.QueryID + "<", escaped}},
-				{path: "/debug/storage", html: []string{">ENCODE<", "<th>verified</th>"}},
 			}
 			checkConsole(t, debug.URL, rows, fullIndex)
 			if split {
@@ -246,7 +245,7 @@ func TestRepoConsoleAndIndex(t *testing.T) {
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, p := range []string{"/debug/repo", "/debug/estimates", "/debug/queries",
-		"/debug/costs", "/debug/storage", "/metrics"} {
+		"/debug/costs", "/metrics"} {
 		if !strings.Contains(string(body), p) {
 			t.Errorf("/debug/ index missing %s", p)
 		}
@@ -265,7 +264,7 @@ func TestDebugEndpointsConcurrentScrapes(t *testing.T) {
 	ts := httptest.NewServer(n.srv.Handler)
 	defer ts.Close()
 
-	paths := []string{"/metrics", "/debug/storage", "/debug/prof", "/debug/costs",
+	paths := []string{"/metrics", "/debug/prof", "/debug/costs",
 		"/debug/slowlog", "/debug/queries?format=json", "/debug/repo?format=json",
 		"/debug/estimates", "/debug/"}
 	var wg sync.WaitGroup

@@ -48,8 +48,9 @@
 // /debug/prof lists the ring; /debug/prof/{id} downloads a capture for
 // `go tool pprof`. /debug/costs exports the rolling per-operator cost model
 // (ns/region, allocs/region by backend and fusion) fed by profiled queries.
-// /debug/repo lists the catalog's datasets with their statistics and where
-// they came from; /debug/storage the integrity verdict of every load.
+// /debug/repo lists the catalog's datasets with their statistics, where they
+// came from and their integrity verdicts; /debug/repo/{name} adds the
+// dataset's full integrity report, naming every quarantined sample.
 package main
 
 import (
@@ -179,7 +180,18 @@ func setup(args []string, out io.Writer) (*node, error) {
 		return nil, fmt.Errorf("unknown mode %q", *mode)
 	}
 
-	cat := &formats.DirCatalog{Root: *dataDir, Policy: formats.IntegrityPolicy{AllowPartial: true, Quarantine: true}}
+	// Warm the node's one catalog through the verified read path: every
+	// dataset is loaded now, checksums and manifests are checked, and corrupt
+	// samples are quarantined rather than served as wrong results; each
+	// dataset's verdict is on /debug/repo/{name}.
+	cat, err := formats.ServeRepository(*dataDir)
+	if err != nil {
+		return nil, err
+	}
+	for _, ds := range cat.Held() {
+		fmt.Fprintf(out, "serving %s: %d samples, %d regions\n", ds.Name, len(ds.Samples), ds.NumRegions())
+	}
+	cat.WriteWarnings(out)
 	srv := federation.NewCatalogServer(*name, cfg, cat)
 	if *slowQuery > 0 {
 		srv.SlowLog = &obs.SlowQueryLog{Threshold: *slowQuery, Logger: slog.Default()}
@@ -205,27 +217,6 @@ func setup(args []string, out io.Writer) (*node, error) {
 		fmt.Fprintf(out, "admission: %d concurrent, queue %d, queue timeout %v\n",
 			*maxConcurrent, *maxQueue, *queueTimeout)
 	}
-	// Warm the node's one catalog through the verified read path: every
-	// dataset is loaded now, checksums and manifests are checked, corrupt
-	// samples are quarantined rather than served as wrong results, and the
-	// per-dataset verdicts land on /debug/storage.
-	dss, reps, err := cat.Warm()
-	if err != nil {
-		return nil, err
-	}
-	for i, ds := range dss {
-		fmt.Fprintf(out, "serving %s: %d samples, %d regions\n", ds.Name, len(ds.Samples), ds.NumRegions())
-		if rep := reps[i]; rep.Partial() {
-			fmt.Fprintf(out, "WARNING: %s loaded partially: %d sample(s) quarantined (see /debug/storage)\n",
-				ds.Name, len(rep.Quarantined))
-		} else if rep.Unverified {
-			fmt.Fprintf(out, "WARNING: %s has no manifest; loaded unverified (gmqlfsck -rebuild converts it into a member)\n", ds.Name)
-		}
-	}
-	if len(dss) == 0 {
-		return nil, fmt.Errorf("no datasets found under %s", *dataDir)
-	}
-
 	// Peer membership: probe the named peers in the background and serve the
 	// live view on /debug/federation (mounted by the server's handler).
 	var probeStop func()
@@ -261,7 +252,6 @@ func setup(args []string, out io.Writer) (*node, error) {
 	}
 	c := obs.NewConsole(debugMux)
 	obs.Mount(c, obs.Default())
-	c.Register(formats.IntegrityView())
 	c.Register(srv.SlowLog.View())
 	c.Register(cat.View())
 	c.Register(federation.MembershipView(srv.Membership))

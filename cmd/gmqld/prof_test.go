@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -110,6 +111,45 @@ func TestSlowQueryLeavesProfCapture(t *testing.T) {
 	}
 	if !ops["SCAN"] || !ops["SELECT"] {
 		t.Errorf("cost registry missing SCAN/SELECT rows: %+v", costs)
+	}
+}
+
+// TestBudgetKillProfCapture: a budget kill leaves exactly one budget_kill
+// capture on /debug/prof, tagged with the killed query's ID, whether or not
+// the slow-query log is enabled.
+func TestBudgetKillProfCapture(t *testing.T) {
+	for _, slowLog := range []bool{false, true} {
+		t.Run(fmt.Sprintf("slowlog=%v", slowLog), func(t *testing.T) {
+			args := []string{"-data", writeRepo(t), "-mode", "serial", "-max-regions", "1", "-prof-ring", "32"}
+			if slowLog {
+				args = append(args, "-slow-query", "1h")
+			}
+			n, err := setup(args, io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			obs.Prof().MinGap = 0 // Enable restores the 10s default
+			ts := httptest.NewServer(n.srv.Handler)
+			defer ts.Close()
+			last := 0
+			for _, c := range obs.Prof().ListCaptures() {
+				last = max(last, c.ID)
+			}
+			qr, err := federation.NewClient(ts.URL).Execute(context.Background(),
+				`X = SELECT(dataType == 'ChipSeq') ENCODE; MATERIALIZE X;`, "X")
+			if err == nil || !strings.Contains(qr.Error, "budget") || qr.QueryID == "" {
+				t.Fatalf("query not killed by its budget: %+v, %v", qr, err)
+			}
+			var kills []obs.Capture
+			for _, c := range obs.Prof().ListCaptures() {
+				if c.ID > last && c.Trigger == "budget_kill" {
+					kills = append(kills, c)
+				}
+			}
+			if len(kills) != 1 || kills[0].QueryID != qr.QueryID {
+				t.Errorf("budget_kill captures = %+v, want one for query %s", kills, qr.QueryID)
+			}
+		})
 	}
 }
 

@@ -118,7 +118,7 @@ func TestRepoStatsSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, line := range []string{
-		"WARNING: PARTIAL loaded partially: 1 sample(s) quarantined (see /debug/storage)",
+		"WARNING: PARTIAL loaded partially: 1 sample(s) quarantined (see /debug/repo/PARTIAL)",
 		"WARNING: EXPORT has no manifest; loaded unverified (gmqlfsck -rebuild converts it into a member)",
 	} {
 		if !strings.Contains(out.String(), line) {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"genogo/internal/gdm"
-	"genogo/internal/obs"
 )
 
 // Query lifecycle governance: cancellation, deadlines and resource budgets.
@@ -236,9 +235,6 @@ func observeKill(err error) {
 	if reason, ok := Killed(err); ok {
 		if reason == "budget" {
 			metricBudgetKills.Inc()
-			// A budget kill means a query was eating the machine: capture the
-			// moment for /debug/prof (no-op unless the binary enabled it).
-			obs.Prof().Trigger("budget_kill", "")
 		} else {
 			metricCanceled.With(reason).Inc()
 		}

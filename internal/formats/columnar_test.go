@@ -570,10 +570,8 @@ func TestColumnarPrunedReadPolicy(t *testing.T) {
 		t.Fatalf("partial pruned read kept %d samples, want sample1 alone", len(got.Samples))
 	}
 	var rep *IntegrityReport
-	for _, r := range IntegritySnapshot() {
-		if r.Dir == dir {
-			rep = &r
-		}
+	if reps := c.Reports(); len(reps) == 1 && reps[0].Dir == dir {
+		rep = reps[0]
 	}
 	if rep == nil || !rep.Partial() || rep.Verified ||
 		rep.Quarantined[0].Sample != "sample2" || rep.Quarantined[0].Reason != ReasonChecksum {

@@ -3,9 +3,11 @@ package formats
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,16 +19,16 @@ import (
 )
 
 // DirCatalog is a node's one repository catalog: the datasets it holds in
-// memory, their statistics, and the /debug/repo view of both. It resolves
-// engine Scan nodes straight against a repository directory: nothing is
-// opened when it is made, and a dataset is read only when a query scans it
-// (gmql) or when Warm loads every one at boot (gmqld, genomenet host).
-// Datasets registered with Add live only in memory. It implements
-// engine.Catalog and the engine's PrunedCatalog extension (the interface is
-// declared there; this is its disk implementation), so a scan under SELECT,
-// MAP or JOIN reads only what that operator's proof keeps: samples whose
-// metadata passes and, of those, the partitions whose zone windows can
-// matter.
+// memory, their statistics, the integrity report of every dataset it read
+// from disk, and the /debug/repo view of all three. It resolves engine Scan
+// nodes straight against a repository directory: nothing is opened when it
+// is made, and a dataset is read only when a query scans it (gmql) or when
+// ServeRepository loads every one at boot (gmqld, genomenet host). Datasets
+// registered with Add live only in memory. It implements engine.Catalog and
+// the engine's PrunedCatalog extension (the interface is declared there;
+// this is its disk implementation), so a scan under SELECT, MAP or JOIN
+// reads only what that operator's proof keeps: samples whose metadata
+// passes and, of those, the partitions whose zone windows can matter.
 //
 // Full loads are held per catalog instance (a session's repeated scans of
 // one dataset parse once); pruned loads are query-specific subsets and always
@@ -37,8 +39,8 @@ type DirCatalog struct {
 	Root string
 	// Policy governs every read, full and pruned. Under AllowPartial a
 	// damaged sample the read touches is excluded and itemized in the
-	// dataset's IntegrityReport (IntegritySnapshot); under the strict zero
-	// policy it fails the read with a typed *IntegrityError.
+	// dataset's IntegrityReport, which the catalog keeps (Reports); under
+	// the strict zero policy it fails the read with a typed *IntegrityError.
 	Policy IntegrityPolicy
 	// NoCache keeps full loads from being held (benchmarks measure cold
 	// loads).
@@ -46,7 +48,10 @@ type DirCatalog struct {
 
 	mu   sync.Mutex
 	held map[string]*heldDataset
-	// served is set by Warm: this catalog is the one the process serves,
+	// reports holds the latest integrity report of each dataset read from
+	// disk; a stored report is never modified (merges make a copy).
+	reports map[string]*IntegrityReport
+	// served is set by ServeRepository: this catalog is the one the process serves,
 	// it never reads a dataset it does not hold, and its totals are the
 	// genogo_repo_* gauges.
 	served bool
@@ -56,7 +61,6 @@ type DirCatalog struct {
 // once resolved. stats and source are written once, under the catalog lock.
 type heldDataset struct {
 	ds       *gdm.Dataset
-	rep      *IntegrityReport // nil for a dataset registered in memory
 	loadedAt time.Time
 	once     sync.Once
 	stats    *catalog.DatasetStats
@@ -114,19 +118,21 @@ func (c *DirCatalog) Names() ([]string, error) {
 }
 
 // Add registers a dataset in memory under its name, replacing (with its
-// statistics) any dataset held under that name.
+// statistics and integrity report) any dataset held under that name.
 func (c *DirCatalog) Add(ds *gdm.Dataset) {
-	c.hold(ds.Name, &heldDataset{ds: ds, loadedAt: time.Now()})
-}
-
-func (c *DirCatalog) hold(name string, h *heldDataset) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.held == nil {
-		c.held = make(map[string]*heldDataset)
-	}
-	c.held[name] = h
+	c.initLocked()
+	delete(c.reports, ds.Name)
+	c.held[ds.Name] = &heldDataset{ds: ds, loadedAt: time.Now()}
 	c.publishLocked()
+}
+
+// initLocked makes the catalog's maps on first use.
+func (c *DirCatalog) initLocked() {
+	if c.held == nil {
+		c.held, c.reports = make(map[string]*heldDataset), make(map[string]*IntegrityReport)
+	}
 }
 
 // Dataset implements engine.Catalog: a held dataset, or else (unless the
@@ -140,8 +146,7 @@ func (c *DirCatalog) Dataset(name string) (*gdm.Dataset, error) {
 	if !disk {
 		return nil, fmt.Errorf("engine: unknown dataset %q", name)
 	}
-	ds, _, err := c.load(name)
-	return ds, err
+	return c.load(name)
 }
 
 // lookup returns the dataset held under name, or nil, and whether a miss
@@ -152,54 +157,119 @@ func (c *DirCatalog) lookup(name string) (*heldDataset, bool) {
 	return c.held[name], !c.served
 }
 
-// load reads one dataset from disk and, unless NoCache, holds it.
-func (c *DirCatalog) load(name string) (*gdm.Dataset, *IntegrityReport, error) {
+// load reads one dataset from disk, keeps its integrity report in place of
+// any earlier one and, unless NoCache, holds it.
+func (c *DirCatalog) load(name string) (*gdm.Dataset, error) {
 	dir, err := c.datasetDir(name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ds, rep, err := OpenDataset(dir, c.Policy)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.initLocked()
+	c.reports[name] = rep
 	if !c.NoCache {
-		c.hold(name, &heldDataset{ds: ds, rep: rep, loadedAt: time.Now()})
-	}
-	return ds, rep, nil
-}
-
-// Warm loads every dataset of the repository, in name order, and returns
-// them with their integrity reports index-for-index. A node serves the
-// warmed catalog: from here on it answers for exactly the datasets it holds
-// (a directory added later is not read), and its totals are the
-// genogo_repo_* gauges.
-func (c *DirCatalog) Warm() ([]*gdm.Dataset, []*IntegrityReport, error) {
-	dss, reps, err := c.loadAll()
-	if err == nil {
-		c.mu.Lock()
-		c.served = true
+		c.held[name] = &heldDataset{ds: ds, loadedAt: time.Now()}
 		c.publishLocked()
-		c.mu.Unlock()
 	}
-	return dss, reps, err
+	return ds, nil
 }
 
-func (c *DirCatalog) loadAll() ([]*gdm.Dataset, []*IntegrityReport, error) {
+// report returns the dataset's latest integrity report: nil for a dataset
+// registered in memory or never read. The report must not be modified.
+func (c *DirCatalog) report(name string) *IntegrityReport {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reports[name]
+}
+
+// mergeReport folds a pruned read's report into the dataset's latest one. A
+// pruned read checks only the part of the dataset it touches, so the samples
+// it excludes add to what earlier reads found rather than replacing it.
+func (c *DirCatalog) mergeReport(rep *IntegrityReport) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.initLocked()
+	if prev := c.reports[rep.Dataset]; prev != nil {
+		merged := *prev
+		merged.Quarantined = slices.Clip(prev.Quarantined)
+		for _, q := range rep.Quarantined {
+			if !slices.ContainsFunc(merged.Quarantined, func(p QuarantinedSample) bool { return p.Sample == q.Sample }) {
+				merged.Quarantined = append(merged.Quarantined, q)
+			}
+		}
+		merged.Verified = merged.Verified && !merged.Partial()
+		rep = &merged
+	}
+	c.reports[rep.Dataset] = rep
+}
+
+// Reports returns the latest integrity report of every dataset the catalog
+// read from disk, in name order. The reports must not be modified.
+func (c *DirCatalog) Reports() []*IntegrityReport {
+	c.mu.Lock()
+	out := make([]*IntegrityReport, 0, len(c.reports))
+	for _, rep := range c.reports {
+		out = append(out, rep)
+	}
+	c.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Dataset < out[j].Dataset })
+	return out
+}
+
+// WriteWarnings writes a WARNING line for every dataset the catalog read
+// partially or unverified, in name order. The wording follows Policy: damage
+// quarantined (moved aside) or only skipped, left for gmqlfsck.
+func (c *DirCatalog) WriteWarnings(w io.Writer) {
+	for _, rep := range c.Reports() {
+		switch {
+		case rep.Partial():
+			fate := "corrupt sample(s) skipped (gmqlfsck can repair)"
+			if c.Policy.Quarantine {
+				fate = "sample(s) quarantined (see /debug/repo/" + rep.Dataset + ")"
+			}
+			fmt.Fprintf(w, "WARNING: %s loaded partially: %d %s\n", rep.Dataset, len(rep.Quarantined), fate)
+		case rep.Unverified:
+			fmt.Fprintf(w, "WARNING: %s has no manifest; loaded unverified (gmqlfsck -rebuild converts it into a member)\n", rep.Dataset)
+		}
+	}
+}
+
+// ServeRepository loads every dataset under root into the catalog a node
+// serves (gmqld, a genomenet host) under the one serving policy: a corrupt
+// sample is quarantined and left out, not served as wrong bytes. From then
+// on the catalog answers for exactly what it holds, its totals are the
+// genogo_repo_* gauges. An empty root is an error.
+func ServeRepository(root string) (*DirCatalog, error) {
+	c := &DirCatalog{Root: root, Policy: IntegrityPolicy{AllowPartial: true, Quarantine: true}}
+	if err := c.loadAll(); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.held) == 0 {
+		return nil, fmt.Errorf("no datasets found under %s", root)
+	}
+	c.served = true
+	c.publishLocked()
+	return c, nil
+}
+
+func (c *DirCatalog) loadAll() error {
 	names, err := c.Names()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	dss := make([]*gdm.Dataset, 0, len(names))
-	reps := make([]*IntegrityReport, 0, len(names))
 	for _, name := range names {
-		ds, rep, err := c.load(name)
-		if err != nil {
-			return nil, nil, fmt.Errorf("loading %s: %w", filepath.Join(c.Root, name), err)
+		if _, err := c.load(name); err != nil {
+			return fmt.Errorf("loading %s: %w", filepath.Join(c.Root, name), err)
 		}
-		dss = append(dss, ds)
-		reps = append(reps, rep)
 	}
-	return dss, reps, nil
+	return nil
 }
 
 // heldSorted returns the held datasets in name order.
@@ -245,11 +315,7 @@ func (c *DirCatalog) Stats(name string) (*catalog.DatasetStats, bool) {
 	if err != nil {
 		return nil, false
 	}
-	man, err := ReadManifest(dir)
-	if err != nil {
-		return nil, false
-	}
-	return usableStats(dir, man)
+	return usableStats(dir)
 }
 
 // resolve returns a held dataset's statistics, resolving them on first use:
@@ -257,14 +323,15 @@ func (c *DirCatalog) Stats(name string) (*catalog.DatasetStats, bool) {
 // callers wait for the one run.
 func (c *DirCatalog) resolve(h *heldDataset) *catalog.DatasetStats {
 	h.once.Do(func() {
-		st, source := h.block()
+		rep := c.report(h.ds.Name)
+		st, source := manifestStats(rep)
 		if st == nil {
 			st, source = catalog.Compute(h.ds), SourceScan
 			switch {
-			case h.rep == nil:
+			case rep == nil:
 				st.Digest, source = h.ds.ContentDigest(), SourceMemory
-			case h.rep.Verified:
-				st.Digest = h.rep.Digest
+			case rep.Verified:
+				st.Digest = rep.Digest
 			default:
 				st.Digest = h.ds.ContentDigest()
 			}
@@ -278,17 +345,14 @@ func (c *DirCatalog) resolve(h *heldDataset) *catalog.DatasetStats {
 	return h.stats
 }
 
-// block returns a complete member load's stats.json when it verifies, this
-// build reads its version, and it describes the loaded content.
-func (h *heldDataset) block() (*catalog.DatasetStats, string) {
-	if h.rep == nil || !h.rep.Verified {
+// manifestStats returns a complete member load's stats.json when it
+// verifies, this build reads its version, and it describes the loaded
+// content.
+func manifestStats(rep *IntegrityReport) (*catalog.DatasetStats, string) {
+	if rep == nil || !rep.Verified {
 		return nil, ""
 	}
-	man, err := ReadManifest(h.rep.Dir)
-	if err != nil {
-		return nil, ""
-	}
-	if st, ok := usableStats(h.rep.Dir, man); ok && st.Digest == h.rep.Digest {
+	if st, ok := usableStats(rep.Dir); ok && st.Digest == rep.Digest {
 		return st, SourceManifest
 	}
 	return nil, ""
@@ -332,20 +396,21 @@ type DatasetSummary struct {
 }
 
 // DatasetDetail is the /debug/repo/{name} drill-down: the summary plus the
-// per-chromosome aggregation and the full per-sample partition stats.
+// integrity report, per-chromosome totals and full partition stats.
 type DatasetDetail struct {
 	DatasetSummary
+	Report *IntegrityReport      `json:"report,omitempty"`
 	Chroms []catalog.ChromTotal  `json:"chroms"`
 	Stats  *catalog.DatasetStats `json:"stats,omitempty"`
 }
 
-// summary resolves a held dataset's statistics and describes it.
-func (c *DirCatalog) summary(h *heldDataset) DatasetSummary {
+// summary resolves a held dataset's statistics and describes it with rep.
+func (c *DirCatalog) summary(h *heldDataset, rep *IntegrityReport) DatasetSummary {
 	st := c.resolve(h)
 	s := DatasetSummary{Name: h.ds.Name, Digest: st.Digest, Source: h.source,
 		LoadedAt: h.loadedAt, AttrArity: st.AttrArity}
 	s.Samples, s.Regions, s.Bytes = st.Totals()
-	if rep := h.rep; rep != nil {
+	if rep != nil {
 		s.Dir, s.Quarantined = rep.Dir, len(rep.Quarantined)
 		switch {
 		case rep.Verified:
@@ -364,14 +429,14 @@ func (c *DirCatalog) summaries() []DatasetSummary {
 	hs := c.heldSorted()
 	rows := make([]DatasetSummary, len(hs))
 	for i, h := range hs {
-		rows[i] = c.summary(h)
+		rows[i] = c.summary(h, c.report(h.ds.Name))
 	}
 	return rows
 }
 
 // View is the repository console: /debug/repo lists every held dataset,
 // resolving its statistics, and /debug/repo/{name} drills into one with its
-// per-chromosome totals and full partition table.
+// integrity report, per-chromosome totals and full partition table.
 func (c *DirCatalog) View() obs.View {
 	return obs.View{
 		Path: "/debug/repo",
@@ -386,8 +451,8 @@ func (c *DirCatalog) View() obs.View {
 			if h == nil {
 				return nil, false
 			}
-			st := c.resolve(h)
-			return DatasetDetail{DatasetSummary: c.summary(h), Chroms: st.ChromTotals(), Stats: st}, true
+			st, rep := c.resolve(h), c.report(name)
+			return DatasetDetail{DatasetSummary: c.summary(h, rep), Report: rep, Chroms: st.ChromTotals(), Stats: st}, true
 		},
 	}
 }
@@ -446,7 +511,7 @@ func (c *DirCatalog) ReadPruned(name string, keep catalog.Keep) (*gdm.Dataset, c
 	if rep.Verified = !rep.Partial(); !rep.Verified {
 		metricPartialLoads.Inc()
 	}
-	noteIntegrity(rep)
+	c.mergeReport(rep)
 	metricColumnarLoads.Inc()
 	metricPrunedParts.With("skipped").Add(int64(st.SkippedParts))
 	metricPrunedParts.With("read").Add(int64(st.Parts - st.SkippedParts))

@@ -9,14 +9,10 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"genogo/internal/gdm"
-	"genogo/internal/obs"
 )
 
 // The integrity layer makes a repository member self-verifying. A member's
@@ -189,10 +185,10 @@ type QuarantinedSample struct {
 	MovedTo string      `json:"moved_to,omitempty"`
 }
 
-// IntegrityReport is the verification outcome of one dataset load, surfaced
-// on /debug/storage and returned by OpenDataset alongside the dataset —
-// non-fatal damage travels here, the way federation's PartialFailure travels
-// next to a degraded result.
+// IntegrityReport is the verification outcome of one dataset load, returned
+// by OpenDataset alongside the dataset and kept by the DirCatalog that read
+// it (/debug/repo/{name}) — non-fatal damage travels here, the way
+// federation's PartialFailure travels next to a degraded result.
 type IntegrityReport struct {
 	Dataset  string `json:"dataset"`
 	Dir      string `json:"dir"`
@@ -292,7 +288,8 @@ func readMemberFile(dir, file string, man *Manifest, parse func(io.Reader) error
 // Under the zero policy any damage fails the load with a typed
 // *IntegrityError. With AllowPartial, damaged samples are excluded (and with
 // Quarantine moved into .quarantine/) and itemized in the report; the
-// returned dataset holds only bytes that verified end to end.
+// returned dataset holds only bytes that verified end to end. No record of
+// the load is kept here; a DirCatalog keeps the reports of its own reads.
 func OpenDataset(dir string, pol IntegrityPolicy) (*gdm.Dataset, *IntegrityReport, error) {
 	dir = filepath.Clean(dir)
 	name := filepath.Base(dir)
@@ -343,7 +340,6 @@ func OpenDataset(dir string, pol IntegrityPolicy) (*gdm.Dataset, *IntegrityRepor
 		rep.Verified = true
 		metricVerifiedLoads.Inc()
 	}
-	recordIntegrity(rep)
 	return ds, rep, nil
 }
 
@@ -489,82 +485,17 @@ func quarantineFile(dir, file string) (string, error) {
 	return dst, nil
 }
 
-// ---------------------------------------------------------------------------
-// Process-wide integrity state, surfaced on /debug/storage.
-
-var integrityState = struct {
-	sync.Mutex
-	reports map[string]*IntegrityReport // latest report per dataset dir
-}{reports: make(map[string]*IntegrityReport)}
-
-// recordIntegrity stores the latest report for a dataset directory.
-func recordIntegrity(rep *IntegrityReport) {
-	cp := *rep
-	cp.Quarantined = append([]QuarantinedSample(nil), rep.Quarantined...)
-	integrityState.Lock()
-	integrityState.reports[rep.Dir] = &cp
-	integrityState.Unlock()
-}
-
-// noteIntegrity folds a pruned read's report into the dataset's latest one.
-// A pruned read checks only the part of the dataset it touches, so the damage
-// it finds adds to what earlier reads of the dataset found rather than
-// replacing it.
-func noteIntegrity(rep *IntegrityReport) {
-	integrityState.Lock()
-	defer integrityState.Unlock()
-	prev := integrityState.reports[rep.Dir]
-	if prev == nil {
-		cp := *rep
-		cp.Quarantined = append([]QuarantinedSample(nil), rep.Quarantined...)
-		integrityState.reports[rep.Dir] = &cp
-		return
-	}
-	for _, q := range rep.Quarantined {
-		if !slices.ContainsFunc(prev.Quarantined, func(p QuarantinedSample) bool { return p.Sample == q.Sample }) {
-			prev.Quarantined = append(prev.Quarantined, q)
-		}
-	}
-	prev.Verified = prev.Verified && !prev.Partial()
-}
-
-// IntegrityView serves IntegritySnapshot on /debug/storage.
-func IntegrityView() obs.View {
-	return obs.View{
-		Path: "/debug/storage",
-		Desc: "storage integrity: per-dataset manifest verification reports",
-		List: func() any { return IntegritySnapshot() },
-	}
-}
-
-// IntegritySnapshot returns the latest integrity report of every dataset this
-// process has opened, sorted by directory — the payload behind the
-// /debug/storage console endpoint.
-func IntegritySnapshot() []IntegrityReport {
-	integrityState.Lock()
-	defer integrityState.Unlock()
-	dirs := make([]string, 0, len(integrityState.reports))
-	for d := range integrityState.reports {
-		dirs = append(dirs, d)
-	}
-	sort.Strings(dirs)
-	out := make([]IntegrityReport, 0, len(dirs))
-	for _, d := range dirs {
-		r := *integrityState.reports[d]
-		r.Quarantined = append([]QuarantinedSample(nil), r.Quarantined...)
-		out = append(out, r)
-	}
-	return out
-}
-
 // LoadRepository opens every dataset directory under root through
-// OpenDataset, in name order, without holding them: non-hidden
-// subdirectories holding a manifest.json (members) or schema.txt (text
-// exports). Dot-prefixed entries are skipped — they are staging leftovers or
-// quarantine areas, never datasets. The reports line up with the datasets
-// index-for-index.
+// OpenDataset, in name order: non-hidden subdirectories holding a
+// manifest.json (members) or schema.txt (text exports). Dot-prefixed entries
+// are skipped — they are staging leftovers or quarantine areas, never
+// datasets. The reports line up with the datasets index-for-index.
 func LoadRepository(root string, pol IntegrityPolicy) ([]*gdm.Dataset, []*IntegrityReport, error) {
-	return (&DirCatalog{Root: root, Policy: pol, NoCache: true}).loadAll()
+	c := &DirCatalog{Root: root, Policy: pol}
+	if err := c.loadAll(); err != nil {
+		return nil, nil, err
+	}
+	return c.Held(), c.Reports(), nil
 }
 
 // isDatasetDir reports whether dir looks like a member or a text export.

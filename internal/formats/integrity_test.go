@@ -1,6 +1,7 @@
 package formats
 
 import (
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -395,19 +396,64 @@ func TestLegacyDatasetLoadsUnverified(t *testing.T) {
 	}
 }
 
-// TestIntegritySnapshot: every open leaves its latest verdict in the
-// process-wide state behind /debug/storage.
-func TestIntegritySnapshot(t *testing.T) {
-	dir, _ := writeTestDataset(t)
-	if _, _, err := OpenDataset(dir, IntegrityPolicy{}); err != nil {
+// TestRepoIntegrityReports: a catalog keeps the latest verdict on each
+// dataset it read — a full load's report, to which a later pruned read adds
+// the samples it excluded, once each and without touching the stored report —
+// serves all of it on /debug/repo/{name}, and drops it when a dataset is
+// registered in memory under the name.
+func TestRepoIntegrityReports(t *testing.T) {
+	dir, ds := writeTestDataset(t)
+	c := &DirCatalog{Root: filepath.Dir(dir), Policy: IntegrityPolicy{AllowPartial: true, Quarantine: true}}
+	if _, err := c.Dataset("PEAKS"); err != nil {
 		t.Fatal(err)
 	}
-	for _, rep := range IntegritySnapshot() {
-		if rep.Dir == dir && rep.Verified {
-			return
+	loaded := c.Reports()
+	if len(loaded) != 1 || loaded[0].Dir != dir || !loaded[0].Verified || loaded[0].SamplesLoaded != 2 {
+		t.Fatalf("reports after a full load = %+v, want one verified report for %s", loaded, dir)
+	}
+
+	flipByte(t, filepath.Join(dir, "sample2.gdmc")) // its one partition, chr1
+	keepChr1 := func(chrom string, minStart, maxStop int64) bool { return chrom == "chr1" }
+	for range 2 {
+		if _, _, err := c.DatasetPruned("PEAKS", keepChr1); err != nil {
+			t.Fatal(err)
 		}
 	}
-	t.Fatalf("no verified snapshot entry for %s", dir)
+	reps := c.Reports()
+	if len(reps) != 1 || reps[0].Verified || len(reps[0].Quarantined) != 1 || reps[0].SamplesLoaded != 2 {
+		t.Fatalf("reports after two pruned reads = %+v, want the full load's with sample2 added once", reps)
+	}
+	if q := reps[0].Quarantined[0]; q.Sample != "sample2" || q.Reason != ReasonChecksum || q.MovedTo == "" {
+		t.Errorf("quarantined = %+v, want sample2 moved aside for checksum_mismatch", q)
+	}
+	if !loaded[0].Verified || loaded[0].Partial() {
+		t.Errorf("a pruned read modified the stored report: %+v", loaded[0])
+	}
+
+	v, ok := c.View().Drill("PEAKS")
+	if !ok {
+		t.Fatal("no drill-down for PEAKS")
+	}
+	d := v.(DatasetDetail)
+	if d.Integrity != "partial" || d.Quarantined != 1 || d.Report != reps[0] {
+		t.Errorf("drill-down = %s %d %+v, want the catalog's partial report", d.Integrity, d.Quarantined, d.Report)
+	}
+	body, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"report":{"dataset":"PEAKS"`, `"dir":`, `"digest":`, `"verified":false`,
+		`"unverified":false`, `"samples_loaded":2`, `"quarantined":[{"sample":"sample2"`, `"file":"sample2.gdmc"`,
+		`"reason":"checksum_mismatch"`, `"detail":`, `"moved_to":`} {
+		if !strings.Contains(string(body), field) {
+			t.Errorf("/debug/repo/PEAKS lacks %s: %s", field, body)
+		}
+	}
+
+	c.Add(ds.Clone())
+	if reps := c.Reports(); len(reps) != 0 {
+		t.Errorf("reports after Add = %+v, want none for a dataset registered in memory", reps)
+	}
 }
 
 // TestCrashRecoveryMatrix kills the writer at each stage of the commit

@@ -192,10 +192,14 @@ func readStats(dir string, man *Manifest) (*catalog.DatasetStats, *IntegrityErro
 	return &st, nil
 }
 
-// usableStats returns the member's stats block when it is trustworthy: it
-// verifies, its version is one this build reads, and it describes the data
-// beside it (its digest is the manifest's).
-func usableStats(dir string, man *Manifest) (*catalog.DatasetStats, bool) {
+// usableStats returns the stats block of the member in dir when it is
+// trustworthy: it verifies, its version is one this build reads, and it
+// describes the data beside it (its digest is the manifest's).
+func usableStats(dir string) (*catalog.DatasetStats, bool) {
+	man, err := ReadManifest(dir)
+	if err != nil {
+		return nil, false
+	}
 	st, ie := readStats(dir, man)
 	if ie != nil || st.Version > catalog.StatsVersion || st.Digest != man.Digest {
 		return nil, false

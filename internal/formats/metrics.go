@@ -31,7 +31,7 @@ var (
 		"Payload bytes pruned columnar reads skipped without reading.")
 )
 
-// Repository metrics: the catalog a node serves (DirCatalog.Warm), as time
+// Repository metrics: the catalog a node serves (ServeRepository), as time
 // series.
 var (
 	metricRepoDatasets = obs.Default().Gauge("genogo_repo_datasets",

@@ -69,11 +69,11 @@ func TestRepoLegacyDatasetScansLazilyOnce(t *testing.T) {
 	if _, ok := c.Stats("OLDSTATS"); ok {
 		t.Fatal("an export not yet held reported a stats block")
 	}
-	ds, rep, err := c.load("OLDSTATS")
+	ds, err := c.Dataset("OLDSTATS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Unverified {
+	if !c.report("OLDSTATS").Unverified {
 		t.Fatal("text export loaded verified?")
 	}
 
@@ -361,9 +361,10 @@ func TestRepoInlineStatsMember(t *testing.T) {
 	}
 }
 
-// TestRepoWarmServesWhatItHolds: Warm loads every dataset in name order and
-// fixes the catalog's contents — a dataset directory added afterwards is
-// neither read nor answered for, as with the eager boot it replaces.
+// TestRepoWarmServesWhatItHolds: ServeRepository loads every dataset in name
+// order and fixes the catalog's contents — a dataset directory added
+// afterwards is neither read nor answered for, as with the eager boot it
+// replaces.
 func TestRepoWarmServesWhatItHolds(t *testing.T) {
 	root := t.TempDir()
 	ds := testDataset(t)
@@ -372,16 +373,14 @@ func TestRepoWarmServesWhatItHolds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := NewDirCatalog(root)
-	dss, reps, err := c.Warm()
+	c, err := ServeRepository(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dss) != 2 || dss[0].Name != "A" || dss[1].Name != "B" || !reps[0].Verified || !reps[1].Verified {
-		t.Fatalf("Warm = %v datasets, %v reports", dss, reps)
-	}
-	if held := c.Held(); len(held) != 2 || held[0] != dss[0] || held[1] != dss[1] {
-		t.Fatalf("Held = %v, want the warmed datasets", held)
+	dss, reps := c.Held(), c.Reports()
+	if len(dss) != 2 || dss[0].Name != "A" || dss[1].Name != "B" ||
+		len(reps) != 2 || !reps[0].Verified || !reps[1].Verified {
+		t.Fatalf("Warm held %v datasets, %v reports", dss, reps)
 	}
 	if err := WriteDatasetColumnar(filepath.Join(root, "LATE"), ds); err != nil {
 		t.Fatal(err)

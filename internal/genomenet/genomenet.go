@@ -11,7 +11,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sort"
@@ -58,36 +57,48 @@ type ManifestEntry struct {
 	Public  bool   `json:"public"` // visible to crawlers
 	Samples int    `json:"samples"`
 	Regions int    `json:"regions"`
-	// Fingerprint changes whenever the dataset's content changes, letting
-	// crawlers skip unchanged links on re-crawls (polite incremental
-	// crawling).
+	// Fingerprint is the dataset's content digest (gdm.Dataset.ContentDigest,
+	// as the host's catalog resolved it once: a member's manifest digest, or
+	// one scan). It changes whenever the content changes, letting crawlers
+	// skip unchanged links on re-crawls (polite incremental crawling).
 	Fingerprint string `json:"fingerprint"`
 }
 
 // Host is a research center's publishing endpoint. It follows the protocol
 // the paper prescribes: publish a link to genomic data in its native format
 // with suitable metadata, optionally making the link public (visible to
-// crawler visits).
+// crawler visits). What it publishes is its catalog: every dataset the
+// catalog holds, less the names published private.
 type Host struct {
-	Name string
-	mu   sync.Mutex
-	data map[string]*gdm.Dataset
-	pub  map[string]bool
+	Name    string
+	cat     *formats.DirCatalog
+	mu      sync.Mutex
+	private map[string]bool
 }
 
-// NewHost builds an empty host.
-func NewHost(name string) *Host {
-	return &Host{Name: name, data: make(map[string]*gdm.Dataset), pub: make(map[string]bool)}
+// NewHost builds a host over an empty in-memory catalog; Publish fills it.
+func NewHost(name string) *Host { return NewCatalogHost(name, &formats.DirCatalog{}) }
+
+// NewCatalogHost builds a host that publishes every dataset cat holds
+// (formats.ServeRepository's warmed catalog, on a node), all public until
+// Publish says otherwise.
+func NewCatalogHost(name string, cat *formats.DirCatalog) *Host {
+	return &Host{Name: name, cat: cat, private: make(map[string]bool)}
 }
 
-// Publish registers a dataset; public links are visible to crawlers,
-// private ones are served only to clients that already know the URL
-// (reviewers with a download link, in the paper's telling).
+// Publish registers a dataset in the host's catalog, replacing any under its
+// name; public links are visible to crawlers, private ones are served only
+// to clients that already know the URL (reviewers with a download link, in
+// the paper's telling).
 func (h *Host) Publish(ds *gdm.Dataset, public bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.data[ds.Name] = ds
-	h.pub[ds.Name] = public
+	h.cat.Add(ds)
+	if public {
+		delete(h.private, ds.Name)
+	} else {
+		h.private[ds.Name] = true
+	}
 }
 
 // Handler serves the publishing protocol:
@@ -99,32 +110,31 @@ func (h *Host) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/manifest", func(w http.ResponseWriter, r *http.Request) {
 		h.mu.Lock()
-		entries := make([]ManifestEntry, 0, len(h.data))
-		for name, ds := range h.data {
-			if !h.pub[name] {
+		held := h.cat.Held()
+		entries := make([]ManifestEntry, 0, len(held))
+		for _, ds := range held {
+			if h.private[ds.Name] {
 				continue
 			}
+			st, _ := h.cat.Stats(ds.Name)
+			samples, regions, _ := st.Totals()
 			entries = append(entries, ManifestEntry{
-				Name:        name,
-				MetaURL:     "/meta/" + name,
-				DataURL:     "/data/" + name,
+				Name:        ds.Name,
+				MetaURL:     "/meta/" + ds.Name,
+				DataURL:     "/data/" + ds.Name,
 				Public:      true,
-				Samples:     len(ds.Samples),
-				Regions:     ds.NumRegions(),
-				Fingerprint: fingerprint(ds),
+				Samples:     samples,
+				Regions:     regions,
+				Fingerprint: st.Digest,
 			})
 		}
 		h.mu.Unlock()
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(entries)
 	})
 	mux.HandleFunc("/meta/", func(w http.ResponseWriter, r *http.Request) {
-		name := strings.TrimPrefix(r.URL.Path, "/meta/")
-		h.mu.Lock()
-		ds := h.data[name]
-		h.mu.Unlock()
-		if ds == nil {
+		ds, err := h.cat.Dataset(strings.TrimPrefix(r.URL.Path, "/meta/"))
+		if err != nil {
 			http.Error(w, "unknown dataset", http.StatusNotFound)
 			return
 		}
@@ -148,35 +158,14 @@ func (h *Host) Handler() http.Handler {
 		_, _ = io.WriteString(w, b.String())
 	})
 	mux.HandleFunc("/data/", func(w http.ResponseWriter, r *http.Request) {
-		name := strings.TrimPrefix(r.URL.Path, "/data/")
-		h.mu.Lock()
-		ds := h.data[name]
-		h.mu.Unlock()
-		if ds == nil {
+		ds, err := h.cat.Dataset(strings.TrimPrefix(r.URL.Path, "/data/"))
+		if err != nil {
 			http.Error(w, "unknown dataset", http.StatusNotFound)
 			return
 		}
 		formats.ServeDataset(w, ds)
 	})
 	return mux
-}
-
-// fingerprint hashes a dataset's content (schema, sample IDs, region
-// coordinates and values, metadata) for change detection.
-func fingerprint(ds *gdm.Dataset) string {
-	h := fnv.New64a()
-	io.WriteString(h, ds.Schema.String())
-	for _, s := range ds.Samples {
-		io.WriteString(h, s.ID)
-		for _, p := range s.Meta.Pairs() {
-			io.WriteString(h, p[0])
-			io.WriteString(h, p[1])
-		}
-		for i := range s.Regions {
-			io.WriteString(h, s.Regions[i].String())
-		}
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // IndexedDataset is one crawled dataset in the search service.
@@ -340,18 +329,7 @@ func (s *SearchService) crawlHost(ctx context.Context, base string, opt CrawlOpt
 			}
 			fetched++
 		}
-		// Commit the fully fetched link.
-		s.indexMeta(base, e, metaLines)
-		s.mu.Lock()
-		if body != nil {
-			s.cache[key] = body
-			d := s.datasets[key]
-			d.Cached = true
-			s.datasets[key] = d
-		}
-		s.fingerprints[key] = e.Fingerprint
-		s.CrawlLog = append(s.CrawlLog, base+"/"+e.Name)
-		s.mu.Unlock()
+		s.commit(base, e, metaLines, body)
 		*dirty = true
 		metricLinksIndexed.Inc()
 		stats.Updated++
@@ -444,17 +422,27 @@ func fetchDataset(ctx context.Context, c *http.Client, opt CrawlOptions, url str
 	return formats.DecodeFrame(body)
 }
 
-// indexMeta parses the host's metadata lines and stores them per sample,
-// replacing any previous crawl's entries for the same dataset. The search
-// index itself is rebuilt once at the end of the crawl.
-func (s *SearchService) indexMeta(hostURL string, e ManifestEntry, lines string) {
+// commit records one fully fetched link: its metadata lines, stored per
+// sample in place of any previous crawl's entries for the dataset, its
+// fingerprint, and its body when this crawl fetched one. A body cached from
+// the link's earlier content is dropped otherwise: it no longer describes
+// the dataset. The search index itself is rebuilt once at the end of the
+// crawl.
+func (s *SearchService) commit(hostURL string, e ManifestEntry, lines string, body *gdm.Dataset) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := hostURL + "|" + e.Name
 	s.datasets[key] = IndexedDataset{
 		HostURL: hostURL, Name: e.Name, Samples: e.Samples, Regions: e.Regions,
-		Cached: s.datasets[key].Cached,
+		Cached: body != nil,
 	}
+	if body != nil {
+		s.cache[key] = body
+	} else {
+		delete(s.cache, key)
+	}
+	s.fingerprints[key] = e.Fingerprint
+	s.CrawlLog = append(s.CrawlLog, hostURL+"/"+e.Name)
 	for k := range s.metaOf {
 		if strings.HasPrefix(k, key+"|") {
 			delete(s.metaOf, k)
@@ -539,10 +527,14 @@ type RankedDataset struct {
 // datasets (they cannot be pre-indexed for arbitrary queries); datasets are
 // ranked by the computed feature and returned best-first.
 func (s *SearchService) RegionSearch(query *gdm.Sample, feature RegionFeature, topK int) ([]RankedDataset, error) {
+	type cachedBody struct {
+		idx IndexedDataset
+		ds  *gdm.Dataset
+	}
 	s.mu.Lock()
-	cached := make(map[string]*gdm.Dataset, len(s.cache))
-	for k, v := range s.cache {
-		cached[k] = v
+	cached := make([]cachedBody, 0, len(s.cache))
+	for k, ds := range s.cache {
+		cached = append(cached, cachedBody{s.datasets[k], ds})
 	}
 	s.mu.Unlock()
 
@@ -557,9 +549,9 @@ func (s *SearchService) RegionSearch(query *gdm.Sample, feature RegionFeature, t
 
 	cfg := engine.Config{Mode: engine.ModeSerial, MetaFirst: true}
 	var out []RankedDataset
-	for key, ds := range cached {
+	for _, c := range cached {
 		// Merge the dataset into one sample, then MAP the query onto it.
-		merged, err := engine.Merge(cfg, ds, nil)
+		merged, err := engine.Merge(cfg, c.ds, nil)
 		if err != nil {
 			return nil, fmt.Errorf("genomenet: region search: %w", err)
 		}
@@ -591,8 +583,7 @@ func (s *SearchService) RegionSearch(query *gdm.Sample, feature RegionFeature, t
 		default:
 			return nil, fmt.Errorf("genomenet: unknown feature %d", feature)
 		}
-		idx := s.datasets[key]
-		out = append(out, RankedDataset{HostURL: idx.HostURL, Dataset: idx.Name, Score: score})
+		out = append(out, RankedDataset{HostURL: c.idx.HostURL, Dataset: c.idx.Name, Score: score})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {

@@ -2,6 +2,7 @@ package genomenet
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 
@@ -283,21 +284,144 @@ func TestIncrementalRecrawl(t *testing.T) {
 	}
 }
 
+// TestFingerprintSensitivity: a link's fingerprint on the served /manifest
+// follows the content: republishing the same content keeps it, a metadata
+// change or a coordinate change moves it.
 func TestFingerprintSensitivity(t *testing.T) {
 	g := synth.New(42)
 	a := g.Encode(synth.EncodeOptions{Samples: 3, MeanPeaks: 5})
-	fp := fingerprint(a)
-	if fp != fingerprint(a) {
-		t.Error("fingerprint not deterministic")
+	h := NewHost("lab")
+	ts := httptest.NewServer(h.Handler())
+	defer ts.Close()
+	served := func(ds *gdm.Dataset) string {
+		t.Helper()
+		h.Publish(ds, true)
+		entries, err := fetchManifest(context.Background(), ts.Client(), CrawlOptions{}, ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Fingerprint == "" {
+			t.Fatalf("manifest = %+v, want one fingerprinted link", entries)
+		}
+		return entries[0].Fingerprint
+	}
+	fp := served(a)
+	if served(a.Clone()) != fp {
+		t.Error("republishing the same content moved the fingerprint")
 	}
 	b := a.Clone()
 	b.Samples[0].Meta.Add("new", "attr")
-	if fingerprint(b) == fp {
+	if served(b) == fp {
 		t.Error("metadata change not detected")
 	}
 	c := a.Clone()
 	c.Samples[0].Regions[0].Start++
-	if fingerprint(c) == fp {
+	if served(c) == fp {
 		t.Error("coordinate change not detected")
+	}
+}
+
+// republish publishes a copy of ds with every sample's metadata attr set to
+// value: the same name, new content.
+func republish(h *Host, ds *gdm.Dataset, attr, value string) {
+	next := ds.Clone()
+	next.Name = ds.Name
+	for _, s := range next.Samples {
+		s.Meta.Set(attr, value)
+	}
+	h.Publish(next, true)
+}
+
+// wholeChr1 is a region query covering all of chr1.
+func wholeChr1() *gdm.Sample {
+	q := gdm.NewSample("q")
+	q.AddRegion(gdm.NewRegion("chr1", 0, 1<<40, gdm.StrandNone))
+	return q
+}
+
+// TestCrawlDropsStaleBody: a link whose fingerprint moved is re-indexed;
+// when the re-crawl does not fetch the new body, the body cached from the old
+// content is dropped rather than ranked and reported as the dataset's.
+func TestCrawlDropsStaleBody(t *testing.T) {
+	g := synth.New(43)
+	h := NewHost("lab")
+	ds := g.Encode(synth.EncodeOptions{Samples: 4, MeanPeaks: 10})
+	ds.Name = "CHIP"
+	h.Publish(ds, true)
+	ts := httptest.NewServer(h.Handler())
+	defer ts.Close()
+
+	svc := NewSearchService(nil)
+	if err := svc.Crawl(context.Background(), []string{ts.URL}, CrawlOptions{FetchBodies: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if ranked, err := svc.RegionSearch(wholeChr1(), FeatureOverlapCount, 0); err != nil || len(ranked) != 1 {
+		t.Fatalf("first crawl: ranked %v, %v; want the cached CHIP", ranked, err)
+	}
+
+	republish(h, ds, "dataType", "RnaSeq")
+	if err := svc.Crawl(context.Background(), []string{ts.URL}, CrawlOptions{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if svc.LastCrawl.Updated != 1 {
+		t.Fatalf("re-crawl stats = %+v, want CHIP re-indexed", svc.LastCrawl)
+	}
+	for _, hit := range svc.Search("RnaSeq", false) {
+		if hit.InRepo {
+			t.Errorf("snippet %+v claims a cached body the crawl did not fetch", hit)
+		}
+	}
+	if ranked, err := svc.RegionSearch(wholeChr1(), FeatureOverlapCount, 0); err != nil || len(ranked) != 0 {
+		t.Errorf("region search after the change ranked %v, %v; want nothing (the old body is stale)", ranked, err)
+	}
+}
+
+// TestRegionSearchDuringRecrawl: region searches run while the host
+// republishes and the service re-crawls, re-indexing and re-caching the
+// body each time (CI runs this under -race).
+func TestRegionSearchDuringRecrawl(t *testing.T) {
+	g := synth.New(44)
+	h := NewHost("lab")
+	ds := g.Encode(synth.EncodeOptions{Samples: 4, MeanPeaks: 10})
+	ds.Name = "CHIP"
+	h.Publish(ds, true)
+	ts := httptest.NewServer(h.Handler())
+	defer ts.Close()
+	svc := NewSearchService(nil)
+	opt := CrawlOptions{FetchBodies: 1}
+	if err := svc.Crawl(context.Background(), []string{ts.URL}, opt, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	searched := make(chan error, 1)
+	go func() {
+		defer close(searched)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ranked, err := svc.RegionSearch(wholeChr1(), FeatureOverlapCount, 0)
+			if err == nil && (len(ranked) != 1 || ranked[0].Dataset != "CHIP") {
+				err = fmt.Errorf("ranked %v, want CHIP", ranked)
+			}
+			if err != nil {
+				searched <- err
+				return
+			}
+		}
+	}()
+	for round := range 5 {
+		republish(h, ds, "round", fmt.Sprint(round))
+		if err := svc.Crawl(context.Background(), []string{ts.URL}, opt, nil); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	if err := <-searched; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -90,7 +90,7 @@ func (l *SlowQueryLog) logger() *slog.Logger {
 
 // profiler resolves the capture target.
 func (l *SlowQueryLog) profiler() *Profiler {
-	if l.Profiler != nil {
+	if l != nil && l.Profiler != nil {
 		return l.Profiler
 	}
 	return Prof()
@@ -217,7 +217,14 @@ func (l *SlowQueryLog) ObserveQuery(id, query string, root *Span) {
 // the log exists for — but honor the threshold-as-enable convention: a nil
 // or disabled log stays silent. took is the query's wall time (zero for shed
 // queries that never ran).
+//
+// A budget kill triggers the profiler (a "budget_kill" capture tagged with
+// id) even when the log is nil or disabled: a query was eating the machine,
+// and the capture is the evidence.
 func (l *SlowQueryLog) ObserveKilled(id, query, status, reason string, took time.Duration) {
+	if reason == "budget" {
+		l.profiler().Trigger("budget_kill", id)
+	}
 	if l == nil || l.Threshold <= 0 {
 		return
 	}
@@ -236,10 +243,7 @@ func (l *SlowQueryLog) ObserveKilled(id, query, status, reason string, took time
 		Status: status, Reason: reason,
 		TookMS: float64(took) / 1e6,
 	})
-	switch {
-	case reason == "budget":
-		l.profiler().Trigger("budget_kill", id)
-	case status == string(StatusShed):
+	if status == string(StatusShed) {
 		l.profiler().Trigger("shed", id)
 	}
 }
