@@ -161,8 +161,8 @@ func BenchmarkE4CTCFPairs(b *testing.B) {
 	gi, _ := pairs.Schema.Index("name")
 	found := map[string]bool{}
 	for _, s := range pairs.Samples {
-		for _, r := range s.Regions {
-			found[r.Values[li].Str()+"\x1f"+r.Values[gi].Str()] = true
+		for i := range s.Regions {
+			found[s.Row(i)[li].Str()+"\x1f"+s.Row(i)[gi].Str()] = true
 		}
 	}
 	truth := map[string]bool{}
@@ -205,7 +205,8 @@ MATERIALIZE SPACE;
 	// Network building is quadratic in genes; restrict to the first 200.
 	small := gdm.NewDataset(space.Name, space.Schema)
 	for _, s := range space.Samples {
-		ns := &gdm.Sample{ID: s.ID, Meta: s.Meta, Regions: s.Regions[:200]}
+		w := space.Schema.Len()
+		ns := &gdm.Sample{ID: s.ID, Meta: s.Meta, Regions: s.Regions[:200], Values: s.Values[:200*w]}
 		small.Samples = append(small.Samples, ns)
 	}
 	b.ResetTimer()
@@ -257,8 +258,8 @@ func BenchmarkE6Breakpoints(b *testing.B) {
 	counts := map[string]float64{}
 	for _, s := range muts.Samples {
 		cond := s.Meta.First("right.condition")
-		for _, r := range s.Regions {
-			perCond[cond] += float64(r.Values[mi].Int())
+		for i := range s.Regions {
+			perCond[cond] += float64(s.Row(i)[mi].Int())
 			counts[cond]++
 		}
 	}

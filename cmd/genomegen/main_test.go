@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -47,7 +48,7 @@ func TestGenomegenDeterministicAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ds.String() + ds.Samples[0].Regions[0].String()
+		return ds.String() + fmt.Sprint(ds.Samples[0].Regions[0], ds.Samples[0].Row(0))
 	}
 	if read() != read() {
 		t.Error("same seed produced different data")

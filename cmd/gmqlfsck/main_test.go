@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -24,8 +25,8 @@ func campaignDataset(t *testing.T, name string) *gdm.Dataset {
 	for _, id := range []string{"s1", "s2", "s3"} {
 		s := gdm.NewSample(id)
 		s.Meta.Add("source", "campaign")
-		s.AddRegion(gdm.NewRegion("chr1", 100, 200, gdm.StrandPlus, gdm.Float(0.01), gdm.Str(id)))
-		s.AddRegion(gdm.NewRegion("chr2", 10, 20, gdm.StrandMinus, gdm.Float(0.5), gdm.Null()))
+		s.AddRegion(gdm.NewRegion("chr1", 100, 200, gdm.StrandPlus), gdm.Float(0.01), gdm.Str(id))
+		s.AddRegion(gdm.NewRegion("chr2", 10, 20, gdm.StrandMinus), gdm.Float(0.5), gdm.Null())
 		if err := ds.Add(s); err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +178,7 @@ func repairAndVerify(t *testing.T, root, dir string, want *gdm.Dataset, seed int
 			t.Fatalf("seed %d (%s): sample %s regions %d != %d", seed, class, s.ID, len(s.Regions), len(w.Regions))
 		}
 		for j := range s.Regions {
-			if s.Regions[j].String() != w.Regions[j].String() {
+			if fmt.Sprint(s.Regions[j], s.Row(j)) != fmt.Sprint(w.Regions[j], w.Row(j)) {
 				t.Fatalf("seed %d (%s): sample %s region %d: %q != %q",
 					seed, class, s.ID, j, s.Regions[j], w.Regions[j])
 			}

@@ -63,8 +63,8 @@ func main() {
 	gi, _ := disreg.Schema.Index("gene")
 	found := map[string]bool{}
 	for _, s := range disreg.Samples {
-		for _, r := range s.Regions {
-			found[r.Values[gi].Str()] = true
+		for i := range s.Regions {
+			found[s.Row(i)[gi].Str()] = true
 		}
 	}
 	tp, fp := 0, 0
@@ -93,8 +93,8 @@ func main() {
 	perCondition := map[string][]float64{}
 	for _, s := range muts.Samples {
 		cond := s.Meta.First("right.condition")
-		for _, reg := range s.Regions {
-			perCondition[cond] = append(perCondition[cond], float64(reg.Values[mi].Int()))
+		for i := range s.Regions {
+			perCondition[cond] = append(perCondition[cond], float64(s.Row(i)[mi].Int()))
 		}
 		_ = ggi
 	}

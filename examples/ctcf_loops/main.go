@@ -75,8 +75,9 @@ func main() {
 	}
 	found := map[string]bool{}
 	for _, s := range pairs.Samples {
-		for _, r := range s.Regions {
-			found[r.Values[li].Str()+"\x1f"+r.Values[gi].Str()] = true
+		for i := range s.Regions {
+			row := s.Row(i)
+			found[row[li].Str()+"\x1f"+row[gi].Str()] = true
 		}
 	}
 	// Planted truth at the same granularity.

@@ -30,12 +30,13 @@ func main() {
 	for i, gene := range genes {
 		if i%2 == 0 {
 			p := gene.Promoter
-			peaks.AddRegion(gdm.NewRegion(p.Chrom, p.Center()-100, p.Center()+100, gdm.StrandNone,
-				gdm.Float(0.0001), gdm.Float(5)))
+			peaks.AddRegion(gdm.NewRegion(p.Chrom, p.Center()-100, p.Center()+100, gdm.StrandNone),
+				gdm.Float(0.0001), gdm.Float(5))
 		}
 	}
 	bg := g.ChipSeq("bg", 200)
 	peaks.Regions = append(peaks.Regions, bg.Regions...)
+	peaks.Values = append(peaks.Values, bg.Values...)
 	peaks.SortRegions()
 	peakDS := gdm.NewDataset("PEAKS", synth.PeakSchema)
 	peakDS.MustAdd(peaks)
@@ -80,8 +81,8 @@ func main() {
 		}
 		hi, _ := mapped.Schema.Index("hits")
 		hits := 0
-		for _, r := range mapped.Samples[0].Regions {
-			if r.Values[hi].Int() > 0 {
+		for i := range mapped.Samples[0].Regions {
+			if mapped.Samples[0].Row(i)[hi].Int() > 0 {
 				hits++
 			}
 		}

@@ -55,8 +55,8 @@ func secondaryAnalysis(id string, reads []gdm.Region, minDepth int) *gdm.Sample 
 		intervals.SortEntries(es)
 		for _, seg := range intervals.Coverage(es) {
 			if seg.Depth >= minDepth {
-				s.AddRegion(gdm.NewRegion(chrom, seg.Start, seg.Stop, gdm.StrandNone,
-					gdm.Float(1.0/float64(seg.Depth)), gdm.Float(float64(seg.Depth))))
+				s.AddRegion(gdm.NewRegion(chrom, seg.Start, seg.Stop, gdm.StrandNone),
+					gdm.Float(1.0/float64(seg.Depth)), gdm.Float(float64(seg.Depth)))
 			}
 		}
 	}
@@ -126,8 +126,8 @@ func main() {
 	pi, _ := ongenes.Schema.Index("peaks")
 	bound := 0
 	for _, s := range ongenes.Samples {
-		for _, r := range s.Regions {
-			if r.Values[pi].Int() > 0 {
+		for i := range s.Regions {
+			if s.Row(i)[pi].Int() > 0 {
 				bound++
 			}
 		}

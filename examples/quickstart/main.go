@@ -21,9 +21,9 @@ func main() {
 	fmt.Println("=== GDM regions (Fig. 2, upper part) ===")
 	fmt.Printf("schema: id | chr | left | right | strand | %s\n", peaks.Schema.Names()[0])
 	for _, s := range peaks.Samples {
-		for _, r := range s.Regions {
+		for i, r := range s.Regions {
 			fmt.Printf("  %s | %s | %d | %d | %s | %s\n",
-				s.ID, r.Chrom, r.Start, r.Stop, r.Strand, r.Values[0])
+				s.ID, r.Chrom, r.Start, r.Stop, r.Strand, s.Row(i)[0])
 		}
 	}
 	fmt.Println("\n=== GDM metadata (Fig. 2, lower part) ===")
@@ -55,8 +55,8 @@ MATERIALIZE STATS INTO stats;
 		for _, s := range res.Dataset.Samples {
 			fmt.Printf("sample %s: %d strong peaks, best p-value %s\n",
 				s.ID, len(s.Regions), s.Meta.First("best"))
-			for _, r := range s.Regions {
-				fmt.Printf("  %s\n", r)
+			for i, r := range s.Regions {
+				fmt.Printf("  %s %v\n", r, s.Row(i))
 			}
 		}
 	}

@@ -55,9 +55,9 @@ MATERIALIZE PERGENE;
 	patientsWith := map[string]int{}
 	cohort := len(perGene.Samples)
 	for _, s := range perGene.Samples {
-		for _, r := range s.Regions {
-			if r.Values[mi].Int() > 0 {
-				patientsWith[r.Values[gi].Str()]++
+		for i := range s.Regions {
+			if row := s.Row(i); row[mi].Int() > 0 {
+				patientsWith[row[gi].Str()]++
 			}
 		}
 	}
@@ -69,9 +69,9 @@ MATERIALIZE PERGENE;
 	// against the cohort-wide mutation density.
 	totalCells, mutatedCells := 0, 0
 	for _, s := range perGene.Samples {
-		for _, r := range s.Regions {
+		for i := range s.Regions {
 			totalCells++
-			if r.Values[mi].Int() > 0 {
+			if s.Row(i)[mi].Int() > 0 {
 				mutatedCells++
 			}
 		}

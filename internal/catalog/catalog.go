@@ -221,7 +221,7 @@ func ComputeSample(s *gdm.Sample) SampleStats {
 		if r.Stop > cs.MaxStop {
 			cs.MaxStop = r.Stop
 		}
-		cs.Bytes += regionBytes(s.ID, r)
+		cs.Bytes += regionBytes(s.ID, r, s.Row(i))
 	}
 	sort.Slice(ss.Chroms, func(i, j int) bool { return ss.Chroms[i].Chrom < ss.Chroms[j].Chrom })
 	return ss
@@ -229,9 +229,9 @@ func ComputeSample(s *gdm.Sample) SampleStats {
 
 // regionBytes estimates one region's serialized native-text size, mirroring
 // gdm.Dataset.EstimateBytes so per-chromosome bytes sum to the same order.
-func regionBytes(id string, r *gdm.Region) int64 {
+func regionBytes(id string, r *gdm.Region, row []gdm.Value) int64 {
 	n := int64(len(id) + len(r.Chrom) + 2 + digits(r.Start) + digits(r.Stop) + 1 + 4)
-	for _, v := range r.Values {
+	for _, v := range row {
 		n += int64(len(v.String()) + 1)
 	}
 	return n

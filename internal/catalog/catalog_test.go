@@ -20,7 +20,7 @@ func testSample(id string, meta map[string]string, regions ...[3]any) *gdm.Sampl
 	}
 	for _, r := range regions {
 		s.AddRegion(gdm.NewRegion(r[0].(string), int64(r[1].(int)), int64(r[2].(int)),
-			gdm.StrandNone, gdm.Float(1), gdm.Str("r")))
+			gdm.StrandNone), gdm.Float(1), gdm.Str("r"))
 	}
 	s.SortRegions()
 	return s
@@ -73,7 +73,7 @@ func TestCatalogComputeSampleUnsorted(t *testing.T) {
 	s := gdm.NewSample("u")
 	for _, r := range [][3]any{{"chr1", 10, 20}, {"chr2", 5, 9}, {"chr1", 1, 4}} {
 		s.AddRegion(gdm.NewRegion(r[0].(string), int64(r[1].(int)), int64(r[2].(int)),
-			gdm.StrandNone, gdm.Float(0), gdm.Str("")))
+			gdm.StrandNone), gdm.Float(0), gdm.Str(""))
 	}
 	// deliberately NOT sorted
 	ss := ComputeSample(s)

@@ -32,7 +32,7 @@ func dataset(name, sample string, regions ...[3]any) *gdm.Dataset {
 	s.Meta.Add("cell", "HeLa")
 	for _, r := range regions {
 		s.AddRegion(gdm.NewRegion(r[0].(string), int64(r[1].(int)), int64(r[2].(int)),
-			gdm.StrandNone, gdm.Float(1)))
+			gdm.StrandNone), gdm.Float(1))
 	}
 	s.SortRegions()
 	ds.MustAdd(s)
@@ -193,7 +193,7 @@ func TestRepoStaleOnDigestChange(t *testing.T) {
 	// The dataset grows: same name, new content.
 	ds2 := dataset("d", "s", [3]any{"chr1", 0, 10})
 	s2 := gdm.NewSample("s2")
-	s2.AddRegion(gdm.NewRegion("chr2", 0, 10, gdm.StrandNone, gdm.Float(1)))
+	s2.AddRegion(gdm.NewRegion("chr2", 0, 10, gdm.StrandNone), gdm.Float(1))
 	ds2.MustAdd(s2)
 	c.Add(ds2)
 

@@ -48,7 +48,7 @@ func TestJoinMDTieBreaking(t *testing.T) {
 	schema := gdm.MustSchema(gdm.Field{Name: "tag", Type: gdm.KindString})
 	anchors := gdm.NewDataset("A", schema)
 	sa := gdm.NewSample("a1")
-	sa.AddRegion(gdm.NewRegion("chr1", 100, 200, gdm.StrandNone, gdm.Str("anchor")))
+	sa.AddRegion(gdm.NewRegion("chr1", 100, 200, gdm.StrandNone), gdm.Str("anchor"))
 	sa.SortRegions()
 	anchors.MustAdd(sa)
 
@@ -56,8 +56,8 @@ func TestJoinMDTieBreaking(t *testing.T) {
 	sb := gdm.NewSample("b1")
 	// Both at distance 40 from [100,200): [40,60) on the left, [240,260) on
 	// the right.
-	sb.AddRegion(gdm.NewRegion("chr1", 40, 60, gdm.StrandNone, gdm.Str("leftward")))
-	sb.AddRegion(gdm.NewRegion("chr1", 240, 260, gdm.StrandNone, gdm.Str("rightward")))
+	sb.AddRegion(gdm.NewRegion("chr1", 40, 60, gdm.StrandNone), gdm.Str("leftward"))
+	sb.AddRegion(gdm.NewRegion("chr1", 240, 260, gdm.StrandNone), gdm.Str("rightward"))
 	sb.SortRegions()
 	exps.MustAdd(sb)
 
@@ -72,7 +72,7 @@ func TestJoinMDTieBreaking(t *testing.T) {
 		t.Fatalf("MD(1) tie must resolve to the canonically first (leftmost) region [40,60), got [%d,%d)", r.Start, r.Stop)
 	}
 	// tag (anchor) then right.tag (experiment) in the merged schema.
-	if got := r.Values[1].Str(); got != "leftward" {
+	if got := out.Samples[0].Row(0)[1].Str(); got != "leftward" {
 		t.Fatalf("MD(1) tie winner should be %q, got %q", "leftward", got)
 	}
 }
@@ -90,10 +90,10 @@ func TestCoverBoundarySemantics(t *testing.T) {
 	schema := gdm.MustSchema(gdm.Field{Name: "v", Type: gdm.KindFloat})
 	ds := gdm.NewDataset("D", schema)
 	s1 := gdm.NewSample("s1")
-	s1.AddRegion(gdm.NewRegion("chr1", 0, 100, gdm.StrandNone, gdm.Float(1)))
+	s1.AddRegion(gdm.NewRegion("chr1", 0, 100, gdm.StrandNone), gdm.Float(1))
 	s1.SortRegions()
 	s2 := gdm.NewSample("s2")
-	s2.AddRegion(gdm.NewRegion("chr1", 50, 150, gdm.StrandNone, gdm.Float(2)))
+	s2.AddRegion(gdm.NewRegion("chr1", 50, 150, gdm.StrandNone), gdm.Float(2))
 	s2.SortRegions()
 	ds.MustAdd(s1)
 	ds.MustAdd(s2)
@@ -123,9 +123,10 @@ func TestCoverBoundarySemantics(t *testing.T) {
 			}
 			for i, w := range tc.want {
 				r := regs[i]
-				if r.Start != w.start || r.Stop != w.stop || r.Values[0].Int() != w.depth {
+				depth := out.Samples[0].Row(i)[0].Int()
+				if r.Start != w.start || r.Stop != w.stop || depth != w.depth {
 					t.Fatalf("region %d: want [%d,%d) depth %d, got [%d,%d) depth %d",
-						i, w.start, w.stop, w.depth, r.Start, r.Stop, r.Values[0].Int())
+						i, w.start, w.stop, w.depth, r.Start, r.Stop, depth)
 				}
 			}
 		})

@@ -157,14 +157,14 @@ func TestNormalizerDetectsDrift(t *testing.T) {
 			ds.Samples = ds.Samples[:len(ds.Samples)-1]
 		}), "sample count"},
 		{"changed-value", mutate(func(ds *gdm.Dataset) {
-			ds.Samples[0].Regions[0].Values[1] = gdm.Float(999)
+			ds.Samples[0].Row(0)[1] = gdm.Float(999)
 		}), "attribute signal"},
 		{"changed-meta", mutate(func(ds *gdm.Dataset) {
 			ds.Samples[0].Meta.Set("cell", "Hacked")
 		}), "metadata"},
 		{"float-noise-below-tolerance", mutate(func(ds *gdm.Dataset) {
-			v := ds.Samples[0].Regions[0].Values[1].Float()
-			ds.Samples[0].Regions[0].Values[1] = gdm.Float(v * (1 + 1e-13))
+			v := ds.Samples[0].Row(0)[1].Float()
+			ds.Samples[0].Row(0)[1] = gdm.Float(v * (1 + 1e-13))
 		}), ""},
 	}
 	for _, tc := range cases {

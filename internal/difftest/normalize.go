@@ -75,23 +75,24 @@ func diffSamples(a, b *gdm.Sample, schema *gdm.Schema, tol float64) string {
 	if len(a.Regions) != len(b.Regions) {
 		return fmt.Sprintf("region count: oracle %d, got %d", len(a.Regions), len(b.Regions))
 	}
+	if len(a.Values) != len(b.Values) {
+		return fmt.Sprintf("value count: oracle %d, got %d", len(a.Values), len(b.Values))
+	}
 	for ri := range a.Regions {
 		ra, rb := &a.Regions[ri], &b.Regions[ri]
 		if ra.Chrom != rb.Chrom || ra.Start != rb.Start || ra.Stop != rb.Stop || ra.Strand != rb.Strand {
 			return fmt.Sprintf("region %d coordinates: oracle %s:%d-%d/%v, got %s:%d-%d/%v",
 				ri, ra.Chrom, ra.Start, ra.Stop, ra.Strand, rb.Chrom, rb.Start, rb.Stop, rb.Strand)
 		}
-		if len(ra.Values) != len(rb.Values) {
-			return fmt.Sprintf("region %d value arity: oracle %d, got %d", ri, len(ra.Values), len(rb.Values))
-		}
-		for vi := range ra.Values {
-			if !valuesEqual(ra.Values[vi], rb.Values[vi], tol) {
+		va, vb := a.Row(ri), b.Row(ri)
+		for vi := range va {
+			if !valuesEqual(va[vi], vb[vi], tol) {
 				name := fmt.Sprintf("#%d", vi)
 				if vi < schema.Len() {
 					name = schema.Field(vi).Name
 				}
 				return fmt.Sprintf("region %d (%s:%d-%d) attribute %s: oracle %v, got %v",
-					ri, ra.Chrom, ra.Start, ra.Stop, name, ra.Values[vi], rb.Values[vi])
+					ri, ra.Chrom, ra.Start, ra.Stop, name, va[vi], vb[vi])
 			}
 		}
 	}

@@ -124,6 +124,7 @@ func Cover(cfg Config, ds *gdm.Dataset, args CoverArgs) (*gdm.Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cover: %w", err)
 	}
+	w := ds.Schema.Len()
 
 	groups := make(map[string][]*gdm.Sample)
 	var order []string
@@ -151,7 +152,7 @@ func Cover(cfg Config, ds *gdm.Dataset, args CoverArgs) (*gdm.Dataset, error) {
 	type task struct {
 		group int
 		chrom string
-		out   []gdm.Region
+		out   rows
 	}
 	tasks := make([]*task, 0, len(order))
 	taskIdx := make([][]int, len(order))
@@ -180,15 +181,18 @@ func Cover(cfg Config, ds *gdm.Dataset, args CoverArgs) (*gdm.Dataset, error) {
 	cfg.forEach(len(tasks), func(ti int) {
 		tk := tasks[ti]
 		members := groups[order[tk.group]]
-		// entries index into sources so aggregates can read the
-		// contributing regions' attribute values.
+		// With aggregates, entries index into sources so they can read the
+		// contributing regions' rows.
 		n := 0
 		for _, m := range members {
 			lo, hi := m.ChromRange(tk.chrom)
 			n += hi - lo
 		}
 		entries := make([]intervals.Entry, 0, n)
-		sources := make([]*gdm.Region, 0, n)
+		var sources [][]gdm.Value
+		if len(args.Aggs) > 0 {
+			sources = make([][]gdm.Value, 0, n)
+		}
 		var tick int
 		for _, m := range members {
 			lo, hi := m.ChromRange(tk.chrom)
@@ -196,20 +200,21 @@ func Cover(cfg Config, ds *gdm.Dataset, args CoverArgs) (*gdm.Dataset, error) {
 				cfg.tick(&tick)
 				r := &m.Regions[i]
 				entries = append(entries, intervals.Entry{
-					Start: r.Start, Stop: r.Stop, Payload: int32(len(sources))})
-				sources = append(sources, r)
+					Start: r.Start, Stop: r.Stop, Payload: int32(len(entries))})
+				if sources != nil {
+					sources = append(sources, m.Values[i*w:])
+				}
 			}
 		}
 		intervals.SortEntries(entries)
 		segs := intervals.Coverage(entries)
-		regs := coverRegions(segs, entries, minAccs[tk.group], maxAccs[tk.group], args.Variant)
+		tk.out = coverRegions(segs, entries, minAccs[tk.group], maxAccs[tk.group], args.Variant)
 		if len(args.Aggs) > 0 {
-			appendCoverAggs(regs, entries, sources, args.Aggs, aggIdx)
+			tk.out.values = coverAggs(tk.out, entries, sources, args.Aggs, aggIdx)
 		}
-		for i := range regs {
-			regs[i].Chrom = tk.chrom
+		for i := range tk.out.regions {
+			tk.out.regions[i].Chrom = tk.chrom
 		}
-		tk.out = regs
 	})
 	cfg.forEach(len(order), func(gi int) {
 		members := groups[order[gi]]
@@ -222,7 +227,8 @@ func Cover(cfg Config, ds *gdm.Dataset, args CoverArgs) (*gdm.Dataset, error) {
 			m.Meta.MergeInto(ns.Meta, "")
 		}
 		ns.Meta.Set("_cover", fmt.Sprintf("%s(%s,%s)", args.Variant, args.Min, args.Max))
-		ns.Regions = concatRegions(len(taskIdx[gi]), func(i int) []gdm.Region { return tasks[taskIdx[gi][i]].out })
+		body := concatRows(len(taskIdx[gi]), func(i int) *rows { return &tasks[taskIdx[gi][i]].out })
+		ns.Regions, ns.Values = body.regions, body.values
 		ns.SortRegions()
 		outSamples[gi] = ns
 	})
@@ -230,34 +236,35 @@ func Cover(cfg Config, ds *gdm.Dataset, args CoverArgs) (*gdm.Dataset, error) {
 	return out, nil
 }
 
-// appendCoverAggs extends each output region's values with aggregates over
-// the input regions intersecting it. Output regions are sorted and disjoint
-// (except FLAT, which may overlap after extension), so a fresh sweep per
-// output region set is linear in practice.
-func appendCoverAggs(regs []gdm.Region, entries []intervals.Entry, sources []*gdm.Region,
-	aggs []expr.Aggregate, aggIdx []int) {
-	outEntries := make([]intervals.Entry, len(regs))
-	for i, r := range regs {
+// coverAggs returns the output regions' rows extended with aggregates over
+// the input regions (rows in sources) intersecting each. Output regions are
+// sorted and disjoint (except FLAT, which may overlap after extension), so a
+// fresh sweep per output region set is linear in practice.
+func coverAggs(out rows, entries []intervals.Entry, sources [][]gdm.Value,
+	aggs []expr.Aggregate, aggIdx []int) []gdm.Value {
+	outEntries := make([]intervals.Entry, len(out.regions))
+	for i, r := range out.regions {
 		outEntries[i] = intervals.Entry{Start: r.Start, Stop: r.Stop, Payload: int32(i)}
 	}
 	intervals.SortEntries(outEntries)
-	rows := newAggRows(aggs, aggIdx, len(regs))
+	state := newAggRows(aggs, aggIdx, len(out.regions))
 	intervals.SweepOverlaps(outEntries, entries, func(o, e intervals.Entry) bool {
-		rows.add(int(o.Payload), sources[e.Payload])
+		state.add(int(o.Payload), sources[e.Payload])
 		return true
 	})
-	w := CoverSchema.Len() + len(aggs)
-	slab := newValueSlab(len(regs), w)
-	for i := range regs {
-		vals := append(slab.take(w), regs[i].Values...)
-		regs[i].Values = rows.appendResults(vals, i)
+	w := CoverSchema.Len()
+	vals := make([]gdm.Value, 0, len(out.regions)*(w+len(aggs)))
+	for i := range out.regions {
+		vals = append(vals, out.values[i*w:(i+1)*w]...)
+		vals = state.appendResults(vals, i)
 	}
+	return vals
 }
 
 // coverRegions turns one chromosome's coverage profile into output regions
 // according to the variant, with their acc_index values in one slab. It
 // reuses segs' storage. Chrom is filled in by the caller.
-func coverRegions(segs []intervals.CoverSegment, entries []intervals.Entry, minAcc, maxAcc int64, variant CoverVariant) []gdm.Region {
+func coverRegions(segs []intervals.CoverSegment, entries []intervals.Entry, minAcc, maxAcc int64, variant CoverVariant) rows {
 	qualifies := func(d int) bool { return int64(d) >= minAcc && int64(d) <= maxAcc }
 	// Filter segs in place into the emitted (start, stop, acc_index)
 	// triples. Writes never pass the read position, and a write below it
@@ -293,10 +300,10 @@ func coverRegions(segs []intervals.CoverSegment, entries []intervals.Entry, minA
 	if variant == CoverFlat {
 		flatExtents(kept, entries)
 	}
-	out := make([]gdm.Region, len(kept))
-	slab := newValueSlab(len(kept), 1)
+	out := rows{make([]gdm.Region, len(kept)), make([]gdm.Value, len(kept))}
 	for i, k := range kept {
-		out[i] = gdm.Region{Start: k.Start, Stop: k.Stop, Values: append(slab.take(1), gdm.Int(int64(k.Depth)))}
+		out.regions[i] = gdm.Region{Start: k.Start, Stop: k.Stop}
+		out.values[i] = gdm.Int(int64(k.Depth))
 	}
 	return out
 }

@@ -51,14 +51,14 @@ func TestCoverWithAggregates(t *testing.T) {
 	ni, _ := out.Schema.Index("n")
 	ai, _ := out.Schema.Index("avg_score")
 	mi, _ := out.Schema.Index("max_score")
-	if r.Values[ni].Int() != 2 {
-		t.Errorf("n = %v", r.Values[ni])
+	if s.Row(0)[ni].Int() != 2 {
+		t.Errorf("n = %v", s.Row(0)[ni])
 	}
-	if r.Values[ai].Float() != 3 {
-		t.Errorf("avg = %v", r.Values[ai])
+	if s.Row(0)[ai].Float() != 3 {
+		t.Errorf("avg = %v", s.Row(0)[ai])
 	}
-	if r.Values[mi].Float() != 4 {
-		t.Errorf("max = %v", r.Values[mi])
+	if s.Row(0)[mi].Float() != 4 {
+		t.Errorf("max = %v", s.Row(0)[mi])
 	}
 }
 
@@ -80,8 +80,8 @@ func TestCoverAggregatesAcrossVariantsAndModes(t *testing.T) {
 			}
 			ci, _ := out.Schema.Index("contrib")
 			for _, s := range out.Samples {
-				for _, r := range s.Regions {
-					if r.Values[ci].Int() < 1 {
+				for i, r := range s.Regions {
+					if s.Row(i)[ci].Int() < 1 {
 						t.Fatalf("%s: output region %v has no contributors", variant, r)
 					}
 				}

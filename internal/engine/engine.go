@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -204,44 +205,20 @@ func (c Config) forEach(n int, fn func(i int)) {
 	}
 }
 
-// chromEntries converts the regions of one chromosome range [lo,hi) of a
-// sample into interval entries whose payloads are region indices.
-func chromEntries(s *gdm.Sample, lo, hi int) []intervals.Entry {
-	es := make([]intervals.Entry, hi-lo)
+// entryPool recycles the interval entry buffers of kernel tasks.
+var entryPool = sync.Pool{New: func() any { return new([]intervals.Entry) }}
+
+// taskEntries converts regions [lo,hi) of a sample into interval entries
+// whose payloads are region indices, in a buffer from entryPool that the
+// caller puts back when its task is done.
+func taskEntries(s *gdm.Sample, lo, hi int) *[]intervals.Entry {
+	buf := entryPool.Get().(*[]intervals.Entry)
+	*buf = (*buf)[:0]
 	for i := lo; i < hi; i++ {
 		r := &s.Regions[i]
-		es[i-lo] = intervals.Entry{Start: r.Start, Stop: r.Stop, Payload: int32(i)}
+		*buf = append(*buf, intervals.Entry{Start: r.Start, Stop: r.Stop, Payload: int32(i)})
 	}
-	return es
-}
-
-// indexSamples converts each distinct sample on one side (0 left, 1 right) of
-// the pairs to interval entries, entries[i] describing Regions[i]. MAP and
-// JOIN pair one sample with many partners, so they convert it once per
-// operator call instead of once per (pair, chromosome) task.
-func indexSamples(pairs [][2]*gdm.Sample, side int) map[*gdm.Sample][]intervals.Entry {
-	out := make(map[*gdm.Sample][]intervals.Entry)
-	for _, p := range pairs {
-		if s := p[side]; out[s] == nil {
-			out[s] = chromEntries(s, 0, len(s.Regions))
-		}
-	}
-	return out
-}
-
-// valueSlab is one allocation holding the Values of all regions of an output
-// sample (of a task, in JOIN). Every window taken from it is capacity-limited
-// to its own width, so a consumer that appends to one region's Values gets a
-// copy instead of overwriting the neighbouring region's.
-type valueSlab []gdm.Value
-
-func newValueSlab(regions, w int) valueSlab { return make(valueSlab, regions*w) }
-
-// take returns the next empty window of capacity w.
-func (s *valueSlab) take(w int) []gdm.Value {
-	out := (*s)[:0:w]
-	*s = (*s)[w:]
-	return out
+	return buf
 }
 
 // bindAggs resolves each aggregate's input attribute against the schema its
@@ -279,13 +256,14 @@ func newAggRows(aggs []expr.Aggregate, attr []int, rows int) aggRows {
 	return aggRows{states: states, attr: attr}
 }
 
-// add folds one input region into a row of every aggregate.
-func (a aggRows) add(row int, r *gdm.Region) {
+// add folds one input region into a row of every aggregate; vals starts at
+// the region's row of attribute values.
+func (a aggRows) add(row int, vals []gdm.Value) {
 	for i, st := range a.states {
 		if a.attr[i] < 0 {
 			st.Add(row, gdm.Null())
 		} else {
-			st.Add(row, r.Values[a.attr[i]])
+			st.Add(row, vals[a.attr[i]])
 		}
 	}
 }
@@ -319,21 +297,20 @@ func chromSpans(s *gdm.Sample) []chromSpan {
 	return out
 }
 
-// concatRegions concatenates n parts into one exact-size slice (nil when
+// rows is a run of output regions and their row-major attribute values.
+type rows struct {
+	regions []gdm.Region
+	values  []gdm.Value
+}
+
+// concatRows concatenates n parts into one exact-size run (nil slices when
 // they are all empty).
-func concatRegions(n int, part func(i int) []gdm.Region) []gdm.Region {
-	total := 0
-	for i := 0; i < n; i++ {
-		total += len(part(i))
+func concatRows(n int, part func(i int) *rows) rows {
+	regions, values := make([][]gdm.Region, n), make([][]gdm.Value, n)
+	for i := range n {
+		regions[i], values[i] = part(i).regions, part(i).values
 	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]gdm.Region, 0, total)
-	for i := 0; i < n; i++ {
-		out = append(out, part(i)...)
-	}
-	return out
+	return rows{slices.Concat(regions...), slices.Concat(values...)}
 }
 
 // binSpans splits a chromosome span into genometric bins of width w (by

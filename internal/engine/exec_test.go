@@ -74,8 +74,8 @@ func TestRunHeadlineQueryAllModes(t *testing.T) {
 		// contributes 1 (P1, boundary overlap 900-1000).
 		total := int64(0)
 		for _, s := range out.Samples {
-			for _, r := range s.Regions {
-				total += r.Values[ci].Int()
+			for i := range s.Regions {
+				total += s.Row(i)[ci].Int()
 			}
 		}
 		if total != 4 {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -32,8 +33,8 @@ func mkSample(id string, meta map[string]string, specs ...regSpec) *gdm.Sample {
 		s.Meta.Add(k, v)
 	}
 	for _, sp := range specs {
-		s.AddRegion(gdm.NewRegion(sp.chrom, sp.start, sp.stop, sp.strand,
-			gdm.Float(sp.score), gdm.Str(sp.name)))
+		s.AddRegion(gdm.NewRegion(sp.chrom, sp.start, sp.stop, sp.strand),
+			gdm.Float(sp.score), gdm.Str(sp.name))
 	}
 	s.SortRegions()
 	return s
@@ -71,8 +72,8 @@ func randomDatasetSpan(rng *rand.Rand, name string, nSamples, regionsPerSample i
 			start := rng.Int63n(span)
 			s.AddRegion(gdm.NewRegion(
 				chroms[rng.Intn(len(chroms))], start, start+1+rng.Int63n(2000),
-				gdm.Strand(rng.Intn(3)-1),
-				gdm.Float(rng.Float64()*10), gdm.Str("r")))
+				gdm.Strand(rng.Intn(3)-1)),
+				gdm.Float(rng.Float64()*10), gdm.Str("r"))
 		}
 		s.SortRegions()
 		ds.MustAdd(s)
@@ -123,9 +124,9 @@ func datasetsEquivalent(t *testing.T, label string, want, got *gdm.Dataset) {
 			t.Fatalf("%s: sample %s regions: %d vs %d", label, sa.ID, len(sa.Regions), len(sb.Regions))
 		}
 		for j := range sa.Regions {
-			if sa.Regions[j].String() != sb.Regions[j].String() {
+			if fmt.Sprint(sa.Regions[j], sa.Row(j)) != fmt.Sprint(sb.Regions[j], sb.Row(j)) {
 				t.Fatalf("%s: sample %s region %d: %q vs %q",
-					label, sa.ID, j, sa.Regions[j], sb.Regions[j])
+					label, sa.ID, j, fmt.Sprint(sa.Regions[j], sa.Row(j)), fmt.Sprint(sb.Regions[j], sb.Row(j)))
 			}
 		}
 	}

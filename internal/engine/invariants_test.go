@@ -169,8 +169,8 @@ func TestPlanOutputInvariants(t *testing.T) {
 func TestValidateOutputsCatchesViolations(t *testing.T) {
 	bad := gdm.NewDataset("BAD", peakSchema())
 	s := gdm.NewSample("s1")
-	s.AddRegion(gdm.NewRegion("chr2", 10, 20, gdm.StrandNone, gdm.Float(1), gdm.Str("r")))
-	s.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandNone, gdm.Float(1), gdm.Str("r")))
+	s.AddRegion(gdm.NewRegion("chr2", 10, 20, gdm.StrandNone), gdm.Float(1), gdm.Str("r"))
+	s.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandNone), gdm.Float(1), gdm.Str("r"))
 	bad.Samples = append(bad.Samples, s) // bypass Add: regions deliberately unsorted
 	cfg := Config{Mode: ModeSerial, MetaFirst: true, ValidateOutputs: true}
 	_, err := Run(cfg, &Scan{Dataset: "BAD"}, MapCatalog{"BAD": bad})
@@ -227,8 +227,8 @@ func TestMapCountConservation(t *testing.T) {
 	ci, _ := out.Schema.Index("count")
 	var got int64
 	for _, s := range out.Samples {
-		for _, r := range s.Regions {
-			got += r.Values[ci].Int()
+		for i := range s.Regions {
+			got += s.Row(i)[ci].Int()
 		}
 	}
 	var want int64
@@ -265,8 +265,8 @@ func TestDifferenceSubsetProperty(t *testing.T) {
 		// Each surviving region must appear in the source (two-pointer scan
 		// over sorted regions).
 		j := 0
-		for _, r := range s.Regions {
-			for j < len(src.Regions) && src.Regions[j].String() != r.String() {
+		for k, r := range s.Regions {
+			for j < len(src.Regions) && fmt.Sprint(src.Regions[j], src.Row(j)) != fmt.Sprint(s.Regions[k], s.Row(k)) {
 				j++
 			}
 			if j == len(src.Regions) {

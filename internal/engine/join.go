@@ -159,20 +159,23 @@ func Join(cfg Config, left, right *gdm.Dataset, args JoinArgs) (*gdm.Dataset, er
 		return nil, err
 	}
 	pairs := pairings(left, right, args.JoinBy)
-	rights := indexSamples(pairs, 1)
+	lw, rw := left.Schema.Len(), right.Schema.Len()
 	out := gdm.NewDataset(left.Name, merged.Schema)
 	outSamples := make([]*gdm.Sample, len(pairs))
 
 	// Tasks span both parallelism axes: (sample pair, anchor chromosome).
-	// Each task owns a private output slice and stably sorts it itself.
-	// Tasks run in the anchor's canonical chromosome order and every output
-	// region's chromosome compares equal to its anchor's, so a pair's
-	// concatenated outputs are already canonical, and equal regions keep the
-	// order a stable sort of the unsorted concatenation would give them.
+	// Each task collects its joining (anchor, experiment) index pairs and
+	// stably sorts them into output order itself. Tasks run in the anchor's
+	// canonical chromosome order and every output region's chromosome
+	// compares equal to its anchor's, so a pair's tasks in order are already
+	// canonical, and equal regions keep the order a stable sort of the
+	// unsorted concatenation would give them. Then each pair's sample is
+	// allocated at its exact size, and its tasks fill their windows of it.
 	type task struct {
 		pair int
 		cs   chromSpan
-		out  []gdm.Region
+		hits [][2]int32 // in output order
+		at   int        // index of the task's first region in its pair's sample
 	}
 	tasks := make([]*task, 0, len(pairs))
 	taskIdx := make([][]int, len(pairs))
@@ -190,16 +193,15 @@ func Join(cfg Config, left, right *gdm.Dataset, args JoinArgs) (*gdm.Dataset, er
 		if rlo == rhi {
 			return
 		}
-		rightEntries := rights[r][rlo:rhi]
+		rb := taskEntries(r, rlo, rhi)
+		defer entryPool.Put(rb)
+		rightEntries := *rb
 		var maxRightLen int64
 		for _, e := range rightEntries {
 			if ln := e.Stop - e.Start; ln > maxRightLen {
 				maxRightLen = ln
 			}
 		}
-		// First collect the (anchor, experiment) region pairs that join, in
-		// pooled buffers; then build the output regions and their Values slab
-		// at their exact sizes.
 		js := joinScratchPool.Get().(*joinScratch)
 		defer joinScratchPool.Put(js)
 		hits := js.hits[:0]
@@ -214,27 +216,43 @@ func Join(cfg Config, left, right *gdm.Dataset, args JoinArgs) (*gdm.Dataset, er
 				}
 			}
 		}
-		w := merged.Schema.Len()
-		tk.out = make([]gdm.Region, len(hits))
-		slab := newValueSlab(len(hits), w)
-		for i, h := range hits {
-			anchor, er := &l.Regions[h[0]], &r.Regions[h[1]]
-			tk.out[i] = joinOutputRegion(args.Output, anchor, er)
-			vals := append(slab.take(w), anchor.Values...)
-			tk.out[i].Values = append(vals, er.Values...)
+		// The sort orders a permutation of the hits by their output
+		// regions, built in a pooled buffer.
+		regions := js.regions[:0]
+		for _, h := range hits {
+			regions = append(regions, joinOutputRegion(args.Output, &l.Regions[h[0]], &r.Regions[h[1]]))
 		}
-		js.hits = hits
-		(&gdm.Sample{Regions: tk.out}).SortRegions()
+		tk.hits = slices.Clone(hits)
+		if perm := gdm.SortOrder(regions); perm != nil {
+			for i, p := range perm {
+				tk.hits[i] = hits[p]
+			}
+		}
+		js.hits, js.regions = hits, regions
 	})
+	w := merged.Schema.Len()
 	cfg.forEach(len(pairs), func(pi int) {
-		l, r := pairs[pi][0], pairs[pi][1]
-		ns := &gdm.Sample{
-			ID:   gdm.DeriveID("join", l.ID, r.ID),
-			Meta: mergeSampleMeta(l, r),
+		n := 0
+		for _, ti := range taskIdx[pi] {
+			tasks[ti].at, n = n, n+len(tasks[ti].hits)
 		}
-		ns.Regions = concatRegions(len(taskIdx[pi]), func(i int) []gdm.Region { return tasks[taskIdx[pi][i]].out })
-		ns.SortRegions()
-		outSamples[pi] = ns
+		l, r := pairs[pi][0], pairs[pi][1]
+		outSamples[pi] = &gdm.Sample{
+			ID:      gdm.DeriveID("join", l.ID, r.ID),
+			Meta:    mergeSampleMeta(l, r),
+			Regions: make([]gdm.Region, n),
+			Values:  make([]gdm.Value, n*w),
+		}
+	})
+	cfg.forEach(len(tasks), func(ti int) {
+		tk := tasks[ti]
+		l, r, s := pairs[tk.pair][0], pairs[tk.pair][1], outSamples[tk.pair]
+		for i, h := range tk.hits {
+			s.Regions[tk.at+i] = joinOutputRegion(args.Output, &l.Regions[h[0]], &r.Regions[h[1]])
+			row := s.Values[(tk.at+i)*w : (tk.at+i+1)*w]
+			copy(row, l.Values[int(h[0])*lw:int(h[0]+1)*lw])
+			copy(row[lw:], r.Values[int(h[1])*rw:int(h[1]+1)*rw])
+		}
 	})
 	out.Samples = outSamples
 	return out, nil
@@ -254,12 +272,13 @@ func (a JoinArgs) Stream(anchor, exp *gdm.Region) bool {
 }
 
 // joinScratch holds a task's working buffers: the candidates of one
-// anchor, MD(k)'s neighbours, and the task's joining (anchor, experiment)
-// index pairs. Tasks take them from joinScratchPool.
+// anchor, MD(k)'s neighbours, the task's joining (anchor, experiment) index
+// pairs and their output regions. Tasks take them from joinScratchPool.
 type joinScratch struct {
-	cands []int32
-	near  []intervals.Neighbor
-	hits  [][2]int32
+	cands   []int32
+	near    []intervals.Neighbor
+	hits    [][2]int32
+	regions []gdm.Region
 }
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}

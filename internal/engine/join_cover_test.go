@@ -38,9 +38,9 @@ func joinedNames(t *testing.T, out *gdm.Dataset) map[string][]string {
 	}
 	got := map[string][]string{}
 	for _, s := range out.Samples {
-		for _, r := range s.Regions {
-			l := r.Values[li].Str()
-			got[l] = append(got[l], r.Values[ri].Str())
+		for i := range s.Regions {
+			l := s.Row(i)[li].Str()
+			got[l] = append(got[l], s.Row(i)[ri].Str())
 		}
 	}
 	return got
@@ -198,8 +198,8 @@ func TestJoinOutputModes(t *testing.T) {
 			t.Errorf("%s: [%d,%d), want [%d,%d)", c.mode, r.Start, r.Stop, c.start, c.stop)
 		}
 		// Merged schema carries both operands' values.
-		if len(r.Values) != 4 {
-			t.Errorf("%s: values = %v", c.mode, r.Values)
+		if len(out.Samples[0].Row(0)) != 4 {
+			t.Errorf("%s: values = %v", c.mode, out.Samples[0].Row(0))
 		}
 	}
 }
@@ -300,10 +300,10 @@ func TestCoverStandard(t *testing.T) {
 			t.Fatalf("%s: regions = %v", cfg.Mode, s.Regions)
 		}
 		r0, r1 := s.Regions[0], s.Regions[1]
-		if r0.Start != 50 || r0.Stop != 100 || r0.Values[0].Int() != 3 {
+		if r0.Start != 50 || r0.Stop != 100 || s.Row(0)[0].Int() != 3 {
 			t.Errorf("%s: r0 = %v", cfg.Mode, r0)
 		}
-		if r1.Start != 210 || r1.Stop != 260 || r1.Values[0].Int() != 2 {
+		if r1.Start != 210 || r1.Stop != 260 || s.Row(1)[0].Int() != 2 {
 			t.Errorf("%s: r1 = %v", cfg.Mode, r1)
 		}
 	}
@@ -352,14 +352,14 @@ func TestCoverHistogram(t *testing.T) {
 	}
 	wantDepths := []int64{1, 2, 3, 2, 1, 1, 2, 1}
 	for i, w := range wantDepths {
-		if got := s.Regions[i].Values[0].Int(); got != w {
+		if got := s.Row(i)[0].Int(); got != w {
 			t.Errorf("segment %d depth = %d, want %d", i, got, w)
 		}
 	}
 	// Histogram conservation: sum depth*len == total input length.
 	var got, want int64
-	for _, r := range s.Regions {
-		got += r.Length() * r.Values[0].Int()
+	for i, r := range s.Regions {
+		got += r.Length() * s.Row(i)[0].Int()
 	}
 	for _, smp := range ds.Samples {
 		for _, r := range smp.Regions {
@@ -385,10 +385,10 @@ func TestCoverSummit(t *testing.T) {
 	if len(s.Regions) != 2 {
 		t.Fatalf("summits = %v", s.Regions)
 	}
-	if s.Regions[0].Start != 60 || s.Regions[0].Stop != 90 || s.Regions[0].Values[0].Int() != 3 {
+	if s.Regions[0].Start != 60 || s.Regions[0].Stop != 90 || s.Row(0)[0].Int() != 3 {
 		t.Errorf("summit 0 = %v", s.Regions[0])
 	}
-	if s.Regions[1].Start != 210 || s.Regions[1].Stop != 260 || s.Regions[1].Values[0].Int() != 2 {
+	if s.Regions[1].Start != 210 || s.Regions[1].Stop != 260 || s.Row(1)[0].Int() != 2 {
 		t.Errorf("summit 1 = %v", s.Regions[1])
 	}
 }
@@ -470,7 +470,7 @@ func TestCoverOutputsNeverOverlap(t *testing.T) {
 				if variant != CoverFlat && a.Chrom == b.Chrom && b.Start < a.Stop {
 					t.Fatalf("%s: overlapping outputs %v, %v", variant, a, b)
 				}
-				if v := s.Regions[i].Values[0].Int(); v < 2 && variant != CoverFlat {
+				if v := s.Row(i)[0].Int(); v < 2 && variant != CoverFlat {
 					t.Fatalf("%s: depth %d below min", variant, v)
 				}
 			}
@@ -493,8 +493,8 @@ func TestJoinTaskSortMatchesGlobalSort(t *testing.T) {
 			for i := 0; i < 80; i++ {
 				start := rng.Int63n(60) * 10
 				s.AddRegion(gdm.NewRegion([]string{"chr1", "chr2", "chr10", "chrX"}[rng.Intn(4)],
-					start, start+10*(1+rng.Int63n(3)), gdm.Strand(rng.Intn(3)-1),
-					gdm.Float(float64(i)), gdm.Str(fmt.Sprintf("%s%d.%d", name, si, i))))
+					start, start+10*(1+rng.Int63n(3)), gdm.Strand(rng.Intn(3)-1)),
+					gdm.Float(float64(i)), gdm.Str(fmt.Sprintf("%s%d.%d", name, si, i)))
 			}
 			s.SortRegions()
 			ds.MustAdd(s)
@@ -521,14 +521,15 @@ func TestJoinTaskSortMatchesGlobalSort(t *testing.T) {
 				}
 				for _, l := range left.Samples {
 					for _, r := range right.Samples {
-						want := &gdm.Sample{Regions: joinUnsorted(l, r, args)}
+						want := joinUnsorted(l, r, args)
 						want.SortRegions()
 						got := byID[gdm.DeriveID("join", l.ID, r.ID)]
 						if len(want.Regions) != len(got.Regions) {
 							t.Fatalf("%s %s %s: %d regions, reference %d", pname, mode, cfg.Mode, len(got.Regions), len(want.Regions))
 						}
 						for i := range want.Regions {
-							if g, w := got.Regions[i].String(), want.Regions[i].String(); g != w {
+							g := fmt.Sprint(got.Regions[i], got.Row(i))
+							if w := fmt.Sprint(want.Regions[i], want.Row(i)); g != w {
 								t.Fatalf("%s %s %s: region %d = %s, reference %s", pname, mode, cfg.Mode, i, g, w)
 							}
 						}
@@ -541,8 +542,8 @@ func TestJoinTaskSortMatchesGlobalSort(t *testing.T) {
 
 // joinUnsorted is the JOIN of one sample pair by brute force, in emission
 // order and before any sorting.
-func joinUnsorted(l, r *gdm.Sample, args JoinArgs) []gdm.Region {
-	var out []gdm.Region
+func joinUnsorted(l, r *gdm.Sample, args JoinArgs) *gdm.Sample {
+	out := &gdm.Sample{}
 	for li := range l.Regions {
 		anchor := &l.Regions[li]
 		var near map[int]bool
@@ -558,9 +559,7 @@ func joinUnsorted(l, r *gdm.Sample, args JoinArgs) []gdm.Region {
 			if !args.Pred.holds(d) || args.Stream(anchor, er) || !args.Output.emits(anchor, er) {
 				continue
 			}
-			reg := joinOutputRegion(args.Output, anchor, er)
-			reg.Values = append(append([]gdm.Value(nil), anchor.Values...), er.Values...)
-			out = append(out, reg)
+			out.AddRegion(joinOutputRegion(args.Output, anchor, er), append(l.Row(li), r.Row(ri)...)...)
 		}
 	}
 	return out
@@ -599,7 +598,7 @@ func TestFlatExtentsMatchesScan(t *testing.T) {
 		}
 		intervals.SortEntries(entries)
 		minAcc := int64(1 + rng.Intn(3))
-		regs := coverRegions(intervals.Coverage(entries), entries, minAcc, math.MaxInt64, CoverStandard)
+		regs := coverRegions(intervals.Coverage(entries), entries, minAcc, math.MaxInt64, CoverStandard).regions
 		runs := make([]intervals.CoverSegment, len(regs))
 		for i, r := range regs {
 			runs[i] = intervals.CoverSegment{Start: r.Start, Stop: r.Stop}

@@ -23,7 +23,8 @@ type MapArgs struct {
 // Map implements GMQL MAP, the operation Fig. 4 of the paper builds genome
 // spaces from: for every (reference sample, experiment sample) pair it emits
 // one output sample holding all the reference regions, each extended with
-// aggregates over the experiment regions intersecting it.
+// aggregates over the experiment regions intersecting it. Every output sample
+// shares its reference sample's Regions; only its value slab is new.
 //
 // The kernel is strategy-dependent (the sweep-vs-tree ablation):
 // with Config.BinWidth <= 0 each chromosome is processed with one sorted
@@ -45,7 +46,7 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 	}
 
 	pairs := pairings(ref, exp, args.JoinBy)
-	refs, exps := indexSamples(pairs, 0), indexSamples(pairs, 1)
+	rw, ew := ref.Schema.Len(), exp.Schema.Len()
 	out := gdm.NewDataset(ref.Name, schema)
 	outSamples := make([]*gdm.Sample, len(pairs))
 
@@ -79,9 +80,8 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 		var tick int
 		feed := func(refIdx, expIdx int32) {
 			cfg.tick(&tick)
-			er := &e.Regions[expIdx]
-			if r.Regions[refIdx].Strand.Compatible(er.Strand) {
-				st.add(int(refIdx), er)
+			if r.Regions[refIdx].Strand.Compatible(e.Regions[expIdx].Strand) {
+				st.add(int(refIdx), e.Values[int(expIdx)*ew:])
 			}
 		}
 		cs := tk.cs
@@ -89,9 +89,10 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 		if elo == ehi {
 			return
 		}
-		expEntries := exps[e][elo:ehi]
+		eb := taskEntries(e, elo, ehi)
+		defer entryPool.Put(eb)
 		if cfg.BinWidth > 0 {
-			tree := intervals.BuildTree(expEntries)
+			tree := intervals.BuildTree(*eb)
 			for _, bin := range binSpans(r, cs, cfg.BinWidth) {
 				for ri := bin.lo; ri < bin.hi; ri++ {
 					reg := &r.Regions[ri]
@@ -103,7 +104,9 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 				}
 			}
 		} else {
-			intervals.SweepOverlaps(refs[r][cs.lo:cs.hi], expEntries,
+			rb := taskEntries(r, cs.lo, cs.hi)
+			defer entryPool.Put(rb)
+			intervals.SweepOverlaps(*rb, *eb,
 				func(l, x intervals.Entry) bool {
 					feed(l.Payload, x.Payload)
 					return true
@@ -111,22 +114,21 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 		}
 	})
 
-	// Phase 2: finalize output samples, parallel over pairs. One Values
-	// slab serves the whole sample.
+	// Phase 2: finalize output samples, parallel over pairs: the reference
+	// rows, each followed by its aggregates, in one slab per sample.
 	w := schema.Len()
 	cfg.forEach(len(pairs), func(pi int) {
 		r, e := pairs[pi][0], pairs[pi][1]
-		regions := make([]gdm.Region, len(r.Regions))
-		slab := newValueSlab(len(regions), w)
-		for ri := range regions {
-			regions[ri] = r.Regions[ri]
-			vals := append(slab.take(w), regions[ri].Values...)
-			regions[ri].Values = states[pi].appendResults(vals, ri)
+		vals := make([]gdm.Value, 0, len(r.Regions)*w)
+		for ri := range r.Regions {
+			vals = append(vals, r.Values[ri*rw:(ri+1)*rw]...)
+			vals = states[pi].appendResults(vals, ri)
 		}
 		outSamples[pi] = &gdm.Sample{
 			ID:      gdm.DeriveID("map", r.ID, e.ID),
 			Meta:    mergeSampleMeta(r, e),
-			Regions: regions,
+			Regions: r.Regions,
+			Values:  vals,
 		}
 	})
 	out.Samples = outSamples

@@ -19,7 +19,7 @@ func TestUnionBasics(t *testing.T) {
 	right := gdm.NewDataset("R", rightSchema)
 	rs := gdm.NewSample("r1")
 	rs.Meta.Add("src", "right")
-	rs.AddRegion(gdm.NewRegion("chr2", 5, 9, gdm.StrandPlus, gdm.Str("b"), gdm.Int(7), gdm.Float(2)))
+	rs.AddRegion(gdm.NewRegion("chr2", 5, 9, gdm.StrandPlus), gdm.Str("b"), gdm.Int(7), gdm.Float(2))
 	right.MustAdd(rs)
 
 	for _, cfg := range allConfigs() {
@@ -43,8 +43,8 @@ func TestUnionBasics(t *testing.T) {
 		if r == nil {
 			t.Fatal("right sample missing")
 		}
-		if r.Regions[0].Values[0].Float() != 2 || r.Regions[0].Values[1].Str() != "b" {
-			t.Errorf("%s: right values = %v", cfg.Mode, r.Regions[0].Values)
+		if r.Row(0)[0].Float() != 2 || r.Row(0)[1].Str() != "b" {
+			t.Errorf("%s: right values = %v", cfg.Mode, r.Row(0))
 		}
 		if err := out.Validate(); err != nil {
 			t.Errorf("%s: %v", cfg.Mode, err)
@@ -97,7 +97,7 @@ func TestDifferenceOverlap(t *testing.T) {
 		if len(s.Regions) != 2 {
 			t.Fatalf("%s: regions = %v", cfg.Mode, s.Regions)
 		}
-		if s.Regions[0].Values[1].Str() != "keep" || s.Regions[1].Values[1].Str() != "keep2" {
+		if s.Row(0)[1].Str() != "keep" || s.Row(1)[1].Str() != "keep2" {
 			t.Errorf("%s: wrong survivors: %v", cfg.Mode, s.Regions)
 		}
 	}
@@ -115,7 +115,7 @@ func TestDifferenceExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Samples[0].Regions) != 1 || out.Samples[0].Regions[0].Values[1].Str() != "near" {
+	if len(out.Samples[0].Regions) != 1 || out.Samples[0].Row(0)[1].Str() != "near" {
 		t.Errorf("exact difference = %v", out.Samples[0].Regions)
 	}
 }
@@ -208,13 +208,13 @@ func TestMapCount(t *testing.T) {
 		}
 		wantS1 := []int64{2, 1, 0} // prom1 gets pk1+pk2, prom2 gets pk3, prom3 none
 		for i, w := range wantS1 {
-			if got := s1.Regions[i].Values[ci].Int(); got != w {
+			if got := s1.Row(i)[ci].Int(); got != w {
 				t.Errorf("%s: s1 region %d count = %d, want %d", cfg.Mode, i, got, w)
 			}
 		}
 		wantS2 := []int64{0, 0, 1}
 		for i, w := range wantS2 {
-			if got := s2.Regions[i].Values[ci].Int(); got != w {
+			if got := s2.Row(i)[ci].Int(); got != w {
 				t.Errorf("%s: s2 region %d count = %d, want %d", cfg.Mode, i, got, w)
 			}
 		}
@@ -238,12 +238,12 @@ func TestMapAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := out.Samples[0].Regions[0]
+	r := out.Samples[0].Row(0)
 	ni, _ := out.Schema.Index("n")
 	ai, _ := out.Schema.Index("avg_score")
 	mi, _ := out.Schema.Index("max_score")
-	if r.Values[ni].Int() != 2 || r.Values[ai].Float() != 3 || r.Values[mi].Float() != 4 {
-		t.Errorf("aggs = %v", r.Values)
+	if r[ni].Int() != 2 || r[ai].Float() != 3 || r[mi].Float() != 4 {
+		t.Errorf("aggs = %v", r)
 	}
 }
 
@@ -261,7 +261,7 @@ func TestMapStrandCompatibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	ci, _ := out.Schema.Index("count")
-	if got := out.Samples[0].Regions[0].Values[ci].Int(); got != 2 {
+	if got := out.Samples[0].Row(0)[ci].Int(); got != 2 {
 		t.Errorf("count = %d, want 2 (minus-strand peak excluded)", got)
 	}
 }

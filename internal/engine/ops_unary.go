@@ -66,15 +66,18 @@ func compileSelect(cfg Config, schema *gdm.Schema, meta expr.MetaPredicate, regi
 		}
 	}
 	metaFirst := cfg.MetaFirst
+	w := schema.Len()
 	fn := func(s *gdm.Sample) (*gdm.Sample, bool) {
 		if meta != nil && metaFirst && !meta.EvalMeta(s.Meta) {
 			return nil, false
 		}
 		ns := &gdm.Sample{ID: s.ID, Meta: s.Meta.Clone()}
 		if bound == nil {
-			ns.Regions = s.Regions
+			ns.Regions, ns.Values = s.Regions, s.Values
 		} else {
-			ns.Regions = filterRegions(s.Regions, bound)
+			ns.Regions, ns.Values = keepRows(s, func(ri int) bool {
+				return bound.Eval(&s.Regions[ri], s.Values[ri*w:(ri+1)*w]).Bool()
+			})
 		}
 		if meta != nil && !metaFirst && !meta.EvalMeta(ns.Meta) {
 			// Ablation path: metadata evaluated after the region work.
@@ -85,30 +88,26 @@ func compileSelect(cfg Config, schema *gdm.Schema, meta expr.MetaPredicate, regi
 	return stage{fn: fn, schema: schema}, nil
 }
 
-// keptPool recycles the index buffers of filterRegions across samples.
+// keptPool recycles the index buffers of keepRows across samples.
 var keptPool = sync.Pool{New: func() any { return new([]int32) }}
 
-// filterRegions returns the regions the predicate keeps, in an exact-size
-// slice (nil when none is kept): the kept indexes are collected first, in a
-// pooled buffer.
-func filterRegions(regions []gdm.Region, pred expr.Bound) []gdm.Region {
+// keepRows returns the regions of s that keep accepts, with their rows: s's
+// own slices when it accepts all, else a gather (nil when none is kept) of
+// the indexes collected first, in a pooled buffer.
+func keepRows(s *gdm.Sample, keep func(ri int) bool) ([]gdm.Region, []gdm.Value) {
 	buf := keptPool.Get().(*[]int32)
 	defer keptPool.Put(buf)
 	kept := (*buf)[:0]
-	for ri := range regions {
-		if pred.Eval(&regions[ri]).Bool() {
+	for ri := range s.Regions {
+		if keep(ri) {
 			kept = append(kept, int32(ri))
 		}
 	}
 	*buf = kept
-	if len(kept) == 0 {
-		return nil
+	if len(kept) == len(s.Regions) {
+		return s.Regions, s.Values
 	}
-	out := make([]gdm.Region, len(kept))
-	for i, ri := range kept {
-		out[i] = regions[ri]
-	}
-	return out
+	return s.Gather(kept)
 }
 
 // Select implements GMQL SELECT: the metadata predicate picks samples, the
@@ -167,8 +166,10 @@ func compileProject(schema *gdm.Schema, args ProjectArgs) (stage, error) {
 	if err != nil {
 		return stage{}, fmt.Errorf("project: %w", err)
 	}
+	w, ow := schema.Len(), len(bounds)
 	fn := func(s *gdm.Sample) (*gdm.Sample, bool) {
-		ns := &gdm.Sample{ID: s.ID, Regions: make([]gdm.Region, len(s.Regions))}
+		// Coordinates are kept, so the output shares the input's Regions.
+		ns := &gdm.Sample{ID: s.ID, Regions: s.Regions, Values: make([]gdm.Value, len(s.Regions)*ow)}
 		if args.MetaKeep == nil {
 			ns.Meta = s.Meta.Clone()
 		} else {
@@ -180,10 +181,9 @@ func compileProject(schema *gdm.Schema, args ProjectArgs) (stage, error) {
 			}
 		}
 		for ri := range s.Regions {
-			r := s.Regions[ri]
-			vals := make([]gdm.Value, len(bounds))
+			row, out := s.Values[ri*w:(ri+1)*w], ns.Values[ri*ow:(ri+1)*ow]
 			for vi, b := range bounds {
-				v := b.Eval(&s.Regions[ri])
+				v := b.Eval(&s.Regions[ri], row)
 				if !v.IsNull() && v.Kind() != fields[vi].Type {
 					if cv, err := v.Coerce(fields[vi].Type); err == nil {
 						v = cv
@@ -191,10 +191,8 @@ func compileProject(schema *gdm.Schema, args ProjectArgs) (stage, error) {
 						v = gdm.Null()
 					}
 				}
-				vals[vi] = v
+				out[vi] = v
 			}
-			r.Values = vals
-			ns.Regions[ri] = r
 		}
 		return ns, true
 	}
@@ -219,11 +217,12 @@ func compileExtend(schema *gdm.Schema, aggs []expr.Aggregate) (stage, error) {
 	if err != nil {
 		return stage{}, err
 	}
+	w := schema.Len()
 	fn := func(s *gdm.Sample) (*gdm.Sample, bool) {
-		ns := &gdm.Sample{ID: s.ID, Meta: s.Meta.Clone(), Regions: s.Regions}
+		ns := &gdm.Sample{ID: s.ID, Meta: s.Meta.Clone(), Regions: s.Regions, Values: s.Values}
 		acc := newAggRows(aggs, idx, 1)
 		for ri := range s.Regions {
-			acc.add(0, &s.Regions[ri])
+			acc.add(0, s.Values[ri*w:])
 		}
 		for ai, v := range acc.appendResults(nil, 0) {
 			ns.Meta.Set(aggs[ai].Output, v.String())
@@ -287,15 +286,13 @@ func Merge(cfg Config, ds *gdm.Dataset, groupBy []string) (*gdm.Dataset, error) 
 	cfg.forEach(len(order), func(gi int) {
 		members := groups[order[gi]]
 		ids := make([]string, len(members))
-		total := 0
 		for i, m := range members {
 			ids[i] = m.ID
-			total += len(m.Regions)
 		}
 		ns := gdm.NewSample(gdm.DeriveID("merge", ids...))
-		ns.Regions = make([]gdm.Region, 0, total)
+		body := concatRows(len(members), func(i int) *rows { return &rows{members[i].Regions, members[i].Values} })
+		ns.Regions, ns.Values = body.regions, body.values
 		for _, m := range members {
-			ns.Regions = append(ns.Regions, m.Regions...)
 			m.Meta.MergeInto(ns.Meta, "")
 		}
 		ns.SortRegions()
@@ -372,13 +369,13 @@ func groupImpl(cfg Config, ds *gdm.Dataset, args GroupArgs, outSchema *gdm.Schem
 			aggVals[ai] = acc.Result(0).String()
 		}
 		for _, m := range members {
-			ns := m.Clone()
+			ns := &gdm.Sample{ID: m.ID, Meta: m.Meta.Clone(), Regions: m.Regions, Values: m.Values}
 			ns.Meta.Set("_group", strconv.Itoa(gid[k]))
 			for ai, a := range args.MetaAggs {
 				ns.Meta.Set(a.Output, aggVals[ai])
 			}
 			if len(args.RegionAggs) > 0 {
-				ns.Regions = dedupRegions(m.Regions, args.RegionAggs, regionIdx)
+				ns.Regions, ns.Values = dedupRegions(m, ds.Schema.Len(), args.RegionAggs, regionIdx)
 			}
 			out.Samples = append(out.Samples, ns)
 		}
@@ -386,25 +383,23 @@ func groupImpl(cfg Config, ds *gdm.Dataset, args GroupArgs, outSchema *gdm.Schem
 	return out, nil
 }
 
-// dedupRegions collapses coordinate-identical runs of canonically sorted
-// regions, aggregating their variable attributes.
-func dedupRegions(regions []gdm.Region, aggs []expr.Aggregate, aggIdx []int) []gdm.Region {
-	// Row i of the state is output region i; there are at most len(regions).
-	rows := newAggRows(aggs, aggIdx, len(regions))
+// dedupRegions collapses coordinate-identical runs of a canonically sorted
+// sample's regions (of arity w), aggregating their variable attributes.
+func dedupRegions(s *gdm.Sample, w int, aggs []expr.Aggregate, aggIdx []int) ([]gdm.Region, []gdm.Value) {
+	// Row i of the state is output region i; there are at most len(s.Regions).
+	state := newAggRows(aggs, aggIdx, len(s.Regions))
 	var out []gdm.Region
-	for i := range regions {
-		r := &regions[i]
-		if n := len(out); n == 0 || out[n-1].Chrom != r.Chrom || out[n-1].Start != r.Start ||
-			out[n-1].Stop != r.Stop || out[n-1].Strand != r.Strand {
+	for i := range s.Regions {
+		if r := &s.Regions[i]; len(out) == 0 || out[len(out)-1] != *r {
 			out = append(out, *r)
 		}
-		rows.add(len(out)-1, r)
+		state.add(len(out)-1, s.Values[i*w:])
 	}
-	slab := newValueSlab(len(out), len(aggs))
+	vals := make([]gdm.Value, 0, len(out)*len(aggs))
 	for i := range out {
-		out[i].Values = rows.appendResults(slab.take(len(aggs)), i)
+		vals = state.appendResults(vals, i)
 	}
-	return out
+	return out, vals
 }
 
 // OrderKey is one metadata sort key of ORDER.
@@ -465,16 +460,19 @@ func Order(cfg Config, ds *gdm.Dataset, args OrderArgs) (*gdm.Dataset, error) {
 	}
 	out := gdm.NewDataset(ds.Name, ds.Schema)
 	outSamples := make([]*gdm.Sample, len(idx))
+	w := ds.Schema.Len()
 	cfg.forEach(len(idx), func(rank int) {
-		ns := ds.Samples[idx[rank]].Clone()
+		src := ds.Samples[idx[rank]]
+		ns := &gdm.Sample{ID: src.ID, Meta: src.Meta.Clone(), Regions: src.Regions, Values: src.Values}
 		ns.Meta.Set("_order", strconv.Itoa(rank+1))
 		if regionCmp != nil {
-			sort.SliceStable(ns.Regions, func(a, b int) bool {
-				return regionCmp(&ns.Regions[a], &ns.Regions[b])
+			perm := gdm.Permutation(len(src.Regions), func(a, b int32) int {
+				return regionCmp(src.Values[int(a)*w:], src.Values[int(b)*w:])
 			})
-			if args.RegionTop > 0 && args.RegionTop < len(ns.Regions) {
-				ns.Regions = ns.Regions[:args.RegionTop]
+			if args.RegionTop > 0 && args.RegionTop < len(perm) {
+				perm = perm[:args.RegionTop]
 			}
+			ns.Regions, ns.Values = src.Gather(perm)
 			ns.SortRegions() // restore the canonical dataset invariant
 		}
 		outSamples[rank] = ns
@@ -483,9 +481,9 @@ func Order(cfg Config, ds *gdm.Dataset, args OrderArgs) (*gdm.Dataset, error) {
 	return out, nil
 }
 
-// compileRegionOrder builds a region comparison function from value keys;
-// nil keys yield a nil comparator.
-func compileRegionOrder(schema *gdm.Schema, keys []OrderKey) (func(a, b *gdm.Region) bool, error) {
+// compileRegionOrder builds a comparison of two regions' rows from value
+// keys; nil keys yield a nil comparator.
+func compileRegionOrder(schema *gdm.Schema, keys []OrderKey) (func(a, b []gdm.Value) int, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
@@ -501,17 +499,17 @@ func compileRegionOrder(schema *gdm.Schema, keys []OrderKey) (func(a, b *gdm.Reg
 		}
 		kis[i] = keyIdx{j, k.Desc}
 	}
-	return func(a, b *gdm.Region) bool {
+	return func(a, b []gdm.Value) int {
 		for _, k := range kis {
-			c := gdm.Compare(a.Values[k.idx], b.Values[k.idx])
+			c := gdm.Compare(a[k.idx], b[k.idx])
 			if k.desc {
 				c = -c
 			}
 			if c != 0 {
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return 0
 	}, nil
 }
 

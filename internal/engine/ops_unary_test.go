@@ -116,8 +116,8 @@ func TestProjectKeepSubset(t *testing.T) {
 	if out.Schema.Len() != 1 || out.Schema.Field(0).Name != "score" {
 		t.Fatalf("schema = %s", out.Schema)
 	}
-	if out.Samples[0].Regions[0].Values[0].Float() != 5 {
-		t.Errorf("value = %v", out.Samples[0].Regions[0].Values)
+	if out.Samples[0].Row(0)[0].Float() != 5 {
+		t.Errorf("value = %v", out.Samples[0].Row(0))
 	}
 	if out.Samples[0].Meta.Has("dataType") || !out.Samples[0].Meta.Has("cell") {
 		t.Error("metadata projection wrong")
@@ -139,7 +139,7 @@ func TestProjectComputedAttribute(t *testing.T) {
 	if out.Schema.Field(1) != (gdm.Field{Name: "length", Type: gdm.KindFloat}) {
 		t.Fatalf("schema = %s", out.Schema)
 	}
-	if got := out.Samples[0].Regions[0].Values[1].Float(); got != 100 {
+	if got := out.Samples[0].Row(0)[1].Float(); got != 100 {
 		t.Errorf("length = %v", got)
 	}
 	if err := out.Validate(); err != nil {

@@ -34,8 +34,8 @@ func TestOrderRegionTop(t *testing.T) {
 		t.Fatalf("s1 regions = %d", len(s1.Regions))
 	}
 	names := map[string]bool{}
-	for _, r := range s1.Regions {
-		names[r.Values[1].Str()] = true
+	for i := range s1.Regions {
+		names[s1.Row(i)[1].Str()] = true
 	}
 	if !names["high"] || !names["mid"] || names["low"] {
 		t.Errorf("kept = %v, want the 2 best scores", names)
@@ -60,7 +60,7 @@ func TestOrderRegionOnlyKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.Samples[0]
-	if len(s.Regions) != 1 || s.Regions[0].Values[1].Str() != "y" {
+	if len(s.Regions) != 1 || s.Row(0)[1].Str() != "y" {
 		t.Errorf("regions = %v", s.Regions)
 	}
 }
@@ -102,11 +102,11 @@ func TestGroupRegionDedup(t *testing.T) {
 	}
 	ni, _ := out.Schema.Index("n")
 	ai, _ := out.Schema.Index("avg")
-	if s.Regions[0].Values[ni].Int() != 3 || s.Regions[0].Values[ai].Float() != 3 {
-		t.Errorf("dedup aggs = %v", s.Regions[0].Values)
+	if s.Row(0)[ni].Int() != 3 || s.Row(0)[ai].Float() != 3 {
+		t.Errorf("dedup aggs = %v", s.Row(0))
 	}
-	if s.Regions[1].Values[ni].Int() != 1 || s.Regions[1].Values[ai].Float() != 7 {
-		t.Errorf("singleton aggs = %v", s.Regions[1].Values)
+	if s.Row(1)[ni].Int() != 1 || s.Row(1)[ai].Float() != 7 {
+		t.Errorf("singleton aggs = %v", s.Row(1))
 	}
 	// Unknown attribute in region aggregate.
 	if _, err := Group(Config{}, ds, GroupArgs{

@@ -191,12 +191,17 @@ func (c *prunable) count(ds *gdm.Dataset, keep catalog.Keep) {
 			continue // a proof without a partition half consults none
 		}
 		parts = sampleParts(parts[:0], s)
-		for _, p := range parts {
-			c.consulted++
-			if !keep.Part(p.chrom, p.minStart, p.maxStop) {
-				c.parts++
-				c.regions += int64(p.regions)
-			}
+		c.countParts(parts, keep.Part)
+	}
+}
+
+// countParts is count's partition half over partitions already derived.
+func (c *prunable) countParts(parts []zonePart, keep keepFunc) {
+	for _, p := range parts {
+		c.consulted++
+		if !keep(p.chrom, p.minStart, p.maxStop) {
+			c.parts++
+			c.regions += int64(p.regions)
 		}
 	}
 }
@@ -287,13 +292,15 @@ func (e *evaluator) zonePair(left, right Node, sp *obs.Span, keepL, keepR func(o
 		if l, r, err = e.evalPair(left, right, sp); err != nil || sp == nil {
 			return l, r, err
 		}
-		lx, rx := chromExtents(zoneParts(l)), chromExtents(zoneParts(r))
+		// Each side's partitions are derived once, for the other side's
+		// extents and for its own count.
+		lp, rp := zoneParts(l), zoneParts(r)
 		var c prunable
 		if keepL != nil {
-			c.count(l, catalog.Keep{Part: keepL(rx)})
+			c.countParts(lp, keepL(chromExtents(rp)))
 		}
 		if keepR != nil {
-			c.count(r, catalog.Keep{Part: keepR(lx)})
+			c.countParts(rp, keepR(chromExtents(lp)))
 		}
 		c.record(sp)
 		return l, r, nil

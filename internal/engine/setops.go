@@ -13,7 +13,7 @@ import (
 // null), realizing GDM schema interoperability. Right sample IDs are
 // re-derived when they would collide with a left ID. Left samples are shared
 // with the operand, and so are right samples whose layout already is the
-// result's.
+// result's; a re-laid-out right sample shares its Regions.
 func Union(cfg Config, left, right *gdm.Dataset) (*gdm.Dataset, error) {
 	schema, mapping := gdm.UnionSchemas(left.Schema, right.Schema)
 	identity := right.Schema.Len() == len(mapping)
@@ -24,23 +24,19 @@ func Union(cfg Config, left, right *gdm.Dataset) (*gdm.Dataset, error) {
 	out.Samples = append(make([]*gdm.Sample, 0, len(left.Samples)+len(right.Samples)), left.Samples...)
 	rightOut := right.Samples
 	if !identity {
-		w := schema.Len()
+		w, sw := schema.Len(), right.Schema.Len()
 		rightOut = make([]*gdm.Sample, len(right.Samples))
 		cfg.forEach(len(right.Samples), func(i int) {
 			src := right.Samples[i]
-			regions := make([]gdm.Region, len(src.Regions))
-			slab := newValueSlab(len(regions), w)
-			for ri := range regions {
-				regions[ri] = src.Regions[ri]
-				vals := slab.take(w)[:w] // zero Values are null
+			vals := make([]gdm.Value, len(src.Regions)*w) // zero Values are null
+			for ri := range src.Regions {
 				for vi, srcIdx := range mapping {
 					if srcIdx >= 0 {
-						vals[vi] = src.Regions[ri].Values[srcIdx]
+						vals[ri*w+vi] = src.Values[ri*sw+srcIdx]
 					}
 				}
-				regions[ri].Values = vals
 			}
-			rightOut[i] = &gdm.Sample{ID: src.ID, Meta: src.Meta, Regions: regions}
+			rightOut[i] = &gdm.Sample{ID: src.ID, Meta: src.Meta, Regions: src.Regions, Values: vals}
 		})
 	}
 	seen := make(map[string]bool, cap(out.Samples))
@@ -56,7 +52,7 @@ func Union(cfg Config, left, right *gdm.Dataset) (*gdm.Dataset, error) {
 			for seen[id] {
 				id = gdm.DeriveID("union", id, "right")
 			}
-			s = &gdm.Sample{ID: id, Meta: s.Meta, Regions: s.Regions}
+			s = &gdm.Sample{ID: id, Meta: s.Meta, Regions: s.Regions, Values: s.Values}
 		}
 		seen[s.ID] = true
 		out.Samples = append(out.Samples, s)
@@ -76,7 +72,8 @@ type DifferenceArgs struct {
 
 // Difference implements GMQL DIFFERENCE: for every left sample, it removes
 // the regions that intersect (or exactly equal, with Exact) at least one
-// region of the matching right samples. Left metadata and IDs are preserved.
+// region of the matching right samples. Left metadata and IDs are preserved;
+// a sample that loses no region shares its Regions and Values.
 func Difference(cfg Config, left, right *gdm.Dataset, args DifferenceArgs) (*gdm.Dataset, error) {
 	// Partition right samples by join key once.
 	rightGroups := make(map[string][]*gdm.Sample)
@@ -92,14 +89,14 @@ func Difference(cfg Config, left, right *gdm.Dataset, args DifferenceArgs) (*gdm
 		drop := make([]bool, len(src.Regions))
 		var tick int
 		for _, cs := range chromSpans(src) {
-			leftEntries := chromEntries(src, cs.lo, cs.hi)
+			lb := taskEntries(src, cs.lo, cs.hi)
 			for _, neg := range negatives {
 				nlo, nhi := neg.ChromRange(cs.chrom)
 				if nlo == nhi {
 					continue
 				}
-				negEntries := chromEntries(neg, nlo, nhi)
-				intervals.SweepOverlaps(leftEntries, negEntries, func(l, r intervals.Entry) bool {
+				nb := taskEntries(neg, nlo, nhi)
+				intervals.SweepOverlaps(*lb, *nb, func(l, r intervals.Entry) bool {
 					cfg.tick(&tick)
 					lr := &src.Regions[l.Payload]
 					rr := &neg.Regions[r.Payload]
@@ -115,14 +112,12 @@ func Difference(cfg Config, left, right *gdm.Dataset, args DifferenceArgs) (*gdm
 					drop[l.Payload] = true
 					return true
 				})
+				entryPool.Put(nb)
 			}
+			entryPool.Put(lb)
 		}
 		ns := &gdm.Sample{ID: src.ID, Meta: src.Meta.Clone()}
-		for ri := range src.Regions {
-			if !drop[ri] {
-				ns.Regions = append(ns.Regions, src.Regions[ri])
-			}
-		}
+		ns.Regions, ns.Values = keepRows(src, func(ri int) bool { return !drop[ri] })
 		outSamples[i] = ns
 	})
 	out.Samples = outSamples

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"genogo/internal/expr"
@@ -20,8 +21,8 @@ func headlineFixture(nExp int) (ref, exp *gdm.Dataset) {
 		s.Meta.Add("id", id)
 		for i := 0; i < n; i++ {
 			start := rng.Int63n(2_000_000)
-			s.AddRegion(gdm.NewRegion(chroms[rng.Intn(len(chroms))], start, start+width, gdm.StrandNone,
-				gdm.Float(rng.Float64()*10), gdm.Str(fmt.Sprintf("r%d", i))))
+			s.AddRegion(gdm.NewRegion(chroms[rng.Intn(len(chroms))], start, start+width, gdm.StrandNone),
+				gdm.Float(rng.Float64()*10), gdm.Str(fmt.Sprintf("r%d", i)))
 		}
 		s.SortRegions()
 		return s
@@ -131,17 +132,18 @@ func TestJoinAllocsPerRegion(t *testing.T) {
 	}
 }
 
-// TestValuesSlabAppendDoesNotAlias: the Values of a sample's regions are
-// windows of one slab, each capacity-limited, so a consumer appending to one
-// region's values cannot overwrite the next region's.
+// TestValuesSlabAppendDoesNotAlias: a sample's values are one slab and
+// Sample.Row cuts capacity-limited rows out of it, so a consumer appending to
+// row i of an operator's output cannot overwrite row i+1.
 func TestValuesSlabAppendDoesNotAlias(t *testing.T) {
 	ref, exp := headlineFixture(2)
 	// A right operand whose layout differs from the left's, so UNION re-lays it out.
 	swapped := gdm.NewDataset("R", gdm.MustSchema(
 		gdm.Field{Name: "name", Type: gdm.KindString}, gdm.Field{Name: "score", Type: gdm.KindFloat}))
 	sw := gdm.NewSample("swapped")
-	for _, r := range exp.Samples[0].Regions[:10] {
-		sw.AddRegion(gdm.NewRegion(r.Chrom, r.Start, r.Stop, r.Strand, r.Values[1], r.Values[0]))
+	for i, r := range exp.Samples[0].Regions[:10] {
+		row := exp.Samples[0].Row(i)
+		sw.AddRegion(r, row[1], row[0])
 	}
 	swapped.MustAdd(sw)
 	pred := GenometricPred{Conds: []DistCond{{Op: DistLE, Dist: 1000}}}
@@ -168,14 +170,80 @@ func TestValuesSlabAppendDoesNotAlias(t *testing.T) {
 		if len(s.Regions) < 2 {
 			t.Fatalf("%s: fixture produced %d regions", name, len(s.Regions))
 		}
-		want := s.Regions[1].String()
-		grown := append(s.Regions[0].Values, gdm.Str("overflow"), gdm.Str("overflow"))
-		if len(grown) != out.Schema.Len()+2 {
-			t.Fatalf("%s: region 0 holds %d values, schema %d", name, len(grown)-2, out.Schema.Len())
+		want := fmt.Sprint(s.Values)
+		for i := range s.Regions {
+			grown := append(s.Row(i), gdm.Str("overflow"), gdm.Str("overflow"))
+			if len(grown) != out.Schema.Len()+2 {
+				t.Fatalf("%s: row %d holds %d values, schema %d", name, i, len(grown)-2, out.Schema.Len())
+			}
 		}
-		if got := s.Regions[1].String(); got != want {
-			t.Errorf("%s: appending to region 0 changed region 1: %s -> %s", name, want, got)
+		if got := fmt.Sprint(s.Values); got != want {
+			t.Errorf("%s: appending to rows changed the slab:\n%s\n->\n%s", name, want, got)
 		}
+	}
+}
+
+// TestMapSharesReferenceRegions: MAP changes no coordinate, so every output
+// sample holds its reference sample's very Regions slice, in every mode.
+func TestMapSharesReferenceRegions(t *testing.T) {
+	ref, exp := headlineFixture(3)
+	ref.MustAdd(exp.Samples[0]) // a second reference sample, with its own regions
+	for _, cfg := range allConfigs() {
+		out, err := Map(cfg, ref, exp, MapArgs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		byID := map[string]*gdm.Sample{}
+		for _, s := range out.Samples {
+			byID[s.ID] = s
+		}
+		for _, r := range ref.Samples {
+			for _, e := range exp.Samples {
+				s := byID[gdm.DeriveID("map", r.ID, e.ID)]
+				if s == nil {
+					t.Fatalf("%s: no output for (%s, %s)", cfg.Mode, r.ID, e.ID)
+				}
+				if len(s.Regions) != len(r.Regions) || &s.Regions[0] != &r.Regions[0] {
+					t.Errorf("%s: output for (%s, %s) copied the reference regions", cfg.Mode, r.ID, e.ID)
+				}
+			}
+		}
+		if err := out.Validate(); err != nil {
+			t.Errorf("%s: %v", cfg.Mode, err)
+		}
+	}
+}
+
+// TestMapBytesPerRegion: on the headline shape MAP allocates an output
+// region's row of values (32 B a value) and little else — no copy of the
+// region itself.
+func TestMapBytesPerRegion(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	ref, exp := headlineFixture(20)
+	cfg := Config{Mode: ModeSerial, MetaFirst: true}
+	run := func() *gdm.Dataset {
+		out, err := Map(cfg, ref, exp, MapArgs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	out := run()
+	regions := float64(out.NumRegions())
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perRegion := float64(after.TotalAlloc-before.TotalAlloc) / runs / regions
+	limit := float64(out.Schema.Len()*32 + 16)
+	t.Logf("%.0f output regions: %.1f B per output region, limit %.0f", regions, perRegion, limit)
+	if perRegion > limit {
+		t.Errorf("MAP allocates %.1f B per output region, want <= %.0f", perRegion, limit)
 	}
 }
 
@@ -220,8 +288,8 @@ func TestSumIntExactThroughOperators(t *testing.T) {
 	schema := gdm.MustSchema(gdm.Field{Name: "reads", Type: gdm.KindInt}, gdm.Field{Name: "signal", Type: gdm.KindFloat})
 	exp := gdm.NewDataset("E", schema)
 	s := gdm.NewSample("e")
-	s.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandNone, gdm.Int(big), gdm.Float(0.5)))
-	s.AddRegion(gdm.NewRegion("chr1", 15, 25, gdm.StrandNone, gdm.Int(1), gdm.Float(2)))
+	s.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandNone), gdm.Int(big), gdm.Float(0.5))
+	s.AddRegion(gdm.NewRegion("chr1", 15, 25, gdm.StrandNone), gdm.Int(1), gdm.Float(2))
 	exp.MustAdd(s)
 	ref := gdm.NewDataset("R", gdm.MustSchema())
 	rs := gdm.NewSample("r")
@@ -236,7 +304,7 @@ func TestSumIntExactThroughOperators(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := m.Samples[0].Regions[0].Values
+		got := m.Samples[0].Row(0)
 		if got[0].Kind() != gdm.KindInt || got[0].Int() != big+1 {
 			t.Errorf("%s: MAP SUM(reads) = %v, want %d", cfg.Mode, got[0], big+1)
 		}

@@ -92,18 +92,21 @@ func testSchema() *gdm.Schema {
 	)
 }
 
-func testRegion() gdm.Region {
-	return gdm.NewRegion("chr2", 100, 250, gdm.StrandPlus,
+// testRegion is a one-region sample.
+func testRegion() *gdm.Sample {
+	s := gdm.NewSample("s")
+	s.AddRegion(gdm.NewRegion("chr2", 100, 250, gdm.StrandPlus),
 		gdm.Float(0.5), gdm.Str("peak1"), gdm.Int(7))
+	return s
 }
 
-func evalOn(t *testing.T, n Node, r gdm.Region) gdm.Value {
+func evalOn(t *testing.T, n Node, s *gdm.Sample) gdm.Value {
 	t.Helper()
 	b, err := n.Bind(testSchema())
 	if err != nil {
 		t.Fatalf("Bind(%s): %v", n, err)
 	}
-	return b.Eval(&r)
+	return b.Eval(&s.Regions[0], s.Row(0))
 }
 
 func TestAttrFixedAndVariable(t *testing.T) {
@@ -140,7 +143,7 @@ func TestAttrShortRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	short := gdm.NewRegion("chr1", 0, 1, gdm.StrandNone)
-	if got := b.Eval(&short); !got.IsNull() {
+	if got := b.Eval(&short, nil); !got.IsNull() {
 		t.Errorf("short region eval = %v", got)
 	}
 }

@@ -15,9 +15,10 @@ type Node interface {
 	String() string
 }
 
-// Bound is a compiled region expression, evaluable against one region.
+// Bound is a compiled region expression, evaluable against one region and
+// its row of attribute values (Sample.Row).
 type Bound interface {
-	Eval(r *gdm.Region) gdm.Value
+	Eval(r *gdm.Region, row []gdm.Value) gdm.Value
 }
 
 // Const is a literal value.
@@ -36,7 +37,7 @@ func (c Const) String() string {
 
 type boundConst struct{ v gdm.Value }
 
-func (b boundConst) Eval(*gdm.Region) gdm.Value { return b.v }
+func (b boundConst) Eval(*gdm.Region, []gdm.Value) gdm.Value { return b.v }
 
 // Attr references a region attribute by name: either one of the fixed
 // coordinate attributes (chr, left/start, right/stop, strand) or a variable
@@ -60,7 +61,7 @@ func (a Attr) String() string { return a.Name }
 
 type boundFixed struct{ name string }
 
-func (b boundFixed) Eval(r *gdm.Region) gdm.Value {
+func (b boundFixed) Eval(r *gdm.Region, _ []gdm.Value) gdm.Value {
 	switch b.name {
 	case gdm.FieldChrom:
 		return gdm.Str(r.Chrom)
@@ -77,11 +78,11 @@ func (b boundFixed) Eval(r *gdm.Region) gdm.Value {
 
 type boundAttr struct{ idx int }
 
-func (b boundAttr) Eval(r *gdm.Region) gdm.Value {
-	if b.idx >= len(r.Values) {
+func (b boundAttr) Eval(_ *gdm.Region, row []gdm.Value) gdm.Value {
+	if b.idx >= len(row) {
 		return gdm.Null()
 	}
-	return r.Values[b.idx]
+	return row[b.idx]
 }
 
 // Arith applies an arithmetic operator to two numeric subexpressions.
@@ -113,9 +114,9 @@ type boundArith struct {
 	l, r Bound
 }
 
-func (b boundArith) Eval(reg *gdm.Region) gdm.Value {
-	lv, lok := b.l.Eval(reg).AsFloat()
-	rv, rok := b.r.Eval(reg).AsFloat()
+func (b boundArith) Eval(reg *gdm.Region, row []gdm.Value) gdm.Value {
+	lv, lok := b.l.Eval(reg, row).AsFloat()
+	rv, rok := b.r.Eval(reg, row).AsFloat()
 	if !lok || !rok {
 		return gdm.Null()
 	}
@@ -164,9 +165,9 @@ type boundCmp struct {
 	l, r Bound
 }
 
-func (b boundCmp) Eval(reg *gdm.Region) gdm.Value {
-	lv := b.l.Eval(reg)
-	rv := b.r.Eval(reg)
+func (b boundCmp) Eval(reg *gdm.Region, row []gdm.Value) gdm.Value {
+	lv := b.l.Eval(reg, row)
+	rv := b.r.Eval(reg, row)
 	if lv.IsNull() || rv.IsNull() {
 		return gdm.Bool(false)
 	}
@@ -216,18 +217,18 @@ type boundBool struct {
 	and  bool
 }
 
-func (b boundBool) Eval(reg *gdm.Region) gdm.Value {
-	lv := b.l.Eval(reg).Bool()
+func (b boundBool) Eval(reg *gdm.Region, row []gdm.Value) gdm.Value {
+	lv := b.l.Eval(reg, row).Bool()
 	if b.and {
 		if !lv {
 			return gdm.Bool(false)
 		}
-		return gdm.Bool(b.r.Eval(reg).Bool())
+		return gdm.Bool(b.r.Eval(reg, row).Bool())
 	}
 	if lv {
 		return gdm.Bool(true)
 	}
-	return gdm.Bool(b.r.Eval(reg).Bool())
+	return gdm.Bool(b.r.Eval(reg, row).Bool())
 }
 
 // Not is boolean negation.
@@ -247,8 +248,8 @@ func (n Not) String() string { return fmt.Sprintf("NOT %s", n.Inner) }
 
 type boundNot struct{ inner Bound }
 
-func (b boundNot) Eval(reg *gdm.Region) gdm.Value {
-	return gdm.Bool(!b.inner.Eval(reg).Bool())
+func (b boundNot) Eval(reg *gdm.Region, row []gdm.Value) gdm.Value {
+	return gdm.Bool(!b.inner.Eval(reg, row).Bool())
 }
 
 // True is the always-true region predicate.

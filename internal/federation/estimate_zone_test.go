@@ -40,9 +40,9 @@ func zoneDataset(t *testing.T, name string) *gdm.Dataset {
 	s.Meta.Add("cell", "HeLa")
 	// 9 regions on chr1, 1 on chr2.
 	for i := int64(0); i < 9; i++ {
-		s.AddRegion(gdm.NewRegion("chr1", i*1000, i*1000+500, gdm.StrandNone, gdm.Float(1)))
+		s.AddRegion(gdm.NewRegion("chr1", i*1000, i*1000+500, gdm.StrandNone), gdm.Float(1))
 	}
-	s.AddRegion(gdm.NewRegion("chr2", 0, 500, gdm.StrandNone, gdm.Float(1)))
+	s.AddRegion(gdm.NewRegion("chr2", 0, 500, gdm.StrandNone), gdm.Float(1))
 	s.SortRegions()
 	ds.MustAdd(s)
 	return ds
@@ -76,7 +76,7 @@ func TestEstimateZoneAwareJoin(t *testing.T) {
 		ds := gdm.NewDataset(name, schema)
 		s := gdm.NewSample("s")
 		for i := int64(0); i < 5; i++ {
-			s.AddRegion(gdm.NewRegion(chrom, i*100, i*100+50, gdm.StrandNone, gdm.Float(1)))
+			s.AddRegion(gdm.NewRegion(chrom, i*100, i*100+50, gdm.StrandNone), gdm.Float(1))
 		}
 		s.SortRegions()
 		ds.MustAdd(s)

@@ -42,11 +42,8 @@ func headlineResult() *gdm.Dataset {
 			{"antibody", "CTCF"}, {"cell", "K562"}, {"treatment", "none"}, {"sex", "F"}, {"replicate", fmt.Sprint(i)}} {
 			s.Meta.Add(kv[0], kv[1])
 		}
-		values := make([]gdm.Value, 2*len(proms.Regions))
 		for j, r := range proms.Regions {
-			v := values[2*j : 2*j+2 : 2*j+2]
-			v[0], v[1] = r.Values[0], gdm.Int(int64(rng.Intn(4)*rng.Intn(3)))
-			s.AddRegion(gdm.NewRegion(r.Chrom, r.Start, r.Stop, r.Strand, v...))
+			s.AddRegion(r, proms.Row(j)[0], gdm.Int(int64(rng.Intn(4)*rng.Intn(3))))
 		}
 		ds.MustAdd(s)
 	}
@@ -70,8 +67,8 @@ func TestDecodeBytesPerRegion(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f regions: %.1f B and %.4f allocations per decoded region", regions, bytes/regions, allocs/regions)
-	if got := bytes / regions; got > 155 {
-		t.Errorf("decode allocates %.1f B per region, want <= 155", got)
+	if got := bytes / regions; got > 125 {
+		t.Errorf("decode allocates %.1f B per region, want <= 125", got)
 	}
 	if got := allocs / regions; got > 0.07 {
 		t.Errorf("decode makes %.4f allocations per region, want <= 0.07", got)

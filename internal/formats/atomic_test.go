@@ -23,7 +23,7 @@ func TestWriteDatasetAtomicReplace(t *testing.T) {
 	schema := gdm.MustSchema(gdm.Field{Name: "score", Type: gdm.KindFloat})
 	ds2 := gdm.NewDataset("PEAKS", schema)
 	s := gdm.NewSample("other")
-	s.AddRegion(gdm.NewRegion("chr3", 1, 2, gdm.StrandNone, gdm.Float(1)))
+	s.AddRegion(gdm.NewRegion("chr3", 1, 2, gdm.StrandNone), gdm.Float(1))
 	if err := ds2.Add(s); err != nil {
 		t.Fatal(err)
 	}

@@ -52,17 +52,15 @@ func ReadBED(id string, r io.Reader) (*gdm.Sample, *gdm.Schema, error) {
 		if err != nil {
 			return nil, nil, ls.errf("bed: %v", err)
 		}
-		reg := gdm.Region{Chrom: chrom, Start: start, Stop: stop,
-			Values: []gdm.Value{gdm.Null(), gdm.Null()}}
+		reg := gdm.Region{Chrom: chrom, Start: start, Stop: stop}
+		name, score := gdm.Null(), gdm.Null()
 		if len(fields) > 3 {
-			reg.Values[0] = gdm.Str(fields[3])
+			name = gdm.Str(fields[3])
 		}
 		if len(fields) > 4 {
-			v, err := gdm.ParseValue(gdm.KindFloat, fields[4])
-			if err != nil {
+			if score, err = gdm.ParseValue(gdm.KindFloat, fields[4]); err != nil {
 				return nil, nil, ls.errf("bed: score: %v", err)
 			}
-			reg.Values[1] = v
 		}
 		if len(fields) > 5 {
 			st, err := gdm.ParseStrand(fields[5])
@@ -71,7 +69,7 @@ func ReadBED(id string, r io.Reader) (*gdm.Sample, *gdm.Schema, error) {
 			}
 			reg.Strand = st
 		}
-		s.AddRegion(reg)
+		s.AddRegion(reg, name, score)
 	}
 	if err := ls.err(); err != nil {
 		return nil, nil, fmt.Errorf("bed: %w", err)
@@ -86,13 +84,13 @@ func WriteBED(w io.Writer, s *gdm.Sample, schema *gdm.Schema) error {
 	nameIdx, hasName := schema.Index("name")
 	scoreIdx, hasScore := schema.Index("score")
 	for i := range s.Regions {
-		r := &s.Regions[i]
+		r, row := &s.Regions[i], s.Row(i)
 		name, score := ".", "0"
-		if hasName && !r.Values[nameIdx].IsNull() {
-			name = r.Values[nameIdx].String()
+		if hasName && !row[nameIdx].IsNull() {
+			name = row[nameIdx].String()
 		}
-		if hasScore && !r.Values[scoreIdx].IsNull() {
-			score = r.Values[scoreIdx].String()
+		if hasScore && !row[scoreIdx].IsNull() {
+			score = row[scoreIdx].String()
 		}
 		strand := r.Strand.String()
 		if strand == "*" {
@@ -129,8 +127,7 @@ func readPeak(id string, r io.Reader, withSummit bool) (*gdm.Sample, *gdm.Schema
 		if err != nil {
 			return nil, nil, ls.errf("peak: %v", err)
 		}
-		vals := make([]gdm.Value, 0, schema.Len())
-		vals = append(vals, gdm.Str(fields[3]))
+		s.AddRegion(gdm.Region{Chrom: chrom, Start: start, Stop: stop, Strand: strand}, gdm.Str(fields[3]))
 		for col := 4; col < want; col++ {
 			if col == 5 {
 				continue // strand, already handled
@@ -143,9 +140,8 @@ func readPeak(id string, r io.Reader, withSummit bool) (*gdm.Sample, *gdm.Schema
 			if err != nil {
 				return nil, nil, ls.errf("peak: column %d: %v", col+1, err)
 			}
-			vals = append(vals, v)
+			s.Values = append(s.Values, v)
 		}
-		s.AddRegion(gdm.Region{Chrom: chrom, Start: start, Stop: stop, Strand: strand, Values: vals})
 	}
 	if err := ls.err(); err != nil {
 		return nil, nil, fmt.Errorf("peak: %w", err)
@@ -176,19 +172,19 @@ func WriteNarrowPeak(w io.Writer, s *gdm.Sample, schema *gdm.Schema) error {
 		idx = append(idx, i)
 	}
 	for i := range s.Regions {
-		r := &s.Regions[i]
+		r, row := &s.Regions[i], s.Row(i)
 		strand := r.Strand.String()
 		if strand == "*" {
 			strand = "."
 		}
 		peak := int64(-1)
-		if v := r.Values[idx[5]]; !v.IsNull() {
+		if v := row[idx[5]]; !v.IsNull() {
 			peak = v.Int()
 		}
 		if _, err := fmt.Fprintf(w, "%s\t%d\t%d\t%s\t%s\t%s\t%s\t%s\t%s\t%d\n",
 			r.Chrom, r.Start, r.Stop,
-			orDot(r.Values[idx[0]]), orZero(r.Values[idx[1]]), strand,
-			orZero(r.Values[idx[2]]), orDot(r.Values[idx[3]]), orDot(r.Values[idx[4]]),
+			orDot(row[idx[0]]), orZero(row[idx[1]]), strand,
+			orZero(row[idx[2]]), orDot(row[idx[3]]), orDot(row[idx[4]]),
 			peak); err != nil {
 			return fmt.Errorf("narrowPeak: %w", err)
 		}
@@ -227,8 +223,7 @@ func ReadBedGraph(id string, r io.Reader) (*gdm.Sample, *gdm.Schema, error) {
 		if err != nil {
 			return nil, nil, ls.errf("bedGraph: bad value %q", fields[3])
 		}
-		s.AddRegion(gdm.Region{Chrom: chrom, Start: start, Stop: stop,
-			Values: []gdm.Value{gdm.Float(v)}})
+		s.AddRegion(gdm.Region{Chrom: chrom, Start: start, Stop: stop}, gdm.Float(v))
 	}
 	if err := ls.err(); err != nil {
 		return nil, nil, fmt.Errorf("bedGraph: %w", err)
@@ -249,7 +244,7 @@ func WriteBedGraph(w io.Writer, s *gdm.Sample, schema *gdm.Schema) error {
 	for i := range s.Regions {
 		r := &s.Regions[i]
 		if _, err := fmt.Fprintf(w, "%s\t%d\t%d\t%s\n",
-			r.Chrom, r.Start, r.Stop, orZero(r.Values[vi])); err != nil {
+			r.Chrom, r.Start, r.Stop, orZero(s.Row(i)[vi])); err != nil {
 			return fmt.Errorf("bedGraph: %w", err)
 		}
 	}

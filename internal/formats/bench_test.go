@@ -74,11 +74,25 @@ func BenchmarkEncodeDecodeDataset(b *testing.B) {
 	})
 }
 
+// BenchmarkDecodeHeadline is the requester's decode of a frame shaped like
+// the headline MAP's result (headlineResult: 23 samples of 2,060 named
+// promoters with a count).
+func BenchmarkDecodeHeadline(b *testing.B) {
+	frame := encodeFrame(b, headlineResult())
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeFrame(frame); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkWriteRegions(b *testing.B) {
 	s := gdm.NewSample("x")
 	for i := int64(0); i < 50000; i++ {
-		s.AddRegion(gdm.NewRegion("chr1", i*10, i*10+100, gdm.StrandPlus,
-			gdm.Float(0.001), gdm.Float(3.5)))
+		s.AddRegion(gdm.NewRegion("chr1", i*10, i*10+100, gdm.StrandPlus),
+			gdm.Float(0.001), gdm.Float(3.5))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -125,8 +125,9 @@ func appendUint64(b []byte, v uint64) []byte { return binary.LittleEndian.Append
 
 // appendColumnarSample appends one sample's .gdmc image to dst. Regions are
 // grouped by chromosome in order of first appearance (canonical genomic order
-// for canonically sorted samples); a region's attribute arity must match the
-// schema's and every value must be null or of its column's kind.
+// for canonically sorted samples); the sample's value slab must hold one row
+// of the schema's arity per region and every value must be null or of its
+// column's kind.
 func appendColumnarSample(dst []byte, s *gdm.Sample, schema *gdm.Schema) ([]byte, error) {
 	type partBuild struct {
 		chrom    string
@@ -134,16 +135,16 @@ func appendColumnarSample(dst []byte, s *gdm.Sample, schema *gdm.Schema) ([]byte
 		minStart int64
 		maxStop  int64
 	}
-	arity, regs := schema.Len(), s.Regions
+	arity, regs, vals := schema.Len(), s.Regions, s.Values
+	if len(vals) != len(regs)*arity {
+		return nil, fmt.Errorf("columnar: sample %s has %d values for %d regions, schema has %d attributes",
+			s.ID, len(vals), len(regs), arity)
+	}
 	var parts []partBuild
 	byChrom := make(map[string]int)
 	last, contiguous := -1, true
 	for i := range regs {
 		r := &regs[i]
-		if len(r.Values) != arity {
-			return nil, fmt.Errorf("columnar: sample %s region %d has %d attributes, schema has %d",
-				s.ID, i, len(r.Values), arity)
-		}
 		// Sorted samples change chromosome a few dozen times, so the map is
 		// consulted only then.
 		if last < 0 || parts[last].chrom != r.Chrom {
@@ -161,9 +162,11 @@ func appendColumnarSample(dst []byte, s *gdm.Sample, schema *gdm.Schema) ([]byte
 	}
 	if !contiguous {
 		// A chromosome came back after another one: gather each one's regions
-		// into a run, in place of the order an unsorted sample holds them in.
-		regs = slices.Clone(regs)
-		slices.SortStableFunc(regs, func(a, b gdm.Region) int { return byChrom[a.Chrom] - byChrom[b.Chrom] })
+		// and rows into a run, in place of the order an unsorted sample holds
+		// them in.
+		regs, vals = s.Gather(gdm.Permutation(len(regs), func(a, b int32) int {
+			return byChrom[regs[a].Chrom] - byChrom[regs[b].Chrom]
+		}))
 	}
 	if len(parts) > maxColumnarParts {
 		return nil, fmt.Errorf("columnar: sample %s has %d partitions, limit %d", s.ID, len(parts), maxColumnarParts)
@@ -188,10 +191,10 @@ func appendColumnarSample(dst []byte, s *gdm.Sample, schema *gdm.Schema) ([]byte
 	for _, p := range parts {
 		off := len(dst)
 		var err error
-		if dst, err = appendColumnarPayload(dst, regs[:p.n], schema); err != nil {
+		if dst, err = appendColumnarPayload(dst, regs[:p.n], vals[:p.n*arity], schema); err != nil {
 			return nil, fmt.Errorf("columnar: sample %s: %w", s.ID, err)
 		}
-		regs = regs[p.n:]
+		regs, vals = regs[p.n:], vals[p.n*arity:]
 		index = appendUint16(index, uint16(len(p.chrom)))
 		index = append(index, p.chrom...)
 		index = appendUint32(index, uint32(p.n))
@@ -213,9 +216,10 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// appendColumnarPayload appends one partition's payload: regs column by
-// column.
-func appendColumnarPayload(dst []byte, regs []gdm.Region, schema *gdm.Schema) ([]byte, error) {
+// appendColumnarPayload appends one partition's payload: regs and their rows
+// (vals, row-major) column by column.
+func appendColumnarPayload(dst []byte, regs []gdm.Region, vals []gdm.Value, schema *gdm.Schema) ([]byte, error) {
+	arity := schema.Len()
 	var prev int64
 	for i := range regs {
 		dst = binary.AppendUvarint(dst, zigzag(regs[i].Start-prev))
@@ -234,7 +238,8 @@ func appendColumnarPayload(dst []byte, regs []gdm.Region, schema *gdm.Schema) ([
 			dst = append(dst, byte(regs[i].Strand))
 		}
 	}
-	for ai := 0; ai < schema.Len(); ai++ {
+	for ai := 0; ai < arity; ai++ {
+		col := vals[ai:]
 		want := schema.Field(ai).Type
 		if want > gdm.KindBool {
 			return nil, fmt.Errorf("attribute %q has unencodable kind %d", schema.Field(ai).Name, want)
@@ -246,25 +251,25 @@ func appendColumnarPayload(dst []byte, regs []gdm.Region, schema *gdm.Schema) ([
 		mark := len(dst)
 		dst = append(dst, columnUniform)
 		i := 0
-		for ; want != gdm.KindNull && i < len(regs) && regs[i].Values[ai].Kind() == want; i++ {
-			dst = appendValue(dst, &regs[i].Values[ai])
+		for ; want != gdm.KindNull && i < len(regs) && col[i*arity].Kind() == want; i++ {
+			dst = appendValue(dst, &col[i*arity])
 		}
 		if i < len(regs) {
 			dst = append(dst[:mark], columnTagged)
 			for i := range regs {
-				k := regs[i].Values[ai].Kind()
+				k := col[i*arity].Kind()
 				if k != gdm.KindNull && k != want {
 					return nil, fmt.Errorf("attribute %q holds %s, schema says %s", schema.Field(ai).Name, k, want)
 				}
 				dst = append(dst, byte(k))
 			}
 			for i := range regs {
-				dst = appendValue(dst, &regs[i].Values[ai])
+				dst = appendValue(dst, &col[i*arity])
 			}
 		}
 		if want == gdm.KindString {
 			for i := range regs {
-				dst = append(dst, regs[i].Values[ai].Str()...)
+				dst = append(dst, col[i*arity].Str()...)
 			}
 		}
 	}
@@ -488,8 +493,8 @@ func (c *byteCursor) u8() byte {
 }
 
 // decodeColumnarPayload decodes a checksummed partition payload into regs
-// (len(regs) regions, zeroed), cutting their values out of values (len(regs)
-// × arity, zeroed) and allocating one string per string column. It returns
+// (len(regs) regions, zeroed) and their rows of values (len(regs) × arity,
+// zeroed, row-major), allocating one string per string column. It returns
 // what is wrong with the payload, or "" when it decoded in full. A region it
 // returns passes Region.Validate — a chromosome, a start ≥ 0, a stop ≥ the
 // start — and each value is null or of its column's kind: everything
@@ -550,9 +555,6 @@ func decodeColumnarPayload(payload []byte, p columnarPart, schema *gdm.Schema, r
 		default:
 			return fmt.Sprintf("region %d has strand byte %d", i, s)
 		}
-	}
-	for i := range regs {
-		regs[i].Values = values[i*arity : (i+1)*arity : (i+1)*arity]
 	}
 	for ai := 0; ai < arity; ai++ {
 		f := schema.Field(ai)
@@ -665,18 +667,21 @@ func decodeColumnarSample(dataset, path, id string, data []byte, schema *gdm.Sch
 	return s, nil
 }
 
-// allocRegions gives s the regions of the partitions parts and returns the
-// one slab all their values are cut from, both sized from the index's region
-// counts. parseColumnarIndex bounds every count by the bytes its partition
-// spans, and the partitions by the image's size, so the index cannot make
-// this allocate more than the image backs.
+// allocRegions gives s the regions of the partitions parts and their value
+// slab, both sized from the index's region counts, and returns the slab.
+// parseColumnarIndex bounds every count by the bytes its partition spans, and
+// the partitions by the image's size, so the index cannot make this allocate
+// more than the image backs.
 func allocRegions(s *gdm.Sample, parts []columnarPart, schema *gdm.Schema) []gdm.Value {
 	total := 0
 	for _, p := range parts {
 		total += p.Regions
 	}
 	s.Regions = make([]gdm.Region, total)
-	return make([]gdm.Value, total*schema.Len())
+	if schema.Len() > 0 {
+		s.Values = make([]gdm.Value, total*schema.Len())
+	}
+	return s.Values
 }
 
 // readColumnarSampleVerified is the full verified read of one member sample:

@@ -27,9 +27,9 @@ func kindsDataset(t testing.TB) *gdm.Dataset {
 	ds := gdm.NewDataset("KINDS", schema)
 	s1 := gdm.NewSample("s1")
 	s1.Meta.Add("cell", "HeLa")
-	s1.AddRegion(gdm.NewRegion("chr1", 0, 1, gdm.StrandPlus, gdm.Int(-7), gdm.Float(0.25), gdm.Str(""), gdm.Bool(true)))
-	s1.AddRegion(gdm.NewRegion("chr1", 5, 500, gdm.StrandMinus, gdm.Null(), gdm.Null(), gdm.Str("x\ty\nz"), gdm.Bool(false)))
-	s1.AddRegion(gdm.NewRegion("chr2", 10, 20, gdm.StrandNone, gdm.Int(1<<40), gdm.Float(-1e300), gdm.Null(), gdm.Null()))
+	s1.AddRegion(gdm.NewRegion("chr1", 0, 1, gdm.StrandPlus), gdm.Int(-7), gdm.Float(0.25), gdm.Str(""), gdm.Bool(true))
+	s1.AddRegion(gdm.NewRegion("chr1", 5, 500, gdm.StrandMinus), gdm.Null(), gdm.Null(), gdm.Str("x\ty\nz"), gdm.Bool(false))
+	s1.AddRegion(gdm.NewRegion("chr2", 10, 20, gdm.StrandNone), gdm.Int(1<<40), gdm.Float(-1e300), gdm.Null(), gdm.Null())
 	s1.SortRegions()
 	ds.MustAdd(s1)
 	ds.MustAdd(gdm.NewSample("s2")) // region-free sample
@@ -52,13 +52,13 @@ func goldenDataset() *gdm.Dataset {
 	s1 := gdm.NewSample("s1")
 	s1.Meta.Add("cell", "HeLa")
 	s1.Meta.Add("antibody", "CTCF")
-	s1.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandPlus, gdm.Int(3), gdm.Float(math.Copysign(0, -1)), gdm.Str("a"), gdm.Bool(true), gdm.Null()))
-	s1.AddRegion(gdm.NewRegion("chr1", 15, 40, gdm.StrandMinus, gdm.Null(), gdm.Float(math.NaN()), gdm.Str("bc"), gdm.Bool(false), gdm.Null()))
-	s1.AddRegion(gdm.NewRegion("chr2", 0, 7, gdm.StrandNone, gdm.Int(-1<<40), gdm.Float(math.Float64frombits(goldenNaNBits)), gdm.Str(""), gdm.Bool(true), gdm.Null()))
-	s1.AddRegion(gdm.NewRegion("chrX", 100, 1000, gdm.StrandNone, gdm.Int(7), gdm.Float(-2.25), gdm.Str("x\ty"), gdm.Bool(false), gdm.Null()))
+	s1.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandPlus), gdm.Int(3), gdm.Float(math.Copysign(0, -1)), gdm.Str("a"), gdm.Bool(true), gdm.Null())
+	s1.AddRegion(gdm.NewRegion("chr1", 15, 40, gdm.StrandMinus), gdm.Null(), gdm.Float(math.NaN()), gdm.Str("bc"), gdm.Bool(false), gdm.Null())
+	s1.AddRegion(gdm.NewRegion("chr2", 0, 7, gdm.StrandNone), gdm.Int(-1<<40), gdm.Float(math.Float64frombits(goldenNaNBits)), gdm.Str(""), gdm.Bool(true), gdm.Null())
+	s1.AddRegion(gdm.NewRegion("chrX", 100, 1000, gdm.StrandNone), gdm.Int(7), gdm.Float(-2.25), gdm.Str("x\ty"), gdm.Bool(false), gdm.Null())
 	s2 := gdm.NewSample("s2")
 	s2.Meta.Add("cell", "K562")
-	s2.AddRegion(gdm.NewRegion("chr1", 5, 6, gdm.StrandPlus, gdm.Int(1), gdm.Float(0), gdm.Str("z"), gdm.Null(), gdm.Null()))
+	s2.AddRegion(gdm.NewRegion("chr1", 5, 6, gdm.StrandPlus), gdm.Int(1), gdm.Float(0), gdm.Str("z"), gdm.Null(), gdm.Null())
 	ds.MustAdd(s1)
 	ds.MustAdd(s2)
 	return ds
@@ -91,9 +91,9 @@ func TestColumnarGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for si, s := range ds.Samples {
-		for ri, r := range s.Regions {
-			for ai, v := range r.Values {
-				w := back.Samples[si].Regions[ri].Values[ai]
+		for ri := range s.Regions {
+			for ai, v := range s.Row(ri) {
+				w := back.Samples[si].Row(ri)[ai]
 				if v.Kind() != w.Kind() || v.Int() != w.Int() || v.Str() != w.Str() ||
 					math.Float64bits(v.Float()) != math.Float64bits(w.Float()) {
 					t.Errorf("sample %s region %d attribute %d: encoded %#v, decoded %#v", s.ID, ri, ai, v, w)
@@ -101,10 +101,10 @@ func TestColumnarGoldenBytes(t *testing.T) {
 			}
 		}
 	}
-	if got := math.Float64bits(back.Samples[0].Regions[0].Values[1].Float()); got != 1<<63 {
+	if got := math.Float64bits(back.Samples[0].Row(0)[1].Float()); got != 1<<63 {
 		t.Errorf("-0.0 decoded with bits %#x", got)
 	}
-	if got := math.Float64bits(back.Samples[0].Regions[2].Values[1].Float()); got != goldenNaNBits {
+	if got := math.Float64bits(back.Samples[0].Row(2)[1].Float()); got != goldenNaNBits {
 		t.Errorf("NaN payload decoded with bits %#x, want %#x", got, uint64(goldenNaNBits))
 	}
 }
@@ -124,7 +124,7 @@ func TestColumnarSampleRoundTrip(t *testing.T) {
 			t.Fatalf("sample %s: %d regions, want %d", s.ID, len(got.Regions), len(s.Regions))
 		}
 		for i := range s.Regions {
-			if got.Regions[i].String() != s.Regions[i].String() {
+			if fmt.Sprint(got.Regions[i], got.Row(i)) != fmt.Sprint(s.Regions[i], s.Row(i)) {
 				t.Errorf("sample %s region %d: %q vs %q", s.ID, i, got.Regions[i], s.Regions[i])
 			}
 		}
@@ -138,23 +138,30 @@ func TestColumnarUnsortedSample(t *testing.T) {
 	schema := gdm.MustSchema(gdm.Field{Name: "n", Type: gdm.KindInt})
 	s := gdm.NewSample("s")
 	for i, chrom := range []string{"chr2", "chr1", "chr2", "chr1", "chr3", "chr2"} {
-		s.AddRegion(gdm.NewRegion(chrom, int64(100-10*i), int64(200-10*i), gdm.StrandNone, gdm.Int(int64(i))))
+		s.AddRegion(gdm.NewRegion(chrom, int64(100-10*i), int64(200-10*i), gdm.StrandNone), gdm.Int(int64(i)))
 	}
-	before := fmt.Sprint(s.Regions)
+	rows := func(s *gdm.Sample) string {
+		out := make([]string, len(s.Regions))
+		for i := range out {
+			out[i] = fmt.Sprint(s.Regions[i], s.Row(i))
+		}
+		return fmt.Sprint(out)
+	}
+	before := rows(s)
 	data, err := appendColumnarSample(nil, s, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after := fmt.Sprint(s.Regions); after != before {
+	if after := rows(s); after != before {
 		t.Fatalf("encoding reordered the caller's regions: %s", after)
 	}
 	got, ie := decodeColumnarSample("DS", "s.gdmc", "s", data, schema)
 	if ie != nil {
 		t.Fatal(ie)
 	}
-	want := "[chr2:100-200(*) 0 chr2:80-180(*) 2 chr2:50-150(*) 5 chr1:90-190(*) 1 chr1:70-170(*) 3 chr3:60-160(*) 4]"
-	if fmt.Sprint(got.Regions) != want {
-		t.Errorf("decoded %v\nwant    %s", got.Regions, want)
+	want := "[chr2:100-200(*) [0] chr2:80-180(*) [2] chr2:50-150(*) [5] chr1:90-190(*) [1] chr1:70-170(*) [3] chr3:60-160(*) [4]]"
+	if rows(got) != want {
+		t.Errorf("decoded %v\nwant    %s", rows(got), want)
 	}
 }
 
@@ -299,7 +306,7 @@ func TestColumnarCompactCoding(t *testing.T) {
 	s := gdm.NewSample("s")
 	const n = 1000
 	for i := int64(0); i < n; i++ {
-		s.AddRegion(gdm.NewRegion("chr1", 1_000_000+i*900, 1_000_000+i*900+250, gdm.StrandNone, gdm.Int(i%7), gdm.Str("g")))
+		s.AddRegion(gdm.NewRegion("chr1", 1_000_000+i*900, 1_000_000+i*900+250, gdm.StrandNone), gdm.Int(i%7), gdm.Str("g"))
 	}
 	uniform, err := appendColumnarSample(nil, s, schema)
 	if err != nil {
@@ -309,7 +316,7 @@ func TestColumnarCompactCoding(t *testing.T) {
 	if per := float64(len(uniform)) / n; per > 7.2 {
 		t.Errorf("uniform columns cost %.2f bytes per region, want about 7", per)
 	}
-	s.Regions[n/2].Values[0] = gdm.Null()
+	s.Row(n / 2)[0] = gdm.Null()
 	tagged, err := appendColumnarSample(nil, s, schema)
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +329,7 @@ func TestColumnarCompactCoding(t *testing.T) {
 		t.Fatal(ie)
 	}
 	for i := range s.Regions {
-		if got.Regions[i].String() != s.Regions[i].String() {
+		if fmt.Sprint(got.Regions[i], got.Row(i)) != fmt.Sprint(s.Regions[i], s.Row(i)) {
 			t.Fatalf("region %d: %q vs %q", i, got.Regions[i], s.Regions[i])
 		}
 	}
@@ -456,7 +463,7 @@ func TestColumnarStaleManifestDetected(t *testing.T) {
 	// Rewrite sample1.gdmc with different but self-consistent content: only
 	// the manifest can tell it is not the promised file.
 	mod := ds.Samples[0].Clone()
-	mod.Regions = mod.Regions[:1]
+	mod.Regions, mod.Values = mod.Regions[:1], mod.Values[:ds.Schema.Len()]
 	data, err := appendColumnarSample(nil, mod, ds.Schema)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package formats
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -51,11 +52,11 @@ func TestReadBED(t *testing.T) {
 	}
 	// First in canonical order is chr1:10-20 with null name/score.
 	r0 := s.Regions[0]
-	if r0.Start != 10 || !r0.Values[0].IsNull() || !r0.Values[1].IsNull() {
+	if r0.Start != 10 || !s.Row(0)[0].IsNull() || !s.Row(0)[1].IsNull() {
 		t.Errorf("r0 = %v", r0)
 	}
 	r1 := s.Regions[1]
-	if r1.Values[0].Str() != "peak1" || r1.Values[1].Float() != 5.5 || r1.Strand != gdm.StrandPlus {
+	if s.Row(1)[0].Str() != "peak1" || s.Row(1)[1].Float() != 5.5 || r1.Strand != gdm.StrandPlus {
 		t.Errorf("r1 = %v", r1)
 	}
 }
@@ -100,8 +101,8 @@ func TestBEDRoundTrip(t *testing.T) {
 		}
 		// Null name becomes "." and null score becomes 0 on write; values
 		// that were present must survive exactly.
-		if !a.Values[0].IsNull() && a.Values[0].Str() != b.Values[0].Str() {
-			t.Errorf("region %d name changed: %v vs %v", i, a.Values[0], b.Values[0])
+		if !s.Row(i)[0].IsNull() && s.Row(i)[0].Str() != s2.Row(i)[0].Str() {
+			t.Errorf("region %d name changed: %v vs %v", i, s.Row(i)[0], s2.Row(i)[0])
 		}
 	}
 }
@@ -121,8 +122,8 @@ func TestReadNarrowPeakAndRoundTrip(t *testing.T) {
 		t.Fatalf("regions = %d", len(s.Regions))
 	}
 	r := s.Regions[0]
-	if r.Chrom != "chr1" || r.Values[0].Str() != "peak_a" || r.Values[2].Float() != 5.5 ||
-		r.Values[3].Float() != 3.2 || r.Values[5].Int() != 250 {
+	if r.Chrom != "chr1" || s.Row(0)[0].Str() != "peak_a" || s.Row(0)[2].Float() != 5.5 ||
+		s.Row(0)[3].Float() != 3.2 || s.Row(0)[5].Int() != 250 {
 		t.Errorf("r = %v", r)
 	}
 	var buf bytes.Buffer
@@ -134,9 +135,8 @@ func TestReadNarrowPeakAndRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range s.Regions {
-		a, b := s.Regions[i], s2.Regions[i]
-		if a.String() != b.String() {
-			t.Errorf("round trip region %d: %q vs %q", i, a.String(), b.String())
+		if a, b := fmt.Sprint(s.Regions[i], s.Row(i)), fmt.Sprint(s2.Regions[i], s2.Row(i)); a != b {
+			t.Errorf("round trip region %d: %q vs %q", i, a, b)
 		}
 	}
 	if _, _, err := ReadNarrowPeak("x", strings.NewReader("chr1\t1\t2\tn\t1\t+\t1\t1\t1")); err == nil {
@@ -153,7 +153,7 @@ func TestReadBroadPeak(t *testing.T) {
 	if !schema.Equal(BroadPeakSchema) {
 		t.Errorf("schema = %s", schema)
 	}
-	if len(s.Regions) != 1 || s.Regions[0].Values[2].Float() != 4.4 {
+	if len(s.Regions) != 1 || s.Row(0)[2].Float() != 4.4 {
 		t.Errorf("regions = %v", s.Regions)
 	}
 }
@@ -199,19 +199,19 @@ func TestReadGTF(t *testing.T) {
 		t.Fatalf("regions = %d", len(s.Regions))
 	}
 	// Canonical order puts the exon (same start, smaller stop) first.
-	exon, gene := s.Regions[0], s.Regions[1]
+	exon, gene := s.Row(0), s.Regions[1]
 	// 1-based inclusive [1000,2000] becomes 0-based half-open [999,2000).
 	if gene.Start != 999 || gene.Stop != 2000 || gene.Strand != gdm.StrandPlus {
 		t.Errorf("gene coordinates = %v", gene)
 	}
-	if gene.Values[1].Str() != "gene" || gene.Values[4].Str() != "G1" || gene.Values[5].Str() != "T1" {
-		t.Errorf("gene attributes = %v", gene.Values)
+	if s.Row(1)[1].Str() != "gene" || s.Row(1)[4].Str() != "G1" || s.Row(1)[5].Str() != "T1" {
+		t.Errorf("gene attributes = %v", s.Row(1))
 	}
-	if exon.Values[1].Str() != "exon" || !exon.Values[5].IsNull() {
-		t.Errorf("exon missing transcript_id should be null: %v", exon.Values)
+	if exon[1].Str() != "exon" || !exon[5].IsNull() {
+		t.Errorf("exon missing transcript_id should be null: %v", exon)
 	}
 	x := s.Regions[2]
-	if x.Chrom != "chrX" || x.Strand != gdm.StrandMinus || x.Values[4].Str() != "G2" {
+	if x.Chrom != "chrX" || x.Strand != gdm.StrandMinus || s.Row(2)[4].Str() != "G2" {
 		t.Errorf("chrX region = %v", x)
 	}
 }
@@ -234,8 +234,8 @@ func TestGTFRoundTrip(t *testing.T) {
 		if a.Chrom != b.Chrom || a.Start != b.Start || a.Stop != b.Stop || a.Strand != b.Strand {
 			t.Errorf("region %d coordinates: %v vs %v", i, a, b)
 		}
-		if a.Values[4].String() != b.Values[4].String() {
-			t.Errorf("region %d gene_id: %v vs %v", i, a.Values[4], b.Values[4])
+		if s.Row(i)[4].String() != s2.Row(i)[4].String() {
+			t.Errorf("region %d gene_id: %v vs %v", i, s.Row(i)[4], s2.Row(i)[4])
 		}
 	}
 }
@@ -277,12 +277,12 @@ func TestReadVCF(t *testing.T) {
 	}
 	// SNV at POS 101 covers [100,101).
 	r := s.Regions[0]
-	if r.Start != 100 || r.Stop != 101 || r.Values[1].Str() != "A" {
+	if r.Start != 100 || r.Stop != 101 || s.Row(0)[1].Str() != "A" {
 		t.Errorf("snv = %v", r)
 	}
 	// Deletion with 3-base REF covers [204,207).
 	d := s.Regions[1]
-	if d.Start != 204 || d.Stop != 207 || !d.Values[0].IsNull() || !d.Values[3].IsNull() {
+	if d.Start != 204 || d.Stop != 207 || !s.Row(1)[0].IsNull() || !s.Row(1)[3].IsNull() {
 		t.Errorf("deletion = %v", d)
 	}
 }
@@ -304,7 +304,7 @@ func TestVCFRoundTrip(t *testing.T) {
 		t.Fatalf("lost regions")
 	}
 	for i := range s.Regions {
-		if s.Regions[i].String() != s2.Regions[i].String() {
+		if fmt.Sprint(s.Regions[i], s.Row(i)) != fmt.Sprint(s2.Regions[i], s2.Row(i)) {
 			t.Errorf("region %d: %q vs %q", i, s.Regions[i], s2.Regions[i])
 		}
 	}

@@ -109,7 +109,7 @@ func TestStagedFrameEncodeErrorIsFirstSample(t *testing.T) {
 		if i >= 5 {
 			s.AddRegion(gdm.NewRegion("chr1", 1, 2, gdm.StrandNone)) // no value for n
 		} else {
-			s.AddRegion(gdm.NewRegion("chr1", 1, 2, gdm.StrandNone, gdm.Int(1)))
+			s.AddRegion(gdm.NewRegion("chr1", 1, 2, gdm.StrandNone), gdm.Int(1))
 		}
 		ds.Samples = append(ds.Samples, s)
 	}

@@ -29,9 +29,9 @@ func FuzzBED(f *testing.F) {
 		// Every parsed region must have the schema's arity, or downstream
 		// operators index out of bounds.
 		for i := range s.Regions {
-			if len(s.Regions[i].Values) != schema.Len() {
+			if len(s.Row(i)) != schema.Len() {
 				t.Fatalf("region %d arity %d != schema %d for input %q",
-					i, len(s.Regions[i].Values), schema.Len(), data)
+					i, len(s.Row(i)), schema.Len(), data)
 			}
 		}
 	})
@@ -84,8 +84,8 @@ func FuzzNativeRead(f *testing.F) {
 			}
 			for _, s := range ds.Samples {
 				for i := range s.Regions {
-					if len(s.Regions[i].Values) != ds.Schema.Len() {
-						t.Fatalf("region arity %d != schema %d", len(s.Regions[i].Values), ds.Schema.Len())
+					if len(s.Row(i)) != ds.Schema.Len() {
+						t.Fatalf("region arity %d != schema %d", len(s.Row(i)), ds.Schema.Len())
 					}
 				}
 			}

@@ -59,13 +59,8 @@ func ReadGTF(id string, r io.Reader) (*gdm.Sample, *gdm.Schema, error) {
 				transcriptID = gdm.Str(v)
 			}
 		}
-		s.AddRegion(gdm.Region{
-			Chrom: fields[0], Start: start - 1, Stop: stop, Strand: strand,
-			Values: []gdm.Value{
-				gdm.Str(fields[1]), gdm.Str(fields[2]), score, gdm.Str(fields[7]),
-				geneID, transcriptID,
-			},
-		})
+		s.AddRegion(gdm.Region{Chrom: fields[0], Start: start - 1, Stop: stop, Strand: strand},
+			gdm.Str(fields[1]), gdm.Str(fields[2]), score, gdm.Str(fields[7]), geneID, transcriptID)
 	}
 	if err := ls.err(); err != nil {
 		return nil, nil, fmt.Errorf("gtf: %w", err)
@@ -98,28 +93,28 @@ func parseGTFAttributes(s string) map[string]string {
 // WriteGTF writes a sample whose schema contains the GTF attributes back as
 // GTF, converting coordinates back to 1-based inclusive.
 func WriteGTF(w io.Writer, s *gdm.Sample, schema *gdm.Schema) error {
-	get := func(r *gdm.Region, name, fallback string) string {
-		if i, ok := schema.Index(name); ok && !r.Values[i].IsNull() {
-			return r.Values[i].String()
+	get := func(row []gdm.Value, name, fallback string) string {
+		if i, ok := schema.Index(name); ok && !row[i].IsNull() {
+			return row[i].String()
 		}
 		return fallback
 	}
 	for i := range s.Regions {
-		r := &s.Regions[i]
+		r, row := &s.Regions[i], s.Row(i)
 		strand := r.Strand.String()
 		if strand == "*" {
 			strand = "."
 		}
 		attrs := make([]string, 0, 2)
-		if g := get(r, "gene_id", ""); g != "" {
+		if g := get(row, "gene_id", ""); g != "" {
 			attrs = append(attrs, fmt.Sprintf("gene_id %q", g))
 		}
-		if tr := get(r, "transcript_id", ""); tr != "" {
+		if tr := get(row, "transcript_id", ""); tr != "" {
 			attrs = append(attrs, fmt.Sprintf("transcript_id %q", tr))
 		}
 		if _, err := fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%d\t%s\t%s\t%s\t%s\n",
-			r.Chrom, get(r, "source", "."), get(r, "feature", "."),
-			r.Start+1, r.Stop, get(r, "score", "."), strand, get(r, "frame", "."),
+			r.Chrom, get(row, "source", "."), get(row, "feature", "."),
+			r.Start+1, r.Stop, get(row, "score", "."), strand, get(row, "frame", "."),
 			strings.Join(attrs, "; ")); err != nil {
 			return fmt.Errorf("gtf: %w", err)
 		}

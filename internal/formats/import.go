@@ -93,17 +93,14 @@ func ImportDataset(name string, paths []string) (*gdm.Dataset, error) {
 		for i := 0; i < l.schema.Len(); i++ {
 			pos[i] = index[l.schema.Field(i).Name]
 		}
+		w, cw := l.schema.Len(), combined.Len()
+		vals := make([]gdm.Value, len(l.sample.Regions)*cw) // zero Values are null
 		for ri := range l.sample.Regions {
-			r := &l.sample.Regions[ri]
-			vals := make([]gdm.Value, combined.Len())
-			for i := range vals {
-				vals[i] = gdm.Null()
+			for i, v := range l.sample.Values[ri*w : (ri+1)*w] {
+				vals[ri*cw+pos[i]] = v
 			}
-			for i, v := range r.Values {
-				vals[pos[i]] = v
-			}
-			r.Values = vals
 		}
+		l.sample.Values = vals
 		// De-duplicate IDs from same-named files in different directories.
 		orig := l.sample.ID
 		n := seen[orig]

@@ -87,16 +87,16 @@ func TestImportDatasetHeterogeneousFormats(t *testing.T) {
 	a := ds.Sample("a")
 	si, _ := ds.Schema.Index("signal")
 	ni, _ := ds.Schema.Index("name")
-	if !a.Regions[0].Values[si].IsNull() {
+	if !a.Row(0)[si].IsNull() {
 		t.Error("BED region has non-null narrowPeak attribute")
 	}
-	if a.Regions[0].Values[ni].Str() != "p1" {
-		t.Errorf("BED name = %v", a.Regions[0].Values[ni])
+	if a.Row(0)[ni].Str() != "p1" {
+		t.Errorf("BED name = %v", a.Row(0)[ni])
 	}
 	// narrowPeak sample keeps its values at the combined positions.
 	b := ds.Sample("b")
-	if b.Regions[0].Values[si].Float() != 7.5 {
-		t.Errorf("narrowPeak signal = %v", b.Regions[0].Values[si])
+	if b.Row(0)[si].Float() != 7.5 {
+		t.Errorf("narrowPeak signal = %v", b.Row(0)[si])
 	}
 }
 
@@ -240,11 +240,12 @@ func withAwkwardValues(t *testing.T, ds *gdm.Dataset) *gdm.Dataset {
 		gdm.Str(""), gdm.Null(), gdm.Str("plain")}
 	out := gdm.NewDataset(ds.Name, schema)
 	for _, s := range ds.Samples {
-		c := s.Clone()
-		for i := range c.Regions {
-			c.Regions[i].Values = append(c.Regions[i].Values, notes[i%len(notes)])
+		c := gdm.NewSample(s.ID)
+		c.Meta = s.Meta.Clone()
+		for i, r := range s.Regions {
+			c.AddRegion(r, append(s.Row(i), notes[i%len(notes)])...)
 			if i%5 == 3 {
-				c.Regions[i].Values[0] = gdm.Null()
+				c.Row(i)[0] = gdm.Null()
 			}
 		}
 		out.MustAdd(c)
@@ -275,15 +276,15 @@ func assertSameDataset(t *testing.T, label string, want, got *gdm.Dataset) {
 			}
 		}
 		for j := range a.Regions {
-			if a.Regions[j].String() != b.Regions[j].String() {
+			if fmt.Sprint(a.Regions[j], a.Row(j)) != fmt.Sprint(b.Regions[j], b.Row(j)) {
 				t.Fatalf("%s: sample %s region %d: %q vs %q",
 					label, a.ID, j, a.Regions[j], b.Regions[j])
 			}
 			// A null and the string "NULL" render alike; the kinds tell.
-			for k, v := range a.Regions[j].Values {
-				if v.Kind() != b.Regions[j].Values[k].Kind() {
+			for k, v := range a.Row(j) {
+				if v.Kind() != b.Row(j)[k].Kind() {
 					t.Fatalf("%s: sample %s region %d value %d: kind %s vs %s",
-						label, a.ID, j, k, v.Kind(), b.Regions[j].Values[k].Kind())
+						label, a.ID, j, k, v.Kind(), b.Row(j)[k].Kind())
 				}
 			}
 		}

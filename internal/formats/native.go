@@ -88,7 +88,7 @@ func WriteRegions(w io.Writer, s *gdm.Sample) error {
 	for i := range s.Regions {
 		r := &s.Regions[i]
 		fmt.Fprintf(bw, "%s\t%d\t%d\t%s", r.Chrom, r.Start, r.Stop, r.Strand)
-		for _, v := range r.Values {
+		for _, v := range s.Row(i) {
 			bw.WriteByte('\t')
 			bw.WriteString(v.String())
 		}
@@ -122,15 +122,14 @@ func ReadRegions(r io.Reader, schema *gdm.Schema, s *gdm.Sample) error {
 		if err != nil {
 			return ls.errf("regions: %v", err)
 		}
-		vals := make([]gdm.Value, schema.Len())
+		s.AddRegion(gdm.Region{Chrom: fields[0], Start: start, Stop: stop, Strand: strand})
 		for i := 0; i < schema.Len(); i++ {
 			v, err := gdm.ParseValue(schema.Field(i).Type, fields[4+i])
 			if err != nil {
 				return ls.errf("regions: attribute %q: %v", schema.Field(i).Name, err)
 			}
-			vals[i] = v
+			s.Values = append(s.Values, v)
 		}
-		s.AddRegion(gdm.Region{Chrom: fields[0], Start: start, Stop: stop, Strand: strand, Values: vals})
 	}
 	if err := ls.err(); err != nil {
 		return fmt.Errorf("regions: %w", err)

@@ -2,6 +2,7 @@ package formats
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,12 +21,12 @@ func testDataset(t *testing.T) *gdm.Dataset {
 	s1 := gdm.NewSample("sample1")
 	s1.Meta.Add("antibody", "CTCF")
 	s1.Meta.Add("cell", "HeLa-S3")
-	s1.AddRegion(gdm.NewRegion("chr1", 100, 200, gdm.StrandPlus, gdm.Float(0.001), gdm.Str("p1")))
-	s1.AddRegion(gdm.NewRegion("chr2", 50, 99, gdm.StrandMinus, gdm.Float(0.2), gdm.Null()))
+	s1.AddRegion(gdm.NewRegion("chr1", 100, 200, gdm.StrandPlus), gdm.Float(0.001), gdm.Str("p1"))
+	s1.AddRegion(gdm.NewRegion("chr2", 50, 99, gdm.StrandMinus), gdm.Float(0.2), gdm.Null())
 	s1.SortRegions()
 	s2 := gdm.NewSample("sample2")
 	s2.Meta.Add("cell", "K562")
-	s2.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandNone, gdm.Null(), gdm.Str("q")))
+	s2.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandNone), gdm.Null(), gdm.Str("q"))
 	if err := ds.Add(s1); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func datasetsEqual(t *testing.T, a, b *gdm.Dataset) {
 			t.Fatalf("sample %s regions: %d vs %d", sa.ID, len(sa.Regions), len(sb.Regions))
 		}
 		for j := range sa.Regions {
-			if sa.Regions[j].String() != sb.Regions[j].String() {
+			if fmt.Sprint(sa.Regions[j], sa.Row(j)) != fmt.Sprint(sb.Regions[j], sb.Row(j)) {
 				t.Fatalf("sample %s region %d: %q vs %q", sa.ID, j, sa.Regions[j], sb.Regions[j])
 			}
 		}
@@ -114,7 +115,7 @@ func TestRegionsRoundTrip(t *testing.T) {
 		t.Fatalf("regions = %d", len(s.Regions))
 	}
 	for i := range s.Regions {
-		if s.Regions[i].String() != ds.Samples[0].Regions[i].String() {
+		if fmt.Sprint(s.Regions[i], s.Row(i)) != fmt.Sprint(ds.Samples[0].Regions[i], ds.Samples[0].Row(i)) {
 			t.Errorf("region %d: %q vs %q", i, s.Regions[i], ds.Samples[0].Regions[i])
 		}
 	}

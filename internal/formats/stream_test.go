@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -127,8 +128,8 @@ func TestDecodeHostileCounts(t *testing.T) {
 	schema := gdm.MustSchema(gdm.Field{Name: "p", Type: gdm.KindFloat})
 
 	s := gdm.NewSample("s")
-	s.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandPlus, gdm.Float(1)))
-	s.AddRegion(gdm.NewRegion("chr1", 30, 40, gdm.StrandPlus, gdm.Float(2)))
+	s.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandPlus), gdm.Float(1))
+	s.AddRegion(gdm.NewRegion("chr1", 30, 40, gdm.StrandPlus), gdm.Float(2))
 	image, err := appendColumnarSample(nil, s, schema)
 	if err != nil {
 		t.Fatal(err)
@@ -203,12 +204,12 @@ func TestStreamHostilePayload(t *testing.T) {
 			t.Errorf("%s: hostile payload decoded cleanly: %v", what, regs)
 		}
 	}
-	regs := make([]gdm.Region, part.Regions)
-	if detail := decodeColumnarPayload([]byte{2, 2, 2, 2, strandConstant, 0, columnUniform, 1, 0, 'a'}, part, schema, regs, make([]gdm.Value, part.Regions)); detail != "" {
+	s := &gdm.Sample{Regions: make([]gdm.Region, part.Regions), Values: make([]gdm.Value, part.Regions)}
+	if detail := decodeColumnarPayload([]byte{2, 2, 2, 2, strandConstant, 0, columnUniform, 1, 0, 'a'}, part, schema, s.Regions, s.Values); detail != "" {
 		t.Fatalf("honest hand-made payload: %s", detail)
 	}
-	if regs[0].String() != "chr1:1-3(*) a" || regs[1].String() != "chr1:2-4(*) " {
-		t.Errorf("decoded %v", regs)
+	if fmt.Sprint(s.Regions[0], s.Row(0)) != "chr1:1-3(*) [a]" || fmt.Sprint(s.Regions[1], s.Row(1)) != "chr1:2-4(*) []" {
+		t.Errorf("decoded %v", s.Values)
 	}
 }
 
@@ -269,7 +270,7 @@ func TestDecodeHostileRegions(t *testing.T) {
 		root := t.TempDir()
 		ds := gdm.NewDataset("M", schema)
 		s := gdm.NewSample("s")
-		s.AddRegion(gdm.NewRegion("chr1", 1, 2, gdm.StrandNone, gdm.Int(1)))
+		s.AddRegion(gdm.NewRegion("chr1", 1, 2, gdm.StrandNone), gdm.Int(1))
 		ds.MustAdd(s)
 		dir := filepath.Join(root, "M")
 		if err := WriteDatasetColumnar(dir, ds); err != nil {
@@ -314,7 +315,7 @@ func TestDecodeHostileRegions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("honest hand-made frame: %v", err)
 	}
-	if got := ds.Samples[0].Regions[1].String(); got != "chr1:20-25(*) 4" {
+	if got := fmt.Sprint(ds.Samples[0].Regions[1], ds.Samples[0].Row(1)); got != "chr1:20-25(*) [4]" {
 		t.Errorf("honest frame decoded %s", got)
 	}
 	if _, _, err := NewDirCatalog(member(honestImage)).ReadPruned("M", catalog.Keep{}); err != nil {

@@ -45,13 +45,9 @@ func ReadVCF(id string, r io.Reader) (*gdm.Sample, *gdm.Schema, error) {
 		if err != nil {
 			return nil, nil, ls.errf("vcf: QUAL: %v", err)
 		}
-		s.AddRegion(gdm.Region{
-			Chrom: fields[0], Start: pos - 1, Stop: pos - 1 + int64(len(ref)),
-			Values: []gdm.Value{
-				strOrNull(fields[2]), gdm.Str(ref), gdm.Str(fields[4]),
-				qual, strOrNull(fields[6]), strOrNull(fields[7]),
-			},
-		})
+		s.AddRegion(gdm.Region{Chrom: fields[0], Start: pos - 1, Stop: pos - 1 + int64(len(ref))},
+			strOrNull(fields[2]), gdm.Str(ref), gdm.Str(fields[4]),
+			qual, strOrNull(fields[6]), strOrNull(fields[7]))
 	}
 	if err := ls.err(); err != nil {
 		return nil, nil, fmt.Errorf("vcf: %w", err)
@@ -82,11 +78,11 @@ func WriteVCF(w io.Writer, s *gdm.Sample, schema *gdm.Schema) error {
 		return fmt.Errorf("vcf: %w", err)
 	}
 	for i := range s.Regions {
-		r := &s.Regions[i]
+		r, row := &s.Regions[i], s.Row(i)
 		if _, err := fmt.Fprintf(w, "%s\t%d\t%s\t%s\t%s\t%s\t%s\t%s\n",
 			r.Chrom, r.Start+1,
-			orDot(r.Values[idx["id"]]), orDot(r.Values[idx["ref"]]), orDot(r.Values[idx["alt"]]),
-			orDot(r.Values[idx["qual"]]), orDot(r.Values[idx["filter"]]), orDot(r.Values[idx["info"]]),
+			orDot(row[idx["id"]]), orDot(row[idx["ref"]]), orDot(row[idx["alt"]]),
+			orDot(row[idx["qual"]]), orDot(row[idx["filter"]]), orDot(row[idx["info"]]),
 		); err != nil {
 			return fmt.Errorf("vcf: %w", err)
 		}

@@ -11,10 +11,15 @@ import (
 // Sample pairs the regions produced by one NGS experiment with the metadata
 // of the biological sample. The ID provides the many-to-many connection
 // between regions and metadata described in Section 2 of the paper.
+//
+// Values is the sample's value slab, row-major: region i's attribute values
+// are Values[i*arity:(i+1)*arity] for the dataset schema's arity (Dataset.Add
+// and Validate check the length); Row reads one row.
 type Sample struct {
 	ID      string
 	Meta    *Metadata
 	Regions []Region
+	Values  []Value
 }
 
 // NewSample builds an empty sample with the given ID.
@@ -22,27 +27,69 @@ func NewSample(id string) *Sample {
 	return &Sample{ID: id, Meta: NewMetadata()}
 }
 
-// AddRegion appends a region to the sample. Regions may be appended in any
-// order; Dataset.SortRegions (or Sample.SortRegions) restores the canonical
-// order before the sample is used by operators.
-func (s *Sample) AddRegion(r Region) { s.Regions = append(s.Regions, r) }
+// AddRegion appends a region and its row of attribute values, in any order;
+// SortRegions restores the canonical order before operators use the sample.
+func (s *Sample) AddRegion(r Region, values ...Value) {
+	s.Regions = append(s.Regions, r)
+	s.Values = append(s.Values, values...)
+}
 
-// SortRegions sorts the sample's regions into canonical GDM order, stably.
-// Operators emit canonical order already, so the usual call only checks.
-func (s *Sample) SortRegions() {
-	if s.RegionsSorted() {
-		return
+// Row returns region i's attribute values. The window is capacity-limited to
+// the row, so appending to it copies instead of writing into row i+1.
+func (s *Sample) Row(i int) []Value {
+	w := len(s.Values) / len(s.Regions)
+	return s.Values[i*w : (i+1)*w : (i+1)*w]
+}
+
+// Gather returns the regions at idx, in that order, with their rows: new
+// exact-size slices, nil when idx is empty.
+func (s *Sample) Gather(idx []int32) ([]Region, []Value) {
+	if len(idx) == 0 {
+		return nil, nil
 	}
-	// In place, so an unsorted sample costs no second copy of its regions.
-	// The sort still hands each comparison two Regions by value; sorting a
-	// slice of pointers instead would avoid that at the price of that copy.
-	slices.SortStableFunc(s.Regions, func(a, b Region) int { return compareRegions(&a, &b) })
+	w := len(s.Values) / len(s.Regions)
+	regions, values := make([]Region, len(idx)), make([]Value, 0, len(idx)*w)
+	for i, ri := range idx {
+		regions[i] = s.Regions[ri]
+		values = append(values, s.Values[int(ri)*w:int(ri+1)*w]...)
+	}
+	return regions, values
+}
+
+// SortOrder returns the permutation that sorts regions into canonical GDM
+// order, stably, or nil when they are sorted already.
+func SortOrder(regions []Region) []int32 {
+	if regionsSorted(regions) {
+		return nil
+	}
+	return Permutation(len(regions), func(a, b int32) int { return compareRegions(&regions[a], &regions[b]) })
+}
+
+// Permutation returns the indexes 0..n-1 stably sorted by cmp.
+func Permutation(n int, cmp func(a, b int32) int) []int32 {
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, cmp)
+	return perm
+}
+
+// SortRegions sorts the sample's regions and rows into canonical GDM order,
+// stably: a permutation, then one gather into new slices. Operators emit
+// canonical order already, so the usual call only checks.
+func (s *Sample) SortRegions() {
+	if perm := SortOrder(s.Regions); perm != nil {
+		s.Regions, s.Values = s.Gather(perm)
+	}
 }
 
 // RegionsSorted reports whether the regions are in canonical order.
-func (s *Sample) RegionsSorted() bool {
-	for i := 1; i < len(s.Regions); i++ {
-		if compareRegions(&s.Regions[i-1], &s.Regions[i]) > 0 {
+func (s *Sample) RegionsSorted() bool { return regionsSorted(s.Regions) }
+
+func regionsSorted(regions []Region) bool {
+	for i := 1; i < len(regions); i++ {
+		if compareRegions(&regions[i-1], &regions[i]) > 0 {
 			return false
 		}
 	}
@@ -51,11 +98,7 @@ func (s *Sample) RegionsSorted() bool {
 
 // Clone returns a deep copy of the sample.
 func (s *Sample) Clone() *Sample {
-	out := &Sample{ID: s.ID, Meta: s.Meta.Clone(), Regions: make([]Region, len(s.Regions))}
-	for i, r := range s.Regions {
-		out.Regions[i] = r.CloneValues()
-	}
-	return out
+	return &Sample{ID: s.ID, Meta: s.Meta.Clone(), Regions: slices.Clone(s.Regions), Values: slices.Clone(s.Values)}
 }
 
 // ChromRange returns the half-open index range [lo,hi) of the sample's
@@ -88,16 +131,17 @@ func (s *Sample) Chroms() []string {
 // the GDM constraint that makes a dataset queryable as a unit.
 //
 // A dataset is immutable once an operator, a catalog or a Runner has returned
-// it: nobody writes to its samples, their metadata, their Regions or any
-// region's Values afterwards. Operators rely on that to share storage instead
-// of copying it — a SELECT without a region predicate, a UNION of equal
-// layouts and every published query result hold the very Regions slices of
-// their inputs, down to the catalog's — so a write through one dataset would
+// it: nobody writes to its samples, their metadata, their Regions or their
+// Values afterwards. Operators rely on that to share storage instead of
+// copying it — MAP's output samples hold their reference sample's Regions, a
+// SELECT that keeps every region, a UNION of equal layouts and every
+// published query result hold the very Regions and Values slices of their
+// inputs, down to the catalog's — so a write through one dataset would
 // corrupt others. Code that needs to change a dataset takes a Clone first.
 // What a holder may always do is build new Sample and Dataset headers over
-// shared regions, and append to a region's Values: operators cut Values out
-// of per-sample slabs as capacity-limited windows, so an append copies rather
-// than running into the next region's values.
+// shared slices, and append to a row that Sample.Row returned: the row is
+// capacity-limited, so an append copies rather than running into the next
+// region's values.
 type Dataset struct {
 	Name    string
 	Schema  *Schema
@@ -118,27 +162,42 @@ func (d *Dataset) Add(s *Sample) error {
 	if s.ID == "" {
 		return fmt.Errorf("gdm: dataset %s: sample with empty ID", d.Name)
 	}
+	if err := d.checkRows(s, true); err != nil {
+		return err
+	}
+	d.Samples = append(d.Samples, s)
+	return nil
+}
+
+// checkRows checks a sample's coordinates and value slab against the
+// schema: one row of its arity per region, each value null or of its
+// field's kind — or, with coerce, coercible to it, which then replaces it.
+func (d *Dataset) checkRows(s *Sample, coerce bool) error {
 	for i := range s.Regions {
 		if err := s.Regions[i].Validate(); err != nil {
 			return fmt.Errorf("gdm: dataset %s sample %s: %w", d.Name, s.ID, err)
 		}
-		if len(s.Regions[i].Values) != d.Schema.Len() {
-			return fmt.Errorf("gdm: dataset %s sample %s: region %s has %d values, schema %s has %d",
-				d.Name, s.ID, s.Regions[i], len(s.Regions[i].Values), d.Schema, d.Schema.Len())
-		}
-		for j, v := range s.Regions[i].Values {
-			want := d.Schema.Field(j).Type
-			if !v.IsNull() && v.Kind() != want {
-				cv, err := v.Coerce(want)
-				if err != nil {
-					return fmt.Errorf("gdm: dataset %s sample %s: attribute %q: %w",
-						d.Name, s.ID, d.Schema.Field(j).Name, err)
-				}
-				s.Regions[i].Values[j] = cv
-			}
-		}
 	}
-	d.Samples = append(d.Samples, s)
+	w := d.Schema.Len()
+	if len(s.Values) != len(s.Regions)*w {
+		return fmt.Errorf("gdm: dataset %s sample %s: %d values for %d regions, schema %s has %d",
+			d.Name, s.ID, len(s.Values), len(s.Regions), d.Schema, w)
+	}
+	for i, v := range s.Values {
+		f := d.Schema.Field(i % w)
+		if v.IsNull() || v.Kind() == f.Type {
+			continue
+		}
+		if !coerce {
+			return fmt.Errorf("gdm: dataset %s sample %s: attribute %q holds %s, schema says %s",
+				d.Name, s.ID, f.Name, v.Kind(), f.Type)
+		}
+		cv, err := v.Coerce(f.Type)
+		if err != nil {
+			return fmt.Errorf("gdm: dataset %s sample %s: attribute %q: %w", d.Name, s.ID, f.Name, err)
+		}
+		s.Values[i] = cv
+	}
 	return nil
 }
 
@@ -192,20 +251,8 @@ func (d *Dataset) Validate() error {
 		if !s.RegionsSorted() {
 			return fmt.Errorf("gdm: dataset %s sample %s: regions not in canonical order", d.Name, s.ID)
 		}
-		for i := range s.Regions {
-			if err := s.Regions[i].Validate(); err != nil {
-				return fmt.Errorf("gdm: dataset %s sample %s: %w", d.Name, s.ID, err)
-			}
-			if len(s.Regions[i].Values) != d.Schema.Len() {
-				return fmt.Errorf("gdm: dataset %s sample %s: region value arity %d != schema arity %d",
-					d.Name, s.ID, len(s.Regions[i].Values), d.Schema.Len())
-			}
-			for j, v := range s.Regions[i].Values {
-				if !v.IsNull() && v.Kind() != d.Schema.Field(j).Type {
-					return fmt.Errorf("gdm: dataset %s sample %s: attribute %q holds %s, schema says %s",
-						d.Name, s.ID, d.Schema.Field(j).Name, v.Kind(), d.Schema.Field(j).Type)
-				}
-			}
+		if err := d.checkRows(s, false); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -254,9 +301,9 @@ func (d *Dataset) EstimateBytes() int64 {
 		for i := range s.Regions {
 			r := &s.Regions[i]
 			total += int64(len(s.ID) + len(r.Chrom) + 2 + digits(r.Start) + digits(r.Stop) + 1 + 4)
-			for _, v := range r.Values {
-				total += int64(len(v.String()) + 1)
-			}
+		}
+		for _, v := range s.Values {
+			total += int64(len(v.String()) + 1)
 		}
 	}
 	return total

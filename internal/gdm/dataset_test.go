@@ -13,10 +13,20 @@ func peaksSchema() *Schema {
 	return MustSchema(Field{"p_value", KindFloat})
 }
 
-func sampleWith(id string, regions ...Region) *Sample {
+// row is a region with its attribute values, for sampleWith.
+type row struct {
+	r    Region
+	vals []Value
+}
+
+func reg(chrom string, start, stop int64, strand Strand, vals ...Value) row {
+	return row{NewRegion(chrom, start, stop, strand), vals}
+}
+
+func sampleWith(id string, rows ...row) *Sample {
 	s := NewSample(id)
-	for _, r := range regions {
-		s.AddRegion(r)
+	for _, r := range rows {
+		s.AddRegion(r.r, r.vals...)
 	}
 	return s
 }
@@ -107,27 +117,27 @@ func TestMetadataMatchText(t *testing.T) {
 
 func TestDatasetAddValidatesAndCoerces(t *testing.T) {
 	d := NewDataset("PEAKS", peaksSchema())
-	s := sampleWith("1", NewRegion("chr1", 0, 10, StrandPlus, Int(5)))
+	s := sampleWith("1", reg("chr1", 0, 10, StrandPlus, Int(5)))
 	if err := d.Add(s); err != nil {
 		t.Fatalf("Add with coercible int: %v", err)
 	}
 	// Int got coerced to the schema's float kind.
-	if v := d.Samples[0].Regions[0].Values[0]; v.Kind() != KindFloat || v.Float() != 5 {
+	if v := d.Samples[0].Row(0)[0]; v.Kind() != KindFloat || v.Float() != 5 {
 		t.Errorf("coerced value = %v", v)
 	}
-	if err := d.Add(sampleWith("2", NewRegion("chr1", 0, 10, StrandNone))); err == nil {
+	if err := d.Add(sampleWith("2", reg("chr1", 0, 10, StrandNone))); err == nil {
 		t.Error("arity mismatch accepted")
 	}
-	if err := d.Add(sampleWith("3", NewRegion("chr1", 0, 10, StrandNone, Str("x")))); err == nil {
+	if err := d.Add(sampleWith("3", reg("chr1", 0, 10, StrandNone, Str("x")))); err == nil {
 		t.Error("uncoercible kind accepted")
 	}
-	if err := d.Add(sampleWith("", NewRegion("chr1", 0, 10, StrandNone, Float(1)))); err == nil {
+	if err := d.Add(sampleWith("", reg("chr1", 0, 10, StrandNone, Float(1)))); err == nil {
 		t.Error("empty ID accepted")
 	}
-	if err := d.Add(sampleWith("4", NewRegion("chr1", 10, 5, StrandNone, Float(1)))); err == nil {
+	if err := d.Add(sampleWith("4", reg("chr1", 10, 5, StrandNone, Float(1)))); err == nil {
 		t.Error("bad coordinates accepted")
 	}
-	if err := d.Add(sampleWith("5", NewRegion("chr1", 0, 10, StrandNone, Null()))); err != nil {
+	if err := d.Add(sampleWith("5", reg("chr1", 0, 10, StrandNone, Null()))); err != nil {
 		t.Errorf("null value rejected: %v", err)
 	}
 }
@@ -135,14 +145,14 @@ func TestDatasetAddValidatesAndCoerces(t *testing.T) {
 func TestDatasetValidate(t *testing.T) {
 	d := NewDataset("D", peaksSchema())
 	d.MustAdd(sampleWith("a",
-		NewRegion("chr1", 0, 10, StrandNone, Float(1)),
-		NewRegion("chr1", 20, 30, StrandNone, Float(2))))
+		reg("chr1", 0, 10, StrandNone, Float(1)),
+		reg("chr1", 20, 30, StrandNone, Float(2))))
 	if err := d.Validate(); err != nil {
 		t.Fatalf("valid dataset rejected: %v", err)
 	}
 	// Duplicate ID.
 	dup := NewDataset("D", peaksSchema())
-	dup.MustAdd(sampleWith("a", NewRegion("chr1", 0, 10, StrandNone, Float(1))))
+	dup.MustAdd(sampleWith("a", reg("chr1", 0, 10, StrandNone, Float(1))))
 	dup.Samples = append(dup.Samples, sampleWith("a"))
 	if err := dup.Validate(); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate ID: %v", err)
@@ -150,8 +160,8 @@ func TestDatasetValidate(t *testing.T) {
 	// Unsorted regions.
 	uns := NewDataset("D", peaksSchema())
 	s := sampleWith("a",
-		NewRegion("chr2", 0, 10, StrandNone, Float(1)),
-		NewRegion("chr1", 0, 10, StrandNone, Float(1)))
+		reg("chr2", 0, 10, StrandNone, Float(1)),
+		reg("chr1", 0, 10, StrandNone, Float(1)))
 	uns.Samples = append(uns.Samples, s)
 	if err := uns.Validate(); err == nil || !strings.Contains(err.Error(), "order") {
 		t.Errorf("unsorted: %v", err)
@@ -164,8 +174,8 @@ func TestDatasetValidate(t *testing.T) {
 
 func TestDatasetSortAndLookup(t *testing.T) {
 	d := NewDataset("D", MustSchema())
-	d.MustAdd(sampleWith("b", NewRegion("chr2", 0, 5, StrandNone), NewRegion("chr1", 3, 9, StrandNone)))
-	d.MustAdd(sampleWith("a", NewRegion("chr1", 7, 8, StrandNone)))
+	d.MustAdd(sampleWith("b", reg("chr2", 0, 5, StrandNone), reg("chr1", 3, 9, StrandNone)))
+	d.MustAdd(sampleWith("a", reg("chr1", 7, 8, StrandNone)))
 	d.SortRegions()
 	if d.Samples[0].ID != "a" || d.Samples[1].ID != "b" {
 		t.Error("samples not sorted by ID")
@@ -186,10 +196,10 @@ func TestDatasetSortAndLookup(t *testing.T) {
 
 func TestSampleChromRangeAndChroms(t *testing.T) {
 	s := sampleWith("x",
-		NewRegion("chr1", 0, 5, StrandNone),
-		NewRegion("chr1", 6, 9, StrandNone),
-		NewRegion("chr2", 0, 3, StrandNone),
-		NewRegion("chrX", 0, 3, StrandNone),
+		reg("chr1", 0, 5, StrandNone),
+		reg("chr1", 6, 9, StrandNone),
+		reg("chr2", 0, 3, StrandNone),
+		reg("chrX", 0, 3, StrandNone),
 	)
 	s.SortRegions()
 	lo, hi := s.ChromRange("chr1")
@@ -212,12 +222,12 @@ func TestSampleChromRangeAndChroms(t *testing.T) {
 
 func TestDatasetClone(t *testing.T) {
 	d := NewDataset("D", peaksSchema())
-	d.MustAdd(sampleWith("a", NewRegion("chr1", 0, 10, StrandNone, Float(1))))
+	d.MustAdd(sampleWith("a", reg("chr1", 0, 10, StrandNone, Float(1))))
 	d.Samples[0].Meta.Add("k", "v")
 	c := d.Clone()
-	c.Samples[0].Regions[0].Values[0] = Float(99)
+	c.Samples[0].Row(0)[0] = Float(99)
 	c.Samples[0].Meta.Add("k2", "v2")
-	if d.Samples[0].Regions[0].Values[0].Float() != 1 {
+	if d.Samples[0].Row(0)[0].Float() != 1 {
 		t.Error("Clone aliases region values")
 	}
 	if d.Samples[0].Meta.Has("k2") {
@@ -262,7 +272,7 @@ func TestEstimateBytes(t *testing.T) {
 	if d.EstimateBytes() != 0 {
 		t.Error("empty dataset non-zero estimate")
 	}
-	s := sampleWith("s1", NewRegion("chr1", 100, 200, StrandPlus, Float(0.5)))
+	s := sampleWith("s1", reg("chr1", 100, 200, StrandPlus, Float(0.5)))
 	s.Meta.Add("cell", "HeLa")
 	d.MustAdd(s)
 	got := d.EstimateBytes()
@@ -270,7 +280,7 @@ func TestEstimateBytes(t *testing.T) {
 		t.Fatalf("EstimateBytes = %d", got)
 	}
 	// Adding a second identical-shape sample roughly doubles the estimate.
-	s2 := sampleWith("s2", NewRegion("chr1", 100, 200, StrandPlus, Float(0.5)))
+	s2 := sampleWith("s2", reg("chr1", 100, 200, StrandPlus, Float(0.5)))
 	s2.Meta.Add("cell", "HeLa")
 	d.MustAdd(s2)
 	got2 := d.EstimateBytes()
@@ -302,30 +312,55 @@ func TestSortRegionsProperty(t *testing.T) {
 	}
 }
 
-// TestSortRegionsMatchesStableReference: the pointer sort and its
-// already-sorted shortcut order regions exactly as the reflect-based stable
-// sort they replaced, ties (equal coordinates, different values) included.
+// TestSortRegionsMatchesStableReference: the permutation sort and its
+// already-sorted shortcut order regions, and their rows with them, exactly as
+// the reflect-based stable sort of whole rows they replaced, ties (equal
+// coordinates, different values) included.
 func TestSortRegionsMatchesStableReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	chroms := []string{"chr2", "chr10", "chrX", "chr1", "scaffold_9"}
+	type entry struct {
+		r Region
+		v Value
+	}
 	for round := 0; round < 50; round++ {
 		s := NewSample("s")
 		for i := 0; i < 200; i++ {
 			start := rng.Int63n(20)
 			s.AddRegion(NewRegion(chroms[rng.Intn(len(chroms))], start, start+rng.Int63n(3),
-				Strand(rng.Intn(3)-1), Int(int64(i))))
+				Strand(rng.Intn(3)-1)), Int(int64(i)))
 		}
 		if round%2 == 1 {
 			s.SortRegions() // the second sort below takes the shortcut
 		}
-		want := append([]Region(nil), s.Regions...)
-		sort.SliceStable(want, func(i, j int) bool { return CompareRegions(want[i], want[j]) < 0 })
+		want := make([]entry, len(s.Regions))
+		for i := range want {
+			want[i] = entry{s.Regions[i], s.Values[i]}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return CompareRegions(want[i].r, want[j].r) < 0 })
 		s.SortRegions()
 		for i := range want {
-			if s.Regions[i].String() != want[i].String() {
-				t.Fatalf("round %d region %d: %s, reference %s", round, i, s.Regions[i], want[i])
+			if s.Regions[i] != want[i].r || s.Row(i)[0] != want[i].v {
+				t.Fatalf("round %d region %d: %s %v, reference %s %v", round, i, s.Regions[i], s.Row(i), want[i].r, want[i].v)
 			}
 		}
+	}
+}
+
+// TestSampleRowIsCapacityLimited: a row is a window of the slab that ends at
+// its own last value, so appending to it leaves the next row alone; Gather
+// moves rows with their regions.
+func TestSampleRowIsCapacityLimited(t *testing.T) {
+	s := sampleWith("s", reg("chr1", 0, 1, StrandNone, Int(1), Str("a")), reg("chr1", 2, 3, StrandNone, Int(2), Str("b")))
+	if got := append(s.Row(0), Int(99)); len(got) != 3 || s.Row(1)[0].Int() != 2 {
+		t.Errorf("append to row 0 wrote into row 1: %v", s.Row(1))
+	}
+	regions, values := s.Gather([]int32{1, 0})
+	if regions[0] != s.Regions[1] || values[0].Int() != 2 || values[3].Str() != "a" || len(values) != 4 {
+		t.Errorf("Gather = %v %v", regions, values)
+	}
+	if r, v := s.Gather(nil); r != nil || v != nil {
+		t.Errorf("empty Gather = %v %v", r, v)
 	}
 }
 
@@ -340,11 +375,11 @@ func TestContentDigestGolden(t *testing.T) {
 	s1 := NewSample("s1")
 	s1.Meta.Add("cell", "HeLa")
 	s1.Meta.Add("antibody", "CTCF")
-	s1.AddRegion(NewRegion("chr2", 0, 7, StrandNone, Int(math.MinInt64), Float(math.NaN()), Str(""), Bool(true)))
-	s1.AddRegion(NewRegion("chr1", 10, 20, StrandPlus, Int(3), Float(math.Copysign(0, -1)), Str("a"), Bool(true)))
-	s1.AddRegion(NewRegion("chr1", 15, 40, StrandMinus, Null(), Float(1e-300), Str("x\ty"), Null()))
+	s1.AddRegion(NewRegion("chr2", 0, 7, StrandNone), Int(math.MinInt64), Float(math.NaN()), Str(""), Bool(true))
+	s1.AddRegion(NewRegion("chr1", 10, 20, StrandPlus), Int(3), Float(math.Copysign(0, -1)), Str("a"), Bool(true))
+	s1.AddRegion(NewRegion("chr1", 15, 40, StrandMinus), Null(), Float(1e-300), Str("x\ty"), Null())
 	s2 := NewSample("s0")
-	s2.AddRegion(NewRegion("chrX", 5, 6, StrandPlus, Int(math.MaxInt64), Null(), Null(), Bool(false)))
+	s2.AddRegion(NewRegion("chrX", 5, 6, StrandPlus), Int(math.MaxInt64), Null(), Null(), Bool(false))
 	ds.MustAdd(s1)
 	ds.MustAdd(s2)
 	const want = "baf74fb913c84bf86095b80b8b637d56e2be56173fbe3fb4b07c81e05e2a3899"

@@ -30,7 +30,8 @@ func (d *Dataset) ContentDigest() string {
 		h.Write(scratch[:])
 	}
 
-	wint(int64(d.Schema.Len()))
+	w := d.Schema.Len()
+	wint(int64(w))
 	for _, f := range d.Schema.Fields() {
 		wstr(f.Name)
 		wstr(f.Type.String())
@@ -55,21 +56,18 @@ func (d *Dataset) ContentDigest() string {
 			wstr(p[0])
 			wstr(p[1])
 		}
-		regIdx := make([]int, len(s.Regions))
-		for i := range regIdx {
-			regIdx[i] = i
-		}
-		sort.SliceStable(regIdx, func(i, j int) bool {
-			return CompareRegions(s.Regions[regIdx[i]], s.Regions[regIdx[j]]) < 0
-		})
+		order := SortOrder(s.Regions) // nil: held in canonical order already
 		wint(int64(len(s.Regions)))
-		for _, ri := range regIdx {
+		for ri := range s.Regions {
+			if order != nil {
+				ri = int(order[ri])
+			}
 			r := &s.Regions[ri]
 			wstr(r.Chrom)
 			wint(r.Start)
 			wint(r.Stop)
 			wstr(r.Strand.String())
-			for _, v := range r.Values {
+			for _, v := range s.Values[ri*w : (ri+1)*w] {
 				wstr(v.String())
 			}
 		}

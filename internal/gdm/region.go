@@ -50,9 +50,10 @@ func (s Strand) Compatible(o Strand) bool {
 }
 
 // Region is a genomic region: the fixed coordinate attributes of the GDM
-// schema (chromosome, left end, right end, strand) plus the variable typed
-// attributes produced by the calling process, stored positionally against the
-// dataset schema.
+// schema (chromosome, left end, right end, strand). The variable typed
+// attributes produced by the calling process are not part of it: they live in
+// the sample's value slab (Sample.Values), one row per region, positionally
+// against the dataset schema.
 //
 // Coordinates follow the UCSC half-open convention: Start is 0-based
 // inclusive, Stop is exclusive, so Length = Stop - Start and two regions
@@ -62,12 +63,11 @@ type Region struct {
 	Start  int64
 	Stop   int64
 	Strand Strand
-	Values []Value
 }
 
-// NewRegion builds a region with the given coordinates and attribute values.
-func NewRegion(chrom string, start, stop int64, strand Strand, values ...Value) Region {
-	return Region{Chrom: chrom, Start: start, Stop: stop, Strand: strand, Values: values}
+// NewRegion builds a region with the given coordinates.
+func NewRegion(chrom string, start, stop int64, strand Strand) Region {
+	return Region{Chrom: chrom, Start: start, Stop: stop, Strand: strand}
 }
 
 // Length returns the number of bases covered by the region.
@@ -81,26 +81,6 @@ func (r Region) Center() int64 { return (r.Start + r.Stop) / 2 }
 func (r Region) Overlaps(o Region) bool {
 	return r.Chrom == o.Chrom && r.Start < o.Stop && o.Start < r.Stop &&
 		r.Strand.Compatible(o.Strand)
-}
-
-// Intersect returns the overlapping part of two regions on the same
-// chromosome; ok is false when they do not overlap.
-func (r Region) Intersect(o Region) (Region, bool) {
-	if !r.Overlaps(o) {
-		return Region{}, false
-	}
-	out := r
-	if o.Start > out.Start {
-		out.Start = o.Start
-	}
-	if o.Stop < out.Stop {
-		out.Stop = o.Stop
-	}
-	out.Values = nil
-	if r.Strand == StrandNone {
-		out.Strand = o.Strand
-	}
-	return out, true
 }
 
 // Contains reports whether r fully contains o.
@@ -160,7 +140,7 @@ func (r Region) Downstream(o Region) bool {
 // in natural genomic order (chr1 < chr2 < chr10 < chrX < chrY < chrM).
 func CompareRegions(a, b Region) int { return compareRegions(&a, &b) }
 
-// compareRegions is CompareRegions without copying the two 64-byte structs,
+// compareRegions is CompareRegions without copying the two 40-byte structs,
 // for the sort and the sortedness check that call it per region.
 func compareRegions(a, b *Region) int {
 	// Neighbours in a sorted sample almost always share the chromosome.
@@ -235,28 +215,10 @@ func chromRank(name string) (int, string) {
 	return n, ""
 }
 
-// String renders the region as "chrom:start-stop(strand)" followed by its
-// attribute values, a compact form used in logs and error messages.
+// String renders the region as "chrom:start-stop(strand)", a compact form
+// used in logs and error messages.
 func (r Region) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:%d-%d(%s)", r.Chrom, r.Start, r.Stop, r.Strand)
-	for _, v := range r.Values {
-		b.WriteByte(' ')
-		b.WriteString(v.String())
-	}
-	return b.String()
-}
-
-// CloneValues returns a copy of the region whose Values slice does not alias
-// the original, for operators that rewrite attributes in place.
-func (r Region) CloneValues() Region {
-	if len(r.Values) == 0 {
-		return r
-	}
-	vs := make([]Value, len(r.Values))
-	copy(vs, r.Values)
-	r.Values = vs
-	return r
+	return fmt.Sprintf("%s:%d-%d(%s)", r.Chrom, r.Start, r.Stop, r.Strand)
 }
 
 // Validate checks the basic coordinate sanity of the region.

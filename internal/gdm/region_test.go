@@ -36,14 +36,14 @@ func TestStrandCompatible(t *testing.T) {
 }
 
 func TestRegionBasics(t *testing.T) {
-	r := NewRegion("chr1", 100, 200, StrandPlus, Float(0.5))
+	r := NewRegion("chr1", 100, 200, StrandPlus)
 	if r.Length() != 100 {
 		t.Errorf("Length = %d", r.Length())
 	}
 	if r.Center() != 150 {
 		t.Errorf("Center = %d", r.Center())
 	}
-	if got := r.String(); got != "chr1:100-200(+) 0.5" {
+	if got := r.String(); got != "chr1:100-200(+)" {
 		t.Errorf("String = %q", got)
 	}
 }
@@ -74,24 +74,6 @@ func TestRegionOverlaps(t *testing.T) {
 	m := NewRegion("chr1", 100, 200, StrandMinus)
 	if p.Overlaps(m) {
 		t.Error("opposite strands must not overlap")
-	}
-}
-
-func TestRegionIntersect(t *testing.T) {
-	a := NewRegion("chr1", 100, 200, StrandNone, Int(1))
-	b := NewRegion("chr1", 150, 250, StrandPlus)
-	got, ok := a.Intersect(b)
-	if !ok || got.Start != 150 || got.Stop != 200 || got.Chrom != "chr1" {
-		t.Fatalf("Intersect = %v,%v", got, ok)
-	}
-	if got.Strand != StrandPlus {
-		t.Errorf("intersect strand = %v, want + (inherited)", got.Strand)
-	}
-	if got.Values != nil {
-		t.Error("intersect must drop values")
-	}
-	if _, ok := a.Intersect(NewRegion("chr2", 150, 250, StrandNone)); ok {
-		t.Error("cross-chromosome intersect succeeded")
 	}
 }
 
@@ -269,18 +251,5 @@ func TestRegionValidate(t *testing.T) {
 	}
 	if err := NewRegion("chr1", 10, 5, StrandNone).Validate(); err == nil {
 		t.Error("stop<start accepted")
-	}
-}
-
-func TestCloneValues(t *testing.T) {
-	r := NewRegion("chr1", 0, 1, StrandNone, Int(1), Str("a"))
-	c := r.CloneValues()
-	c.Values[0] = Int(99)
-	if r.Values[0].Int() != 1 {
-		t.Error("CloneValues aliases the original")
-	}
-	empty := NewRegion("chr1", 0, 1, StrandNone)
-	if got := empty.CloneValues(); got.Values != nil {
-		t.Error("CloneValues of empty allocated")
 	}
 }

@@ -85,15 +85,15 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	}
 }
 
-// TestValueLayout pins the sizes the region slabs are made of: a Value is a
-// string, one 64-bit payload and a kind tag, and a Region stays one cache
-// line.
+// TestValueLayout pins the sizes a sample is made of: a Value is a string,
+// one 64-bit payload and a kind tag, and a Region is its coordinates alone —
+// a chromosome name, two int64s and the strand, with one pointer.
 func TestValueLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Value{}); got != 32 {
 		t.Errorf("Value is %d bytes, want 32", got)
 	}
-	if got := unsafe.Sizeof(Region{}); got != 64 {
-		t.Errorf("Region is %d bytes, want 64", got)
+	if got := unsafe.Sizeof(Region{}); got != 40 {
+		t.Errorf("Region is %d bytes, want 40", got)
 	}
 }
 

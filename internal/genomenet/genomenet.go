@@ -539,13 +539,11 @@ func (s *SearchService) RegionSearch(query *gdm.Sample, feature RegionFeature, t
 	s.mu.Unlock()
 
 	ref := gdm.NewDataset("QUERY", gdm.MustSchema())
-	q := &gdm.Sample{ID: "query", Meta: gdm.NewMetadata()}
-	for _, r := range query.Regions {
-		q.Regions = append(q.Regions, gdm.Region{Chrom: r.Chrom, Start: r.Start, Stop: r.Stop, Strand: r.Strand})
-	}
-	qs := *q
-	qs.SortRegions()
-	ref.MustAdd(&qs)
+	// The query's coordinates without its values; SortRegions sorts into
+	// new slices, never the caller's.
+	q := &gdm.Sample{ID: "query", Meta: gdm.NewMetadata(), Regions: query.Regions}
+	q.SortRegions()
+	ref.MustAdd(q)
 
 	cfg := engine.Config{Mode: engine.ModeSerial, MetaFirst: true}
 	var out []RankedDataset
@@ -564,8 +562,8 @@ func (s *SearchService) RegionSearch(query *gdm.Sample, feature RegionFeature, t
 		hi, _ := mapped.Schema.Index("hits")
 		total, covered := 0.0, 0.0
 		for _, sm := range mapped.Samples {
-			for _, r := range sm.Regions {
-				n := r.Values[hi].Int()
+			for ri := range sm.Regions {
+				n := sm.Row(ri)[hi].Int()
 				total += float64(n)
 				if n > 0 {
 					covered++

@@ -137,8 +137,8 @@ func TestRegionSearchRanking(t *testing.T) {
 	hs := gdm.NewSample("hs")
 	hs.Meta.Add("dataType", "ChipSeq")
 	for i := int64(0); i < 50; i++ {
-		hs.AddRegion(gdm.NewRegion("chr1", 1000+i*10, 1000+i*10+20, gdm.StrandNone,
-			gdm.Float(0.001), gdm.Float(2)))
+		hs.AddRegion(gdm.NewRegion("chr1", 1000+i*10, 1000+i*10+20, gdm.StrandNone),
+			gdm.Float(0.001), gdm.Float(2))
 	}
 	hs.SortRegions()
 	hot.MustAdd(hs)
@@ -146,7 +146,7 @@ func TestRegionSearchRanking(t *testing.T) {
 	cold := gdm.NewDataset("COLD", hotSchema)
 	cs := gdm.NewSample("cs")
 	cs.Meta.Add("dataType", "ChipSeq")
-	cs.AddRegion(gdm.NewRegion("chr9", 1, 2, gdm.StrandNone, gdm.Float(0.001), gdm.Float(2)))
+	cs.AddRegion(gdm.NewRegion("chr9", 1, 2, gdm.StrandNone), gdm.Float(0.001), gdm.Float(2))
 	cold.MustAdd(cs)
 
 	h1 := NewHost("hot")

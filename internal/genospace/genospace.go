@@ -45,20 +45,17 @@ func FromMapResult(ds *gdm.Dataset, valueAttr string) (*GenomeSpace, error) {
 	}
 	first := ds.Samples[0]
 	gs := &GenomeSpace{
-		Regions:     make([]gdm.Region, len(first.Regions)),
+		Regions:     first.Regions,
 		Experiments: make([]string, len(ds.Samples)),
 		Values:      make([][]float64, len(first.Regions)),
 	}
 	for i := range first.Regions {
-		r := first.Regions[i]
-		r.Values = nil
-		gs.Regions[i] = r
 		gs.Values[i] = make([]float64, len(ds.Samples))
 	}
 	if nameIdx >= 0 {
 		gs.RegionNames = make([]string, len(first.Regions))
 		for i := range first.Regions {
-			gs.RegionNames[i] = first.Regions[i].Values[nameIdx].String()
+			gs.RegionNames[i] = first.Row(i)[nameIdx].String()
 		}
 	}
 	for j, s := range ds.Samples {
@@ -73,7 +70,7 @@ func FromMapResult(ds *gdm.Dataset, valueAttr string) (*GenomeSpace, error) {
 				return nil, fmt.Errorf("genospace: sample %s region %d is %s:%d-%d, expected %s:%d-%d",
 					s.ID, i, a.Chrom, a.Start, a.Stop, b.Chrom, b.Start, b.Stop)
 			}
-			v, _ := s.Regions[i].Values[vi].AsFloat()
+			v, _ := s.Row(i)[vi].AsFloat()
 			gs.Values[i][j] = v
 		}
 	}

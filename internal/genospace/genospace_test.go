@@ -49,8 +49,8 @@ func TestFromMapResult(t *testing.T) {
 	ci, _ := ds.Schema.Index("count")
 	for j, s := range ds.Samples {
 		for i := range s.Regions {
-			if gs.Values[i][j] != float64(s.Regions[i].Values[ci].Int()) {
-				t.Fatalf("Values[%d][%d] = %v, dataset says %v", i, j, gs.Values[i][j], s.Regions[i].Values[ci])
+			if gs.Values[i][j] != float64(s.Row(i)[ci].Int()) {
+				t.Fatalf("Values[%d][%d] = %v, dataset says %v", i, j, gs.Values[i][j], s.Row(i)[ci])
 			}
 		}
 	}

@@ -14,7 +14,7 @@ func labeledDataset() *gdm.Dataset {
 		s := gdm.NewSample(id)
 		s.Meta.Add("right.karyotype", karyotype)
 		for i, c := range counts {
-			s.AddRegion(gdm.NewRegion("chr1", int64(i)*100, int64(i)*100+50, gdm.StrandNone, gdm.Int(c)))
+			s.AddRegion(gdm.NewRegion("chr1", int64(i)*100, int64(i)*100+50, gdm.StrandNone), gdm.Int(c))
 		}
 		ds.MustAdd(s)
 	}

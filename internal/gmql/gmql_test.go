@@ -20,13 +20,13 @@ func testCatalog(t *testing.T) engine.MapCatalog {
 	ann := gdm.NewDataset("ANNOTATIONS", annSchema)
 	proms := gdm.NewSample("proms")
 	proms.Meta.Add("annType", "promoter")
-	proms.AddRegion(gdm.NewRegion("chr1", 0, 1000, gdm.StrandNone, gdm.Str("P1")))
-	proms.AddRegion(gdm.NewRegion("chr1", 5000, 6000, gdm.StrandNone, gdm.Str("P2")))
+	proms.AddRegion(gdm.NewRegion("chr1", 0, 1000, gdm.StrandNone), gdm.Str("P1"))
+	proms.AddRegion(gdm.NewRegion("chr1", 5000, 6000, gdm.StrandNone), gdm.Str("P2"))
 	proms.SortRegions()
 	ann.MustAdd(proms)
 	genes := gdm.NewSample("genes")
 	genes.Meta.Add("annType", "gene")
-	genes.AddRegion(gdm.NewRegion("chr1", 100, 9000, gdm.StrandPlus, gdm.Str("G1")))
+	genes.AddRegion(gdm.NewRegion("chr1", 100, 9000, gdm.StrandPlus), gdm.Str("G1"))
 	ann.MustAdd(genes)
 
 	encSchema := gdm.MustSchema(
@@ -39,8 +39,8 @@ func testCatalog(t *testing.T) engine.MapCatalog {
 		s.Meta.Add("dataType", dtype)
 		s.Meta.Add("cell", cell)
 		for i, r := range regions {
-			s.AddRegion(gdm.NewRegion("chr1", r[0], r[1], gdm.StrandNone,
-				gdm.Float(0.01), gdm.Float(float64(r[2]+int64(i)))))
+			s.AddRegion(gdm.NewRegion("chr1", r[0], r[1], gdm.StrandNone),
+				gdm.Float(0.01), gdm.Float(float64(r[2]+int64(i))))
 		}
 		s.SortRegions()
 		enc.MustAdd(s)
@@ -90,8 +90,8 @@ func TestHeadlineQuery(t *testing.T) {
 		if len(s.Regions) != 2 {
 			t.Fatalf("sample %s regions = %d", s.ID, len(s.Regions))
 		}
-		for _, reg := range s.Regions {
-			total += reg.Values[ci].Int()
+		for i := range s.Regions {
+			total += s.Row(i)[ci].Int()
 		}
 	}
 	// chip1: P1 gets 1 peak, P2 gets 2. chip2: P1 gets 1 (900-1100 overlap).
@@ -516,7 +516,7 @@ func TestJoinHugeDistanceBound(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			start := rng.Int63n(100000)
 			s.AddRegion(gdm.NewRegion(fmt.Sprintf("chr%d", 1+rng.Intn(3)), start, start+1+rng.Int63n(2000),
-				gdm.StrandNone, gdm.Float(rng.Float64())))
+				gdm.StrandNone), gdm.Float(rng.Float64()))
 		}
 		s.SortRegions()
 		ds.MustAdd(s)

@@ -28,9 +28,9 @@ func goldenCatalog(t *testing.T) engine.MapCatalog {
 	refs := gdm.NewDataset("REFS", refSchema)
 	w := gdm.NewSample("windows")
 	w.Meta.Add("annType", "window")
-	w.AddRegion(gdm.NewRegion("chr1", 0, 100, gdm.StrandNone, gdm.Str("W1")))
-	w.AddRegion(gdm.NewRegion("chr1", 200, 300, gdm.StrandNone, gdm.Str("W2")))
-	w.AddRegion(gdm.NewRegion("chr2", 0, 100, gdm.StrandNone, gdm.Str("W3")))
+	w.AddRegion(gdm.NewRegion("chr1", 0, 100, gdm.StrandNone), gdm.Str("W1"))
+	w.AddRegion(gdm.NewRegion("chr1", 200, 300, gdm.StrandNone), gdm.Str("W2"))
+	w.AddRegion(gdm.NewRegion("chr2", 0, 100, gdm.StrandNone), gdm.Str("W3"))
 	refs.MustAdd(w)
 
 	expSchema := gdm.MustSchema(gdm.Field{Name: "v", Type: gdm.KindFloat})
@@ -45,7 +45,7 @@ func goldenCatalog(t *testing.T) engine.MapCatalog {
 				chrom = "chr2"
 				r[2] = -r[2]
 			}
-			s.AddRegion(gdm.NewRegion(chrom, r[0], r[1], gdm.StrandNone, gdm.Float(float64(r[2]))))
+			s.AddRegion(gdm.NewRegion(chrom, r[0], r[1], gdm.StrandNone), gdm.Float(float64(r[2])))
 		}
 		s.SortRegions()
 		exps.MustAdd(s)
@@ -107,10 +107,10 @@ MATERIALIZE R;`,
 						t.Fatalf("output for %s missing", exp)
 					}
 					for wi := 0; wi < 3; wi++ {
-						if got := s.Regions[wi].Values[ni].Int(); got != want[exp][wi] {
+						if got := s.Row(wi)[ni].Int(); got != want[exp][wi] {
 							t.Errorf("%s window %d count = %d, want %d", exp, wi, got, want[exp][wi])
 						}
-						gotSum := s.Regions[wi].Values[ti]
+						gotSum := s.Row(wi)[ti]
 						if want[exp][wi] == 0 {
 							if !gotSum.IsNull() {
 								t.Errorf("%s window %d sum = %v, want NULL", exp, wi, gotSum)
@@ -134,8 +134,8 @@ MATERIALIZE H;`,
 			regions: 7,
 			check: func(t *testing.T, ds *gdm.Dataset) {
 				var deep int64
-				for _, r := range ds.Samples[0].Regions {
-					if r.Values[0].Int() == 2 {
+				for i, r := range ds.Samples[0].Regions {
+					if ds.Samples[0].Row(i)[0].Int() == 2 {
 						deep++
 						if r.Start != 90 || r.Stop != 120 {
 							t.Errorf("depth-2 segment = %v", r)
@@ -217,12 +217,12 @@ MATERIALIZE P;`,
 				vi, _ := ds.Schema.Index("v")
 				li, _ := ds.Schema.Index("len")
 				for _, s := range ds.Samples {
-					for _, r := range s.Regions {
-						if r.Values[di].Float() != 2*r.Values[vi].Float() {
-							t.Errorf("double = %v for v = %v", r.Values[di], r.Values[vi])
+					for i, r := range s.Regions {
+						if s.Row(i)[di].Float() != 2*s.Row(i)[vi].Float() {
+							t.Errorf("double = %v for v = %v", s.Row(i)[di], s.Row(i)[vi])
 						}
-						if int64(r.Values[li].Float()) != r.Length() {
-							t.Errorf("len = %v for %v", r.Values[li], r)
+						if int64(s.Row(i)[li].Float()) != r.Length() {
+							t.Errorf("len = %v for %v", s.Row(i)[li], r)
 						}
 					}
 				}

@@ -30,8 +30,8 @@ func shapeOf(t *testing.T, ds *gdm.Dataset) map[string]int {
 	out := map[string]int{}
 	for _, s := range ds.Samples {
 		sig := fmt.Sprintf("nreg=%d", len(s.Regions))
-		for _, r := range s.Regions {
-			sig += "|" + r.String()
+		for i := range s.Regions {
+			sig += "|" + fmt.Sprint(s.Regions[i], s.Row(i))
 		}
 		out[sig]++
 	}
@@ -149,8 +149,8 @@ X = JOIN(DLE(-1); output: INT) P E;`, "X")
 	ni, _ := mapped.Schema.Index("n")
 	var total int64
 	for _, s := range mapped.Samples {
-		for _, r := range s.Regions {
-			total += r.Values[ni].Int()
+		for i := range s.Regions {
+			total += s.Row(i)[ni].Int()
 		}
 	}
 	if total != int64(joined.NumRegions()) {

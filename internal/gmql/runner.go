@@ -103,14 +103,14 @@ func (r *Runner) EvalContext(ctx context.Context, p *Program, name string) (*gdm
 // publish hands a result out of the session under the caller-facing name.
 // The session's cache may still bind ds to other targets, and ds may be a
 // catalog dataset, so the result gets its own Dataset and Sample headers and
-// its own metadata; region storage is shared, not copied (gdm.Dataset:
+// its own metadata; regions and values are shared, not copied (gdm.Dataset:
 // operator outputs are immutable and already canonical). Samples are listed
 // in ID order.
 func publish(ds *gdm.Dataset, name string) *gdm.Dataset {
 	out := gdm.NewDataset(name, ds.Schema)
 	out.Samples = make([]*gdm.Sample, len(ds.Samples))
 	for i, s := range ds.Samples {
-		out.Samples[i] = &gdm.Sample{ID: s.ID, Meta: s.Meta.Clone(), Regions: s.Regions}
+		out.Samples[i] = &gdm.Sample{ID: s.ID, Meta: s.Meta.Clone(), Regions: s.Regions, Values: s.Values}
 	}
 	sort.SliceStable(out.Samples, func(i, j int) bool { return out.Samples[i].ID < out.Samples[j].ID })
 	return out

@@ -137,8 +137,8 @@ func TestOrderRegionClausesFromScript(t *testing.T) {
 	for _, s := range results[0].Dataset.Samples {
 		if s.ID == "chip1" && len(s.Regions) == 1 {
 			si, _ := results[0].Dataset.Schema.Index("signal")
-			if s.Regions[0].Values[si].Float() != 11 {
-				t.Errorf("chip1 kept signal %v, want 11", s.Regions[0].Values[si])
+			if s.Row(0)[si].Float() != 11 {
+				t.Errorf("chip1 kept signal %v, want 11", s.Row(0)[si])
 			}
 		}
 	}

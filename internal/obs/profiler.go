@@ -26,8 +26,8 @@ import (
 // CPU captures need a sampling window and the runtime allows only one CPU
 // profile process-wide, so they run on a background goroutine behind a busy
 // guard; a trigger that arrives mid-window attaches to the running capture
-// rather than failing. Event captures are rate-limited (MinGap) so a
-// sustained overload — thousands of shed queries per second — produces a few
+// rather than failing. Event captures are rate-limited per trigger (MinGap)
+// so a sustained overload — thousands of shed queries per second — produces a few
 // captures, not a capture storm.
 
 var (
@@ -68,7 +68,8 @@ type Profiler struct {
 	// CPUWindow is the sampling window for CPU captures; <= 0 disables CPU
 	// capture (heap-only profiling).
 	CPUWindow time.Duration
-	// MinGap is the minimum spacing between event-triggered captures.
+	// MinGap is the minimum spacing between two event-triggered captures of
+	// the same trigger; a capture of one trigger never suppresses another's.
 	MinGap time.Duration
 
 	mu       sync.Mutex
@@ -76,7 +77,7 @@ type Profiler struct {
 	ringCap  int
 	ring     []*Capture
 	nextID   int
-	lastTrig time.Time
+	lastTrig map[string]time.Time // per trigger
 
 	cpuBusy atomic.Bool
 	stop    chan struct{}
@@ -157,9 +158,9 @@ func (p *Profiler) Start(interval time.Duration) (stop func()) {
 
 // Trigger records an event-triggered capture: a synchronous heap snapshot and
 // (when CPUWindow is set) an asynchronous CPU window, tagged with the trigger
-// name and the query that tripped it. Rate-limited by MinGap; a disabled or
-// nil profiler ignores the call, so triggering is free unless a binary
-// opted in.
+// name and the query that tripped it. Rate-limited by MinGap per trigger; a
+// disabled or nil profiler ignores the call, so triggering is free unless a
+// binary opted in.
 func (p *Profiler) Trigger(trigger, queryID string) {
 	if p == nil {
 		return
@@ -170,12 +171,15 @@ func (p *Profiler) Trigger(trigger, queryID string) {
 		return
 	}
 	now := time.Now()
-	if p.MinGap > 0 && !p.lastTrig.IsZero() && now.Sub(p.lastTrig) < p.MinGap {
+	if last, ok := p.lastTrig[trigger]; ok && p.MinGap > 0 && now.Sub(last) < p.MinGap {
 		p.mu.Unlock()
 		metricProfSuppressed.Inc()
 		return
 	}
-	p.lastTrig = now
+	if p.lastTrig == nil {
+		p.lastTrig = make(map[string]time.Time)
+	}
+	p.lastTrig[trigger] = now
 	p.mu.Unlock()
 	p.captureHeap(trigger, queryID)
 	p.captureCPUAsync(trigger, queryID)

@@ -78,9 +78,25 @@ func TestProfilerMinGapSuppresses(t *testing.T) {
 	p.Enable(8) // default MinGap 10s
 	p.Trigger("slow_query", "a")
 	p.Trigger("slow_query", "b")
-	p.Trigger("shed", "c")
 	if got := len(p.ListCaptures()); got != 1 {
 		t.Fatalf("rate-limited profiler captured %d, want 1", got)
+	}
+}
+
+// TestProfilerPerTriggerGap: the gap is kept per trigger, so a slow-query
+// capture does not suppress a budget kill's that follows it.
+func TestProfilerPerTriggerGap(t *testing.T) {
+	p := &Profiler{}
+	p.Enable(8) // default MinGap 10s
+	p.Trigger("slow_query", "a")
+	p.Trigger("budget_kill", "b")
+	p.Trigger("budget_kill", "c")
+	got := map[string]string{}
+	for _, c := range p.ListCaptures() {
+		got[c.Trigger] += c.QueryID
+	}
+	if len(got) != 2 || got["slow_query"] != "a" || got["budget_kill"] != "b" {
+		t.Errorf("captures by trigger = %v, want slow_query a and budget_kill b", got)
 	}
 }
 

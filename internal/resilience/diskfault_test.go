@@ -19,7 +19,7 @@ func faultTestDataset(t *testing.T) (string, string) {
 	for _, id := range []string{"s1", "s2"} {
 		s := gdm.NewSample(id)
 		s.Meta.Add("origin", "chaos-test")
-		s.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandPlus, gdm.Float(1)))
+		s.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandPlus), gdm.Float(1))
 		if err := ds.Add(s); err != nil {
 			t.Fatal(err)
 		}

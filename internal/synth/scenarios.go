@@ -23,11 +23,11 @@ func Figure2Dataset() *gdm.Dataset {
 	s1.Meta.Add("cell", "HeLa-S3")
 	s1.Meta.Add("dataType", "ChipSeq")
 	s1.Meta.Add("karyotype", "cancer")
-	s1.AddRegion(gdm.NewRegion("chr1", 2756, 2906, gdm.StrandPlus, gdm.Float(0.000012)))
-	s1.AddRegion(gdm.NewRegion("chr1", 12924, 13074, gdm.StrandMinus, gdm.Float(0.000073)))
-	s1.AddRegion(gdm.NewRegion("chr1", 31312, 31462, gdm.StrandPlus, gdm.Float(0.000032)))
-	s1.AddRegion(gdm.NewRegion("chr2", 878, 1028, gdm.StrandMinus, gdm.Float(0.000011)))
-	s1.AddRegion(gdm.NewRegion("chr2", 22065, 22215, gdm.StrandPlus, gdm.Float(0.000002)))
+	s1.AddRegion(gdm.NewRegion("chr1", 2756, 2906, gdm.StrandPlus), gdm.Float(0.000012))
+	s1.AddRegion(gdm.NewRegion("chr1", 12924, 13074, gdm.StrandMinus), gdm.Float(0.000073))
+	s1.AddRegion(gdm.NewRegion("chr1", 31312, 31462, gdm.StrandPlus), gdm.Float(0.000032))
+	s1.AddRegion(gdm.NewRegion("chr2", 878, 1028, gdm.StrandMinus), gdm.Float(0.000011))
+	s1.AddRegion(gdm.NewRegion("chr2", 22065, 22215, gdm.StrandPlus), gdm.Float(0.000002))
 	s1.SortRegions()
 	ds.MustAdd(s1)
 
@@ -35,10 +35,10 @@ func Figure2Dataset() *gdm.Dataset {
 	s2.Meta.Add("antibody_target", "CTCF")
 	s2.Meta.Add("cell", "GM12878")
 	s2.Meta.Add("sex", "female")
-	s2.AddRegion(gdm.NewRegion("chr1", 2740, 2890, gdm.StrandNone, gdm.Float(0.000034)))
-	s2.AddRegion(gdm.NewRegion("chr1", 40100, 40250, gdm.StrandNone, gdm.Float(0.000051)))
-	s2.AddRegion(gdm.NewRegion("chr2", 940, 1090, gdm.StrandNone, gdm.Float(0.000021)))
-	s2.AddRegion(gdm.NewRegion("chr2", 22608, 22758, gdm.StrandNone, gdm.Float(0.000066)))
+	s2.AddRegion(gdm.NewRegion("chr1", 2740, 2890, gdm.StrandNone), gdm.Float(0.000034))
+	s2.AddRegion(gdm.NewRegion("chr1", 40100, 40250, gdm.StrandNone), gdm.Float(0.000051))
+	s2.AddRegion(gdm.NewRegion("chr2", 940, 1090, gdm.StrandNone), gdm.Float(0.000021))
+	s2.AddRegion(gdm.NewRegion("chr2", 22608, 22758, gdm.StrandNone), gdm.Float(0.000066))
 	s2.SortRegions()
 	ds.MustAdd(s2)
 	return ds
@@ -94,7 +94,7 @@ func (g *Generator) CTCF(nLoops int) *CTCFScenario {
 	promSample.Meta.Add("annType", "promoter")
 
 	mark := func(s *gdm.Sample, chrom string, start, stop int64) {
-		s.AddRegion(gdm.NewRegion(chrom, start, stop, gdm.StrandNone, gdm.Float(1+g.rng.ExpFloat64()*3)))
+		s.AddRegion(gdm.NewRegion(chrom, start, stop, gdm.StrandNone), gdm.Float(1+g.rng.ExpFloat64()*3))
 	}
 
 	for li := 0; li < nLoops; li++ {
@@ -102,14 +102,13 @@ func (g *Generator) CTCF(nLoops int) *CTCFScenario {
 		span := int64(50000 + g.rng.Int63n(150000)) // 50-200 kb loops
 		start := g.rng.Int63n(max64(c.Length-span, 1))
 		loopName := fmt.Sprintf("LOOP%04d", li)
-		loopSample.AddRegion(gdm.NewRegion(c.Name, start, start+span, gdm.StrandNone, gdm.Str(loopName)))
+		loopSample.AddRegion(gdm.NewRegion(c.Name, start, start+span, gdm.StrandNone), gdm.Str(loopName))
 
 		active := g.rng.Float64() < 0.6
 		geneName := fmt.Sprintf("LGENE%04d", li)
 		// Gene promoter inside the loop.
 		ptss := start + span/2 + g.rng.Int63n(span/8)
-		prom := gdm.NewRegion(c.Name, ptss-2000, ptss+200, gdm.StrandPlus, gdm.Str(geneName))
-		promSample.AddRegion(prom)
+		promSample.AddRegion(gdm.NewRegion(c.Name, ptss-2000, ptss+200, gdm.StrandPlus), gdm.Str(geneName))
 		if active {
 			// Active promoter: H3K4me3 + H3K27ac at the promoter.
 			mark(k4me3, c.Name, ptss-1500, ptss+100)
@@ -230,7 +229,7 @@ func (g *Generator) Replication(nGenes int) *ReplicationScenario {
 		for alt == ref {
 			alt = bases[g.rng.Intn(4)]
 		}
-		s.AddRegion(gdm.NewRegion(chrom, pos, pos+1, gdm.StrandNone, gdm.Str(ref), gdm.Str(alt)))
+		s.AddRegion(gdm.NewRegion(chrom, pos, pos+1, gdm.StrandNone), gdm.Str(ref), gdm.Str(alt))
 	}
 
 	for _, gene := range genes {
@@ -241,12 +240,9 @@ func (g *Generator) Replication(nGenes int) *ReplicationScenario {
 			sc.FragileGenes[gene.Name] = true
 			exprInduced = base * (0.05 + g.rng.Float64()*0.15) // sharp drop
 		}
-		body := gdm.NewRegion(gene.Chrom, gene.TSS, gene.TSS+gene.Length, gene.Strand,
-			gdm.Str(gene.Name), gdm.Float(base))
-		control.AddRegion(body)
-		ib := body
-		ib.Values = []gdm.Value{gdm.Str(gene.Name), gdm.Float(exprInduced)}
-		induced.AddRegion(ib)
+		body := gdm.NewRegion(gene.Chrom, gene.TSS, gene.TSS+gene.Length, gene.Strand)
+		control.AddRegion(body, gdm.Str(gene.Name), gdm.Float(base))
+		induced.AddRegion(body, gdm.Str(gene.Name), gdm.Float(exprInduced))
 
 		// Background mutation/breakpoint rate everywhere; strong enrichment
 		// in fragile gene bodies.
@@ -258,8 +254,8 @@ func (g *Generator) Replication(nGenes int) *ReplicationScenario {
 		}
 		for b := 0; b < nBreaks; b++ {
 			pos := gene.TSS + g.rng.Int63n(gene.Length)
-			bp.AddRegion(gdm.NewRegion(gene.Chrom, pos, pos+50, gdm.StrandNone,
-				gdm.Int(int64(2+g.rng.Intn(30)))))
+			bp.AddRegion(gdm.NewRegion(gene.Chrom, pos, pos+50, gdm.StrandNone),
+				gdm.Int(int64(2+g.rng.Intn(30))))
 		}
 		for m := 0; m < nMuts; m++ {
 			addMut(mutInduced, gene.Chrom, gene.TSS+g.rng.Int63n(gene.Length))
@@ -284,7 +280,7 @@ func (g *Generator) Replication(nGenes int) *ReplicationScenario {
 				stop = c.Length
 			}
 			v := math.Sin(float64(pos)/5e5+phase)*0.5 + 0.5
-			ts.AddRegion(gdm.NewRegion(c.Name, pos, stop, gdm.StrandNone, gdm.Float(v)))
+			ts.AddRegion(gdm.NewRegion(c.Name, pos, stop, gdm.StrandNone), gdm.Float(v))
 		}
 	}
 	ts.SortRegions()

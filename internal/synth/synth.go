@@ -110,10 +110,9 @@ func (g *Generator) ChipSeq(id string, nPeaks int) *gdm.Sample {
 		c := g.randomChrom()
 		length := int64(math.Exp(g.rng.NormFloat64()*0.5+5.5)) + 50 // ~300b median
 		start := g.rng.Int63n(max64(c.Length-length, 1))
-		s.AddRegion(gdm.NewRegion(c.Name, start, start+length, gdm.StrandNone,
+		s.AddRegion(gdm.NewRegion(c.Name, start, start+length, gdm.StrandNone),
 			gdm.Float(math.Pow(10, -2-8*g.rng.Float64())), // p in [1e-10, 1e-2]
-			gdm.Float(1+g.rng.ExpFloat64()*5),
-		))
+			gdm.Float(1+g.rng.ExpFloat64()*5))
 	}
 	s.SortRegions()
 	return s
@@ -184,7 +183,7 @@ var AnnotationSchema = gdm.MustSchema(
 )
 
 // Gene is one synthetic gene placement, used by scenario generators to plant
-// ground truth.
+// ground truth. Its promoter's name attribute is the gene's Name.
 type Gene struct {
 	Name     string
 	Chrom    string
@@ -209,10 +208,10 @@ func (g *Generator) Genes(nGenes int) []Gene {
 		name := fmt.Sprintf("GENE%05d", i)
 		var prom gdm.Region
 		if strand == gdm.StrandPlus {
-			prom = gdm.NewRegion(c.Name, tss-2000, tss+200, strand, gdm.Str(name))
+			prom = gdm.NewRegion(c.Name, tss-2000, tss+200, strand)
 		} else {
 			// TSS of a minus-strand gene is its right end.
-			prom = gdm.NewRegion(c.Name, tss+length-200, tss+length+2000, strand, gdm.Str(name))
+			prom = gdm.NewRegion(c.Name, tss+length-200, tss+length+2000, strand)
 		}
 		genes[i] = Gene{Name: name, Chrom: c.Name, TSS: tss, Strand: strand, Length: length, Promoter: prom}
 	}
@@ -237,9 +236,9 @@ func (g *Generator) Annotations(genes []Gene) *gdm.Dataset {
 	geneSample.Meta.Add("annType", "gene")
 	geneSample.Meta.Add("provider", "RefSeq")
 	for _, gene := range genes {
-		proms.AddRegion(gene.Promoter)
+		proms.AddRegion(gene.Promoter, gdm.Str(gene.Name))
 		geneSample.AddRegion(gdm.NewRegion(gene.Chrom, gene.TSS, gene.TSS+gene.Length,
-			gene.Strand, gdm.Str(gene.Name)))
+			gene.Strand), gdm.Str(gene.Name))
 	}
 	proms.SortRegions()
 	geneSample.SortRegions()

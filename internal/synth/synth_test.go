@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"testing"
 
 	"genogo/internal/gdm"
@@ -26,14 +27,14 @@ func TestGeneratorDeterministic(t *testing.T) {
 		t.Fatal("lengths differ")
 	}
 	for i := range a.Regions {
-		if a.Regions[i].String() != b.Regions[i].String() {
+		if fmt.Sprint(a.Regions[i], a.Row(i)) != fmt.Sprint(b.Regions[i], b.Row(i)) {
 			t.Fatalf("region %d differs: %s vs %s", i, a.Regions[i], b.Regions[i])
 		}
 	}
 	c := New(8).ChipSeq("s", 100)
 	same := true
 	for i := range a.Regions {
-		if a.Regions[i].String() != c.Regions[i].String() {
+		if fmt.Sprint(a.Regions[i], a.Row(i)) != fmt.Sprint(c.Regions[i], c.Row(i)) {
 			same = false
 			break
 		}
@@ -51,16 +52,16 @@ func TestChipSeqSample(t *testing.T) {
 	if !s.RegionsSorted() {
 		t.Error("regions unsorted")
 	}
-	for _, r := range s.Regions {
+	for i, r := range s.Regions {
 		if err := r.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		p := r.Values[0].Float()
+		p := s.Row(i)[0].Float()
 		if p <= 0 || p > 0.01 {
 			t.Fatalf("p_value = %g", p)
 		}
-		if r.Values[1].Float() < 1 {
-			t.Fatalf("signal = %v", r.Values[1])
+		if s.Row(i)[1].Float() < 1 {
+			t.Fatalf("signal = %v", s.Row(i)[1])
 		}
 		if r.Length() < 50 || r.Length() > 100000 {
 			t.Fatalf("length = %d", r.Length())
@@ -249,9 +250,9 @@ func TestReplicationScenario(t *testing.T) {
 	ei, _ := sc.Expression.Schema.Index("expression")
 	// Fragile genes must show a sharp induced/control expression drop.
 	exprOf := func(s *gdm.Sample, gene string) float64 {
-		for _, r := range s.Regions {
-			if r.Values[gi].Str() == gene {
-				return r.Values[ei].Float()
+		for i := range s.Regions {
+			if s.Row(i)[gi].Str() == gene {
+				return s.Row(i)[ei].Float()
 			}
 		}
 		t.Fatalf("gene %s not found", gene)

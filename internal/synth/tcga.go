@@ -107,8 +107,8 @@ func (g *Generator) TCGA(opt TCGAOptions) *TCGAScenario {
 					alt = bases[g.rng.Intn(4)]
 				}
 				vaf := math.Min(0.95, 0.05+g.rng.ExpFloat64()*0.2)
-				s.AddRegion(gdm.NewRegion(gene.Chrom, pos, pos+1, gdm.StrandNone,
-					gdm.Str(gene.Name), gdm.Str(ref), gdm.Str(alt), gdm.Float(vaf)))
+				s.AddRegion(gdm.NewRegion(gene.Chrom, pos, pos+1, gdm.StrandNone),
+					gdm.Str(gene.Name), gdm.Str(ref), gdm.Str(alt), gdm.Float(vaf))
 			}
 		}
 		s.SortRegions()

@@ -48,8 +48,8 @@ func TestTCGADriverEnrichment(t *testing.T) {
 				continue
 			}
 			total++
-			for _, r := range s.Regions {
-				if r.Values[gi].Str() == gene {
+			for i := range s.Regions {
+				if s.Row(i)[gi].Str() == gene {
 					hit++
 					break
 				}
