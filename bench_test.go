@@ -300,9 +300,9 @@ R = HISTOGRAM(2, ANY) E;
 MATERIALIZE R;`,
 	}
 	modes := map[string]engine.Config{
-		"serial": {Mode: engine.ModeSerial, MetaFirst: true},
-		"batch":  {Mode: engine.ModeBatch, MetaFirst: true},
-		"stream": {Mode: engine.ModeStream, MetaFirst: true},
+		"serial": {Mode: engine.ModeSerial},
+		"batch":  {Mode: engine.ModeBatch},
+		"stream": {Mode: engine.ModeStream},
 	}
 	for qname, script := range queries {
 		for _, n := range []int{38, 151} {
@@ -364,7 +364,7 @@ func BenchmarkE9Federation(b *testing.B) {
 	mk := func(g *synth.Generator) *federation.Server {
 		enc := g.Encode(synth.EncodeOptions{Samples: 30, MeanPeaks: 300})
 		anns := g.Annotations(g.Genes(250))
-		return federation.NewServer("node", engine.Config{Mode: engine.ModeSerial, MetaFirst: true}, enc, anns)
+		return federation.NewServer("node", engine.Config{Mode: engine.ModeSerial}, enc, anns)
 	}
 	ts1 := httptest.NewServer(mk(g1).Handler())
 	defer ts1.Close()
@@ -390,7 +390,7 @@ func BenchmarkE9Federation(b *testing.B) {
 				federation.NewClient(ts1.URL), federation.NewClient(ts2.URL)}}
 			if _, err := fed.QueryNaive(context.Background(), headlineScript, "RESULT",
 				[]string{"ANNOTATIONS", "ENCODE"},
-				engine.Config{Mode: engine.ModeSerial, MetaFirst: true}); err != nil {
+				engine.Config{Mode: engine.ModeSerial}); err != nil {
 				b.Fatal(err)
 			}
 			bytes = fed.BytesMoved()
@@ -412,7 +412,7 @@ func BenchmarkE9ChaosAblation(b *testing.B) {
 	mk := func(g *synth.Generator) *federation.Server {
 		enc := g.Encode(synth.EncodeOptions{Samples: 30, MeanPeaks: 300})
 		anns := g.Annotations(g.Genes(250))
-		return federation.NewServer("node", engine.Config{Mode: engine.ModeSerial, MetaFirst: true}, enc, anns)
+		return federation.NewServer("node", engine.Config{Mode: engine.ModeSerial}, enc, anns)
 	}
 	ts1 := httptest.NewServer(mk(g1).Handler())
 	defer ts1.Close()
@@ -516,37 +516,39 @@ func BenchmarkE10GenomeNet(b *testing.B) {
 // Ablations (DESIGN.md design decisions).
 
 // BenchmarkAblationMetaFirst measures the meta-first optimization: the
-// metadata predicate prunes samples before any region is touched.
+// metadata predicate prunes samples before any region is touched. The engine
+// always evaluates a SELECT's metadata predicate first, so the late arm is a
+// hand-built plan that filters regions in every sample before a second
+// SELECT drops samples by metadata. Both arms run their plans through
+// engine.Run directly.
 func BenchmarkAblationMetaFirst(b *testing.B) {
 	f := load()
-	script := `
+	prog, err := gmql.Parse(`
 X = SELECT(antibody == 'CTCF'; region: p_value < 0.001) ENCODE;
 Y = EXTEND(n AS COUNT) X;
 MATERIALIZE Y;
-`
-	for _, metaFirst := range []bool{true, false} {
-		b.Run(fmt.Sprintf("metaFirst=%v", metaFirst), func(b *testing.B) {
-			cfg := engine.Config{Mode: engine.ModeStream, MetaFirst: metaFirst}
+`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	early := prog.Plan("Y").(*engine.ExtendOp)
+	sel := early.Input.(*engine.SelectOp)
+	late := &engine.ExtendOp{Aggs: early.Aggs, Input: &engine.SelectOp{
+		Input: &engine.SelectOp{Input: sel.Input, Region: sel.Region},
+		Meta:  sel.Meta,
+	}}
+	for _, arm := range []struct {
+		name string
+		plan engine.Node
+	}{{"metaFirst=true", early}, {"metaFirst=false", late}} {
+		b.Run(arm.name, func(b *testing.B) {
+			cfg := engine.Config{Mode: engine.ModeStream}
 			cat := engine.MapCatalog{"ENCODE": f.encode[303]}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runScript(b, script, "Y", cfg, cat)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBinWidth sweeps the genometric bin width of the MAP
-// kernel (0 = per-chromosome sorted sweep; otherwise binned tree probes).
-func BenchmarkAblationBinWidth(b *testing.B) {
-	f := load()
-	for _, width := range []int64{0, 100000, 1000000} {
-		b.Run(fmt.Sprintf("binWidth=%d", width), func(b *testing.B) {
-			cfg := engine.Config{Mode: engine.ModeStream, MetaFirst: true, BinWidth: width}
-			cat := engine.MapCatalog{"ENCODE": f.encode[151], "ANNOTATIONS": f.annotations}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runScript(b, headlineScript, "result", cfg, cat)
+				if _, err := engine.Run(cfg, arm.plan, cat); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -566,7 +568,7 @@ MATERIALIZE D;
 `
 	for _, mode := range []engine.Mode{engine.ModeStream, engine.ModeBatch} {
 		b.Run(fmt.Sprintf("mode=%s", mode), func(b *testing.B) {
-			cfg := engine.Config{Mode: mode, MetaFirst: true}
+			cfg := engine.Config{Mode: mode}
 			cat := engine.MapCatalog{"ENCODE": f.encode[303]}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -581,7 +583,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 	f := load()
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			cfg := engine.Config{Mode: engine.ModeStream, MetaFirst: true, Workers: w}
+			cfg := engine.Config{Mode: engine.ModeStream, Workers: w}
 			cat := engine.MapCatalog{"ENCODE": f.encode[151], "ANNOTATIONS": f.annotations}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	gmql -data DIR [-out DIR] [-mode stream|batch|serial] [-workers N]
-//	     [-binwidth N] [-no-optimizer] [-explain VAR] [-profile]
+//	     [-format columnar|native|bed] [-explain VAR] [-profile]
 //	     [-profile-json] [-query-deadline D] [-max-regions N] [-max-bytes N]
 //	     SCRIPT.gmql
 //
@@ -85,8 +85,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	outDir := fs.String("out", "results", "directory for materialized results")
 	mode := fs.String("mode", "stream", "execution backend: serial, batch or stream")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	binWidth := fs.Int64("binwidth", 0, "genometric bin width (0 = per-chromosome sweeps)")
-	noOpt := fs.Bool("no-optimizer", false, "disable the logical optimizer")
 	explain := fs.String("explain", "", "print the plan of VAR instead of executing")
 	profile := fs.Bool("profile", false, "print an EXPLAIN ANALYZE span tree per materialized variable")
 	profileJSON := fs.Bool("profile-json", false, "emit the profile (query_id + span tree per variable) as JSON instead of text")
@@ -100,10 +98,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("want exactly one script file, have %d args", fs.NArg())
 	}
-	cfg, err := parseConfig(*mode, *workers, *binWidth)
+	m, err := engine.ParseMode(*mode)
 	if err != nil {
 		return err
 	}
+	cfg := engine.Config{Mode: m, Workers: *workers}
 
 	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
@@ -119,7 +118,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	} else if len(names) == 0 {
 		return fmt.Errorf("no datasets found under %s", *dataDir)
 	}
-	runner := &gmql.Runner{Config: cfg, Catalog: catalog, DisableOptimizer: *noOpt,
+	runner := &gmql.Runner{Config: cfg, Catalog: catalog,
 		Limits: engine.Limits{
 			MaxOutputRegions: *maxRegions,
 			MaxResidentBytes: *maxBytes,
@@ -252,21 +251,4 @@ func writeBEDDataset(dir string, ds *gdm.Dataset) error {
 		}
 	}
 	return nil
-}
-
-func parseConfig(mode string, workers int, binWidth int64) (engine.Config, error) {
-	cfg := engine.DefaultConfig()
-	cfg.Workers = workers
-	cfg.BinWidth = binWidth
-	switch mode {
-	case "serial":
-		cfg.Mode = engine.ModeSerial
-	case "batch":
-		cfg.Mode = engine.ModeBatch
-	case "stream":
-		cfg.Mode = engine.ModeStream
-	default:
-		return cfg, fmt.Errorf("unknown mode %q", mode)
-	}
-	return cfg, nil
 }

@@ -230,16 +230,6 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
-func TestParseConfig(t *testing.T) {
-	cfg, err := parseConfig("batch", 7, 1000)
-	if err != nil || cfg.Workers != 7 || cfg.BinWidth != 1000 {
-		t.Errorf("cfg = %+v, %v", cfg, err)
-	}
-	if _, err := parseConfig("nope", 0, 0); err == nil {
-		t.Error("bad mode accepted")
-	}
-}
-
 func TestCLIBEDExport(t *testing.T) {
 	data := writeRepo(t)
 	outDir := filepath.Join(t.TempDir(), "bedout")
@@ -439,10 +429,11 @@ func eagerDigests(t *testing.T, data, script, mode string) map[string]string {
 	for _, ds := range dss {
 		cat[ds.Name] = ds
 	}
-	cfg, err := parseConfig(mode, 0, 0)
+	m, err := engine.ParseMode(mode)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := engine.Config{Mode: m}
 	prog, err := gmql.Parse(script)
 	if err != nil {
 		t.Fatal(err)

@@ -168,17 +168,12 @@ func setup(args []string, out io.Writer) (*node, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	cfg := engine.DefaultConfig()
-	switch *mode {
-	case "serial":
-		cfg.Mode = engine.ModeSerial
-	case "batch":
-		cfg.Mode = engine.ModeBatch
-	case "stream":
-		cfg.Mode = engine.ModeStream
-	default:
-		return nil, fmt.Errorf("unknown mode %q", *mode)
+	m, err := engine.ParseMode(*mode)
+	if err != nil {
+		return nil, err
 	}
+	cfg := engine.DefaultConfig()
+	cfg.Mode = m
 
 	// Warm the node's one catalog through the verified read path: every
 	// dataset is loaded now, checksums and manifests are checked, and corrupt

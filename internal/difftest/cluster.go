@@ -136,7 +136,7 @@ func RunClusterCase(opts ClusterOptions) *ClusterResult {
 		return res
 	}
 	oracle, oracleErr := (&gmql.Runner{
-		Config:  engine.Config{Mode: engine.ModeSerial, Workers: 1, MetaFirst: true, ValidateOutputs: true},
+		Config:  engine.Config{Mode: engine.ModeSerial, Workers: 1, ValidateOutputs: true},
 		Catalog: cat,
 	}).Eval(prog, script.Final)
 	if oracleErr != nil {
@@ -153,7 +153,7 @@ func RunClusterCase(opts ClusterOptions) *ClusterResult {
 	// exactness invariant applies to arbitrary generated scripts (including
 	// cross-sample operators like MERGE and COVER, which are only shard-safe
 	// when each replica sees all samples).
-	cfg := engine.Config{Mode: engine.ModeStream, Workers: 4, MetaFirst: true, ValidateOutputs: true}
+	cfg := engine.Config{Mode: engine.ModeStream, Workers: 4, ValidateOutputs: true}
 	outages := make([]*resilience.Outage, clusterMembers)
 	clients := make([]*federation.Client, clusterMembers)
 	for i := 0; i < clusterMembers; i++ {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"genogo/internal/engine"
 	"genogo/internal/gdm"
 	"genogo/internal/gmql"
 )
@@ -110,7 +109,7 @@ func TestCatalogDigestsCatchSharedWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&gmql.Runner{Config: engine.Config{MetaFirst: true}, Catalog: cat}).Eval(prog, "X")
+	res, err := (&gmql.Runner{Catalog: cat}).Eval(prog, "X")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ type ExecConfig struct {
 // node — the invariant half of the differential check.
 func Matrix() []ExecConfig {
 	base := func(m engine.Mode, workers int) engine.Config {
-		return engine.Config{Mode: m, Workers: workers, MetaFirst: true, ValidateOutputs: true}
+		return engine.Config{Mode: m, Workers: workers, ValidateOutputs: true}
 	}
 	return []ExecConfig{
 		{Name: "serial", Cfg: base(engine.ModeSerial, 1)},
@@ -274,7 +274,7 @@ func fanOutReference(prog *gmql.Program, final string, members []engine.MapCatal
 // fan-out, execute/stage/chunked-retrieval wire path and MERGE of
 // Sections 4.3–4.4.
 func runFederated(text, final string, members []engine.MapCatalog) (*gdm.Dataset, error) {
-	cfg := engine.Config{Mode: engine.ModeStream, Workers: 4, MetaFirst: true, ValidateOutputs: true}
+	cfg := engine.Config{Mode: engine.ModeStream, Workers: 4, ValidateOutputs: true}
 	fed := &federation.Federator{}
 	for i, cat := range members {
 		srv := federation.NewServer(fmt.Sprintf("difftest-node%d", i+1), cfg,

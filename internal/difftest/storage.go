@@ -39,10 +39,7 @@ func storageMatrix(dc *formats.DirCatalog) []storageConfig {
 		return nil
 	}
 	base := func(m engine.Mode, workers int, noPrune bool) engine.Config {
-		return engine.Config{
-			Mode: m, Workers: workers, MetaFirst: true,
-			DisablePruning: noPrune, ValidateOutputs: true,
-		}
+		return engine.Config{Mode: m, Workers: workers, DisablePruning: noPrune, ValidateOutputs: true}
 	}
 	return []storageConfig{
 		{Name: "columnar/serial", Cfg: base(engine.ModeSerial, 1, false), Cat: dc},

@@ -19,8 +19,8 @@ func BenchmarkSelect(b *testing.B) {
 	a, _ := benchData(8, 2000)
 	pred := expr.Cmp{Op: expr.CmpGt, Left: expr.Attr{Name: "score"}, Right: expr.Const{Value: gdm.Float(5)}}
 	for _, cfg := range []Config{
-		{Mode: ModeSerial, MetaFirst: true},
-		{Mode: ModeStream, Workers: 4, MetaFirst: true},
+		{Mode: ModeSerial},
+		{Mode: ModeStream, Workers: 4},
 	} {
 		b.Run(cfg.Mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -38,9 +38,8 @@ func BenchmarkMapKernel(b *testing.B) {
 		name string
 		cfg  Config
 	}{
-		{"sweep", Config{Mode: ModeSerial, MetaFirst: true}},
-		{"tree-binned", Config{Mode: ModeSerial, MetaFirst: true, BinWidth: 50000}},
-		{"sweep-parallel", Config{Mode: ModeStream, Workers: 4, MetaFirst: true}},
+		{"sweep", Config{Mode: ModeSerial}},
+		{"sweep-parallel", Config{Mode: ModeStream, Workers: 4}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -65,7 +64,7 @@ func sizeSweep(b *testing.B, samples int, fn func(b *testing.B, ds *gdm.Dataset)
 
 func BenchmarkJoinKernel(b *testing.B) {
 	l, r := benchData(3, 2000)
-	cfg := Config{Mode: ModeStream, Workers: 4, MetaFirst: true}
+	cfg := Config{Mode: ModeStream, Workers: 4}
 	preds := map[string]GenometricPred{
 		"DLE":    {Conds: []DistCond{{Op: DistLE, Dist: 1000}}},
 		"DLE+MD": {Conds: []DistCond{{Op: DistLE, Dist: 5000}}, MinDistK: 3},
@@ -93,7 +92,7 @@ func BenchmarkJoinKernel(b *testing.B) {
 
 func BenchmarkCoverKernel(b *testing.B) {
 	a, _ := benchData(10, 2000)
-	cfg := Config{Mode: ModeStream, Workers: 4, MetaFirst: true}
+	cfg := Config{Mode: ModeStream, Workers: 4}
 	args := func(v CoverVariant) CoverArgs {
 		return CoverArgs{Min: CoverBound{Kind: BoundN, N: 2}, Max: CoverBound{Kind: BoundAny}, Variant: v}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -148,11 +149,15 @@ func Cover(cfg Config, ds *gdm.Dataset, args CoverArgs) (*gdm.Dataset, error) {
 
 	// Tasks span (group, chromosome): COVER of a single group still uses
 	// every worker, one chromosome each, mirroring the genomic partitioning
-	// of the distributed implementations.
+	// of the distributed implementations. Each task keeps its emitted
+	// segments and their aggregate state; then each group's sample is
+	// allocated at its exact size, and its tasks fill their windows of it.
 	type task struct {
 		group int
 		chrom string
-		out   rows
+		kept  []intervals.CoverSegment // emitted (start, stop, acc_index)
+		aggs  aggRows                  // one row per kept segment
+		at    int                      // index of the task's first region in its group's sample
 	}
 	tasks := make([]*task, 0, len(order))
 	taskIdx := make([][]int, len(order))
@@ -188,7 +193,9 @@ func Cover(cfg Config, ds *gdm.Dataset, args CoverArgs) (*gdm.Dataset, error) {
 			lo, hi := m.ChromRange(tk.chrom)
 			n += hi - lo
 		}
-		entries := make([]intervals.Entry, 0, n)
+		eb := entryPool.Get().(*[]intervals.Entry)
+		defer entryPool.Put(eb)
+		entries := slices.Grow((*eb)[:0], n)
 		var sources [][]gdm.Value
 		if len(args.Aggs) > 0 {
 			sources = make([][]gdm.Value, 0, n)
@@ -206,16 +213,15 @@ func Cover(cfg Config, ds *gdm.Dataset, args CoverArgs) (*gdm.Dataset, error) {
 				}
 			}
 		}
+		*eb = entries
 		intervals.SortEntries(entries)
 		segs := intervals.Coverage(entries)
-		tk.out = coverRegions(segs, entries, minAccs[tk.group], maxAccs[tk.group], args.Variant)
+		tk.kept = coverSegments(segs, entries, minAccs[tk.group], maxAccs[tk.group], args.Variant)
 		if len(args.Aggs) > 0 {
-			tk.out.values = coverAggs(tk.out, entries, sources, args.Aggs, aggIdx)
-		}
-		for i := range tk.out.regions {
-			tk.out.regions[i].Chrom = tk.chrom
+			tk.aggs = coverAggs(tk.kept, entries, sources, args.Aggs, aggIdx)
 		}
 	})
+	ow := outSchema.Len()
 	cfg.forEach(len(order), func(gi int) {
 		members := groups[order[gi]]
 		ids := make([]string, len(members))
@@ -227,44 +233,56 @@ func Cover(cfg Config, ds *gdm.Dataset, args CoverArgs) (*gdm.Dataset, error) {
 			m.Meta.MergeInto(ns.Meta, "")
 		}
 		ns.Meta.Set("_cover", fmt.Sprintf("%s(%s,%s)", args.Variant, args.Min, args.Max))
-		body := concatRows(len(taskIdx[gi]), func(i int) *rows { return &tasks[taskIdx[gi][i]].out })
-		ns.Regions, ns.Values = body.regions, body.values
-		ns.SortRegions()
+		n := 0
+		for _, ti := range taskIdx[gi] {
+			tasks[ti].at, n = n, n+len(tasks[ti].kept)
+		}
+		ns.Regions, ns.Values = make([]gdm.Region, n), make([]gdm.Value, n*ow)
 		outSamples[gi] = ns
 	})
+	cfg.forEach(len(tasks), func(ti int) {
+		tk := tasks[ti]
+		s := outSamples[tk.group]
+		for i, k := range tk.kept {
+			s.Regions[tk.at+i] = gdm.Region{Chrom: tk.chrom, Start: k.Start, Stop: k.Stop}
+			row := s.Values[(tk.at+i)*ow : (tk.at+i+1)*ow]
+			row[0] = gdm.Int(int64(k.Depth))
+			for j, st := range tk.aggs.states {
+				row[1+j] = st.Result(i)
+			}
+		}
+	})
+	cfg.forEach(len(outSamples), func(gi int) { outSamples[gi].SortRegions() })
 	out.Samples = outSamples
 	return out, nil
 }
 
-// coverAggs returns the output regions' rows extended with aggregates over
-// the input regions (rows in sources) intersecting each. Output regions are
-// sorted and disjoint (except FLAT, which may overlap after extension), so a
-// fresh sweep per output region set is linear in practice.
-func coverAggs(out rows, entries []intervals.Entry, sources [][]gdm.Value,
-	aggs []expr.Aggregate, aggIdx []int) []gdm.Value {
-	outEntries := make([]intervals.Entry, len(out.regions))
-	for i, r := range out.regions {
-		outEntries[i] = intervals.Entry{Start: r.Start, Stop: r.Stop, Payload: int32(i)}
+// coverAggs folds the input regions (rows in sources) intersecting each
+// kept segment into that segment's row of aggregate state. Kept segments
+// are sorted and disjoint (except FLAT, which may overlap after extension),
+// so a fresh sweep per task is linear in practice.
+func coverAggs(kept []intervals.CoverSegment, entries []intervals.Entry, sources [][]gdm.Value,
+	aggs []expr.Aggregate, aggIdx []int) aggRows {
+	buf := entryPool.Get().(*[]intervals.Entry)
+	defer entryPool.Put(buf)
+	outEntries := (*buf)[:0]
+	for i, k := range kept {
+		outEntries = append(outEntries, intervals.Entry{Start: k.Start, Stop: k.Stop, Payload: int32(i)})
 	}
+	*buf = outEntries
 	intervals.SortEntries(outEntries)
-	state := newAggRows(aggs, aggIdx, len(out.regions))
+	state := newAggRows(aggs, aggIdx, len(kept))
 	intervals.SweepOverlaps(outEntries, entries, func(o, e intervals.Entry) bool {
 		state.add(int(o.Payload), sources[e.Payload])
 		return true
 	})
-	w := CoverSchema.Len()
-	vals := make([]gdm.Value, 0, len(out.regions)*(w+len(aggs)))
-	for i := range out.regions {
-		vals = append(vals, out.values[i*w:(i+1)*w]...)
-		vals = state.appendResults(vals, i)
-	}
-	return vals
+	return state
 }
 
-// coverRegions turns one chromosome's coverage profile into output regions
-// according to the variant, with their acc_index values in one slab. It
-// reuses segs' storage. Chrom is filled in by the caller.
-func coverRegions(segs []intervals.CoverSegment, entries []intervals.Entry, minAcc, maxAcc int64, variant CoverVariant) rows {
+// coverSegments filters one chromosome's coverage profile into the
+// segments the variant emits, each with its acc_index as Depth. It reuses
+// segs' storage.
+func coverSegments(segs []intervals.CoverSegment, entries []intervals.Entry, minAcc, maxAcc int64, variant CoverVariant) []intervals.CoverSegment {
 	qualifies := func(d int) bool { return int64(d) >= minAcc && int64(d) <= maxAcc }
 	// Filter segs in place into the emitted (start, stop, acc_index)
 	// triples. Writes never pass the read position, and a write below it
@@ -300,12 +318,7 @@ func coverRegions(segs []intervals.CoverSegment, entries []intervals.Entry, minA
 	if variant == CoverFlat {
 		flatExtents(kept, entries)
 	}
-	out := rows{make([]gdm.Region, len(kept)), make([]gdm.Value, len(kept))}
-	for i, k := range kept {
-		out.regions[i] = gdm.Region{Start: k.Start, Stop: k.Stop}
-		out.values[i] = gdm.Int(int64(k.Depth))
-	}
-	return out
+	return kept
 }
 
 // flatExtents extends each run to the extent of every entry intersecting

@@ -19,7 +19,7 @@ func TestCoverWithAggregates(t *testing.T) {
 			regSpec{"chr1", 300, 400, gdm.StrandNone, 10, "z"},
 		),
 	)
-	out, err := Cover(Config{MetaFirst: true}, ds, CoverArgs{
+	out, err := Cover(Config{}, ds, CoverArgs{
 		Min: CoverBound{Kind: BoundN, N: 2}, Max: CoverBound{Kind: BoundAny},
 		Aggs: []expr.Aggregate{
 			{Output: "n", Func: expr.AggCount},

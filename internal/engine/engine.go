@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"time"
 
@@ -41,35 +40,42 @@ const (
 	ModeStream
 )
 
+var modeNames = [...]string{ModeSerial: "serial", ModeBatch: "batch", ModeStream: "stream"}
+
 // String names the backend.
 func (m Mode) String() string {
-	switch m {
-	case ModeSerial:
-		return "serial"
-	case ModeBatch:
-		return "batch"
-	case ModeStream:
-		return "stream"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
+	if int(m) < len(modeNames) {
+		return modeNames[m]
 	}
+	return fmt.Sprintf("mode(%d)", uint8(m))
 }
 
-// Config carries the execution strategy knobs. The zero value is a valid
-// serial configuration; DefaultConfig returns the parallel default.
+// ParseMode is the inverse of Mode.String: it resolves a backend name.
+func ParseMode(name string) (Mode, error) {
+	for m, n := range modeNames {
+		if n == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want serial, batch or stream)", name)
+}
+
+// Config carries the execution settings. Every setting that changes how a
+// query runs (Mode, Workers, DisablePruning) is an axis of the differential
+// oracle, which pins that results do not depend on it. The zero value is a
+// valid serial configuration; DefaultConfig returns the parallel default.
+// Metadata predicates always prune whole samples before any region is
+// touched (the meta-first optimization): there is no setting for it.
 type Config struct {
 	// Mode selects the backend.
 	Mode Mode
 	// Workers bounds the worker pool for the parallel backends;
 	// <= 0 means GOMAXPROCS.
 	Workers int
-	// BinWidth partitions chromosomes into fixed-width genometric bins for
-	// the parallel region kernels; <= 0 means one bin per chromosome. This
-	// is the binning ablation knob of DESIGN.md.
-	BinWidth int64
-	// MetaFirst enables the meta-first optimization: metadata predicates
-	// prune whole samples before any region is touched. Disabled only for
-	// the optimizer ablation.
+	// MetaFirst is read by nothing: metadata predicates always run first.
+	//
+	// Deprecated: the field remains only because bench/ still names it;
+	// ROADMAP item 2's [benchmark] change deletes it.
 	MetaFirst bool
 	// DisablePruning turns off partition-level pruned reads against a
 	// PrunedCatalog: every Scan loads its full dataset. The pruned and
@@ -98,7 +104,7 @@ type Config struct {
 
 // DefaultConfig returns the recommended parallel configuration.
 func DefaultConfig() Config {
-	return Config{Mode: ModeStream, Workers: runtime.GOMAXPROCS(0), MetaFirst: true}
+	return Config{Mode: ModeStream, Workers: runtime.GOMAXPROCS(0)}
 }
 
 // workers resolves the configured worker count.
@@ -293,43 +299,6 @@ func chromSpans(s *gdm.Sample) []chromSpan {
 		}
 		out = append(out, chromSpan{c, i, j})
 		i = j
-	}
-	return out
-}
-
-// rows is a run of output regions and their row-major attribute values.
-type rows struct {
-	regions []gdm.Region
-	values  []gdm.Value
-}
-
-// concatRows concatenates n parts into one exact-size run (nil slices when
-// they are all empty).
-func concatRows(n int, part func(i int) *rows) rows {
-	regions, values := make([][]gdm.Region, n), make([][]gdm.Value, n)
-	for i := range n {
-		regions[i], values[i] = part(i).regions, part(i).values
-	}
-	return rows{slices.Concat(regions...), slices.Concat(values...)}
-}
-
-// binSpans splits a chromosome span into genometric bins of width w (by
-// region start coordinate). Regions stay whole: a region belongs to the bin
-// containing its start, and bin boundaries never split the slice mid-run.
-func binSpans(s *gdm.Sample, cs chromSpan, w int64) []chromSpan {
-	if w <= 0 || cs.hi-cs.lo <= 1 {
-		return []chromSpan{cs}
-	}
-	var out []chromSpan
-	lo := cs.lo
-	for lo < cs.hi {
-		bin := s.Regions[lo].Start / w
-		hi := lo + 1
-		for hi < cs.hi && s.Regions[hi].Start/w == bin {
-			hi++
-		}
-		out = append(out, chromSpan{cs.chrom, lo, hi})
-		lo = hi
 	}
 	return out
 }

@@ -457,7 +457,7 @@ func (e *evaluator) tryFusedChain(n Node, sp *obs.Span) (*gdm.Dataset, bool, err
 			var meta expr.MetaPredicate
 			meta, cerr = e.resolveSelectMeta(op, sp)
 			if cerr == nil {
-				st, cerr = compileSelect(e.cfg, schema, meta, op.Region)
+				st, cerr = compileSelect(schema, meta, op.Region)
 			}
 		case *ProjectOp:
 			st, cerr = compileProject(schema, op.Args)
@@ -480,8 +480,8 @@ func (e *evaluator) tryFusedChain(n Node, sp *obs.Span) (*gdm.Dataset, bool, err
 //  2. SELECT over UNION pushes down into both branches, pruning samples
 //     before they are copied.
 //
-// The meta-first sample pruning itself lives in the SELECT kernel (it is an
-// execution-time property controlled by Config.MetaFirst).
+// The meta-first sample pruning itself lives in the SELECT kernel, which
+// evaluates the metadata predicate before it touches a region.
 func Optimize(n Node) Node {
 	switch op := n.(type) {
 	case *SelectOp:

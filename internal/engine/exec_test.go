@@ -250,7 +250,7 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 				Right: expr.Const{Value: gdm.Float(4)}},
 		}
 	}
-	cfg := Config{Mode: ModeSerial, MetaFirst: true}
+	cfg := Config{Mode: ModeSerial}
 	plain, err := Run(cfg, plan(), cat)
 	if err != nil {
 		t.Fatal(err)
@@ -280,11 +280,11 @@ func TestStreamFusionEquivalence(t *testing.T) {
 			Aggs: []expr.Aggregate{{Output: "total", Func: expr.AggSum, Attr: "score"}},
 		}
 	}
-	fused, err := Run(Config{Mode: ModeStream, Workers: 3, MetaFirst: true}, plan(), cat)
+	fused, err := Run(Config{Mode: ModeStream, Workers: 3}, plan(), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unfused, err := Run(Config{Mode: ModeBatch, Workers: 3, MetaFirst: true}, plan(), cat)
+	unfused, err := Run(Config{Mode: ModeBatch, Workers: 3}, plan(), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestModeStrings(t *testing.T) {
 
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.Mode != ModeStream || !cfg.MetaFirst || cfg.Workers < 1 {
+	if cfg.Mode != ModeStream || cfg.Workers < 1 {
 		t.Errorf("DefaultConfig = %+v", cfg)
 	}
 	if (Config{Mode: ModeSerial, Workers: 8}).workers() != 1 {
@@ -362,6 +362,20 @@ func TestDefaultConfig(t *testing.T) {
 	}
 	if (Config{Mode: ModeBatch, Workers: 3}).workers() != 3 {
 		t.Error("explicit workers ignored")
+	}
+}
+
+// TestParseMode: ParseMode inverts Mode.String and rejects unknown names.
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{ModeSerial, ModeBatch, ModeStream} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, name := range []string{"nope", "", "Stream", Mode(9).String()} {
+		if _, err := ParseMode(name); err == nil {
+			t.Errorf("ParseMode(%q) accepted", name)
+		}
 	}
 }
 
@@ -384,11 +398,11 @@ func TestFusedChainWithSemijoin(t *testing.T) {
 			Aggs: []expr.Aggregate{{Output: "n", Func: expr.AggCount}},
 		}
 	}
-	fused, err := Run(Config{Mode: ModeStream, Workers: 2, MetaFirst: true}, mkPlan(), cat)
+	fused, err := Run(Config{Mode: ModeStream, Workers: 2}, mkPlan(), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := Run(Config{Mode: ModeSerial, MetaFirst: true}, mkPlan(), cat)
+	serial, err := Run(Config{Mode: ModeSerial}, mkPlan(), cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,9 @@ const cancelLatencyBound = 100 * time.Millisecond
 // serial, batch (unfused, concurrent binary operands) and stream (fused).
 func governedConfigs() []Config {
 	return []Config{
-		{Mode: ModeSerial, MetaFirst: true},
-		{Mode: ModeBatch, Workers: 3, MetaFirst: true},
-		{Mode: ModeStream, Workers: 3, MetaFirst: true},
+		{Mode: ModeSerial},
+		{Mode: ModeBatch, Workers: 3},
+		{Mode: ModeStream, Workers: 3},
 	}
 }
 
@@ -159,7 +159,7 @@ func TestGovernBudgetOutputRegions(t *testing.T) {
 // budget trips at an operator boundary.
 func TestGovernBudgetResidentBytes(t *testing.T) {
 	cat := governedCatalog(t)
-	sess := NewSession(Config{Mode: ModeStream, Workers: 3, MetaFirst: true}, cat)
+	sess := NewSession(Config{Mode: ModeStream, Workers: 3}, cat)
 	stop := sess.Govern(context.Background(), Limits{MaxResidentBytes: 64})
 	defer stop()
 	_, err := sess.Eval(governedPlan("peaks"))
@@ -204,7 +204,7 @@ func TestCancelRunContext(t *testing.T) {
 	cat := governedCatalog(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, Config{Mode: ModeSerial, MetaFirst: true}, governedPlan("peaks"), cat, Limits{})
+	_, err := RunContext(ctx, Config{Mode: ModeSerial}, governedPlan("peaks"), cat, Limits{})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled from pre-canceled context, got %v", err)
 	}
@@ -241,7 +241,7 @@ func TestKilledClassifier(t *testing.T) {
 func TestCancelSlowConsumer(t *testing.T) {
 	cat := governedCatalog(t)
 	staller := &resilience.Staller{Delay: time.Millisecond}
-	cfg := Config{Mode: ModeBatch, Workers: 3, MetaFirst: true, Stall: staller.Hook}
+	cfg := Config{Mode: ModeBatch, Workers: 3, Stall: staller.Hook}
 	sess := NewSession(cfg, cat)
 	stop := sess.Govern(context.Background(), Limits{})
 	defer stop()

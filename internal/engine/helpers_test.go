@@ -85,10 +85,9 @@ func randomDatasetSpan(rng *rand.Rand, name string, nSamples, regionsPerSample i
 // shake out concurrency bugs under the race detector.
 func allConfigs() []Config {
 	return []Config{
-		{Mode: ModeSerial, MetaFirst: true},
-		{Mode: ModeBatch, Workers: 3, MetaFirst: true},
-		{Mode: ModeStream, Workers: 3, MetaFirst: true},
-		{Mode: ModeStream, Workers: 3, MetaFirst: true, BinWidth: 5000},
+		{Mode: ModeSerial},
+		{Mode: ModeBatch, Workers: 3},
+		{Mode: ModeStream, Workers: 3},
 	}
 }
 

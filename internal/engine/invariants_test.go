@@ -172,7 +172,7 @@ func TestValidateOutputsCatchesViolations(t *testing.T) {
 	s.AddRegion(gdm.NewRegion("chr2", 10, 20, gdm.StrandNone), gdm.Float(1), gdm.Str("r"))
 	s.AddRegion(gdm.NewRegion("chr1", 10, 20, gdm.StrandNone), gdm.Float(1), gdm.Str("r"))
 	bad.Samples = append(bad.Samples, s) // bypass Add: regions deliberately unsorted
-	cfg := Config{Mode: ModeSerial, MetaFirst: true, ValidateOutputs: true}
+	cfg := Config{Mode: ModeSerial, ValidateOutputs: true}
 	_, err := Run(cfg, &Scan{Dataset: "BAD"}, MapCatalog{"BAD": bad})
 	if err == nil {
 		t.Fatal("unsorted scan output passed ValidateOutputs")
@@ -220,7 +220,7 @@ func TestMapCountConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(500))
 	ref := randomDataset(rng, "REF", 2, 50)
 	exp := randomDataset(rng, "EXP", 2, 50)
-	out, err := Map(Config{MetaFirst: true}, ref, exp, MapArgs{Aggs: countAgg()})
+	out, err := Map(Config{}, ref, exp, MapArgs{Aggs: countAgg()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestDifferenceSubsetProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
 	left := randomDataset(rng, "L", 3, 60)
 	right := randomDataset(rng, "R", 3, 60)
-	out, err := Difference(Config{MetaFirst: true}, left, right, DifferenceArgs{})
+	out, err := Difference(Config{}, left, right, DifferenceArgs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestUnionCountProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(700))
 	a := randomDataset(rng, "A", 4, 30)
 	b := randomDataset(rng, "B", 3, 30)
-	out, err := Union(Config{MetaFirst: true}, a, b)
+	out, err := Union(Config{}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestJoinDLE(t *testing.T) {
 
 func TestJoinDGEAndDLE(t *testing.T) {
 	left, right := joinFixture(t)
-	out, err := Join(Config{MetaFirst: true}, left, right, JoinArgs{
+	out, err := Join(Config{}, left, right, JoinArgs{
 		Pred: GenometricPred{Conds: []DistCond{
 			{Op: DistGE, Dist: 1}, {Op: DistLE, Dist: 600},
 		}},
@@ -98,7 +98,7 @@ func TestJoinDGEAndDLE(t *testing.T) {
 
 func TestJoinMD(t *testing.T) {
 	left, right := joinFixture(t)
-	out, err := Join(Config{MetaFirst: true}, left, right, JoinArgs{
+	out, err := Join(Config{}, left, right, JoinArgs{
 		Pred:   GenometricPred{MinDistK: 1},
 		Output: OutLeft,
 	})
@@ -118,7 +118,7 @@ func TestJoinMDWithDistanceFilter(t *testing.T) {
 	left, right := joinFixture(t)
 	// Nearest to gene1 is the overlapping e2; requiring DGE(1) filters it
 	// out, and MD(1) does NOT fall back to the second nearest.
-	out, err := Join(Config{MetaFirst: true}, left, right, JoinArgs{
+	out, err := Join(Config{}, left, right, JoinArgs{
 		Pred:   GenometricPred{MinDistK: 1, Conds: []DistCond{{Op: DistGE, Dist: 1}}},
 		Output: OutLeft,
 	})
@@ -136,7 +136,7 @@ func TestJoinMDWithDistanceFilter(t *testing.T) {
 
 func TestJoinStreamDirections(t *testing.T) {
 	left, right := joinFixture(t)
-	up, err := Join(Config{MetaFirst: true}, left, right, JoinArgs{
+	up, err := Join(Config{}, left, right, JoinArgs{
 		Pred:   GenometricPred{Conds: []DistCond{{Op: DistLE, Dist: 1000}}, Stream: StreamUp},
 		Output: OutLeft,
 	})
@@ -152,7 +152,7 @@ func TestJoinStreamDirections(t *testing.T) {
 	if len(gotUp["gene2"]) != 1 || gotUp["gene2"][0] != "e4" {
 		t.Errorf("gene2 upstream = %v", gotUp["gene2"])
 	}
-	down, err := Join(Config{MetaFirst: true}, left, right, JoinArgs{
+	down, err := Join(Config{}, left, right, JoinArgs{
 		Pred:   GenometricPred{Conds: []DistCond{{Op: DistLE, Dist: 1000}}, Stream: StreamDown},
 		Output: OutLeft,
 	})
@@ -183,7 +183,7 @@ func TestJoinOutputModes(t *testing.T) {
 		{OutCat, 100, 250},
 	}
 	for _, c := range cases {
-		out, err := Join(Config{MetaFirst: true}, left, right, JoinArgs{
+		out, err := Join(Config{}, left, right, JoinArgs{
 			Pred:   GenometricPred{Conds: []DistCond{{Op: DistLE, Dist: 0}}},
 			Output: c.mode,
 		})
@@ -207,7 +207,7 @@ func TestJoinOutputModes(t *testing.T) {
 func TestJoinIntOnlyEmitsOverlaps(t *testing.T) {
 	left := mkDataset(t, "L", mkSample("l", nil, regSpec{"chr1", 0, 100, gdm.StrandNone, 1, "a"}))
 	right := mkDataset(t, "R", mkSample("r", nil, regSpec{"chr1", 200, 300, gdm.StrandNone, 2, "b"}))
-	out, err := Join(Config{MetaFirst: true}, left, right, JoinArgs{
+	out, err := Join(Config{}, left, right, JoinArgs{
 		Pred:   GenometricPred{Conds: []DistCond{{Op: DistLE, Dist: 1000}}},
 		Output: OutInt,
 	})
@@ -311,7 +311,7 @@ func TestCoverStandard(t *testing.T) {
 
 func TestCoverAllAndAnyBounds(t *testing.T) {
 	ds := coverFixture(t)
-	all, err := Cover(Config{MetaFirst: true}, ds, CoverArgs{
+	all, err := Cover(Config{}, ds, CoverArgs{
 		Min: CoverBound{Kind: BoundAll}, Max: CoverBound{Kind: BoundAll},
 	})
 	if err != nil {
@@ -322,7 +322,7 @@ func TestCoverAllAndAnyBounds(t *testing.T) {
 	if len(s.Regions) != 1 || s.Regions[0].Start != 60 || s.Regions[0].Stop != 90 {
 		t.Fatalf("ALL cover = %v", s.Regions)
 	}
-	anyv, err := Cover(Config{MetaFirst: true}, ds, CoverArgs{
+	anyv, err := Cover(Config{}, ds, CoverArgs{
 		Min: CoverBound{Kind: BoundAny}, Max: CoverBound{Kind: BoundAny},
 	})
 	if err != nil {
@@ -337,7 +337,7 @@ func TestCoverAllAndAnyBounds(t *testing.T) {
 
 func TestCoverHistogram(t *testing.T) {
 	ds := coverFixture(t)
-	out, err := Cover(Config{MetaFirst: true}, ds, CoverArgs{
+	out, err := Cover(Config{}, ds, CoverArgs{
 		Min: CoverBound{Kind: BoundAny}, Max: CoverBound{Kind: BoundAny},
 		Variant: CoverHistogram,
 	})
@@ -373,7 +373,7 @@ func TestCoverHistogram(t *testing.T) {
 
 func TestCoverSummit(t *testing.T) {
 	ds := coverFixture(t)
-	out, err := Cover(Config{MetaFirst: true}, ds, CoverArgs{
+	out, err := Cover(Config{}, ds, CoverArgs{
 		Min: CoverBound{Kind: BoundAny}, Max: CoverBound{Kind: BoundAny},
 		Variant: CoverSummit,
 	})
@@ -395,7 +395,7 @@ func TestCoverSummit(t *testing.T) {
 
 func TestCoverFlat(t *testing.T) {
 	ds := coverFixture(t)
-	out, err := Cover(Config{MetaFirst: true}, ds, CoverArgs{
+	out, err := Cover(Config{}, ds, CoverArgs{
 		Min: CoverBound{Kind: BoundN, N: 2}, Max: CoverBound{Kind: BoundAny},
 		Variant: CoverFlat,
 	})
@@ -423,7 +423,7 @@ func TestCoverGroupBy(t *testing.T) {
 		mkSample("a2", map[string]string{"antibody": "CTCF"}, regSpec{"chr1", 50, 150, gdm.StrandNone, 1, "y"}),
 		mkSample("b1", map[string]string{"antibody": "POL2"}, regSpec{"chr1", 60, 70, gdm.StrandNone, 1, "z"}),
 	)
-	out, err := Cover(Config{MetaFirst: true}, ds, CoverArgs{
+	out, err := Cover(Config{}, ds, CoverArgs{
 		Min: CoverBound{Kind: BoundN, N: 2}, Max: CoverBound{Kind: BoundAny},
 		GroupBy: []string{"antibody"},
 	})
@@ -454,7 +454,7 @@ func TestCoverOutputsNeverOverlap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds := randomDataset(rng, "D", 5, 100)
 	for _, variant := range []CoverVariant{CoverStandard, CoverFlat, CoverHistogram} {
-		out, err := Cover(Config{MetaFirst: true}, ds, CoverArgs{
+		out, err := Cover(Config{}, ds, CoverArgs{
 			Min: CoverBound{Kind: BoundN, N: 2}, Max: CoverBound{Kind: BoundAny},
 			Variant: variant,
 		})
@@ -598,11 +598,7 @@ func TestFlatExtentsMatchesScan(t *testing.T) {
 		}
 		intervals.SortEntries(entries)
 		minAcc := int64(1 + rng.Intn(3))
-		regs := coverRegions(intervals.Coverage(entries), entries, minAcc, math.MaxInt64, CoverStandard).regions
-		runs := make([]intervals.CoverSegment, len(regs))
-		for i, r := range regs {
-			runs[i] = intervals.CoverSegment{Start: r.Start, Stop: r.Stop}
-		}
+		runs := coverSegments(intervals.Coverage(entries), entries, minAcc, math.MaxInt64, CoverStandard)
 		want := append([]intervals.CoverSegment(nil), runs...)
 		for i := range want {
 			for _, e := range entries {

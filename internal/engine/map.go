@@ -24,13 +24,8 @@ type MapArgs struct {
 // spaces from: for every (reference sample, experiment sample) pair it emits
 // one output sample holding all the reference regions, each extended with
 // aggregates over the experiment regions intersecting it. Every output sample
-// shares its reference sample's Regions; only its value slab is new.
-//
-// The kernel is strategy-dependent (the sweep-vs-tree ablation):
-// with Config.BinWidth <= 0 each chromosome is processed with one sorted
-// merge sweep; with BinWidth > 0 reference regions are split into genometric
-// bins and probe a static interval tree built over the experiment's
-// chromosome, the binned strategy of the distributed GMQL implementations.
+// shares its reference sample's Regions; only its value slab is new. Each
+// (pair, chromosome) is one sorted merge sweep of the two region lists.
 func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) {
 	aggs := args.Aggs
 	if len(aggs) == 0 {
@@ -77,13 +72,6 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 		tk := tasks[ti]
 		r, e := pairs[tk.pair][0], pairs[tk.pair][1]
 		st := states[tk.pair]
-		var tick int
-		feed := func(refIdx, expIdx int32) {
-			cfg.tick(&tick)
-			if r.Regions[refIdx].Strand.Compatible(e.Regions[expIdx].Strand) {
-				st.add(int(refIdx), e.Values[int(expIdx)*ew:])
-			}
-		}
 		cs := tk.cs
 		elo, ehi := e.ChromRange(cs.chrom)
 		if elo == ehi {
@@ -91,27 +79,16 @@ func Map(cfg Config, ref, exp *gdm.Dataset, args MapArgs) (*gdm.Dataset, error) 
 		}
 		eb := taskEntries(e, elo, ehi)
 		defer entryPool.Put(eb)
-		if cfg.BinWidth > 0 {
-			tree := intervals.BuildTree(*eb)
-			for _, bin := range binSpans(r, cs, cfg.BinWidth) {
-				for ri := bin.lo; ri < bin.hi; ri++ {
-					reg := &r.Regions[ri]
-					refIdx := int32(ri)
-					tree.Overlapping(reg.Start, reg.Stop, func(en intervals.Entry) bool {
-						feed(refIdx, en.Payload)
-						return true
-					})
-				}
+		rb := taskEntries(r, cs.lo, cs.hi)
+		defer entryPool.Put(rb)
+		var tick int
+		intervals.SweepOverlaps(*rb, *eb, func(l, x intervals.Entry) bool {
+			cfg.tick(&tick)
+			if r.Regions[l.Payload].Strand.Compatible(e.Regions[x.Payload].Strand) {
+				st.add(int(l.Payload), e.Values[int(x.Payload)*ew:])
 			}
-		} else {
-			rb := taskEntries(r, cs.lo, cs.hi)
-			defer entryPool.Put(rb)
-			intervals.SweepOverlaps(*rb, *eb,
-				func(l, x intervals.Entry) bool {
-					feed(l.Payload, x.Payload)
-					return true
-				})
-		}
+			return true
+		})
 	})
 
 	// Phase 2: finalize output samples, parallel over pairs: the reference

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/rand"
 	"testing"
 
 	"genogo/internal/expr"
@@ -55,7 +54,7 @@ func TestUnionBasics(t *testing.T) {
 func TestUnionIDCollision(t *testing.T) {
 	a := mkDataset(t, "A", mkSample("same", nil, regSpec{"chr1", 0, 1, gdm.StrandNone, 1, "x"}))
 	b := mkDataset(t, "B", mkSample("same", nil, regSpec{"chr1", 5, 6, gdm.StrandNone, 2, "y"}))
-	out, err := Union(Config{MetaFirst: true}, a, b)
+	out, err := Union(Config{}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func TestUnionIDCollision(t *testing.T) {
 		t.Error(err)
 	}
 	// A third "same" collides with the original and with its first rename.
-	out, err = Union(Config{MetaFirst: true}, out, b)
+	out, err = Union(Config{}, out, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestDifferenceExact(t *testing.T) {
 	right := mkDataset(t, "R", mkSample("r", nil,
 		regSpec{"chr1", 0, 100, gdm.StrandNone, 9, "neg"},
 	))
-	out, err := Difference(Config{MetaFirst: true}, left, right, DifferenceArgs{Exact: true})
+	out, err := Difference(Config{}, left, right, DifferenceArgs{Exact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +126,7 @@ func TestDifferenceStrandAware(t *testing.T) {
 	right := mkDataset(t, "R", mkSample("r", nil,
 		regSpec{"chr1", 0, 100, gdm.StrandMinus, 1, "minus"},
 	))
-	out, err := Difference(Config{MetaFirst: true}, left, right, DifferenceArgs{})
+	out, err := Difference(Config{}, left, right, DifferenceArgs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +143,7 @@ func TestDifferenceJoinBy(t *testing.T) {
 	right := mkDataset(t, "R",
 		mkSample("r1", map[string]string{"cell": "HeLa"}, regSpec{"chr1", 5, 15, gdm.StrandNone, 1, "n"}),
 	)
-	out, err := Difference(Config{MetaFirst: true}, left, right, DifferenceArgs{JoinBy: []string{"cell"}})
+	out, err := Difference(Config{}, left, right, DifferenceArgs{JoinBy: []string{"cell"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +229,7 @@ func TestMapAggregates(t *testing.T) {
 		regSpec{"chr1", 30, 40, gdm.StrandNone, 4, "b"},
 		regSpec{"chr1", 200, 210, gdm.StrandNone, 100, "far"},
 	))
-	out, err := Map(Config{MetaFirst: true}, ref, exp, MapArgs{Aggs: []expr.Aggregate{
+	out, err := Map(Config{}, ref, exp, MapArgs{Aggs: []expr.Aggregate{
 		{Output: "n", Func: expr.AggCount},
 		{Output: "avg_score", Func: expr.AggAvg, Attr: "score"},
 		{Output: "max_score", Func: expr.AggMax, Attr: "score"},
@@ -256,7 +255,7 @@ func TestMapStrandCompatibility(t *testing.T) {
 		regSpec{"chr1", 30, 40, gdm.StrandPlus, 1, "p"},
 		regSpec{"chr1", 50, 60, gdm.StrandNone, 1, "n"},
 	))
-	out, err := Map(Config{MetaFirst: true}, ref, exp, MapArgs{Aggs: countAgg()})
+	out, err := Map(Config{}, ref, exp, MapArgs{Aggs: countAgg()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +273,7 @@ func TestMapJoinBy(t *testing.T) {
 		mkSample("e1", map[string]string{"cell": "HeLa"}, regSpec{"chr1", 0, 5, gdm.StrandNone, 1, "a"}),
 		mkSample("e2", map[string]string{"cell": "K562"}, regSpec{"chr1", 0, 5, gdm.StrandNone, 1, "b"}),
 	)
-	out, err := Map(Config{MetaFirst: true}, ref, exp, MapArgs{Aggs: countAgg(), JoinBy: []string{"cell"}})
+	out, err := Map(Config{}, ref, exp, MapArgs{Aggs: countAgg(), JoinBy: []string{"cell"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,21 +291,4 @@ func TestMapUnknownAttr(t *testing.T) {
 	if err == nil {
 		t.Error("unknown attribute accepted")
 	}
-}
-
-// TestMapSweepVsTreeEquivalence is the sweep-vs-tree ablation correctness
-// check: both MAP kernels must agree on random data.
-func TestMapSweepVsTreeEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	ref := randomDataset(rng, "REF", 3, 80)
-	exp := randomDataset(rng, "EXP", 4, 120)
-	sweep, err := Map(Config{Mode: ModeSerial, MetaFirst: true}, ref, exp, MapArgs{Aggs: countAgg()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := Map(Config{Mode: ModeSerial, MetaFirst: true, BinWidth: 4096}, ref, exp, MapArgs{Aggs: countAgg()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	datasetsEquivalent(t, "sweep vs tree", sweep, tree)
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,7 +57,7 @@ func applyStages(cfg Config, ds *gdm.Dataset, name string, stages []stage) *gdm.
 // compileSelect builds the SELECT stage: the metadata predicate drops whole
 // samples (the meta-first optimization — no region is touched for pruned
 // samples), the region predicate filters regions. Either may be nil.
-func compileSelect(cfg Config, schema *gdm.Schema, meta expr.MetaPredicate, region expr.Node) (stage, error) {
+func compileSelect(schema *gdm.Schema, meta expr.MetaPredicate, region expr.Node) (stage, error) {
 	var bound expr.Bound
 	if region != nil {
 		var err error
@@ -65,10 +66,9 @@ func compileSelect(cfg Config, schema *gdm.Schema, meta expr.MetaPredicate, regi
 			return stage{}, fmt.Errorf("select: %w", err)
 		}
 	}
-	metaFirst := cfg.MetaFirst
 	w := schema.Len()
 	fn := func(s *gdm.Sample) (*gdm.Sample, bool) {
-		if meta != nil && metaFirst && !meta.EvalMeta(s.Meta) {
+		if meta != nil && !meta.EvalMeta(s.Meta) {
 			return nil, false
 		}
 		ns := &gdm.Sample{ID: s.ID, Meta: s.Meta.Clone()}
@@ -78,10 +78,6 @@ func compileSelect(cfg Config, schema *gdm.Schema, meta expr.MetaPredicate, regi
 			ns.Regions, ns.Values = keepRows(s, func(ri int) bool {
 				return bound.Eval(&s.Regions[ri], s.Values[ri*w:(ri+1)*w]).Bool()
 			})
-		}
-		if meta != nil && !metaFirst && !meta.EvalMeta(ns.Meta) {
-			// Ablation path: metadata evaluated after the region work.
-			return nil, false
 		}
 		return ns, true
 	}
@@ -113,7 +109,7 @@ func keepRows(s *gdm.Sample, keep func(ri int) bool) ([]gdm.Region, []gdm.Value)
 // Select implements GMQL SELECT: the metadata predicate picks samples, the
 // region predicate filters regions inside the surviving samples.
 func Select(cfg Config, ds *gdm.Dataset, meta expr.MetaPredicate, region expr.Node) (*gdm.Dataset, error) {
-	st, err := compileSelect(cfg, ds.Schema, meta, region)
+	st, err := compileSelect(ds.Schema, meta, region)
 	if err != nil {
 		return nil, err
 	}
@@ -290,8 +286,11 @@ func Merge(cfg Config, ds *gdm.Dataset, groupBy []string) (*gdm.Dataset, error) 
 			ids[i] = m.ID
 		}
 		ns := gdm.NewSample(gdm.DeriveID("merge", ids...))
-		body := concatRows(len(members), func(i int) *rows { return &rows{members[i].Regions, members[i].Values} })
-		ns.Regions, ns.Values = body.regions, body.values
+		regions, values := make([][]gdm.Region, len(members)), make([][]gdm.Value, len(members))
+		for i, m := range members {
+			regions[i], values[i] = m.Regions, m.Values
+		}
+		ns.Regions, ns.Values = slices.Concat(regions...), slices.Concat(values...)
 		for _, m := range members {
 			m.Meta.MergeInto(ns.Meta, "")
 		}

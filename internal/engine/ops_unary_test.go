@@ -59,7 +59,7 @@ func TestSelectRegionPredicate(t *testing.T) {
 func TestSelectFixedAttributePredicate(t *testing.T) {
 	ds := twoSampleDataset(t)
 	pred := expr.Cmp{Op: expr.CmpEq, Left: expr.Attr{Name: "chr"}, Right: expr.Const{Value: gdm.Str("chr2")}}
-	out, err := Select(Config{MetaFirst: true}, ds, nil, pred)
+	out, err := Select(Config{}, ds, nil, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSelectFixedAttributePredicate(t *testing.T) {
 func TestSelectDoesNotMutateInput(t *testing.T) {
 	ds := twoSampleDataset(t)
 	before := ds.NumRegions()
-	out, err := Select(Config{MetaFirst: true}, ds, nil,
+	out, err := Select(Config{}, ds, nil,
 		expr.Cmp{Op: expr.CmpGt, Left: expr.Attr{Name: "score"}, Right: expr.Const{Value: gdm.Float(100)}})
 	if err != nil {
 		t.Fatal(err)
@@ -80,21 +80,6 @@ func TestSelectDoesNotMutateInput(t *testing.T) {
 	if ds.NumRegions() != before || ds.Samples[0].Meta.Has("mutation") {
 		t.Error("Select mutated its input")
 	}
-}
-
-func TestSelectMetaFirstAblationEquivalence(t *testing.T) {
-	ds := twoSampleDataset(t)
-	meta := expr.MetaCmp{Attr: "dataType", Op: expr.CmpEq, Value: "ChipSeq"}
-	pred := expr.Cmp{Op: expr.CmpGt, Left: expr.Attr{Name: "score"}, Right: expr.Const{Value: gdm.Float(2)}}
-	on, err := Select(Config{MetaFirst: true}, ds, meta, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := Select(Config{MetaFirst: false}, ds, meta, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	datasetsEquivalent(t, "meta-first ablation", on, off)
 }
 
 func TestSelectBindError(t *testing.T) {
@@ -106,7 +91,7 @@ func TestSelectBindError(t *testing.T) {
 
 func TestProjectKeepSubset(t *testing.T) {
 	ds := twoSampleDataset(t)
-	out, err := Project(Config{MetaFirst: true}, ds, ProjectArgs{
+	out, err := Project(Config{}, ds, ProjectArgs{
 		Regions:  []ProjectItem{{Name: "score"}},
 		MetaKeep: []string{"cell"},
 	})
@@ -126,7 +111,7 @@ func TestProjectKeepSubset(t *testing.T) {
 
 func TestProjectComputedAttribute(t *testing.T) {
 	ds := twoSampleDataset(t)
-	out, err := Project(Config{MetaFirst: true}, ds, ProjectArgs{
+	out, err := Project(Config{}, ds, ProjectArgs{
 		Regions: []ProjectItem{
 			{Name: "score"},
 			{Name: "length", Expr: expr.Arith{Op: expr.OpSub,
@@ -161,7 +146,7 @@ func TestProjectErrors(t *testing.T) {
 
 func TestExtend(t *testing.T) {
 	ds := twoSampleDataset(t)
-	out, err := Extend(Config{MetaFirst: true}, ds, []expr.Aggregate{
+	out, err := Extend(Config{}, ds, []expr.Aggregate{
 		{Output: "region_count", Func: expr.AggCount},
 		{Output: "max_score", Func: expr.AggMax, Attr: "score"},
 		{Output: "avg_score", Func: expr.AggAvg, Attr: "score"},
@@ -186,7 +171,7 @@ func TestExtend(t *testing.T) {
 
 func TestMergeAll(t *testing.T) {
 	ds := twoSampleDataset(t)
-	out, err := Merge(Config{MetaFirst: true}, ds, nil)
+	out, err := Merge(Config{}, ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +196,7 @@ func TestMergeGrouped(t *testing.T) {
 		mkSample("a2", map[string]string{"antibody": "CTCF"}, regSpec{"chr1", 5, 15, gdm.StrandNone, 1, "y"}),
 		mkSample("b1", map[string]string{"antibody": "POL2"}, regSpec{"chr2", 0, 5, gdm.StrandNone, 1, "z"}),
 	)
-	out, err := Merge(Config{MetaFirst: true}, ds, []string{"antibody"})
+	out, err := Merge(Config{}, ds, []string{"antibody"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +233,11 @@ func TestMergeCoverOrderInsensitive(t *testing.T) {
 		}
 		return mkDataset(t, "D", samples...)
 	}
-	fwd, err := Merge(Config{MetaFirst: true}, mk(false), nil)
+	fwd, err := Merge(Config{}, mk(false), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := Merge(Config{MetaFirst: true}, mk(true), nil)
+	rev, err := Merge(Config{}, mk(true), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +247,11 @@ func TestMergeCoverOrderInsensitive(t *testing.T) {
 	}
 
 	coverArgs := CoverArgs{Min: CoverBound{Kind: BoundN, N: 1}, Max: CoverBound{Kind: BoundAny}}
-	cfwd, err := Cover(Config{MetaFirst: true}, mk(false), coverArgs)
+	cfwd, err := Cover(Config{}, mk(false), coverArgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	crev, err := Cover(Config{MetaFirst: true}, mk(true), coverArgs)
+	crev, err := Cover(Config{}, mk(true), coverArgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +267,7 @@ func TestGroup(t *testing.T) {
 		mkSample("a2", map[string]string{"cell": "HeLa", "q": "4"}),
 		mkSample("b1", map[string]string{"cell": "K562", "q": "10"}),
 	)
-	out, err := Group(Config{MetaFirst: true}, ds, GroupArgs{
+	out, err := Group(Config{}, ds, GroupArgs{
 		By: []string{"cell"},
 		MetaAggs: []expr.Aggregate{
 			{Output: "n_samples", Func: expr.AggCountSamp},
@@ -319,7 +304,7 @@ func TestOrder(t *testing.T) {
 		mkSample("y", map[string]string{"p": "0.01"}),
 		mkSample("z", map[string]string{"p": "0.2"}),
 	)
-	out, err := Order(Config{MetaFirst: true}, ds, OrderArgs{
+	out, err := Order(Config{}, ds, OrderArgs{
 		Keys: []OrderKey{{Attr: "p"}},
 	})
 	if err != nil {
@@ -332,7 +317,7 @@ func TestOrder(t *testing.T) {
 	if out.Samples[0].Meta.First("_order") != "1" || out.Samples[2].Meta.First("_order") != "3" {
 		t.Error("_order ranks wrong")
 	}
-	top, err := Order(Config{MetaFirst: true}, ds, OrderArgs{
+	top, err := Order(Config{}, ds, OrderArgs{
 		Keys: []OrderKey{{Attr: "p", Desc: true}}, Top: 1,
 	})
 	if err != nil {
@@ -352,7 +337,7 @@ func TestOrderMissingAndNonNumeric(t *testing.T) {
 		mkSample("b", map[string]string{}),
 		mkSample("c", map[string]string{"tag": "alpha"}),
 	)
-	out, err := Order(Config{MetaFirst: true}, ds, OrderArgs{Keys: []OrderKey{{Attr: "tag"}}})
+	out, err := Order(Config{}, ds, OrderArgs{Keys: []OrderKey{{Attr: "tag"}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestOrderRegionTop(t *testing.T) {
 			regSpec{"chr1", 0, 10, gdm.StrandNone, 3, "only"},
 		),
 	)
-	out, err := Order(Config{MetaFirst: true}, ds, OrderArgs{
+	out, err := Order(Config{}, ds, OrderArgs{
 		Keys:       []OrderKey{{Attr: "cell"}},
 		RegionKeys: []OrderKey{{Attr: "score", Desc: true}},
 		RegionTop:  2,
@@ -52,7 +52,7 @@ func TestOrderRegionOnlyKeys(t *testing.T) {
 			regSpec{"chr1", 20, 30, gdm.StrandNone, 8, "y"},
 		),
 	)
-	out, err := Order(Config{MetaFirst: true}, ds, OrderArgs{
+	out, err := Order(Config{}, ds, OrderArgs{
 		RegionKeys: []OrderKey{{Attr: "score", Desc: true}},
 		RegionTop:  1,
 	})
@@ -83,7 +83,7 @@ func TestGroupRegionDedup(t *testing.T) {
 			regSpec{"chr1", 20, 30, gdm.StrandNone, 7, "d"},
 		),
 	)
-	out, err := Group(Config{MetaFirst: true}, ds, GroupArgs{
+	out, err := Group(Config{}, ds, GroupArgs{
 		By: []string{"cell"},
 		RegionAggs: []expr.Aggregate{
 			{Output: "n", Func: expr.AggCount},
@@ -121,7 +121,7 @@ func TestGroupRegionDedup(t *testing.T) {
 			regSpec{"chr1", 0, 10, gdm.StrandMinus, 2, "m"},
 		),
 	)
-	out2, err := Group(Config{MetaFirst: true}, ds2, GroupArgs{
+	out2, err := Group(Config{}, ds2, GroupArgs{
 		RegionAggs: []expr.Aggregate{{Output: "n", Func: expr.AggCount}},
 	})
 	if err != nil {

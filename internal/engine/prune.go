@@ -121,16 +121,16 @@ func statsExtents(st *catalog.DatasetStats) extents {
 }
 
 // selectKeep is SELECT's proof. Its sample half is the metadata predicate,
-// when it alone decides which samples survive: under meta-first evaluation
-// and without a semijoin, whose key set exists only once its external
-// dataset has been evaluated. Its partition half rejects partitions the
-// region predicate's zone window clears, which hold only rejected regions.
-// ok is false when neither half has anything to prove.
-func (e *evaluator) selectKeep(sel *SelectOp) (k catalog.Keep, ok bool) {
+// when it alone decides which samples survive: without a semijoin, whose key
+// set exists only once its external dataset has been evaluated. Its
+// partition half rejects partitions the region predicate's zone window
+// clears, which hold only rejected regions. ok is false when neither half
+// has anything to prove.
+func selectKeep(sel *SelectOp) (k catalog.Keep, ok bool) {
 	if sel == nil {
 		return k, false
 	}
-	if sel.Meta != nil && sel.SemiJoin == nil && e.cfg.MetaFirst {
+	if sel.Meta != nil && sel.SemiJoin == nil {
 		k.Sample = sel.Meta.EvalMeta
 	}
 	if sel.Region != nil {
@@ -248,7 +248,7 @@ func (e *evaluator) selectInput(in Node, sel *SelectOp, sp *obs.Span) (*gdm.Data
 	if scan == nil && sp == nil {
 		return e.eval(in, nil)
 	}
-	keep, ok := e.selectKeep(sel)
+	keep, ok := selectKeep(sel)
 	if !ok {
 		return e.evalChild(in, sp)
 	}

@@ -89,7 +89,7 @@ func TestPrunedSelectBoundary(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := &SelectOp{Input: &Scan{Dataset: "B"}, Region: tc.pred}
 			cat := writeColumnarCatalog(t, ds)
-			got, root, err := NewSession(Config{Mode: ModeSerial, MetaFirst: true}, cat).EvalProfiled(plan)
+			got, root, err := NewSession(Config{Mode: ModeSerial}, cat).EvalProfiled(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestPrunedSelectBoundary(t *testing.T) {
 			if consulted != 2 || skipped != tc.wantSkipped {
 				t.Errorf("skipped = %d of %d partitions, want %d of 2", skipped, consulted, tc.wantSkipped)
 			}
-			want, _, err := NewSession(Config{Mode: ModeSerial, MetaFirst: true, DisablePruning: true},
+			want, _, err := NewSession(Config{Mode: ModeSerial, DisablePruning: true},
 				writeColumnarCatalog(t, ds)).EvalProfiled(plan)
 			if err != nil {
 				t.Fatal(err)
@@ -114,14 +114,14 @@ func TestPrunedSelectBoundary(t *testing.T) {
 func TestPrunedSelectEquivalenceAllModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ds := randomDataset(rng, "R", 6, 40)
-	oracle := NewSession(Config{Mode: ModeSerial, MetaFirst: true}, MapCatalog{"R": ds})
+	oracle := NewSession(Config{Mode: ModeSerial}, MapCatalog{"R": ds})
 	preds := []expr.Node{
 		chromEq("chr2"),
 		startCmp(expr.CmpGe, 60000),
 		expr.And{Left: chromEq("chr1"), Right: stopCmp(expr.CmpLe, 30000)},
 	}
 	configs := append(allConfigs(),
-		Config{Mode: ModeBatch, Workers: 1, MetaFirst: true})
+		Config{Mode: ModeBatch, Workers: 1})
 	for pi, pred := range preds {
 		plan := &SelectOp{Input: &Scan{Dataset: "R"}, Region: pred}
 		want, err := oracle.Eval(plan)
@@ -164,7 +164,7 @@ func TestPrunedJoinDistanceBoundary(t *testing.T) {
 		}
 	}
 	run := func(dist int64, noPrune bool) (*gdm.Dataset, *obs.Span) {
-		cfg := Config{Mode: ModeSerial, MetaFirst: true, DisablePruning: noPrune}
+		cfg := Config{Mode: ModeSerial, DisablePruning: noPrune}
 		ds, root, err := NewSession(cfg, writeColumnarCatalog(t, left, right)).EvalProfiled(mk(dist))
 		if err != nil {
 			t.Fatal(err)
@@ -209,7 +209,7 @@ func TestPrunedMapBoundary(t *testing.T) {
 		Exp:  &Scan{Dataset: "EXP"},
 		Args: MapArgs{Aggs: countAgg()},
 	}
-	got, root, err := NewSession(Config{Mode: ModeSerial, MetaFirst: true},
+	got, root, err := NewSession(Config{Mode: ModeSerial},
 		writeColumnarCatalog(t, ref, exp)).EvalProfiled(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestPrunedMapBoundary(t *testing.T) {
 	if consulted != 2 || skipped != 1 {
 		t.Errorf("map skipped %d of %d partitions, want 1 of 2", skipped, consulted)
 	}
-	want, _, err := NewSession(Config{Mode: ModeSerial, MetaFirst: true, DisablePruning: true},
+	want, _, err := NewSession(Config{Mode: ModeSerial, DisablePruning: true},
 		writeColumnarCatalog(t, ref, exp)).EvalProfiled(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestPrunedMapBoundary(t *testing.T) {
 func TestPrunedScanNotCached(t *testing.T) {
 	ds := boundaryDataset(t)
 	scan := &Scan{Dataset: "B"}
-	sess := NewSession(Config{Mode: ModeSerial, MetaFirst: true}, writeColumnarCatalog(t, ds))
+	sess := NewSession(Config{Mode: ModeSerial}, writeColumnarCatalog(t, ds))
 	restricted := &SelectOp{Input: scan, Region: startCmp(expr.CmpGe, 450)}
 	first, root, err := sess.EvalProfiled(restricted)
 	if err != nil {
@@ -407,4 +407,47 @@ func regionCount(ds *gdm.Dataset) int {
 		n += len(s.Regions)
 	}
 	return n
+}
+
+// countingPred is a region predicate that keeps every region and records the
+// name attribute of each row it is evaluated on.
+type countingPred struct{ seen *[]string }
+
+func (p countingPred) Bind(*gdm.Schema) (expr.Bound, error) { return p, nil }
+func (p countingPred) String() string                       { return "counting" }
+func (p countingPred) Eval(_ *gdm.Region, row []gdm.Value) gdm.Value {
+	*p.seen = append(*p.seen, row[1].Str())
+	return gdm.Int(1)
+}
+
+// TestPruneZeroConfigSkipsSamples: the zero Config evaluates a SELECT's
+// metadata predicate first. The pruned read never opens the samples it
+// rejects, and the region predicate never runs on their regions.
+func TestPruneZeroConfigSkipsSamples(t *testing.T) {
+	ds := mkDataset(t, "D",
+		mkSample("a", map[string]string{"cell": "HeLa"}, regSpec{"chr1", 0, 10, gdm.StrandNone, 1, "kept"}),
+		mkSample("b", map[string]string{"cell": "K562"}, regSpec{"chr1", 5, 15, gdm.StrandNone, 2, "rejected"},
+			regSpec{"chr2", 5, 15, gdm.StrandNone, 3, "rejected"}),
+		mkSample("c", map[string]string{"cell": "HeLa"}, regSpec{"chr2", 20, 30, gdm.StrandNone, 4, "kept"}),
+		mkSample("d", map[string]string{"cell": "GM12878"}, regSpec{"chr1", 40, 50, gdm.StrandNone, 5, "rejected"}),
+	)
+	var seen []string
+	plan := &SelectOp{
+		Input:  &Scan{Dataset: "D"},
+		Meta:   expr.MetaCmp{Attr: "cell", Op: expr.CmpEq, Value: "HeLa"},
+		Region: countingPred{&seen},
+	}
+	got, root, err := NewSession(Config{}, writeColumnarCatalog(t, ds)).EvalProfiled(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, skipped := sumSamples(root); skipped != 2 {
+		t.Errorf("scan skipped %d samples, want the 2 the metadata predicate rejects:\n%s", skipped, root.Render())
+	}
+	if len(seen) != 2 || seen[0] != "kept" || seen[1] != "kept" {
+		t.Errorf("region predicate ran on rows %q, want only the 2 kept samples' rows", seen)
+	}
+	if len(got.Samples) != 2 || got.NumRegions() != 2 {
+		t.Errorf("result has %d samples, %d regions; want 2, 2", len(got.Samples), got.NumRegions())
+	}
 }

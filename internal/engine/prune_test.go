@@ -62,7 +62,7 @@ func TestRepoPrunableSelectFused(t *testing.T) {
 		Input:  &SelectOp{Input: &Scan{Dataset: "D"}, Region: chromEq("chr2")},
 		Region: nil,
 	}
-	s := NewSession(Config{Mode: ModeStream, Workers: 2, MetaFirst: true}, pruneCatalog(t))
+	s := NewSession(Config{Mode: ModeStream, Workers: 2}, pruneCatalog(t))
 	_, root, err := s.EvalProfiled(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestRepoPrunableSelectFused(t *testing.T) {
 func TestRepoPrunableSelectUnconstrained(t *testing.T) {
 	gt := expr.Cmp{Op: expr.CmpGt, Left: expr.Attr{Name: "score"}, Right: expr.Const{Value: gdm.Float(1.5)}}
 	plan := &SelectOp{Input: &Scan{Dataset: "D"}, Region: gt}
-	s := NewSession(Config{Mode: ModeSerial, MetaFirst: true}, pruneCatalog(t))
+	s := NewSession(Config{Mode: ModeSerial}, pruneCatalog(t))
 	_, root, err := s.EvalProfiled(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestRepoPrunableJoin(t *testing.T) {
 			Output: OutLeft,
 		},
 	}
-	s := NewSession(Config{Mode: ModeSerial, MetaFirst: true}, pruneCatalog(t))
+	s := NewSession(Config{Mode: ModeSerial}, pruneCatalog(t))
 	_, root, err := s.EvalProfiled(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestRepoPrunableJoinDistance(t *testing.T) {
 			Output: OutLeft,
 		},
 	}
-	s := NewSession(Config{Mode: ModeSerial, MetaFirst: true}, MapCatalog{"L": left, "R": right})
+	s := NewSession(Config{Mode: ModeSerial}, MapCatalog{"L": left, "R": right})
 	_, root, err := s.EvalProfiled(plan)
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ func TestMapAllocsPerRegion(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	ref, exp := headlineFixture(20)
-	cfg := Config{Mode: ModeSerial, MetaFirst: true}
+	cfg := Config{Mode: ModeSerial}
 	regions := float64(len(ref.Samples[0].Regions) * len(exp.Samples))
 	for _, c := range []struct {
 		agg    expr.Aggregate
@@ -77,7 +77,7 @@ func TestCoverAllocsPerRegion(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	_, exp := headlineFixture(20)
-	cfg := Config{Mode: ModeSerial, MetaFirst: true}
+	cfg := Config{Mode: ModeSerial}
 	for _, v := range []CoverVariant{CoverStandard, CoverFlat, CoverSummit, CoverHistogram} {
 		args := CoverArgs{Min: CoverBound{Kind: BoundN, N: 2}, Max: CoverBound{Kind: BoundAny}, Variant: v}
 		out, err := Cover(cfg, exp, args)
@@ -104,7 +104,7 @@ func TestJoinAllocsPerRegion(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	ref, exp := headlineFixture(20)
-	cfg := Config{Mode: ModeSerial, MetaFirst: true}
+	cfg := Config{Mode: ModeSerial}
 	for _, out := range []JoinOutput{OutInt, OutLeft, OutRight, OutCat} {
 		for name, pred := range map[string]GenometricPred{
 			"DLE": {Conds: []DistCond{{Op: DistLE, Dist: 1000}}},
@@ -222,7 +222,7 @@ func TestMapBytesPerRegion(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	ref, exp := headlineFixture(20)
-	cfg := Config{Mode: ModeSerial, MetaFirst: true}
+	cfg := Config{Mode: ModeSerial}
 	run := func() *gdm.Dataset {
 		out, err := Map(cfg, ref, exp, MapArgs{})
 		if err != nil {
@@ -320,6 +320,51 @@ func TestSumIntExactThroughOperators(t *testing.T) {
 		}
 		if got := e.Samples[0].Meta.First("signal"); got != "2.5" {
 			t.Errorf("%s: EXTEND SUM(signal) = %s, want 2.5", cfg.Mode, got)
+		}
+	}
+}
+
+// TestCoverBytesPerRegion: every COVER variant allocates each output region
+// and its row once, in its group's exactly sized sample — no per-task copy
+// of the output concatenated afterwards. Beyond that it allocates each
+// output region's aggregate state and scratch in proportion to its input:
+// the coverage profile (about 64 B an input region) and, with aggregates,
+// each input row's source (24 B).
+func TestCoverBytesPerRegion(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	_, exp := headlineFixture(20)
+	inputs := float64(exp.NumRegions())
+	cfg := Config{Mode: ModeSerial}
+	for _, aggs := range [][]expr.Aggregate{nil, {{Output: "avg", Func: expr.AggAvg, Attr: "score"}}} {
+		for _, v := range []CoverVariant{CoverStandard, CoverFlat, CoverSummit, CoverHistogram} {
+			args := CoverArgs{Min: CoverBound{Kind: BoundN, N: 2}, Max: CoverBound{Kind: BoundAny}, Variant: v, Aggs: aggs}
+			run := func() *gdm.Dataset {
+				out, err := Cover(cfg, exp, args)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			out := run()
+			regions := float64(out.NumRegions())
+			const runs = 5
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			perRegion := float64(after.TotalAlloc-before.TotalAlloc) / runs / regions
+			output := float64(40 + out.Schema.Len()*32 + len(aggs)*32)
+			scratch := float64(96 + len(aggs)*24)
+			limit := output + scratch*inputs/regions
+			t.Logf("%s aggs=%d: %.0f output regions: %.1f B per output region, limit %.0f (%.0f per output + %.0f per input region)",
+				v, len(aggs), regions, perRegion, limit, output, scratch)
+			if perRegion > limit {
+				t.Errorf("%s aggs=%d: COVER allocates %.1f B per output region, want <= %.0f", v, len(aggs), perRegion, limit)
+			}
 		}
 	}
 }

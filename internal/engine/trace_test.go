@@ -101,7 +101,7 @@ func TestMetricsSpanCacheHit(t *testing.T) {
 // carrying its member list, with the chain's source as its only child.
 func TestMetricsSpanFusion(t *testing.T) {
 	plan := &SelectOp{Input: &SelectOp{Input: &Scan{Dataset: "D"}}}
-	cfg := Config{Mode: ModeStream, Workers: 2, MetaFirst: true}
+	cfg := Config{Mode: ModeStream, Workers: 2}
 	s := NewSession(cfg, traceCatalog(t))
 	_, root, err := s.EvalProfiled(plan)
 	if err != nil {

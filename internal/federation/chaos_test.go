@@ -22,7 +22,7 @@ const chaosScript = `X = SELECT() ENCODE; MATERIALIZE X;`
 func chaosNode(t *testing.T, seed int64, samples int) (*Server, *httptest.Server) {
 	t.Helper()
 	g := synth.New(seed)
-	srv := NewServer("n", engine.Config{Mode: engine.ModeSerial, MetaFirst: true},
+	srv := NewServer("n", engine.Config{Mode: engine.ModeSerial},
 		g.Encode(synth.EncodeOptions{Samples: samples, MeanPeaks: 8}))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -177,7 +177,7 @@ func (g *getSaboteur) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // failure path — the leak TestStagingLimit's cap makes fatal.
 func TestFetchFailureReleasesStaging(t *testing.T) {
 	g := synth.New(40)
-	srv := NewServer("n", engine.Config{Mode: engine.ModeSerial, MetaFirst: true},
+	srv := NewServer("n", engine.Config{Mode: engine.ModeSerial},
 		g.Encode(synth.EncodeOptions{Samples: 4, MeanPeaks: 8}))
 	srv.maxStay = 2
 	ts := httptest.NewServer(&getSaboteur{inner: srv.Handler(), trigger: "/results/"})

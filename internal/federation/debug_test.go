@@ -22,7 +22,7 @@ import (
 // ring and the operator cost registry on its protocol port.
 func TestNodeDebugEndpoints(t *testing.T) {
 	g := synth.New(42)
-	srv := NewServer("node", engine.Config{Mode: engine.ModeSerial, MetaFirst: true},
+	srv := NewServer("node", engine.Config{Mode: engine.ModeSerial},
 		g.Encode(synth.EncodeOptions{Samples: 2, MeanPeaks: 10}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -145,7 +145,7 @@ func TestFederationConsole(t *testing.T) {
 // with their identity and catalog size.
 func TestServerHealthEndpoint(t *testing.T) {
 	g := synth.New(42)
-	srv := NewServer("node-h", engine.Config{Mode: engine.ModeSerial, MetaFirst: true},
+	srv := NewServer("node-h", engine.Config{Mode: engine.ModeSerial},
 		g.Encode(synth.EncodeOptions{Samples: 2, MeanPeaks: 10}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -186,7 +186,7 @@ func TestServerHandlerCollectable(t *testing.T) {
 	ds := g.Encode(synth.EncodeOptions{Samples: 2, MeanPeaks: 10})
 	var collected atomic.Int32
 	build := func(i int) {
-		srv := NewServer(fmt.Sprintf("node-%d", i), engine.Config{Mode: engine.ModeSerial, MetaFirst: true}, ds)
+		srv := NewServer(fmt.Sprintf("node-%d", i), engine.Config{Mode: engine.ModeSerial}, ds)
 		_ = srv.Handler()
 		runtime.SetFinalizer(srv, func(*Server) { collected.Add(1) })
 	}

@@ -116,7 +116,7 @@ func TestEstimateStatsMemoized(t *testing.T) {
 // /debug/estimates.
 func TestEstimateAccuracyFeed(t *testing.T) {
 	g := synth.New(7)
-	srv := NewServer("node", engine.Config{Mode: engine.ModeSerial, MetaFirst: true},
+	srv := NewServer("node", engine.Config{Mode: engine.ModeSerial},
 		g.Encode(synth.EncodeOptions{Samples: 6, MeanPeaks: 12}),
 		g.Annotations(g.Genes(30)))
 	ts := httptest.NewServer(srv.Handler())

@@ -44,7 +44,7 @@ func (f *flaky) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func flakyNode(t *testing.T, mode, trigger string, times int32) *httptest.Server {
 	t.Helper()
 	g := synth.New(77)
-	srv := NewServer("n", engine.Config{Mode: engine.ModeSerial, MetaFirst: true},
+	srv := NewServer("n", engine.Config{Mode: engine.ModeSerial},
 		g.Encode(synth.EncodeOptions{Samples: 6, MeanPeaks: 10}))
 	ts := httptest.NewServer(&flaky{inner: srv.Handler(), mode: mode, trigger: trigger, count: times})
 	t.Cleanup(ts.Close)

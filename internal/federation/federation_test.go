@@ -25,7 +25,7 @@ func newNode(t *testing.T, name string, seed int64, samples int) (*Server, *http
 	g := synth.New(seed)
 	enc := g.Encode(synth.EncodeOptions{Samples: samples, MeanPeaks: 30})
 	anns := g.Annotations(g.Genes(50))
-	srv := NewServer(name, engine.Config{Mode: engine.ModeSerial, MetaFirst: true}, enc, anns)
+	srv := NewServer(name, engine.Config{Mode: engine.ModeSerial}, enc, anns)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -236,7 +236,7 @@ func TestFederatedVsNaiveEquivalenceAndTraffic(t *testing.T) {
 	naive := &Federator{Clients: []*Client{NewClient(ts1.URL), NewClient(ts2.URL)}}
 	naiveResult, err := naive.QueryNaive(context.Background(), fedScript, "RESULT",
 		[]string{"ANNOTATIONS", "ENCODE"},
-		engine.Config{Mode: engine.ModeSerial, MetaFirst: true})
+		engine.Config{Mode: engine.ModeSerial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestEstimateWithinOrderOfMagnitude(t *testing.T) {
 	g := synth.New(11)
 	enc := g.Encode(synth.EncodeOptions{Samples: 20, MeanPeaks: 40})
 	anns := g.Annotations(g.Genes(80))
-	srv := NewServer("n", engine.Config{Mode: engine.ModeSerial, MetaFirst: true}, enc, anns)
+	srv := NewServer("n", engine.Config{Mode: engine.ModeSerial}, enc, anns)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := NewClient(ts.URL)

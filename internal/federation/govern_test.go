@@ -26,7 +26,7 @@ func newGovernedNode(t *testing.T, staller *resilience.Staller) (*Server, *httpt
 	g := synth.New(55)
 	enc := g.Encode(synth.EncodeOptions{Samples: 6, MeanPeaks: 10})
 	anns := g.Annotations(g.Genes(20))
-	cfg := engine.Config{Mode: engine.ModeStream, Workers: 3, MetaFirst: true}
+	cfg := engine.Config{Mode: engine.ModeStream, Workers: 3}
 	if staller != nil {
 		cfg.Stall = staller.Hook
 	}

@@ -30,7 +30,7 @@ func TestHedgeExperiment(t *testing.T) {
 	// The tail replica: most requests answer at once, a seeded 10% stall.
 	stallRng := rand.New(rand.NewSource(1))
 	mk := func(tail bool) string {
-		srv := NewServer("m", engine.Config{Mode: engine.ModeSerial, MetaFirst: true}, full)
+		srv := NewServer("m", engine.Config{Mode: engine.ModeSerial}, full)
 		h := srv.Handler()
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if tail && stallRng.Float64() < 0.10 {

@@ -51,7 +51,7 @@ func newReplCluster(t *testing.T, layout [][]string) *replCluster {
 		for _, sh := range shards {
 			ds.Samples = append(ds.Samples, rc.shards[sh]...)
 		}
-		srv := NewServer("m", engine.Config{Mode: engine.ModeSerial, MetaFirst: true}, ds)
+		srv := NewServer("m", engine.Config{Mode: engine.ModeSerial}, ds)
 		out := resilience.NewOutage()
 		ts := httptest.NewServer(out.Wrap(srv.Handler()))
 		t.Cleanup(ts.Close)
@@ -242,7 +242,7 @@ func TestReplicaMergeRule(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var clients []*Client
 			for _, ds := range tc.members {
-				srv := NewServer("m", engine.Config{Mode: engine.ModeSerial, MetaFirst: true})
+				srv := NewServer("m", engine.Config{Mode: engine.ModeSerial})
 				if ds != nil {
 					srv.AddDataset(ds)
 				}
@@ -462,7 +462,7 @@ func TestHedgeSlowMember(t *testing.T) {
 	full := g.Encode(synth.EncodeOptions{Samples: 6, MeanPeaks: 8})
 	full.Name = "ENCODE"
 	mk := func(delay time.Duration) string {
-		srv := NewServer("m", engine.Config{Mode: engine.ModeSerial, MetaFirst: true}, full)
+		srv := NewServer("m", engine.Config{Mode: engine.ModeSerial}, full)
 		h := srv.Handler()
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if delay > 0 {
@@ -745,7 +745,7 @@ func TestClientHonorsRetryAfterHint(t *testing.T) {
 	g := synth.New(3)
 	ds := g.Encode(synth.EncodeOptions{Samples: 2, MeanPeaks: 4})
 	ds.Name = "ENCODE"
-	srv := NewServer("m", engine.Config{Mode: engine.ModeSerial, MetaFirst: true}, ds)
+	srv := NewServer("m", engine.Config{Mode: engine.ModeSerial}, ds)
 	h := srv.Handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/query" && sheds == 0 {

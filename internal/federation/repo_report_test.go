@@ -51,7 +51,7 @@ MATERIALIZE RESULT;`},
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := &gmql.Runner{Config: engine.Config{Mode: engine.ModeSerial, MetaFirst: true}, Catalog: cat}
+		r := &gmql.Runner{Config: engine.Config{Mode: engine.ModeSerial}, Catalog: cat}
 		ds, sp, err := r.EvalProfiled(prog, "RESULT")
 		if err != nil {
 			t.Fatal(err)

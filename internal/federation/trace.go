@@ -304,7 +304,7 @@ func (f *Federator) run(ctx context.Context, script, varName string, chunkSize i
 		sIn += len(r.ds.Samples)
 		rIn += r.ds.NumRegions()
 	}
-	merged, collapsed, err := mergeLegs(engine.Config{MetaFirst: true}, groups, parts)
+	merged, collapsed, err := mergeLegs(engine.Config{}, groups, parts)
 	if err != nil {
 		if mergeSp != nil {
 			mergeSp.SetAttr("error", "merge")

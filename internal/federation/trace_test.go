@@ -430,7 +430,7 @@ func benchFederator(b *testing.B) *Federator {
 	var clients []*Client
 	for i := 0; i < 3; i++ {
 		g := synth.New(int64(70 + i))
-		srv := NewServer("n", engine.Config{Mode: engine.ModeSerial, MetaFirst: true},
+		srv := NewServer("n", engine.Config{Mode: engine.ModeSerial},
 			g.Encode(synth.EncodeOptions{Samples: 8, MeanPeaks: 16}))
 		ts := httptest.NewServer(srv.Handler())
 		b.Cleanup(ts.Close)

@@ -545,7 +545,7 @@ func (s *SearchService) RegionSearch(query *gdm.Sample, feature RegionFeature, t
 	q.SortRegions()
 	ref.MustAdd(q)
 
-	cfg := engine.Config{Mode: engine.ModeSerial, MetaFirst: true}
+	cfg := engine.Config{Mode: engine.ModeSerial}
 	var out []RankedDataset
 	for _, c := range cached {
 		// Merge the dataset into one sample, then MAP the query onto it.

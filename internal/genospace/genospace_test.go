@@ -18,7 +18,7 @@ func mapResult(t *testing.T, nGenes, nExps int) *gdm.Dataset {
 	g := synth.New(21)
 	genes := g.Genes(nGenes)
 	ref := g.Annotations(genes)
-	refProms, err := engine.Select(engine.Config{MetaFirst: true}, ref,
+	refProms, err := engine.Select(engine.Config{}, ref,
 		expr.MetaCmp{Attr: "annType", Op: expr.CmpEq, Value: "promoter"}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func mapResult(t *testing.T, nGenes, nExps int) *gdm.Dataset {
 	for i := 0; i < nExps; i++ {
 		exp.MustAdd(g.ChipSeq("exp"+string(rune('a'+i)), 800))
 	}
-	out, err := engine.Map(engine.Config{MetaFirst: true}, refProms, exp, engine.MapArgs{
+	out, err := engine.Map(engine.Config{}, refProms, exp, engine.MapArgs{
 		Aggs: []expr.Aggregate{{Output: "count", Func: expr.AggCount}},
 	})
 	if err != nil {

@@ -108,7 +108,7 @@ func TestAllBackendsAgreeOnScript(t *testing.T) {
 	cat := testCatalog(t)
 	var ref *gdm.Dataset
 	for _, mode := range []engine.Mode{engine.ModeSerial, engine.ModeBatch, engine.ModeStream} {
-		r := &Runner{Config: engine.Config{Mode: mode, Workers: 3, MetaFirst: true}, Catalog: cat}
+		r := &Runner{Config: engine.Config{Mode: mode, Workers: 3}, Catalog: cat}
 		results, err := r.Materialize(prog)
 		if err != nil {
 			t.Fatal(err)
@@ -436,17 +436,17 @@ MATERIALIZE B;
 	}
 	cat := testCatalog(t)
 	opt := NewRunner(cat)
-	plain := NewRunner(cat)
-	plain.DisableOptimizer = true
 	r1, err := opt.Materialize(prog1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := plain.Materialize(prog2)
+	// The reference is prog2's plan as compiled: Optimize rewrites in place,
+	// and prog1's plan is the optimized one.
+	b, err := engine.Run(opt.Config, prog2.Plan("B"), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := r1[0].Dataset, r2[0].Dataset
+	a := r1[0].Dataset
 	if len(a.Samples) != len(b.Samples) || a.NumRegions() != b.NumRegions() {
 		t.Errorf("optimizer changed semantics: %s vs %s", a, b)
 	}
@@ -471,9 +471,9 @@ MATERIALIZE PEAKS INTO two;
 	}
 	cat := testCatalog(t)
 	for _, cfg := range []engine.Config{
-		{Mode: engine.ModeSerial, MetaFirst: true},
-		{Mode: engine.ModeBatch, Workers: 3, MetaFirst: true},
-		{Mode: engine.ModeStream, Workers: 3, MetaFirst: true},
+		{Mode: engine.ModeSerial},
+		{Mode: engine.ModeBatch, Workers: 3},
+		{Mode: engine.ModeStream, Workers: 3},
 	} {
 		results, err := (&Runner{Config: cfg, Catalog: cat}).Materialize(prog)
 		if err != nil {
@@ -536,7 +536,7 @@ func TestJoinHugeDistanceBound(t *testing.T) {
 		for _, op := range []engine.DistOp{engine.DistLE, engine.DistLT} {
 			pred := engine.GenometricPred{Conds: []engine.DistCond{{Op: op, Dist: bound}}}
 			for _, mode := range modes {
-				cfg := engine.Config{Mode: mode, Workers: 3, MetaFirst: true}
+				cfg := engine.Config{Mode: mode, Workers: 3}
 				out, err := engine.Join(cfg, a, b, engine.JoinArgs{Pred: pred, Output: engine.OutLeft})
 				if err != nil {
 					t.Fatal(err)
@@ -552,7 +552,7 @@ func TestJoinHugeDistanceBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range modes {
-		r := &Runner{Config: engine.Config{Mode: mode, Workers: 3, MetaFirst: true}, Catalog: engine.MapCatalog{"A": a, "B": b}}
+		r := &Runner{Config: engine.Config{Mode: mode, Workers: 3}, Catalog: engine.MapCatalog{"A": a, "B": b}}
 		out, err := r.Eval(prog, "X")
 		if err != nil {
 			t.Fatal(err)

@@ -252,7 +252,7 @@ MATERIALIZE E;`,
 				if err != nil {
 					t.Fatal(err)
 				}
-				r := &Runner{Config: engine.Config{Mode: mode, Workers: 2, MetaFirst: true}, Catalog: cat}
+				r := &Runner{Config: engine.Config{Mode: mode, Workers: 2}, Catalog: cat}
 				results, err := r.Materialize(prog)
 				if err != nil {
 					t.Fatal(err)

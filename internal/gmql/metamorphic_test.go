@@ -204,7 +204,7 @@ func TestMetamorphicRandomizedPipelines(t *testing.T) {
 		}
 		var ref *gdm.Dataset
 		for _, mode := range []engine.Mode{engine.ModeSerial, engine.ModeStream} {
-			r := &Runner{Config: engine.Config{Mode: mode, Workers: 2, MetaFirst: true}, Catalog: cat}
+			r := &Runner{Config: engine.Config{Mode: mode, Workers: 2}, Catalog: cat}
 			ds, err := r.Eval(prog, prev)
 			if err != nil {
 				t.Fatalf("trial %d mode %s: %v\n%s", trial, mode, err, script)

@@ -24,8 +24,6 @@ type Result struct {
 type Runner struct {
 	Config  engine.Config
 	Catalog engine.Catalog
-	// DisableOptimizer skips the logical rewrite pass (ablation knob).
-	DisableOptimizer bool
 	// SlowLog, when non-nil with a positive threshold, receives a structured
 	// record for every evaluated variable slower than the threshold. Enabling
 	// it turns on profiling for Materialize, since the record inlines the
@@ -70,15 +68,6 @@ func NewRunner(cat engine.Catalog) *Runner {
 	return &Runner{Config: engine.DefaultConfig(), Catalog: cat}
 }
 
-// plan resolves and optimizes the plan of one variable.
-func (r *Runner) plan(p *Program, name string) engine.Node {
-	plan := p.Plan(name)
-	if !r.DisableOptimizer {
-		plan = engine.Optimize(plan)
-	}
-	return plan
-}
-
 // Eval evaluates one variable of the program (whether or not it is
 // materialized), returning its dataset.
 func (r *Runner) Eval(p *Program, name string) (*gdm.Dataset, error) {
@@ -93,7 +82,7 @@ func (r *Runner) EvalContext(ctx context.Context, p *Program, name string) (*gdm
 	session := engine.NewSession(r.Config, r.Catalog)
 	stop := session.Govern(ctx, r.Limits)
 	defer stop()
-	ds, err := session.Eval(r.plan(p, name))
+	ds, err := session.Eval(engine.Optimize(p.Plan(name)))
 	if err != nil {
 		return nil, r.queryErr(name, err, time.Since(start))
 	}
@@ -129,7 +118,7 @@ func (r *Runner) EvalProfiledContext(ctx context.Context, p *Program, name strin
 	session := engine.NewSession(r.Config, r.Catalog)
 	stop := session.Govern(ctx, r.Limits)
 	defer stop()
-	ds, sp, err := session.EvalProfiledLive(r.plan(p, name), r.SpanObserver)
+	ds, sp, err := session.EvalProfiledLive(engine.Optimize(p.Plan(name)), r.SpanObserver)
 	if err != nil {
 		return nil, nil, r.queryErr(name, err, time.Since(start))
 	}
@@ -186,9 +175,9 @@ func (r *Runner) materialize(ctx context.Context, p *Program, profile bool) ([]R
 		var sp *obs.Span
 		var err error
 		if profile {
-			ds, sp, err = session.EvalProfiledLive(r.plan(p, m.Var), r.SpanObserver)
+			ds, sp, err = session.EvalProfiledLive(engine.Optimize(p.Plan(m.Var)), r.SpanObserver)
 		} else {
-			ds, err = session.Eval(r.plan(p, m.Var))
+			ds, err = session.Eval(engine.Optimize(p.Plan(m.Var)))
 		}
 		if err != nil {
 			if reason, ok := engine.Killed(err); ok {
@@ -208,5 +197,5 @@ func (r *Runner) materialize(ctx context.Context, p *Program, profile bool) ([]R
 
 // Explain renders the optimized plan of a variable for debugging.
 func (r *Runner) Explain(p *Program, name string) string {
-	return engine.Explain(r.plan(p, name))
+	return engine.Explain(engine.Optimize(p.Plan(name)))
 }

@@ -20,7 +20,7 @@ MATERIALIZE SAME_CELL;
 	}
 	cat := testCatalog(t) // rna1 is HeLa; chip1 is HeLa, chip2 is K562
 	for _, mode := range []engine.Mode{engine.ModeSerial, engine.ModeBatch, engine.ModeStream} {
-		r := &Runner{Config: engine.Config{Mode: mode, Workers: 2, MetaFirst: true}, Catalog: cat}
+		r := &Runner{Config: engine.Config{Mode: mode, Workers: 2}, Catalog: cat}
 		results, err := r.Materialize(prog)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
@@ -98,17 +98,16 @@ MATERIALIZE B;
 	}
 	cat := testCatalog(t)
 	opt := NewRunner(cat)
-	plain := NewRunner(cat)
-	plain.DisableOptimizer = true
 	r1, err := opt.Materialize(parse())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := plain.Materialize(parse())
+	// The reference runs a freshly parsed program's plan unoptimized.
+	b, err := engine.Run(opt.Config, parse().Plan("B"), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := r1[0].Dataset, r2[0].Dataset
+	a := r1[0].Dataset
 	if len(a.Samples) != len(b.Samples) || a.NumRegions() != b.NumRegions() {
 		t.Errorf("optimizer changed semijoin semantics: %s vs %s", a, b)
 	}

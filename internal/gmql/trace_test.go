@@ -15,7 +15,7 @@ func TestMetricsGoldenSpanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{Config: engine.Config{Mode: engine.ModeSerial, MetaFirst: true}, Catalog: testCatalog(t)}
+	r := &Runner{Config: engine.Config{Mode: engine.ModeSerial}, Catalog: testCatalog(t)}
 	results, spans, err := r.MaterializeProfiled(prog)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestMetricsProfiledMatchesUnprofiled(t *testing.T) {
 	}
 	cat := testCatalog(t)
 	for _, mode := range []engine.Mode{engine.ModeSerial, engine.ModeBatch, engine.ModeStream} {
-		r := &Runner{Config: engine.Config{Mode: mode, Workers: 3, MetaFirst: true}, Catalog: cat}
+		r := &Runner{Config: engine.Config{Mode: mode, Workers: 3}, Catalog: cat}
 		plain, err := r.Eval(prog, "RESULT")
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +98,7 @@ func TestTraceLiveSpanObserver(t *testing.T) {
 	}
 	published := make(chan *obs.Span, 1)
 	r := &Runner{
-		Config:       engine.Config{Mode: engine.ModeStream, Workers: 4, MetaFirst: true},
+		Config:       engine.Config{Mode: engine.ModeStream, Workers: 4},
 		Catalog:      testCatalog(t),
 		SpanObserver: func(sp *obs.Span) { published <- sp },
 	}

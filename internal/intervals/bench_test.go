@@ -17,45 +17,17 @@ func benchEntries(n int, span int64) []Entry {
 	return es
 }
 
-func BenchmarkBuildTree(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			src := benchEntries(n, int64(n)*50)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				es := make([]Entry, len(src))
-				copy(es, src)
-				BuildTree(es)
-			}
-		})
-	}
-}
-
-// BenchmarkOverlapSweepVsTree is the micro-level sweep-vs-tree ablation:
-// enumerate all overlapping pairs of two sorted sets either with one merge
-// sweep or with per-query tree probes.
-func BenchmarkOverlapSweepVsTree(b *testing.B) {
+// BenchmarkSweepOverlaps enumerates all overlapping pairs of two sorted sets
+// with one merge sweep, the MAP kernel.
+func BenchmarkSweepOverlaps(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		left := benchEntries(n, int64(n)*50)
 		right := benchEntries(n, int64(n)*50)
-		b.Run(fmt.Sprintf("sweep/n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			count := 0
 			for i := 0; i < b.N; i++ {
 				count = 0
 				SweepOverlaps(left, right, func(l, r Entry) bool { count++; return true })
-			}
-			b.ReportMetric(float64(count), "pairs")
-		})
-		b.Run(fmt.Sprintf("tree/n=%d", n), func(b *testing.B) {
-			es := make([]Entry, len(right))
-			copy(es, right)
-			tree := BuildTree(es)
-			count := 0
-			for i := 0; i < b.N; i++ {
-				count = 0
-				for _, l := range left {
-					tree.Overlapping(l.Start, l.Stop, func(Entry) bool { count++; return true })
-				}
 			}
 			b.ReportMetric(float64(count), "pairs")
 		})

@@ -1,7 +1,7 @@
 // Package intervals provides the coordinate-algebra kernels that the GMQL
-// physical operators (MAP, genometric JOIN, COVER) are built on: a static
-// augmented interval tree, sorted-sweep overlap joins, coverage
-// accumulation, and nearest-neighbour search by genometric distance.
+// physical operators (MAP, genometric JOIN, COVER) are built on:
+// sorted-sweep overlap joins, coverage accumulation, and nearest-neighbour
+// search by genometric distance.
 //
 // All kernels work on one chromosome at a time over Entry slices sorted by
 // (Start, Stop); callers partition datasets by chromosome first (the binning
@@ -69,78 +69,6 @@ func Distance(aStart, aStop, bStart, bStop int64) int64 {
 		}
 		return -(right - left)
 	}
-}
-
-// Tree is a static interval tree: an implicit balanced binary tree over the
-// start-sorted entries, augmented with the maximum Stop of each subtree. It
-// answers stabbing and overlap queries in O(log n + k).
-type Tree struct {
-	entries []Entry
-	maxStop []int64 // maxStop[i] = max Stop over the subtree rooted at i
-}
-
-// BuildTree builds a tree over the entries. The input slice is sorted in
-// place if needed and retained by the tree.
-func BuildTree(entries []Entry) *Tree {
-	if !Sorted(entries) {
-		SortEntries(entries)
-	}
-	t := &Tree{entries: entries, maxStop: make([]int64, len(entries))}
-	t.build(0, len(entries)-1)
-	return t
-}
-
-// build computes subtree max-stops for the implicit tree rooted at the
-// midpoint of [lo, hi].
-func (t *Tree) build(lo, hi int) int64 {
-	if lo > hi {
-		return -1
-	}
-	mid := lo + (hi-lo)/2
-	m := t.entries[mid].Stop
-	if l := t.build(lo, mid-1); l > m {
-		m = l
-	}
-	if r := t.build(mid+1, hi); r > m {
-		m = r
-	}
-	t.maxStop[mid] = m
-	return m
-}
-
-// Len returns the number of entries.
-func (t *Tree) Len() int { return len(t.entries) }
-
-// Overlapping calls fn for every entry overlapping [start, stop), in
-// canonical order. fn returning false stops the walk early.
-func (t *Tree) Overlapping(start, stop int64, fn func(Entry) bool) {
-	t.walk(0, len(t.entries)-1, start, stop, fn)
-}
-
-func (t *Tree) walk(lo, hi int, start, stop int64, fn func(Entry) bool) bool {
-	if lo > hi {
-		return true
-	}
-	mid := lo + (hi-lo)/2
-	if t.maxStop[mid] <= start {
-		// Nothing in this whole subtree can reach past `start`.
-		return true
-	}
-	if !t.walk(lo, mid-1, start, stop, fn) {
-		return false
-	}
-	e := t.entries[mid]
-	if e.Start >= stop {
-		// Entries right of mid start even later; only the left side and mid
-		// could overlap, and mid does not.
-		return true
-	}
-	if overlaps(e.Start, e.Stop, start, stop) {
-		if !fn(e) {
-			return false
-		}
-	}
-	return t.walk(mid+1, hi, start, stop, fn)
 }
 
 // SweepOverlaps enumerates every overlapping (left, right) pair of two

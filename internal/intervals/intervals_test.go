@@ -19,22 +19,6 @@ func randomEntries(rng *rand.Rand, n int, span, maxLength int64) []Entry {
 	return es
 }
 
-func bruteOverlapping(es []Entry, start, stop int64) []Entry {
-	var out []Entry
-	for _, e := range es {
-		if e.Start < stop && start < e.Stop {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func countOverlapping(t *Tree, start, stop int64) int {
-	n := 0
-	t.Overlapping(start, stop, func(Entry) bool { n++; return true })
-	return n
-}
-
 func TestSortEntriesAndSorted(t *testing.T) {
 	es := []Entry{{5, 9, 0}, {1, 3, 1}, {1, 2, 2}}
 	if Sorted(es) {
@@ -63,68 +47,6 @@ func TestDistanceKernel(t *testing.T) {
 	for _, c := range cases {
 		if got := Distance(c.a0, c.a1, c.b0, c.b1); got != c.want {
 			t.Errorf("Distance(%d,%d,%d,%d) = %d, want %d", c.a0, c.a1, c.b0, c.b1, got, c.want)
-		}
-	}
-}
-
-func TestTreeOverlappingSmall(t *testing.T) {
-	es := []Entry{{0, 5, 0}, {3, 8, 1}, {10, 20, 2}, {15, 16, 3}, {30, 40, 4}}
-	tree := BuildTree(append([]Entry(nil), es...))
-	if tree.Len() != 5 {
-		t.Fatalf("Len = %d", tree.Len())
-	}
-	got := map[int32]bool{}
-	tree.Overlapping(4, 12, func(e Entry) bool { got[e.Payload] = true; return true })
-	for _, want := range []int32{0, 1, 2} {
-		if !got[want] {
-			t.Errorf("missing payload %d: %v", want, got)
-		}
-	}
-	if len(got) != 3 {
-		t.Errorf("extra results: %v", got)
-	}
-	if n := countOverlapping(tree, 100, 200); n != 0 {
-		t.Errorf("empty query returned %d", n)
-	}
-	if n := countOverlapping(tree, 0, 100); n != 5 {
-		t.Errorf("full query returned %d", n)
-	}
-	// Early stop.
-	calls := 0
-	tree.Overlapping(0, 100, func(Entry) bool { calls++; return false })
-	if calls != 1 {
-		t.Errorf("early stop made %d calls", calls)
-	}
-}
-
-func TestTreeEmptyAndSingle(t *testing.T) {
-	empty := BuildTree(nil)
-	empty.Overlapping(0, 10, func(Entry) bool { t.Error("callback on empty tree"); return true })
-	one := BuildTree([]Entry{{5, 10, 7}})
-	if countOverlapping(one, 0, 6) != 1 || countOverlapping(one, 10, 20) != 0 {
-		t.Error("single-entry tree wrong")
-	}
-}
-
-func TestTreeAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		es := randomEntries(rng, 200, 1000, 50)
-		tree := BuildTree(append([]Entry(nil), es...))
-		for q := 0; q < 50; q++ {
-			start := rng.Int63n(1100) - 50
-			stop := start + rng.Int63n(120)
-			want := bruteOverlapping(es, start, stop)
-			var got []Entry
-			tree.Overlapping(start, stop, func(e Entry) bool { got = append(got, e); return true })
-			if len(got) != len(want) {
-				t.Fatalf("trial %d query [%d,%d): got %d entries, want %d", trial, start, stop, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d query [%d,%d): got[%d]=%v want %v", trial, start, stop, i, got[i], want[i])
-				}
-			}
 		}
 	}
 }
